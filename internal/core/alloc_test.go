@@ -8,32 +8,36 @@ import (
 // The read path must be allocation-free outright; the update paths get a
 // fixed budget derived from the nodes an update must create (each a
 // distinct heap object by the no-ABA rule) plus the descriptor and the
-// fresh Unflag of the final unflag CAS. If one of these tests starts
+// fresh Unflag of the final unflag CAS. Leaves carry no Unflag (a leaf
+// is never the target of a flag CAS). If one of these tests starts
 // failing, garbage crept back into a hot path — see DESIGN.md before
 // raising a budget.
 
 const (
-	// insertAllocBudget: fresh leaf + its unflag, copy of the displaced
-	// leaf + its unflag, joining internal node + its unflag, the Flag
-	// descriptor, and the fresh Unflag of the unflag CAS.
-	insertAllocBudget = 8
-	// overwriteAllocBudget: fresh leaf + its unflag, the Flag
-	// descriptor, and the unflag-CAS Unflag.
-	overwriteAllocBudget = 4
+	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
+	// internal node + its Unflag, the Flag descriptor, and the fresh
+	// Unflag of the unflag CAS.
+	insertAllocBudget = 6
+	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
+	// unflag-CAS Unflag.
+	overwriteAllocBudget = 3
 	// deleteAllocBudget: the Flag descriptor and the unflag-CAS Unflag
-	// (the sibling is re-linked, not rebuilt).
+	// (the sibling is re-linked, not rebuilt). Held from below as well:
+	// fewer than 2 means an unflag CAS stopped allocating its fresh
+	// Unflag, which re-opens the ABA window (see engine.newUnflag).
 	deleteAllocBudget = 2
 
 	// The span-4 (k-ary) budgets. A wide internal node costs one extra
-	// allocation (its 16-slot child array), and the slot-oriented paths
-	// rebuild a node where the binary trie re-links: an insert is either
-	// a slot fill (parent copy: node + ext + unflag; fresh leaf +
-	// unflag; descriptor + final Unflag = 7) or a leaf displacement
-	// (binary shape + ext on the joining node = 9); a delete is either a
-	// contraction (2, as binary) or a slot clear (parent copy + desc +
-	// Unflag = 5). The pins take each path's worst case; depth-per-level
-	// is what the wider nodes buy. See DESIGN.md §11 for the full table.
-	karyInsertAllocBudget = 9
+	// allocation (its slot block: the 16 child slots and their slice
+	// header, one object), and the slot-oriented paths rebuild a node
+	// where the binary trie re-links: an insert is either a slot fill
+	// (parent copy: node + slot block + Unflag; fresh leaf; descriptor +
+	// final Unflag = 6) or a leaf displacement (binary shape + the slot
+	// block of the joining node = 7); a delete is either a contraction
+	// (2, as binary) or a slot clear (parent copy + desc + Unflag = 5).
+	// The pins take each path's worst case; depth-per-level is what the
+	// wider nodes buy. See DESIGN.md §11 for the full table.
+	karyInsertAllocBudget = 7
 	karyDeleteAllocBudget = 5
 )
 
@@ -113,8 +117,8 @@ func TestUpdateAllocationBudgets(t *testing.T) {
 			t.Fatal("Delete failed")
 		}
 		d++
-	}); n > deleteAllocBudget {
-		t.Errorf("uncontended delete allocates %v objects, budget %d", n, deleteAllocBudget)
+	}); n != deleteAllocBudget {
+		t.Errorf("uncontended delete allocates %v objects, want exactly %d", n, deleteAllocBudget)
 	}
 }
 

@@ -39,7 +39,9 @@
 // conflicting update. The one allocation that must never be optimized
 // away is the fresh Unflag written by every unflag CAS: reusing Unflag
 // objects would let a node's info field repeat a value, re-opening the
-// ABA window the paper closes.
+// ABA window the paper closes. It is as small as a fresh address can be
+// (an 8-byte header), leaves — never the target of a flag CAS — carry
+// none at all, and a binary node is exactly one 64-byte cache line.
 package engine
 
 import (
@@ -50,24 +52,30 @@ import (
 )
 
 // node is the paper's Node type. Leaves and internal nodes share one
-// struct: a node is a leaf iff leaf is true, in which case its child
-// pointers are never set. The label is immutable after construction;
-// leaf labels are full-length encoded keys, internal labels proper
-// prefixes of them.
+// struct: a node is a leaf iff its gen is the leafGen sentinel, in which
+// case its child pointers are never set. The label is immutable after
+// construction; leaf labels are full-length encoded keys, internal
+// labels proper prefixes of them.
+//
+// The field set is sized so that node[Uint64Key, uint64] is exactly 64
+// bytes — one size class, one cache line, 64-byte aligned by the
+// allocator — so a descent touches one line per level (pinned by
+// layout_test.go).
 type node[K keys.Key[K], V any] struct {
 	label K
-	leaf  bool
 
-	// gen is the snapshot generation the node was created in, immutable
-	// after construction (see snapshot.go). Internal nodes belonging to a
-	// generation older than the current root's must be copied into the
-	// current generation before an update may flag them or swing their
-	// child pointers — that copy-on-write discipline is what freezes the
-	// structure reachable from a snapshot's root. Leaf gens are never
-	// consulted: leaves are structurally immutable, and the one mutation
-	// they can suffer (a general-case replace storing its Flag into the
-	// removed leaf's info) is filtered generationally through the Flag's
-	// pNode[0].gen instead (see Snapshot.removed).
+	// gen is the snapshot generation an internal node was created in,
+	// immutable after construction (see snapshot.go), or leafGen for a
+	// leaf. Internal nodes belonging to a generation older than the
+	// current root's must be copied into the current generation before an
+	// update may flag them or swing their child pointers — that
+	// copy-on-write discipline is what freezes the structure reachable
+	// from a snapshot's root. Leaves need no generation, which is what
+	// frees the field to double as the leaf mark: they are structurally
+	// immutable, and the one mutation they can suffer (a general-case
+	// replace storing its Flag into the removed leaf's info) is filtered
+	// generationally through the Flag's pNode[0].gen instead (see
+	// Snapshot.removed).
 	gen uint64
 
 	// val is the value payload of a leaf, stored unboxed (zero for
@@ -79,12 +87,16 @@ type node[K keys.Key[K], V any] struct {
 	// is untouched, and readers never observe a half-written value.
 	val V
 
-	// info stores a pointer to the descriptor of the update operating on
-	// this node (a Flag object), or a fresh unflag descriptor when no
-	// update is in progress. It is never nil: the paper uses allocated
-	// Unflag objects rather than null precisely so that info values never
-	// repeat and flag CASes cannot suffer ABA.
-	info atomic.Pointer[desc[K, V]]
+	// info points at the header of the update operating on this node (a
+	// Flag: the header embedded in the update's desc), or at a fresh
+	// Unflag header when no update is in progress. On an internal node it
+	// is never nil: the paper uses allocated Unflag objects rather than
+	// null precisely so that info values never repeat and flag CASes
+	// cannot suffer ABA. A leaf is never the target of a flag CAS, so it
+	// is born with nil — "live" — and the only write its info ever sees
+	// is the plain store of a general-case replace's Flag (nil → Flag,
+	// once, never back: Lemma 40), which cannot repeat a value either.
+	info atomic.Pointer[info[K, V]]
 
 	// child holds the left (0) and right (1) children of a binary
 	// internal node (trie span 1, the paper's layout). Keeping the two
@@ -93,20 +105,30 @@ type node[K keys.Key[K], V any] struct {
 	// budgets of the s=1 instantiations exactly.
 	child [2]atomic.Pointer[node[K, V]]
 
-	// ext holds the 2^s child slots of a wide internal node (trie span
-	// s > 1), nil for binary nodes and leaves; a node self-describes its
-	// fanout through it. Unoccupied slots are nil. Empty slots are never
-	// CASed in place — nil repeats as an expected value, which would
-	// re-open the ABA window — so filling or clearing a slot always
-	// builds a fresh copy of the whole node and swings the parent's (or
-	// the root) pointer instead; see copyNodeSet.
-	ext []atomic.Pointer[node[K, V]]
+	// ext points at the 2^s child slots of a wide internal node (trie
+	// span s > 1), nil for binary nodes and leaves; a node self-describes
+	// its fanout through it. It is an interior pointer to a slice header
+	// that lives in the same allocation as the slots it describes (see
+	// newSlots), so the node pays 8 bytes for it rather than 24 and a
+	// wide node is still two objects. Unoccupied slots are nil. Empty
+	// slots are never CASed in place — nil repeats as an expected value,
+	// which would re-open the ABA window — so filling or clearing a slot
+	// always builds a fresh copy of the whole node and swings the
+	// parent's (or the root) pointer instead; see copyNodeSet.
+	ext *[]atomic.Pointer[node[K, V]]
 }
+
+// leafGen in a node's gen field marks it as a leaf. Snapshot generations
+// count up from zero, one per Snapshot call, and cannot reach it.
+const leafGen = ^uint64(0)
+
+// isLeaf reports whether n is a leaf.
+func (n *node[K, V]) isLeaf() bool { return n.gen == leafGen }
 
 // fanout returns the number of child slots of an internal node.
 func (n *node[K, V]) fanout() int {
 	if n.ext != nil {
-		return len(n.ext)
+		return len(*n.ext)
 	}
 	return 2
 }
@@ -114,9 +136,46 @@ func (n *node[K, V]) fanout() int {
 // kid returns the i-th child slot.
 func (n *node[K, V]) kid(i int) *atomic.Pointer[node[K, V]] {
 	if n.ext != nil {
-		return &n.ext[i]
+		return &(*n.ext)[i]
 	}
 	return &n.child[i]
+}
+
+// slotBlock is the one object behind a wide node's ext pointer: the
+// slice header and the array it slices, side by side.
+type slotBlock[K keys.Key[K], V any, A any] struct {
+	s []atomic.Pointer[node[K, V]]
+	a A
+}
+
+// newSlots returns the ext value of a fresh wide node of 2^span empty
+// slots: a pointer to a slice header allocated together with its backing
+// array, one object per node whatever the span. The interior pointer
+// keeps the whole block alive, as any Go pointer does.
+func newSlots[K keys.Key[K], V any](span uint32) *[]atomic.Pointer[node[K, V]] {
+	switch span {
+	case 2:
+		b := new(slotBlock[K, V, [4]atomic.Pointer[node[K, V]]])
+		b.s = b.a[:]
+		return &b.s
+	case 3:
+		b := new(slotBlock[K, V, [8]atomic.Pointer[node[K, V]]])
+		b.s = b.a[:]
+		return &b.s
+	case 4:
+		b := new(slotBlock[K, V, [16]atomic.Pointer[node[K, V]]])
+		b.s = b.a[:]
+		return &b.s
+	case 5:
+		b := new(slotBlock[K, V, [32]atomic.Pointer[node[K, V]]])
+		b.s = b.a[:]
+		return &b.s
+	case 6:
+		b := new(slotBlock[K, V, [64]atomic.Pointer[node[K, V]]])
+		b.s = b.a[:]
+		return &b.s
+	}
+	panic("engine: span must be in [2, 6] for a wide node")
 }
 
 // census counts n's non-nil children and returns the last one found
@@ -136,29 +195,17 @@ func (n *node[K, V]) census(skip int) (live int, sib *node[K, V]) {
 	return live, sib
 }
 
-// newLeaf returns a leaf node with the given full-length label, a zero
-// value payload and a fresh unflag descriptor.
+// newLeaf returns a leaf node with the given full-length label and a
+// zero value payload.
 func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 	var zero V
 	return newLeafVal(label, zero)
 }
 
-// newLeafVal returns a leaf node carrying a value payload.
+// newLeafVal returns a leaf node carrying a value payload. Its info is
+// nil — live — and the node is its only allocation.
 func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
-	n := &node[K, V]{label: label, leaf: true, val: val}
-	n.info.Store(newUnflag[K, V]())
-	return n
-}
-
-// newInternal returns an internal node with the given label, children and
-// snapshot generation. The children must already be ordered: left's bit at
-// the label length is 0.
-func newInternal[K keys.Key[K], V any](label K, left, right *node[K, V], gen uint64) *node[K, V] {
-	n := &node[K, V]{label: label, gen: gen}
-	n.info.Store(newUnflag[K, V]())
-	n.child[0].Store(left)
-	n.child[1].Store(right)
-	return n
+	return &node[K, V]{label: label, gen: leafGen, val: val}
 }
 
 // newNode returns an empty internal node of the trie's fanout with the
@@ -167,7 +214,7 @@ func (t *Trie[K, V]) newNode(label K, gen uint64) *node[K, V] {
 	n := &node[K, V]{label: label, gen: gen}
 	n.info.Store(newUnflag[K, V]())
 	if t.span > 1 {
-		n.ext = make([]atomic.Pointer[node[K, V]], 1<<t.span)
+		n.ext = newSlots[K, V](t.span)
 	}
 	return n
 }
@@ -192,7 +239,7 @@ func (t *Trie[K, V]) copyNode(n *node[K, V], gen uint64) *node[K, V] {
 // n's info before calling and must flag n with that capture, so a torn
 // copy can never be installed.
 func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K, V], slotB int, b *node[K, V]) *node[K, V] {
-	if n.leaf {
+	if n.isLeaf() {
 		return newLeafVal(n.label, n.val)
 	}
 	c := t.newNode(n.label, gen)
@@ -208,19 +255,22 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 	return c
 }
 
-// descKind discriminates the two Info subtypes of the paper.
-type descKind uint8
+// info is what a node's info field points at: the paper's Info object
+// reduced to the one word the protocol compares. An Unflag is a fresh
+// header with a nil flag, used for nothing but its address; a Flag is
+// the header embedded in an update's desc, whose flag points back at
+// that desc. It must not be zero-size: Go gives every zero-size
+// allocation the same address, which is exactly the repeat the fresh
+// Unflag exists to prevent.
+type info[K keys.Key[K], V any] struct {
+	flag *desc[K, V]
+}
 
-const (
-	kindUnflag descKind = iota + 1 // no update in progress at the node
-	kindFlag                       // an update owns the node
-)
-
-// desc is the paper's Info object. A desc with kind == kindUnflag uses no
-// other field; a fresh unflag is allocated for every unflagging so that a
-// node's info field never repeats a value. A desc with kind == kindFlag
-// describes one update operation completely, so that any process reading
-// it can finish the update (help).
+// desc is the paper's Flag object: it describes one update operation
+// completely, so that any process reading it can finish the update
+// (help). Nodes point at its embedded header hdr, never at the desc
+// itself; that interior pointer keeps the whole descriptor alive for as
+// long as any node or delayed helper still holds it.
 //
 // Fixed-size arrays with explicit lengths keep each descriptor to a single
 // allocation; an update flags at most four internal nodes and changes at
@@ -228,16 +278,23 @@ const (
 // the same fixed-size arrays as stack values, so a failed attempt
 // allocates nothing at all.
 type desc[K keys.Key[K], V any] struct {
-	kind descKind
+	hdr info[K, V] // hdr.flag == this desc, set once by newFlag
 
 	nFlag   uint8 // entries used in flag/oldInfo
 	nUnflag uint8 // entries used in unflag
 	nPNode  uint8 // entries used in pNode/oldChild/newChild
 
+	// flagDone is set once every node in flag was flagged successfully;
+	// helpers use it to distinguish "the update already happened and the
+	// node was unflagged" from "flagging failed, back off" (lines 93-106).
+	// It sits beside the counts so the header costs the desc no size
+	// class.
+	flagDone atomic.Bool
+
 	// flag lists the internal nodes to flag, sorted by label; oldInfo[i]
 	// is the expected prior value of flag[i].info for the flag CAS.
 	flag    [4]*node[K, V]
-	oldInfo [4]*desc[K, V]
+	oldInfo [4]*info[K, V]
 
 	// unflag lists the flagged nodes that remain in the trie and must be
 	// unflagged once the child CASes are done. Nodes in flag but not in
@@ -255,22 +312,26 @@ type desc[K keys.Key[K], V any] struct {
 	// CASes succeed and before the first child CAS; searches reaching it
 	// afterwards use logicallyRemoved to decide whether the key is gone.
 	rmvLeaf *node[K, V]
-
-	// flagDone is set once every node in flag was flagged successfully;
-	// helpers use it to distinguish "the update already happened and the
-	// node was unflagged" from "flagging failed, back off" (lines 93-106).
-	flagDone atomic.Bool
 }
 
-// newUnflag allocates a fresh Unflag descriptor. The allocation is
+// newUnflag allocates a fresh Unflag header. The allocation is
 // load-bearing: each unflag CAS must install a pointer the node's info
 // field has never held before, or a delayed flag CAS comparing against a
 // recycled Unflag could succeed long after its update was decided (ABA).
 // Do not pool or intern these.
-func newUnflag[K keys.Key[K], V any]() *desc[K, V] { return &desc[K, V]{kind: kindUnflag} }
+func newUnflag[K keys.Key[K], V any]() *info[K, V] { return new(info[K, V]) }
 
-// flagged reports whether d is a Flag descriptor.
-func (d *desc[K, V]) flagged() bool { return d.kind == kindFlag }
+// newFlag allocates a descriptor and ties its header to it; the caller
+// fills in the update.
+func newFlag[K keys.Key[K], V any]() *desc[K, V] {
+	d := new(desc[K, V])
+	d.hdr.flag = d
+	return d
+}
+
+// flagged reports whether i is a Flag header. nil — the info of a live
+// leaf — is not.
+func (i *info[K, V]) flagged() bool { return i != nil && i.flag != nil }
 
 // Trie is the shared non-blocking Patricia trie over encoded keys K with
 // unboxed value payloads V. All methods are safe for concurrent use by
@@ -349,7 +410,10 @@ type Option[K keys.Key[K], V any] func(*Trie[K, V])
 // WithoutReplace applies the paper's Section V optimization ("we
 // eliminated the rmvd variable in search operations"): searches skip the
 // logical-removal check that only replace operations can trigger. Calling
-// Replace on a trie built with this option panics.
+// Replace on a trie built with this option panics. With leaves born
+// info == nil the skipped check is a load from the leaf's own cache line
+// and a nil compare, and no benchmark can tell the option is on (DESIGN
+// §6); it is kept for the paper's figure and is a deletion candidate.
 func WithoutReplace[K keys.Key[K], V any]() Option[K, V] {
 	return func(t *Trie[K, V]) { t.skipRmvdCheck = true }
 }
@@ -405,7 +469,7 @@ func (t *Trie[K, V]) curGen() uint64 { return t.root.Load().gen }
 // rmvd⟩ returned by search.
 type searchResult[K keys.Key[K], V any] struct {
 	gp, p, node   *node[K, V]
-	gpInfo, pInfo *desc[K, V]
+	gpInfo, pInfo *info[K, V]
 	rmvd          bool
 }
 
@@ -420,7 +484,7 @@ type searchResult[K keys.Key[K], V any] struct {
 func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 	var r searchResult[K, V]
 	n := t.root.Load()
-	for n != nil && !n.leaf && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
+	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
 		r.gp, r.gpInfo = r.p, r.pInfo
 		r.p, r.pInfo = n, n.info.Load()
 		n = r.p.kid(t.slotOf(v, r.p.label.Len())).Load()
@@ -429,7 +493,7 @@ func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 	// nodes only): the key is absent, and an insert fills the slot by
 	// replacing r.p wholesale under r.gp.
 	r.node = n
-	if n != nil && n.leaf && !t.skipRmvdCheck {
+	if n != nil && n.isLeaf() && !t.skipRmvdCheck {
 		r.rmvd = t.logicallyRemoved(n.info.Load())
 	}
 	return r
@@ -441,11 +505,11 @@ func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 // child no longer being a child of pNode[0] (Lemma 41). A nil pNode[0] is
 // the root-CAS sentinel: the replace's insert half replaced the root node
 // itself, so the check is against the trie's root pointer.
-func (t *Trie[K, V]) logicallyRemoved(i *desc[K, V]) bool {
+func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.pNode[0], i.oldChild[0]
+	p, old := i.flag.pNode[0], i.flag.oldChild[0]
 	if p == nil {
 		return t.root.Load() != old
 	}
@@ -459,7 +523,7 @@ func (t *Trie[K, V]) logicallyRemoved(i *desc[K, V]) bool {
 
 // keyInTrie implements lines 125-126. A nil n (empty slot) is absent.
 func keyInTrie[K keys.Key[K], V any](n *node[K, V], v K, rmvd bool) bool {
-	return n != nil && n.leaf && n.label.Equal(v) && !rmvd
+	return n != nil && n.isLeaf() && n.label.Equal(v) && !rmvd
 }
 
 // Contains reports whether the encoded key v is in the set. It only

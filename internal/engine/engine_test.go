@@ -16,6 +16,7 @@ import (
 type (
 	unode = node[keys.Uint64Key, any]
 	udesc = desc[keys.Uint64Key, any]
+	uinfo = info[keys.Uint64Key, any]
 )
 
 // testTrie wraps the engine with a width so tests can speak uint64 user
@@ -50,6 +51,10 @@ func mustNew(t *testing.T, width uint32, opts ...Option[keys.Uint64Key, any]) te
 		width: width,
 	}
 }
+
+// testFlag returns an empty Flag descriptor for tests that fabricate
+// protocol states by hand; nodes are flagged with its &d.hdr.
+func testFlag() *udesc { return newFlag[keys.Uint64Key, any]() }
 
 func newTestLeaf(tt testTrie, k uint64) *unode {
 	return newLeaf[keys.Uint64Key, any](tt.enc(k))

@@ -190,7 +190,7 @@ func TestLoadPerformsNoCAS(t *testing.T) {
 	// still carries its descriptor (a CAS-ing reader would have completed
 	// the child swaps or unflagged them).
 	for j := 0; j < int(d.nFlag); j++ {
-		if d.flag[j].info.Load() != d {
+		if d.flag[j].info.Load() != &d.hdr {
 			t.Error("a flag planted by the stalled update was changed by Load")
 		}
 	}

@@ -24,11 +24,12 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 
 	a := tr.root.Load().child[0].Load()
 	b := tr.root.Load().child[1].Load()
-	if a.leaf || b.leaf {
+	if a.isLeaf() || b.isLeaf() {
 		t.Fatal("test setup: expected internal children")
 	}
 	stale := newUnflag[keys.Uint64Key, any]() // never the current info of b
-	d := &udesc{kind: kindFlag, nFlag: 2, nUnflag: 2}
+	d := testFlag()
+	d.nFlag, d.nUnflag = 2, 2
 	d.flag[0], d.flag[1] = a, b
 	d.oldInfo[0], d.oldInfo[1] = a.info.Load(), stale
 	d.unflag[0], d.unflag[1] = a, b
@@ -62,7 +63,7 @@ func TestHelpIsIdempotent(t *testing.T) {
 		t.Fatal("setup: makeInternal failed")
 	}
 	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*udesc{r.pInfo}, 1,
+		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
 		[2]*unode{r.p}, 1,
 		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{newNode}, 1,
 		nil)
@@ -90,7 +91,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 
 	// Same node twice with the same oldInfo: deduplicated to one entry.
 	d := tr.newDesc(
-		[4]*unode{n, n}, [4]*udesc{info, info}, 2,
+		[4]*unode{n, n}, [4]*uinfo{info, info}, 2,
 		[2]*unode{n, n}, 2,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil)
@@ -103,7 +104,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 
 	// Same node with different oldInfo: the node changed between reads.
 	if tr.newDesc(
-		[4]*unode{n, n}, [4]*udesc{info, newUnflag[keys.Uint64Key, any]()}, 2,
+		[4]*unode{n, n}, [4]*uinfo{info, newUnflag[keys.Uint64Key, any]()}, 2,
 		[2]*unode{n}, 1,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil) != nil {
@@ -111,9 +112,9 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 	}
 
 	// A flagged oldInfo: the conflicting update gets helped, nil returned.
-	flagged := &udesc{kind: kindFlag}
+	flagged := testFlag()
 	if tr.newDesc(
-		[4]*unode{n}, [4]*udesc{flagged}, 1,
+		[4]*unode{n}, [4]*uinfo{&flagged.hdr}, 1,
 		[2]*unode{n}, 1,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil) != nil {
@@ -130,7 +131,7 @@ func TestNewDescSortsByLabel(t *testing.T) {
 	var internals []*unode
 	var collect func(*unode)
 	collect = func(n *unode) {
-		if n.leaf {
+		if n.isLeaf() {
 			return
 		}
 		internals = append(internals, n)
@@ -142,7 +143,7 @@ func TestNewDescSortsByLabel(t *testing.T) {
 		t.Fatalf("setup: want >=3 internal nodes, got %d", len(internals))
 	}
 	ns := [4]*unode{internals[2], internals[0], internals[1]}
-	is := [4]*udesc{ns[0].info.Load(), ns[1].info.Load(), ns[2].info.Load()}
+	is := [4]*uinfo{ns[0].info.Load(), ns[1].info.Load(), ns[2].info.Load()}
 	d := tr.newDesc(ns, is, 3,
 		[2]*unode{ns[0]}, 1,
 		[2]*unode{ns[0]}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
@@ -166,21 +167,25 @@ func TestLogicallyRemovedPredicate(t *testing.T) {
 	tr.Insert(5)
 	leaf5 := tr.search(tr.enc(5)).node
 
+	if leaf5.info.Load() != nil {
+		t.Error("a live leaf must be born with a nil info")
+	}
 	if tr.logicallyRemoved(leaf5.info.Load()) {
 		t.Error("unflagged leaf must not be logically removed")
 	}
 	// Fabricate a replace-style flag whose pNode still points at
 	// oldChild: not yet removed.
 	p := tr.search(tr.enc(5)).p
-	d := &udesc{kind: kindFlag, nPNode: 1}
+	d := testFlag()
+	d.nPNode = 1
 	d.pNode[0] = p
 	d.oldChild[0] = leaf5
-	if tr.logicallyRemoved(d) {
+	if tr.logicallyRemoved(&d.hdr) {
 		t.Error("leaf still linked under pNode[0] is not removed")
 	}
 	// Once oldChild is no longer a child of pNode[0], it is removed.
 	d.oldChild[0] = newTestLeaf(tr, 9)
-	if !tr.logicallyRemoved(d) {
+	if !tr.logicallyRemoved(&d.hdr) {
 		t.Error("leaf unlinked from pNode[0] must report removed")
 	}
 }
@@ -200,12 +205,12 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	nodeInfo := r.node.info.Load()
 	nn := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
 	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*udesc{r.pInfo}, 1,
+		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
 		[2]*unode{r.p}, 1,
 		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{nn}, 1,
 		nil)
 	tr.help(d)
-	if tr.makeInternal(a, b, d) != nil {
+	if tr.makeInternal(a, b, &d.hdr) != nil {
 		t.Error("conflict with flagged info must still yield nil")
 	}
 	if err := tr.Validate(); err != nil {
@@ -226,7 +231,7 @@ func TestTryDeleteRootChildDefensive(t *testing.T) {
 	tr.Insert(7)
 
 	dummy := tr.root.Load().child[0].Load()
-	for !dummy.leaf {
+	for !dummy.isLeaf() {
 		dummy = dummy.child[0].Load()
 	}
 	if !dummy.label.Equal(keys.Uint64DummyMin(tr.width)) {
@@ -257,10 +262,11 @@ func TestOrderedSkipsLogicallyRemoved(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(50)
 	leaf := tr.search(tr.enc(50)).node
-	d := &udesc{kind: kindFlag, nPNode: 1}
+	d := testFlag()
+	d.nPNode = 1
 	d.pNode[0] = tr.root.Load()
 	d.oldChild[0] = newTestLeaf(tr, 1) // not a child: "removed"
-	leaf.info.Store(d)
+	leaf.info.Store(&d.hdr)
 	if _, ok := tr.Trie.Ceiling(tr.enc(0)); ok {
 		t.Error("logically removed leaf surfaced from Ceiling")
 	}
@@ -294,13 +300,34 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 
 	// A reachable flagged node at quiescence is a violation.
-	d := &udesc{kind: kindFlag}
+	d := testFlag()
 	old := c0.info.Load()
-	c0.info.Store(d)
+	c0.info.Store(&d.hdr)
 	if tr.Validate() == nil {
 		t.Error("Validate must detect reachable flagged node")
 	}
+
+	// So is an internal node without an Unflag header (nil repeats as an
+	// expected value of a flag CAS) ...
+	c0.info.Store(nil)
+	if tr.Validate() == nil {
+		t.Error("Validate must detect a reachable internal node with nil info")
+	}
 	c0.info.Store(old)
+
+	// ... and a reachable leaf that holds anything but nil: an Unflag is a
+	// wasted header, a Flag an unfinished general-case replace.
+	leaf := tr.search(tr.enc(3)).node
+	for _, i := range []*uinfo{newUnflag[keys.Uint64Key, any](), &d.hdr} {
+		leaf.info.Store(i)
+		if tr.Validate() == nil {
+			t.Errorf("Validate must detect a reachable leaf holding %+v", i)
+		}
+	}
+	leaf.info.Store(nil)
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("restored trie should validate: %v", err)
+	}
 
 	// The extra (instantiation-supplied) check is consulted too.
 	errSentinel := tr.Trie.Validate(func(label keys.Uint64Key, leaf bool) error {

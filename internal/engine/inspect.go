@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // The helpers in this file traverse the trie without synchronization and
@@ -53,14 +54,17 @@ func (t *Trie[K, V]) Size() int {
 //   - The two dummy leaves are the extreme leaves of the trie.
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
-//     returns, no reachable node's info is a Flag).
+//     returns, no reachable node's info is a Flag): every reachable
+//     internal node holds a non-nil Unflag header and every reachable
+//     leaf holds nil — a Flag on a reachable leaf is an unfinished
+//     general-case replace.
 //
 // extra, when non-nil, runs on every reachable node so instantiations
 // can add key-space-specific checks (canonical representation, full
 // leaf length, ...); its first error is reported.
 func (t *Trie[K, V]) Validate(extra func(label K, leaf bool) error) error {
 	root := t.root.Load()
-	if root.leaf || root.label.Len() != 0 {
+	if root.isLeaf() || root.label.Len() != 0 {
 		return fmt.Errorf("root must be an internal node with empty label")
 	}
 	var leaves []K
@@ -85,15 +89,20 @@ func (t *Trie[K, V]) Validate(extra func(label K, leaf bool) error) error {
 }
 
 func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leaves *[]K) error {
-	if n.info.Load().flagged() {
+	switch i := n.info.Load(); {
+	case i.flagged():
 		return fmt.Errorf("reachable node %v is flagged at quiescence", n.label)
+	case n.isLeaf() && i != nil:
+		return fmt.Errorf("reachable leaf %v holds an info header; leaves are born with nil", n.label)
+	case !n.isLeaf() && i == nil:
+		return fmt.Errorf("reachable internal node %v has a nil info; flag CASes on it could suffer ABA", n.label)
 	}
 	if extra != nil {
-		if err := extra(n.label, n.leaf); err != nil {
+		if err := extra(n.label, n.isLeaf()); err != nil {
 			return err
 		}
 	}
-	if n.leaf {
+	if n.isLeaf() {
 		*leaves = append(*leaves, n.label)
 		return nil
 	}
@@ -145,14 +154,64 @@ func (t *Trie[K, V]) Dump(format func(label K, leaf bool) string) string {
 
 func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K, bool) string, depth int) {
 	sb.WriteString(strings.Repeat("  ", depth))
-	sb.WriteString(format(n.label, n.leaf))
+	sb.WriteString(format(n.label, n.isLeaf()))
 	sb.WriteByte('\n')
-	if n.leaf {
+	if n.isLeaf() {
 		return
 	}
 	for idx := 0; idx < n.fanout(); idx++ {
 		if c := n.kid(idx).Load(); c != nil {
 			t.dumpNode(sb, c, format, depth+1)
+		}
+	}
+}
+
+// Footprint is a census of the heap objects reachable from a trie's
+// root: how many there are of each kind and what unsafe.Sizeof predicts
+// they occupy. The prediction leaves out allocator rounding (exact when
+// the sizes are size classes, as they are for the Uint64Key
+// instantiations the layout tests pin) and whatever K and V hold out of
+// line.
+type Footprint struct {
+	Internal, Leaves, Infos int // objects; Leaves includes the two dummies
+
+	// InternalBytes includes the slot blocks of wide nodes; InfoBytes
+	// counts a Flag (none is reachable at quiescence) as its whole desc.
+	InternalBytes, LeafBytes, InfoBytes uintptr
+}
+
+// Bytes returns the predicted bytes of all census objects.
+func (f Footprint) Bytes() uintptr { return f.InternalBytes + f.LeafBytes + f.InfoBytes }
+
+// Footprint walks the trie and returns its census. Quiescent use only.
+func (t *Trie[K, V]) Footprint() Footprint {
+	var f Footprint
+	t.footprintNode(t.root.Load(), &f)
+	return f
+}
+
+func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
+	switch i := n.info.Load(); {
+	case i.flagged():
+		f.Infos++
+		f.InfoBytes += unsafe.Sizeof(*i.flag)
+	case i != nil:
+		f.Infos++
+		f.InfoBytes += unsafe.Sizeof(*i)
+	}
+	if n.isLeaf() {
+		f.Leaves++
+		f.LeafBytes += unsafe.Sizeof(*n)
+		return
+	}
+	f.Internal++
+	f.InternalBytes += unsafe.Sizeof(*n)
+	if n.ext != nil {
+		f.InternalBytes += unsafe.Sizeof(*n.ext) + uintptr(len(*n.ext))*unsafe.Sizeof((*n.ext)[0])
+	}
+	for idx := 0; idx < n.fanout(); idx++ {
+		if c := n.kid(idx).Load(); c != nil {
+			t.footprintNode(c, f)
 		}
 	}
 }

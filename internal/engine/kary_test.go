@@ -42,7 +42,7 @@ func TestSpanLayout(t *testing.T) {
 	}
 	var walk func(n *unode)
 	walk = func(n *unode) {
-		if n.leaf {
+		if n.isLeaf() {
 			return
 		}
 		if n.ext != nil || n.fanout() != 2 {
@@ -84,7 +84,7 @@ func TestKaryRootFillAndClear(t *testing.T) {
 	if r1 == r0 {
 		t.Fatal("slot fill must install a fresh root copy via the root CAS")
 	}
-	if c := r1.kid(3).Load(); c == nil || !c.leaf {
+	if c := r1.kid(3).Load(); c == nil || !c.isLeaf() {
 		t.Fatal("filled slot 3 must hold the new leaf")
 	}
 	if !tr.Contains(47) || tr.Size() != 1 {
@@ -120,7 +120,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	tr.Insert(48)
 	tr.Insert(49)
 	a := tr.root.Load().kid(3).Load()
-	if a == nil || a.leaf || a.label.Len() != 4 || a.fanout() != 16 {
+	if a == nil || a.isLeaf() || a.label.Len() != 4 || a.fanout() != 16 {
 		t.Fatalf("expected a wide internal node with a one-digit label under root slot 3")
 	}
 
@@ -143,7 +143,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 		t.Fatal("Delete(62) failed")
 	}
 	c := tr.root.Load().kid(3).Load()
-	if c.leaf || c.kid(15).Load() != nil {
+	if c.isLeaf() || c.kid(15).Load() != nil {
 		t.Fatal("slot clear must leave a wide node with slot 15 empty")
 	}
 	// ...then the contraction: deleting 49 leaves 48 alone under c, and c
@@ -151,7 +151,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	if !tr.Delete(49) {
 		t.Fatal("Delete(49) failed")
 	}
-	if d := tr.root.Load().kid(3).Load(); d == nil || !d.leaf {
+	if d := tr.root.Load().kid(3).Load(); d == nil || !d.isLeaf() {
 		t.Fatal("two-child wide node must contract into the surviving leaf")
 	}
 	if !tr.Contains(48) || tr.Contains(49) || tr.Size() != 1 {

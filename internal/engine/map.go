@@ -160,7 +160,7 @@ func (t *Trie[K, V]) tryOverwrite(v K, val V, r searchResult[K, V]) bool {
 		return false
 	}
 	i := t.newDesc(
-		[4]*node[K, V]{r.p}, [4]*desc[K, V]{r.pInfo}, 1,
+		[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
 		[2]*node[K, V]{r.p}, 1,
 		[2]*node[K, V]{r.p}, [2]*node[K, V]{r.node},
 		[2]*node[K, V]{newLeafVal(v, val)}, 1,

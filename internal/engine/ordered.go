@@ -45,7 +45,7 @@ func (t *Trie[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 }
 
 func (t *Trie[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
-	if n.leaf {
+	if n.isLeaf() {
 		if n.label.Compare(v) >= 0 && t.usableLeaf(n) {
 			return fn(n.label, n.val)
 		}
@@ -69,7 +69,7 @@ func (t *Trie[K, V]) Ceiling(v K) (K, bool) {
 }
 
 func (t *Trie[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
-	if n.leaf {
+	if n.isLeaf() {
 		if n.label.Compare(v) >= 0 && t.usableLeaf(n) {
 			return n.label, true
 		}
@@ -95,7 +95,7 @@ func (t *Trie[K, V]) Floor(v K) (K, bool) {
 }
 
 func (t *Trie[K, V]) floorNode(n *node[K, V], v K) (K, bool) {
-	if n.leaf {
+	if n.isLeaf() {
 		if n.label.Compare(v) <= 0 && t.usableLeaf(n) {
 			return n.label, true
 		}

@@ -86,7 +86,7 @@ func (t *Trie[K, V]) afterDelete(p *node[K, V], sd int, g uint64) (res *node[K, 
 // from oldC to newC, flagging the nFlag nodes in f. The target is the
 // only flagged node that stays in the trie, so it alone is unflagged.
 func (t *Trie[K, V]) oneCAS(target, oldC, newC *node[K, V],
-	f [4]*node[K, V], fi [4]*desc[K, V], nFlag int) *desc[K, V] {
+	f [4]*node[K, V], fi [4]*info[K, V], nFlag int) *desc[K, V] {
 	var unflag [2]*node[K, V]
 	nUnflag := 0
 	if target != nil {
@@ -117,7 +117,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			return nil
 		}
 		return t.oneCAS(rd.p, ri.node, newLeafVal(vi, rd.node.val),
-			[4]*node[K, V]{rd.p}, [4]*desc[K, V]{rd.pInfo}, 1)
+			[4]*node[K, V]{rd.p}, [4]*info[K, V]{rd.pInfo}, 1)
 
 	case ri.node == rd.p && ri.p == rd.gp:
 		// Special case 2 (lines 60-62): the new key diverges from the
@@ -132,7 +132,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			return nil
 		}
 		return t.oneCAS(rd.gp, rd.p, newNodeI,
-			[4]*node[K, V]{rd.gp, rd.p}, [4]*desc[K, V]{rd.gpInfo, rd.pInfo}, 2)
+			[4]*node[K, V]{rd.gp, rd.p}, [4]*info[K, V]{rd.gpInfo, rd.pInfo}, 2)
 
 	case ri.p == rd.p:
 		// Special case 3 (lines 63-64): both positions share a parent
@@ -163,7 +163,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			np = t.copyNodeSet(rd.p, g, sd, nil, si, sub)
 		}
 		return t.oneCAS(rd.gp, rd.p, np,
-			[4]*node[K, V]{rd.p, rd.gp}, [4]*desc[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
+			[4]*node[K, V]{rd.p, rd.gp}, [4]*info[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
 
 	case ri.node == rd.gp:
 		// Special case 4 (lines 65-70): the insertion displaces the
@@ -182,7 +182,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		}
 		return t.newDesc(
 			[4]*node[K, V]{ri.p, rd.gp, rd.p},
-			[4]*desc[K, V]{ri.pInfo, rd.gpInfo, rd.pInfo}, 3,
+			[4]*info[K, V]{ri.pInfo, rd.gpInfo, rd.pInfo}, 3,
 			[2]*node[K, V]{ri.p}, 1,
 			[2]*node[K, V]{ri.p}, [2]*node[K, V]{ri.node},
 			[2]*node[K, V]{newNodeI}, 1,
@@ -214,7 +214,7 @@ func flagCount[K keys.Key[K], V any](gp *node[K, V], n int) int {
 // would flag, marks the old leaf, and performs two child CASes — insert
 // first, then delete. rmvLeaf is the old key's leaf; once the first child
 // CAS lands, searches reaching that leaf see it as logically removed.
-func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *desc[K, V], sd int, g uint64) *desc[K, V] {
+func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *info[K, V], sd int, g uint64) *desc[K, V] {
 	// Help-before-build: every info value this case will hand to newDesc
 	// is checked up front, so no subtree is constructed for an attempt
 	// that is already doomed by a conflicting update.
@@ -233,13 +233,13 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 	if newNodeI == nil {
 		return nil
 	}
-	if !ri.node.leaf {
+	if !ri.node.isLeaf() {
 		// Line 55: the displaced insertion point is internal, so it too
 		// must be flagged (permanently — it leaves the trie).
 		if rd.gp == nil {
 			return t.newDesc(
 				[4]*node[K, V]{rd.p, ri.p, ri.node},
-				[4]*desc[K, V]{rd.pInfo, ri.pInfo, nodeInfoI}, 3,
+				[4]*info[K, V]{rd.pInfo, ri.pInfo, nodeInfoI}, 3,
 				[2]*node[K, V]{ri.p}, 1,
 				[2]*node[K, V]{ri.p, nil},
 				[2]*node[K, V]{ri.node, rd.p},
@@ -248,7 +248,7 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 		}
 		return t.newDesc(
 			[4]*node[K, V]{rd.gp, rd.p, ri.p, ri.node},
-			[4]*desc[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo, nodeInfoI}, 4,
+			[4]*info[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo, nodeInfoI}, 4,
 			[2]*node[K, V]{rd.gp, ri.p}, 2,
 			[2]*node[K, V]{ri.p, rd.gp},
 			[2]*node[K, V]{ri.node, rd.p},
@@ -259,7 +259,7 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 	if rd.gp == nil {
 		return t.newDesc(
 			[4]*node[K, V]{rd.p, ri.p},
-			[4]*desc[K, V]{rd.pInfo, ri.pInfo}, 2,
+			[4]*info[K, V]{rd.pInfo, ri.pInfo}, 2,
 			[2]*node[K, V]{ri.p}, 1,
 			[2]*node[K, V]{ri.p, nil},
 			[2]*node[K, V]{ri.node, rd.p},
@@ -268,7 +268,7 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 	}
 	return t.newDesc(
 		[4]*node[K, V]{rd.gp, rd.p, ri.p},
-		[4]*desc[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo}, 3,
+		[4]*info[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo}, 3,
 		[2]*node[K, V]{rd.gp, ri.p}, 2,
 		[2]*node[K, V]{ri.p, rd.gp},
 		[2]*node[K, V]{ri.node, rd.p},
@@ -296,7 +296,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		}
 		np := t.copyNodeSet(rd.p, g, sd, nil, si, newLeafVal(vi, rd.node.val))
 		return t.oneCAS(rd.gp, rd.p, np,
-			[4]*node[K, V]{rd.p, rd.gp}, [4]*desc[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
+			[4]*node[K, V]{rd.p, rd.gp}, [4]*info[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
 
 	case ri.gp == rd.p:
 		// The delete replaces rd.p, whose child ri.p holds the empty
@@ -320,7 +320,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		}
 		return t.oneCAS(rd.gp, rd.p, np,
 			[4]*node[K, V]{rd.p, ri.p, rd.gp},
-			[4]*desc[K, V]{rd.pInfo, ri.pInfo, rd.gpInfo}, flagCount(rd.gp, 3))
+			[4]*info[K, V]{rd.pInfo, ri.pInfo, rd.gpInfo}, flagCount(rd.gp, 3))
 
 	case ri.p == rd.gp:
 		// The fill replaces ri.p, which the delete's CAS would target:
@@ -333,7 +333,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.val), sp, res)
 		return t.oneCAS(ri.gp, ri.p, np,
 			[4]*node[K, V]{ri.p, rd.p, ri.gp},
-			[4]*desc[K, V]{ri.pInfo, rd.pInfo, ri.gpInfo}, flagCount(ri.gp, 3))
+			[4]*info[K, V]{ri.pInfo, rd.pInfo, ri.gpInfo}, flagCount(ri.gp, 3))
 	}
 
 	// Disjoint: two CASes, fill first (pNode[0] — the linearization
@@ -351,7 +351,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 	np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.val), -1, nil)
 
 	var flag [4]*node[K, V]
-	var fi [4]*desc[K, V]
+	var fi [4]*info[K, V]
 	var unflag [2]*node[K, V]
 	nFlag, nUnflag := 0, 0
 	if ri.gp != nil {

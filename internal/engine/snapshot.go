@@ -90,11 +90,11 @@ func (s *Snapshot[K, V]) Len() int { return int(s.n) }
 // all in-flight mutations — so its leaf was already physically
 // unlinked and cannot be reached from the snapshot root at all; the
 // structural check below is kept as a defensive fallback.)
-func (s *Snapshot[K, V]) removed(i *desc[K, V]) bool {
+func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.pNode[0], i.oldChild[0]
+	p, old := i.flag.pNode[0], i.flag.oldChild[0]
 	if p == nil {
 		// Root-CAS sentinel: the replace's insert half swapped the root
 		// node itself. The displaced root (oldChild[0], always internal)
@@ -118,10 +118,10 @@ func (s *Snapshot[K, V]) removed(i *desc[K, V]) bool {
 // search is the read-only descent over the frozen structure.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
-	for n != nil && !n.leaf && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
+	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
 		n = n.kid(s.t.slotOf(v, n.label.Len())).Load()
 	}
-	if n != nil && n.leaf && !s.t.skipRmvdCheck {
+	if n != nil && n.isLeaf() && !s.t.skipRmvdCheck {
 		rmvd = s.removed(n.info.Load())
 	}
 	return n, rmvd
@@ -153,7 +153,7 @@ func (s *Snapshot[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 }
 
 func (s *Snapshot[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
-	if n.leaf {
+	if n.isLeaf() {
 		if n.label.Compare(v) >= 0 && s.usable(n) {
 			return fn(n.label, n.val)
 		}
@@ -193,19 +193,25 @@ restart:
 		var r searchResult[K, V]
 		var depth uint64
 		n := root
-		for n != nil && !n.leaf && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
+		for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
 			r.gp, r.gpInfo = r.p, r.pInfo
 			r.p, r.pInfo = n, n.info.Load()
 			n = r.p.kid(t.slotOf(v, r.p.label.Len())).Load()
 			depth++
-			if n != nil && !n.leaf && n.gen != g {
+			if n != nil && !n.isLeaf() && n.gen != g {
 				t.renewChild(r.p, r.pInfo, n, g)
+				// Re-descend from the root as it is now: a wide trie's
+				// root node is itself replaced by slot fills and clears
+				// (the root-CAS sentinel), and a displaced root stays
+				// flagged forever, so a renewal under it could never
+				// succeed. The generation cannot change meanwhile.
+				root = t.root.Load()
 				continue restart
 			}
 		}
 		r.node = n
 		t.stats.Depth.Record(depth)
-		if n != nil && n.leaf && !t.skipRmvdCheck {
+		if n != nil && n.isLeaf() && !t.skipRmvdCheck {
 			r.rmvd = t.logicallyRemoved(n.info.Load())
 		}
 		return r
@@ -223,7 +229,7 @@ restart:
 // c certifies the copy is faithful (the same Lemma 31 argument as
 // copyNode). On any conflict the attempt is abandoned after helping;
 // the caller re-descends either way.
-func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *desc[K, V], c *node[K, V], g uint64) {
+func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
 	t.stats.SnapshotRenewals.Inc()
 	cInfo := c.info.Load()
 	if t.helpConflict(pInfo, cInfo, nil, nil) {
@@ -231,7 +237,7 @@ func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *desc[K, V], c *node[K, V],
 	}
 	nc := t.copyNode(c, g)
 	i := t.newDesc(
-		[4]*node[K, V]{p, c}, [4]*desc[K, V]{pInfo, cInfo}, 2,
+		[4]*node[K, V]{p, c}, [4]*info[K, V]{pInfo, cInfo}, 2,
 		[2]*node[K, V]{p}, 1,
 		[2]*node[K, V]{p}, [2]*node[K, V]{c}, [2]*node[K, V]{nc}, 1,
 		nil)

@@ -23,11 +23,12 @@ var testHookAfterFlagging func(any)
 // its first successful child CAS.
 func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 	t.stats.Help.Inc()
+	fl := &i.hdr // what a node flagged by I holds
 	doChildCAS := true
 	for j := 0; j < int(i.nFlag) && doChildCAS; j++ {
 		n := i.flag[j]
-		n.info.CompareAndSwap(i.oldInfo[j], i) // flag CAS (line 90)
-		doChildCAS = n.info.Load() == i
+		n.info.CompareAndSwap(i.oldInfo[j], fl) // flag CAS (line 90)
+		doChildCAS = n.info.Load() == fl
 	}
 
 	if doChildCAS {
@@ -42,8 +43,9 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 			// Flag the leaf to be removed (line 95). A plain store
 			// suffices in the paper because only helpers of I reach here
 			// and they all write the same value; Lemma 40 shows no other
-			// Flag can land on this leaf first.
-			i.rmvLeaf.info.Store(i)
+			// Flag can land on this leaf first. It is the only write a
+			// leaf's info ever sees: nil → Flag, never back.
+			i.rmvLeaf.info.Store(fl)
 		}
 		for j := 0; j < int(i.nPNode); j++ {
 			p, nc := i.pNode[j], i.newChild[j]
@@ -77,13 +79,13 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 		for j := int(i.nUnflag) - 1; j >= 0; j-- {
 			// The fresh Unflag per CAS is required for no-ABA; see
 			// newUnflag.
-			i.unflag[j].info.CompareAndSwap(i, newUnflag[K, V]()) // unflag CAS (line 101)
+			i.unflag[j].info.CompareAndSwap(fl, newUnflag[K, V]()) // unflag CAS (line 101)
 		}
 		return true
 	}
 	t.stats.FlagBacktrack.Inc()
 	for j := int(i.nFlag) - 1; j >= 0; j-- {
-		i.flag[j].info.CompareAndSwap(i, newUnflag[K, V]()) // backtrack CAS (line 105)
+		i.flag[j].info.CompareAndSwap(fl, newUnflag[K, V]()) // backtrack CAS (line 105)
 	}
 	return false
 }
@@ -103,7 +105,7 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 // earlier slice-based signature allocated up to nine slices per attempt —
 // including every retry of a contended update.
 func (t *Trie[K, V]) newDesc(
-	flag [4]*node[K, V], oldInfo [4]*desc[K, V], nFlag int,
+	flag [4]*node[K, V], oldInfo [4]*info[K, V], nFlag int,
 	unflag [2]*node[K, V], nUnflag int,
 	pNode, oldChild, newChild [2]*node[K, V], nPNode int,
 	rmvLeaf *node[K, V],
@@ -113,7 +115,7 @@ func (t *Trie[K, V]) newDesc(
 	for j := 0; j < nFlag; j++ {
 		if oldInfo[j].flagged() {
 			t.stats.HelpAssist.Inc()
-			t.help(oldInfo[j])
+			t.help(oldInfo[j].flag)
 			return nil
 		}
 	}
@@ -168,19 +170,12 @@ func (t *Trie[K, V]) newDesc(
 		}
 	}
 
-	return &desc[K, V]{
-		kind:     kindFlag,
-		nFlag:    uint8(nFlag),
-		nUnflag:  uint8(nUnflag),
-		nPNode:   uint8(nPNode),
-		flag:     flag,
-		oldInfo:  oldInfo,
-		unflag:   unflag,
-		pNode:    pNode,
-		oldChild: oldChild,
-		newChild: newChild,
-		rmvLeaf:  rmvLeaf,
-	}
+	d := newFlag[K, V]()
+	d.nFlag, d.nUnflag, d.nPNode = uint8(nFlag), uint8(nUnflag), uint8(nPNode)
+	d.flag, d.oldInfo, d.unflag = flag, oldInfo, unflag
+	d.pNode, d.oldChild, d.newChild = pNode, oldChild, newChild
+	d.rmvLeaf = rmvLeaf
+	return d
 }
 
 // helpConflict helps the first flagged descriptor among the captured info
@@ -188,12 +183,12 @@ func (t *Trie[K, V]) newDesc(
 // building any speculative nodes: a flagged capture dooms the attempt
 // (newDesc would reject it), so helping-then-retrying here avoids
 // constructing leaves and copies that would be thrown away. nil entries
-// are skipped.
-func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *desc[K, V]) bool {
-	for _, d := range [...]*desc[K, V]{i1, i2, i3, i4} {
-		if d != nil && d.flagged() {
+// (unused arguments, and the info of a live leaf) are skipped.
+func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
+	for _, i := range [...]*info[K, V]{i1, i2, i3, i4} {
+		if i.flagged() {
 			t.stats.HelpAssist.Inc()
-			t.help(d)
+			t.help(i.flag)
 			return true
 		}
 	}
@@ -210,11 +205,11 @@ func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *desc[K, V]) bool {
 // info value is helped if it is a Flag (the usual cause: n1 is a stale
 // copy of a node another update is replacing) and nil is returned so the
 // caller retries.
-func (t *Trie[K, V]) makeInternal(n1, n2 *node[K, V], info *desc[K, V]) *node[K, V] {
+func (t *Trie[K, V]) makeInternal(n1, n2 *node[K, V], i *info[K, V]) *node[K, V] {
 	if n1.label.IsPrefixOf(n2.label) || n2.label.IsPrefixOf(n1.label) {
-		if info != nil && info.flagged() {
+		if i.flagged() {
 			t.stats.HelpAssist.Inc()
-			t.help(info)
+			t.help(i.flag)
 		}
 		return nil
 	}
@@ -263,7 +258,7 @@ func (t *Trie[K, V]) tryInsert(v K, val V, r searchResult[K, V]) bool {
 	if n == nil {
 		return t.tryFill(v, val, r)
 	}
-	nodeInfo := n.info.Load() // line 25: info before children
+	nodeInfo := n.info.Load() // line 25: info before children; nil on a live leaf
 	// Deferred speculative construction: a flagged capture means newDesc
 	// would reject this attempt anyway, so help the conflicting update
 	// and retry before building the fresh leaf, the copy of n and the
@@ -276,15 +271,15 @@ func (t *Trie[K, V]) tryInsert(v K, val V, r searchResult[K, V]) bool {
 		return false
 	}
 	var i *desc[K, V]
-	if !n.leaf {
+	if !n.isLeaf() {
 		i = t.newDesc(
-			[4]*node[K, V]{r.p, n}, [4]*desc[K, V]{r.pInfo, nodeInfo}, 2,
+			[4]*node[K, V]{r.p, n}, [4]*info[K, V]{r.pInfo, nodeInfo}, 2,
 			[2]*node[K, V]{r.p}, 1,
 			[2]*node[K, V]{r.p}, [2]*node[K, V]{n}, [2]*node[K, V]{newNode}, 1,
 			nil)
 	} else {
 		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*desc[K, V]{r.pInfo}, 1,
+			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
 			[2]*node[K, V]{r.p}, 1,
 			[2]*node[K, V]{r.p}, [2]*node[K, V]{n}, [2]*node[K, V]{newNode}, 1,
 			nil)
@@ -307,13 +302,13 @@ func (t *Trie[K, V]) tryFill(v K, val V, r searchResult[K, V]) bool {
 	var i *desc[K, V]
 	if r.gp == nil {
 		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*desc[K, V]{r.pInfo}, 1,
+			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
 			[2]*node[K, V]{}, 0,
 			[2]*node[K, V]{nil}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
 			nil)
 	} else {
 		i = t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*desc[K, V]{r.gpInfo, r.pInfo}, 2,
+			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
 			[2]*node[K, V]{r.gp}, 1,
 			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
 			nil)
@@ -366,7 +361,7 @@ func (t *Trie[K, V]) tryDelete(v K, r searchResult[K, V]) bool {
 			return false
 		}
 		i := t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*desc[K, V]{r.gpInfo, r.pInfo}, 2,
+			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
 			[2]*node[K, V]{r.gp}, 1,
 			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{sib}, 1,
 			nil)
@@ -380,13 +375,13 @@ func (t *Trie[K, V]) tryDelete(v K, r searchResult[K, V]) bool {
 	var i *desc[K, V]
 	if r.gp == nil {
 		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*desc[K, V]{r.pInfo}, 1,
+			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
 			[2]*node[K, V]{}, 0,
 			[2]*node[K, V]{nil}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
 			nil)
 	} else {
 		i = t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*desc[K, V]{r.gpInfo, r.pInfo}, 2,
+			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
 			[2]*node[K, V]{r.gp}, 1,
 			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
 			nil)

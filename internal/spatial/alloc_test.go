@@ -11,13 +11,13 @@ import "testing"
 // raising a budget.
 
 const (
-	// insertAllocBudget: fresh leaf + its unflag, copy of the displaced
-	// leaf + its unflag, joining internal node + its unflag, the Flag
-	// descriptor, and the fresh Unflag of the unflag CAS.
-	insertAllocBudget = 8
-	// overwriteAllocBudget: fresh leaf + its unflag, the Flag
-	// descriptor, and the unflag-CAS Unflag.
-	overwriteAllocBudget = 4
+	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
+	// internal node + its Unflag, the Flag descriptor, and the fresh
+	// Unflag of the unflag CAS.
+	insertAllocBudget = 6
+	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
+	// unflag-CAS Unflag.
+	overwriteAllocBudget = 3
 	// deleteAllocBudget: the Flag descriptor and the unflag-CAS Unflag
 	// (the sibling is re-linked, not rebuilt).
 	deleteAllocBudget = 2

@@ -40,8 +40,12 @@ pkgs="./internal/resp ./internal/server ./internal/engine ./internal/core ./inte
     # internal/core/alloc_test.go enforce the count; this section points
     # at the culprit line when one of those pins fails. Escapes in
     # engine.go outside the update/replace/snapshot files are the
-    # read-path suspects: the child-array loads (inline pair or ext
-    # slice) should all stay on the stack.
+    # read-path suspects: the child-slot loads (the inline pair, or the
+    # slot block a wide node holds behind its ext pointer — kid()
+    # returns the address of a slot inside an object that is already on
+    # the heap, which is not an escape) should add nothing here. The
+    # constructors in engine.go (newLeafVal, newNode, newSlots,
+    # newUnflag, newFlag) are expected sites: update path only.
     if grep 'engine/engine\.go' "$mlog"; then
         echo "(engine.go escape sites above: cross-check against the"
         echo "0-alloc read pins before assuming they are cold-path.)"
