@@ -169,27 +169,6 @@ func BenchmarkAblation_PAT_Width(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SearchRmvd measures the paper's Section V
-// optimization: for replace-free workloads the search can skip the
-// logical-removal check on leaves.
-func BenchmarkAblation_SearchRmvd(b *testing.B) {
-	w := widthFor(1_000_000)
-	b.Run("WithRmvdCheck", func(b *testing.B) {
-		p, err := NewPatriciaTrie(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runMix(b, p, workload.MixI5D5F90, 1_000_000, 0)
-	})
-	b.Run("NoRmvdCheck", func(b *testing.B) {
-		p, err := NewPatriciaTrieNoReplace(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runMix(b, p, workload.MixI5D5F90, 1_000_000, 0)
-	})
-}
-
 // BenchmarkAblation_Prefill contrasts the paper's half-full start with an
 // empty start (tree shape and hit rates differ drastically).
 func BenchmarkAblation_Prefill(b *testing.B) {

@@ -8,16 +8,16 @@ import (
 // The read path must be allocation-free outright; the update paths get a
 // fixed budget derived from the nodes an update must create (each a
 // distinct heap object by the no-ABA rule) plus the descriptor and the
-// fresh Unflag of the final unflag CAS. Leaves carry no Unflag (a leaf
-// is never the target of a flag CAS). If one of these tests starts
+// fresh Unflag of the final unflag CAS. No node is born with an Unflag
+// (nil is an info field's first value). If one of these tests starts
 // failing, garbage crept back into a hot path — see DESIGN.md before
 // raising a budget.
 
 const (
 	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
-	// internal node + its Unflag, the Flag descriptor, and the fresh
-	// Unflag of the unflag CAS.
-	insertAllocBudget = 6
+	// internal node, the Flag descriptor, and the fresh Unflag of the
+	// unflag CAS.
+	insertAllocBudget = 5
 	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
 	// unflag-CAS Unflag.
 	overwriteAllocBudget = 3
@@ -31,14 +31,14 @@ const (
 	// allocation (its slot block: the 16 child slots and their slice
 	// header, one object), and the slot-oriented paths rebuild a node
 	// where the binary trie re-links: an insert is either a slot fill
-	// (parent copy: node + slot block + Unflag; fresh leaf; descriptor +
-	// final Unflag = 6) or a leaf displacement (binary shape + the slot
-	// block of the joining node = 7); a delete is either a contraction
-	// (2, as binary) or a slot clear (parent copy + desc + Unflag = 5).
-	// The pins take each path's worst case; depth-per-level is what the
-	// wider nodes buy. See DESIGN.md §11 for the full table.
-	karyInsertAllocBudget = 7
-	karyDeleteAllocBudget = 5
+	// (parent copy: node + slot block; fresh leaf; descriptor + final
+	// Unflag = 5) or a leaf displacement (binary shape + the slot block
+	// of the joining node = 6); a delete is either a contraction (2, as
+	// binary) or a slot clear (parent copy + desc + Unflag = 4). The pins
+	// take each path's worst case; depth-per-level is what the wider
+	// nodes buy. See DESIGN.md §11 for the full table.
+	karyInsertAllocBudget = 6
+	karyDeleteAllocBudget = 4
 )
 
 func TestContainsIsAllocationFree(t *testing.T) {

@@ -44,16 +44,7 @@ type Trie[V any] struct {
 type Option[V any] func(*options)
 
 type options struct {
-	withoutReplace bool
-	span           uint32
-}
-
-// WithoutReplace applies the paper's Section V optimization ("we
-// eliminated the rmvd variable in search operations"): searches skip the
-// logical-removal check that only replace operations can trigger. Calling
-// Replace on a trie built with this option panics.
-func WithoutReplace[V any]() Option[V] {
-	return func(o *options) { o.withoutReplace = true }
+	span uint32
 }
 
 // WithSpan sets the digit width s in bits: internal nodes carry 2^s
@@ -84,9 +75,6 @@ func New[V any](width uint32, opts ...Option[V]) (*Trie[V], error) {
 		opt(&o)
 	}
 	var eopts []engine.Option[keys.Uint64Key, V]
-	if o.withoutReplace {
-		eopts = append(eopts, engine.WithoutReplace[keys.Uint64Key, V]())
-	}
 	span := o.span
 	if span == 0 {
 		span = 1
@@ -165,7 +153,6 @@ func (t *Trie[V]) Delete(k uint64) bool {
 // when old was present and new absent; the value payload travels with
 // the key. Out-of-range keys make the operation fail (an out-of-range
 // old is never present; an out-of-range new cannot be inserted).
-// Replace panics if the trie was built with WithoutReplace.
 func (t *Trie[V]) Replace(old, new uint64) bool {
 	vd, okD := t.encodeOK(old)
 	vi, okI := t.encodeOK(new)

@@ -260,20 +260,6 @@ func TestSequentialOracle(t *testing.T) {
 	}
 }
 
-func TestWithoutReplaceOption(t *testing.T) {
-	tr := mustNew(t, 8, WithoutReplace[any]())
-	tr.Insert(1)
-	if !tr.Contains(1) || tr.Contains(2) {
-		t.Error("basic ops must still work with WithoutReplace")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Replace on a WithoutReplace trie should panic")
-		}
-	}()
-	tr.Replace(1, 2)
-}
-
 func TestOutOfRangeKeysAreAbsent(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(3)

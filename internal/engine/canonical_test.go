@@ -25,7 +25,7 @@ type canonTrie[K keys.Key[K]] struct {
 	universe []K // the keys histories draw from
 }
 
-func dumpShape[K keys.Key[K]](t *Trie[K, uint64]) string {
+func dumpShape[K keys.Key[K], V any](t *Trie[K, V]) string {
 	return t.Dump(func(label K, leaf bool) string { return fmt.Sprintf("%v leaf=%t", label, leaf) })
 }
 

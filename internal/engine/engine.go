@@ -40,27 +40,33 @@
 // away is the fresh Unflag written by every unflag CAS: reusing Unflag
 // objects would let a node's info field repeat a value, re-opening the
 // ABA window the paper closes. It is as small as a fresh address can be
-// (an 8-byte header), leaves — never the target of a flag CAS — carry
-// none at all, and a binary node is exactly one 64-byte cache line.
+// (an 8-byte header), no node is born with one — nil is every info
+// field's first value — and a binary internal node is exactly one 64-byte
+// cache line.
 package engine
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nbtrie/internal/keys"
 )
 
-// node is the paper's Node type. Leaves and internal nodes share one
-// struct: a node is a leaf iff its gen is the leafGen sentinel, in which
-// case its child pointers are never set. The label is immutable after
-// construction; leaf labels are full-length encoded keys, internal
-// labels proper prefixes of them.
+// node is the header every node of the paper's Node type starts with, and
+// the one type child and root pointers point at. A node is allocated in
+// one of two shapes with this header as their first field — leafNode
+// (header + value) or innerNode (header + child slots) — and is a leaf
+// iff its gen is the leafGen sentinel; leaf() and inner() recover the
+// shape. The label is immutable after construction; leaf labels are
+// full-length encoded keys, internal labels proper prefixes of them.
 //
-// The field set is sized so that node[Uint64Key, uint64] is exactly 64
-// bytes — one size class, one cache line, 64-byte aligned by the
-// allocator — so a descent touches one line per level (pinned by
-// layout_test.go).
+// The header of a Uint64Key trie is 32 bytes, so an innerNode is 56 bytes
+// — the 64-byte size class, which the allocator aligns to 64: a descent
+// touches exactly one cache line per level. A leaf is touched once per
+// operation, at the end, so it need not be line-aligned and takes the
+// smallest class its value fits in (48 bytes for uint64). All pinned by
+// layout_test.go.
 type node[K keys.Key[K], V any] struct {
 	label K
 
@@ -78,25 +84,35 @@ type node[K keys.Key[K], V any] struct {
 	// Snapshot.removed).
 	gen uint64
 
-	// val is the value payload of a leaf, stored unboxed (zero for
-	// internal nodes; set views instantiate V = struct{}, which occupies
-	// no space at all). Like the label it is immutable after
-	// construction: a value update installs a fresh leaf through the
-	// same child-CAS path as every other update, so the no-ABA argument
-	// — child pointers are only ever swung to freshly allocated nodes —
-	// is untouched, and readers never observe a half-written value.
-	val V
-
 	// info points at the header of the update operating on this node (a
-	// Flag: the header embedded in the update's desc), or at a fresh
-	// Unflag header when no update is in progress. On an internal node it
-	// is never nil: the paper uses allocated Unflag objects rather than
-	// null precisely so that info values never repeat and flag CASes
-	// cannot suffer ABA. A leaf is never the target of a flag CAS, so it
-	// is born with nil — "live" — and the only write its info ever sees
-	// is the plain store of a general-case replace's Flag (nil → Flag,
-	// once, never back: Lemma 40), which cannot repeat a value either.
+	// Flag: the header embedded in the update's desc), at a fresh Unflag
+	// header once an update has come and gone, or at nothing: every node
+	// is born with nil, "never flagged". The paper allocates Unflag
+	// objects rather than reusing null so that info values never repeat
+	// and a flag CAS cannot suffer ABA; nil at birth keeps that, because
+	// nothing ever writes nil back — the first flag CAS on an internal
+	// node expects nil, every unflag and backtrack CAS installs a fresh
+	// Unflag, so the field's history nil → F1 → U1 → F2 → … has no
+	// repeats. A leaf is never the target of a flag CAS; the only write
+	// its info ever sees is the plain store of a general-case replace's
+	// Flag (nil → Flag, once, never back: Lemma 40).
 	info atomic.Pointer[info[K, V]]
+}
+
+// leafNode is the leaf shape: the header and the value payload, stored
+// unboxed (set views instantiate V = struct{}). Like the label the value
+// is immutable after construction: a value update installs a fresh leaf
+// through the same child-CAS path as every other update, so the no-ABA
+// argument — child pointers are only ever swung to freshly allocated
+// nodes — is untouched, and readers never observe a half-written value.
+type leafNode[K keys.Key[K], V any] struct {
+	node[K, V]
+	val V
+}
+
+// innerNode is the internal shape: the header and the child slots.
+type innerNode[K keys.Key[K], V any] struct {
+	node[K, V]
 
 	// child holds the left (0) and right (1) children of a binary
 	// internal node (trie span 1, the paper's layout). Keeping the two
@@ -106,15 +122,15 @@ type node[K keys.Key[K], V any] struct {
 	child [2]atomic.Pointer[node[K, V]]
 
 	// ext points at the 2^s child slots of a wide internal node (trie
-	// span s > 1), nil for binary nodes and leaves; a node self-describes
-	// its fanout through it. It is an interior pointer to a slice header
-	// that lives in the same allocation as the slots it describes (see
-	// newSlots), so the node pays 8 bytes for it rather than 24 and a
-	// wide node is still two objects. Unoccupied slots are nil. Empty
-	// slots are never CASed in place — nil repeats as an expected value,
-	// which would re-open the ABA window — so filling or clearing a slot
-	// always builds a fresh copy of the whole node and swings the
-	// parent's (or the root) pointer instead; see copyNodeSet.
+	// span s > 1), nil for binary nodes; a node self-describes its fanout
+	// through it. It is an interior pointer to a slice header that lives
+	// in the same allocation as the slots it describes (see newSlots), so
+	// the node pays 8 bytes for it rather than 24 and a wide node is still
+	// two objects. Unoccupied slots are nil. Empty slots are never CASed
+	// in place — nil repeats as an expected value, which would re-open the
+	// ABA window — so filling or clearing a slot always builds a fresh
+	// copy of the whole node and swings the parent's (or the root) pointer
+	// instead; see copyNodeSet.
 	ext *[]atomic.Pointer[node[K, V]]
 }
 
@@ -125,8 +141,27 @@ const leafGen = ^uint64(0)
 // isLeaf reports whether n is a leaf.
 func (n *node[K, V]) isLeaf() bool { return n.gen == leafGen }
 
-// fanout returns the number of child slots of an internal node.
-func (n *node[K, V]) fanout() int {
+// leaf returns the leafNode n heads. The cast is sound because the header
+// is the first field of the shape n was allocated as, which the gen mark
+// identifies; asking a node for the wrong shape is a bug and panics
+// rather than reading past the allocation.
+func (n *node[K, V]) leaf() *leafNode[K, V] {
+	if !n.isLeaf() {
+		panic("engine: leaf() on an internal node")
+	}
+	return (*leafNode[K, V])(unsafe.Pointer(n))
+}
+
+// inner returns the innerNode n heads; see leaf.
+func (n *node[K, V]) inner() *innerNode[K, V] {
+	if n.isLeaf() {
+		panic("engine: inner() on a leaf")
+	}
+	return (*innerNode[K, V])(unsafe.Pointer(n))
+}
+
+// fanout returns the number of child slots.
+func (n *innerNode[K, V]) fanout() int {
 	if n.ext != nil {
 		return len(*n.ext)
 	}
@@ -134,7 +169,7 @@ func (n *node[K, V]) fanout() int {
 }
 
 // kid returns the i-th child slot.
-func (n *node[K, V]) kid(i int) *atomic.Pointer[node[K, V]] {
+func (n *innerNode[K, V]) kid(i int) *atomic.Pointer[node[K, V]] {
 	if n.ext != nil {
 		return &(*n.ext)[i]
 	}
@@ -183,7 +218,7 @@ func newSlots[K keys.Key[K], V any](span uint32) *[]atomic.Pointer[node[K, V]] {
 // child read feeding a copy or contraction, the result is certified by
 // the flag CAS on n: a torn census implies n's info changed and the
 // attempt dies at flagging (Lemma 31).
-func (n *node[K, V]) census(skip int) (live int, sib *node[K, V]) {
+func (n *innerNode[K, V]) census(skip int) (live int, sib *node[K, V]) {
 	for j := 0; j < n.fanout(); j++ {
 		if c := n.kid(j).Load(); c != nil {
 			live++
@@ -205,14 +240,15 @@ func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 // newLeafVal returns a leaf node carrying a value payload. Its info is
 // nil — live — and the node is its only allocation.
 func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
-	return &node[K, V]{label: label, gen: leafGen, val: val}
+	l := &leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}, val: val}
+	return &l.node
 }
 
 // newNode returns an empty internal node of the trie's fanout with the
-// given label and generation; the caller stores the children.
-func (t *Trie[K, V]) newNode(label K, gen uint64) *node[K, V] {
-	n := &node[K, V]{label: label, gen: gen}
-	n.info.Store(newUnflag[K, V]())
+// given label and generation; the caller stores the children. Its info is
+// nil — never flagged — so a binary node is its only allocation.
+func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
+	n := &innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}
 	if t.span > 1 {
 		n.ext = newSlots[K, V](t.span)
 	}
@@ -240,11 +276,11 @@ func (t *Trie[K, V]) copyNode(n *node[K, V], gen uint64) *node[K, V] {
 // copy can never be installed.
 func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K, V], slotB int, b *node[K, V]) *node[K, V] {
 	if n.isLeaf() {
-		return newLeafVal(n.label, n.val)
+		return newLeafVal(n.label, n.leaf().val)
 	}
-	c := t.newNode(n.label, gen)
-	for j := 0; j < n.fanout(); j++ {
-		c.kid(j).Store(n.kid(j).Load())
+	in, c := n.inner(), t.newNode(n.label, gen)
+	for j := 0; j < in.fanout(); j++ {
+		c.kid(j).Store(in.kid(j).Load())
 	}
 	if slotA >= 0 {
 		c.kid(slotA).Store(a)
@@ -252,7 +288,7 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 	if slotB >= 0 {
 		c.kid(slotB).Store(b)
 	}
-	return c
+	return &c.node
 }
 
 // info is what a node's info field points at: the paper's Info object
@@ -374,12 +410,6 @@ type Trie[K keys.Key[K], V any] struct {
 	// concurrent operations).
 	count atomic.Int64
 
-	// skipRmvdCheck applies the paper's Section V optimization for
-	// workloads without replace operations: the search does not inspect
-	// leaf info fields for logical removal. Replace must not be used on
-	// such a trie.
-	skipRmvdCheck bool
-
 	// stats is the trie's contention-counter block (see stats.go). By
 	// value so each trie — and hence each shard of a sharded map — owns
 	// its own cache-line-padded counters with no pointer chase on the
@@ -407,17 +437,6 @@ type Trie[K keys.Key[K], V any] struct {
 // Option configures a Trie.
 type Option[K keys.Key[K], V any] func(*Trie[K, V])
 
-// WithoutReplace applies the paper's Section V optimization ("we
-// eliminated the rmvd variable in search operations"): searches skip the
-// logical-removal check that only replace operations can trigger. Calling
-// Replace on a trie built with this option panics. With leaves born
-// info == nil the skipped check is a load from the leaf's own cache line
-// and a nil compare, and no benchmark can tell the option is on (DESIGN
-// §6); it is kept for the paper's figure and is a deletion candidate.
-func WithoutReplace[K keys.Key[K], V any]() Option[K, V] {
-	return func(t *Trie[K, V]) { t.skipRmvdCheck = true }
-}
-
 // WithSpan sets the digit width s: internal nodes grow 2^s child slots
 // (a span-4 node's 16 pointers fill two cache lines) and every level
 // resolves s key bits. s must be in [1, 6]; 1 is the paper's binary
@@ -444,7 +463,7 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	r := t.newNode(empty, 0)
 	r.kid(t.slotOf(dummyMin, 0)).Store(newLeaf[K, V](dummyMin))
 	r.kid(t.slotOf(dummyMax, 0)).Store(newLeaf[K, V](dummyMax))
-	t.root.Store(r)
+	t.root.Store(&r.node)
 	return t
 }
 
@@ -487,13 +506,13 @@ func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
 		r.gp, r.gpInfo = r.p, r.pInfo
 		r.p, r.pInfo = n, n.info.Load()
-		n = r.p.kid(t.slotOf(v, r.p.label.Len())).Load()
+		n = n.inner().kid(t.slotOf(v, n.label.Len())).Load()
 	}
 	// r.node == nil means the descent hit an empty slot of r.p (wide
 	// nodes only): the key is absent, and an insert fills the slot by
 	// replacing r.p wholesale under r.gp.
 	r.node = n
-	if n != nil && n.isLeaf() && !t.skipRmvdCheck {
+	if n != nil && n.isLeaf() {
 		r.rmvd = t.logicallyRemoved(n.info.Load())
 	}
 	return r
@@ -513,12 +532,17 @@ func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
 	if p == nil {
 		return t.root.Load() != old
 	}
+	return !holdsChild(p.inner(), old)
+}
+
+// holdsChild reports whether some slot of p currently holds c.
+func holdsChild[K keys.Key[K], V any](p *innerNode[K, V], c *node[K, V]) bool {
 	for j := 0; j < p.fanout(); j++ {
-		if p.kid(j).Load() == old {
-			return false
+		if p.kid(j).Load() == c {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // keyInTrie implements lines 125-126. A nil n (empty slot) is absent.
@@ -545,5 +569,5 @@ func (t *Trie[K, V]) Load(v K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return r.node.val, true
+	return r.node.leaf().val, true
 }

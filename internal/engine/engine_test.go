@@ -81,17 +81,3 @@ func TestEngineBasicRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEngineWithoutReplacePanics(t *testing.T) {
-	tr := mustNew(t, 8, WithoutReplace[keys.Uint64Key, any]())
-	tr.Insert(1)
-	if !tr.Contains(1) || tr.Contains(2) {
-		t.Error("basic ops must still work with WithoutReplace")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Replace on a WithoutReplace trie should panic")
-		}
-	}()
-	tr.Replace(1, 2)
-}

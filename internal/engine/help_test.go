@@ -22,8 +22,8 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	tr.Insert(3)   // encodes with leading 0 bit: left subtree
 	tr.Insert(255) // encodes with leading 1 bit: right subtree
 
-	a := tr.root.Load().child[0].Load()
-	b := tr.root.Load().child[1].Load()
+	a := tr.root.Load().inner().child[0].Load()
+	b := tr.root.Load().inner().child[1].Load()
 	if a.isLeaf() || b.isLeaf() {
 		t.Fatal("test setup: expected internal children")
 	}
@@ -48,6 +48,83 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNilBornInfoNoABA: an internal node is born with a nil info, and nil
+// must be as unrepeatable as any Unflag. A descriptor that captured nil
+// for node x goes stale the moment another update flags and unflags x:
+// its flag CAS must fail, help must backtrack without touching a child
+// pointer, and the trie must be exactly as it was. Then, however often x
+// is flagged and unflagged, its info never again holds nil or any other
+// value it held before.
+func TestNilBornInfoNoABA(t *testing.T) {
+	tr := mustNew(t, 8)
+	tr.Insert(3) // joins the 0^ℓ dummy and 3 under a fresh internal node x
+	r := tr.search(tr.enc(2))
+	x := r.p
+	if x == tr.root.Load() || r.pInfo != nil || !r.node.isLeaf() {
+		t.Fatalf("setup: want 2's position under a never-flagged node, got p=%v pInfo=%p", x.label, r.pInfo)
+	}
+	join := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 2), nil)
+	if join == nil {
+		t.Fatal("setup: makeInternal failed")
+	}
+	stale := tr.newDesc(
+		[4]*unode{x}, [4]*uinfo{nil}, 1,
+		[2]*unode{x}, 1,
+		[2]*unode{x}, [2]*unode{r.node}, [2]*unode{join}, 1,
+		nil)
+	if stale == nil {
+		t.Fatal("setup: a captured nil must be accepted as an old info value")
+	}
+
+	if !tr.Insert(1) { // lands under x: flags it (nil → Flag) and unflags it
+		t.Fatal("setup: Insert(1) failed")
+	}
+	held := map[*uinfo]bool{nil: true}
+	cur := x.info.Load()
+	if cur == nil || cur.flagged() {
+		t.Fatalf("after one flag/unflag round x must hold a fresh Unflag, got %+v", cur)
+	}
+	held[cur] = true
+	kids := [2]*unode{x.inner().child[0].Load(), x.inner().child[1].Load()}
+	dump := dumpShape(tr.Trie)
+
+	if tr.help(stale) {
+		t.Fatal("help must fail: x's info is no longer the captured nil")
+	}
+	if stale.flagDone.Load() {
+		t.Error("flagDone must stay false on a failed attempt")
+	}
+	if x.info.Load() != cur {
+		t.Error("the stale flag and backtrack CASes must leave x's info alone")
+	}
+	if x.inner().child[0].Load() != kids[0] || x.inner().child[1].Load() != kids[1] {
+		t.Error("a failed attempt must not touch a child pointer")
+	}
+	if tr.Contains(2) || dumpShape(tr.Trie) != dump {
+		t.Error("the stale update took effect")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	// 3's leaf still hangs directly under x, so every overwrite of it
+	// flags and unflags x.
+	for i := 0; i < 200; i++ {
+		tr.Store(3, i)
+		if tr.search(tr.enc(3)).p != x {
+			t.Fatal("setup: x is no longer 3's parent")
+		}
+		u := x.info.Load()
+		if u.flagged() {
+			t.Fatalf("round %d: x left flagged at quiescence", i)
+		}
+		if held[u] {
+			t.Fatalf("round %d: x's info repeats an earlier value %p", i, u)
+		}
+		held[u] = true
 	}
 }
 
@@ -86,7 +163,7 @@ func TestHelpIsIdempotent(t *testing.T) {
 func TestNewDescDuplicateHandling(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(3)
-	n := tr.root.Load().child[0].Load()
+	n := tr.root.Load().inner().child[0].Load()
 	info := n.info.Load()
 
 	// Same node twice with the same oldInfo: deduplicated to one entry.
@@ -135,8 +212,8 @@ func TestNewDescSortsByLabel(t *testing.T) {
 			return
 		}
 		internals = append(internals, n)
-		collect(n.child[0].Load())
-		collect(n.child[1].Load())
+		collect(n.inner().child[0].Load())
+		collect(n.inner().child[1].Load())
 	}
 	collect(tr.root.Load())
 	if len(internals) < 3 {
@@ -230,9 +307,9 @@ func TestTryDeleteRootChildDefensive(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(7)
 
-	dummy := tr.root.Load().child[0].Load()
+	dummy := tr.root.Load().inner().child[0].Load()
 	for !dummy.isLeaf() {
-		dummy = dummy.child[0].Load()
+		dummy = dummy.inner().child[0].Load()
 	}
 	if !dummy.label.Equal(keys.Uint64DummyMin(tr.width)) {
 		t.Fatal("setup: leftmost leaf should be the 0^ℓ dummy")
@@ -287,14 +364,14 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	tr.Insert(3)
 
 	// Swap the root's children: branch bits become wrong.
-	c0, c1 := tr.root.Load().child[0].Load(), tr.root.Load().child[1].Load()
-	tr.root.Load().child[0].Store(c1)
-	tr.root.Load().child[1].Store(c0)
+	c0, c1 := tr.root.Load().inner().child[0].Load(), tr.root.Load().inner().child[1].Load()
+	tr.root.Load().inner().child[0].Store(c1)
+	tr.root.Load().inner().child[1].Store(c0)
 	if tr.Validate() == nil {
 		t.Error("Validate must detect swapped children")
 	}
-	tr.root.Load().child[0].Store(c0)
-	tr.root.Load().child[1].Store(c1)
+	tr.root.Load().inner().child[0].Store(c0)
+	tr.root.Load().inner().child[1].Store(c1)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("restored trie should validate: %v", err)
 	}
@@ -306,16 +383,9 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if tr.Validate() == nil {
 		t.Error("Validate must detect reachable flagged node")
 	}
-
-	// So is an internal node without an Unflag header (nil repeats as an
-	// expected value of a flag CAS) ...
-	c0.info.Store(nil)
-	if tr.Validate() == nil {
-		t.Error("Validate must detect a reachable internal node with nil info")
-	}
 	c0.info.Store(old)
 
-	// ... and a reachable leaf that holds anything but nil: an Unflag is a
+	// So is a reachable leaf that holds anything but nil: an Unflag is a
 	// wasted header, a Flag an unfinished general-case replace.
 	leaf := tr.search(tr.enc(3)).node
 	for _, i := range []*uinfo{newUnflag[keys.Uint64Key, any](), &d.hdr} {

@@ -55,9 +55,9 @@ func (t *Trie[K, V]) Size() int {
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
 //     returns, no reachable node's info is a Flag): every reachable
-//     internal node holds a non-nil Unflag header and every reachable
-//     leaf holds nil — a Flag on a reachable leaf is an unfinished
-//     general-case replace.
+//     internal node holds nil (never flagged) or an Unflag header and
+//     every reachable leaf holds nil — a Flag on a reachable leaf is an
+//     unfinished general-case replace.
 //
 // extra, when non-nil, runs on every reachable node so instantiations
 // can add key-space-specific checks (canonical representation, full
@@ -94,8 +94,6 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 		return fmt.Errorf("reachable node %v is flagged at quiescence", n.label)
 	case n.isLeaf() && i != nil:
 		return fmt.Errorf("reachable leaf %v holds an info header; leaves are born with nil", n.label)
-	case !n.isLeaf() && i == nil:
-		return fmt.Errorf("reachable internal node %v has a nil info; flag CASes on it could suffer ABA", n.label)
 	}
 	if extra != nil {
 		if err := extra(n.label, n.isLeaf()); err != nil {
@@ -109,16 +107,17 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 	if n.label.Len()%t.span != 0 {
 		return fmt.Errorf("internal label %v is not a whole number of %d-bit digits", n.label, t.span)
 	}
+	in := n.inner()
 	want := 2
 	if t.span > 1 {
 		want = 1 << t.span
 	}
-	if n.fanout() != want {
-		return fmt.Errorf("internal node %v has fanout %d, want %d", n.label, n.fanout(), want)
+	if in.fanout() != want {
+		return fmt.Errorf("internal node %v has fanout %d, want %d", n.label, in.fanout(), want)
 	}
 	live := 0
-	for idx := 0; idx < n.fanout(); idx++ {
-		c := n.kid(idx).Load()
+	for idx := 0; idx < in.fanout(); idx++ {
+		c := in.kid(idx).Load()
 		if c == nil {
 			continue
 		}
@@ -159,21 +158,23 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 	if n.isLeaf() {
 		return
 	}
-	for idx := 0; idx < n.fanout(); idx++ {
-		if c := n.kid(idx).Load(); c != nil {
+	in := n.inner()
+	for idx := 0; idx < in.fanout(); idx++ {
+		if c := in.kid(idx).Load(); c != nil {
 			t.dumpNode(sb, c, format, depth+1)
 		}
 	}
 }
 
 // Footprint is a census of the heap objects reachable from a trie's
-// root: how many there are of each kind and what unsafe.Sizeof predicts
-// they occupy. The prediction leaves out allocator rounding (exact when
-// the sizes are size classes, as they are for the Uint64Key
-// instantiations the layout tests pin) and whatever K and V hold out of
-// line.
+// root: how many there are of each kind and how many bytes of heap they
+// are predicted to occupy — unsafe.Sizeof of each object rounded up to
+// the allocator's size class. The prediction leaves out whatever K and V
+// hold out of line.
 type Footprint struct {
-	Internal, Leaves, Infos int // objects; Leaves includes the two dummies
+	// Objects. Leaves includes the two dummies; Infos counts only the
+	// headers that exist — a node nothing has flagged yet has none.
+	Internal, Leaves, Infos int
 
 	// InternalBytes includes the slot blocks of wide nodes; InfoBytes
 	// counts a Flag (none is reachable at quiescence) as its whole desc.
@@ -182,6 +183,23 @@ type Footprint struct {
 
 // Bytes returns the predicted bytes of all census objects.
 func (f Footprint) Bytes() uintptr { return f.InternalBytes + f.LeafBytes + f.InfoBytes }
+
+// sizeClasses are the Go allocator's small-object size classes up to 1 KiB
+// (runtime/sizeclasses.go), enough for every object of a span <= 6 trie
+// over the repository's key types.
+var sizeClasses = [...]uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192,
+	208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024}
+
+// classSize returns the bytes the allocator hands out for an n-byte
+// object; sizes beyond the table are returned unrounded.
+func classSize(n uintptr) uintptr {
+	for _, c := range sizeClasses {
+		if n <= c {
+			return c
+		}
+	}
+	return n
+}
 
 // Footprint walks the trie and returns its census. Quiescent use only.
 func (t *Trie[K, V]) Footprint() Footprint {
@@ -194,23 +212,24 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 	switch i := n.info.Load(); {
 	case i.flagged():
 		f.Infos++
-		f.InfoBytes += unsafe.Sizeof(*i.flag)
+		f.InfoBytes += classSize(unsafe.Sizeof(*i.flag))
 	case i != nil:
 		f.Infos++
-		f.InfoBytes += unsafe.Sizeof(*i)
+		f.InfoBytes += classSize(unsafe.Sizeof(*i))
 	}
 	if n.isLeaf() {
 		f.Leaves++
-		f.LeafBytes += unsafe.Sizeof(*n)
+		f.LeafBytes += classSize(unsafe.Sizeof(*n.leaf()))
 		return
 	}
+	in := n.inner()
 	f.Internal++
-	f.InternalBytes += unsafe.Sizeof(*n)
-	if n.ext != nil {
-		f.InternalBytes += unsafe.Sizeof(*n.ext) + uintptr(len(*n.ext))*unsafe.Sizeof((*n.ext)[0])
+	f.InternalBytes += classSize(unsafe.Sizeof(*in))
+	if in.ext != nil {
+		f.InternalBytes += classSize(unsafe.Sizeof(*in.ext) + uintptr(len(*in.ext))*unsafe.Sizeof((*in.ext)[0]))
 	}
-	for idx := 0; idx < n.fanout(); idx++ {
-		if c := n.kid(idx).Load(); c != nil {
+	for idx := 0; idx < in.fanout(); idx++ {
+		if c := in.kid(idx).Load(); c != nil {
 			t.footprintNode(c, f)
 		}
 	}

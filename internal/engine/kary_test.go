@@ -45,11 +45,12 @@ func TestSpanLayout(t *testing.T) {
 		if n.isLeaf() {
 			return
 		}
-		if n.ext != nil || n.fanout() != 2 {
-			t.Fatalf("span-1 internal node %v has ext (fanout %d)", n.label, n.fanout())
+		in := n.inner()
+		if in.ext != nil || in.fanout() != 2 {
+			t.Fatalf("span-1 internal node %v has ext (fanout %d)", n.label, in.fanout())
 		}
-		for j := 0; j < n.fanout(); j++ {
-			if c := n.kid(j).Load(); c != nil {
+		for j := 0; j < in.fanout(); j++ {
+			if c := in.kid(j).Load(); c != nil {
 				walk(c)
 			}
 		}
@@ -57,7 +58,7 @@ func TestSpanLayout(t *testing.T) {
 	walk(bin.root.Load())
 
 	wide := karyNew(t, 8, 4)
-	if got := wide.root.Load().fanout(); got != 16 {
+	if got := wide.root.Load().inner().fanout(); got != 16 {
 		t.Fatalf("span-4 root fanout = %d, want 16", got)
 	}
 	if err := wide.Validate(); err != nil {
@@ -72,7 +73,7 @@ func TestSpanLayout(t *testing.T) {
 func TestKaryRootFillAndClear(t *testing.T) {
 	tr := karyNew(t, 7, 4) // internal keys are 8 bits: two whole digits
 	r0 := tr.root.Load()
-	if live, _ := r0.census(-1); live != 2 {
+	if live, _ := r0.inner().census(-1); live != 2 {
 		t.Fatalf("fresh root has %d children, want the 2 dummies", live)
 	}
 
@@ -84,7 +85,7 @@ func TestKaryRootFillAndClear(t *testing.T) {
 	if r1 == r0 {
 		t.Fatal("slot fill must install a fresh root copy via the root CAS")
 	}
-	if c := r1.kid(3).Load(); c == nil || !c.isLeaf() {
+	if c := r1.inner().kid(3).Load(); c == nil || !c.isLeaf() {
 		t.Fatal("filled slot 3 must hold the new leaf")
 	}
 	if !tr.Contains(47) || tr.Size() != 1 {
@@ -98,7 +99,7 @@ func TestKaryRootFillAndClear(t *testing.T) {
 		t.Fatal("Delete(47) failed")
 	}
 	r2 := tr.root.Load()
-	if r2.kid(3).Load() != nil {
+	if r2.inner().kid(3).Load() != nil {
 		t.Fatal("slot clear must leave slot 3 empty")
 	}
 	if tr.Contains(47) || !tr.Contains(79) || tr.Size() != 1 {
@@ -119,8 +120,8 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	// digit, so they join under an internal node with a 4-bit label.
 	tr.Insert(48)
 	tr.Insert(49)
-	a := tr.root.Load().kid(3).Load()
-	if a == nil || a.isLeaf() || a.label.Len() != 4 || a.fanout() != 16 {
+	a := tr.root.Load().inner().kid(3).Load()
+	if a == nil || a.isLeaf() || a.label.Len() != 4 || a.inner().fanout() != 16 {
 		t.Fatalf("expected a wide internal node with a one-digit label under root slot 3")
 	}
 
@@ -128,11 +129,11 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	if !tr.Insert(62) {
 		t.Fatal("Insert(62) failed")
 	}
-	b := tr.root.Load().kid(3).Load()
+	b := tr.root.Load().inner().kid(3).Load()
 	if b == a {
 		t.Fatal("deep slot fill must swing the grandparent's child to a fresh copy")
 	}
-	if live, _ := b.census(-1); live != 3 {
+	if live, _ := b.inner().census(-1); live != 3 {
 		t.Fatalf("filled node has %d children, want 3", live)
 	}
 
@@ -142,8 +143,8 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	if !tr.Delete(62) {
 		t.Fatal("Delete(62) failed")
 	}
-	c := tr.root.Load().kid(3).Load()
-	if c.isLeaf() || c.kid(15).Load() != nil {
+	c := tr.root.Load().inner().kid(3).Load()
+	if c.isLeaf() || c.inner().kid(15).Load() != nil {
 		t.Fatal("slot clear must leave a wide node with slot 15 empty")
 	}
 	// ...then the contraction: deleting 49 leaves 48 alone under c, and c
@@ -151,7 +152,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	if !tr.Delete(49) {
 		t.Fatal("Delete(49) failed")
 	}
-	if d := tr.root.Load().kid(3).Load(); d == nil || !d.isLeaf() {
+	if d := tr.root.Load().inner().kid(3).Load(); d == nil || !d.isLeaf() {
 		t.Fatal("two-child wide node must contract into the surviving leaf")
 	}
 	if !tr.Contains(48) || tr.Contains(49) || tr.Size() != 1 {

@@ -55,7 +55,7 @@ func (t *Trie[K, V]) LoadOrStore(v K, val V) (actual V, loaded bool) {
 		}
 		r := t.searchMut(v)
 		if keyInTrie(r.node, v, r.rmvd) {
-			return r.node.val, true
+			return r.node.leaf().val, true
 		}
 		if t.tryInsert(v, val, r) {
 			t.count.Add(1)
@@ -86,7 +86,7 @@ func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if !valuesEqual(r.node.val, old) {
+		if !valuesEqual(r.node.leaf().val, old) {
 			return false
 		}
 		if t.tryOverwrite(v, new, r) {
@@ -109,7 +109,7 @@ func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if !valuesEqual(r.node.val, old) {
+		if !valuesEqual(r.node.leaf().val, old) {
 			return false
 		}
 		// The value check above is still valid when the delete commits:
@@ -140,7 +140,7 @@ func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if !cond(r.node.val) {
+		if !cond(r.node.leaf().val) {
 			return false
 		}
 		if t.tryDelete(v, r) {

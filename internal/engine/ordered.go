@@ -47,12 +47,13 @@ func (t *Trie[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 func (t *Trie[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
 	if n.isLeaf() {
 		if n.label.Compare(v) >= 0 && t.usableLeaf(n) {
-			return fn(n.label, n.val)
+			return fn(n.label, n.leaf().val)
 		}
 		return true
 	}
-	for idx := 0; idx < n.fanout(); idx++ {
-		c := n.kid(idx).Load()
+	in := n.inner()
+	for idx := 0; idx < in.fanout(); idx++ {
+		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
 		}
@@ -76,8 +77,9 @@ func (t *Trie[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
 		var zero K
 		return zero, false
 	}
-	for idx := 0; idx < n.fanout(); idx++ {
-		c := n.kid(idx).Load()
+	in := n.inner()
+	for idx := 0; idx < in.fanout(); idx++ {
+		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
 		}
@@ -102,8 +104,9 @@ func (t *Trie[K, V]) floorNode(n *node[K, V], v K) (K, bool) {
 		var zero K
 		return zero, false
 	}
-	for idx := n.fanout() - 1; idx >= 0; idx-- {
-		c := n.kid(idx).Load()
+	in := n.inner()
+	for idx := in.fanout() - 1; idx >= 0; idx-- {
+		c := in.kid(idx).Load()
 		if c == nil || allAbove(c, v) {
 			continue
 		}

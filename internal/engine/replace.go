@@ -35,12 +35,7 @@ import "nbtrie/internal/keys"
 // Each case helps any conflicting update found among the captured info
 // values before building its replacement subtree, so a doomed attempt
 // costs no node allocations.
-//
-// Replace panics if the trie was built with WithoutReplace.
 func (t *Trie[K, V]) Replace(vd, vi K) bool {
-	if t.skipRmvdCheck {
-		panic("patricia trie: Replace called on a trie built with WithoutReplace")
-	}
 	t.snapMu.RLock()
 	defer t.snapMu.RUnlock()
 	for first := true; ; first = false {
@@ -74,7 +69,7 @@ func (t *Trie[K, V]) Replace(vd, vi K) bool {
 // shape depends on it. The copy reads p's children, so the caller must
 // flag p with the info captured at search time (Lemma 31).
 func (t *Trie[K, V]) afterDelete(p *node[K, V], sd int, g uint64) (res *node[K, V], contracted bool) {
-	live, sib := p.census(sd)
+	live, sib := p.inner().census(sd)
 	if live == 2 {
 		return sib, true
 	}
@@ -116,7 +111,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		if t.helpConflict(rd.pInfo, nil, nil, nil) {
 			return nil
 		}
-		return t.oneCAS(rd.p, ri.node, newLeafVal(vi, rd.node.val),
+		return t.oneCAS(rd.p, ri.node, newLeafVal(vi, rd.node.leaf().val),
 			[4]*node[K, V]{rd.p}, [4]*info[K, V]{rd.pInfo}, 1)
 
 	case ri.node == rd.p && ri.p == rd.gp:
@@ -127,7 +122,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			return nil
 		}
 		res, _ := t.afterDelete(rd.p, sd, g)
-		newNodeI := t.makeInternal(res, newLeafVal(vi, rd.node.val), nodeInfoI)
+		newNodeI := t.makeInternal(res, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if newNodeI == nil {
 			return nil
 		}
@@ -146,11 +141,11 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		if t.helpConflict(rd.gpInfo, rd.pInfo, nodeInfoI, nil) {
 			return nil
 		}
-		sub := t.makeInternal(ri.node, newLeafVal(vi, rd.node.val), nodeInfoI)
+		sub := t.makeInternal(ri.node, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if sub == nil {
 			return nil
 		}
-		live, _ := rd.p.census(sd)
+		live, _ := rd.p.inner().census(sd)
 		np := sub
 		if live == 2 {
 			if rd.gp == nil {
@@ -176,7 +171,7 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		res, _ := t.afterDelete(rd.p, sd, g)
 		sp := t.slotOf(rd.p.label, rd.gp.label.Len())
 		gpAfter := t.copyNodeSet(rd.gp, g, sp, res, -1, nil)
-		newNodeI := t.makeInternal(gpAfter, newLeafVal(vi, rd.node.val), nodeInfoI)
+		newNodeI := t.makeInternal(gpAfter, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if newNodeI == nil {
 			return nil
 		}
@@ -229,7 +224,7 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 	// The fresh leaf for the new key inherits the removed leaf's value:
 	// rd.node is immutable, so reading its payload here is consistent
 	// with the leaf the descriptor marks as rmvLeaf.
-	newNodeI := t.makeInternal(t.copyNode(ri.node, g), newLeafVal(vi, rd.node.val), nodeInfoI) // lines 52-53
+	newNodeI := t.makeInternal(t.copyNode(ri.node, g), newLeafVal(vi, rd.node.leaf().val), nodeInfoI) // lines 52-53
 	if newNodeI == nil {
 		return nil
 	}
@@ -294,7 +289,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		if t.helpConflict(rd.gpInfo, rd.pInfo, nil, nil) {
 			return nil
 		}
-		np := t.copyNodeSet(rd.p, g, sd, nil, si, newLeafVal(vi, rd.node.val))
+		np := t.copyNodeSet(rd.p, g, sd, nil, si, newLeafVal(vi, rd.node.leaf().val))
 		return t.oneCAS(rd.gp, rd.p, np,
 			[4]*node[K, V]{rd.p, rd.gp}, [4]*info[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
 
@@ -304,8 +299,8 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		if t.helpConflict(rd.gpInfo, rd.pInfo, ri.pInfo, nil) {
 			return nil
 		}
-		fp := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.val), -1, nil)
-		live, sib := rd.p.census(sd)
+		fp := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), -1, nil)
+		live, sib := rd.p.inner().census(sd)
 		np := fp
 		if live == 2 {
 			// rd.p contracts; its lone surviving child must be ri.p,
@@ -330,7 +325,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		}
 		res, _ := t.afterDelete(rd.p, sd, g)
 		sp := t.slotOf(rd.p.label, ri.p.label.Len())
-		np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.val), sp, res)
+		np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), sp, res)
 		return t.oneCAS(ri.gp, ri.p, np,
 			[4]*node[K, V]{ri.p, rd.p, ri.gp},
 			[4]*info[K, V]{ri.pInfo, rd.pInfo, ri.gpInfo}, flagCount(ri.gp, 3))
@@ -348,7 +343,7 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 	if contracted && rd.gp == nil {
 		return nil
 	}
-	np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.val), -1, nil)
+	np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), -1, nil)
 
 	var flag [4]*node[K, V]
 	var fi [4]*info[K, V]

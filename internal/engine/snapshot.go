@@ -104,24 +104,16 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 		}
 		return s.t.root.Load() != old
 	}
-	if p.gen > s.gen {
-		return false
-	}
-	for j := 0; j < p.fanout(); j++ {
-		if p.kid(j).Load() == old {
-			return false
-		}
-	}
-	return true
+	return p.gen <= s.gen && !holdsChild(p.inner(), old)
 }
 
 // search is the read-only descent over the frozen structure.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
 	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
-		n = n.kid(s.t.slotOf(v, n.label.Len())).Load()
+		n = n.inner().kid(s.t.slotOf(v, n.label.Len())).Load()
 	}
-	if n != nil && n.isLeaf() && !s.t.skipRmvdCheck {
+	if n != nil && n.isLeaf() {
 		rmvd = s.removed(n.info.Load())
 	}
 	return n, rmvd
@@ -141,7 +133,7 @@ func (s *Snapshot[K, V]) Load(v K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return n.val, true
+	return n.leaf().val, true
 }
 
 // AscendKV calls fn on every (key, value) pair with key >= from that was
@@ -155,12 +147,13 @@ func (s *Snapshot[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 func (s *Snapshot[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
 	if n.isLeaf() {
 		if n.label.Compare(v) >= 0 && s.usable(n) {
-			return fn(n.label, n.val)
+			return fn(n.label, n.leaf().val)
 		}
 		return true
 	}
-	for idx := 0; idx < n.fanout(); idx++ {
-		c := n.kid(idx).Load()
+	in := n.inner()
+	for idx := 0; idx < in.fanout(); idx++ {
+		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
 		}
@@ -181,10 +174,11 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 
 // searchMut is search for mutating operations: the same descent, but it
 // renews any stale internal node it meets — splicing a current-generation
-// copy over it through the flag protocol — and restarts, so the returned
-// position's gp, p and node (when internal) all carry the current
-// generation and are safe to flag and child-CAS without ever mutating a
-// node a snapshot can reach. Must be called with snapMu held for read.
+// copy over it through the flag protocol — before stepping into it, so
+// the returned position's gp, p and node (when internal) all carry the
+// current generation and are safe to flag and child-CAS without ever
+// mutating a node a snapshot can reach. Must be called with snapMu held
+// for read.
 func (t *Trie[K, V]) searchMut(v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
@@ -196,26 +190,40 @@ restart:
 		for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
 			r.gp, r.gpInfo = r.p, r.pInfo
 			r.p, r.pInfo = n, n.info.Load()
-			n = r.p.kid(t.slotOf(v, r.p.label.Len())).Load()
+			slot := n.inner().kid(t.slotOf(v, n.label.Len()))
+			n = slot.Load()
 			depth++
-			if n != nil && !n.isLeaf() && n.gen != g {
+			if stale(n, g) {
 				t.renewChild(r.p, r.pInfo, n, g)
-				// Re-descend from the root as it is now: a wide trie's
-				// root node is itself replaced by slot fills and clears
-				// (the root-CAS sentinel), and a displaced root stays
-				// flagged forever, so a renewal under it could never
-				// succeed. The generation cannot change meanwhile.
-				root = t.root.Load()
-				continue restart
+				// Carry on from the renewed child, re-reading r.p as a
+				// descent arriving at it now would (info before child).
+				// Only when r.p is flagged or the renewal lost does the
+				// descent start over, from the root as it is now: a wide
+				// trie's root node is itself replaced by slot fills and
+				// clears (the root-CAS sentinel), and a displaced root
+				// stays flagged forever, so a renewal under it could
+				// never succeed. The generation cannot change meanwhile.
+				r.pInfo = r.p.info.Load()
+				n = slot.Load()
+				if r.pInfo.flagged() || stale(n, g) {
+					root = t.root.Load()
+					continue restart
+				}
 			}
 		}
 		r.node = n
 		t.stats.Depth.Record(depth)
-		if n != nil && n.isLeaf() && !t.skipRmvdCheck {
+		if n != nil && n.isLeaf() {
 			r.rmvd = t.logicallyRemoved(n.info.Load())
 		}
 		return r
 	}
+}
+
+// stale reports whether n is an internal node of a generation other than
+// g, which a mutation must renew before flagging it.
+func stale[K keys.Key[K], V any](n *node[K, V], g uint64) bool {
+	return n != nil && !n.isLeaf() && n.gen != g
 }
 
 // renewChild splices a current-generation copy of the stale internal

@@ -141,8 +141,8 @@ func TestSnapshotO1(t *testing.T) {
 	if allocsSmall != allocsBig {
 		t.Errorf("Snapshot allocs depend on size: %.0f (100 keys) vs %.0f (%d keys)", allocsSmall, allocsBig, n)
 	}
-	if allocsBig > 3 {
-		t.Errorf("Snapshot allocates %.0f objects; want <= 3 (root copy + snapshot header)", allocsBig)
+	if allocsBig > 2 {
+		t.Errorf("Snapshot allocates %.0f objects; want <= 2 (root copy + snapshot header)", allocsBig)
 	}
 }
 

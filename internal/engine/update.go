@@ -66,7 +66,7 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 			// fresh joins and leaves share the old child's digit, or the
 			// search would not have reached it).
 			k := t.slotOf(nc.label, p.label.Len())
-			if !p.kid(k).CompareAndSwap(i.oldChild[j], nc) { // child CAS (line 98)
+			if !p.inner().kid(k).CompareAndSwap(i.oldChild[j], nc) { // child CAS (line 98)
 				// A failed child CAS here means a racing helper of this
 				// same descriptor already swung the pointer — a pure
 				// contention signal, never a correctness event.
@@ -183,7 +183,8 @@ func (t *Trie[K, V]) newDesc(
 // building any speculative nodes: a flagged capture dooms the attempt
 // (newDesc would reject it), so helping-then-retrying here avoids
 // constructing leaves and copies that would be thrown away. nil entries
-// (unused arguments, and the info of a live leaf) are skipped.
+// (unused arguments, and the info of a live leaf or a never-flagged
+// internal node) are skipped.
 func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
 	for _, i := range [...]*info[K, V]{i1, i2, i3, i4} {
 		if i.flagged() {
@@ -217,7 +218,7 @@ func (t *Trie[K, V]) makeInternal(n1, n2 *node[K, V], i *info[K, V]) *node[K, V]
 	nn := t.newNode(cp, t.curGen())
 	nn.kid(t.slotOf(n1.label, cp.Len())).Store(n1)
 	nn.kid(t.slotOf(n2.label, cp.Len())).Store(n2)
-	return nn
+	return &nn.node
 }
 
 // Insert adds the encoded key v to the set, returning false if it was
@@ -258,7 +259,7 @@ func (t *Trie[K, V]) tryInsert(v K, val V, r searchResult[K, V]) bool {
 	if n == nil {
 		return t.tryFill(v, val, r)
 	}
-	nodeInfo := n.info.Load() // line 25: info before children; nil on a live leaf
+	nodeInfo := n.info.Load() // line 25: info before children; nil if n was never flagged
 	// Deferred speculative construction: a flagged capture means newDesc
 	// would reject this attempt anyway, so help the conflicting update
 	// and retry before building the fresh leaf, the copy of n and the
@@ -347,7 +348,7 @@ func (t *Trie[K, V]) Delete(v K) bool {
 // subtrees, so it is never contracted away).
 func (t *Trie[K, V]) tryDelete(v K, r searchResult[K, V]) bool {
 	sd := t.slotOf(v, r.p.label.Len())
-	live, sib := r.p.census(sd)
+	live, sib := r.p.inner().census(sd)
 	if live == 2 {
 		if r.gp == nil {
 			// A binary parent that is the root cannot hold a user leaf:

@@ -12,9 +12,9 @@ import "testing"
 
 const (
 	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
-	// internal node + its Unflag, the Flag descriptor, and the fresh
-	// Unflag of the unflag CAS.
-	insertAllocBudget = 6
+	// internal node, the Flag descriptor, and the fresh Unflag of the
+	// unflag CAS.
+	insertAllocBudget = 5
 	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
 	// unflag-CAS Unflag.
 	overwriteAllocBudget = 3

@@ -91,17 +91,6 @@ func NewPatriciaTrie(width uint32) (*PatriciaTrie, error) {
 	return &PatriciaTrie{t: t}, nil
 }
 
-// NewPatriciaTrieNoReplace returns a trie with the paper's Section V
-// fast-path optimization for workloads that never call Replace: searches
-// skip the logical-removal check. Calling Replace on it panics.
-func NewPatriciaTrieNoReplace(width uint32) (*PatriciaTrie, error) {
-	t, err := core.New(width, core.WithoutReplace[struct{}]())
-	if err != nil {
-		return nil, err
-	}
-	return &PatriciaTrie{t: t}, nil
-}
-
 // KarySpan is the digit width of the registry's "karypatricia" (PAT-K)
 // entry: 4 bits per level, 16-child internal nodes sized to one or two
 // cache lines.

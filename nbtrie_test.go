@@ -157,23 +157,6 @@ func TestPatriciaTrieExtras(t *testing.T) {
 	}
 }
 
-func TestNoReplaceVariant(t *testing.T) {
-	p, err := NewPatriciaTrieNoReplace(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Insert(7)
-	if !p.Contains(7) {
-		t.Error("basic ops broken on no-replace trie")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Replace should panic on the no-replace variant")
-		}
-	}()
-	p.Replace(7, 8)
-}
-
 func TestStringTrieFacade(t *testing.T) {
 	s := NewStringTrie()
 	if !s.Insert([]byte("alpha")) || s.Insert([]byte("alpha")) {

@@ -43,9 +43,13 @@ pkgs="./internal/resp ./internal/server ./internal/engine ./internal/core ./inte
     # read-path suspects: the child-slot loads (the inline pair, or the
     # slot block a wide node holds behind its ext pointer — kid()
     # returns the address of a slot inside an object that is already on
-    # the heap, which is not an escape) should add nothing here. The
-    # constructors in engine.go (newLeafVal, newNode, newSlots,
-    # newUnflag, newFlag) are expected sites: update path only.
+    # the heap, which is not an escape) should add nothing here. Nor
+    # do leaf()/inner(), which only re-type a pointer: the "leaf() on an
+    # internal node" / "inner() on a leaf" lines are their guards' panic
+    # arguments, constants boxed at compile time, listed wherever the
+    # accessors are inlined. The constructors in engine.go (newLeafVal's
+    # &leafNode{...}, newNode's &innerNode{...}, newSlots, newUnflag,
+    # newFlag) are expected sites: update path only.
     if grep 'engine/engine\.go' "$mlog"; then
         echo "(engine.go escape sites above: cross-check against the"
         echo "0-alloc read pins before assuming they are cold-path.)"
