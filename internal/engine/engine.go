@@ -46,7 +46,6 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -376,45 +375,30 @@ func (i *info[K, V]) flagged() bool { return i != nil && i.flag != nil }
 // engine only ever sees full-length encoded keys strictly between the
 // two dummies.
 type Trie[K keys.Key[K], V any] struct {
+	// gate is the snapshot barrier (gate.go). Every mutating operation is
+	// inside it for its whole invocation (search, retries, helping);
+	// Snapshot shuts it and drains it just long enough to swap in a fresh
+	// root with a bumped generation and read the entry count. The drain
+	// guarantees no in-flight update — whose flag targets were validated
+	// against the previous generation — can mutate the structure the
+	// snapshot captured after Snapshot returns; updates that start
+	// afterwards see the new generation and copy-on-write any stale
+	// internal node before touching it (see snapshot.go). Reads never
+	// enter it: Load/Contains/iteration stay CAS- and lock-free.
+	//
+	// It comes first so its lanes start line-aligned for every K; its
+	// mutex and flag, written only by Snapshot, share the read-mostly
+	// line of root, the dummies and span. 624 bytes in all for a
+	// Uint64Key trie (pinned by layout_test.go).
+	gate gate
+
 	// root is swapped wholesale by Snapshot (a fresh copy carrying the
 	// next generation), so it is an atomic pointer; everything below it
 	// is reached through the usual child pointers. Readers may load
 	// either side of a racing swap — both are valid linearizable views.
 	root atomic.Pointer[node[K, V]]
 
-	// snapMu is the snapshot barrier. Every mutating operation holds the
-	// read side for its whole invocation (search, retries, helping);
-	// Snapshot takes the write side just long enough to swap in a fresh
-	// root with a bumped generation and read the entry count. Draining
-	// the read side guarantees no in-flight update — whose flag targets
-	// were validated against the previous generation — can mutate the
-	// structure the snapshot captured after Snapshot returns; updates
-	// that start afterwards see the new generation and copy-on-write any
-	// stale internal node before touching it (see snapshot.go). Reads
-	// never take the lock: Load/Contains/iteration stay CAS- and
-	// lock-free.
-	snapMu sync.RWMutex
-
 	dummyMin, dummyMax K
-
-	// count tracks the number of live user keys for Len. It is bumped by
-	// the *initiating* goroutine of a successful insert or delete — never
-	// by helpers, so each successful operation is counted exactly once —
-	// strictly after the operation's linearization point (the child CAS
-	// inside help). Replace and value overwrites do not change the key
-	// count and never touch it. Consequences: Len is exact whenever no
-	// mutation is in flight, and under concurrency it lags the linearized
-	// state by at most the number of in-flight mutations (each op's bump
-	// lands within its own invocation window, so Len is always a value
-	// the set held at some point inside the read's own window of
-	// concurrent operations).
-	count atomic.Int64
-
-	// stats is the trie's contention-counter block (see stats.go). By
-	// value so each trie — and hence each shard of a sharded map — owns
-	// its own cache-line-padded counters with no pointer chase on the
-	// record paths.
-	stats Stats
 
 	// span is the digit width s in bits: internal nodes have 2^span
 	// child slots and every level of the trie resolves span key bits,
@@ -432,6 +416,25 @@ type Trie[K keys.Key[K], V any] struct {
 	// and a 4-bit digit "0011" would share slot 3 — so strtrie stays at
 	// span 1.
 	span uint32
+
+	// count tracks the number of live user keys for Len. It is bumped by
+	// the *initiating* goroutine of a successful insert or delete — never
+	// by helpers, so each successful operation is counted exactly once —
+	// strictly after the operation's linearization point (the child CAS
+	// inside help). Replace and value overwrites do not change the key
+	// count and never touch it. Consequences: Len is exact whenever no
+	// mutation is in flight, and under concurrency it lags the linearized
+	// state by at most the number of in-flight mutations (each op's bump
+	// lands within its own invocation window, so Len is always a value
+	// the set held at some point inside the read's own window of
+	// concurrent operations).
+	count atomic.Int64
+
+	// stats holds the counters that stay zero without contention (see
+	// stats.go), on count's line: by value, so each trie — and hence each
+	// shard of a sharded map — owns its own, with no pointer chase on the
+	// record paths.
+	stats contention
 }
 
 // Option configures a Trie.
@@ -480,8 +483,8 @@ func (t *Trie[K, V]) slotOf(v K, pos uint32) int {
 }
 
 // curGen returns the current snapshot generation — the generation of the
-// current root. Mutating operations read it under the snapMu read lock,
-// where it cannot change for the duration of the operation.
+// current root. Mutating operations read it inside the gate, where it
+// cannot change for the duration of the operation.
 func (t *Trie[K, V]) curGen() uint64 { return t.root.Load().gen }
 
 // searchResult carries the paper's 6-tuple ⟨gp, p, node, gpInfo, pInfo,

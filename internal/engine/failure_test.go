@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nbtrie/internal/keys"
 )
 
 // Failure-injection tests: a process is stalled right after planting its
@@ -115,6 +118,122 @@ func TestHelperCompletesStalledReplace(t *testing.T) {
 		if !tr.Contains(k) {
 			t.Fatalf("key %d lost", k)
 		}
+	}
+}
+
+// carries reports whether d installs the leaf k: as a new child, or as a
+// direct child of one (an insert's joining node).
+func carries(d *udesc, k keys.Uint64Key) bool {
+	for j := 0; j < int(d.nPNode); j++ {
+		c := d.newChild[j]
+		if c.isLeaf() {
+			if c.label.Equal(k) {
+				return true
+			}
+			continue
+		}
+		in := c.inner()
+		for s := 0; s < in.fanout(); s++ {
+			if x := in.kid(s).Load(); x != nil && x.isLeaf() && x.label.Equal(k) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSnapshotDrainsParkedUpdater pins the gate's blocking, exactly:
+// updaters never wait on each other, a Snapshot waits for the updaters in
+// flight, and an updater waits only for a Snapshot in progress. Updater A
+// is parked after its flag CAS; B, on a disjoint key, completes anyway; a
+// Snapshot from C does not return while A is parked; D, started once C is
+// pending, does not return before C. Released, A lands in C's snapshot
+// and D does not.
+func TestSnapshotDrainsParkedUpdater(t *testing.T) {
+	tr := mustNew(t, 16)
+	for _, k := range []uint64{100, 40000} {
+		tr.Insert(k)
+	}
+	const a, b, d = 101, 40001, 50001
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once atomic.Bool
+	testHookAfterFlagging = func(x any) {
+		if carries(x.(*udesc), tr.enc(a)) && once.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	defer func() { testHookAfterFlagging = nil }()
+	wait := func(c <-chan bool, what string) bool {
+		select {
+		case ok := <-c:
+			return ok
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return", what)
+			return false
+		}
+	}
+
+	doneA := make(chan bool, 1)
+	go func() { doneA <- tr.Insert(a) }()
+	<-parked
+
+	doneB := make(chan bool, 1)
+	go func() { doneB <- tr.Insert(b) }()
+	if !wait(doneB, "updater B, on a disjoint key, while A is parked,") {
+		t.Fatal("Insert(B) = false")
+	}
+
+	snapC := make(chan *Snapshot[keys.Uint64Key, any], 1)
+	go func() { snapC <- tr.Snapshot() }()
+	for deadline := time.Now().Add(5 * time.Second); !tr.gate.pending.Load(); runtime.Gosched() {
+		select {
+		case <-snapC:
+			t.Fatal("Snapshot returned while updater A was parked inside the gate")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Snapshot never raised pending")
+		}
+	}
+
+	doneD := make(chan bool, 1)
+	go func() { doneD <- tr.Insert(d) }()
+	select {
+	case <-snapC:
+		t.Fatal("Snapshot returned while updater A was parked inside the gate")
+	case <-doneD:
+		t.Fatal("updater D returned while the Snapshot it started behind was pending")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if tr.Contains(d) {
+		t.Fatal("updater D took effect while the Snapshot it started behind was pending")
+	}
+
+	close(release)
+	var s *Snapshot[keys.Uint64Key, any]
+	select {
+	case s = <-snapC:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot did not return once A was released")
+	}
+	if !wait(doneA, "updater A, released,") || !wait(doneD, "updater D") {
+		t.Fatal("Insert(A) or Insert(D) = false")
+	}
+
+	for k, want := range map[uint64]bool{100: true, 40000: true, a: true, b: true, d: false} {
+		if got := s.Contains(tr.enc(k)); got != want {
+			t.Errorf("C's snapshot Contains(%d) = %v, want %v", k, got, want)
+		}
+	}
+	if s.Len() != 4 {
+		t.Errorf("C's snapshot Len() = %d, want 4", s.Len())
+	}
+	if !tr.Contains(d) || tr.gate.inflight() != 0 {
+		t.Errorf("after the run: Contains(D) = %v, in flight %d", tr.Contains(d), tr.gate.inflight())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

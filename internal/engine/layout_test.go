@@ -51,6 +51,34 @@ func TestLayoutSizes(t *testing.T) {
 	}
 }
 
+// TestTrieLayout pins where the Trie's words sit, which is what keeps
+// updaters off each other's cache lines: the gate's lanes are two lines
+// each and start line-aligned (the Trie is allocated in a size class that
+// is a multiple of 64 B, so offsets modulo 64 are lines), and count —
+// written by every insert and delete — is not on the read-mostly line of
+// root that every operation loads.
+func TestTrieLayout(t *testing.T) {
+	var tr Trie[keys.Uint64Key, uint64]
+	t.Logf("Trie[Uint64Key,uint64]: %d B; lanes at %d, root at %d, count at %d",
+		unsafe.Sizeof(tr), unsafe.Offsetof(tr.gate)+unsafe.Offsetof(tr.gate.lanes),
+		unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.count))
+	if got := unsafe.Sizeof(tr); got > 640 {
+		t.Errorf("Trie[Uint64Key,uint64] is %d B, want <= 640 (the 640 B size class)", got)
+	}
+	if got := classSize(unsafe.Sizeof(tr)); got%64 != 0 {
+		t.Errorf("Trie[Uint64Key,uint64] lands in the %d B size class, want a multiple of 64", got)
+	}
+	if got := unsafe.Sizeof(lane{}); got != 128 {
+		t.Errorf("a lane is %d B, want 128 (two cache lines)", got)
+	}
+	if off := unsafe.Offsetof(tr.gate) + unsafe.Offsetof(tr.gate.lanes); off%64 != 0 {
+		t.Errorf("the lanes start at offset %d, want a multiple of 64", off)
+	}
+	if root, count := unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.count); root/64 == count/64 {
+		t.Errorf("count (offset %d) shares root's cache line (offset %d)", count, root)
+	}
+}
+
 // TestUnflagsAreDistinct: two Unflag headers alive at once never share an
 // address, so a node's info field cannot repeat a value while any delayed
 // flag CAS still holds the old one — for headers fresh from newUnflag and

@@ -24,11 +24,10 @@ package engine
 // Store binds the encoded key v to val, inserting the key if absent and
 // overwriting the value if present (lock-free upsert).
 func (t *Trie[K, V]) Store(v K, val V) {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if !keyInTrie(r.node, v, r.rmvd) {
@@ -47,11 +46,10 @@ func (t *Trie[K, V]) Store(v K, val V) {
 // LoadOrStore returns the value bound to v if present (loaded == true);
 // otherwise it stores val and returns it. The load path performs no CAS.
 func (t *Trie[K, V]) LoadOrStore(v K, val V) (actual V, loaded bool) {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if keyInTrie(r.node, v, r.rmvd) {
@@ -76,11 +74,10 @@ func valuesEqual[V any](a, b V) bool {
 // value equals old (interface equality; old must be comparable). It
 // returns true iff the swap happened.
 func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if !keyInTrie(r.node, v, r.rmvd) {
@@ -99,11 +96,10 @@ func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
 // equality; old must be comparable). It returns true iff the key was
 // deleted.
 func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if !keyInTrie(r.node, v, r.rmvd) {
@@ -130,11 +126,10 @@ func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
 // condition approved is the value that is removed. cond may be called
 // multiple times (once per retry) and must be side-effect free.
 func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if !keyInTrie(r.node, v, r.rmvd) {

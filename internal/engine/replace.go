@@ -36,11 +36,10 @@ import "nbtrie/internal/keys"
 // values before building its replacement subtree, so a doomed attempt
 // costs no node allocations.
 func (t *Trie[K, V]) Replace(vd, vi K) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		rd := t.searchMut(vd)
 		if !keyInTrie(rd.node, vd, rd.rmvd) {

@@ -36,10 +36,11 @@ import "nbtrie/internal/keys"
 // snapshot and is ignored.
 //
 // Mutating operations that find no stale node on their path pay only
-// the snapMu read lock (two uncontended atomic ops, no allocation);
-// the pinned allocs/op budgets are unchanged. Renewal cost is paid once
-// per stale path segment after a snapshot and amortizes away, exactly
-// as in Ctries.
+// the gate (gate.go): an add on a lane of their own random draw, a load
+// of the pending flag and the add back, with no allocation and no word
+// two updaters are bound to share; the pinned allocs/op budgets are
+// unchanged. Renewal cost is paid once per stale path segment after a
+// snapshot and amortizes away, exactly as in Ctries.
 
 // Snapshot is a read-only point-in-time view of a Trie, obtained in
 // O(1) from Trie.Snapshot. It shares structure with the live trie:
@@ -56,17 +57,20 @@ type Snapshot[K keys.Key[K], V any] struct {
 
 // Snapshot returns a read-only view of the trie at the moment of the
 // call, in O(1) time and allocation independent of the trie's size: it
-// waits for in-flight mutations to drain (the barrier is bounded by the
-// duration of individual lock-free operations, not by the map), swaps
-// in a fresh root carrying the next generation, and captures the entry
-// count. Subsequent mutations copy-on-write stale paths, so the
-// returned view is frozen while the live trie moves on.
+// drains the gate, swaps in a fresh root carrying the next generation,
+// and captures the entry count. Subsequent mutations copy-on-write stale
+// paths, so the returned view is frozen while the live trie moves on.
+//
+// Snapshot is the engine's one blocking operation. The drain waits for
+// every mutation in flight — an updater descheduled mid-operation holds
+// it up for as long as it stays descheduled — and mutations that start
+// meanwhile wait for the Snapshot to return. Reads never wait.
 func (t *Trie[K, V]) Snapshot() *Snapshot[K, V] {
-	t.snapMu.Lock()
+	t.gate.drain()
 	old := t.root.Load()
 	t.root.Store(t.copyNode(old, old.gen+1))
 	n := t.count.Load()
-	t.snapMu.Unlock()
+	t.gate.reopen()
 	if n < 0 {
 		n = 0
 	}
@@ -177,8 +181,7 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 // copy over it through the flag protocol — before stepping into it, so
 // the returned position's gp, p and node (when internal) all carry the
 // current generation and are safe to flag and child-CAS without ever
-// mutating a node a snapshot can reach. Must be called with snapMu held
-// for read.
+// mutating a node a snapshot can reach. Must be called inside the gate.
 func (t *Trie[K, V]) searchMut(v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
@@ -212,7 +215,7 @@ restart:
 			}
 		}
 		r.node = n
-		t.stats.Depth.Record(depth)
+		t.gate.pick().recordDepth(depth)
 		if n != nil && n.isLeaf() {
 			r.rmvd = t.logicallyRemoved(n.info.Load())
 		}
@@ -238,7 +241,7 @@ func stale[K keys.Key[K], V any](n *node[K, V], g uint64) bool {
 // copyNode). On any conflict the attempt is abandoned after helping;
 // the caller re-descends either way.
 func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
-	t.stats.SnapshotRenewals.Inc()
+	t.stats.snapshotRenewals.Add(1)
 	cInfo := c.info.Load()
 	if t.helpConflict(pInfo, cInfo, nil, nil) {
 		return

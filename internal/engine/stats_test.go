@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -98,33 +99,72 @@ func TestStatsMerge(t *testing.T) {
 	}
 }
 
-// TestStatsUnderContention: racy, sanity-level — hammering one small key
-// range from many goroutines must light up the contention counters on a
-// multi-core box. Skipped on a single CPU where the race never happens.
+// TestStatsUnderContention: four writers hammer one small key range with
+// inserts, deletes and replaces. Which contention counters light up is
+// racy; what is checked once the writers quiesce is not, and holds at
+// every -cpu (CI runs it at 1,2,4): no updater is left counted in flight
+// on the gate's lanes, every successful update ran help() at least once,
+// and every mutating call recorded at least one descent.
 func TestStatsUnderContention(t *testing.T) {
 	tr := mustNew(t, 8)
+	const writers, calls = 4, 5000
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	var updates atomic.Int64
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
+			for i := 0; i < calls; i++ {
 				k := uint64(i % 16)
-				if g%2 == 0 {
-					tr.Insert(k)
-				} else {
-					tr.Delete(k)
+				var ok bool
+				switch (g + i) % 3 {
+				case 0:
+					ok = tr.Insert(k)
+				case 1:
+					ok = tr.Delete(k)
+				default:
+					ok = tr.Replace(k, k+16)
+				}
+				if ok {
+					updates.Add(1)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	s := tr.StatsSnapshot()
-	t.Logf("contention stats: %+v", s)
-	if s.Help == 0 || s.Depth.Count == 0 {
-		t.Fatal("basic counters must be nonzero after mutations")
+	t.Logf("%d successful updates; stats: %+v", updates.Load(), s)
+	if n := tr.gate.inflight(); n != 0 {
+		t.Errorf("the lanes count %d updaters in flight after all writers returned", n)
+	}
+	if s.Help < updates.Load() {
+		t.Errorf("Help = %d < %d successful updates", s.Help, updates.Load())
+	}
+	if s.Depth.Count < writers*calls {
+		t.Errorf("Depth.Count = %d < %d mutating calls", s.Depth.Count, writers*calls)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsDepthBuckets: the lanes' depth histogram is log2 like
+// obs.Hist up to bucket 11, and its last bucket saturates — depth 5000,
+// which obs.Hist would put in bucket 13, lands in bucket 12 — while Count
+// and Sum stay exact.
+func TestStatsDepthBuckets(t *testing.T) {
+	tr := mustNew(t, 8)
+	want := map[int]int64{0: 1, 1: 1, 11: 1, depthBuckets - 1: 2}
+	for i, d := range []uint64{0, 1, 2047, 2048, 5000} {
+		tr.gate.lanes[i%gateLanes].recordDepth(d)
+	}
+	s := tr.StatsSnapshot().Depth
+	for b, n := range s.Buckets {
+		if n != want[b] {
+			t.Errorf("Buckets[%d] = %d, want %d", b, n, want[b])
+		}
+	}
+	if s.Count != 5 || s.Sum != 0+1+2047+2048+5000 {
+		t.Errorf("Count, Sum = %d, %d, want 5, %d", s.Count, s.Sum, 0+1+2047+2048+5000)
 	}
 }

@@ -22,7 +22,7 @@ var testHookAfterFlagging func(any)
 // (success) or backtrack the flags (failure). The update is linearized at
 // its first successful child CAS.
 func (t *Trie[K, V]) help(i *desc[K, V]) bool {
-	t.stats.Help.Inc()
+	t.gate.pick().help.Add(1)
 	fl := &i.hdr // what a node flagged by I holds
 	doChildCAS := true
 	for j := 0; j < int(i.nFlag) && doChildCAS; j++ {
@@ -53,10 +53,10 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 				// Root-CAS sentinel: the update replaces the root node
 				// itself (a slot fill or clear on a root with no parent
 				// to re-point). Safe against Snapshot's root swap because
-				// every mutation, helpers included, runs under the snapMu
-				// read lock.
+				// every mutation, helpers included, runs inside the gate,
+				// which Snapshot drains before it swaps.
 				if !t.root.CompareAndSwap(i.oldChild[j], nc) {
-					t.stats.ChildCASFail.Inc()
+					t.stats.childCASFail.Add(1)
 				}
 				continue
 			}
@@ -70,7 +70,7 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 				// A failed child CAS here means a racing helper of this
 				// same descriptor already swung the pointer — a pure
 				// contention signal, never a correctness event.
-				t.stats.ChildCASFail.Inc()
+				t.stats.childCASFail.Add(1)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 		}
 		return true
 	}
-	t.stats.FlagBacktrack.Inc()
+	t.stats.flagBacktrack.Add(1)
 	for j := int(i.nFlag) - 1; j >= 0; j-- {
 		i.flag[j].info.CompareAndSwap(fl, newUnflag[K, V]()) // backtrack CAS (line 105)
 	}
@@ -114,7 +114,7 @@ func (t *Trie[K, V]) newDesc(
 	// incomplete; help it and make the caller retry from scratch.
 	for j := 0; j < nFlag; j++ {
 		if oldInfo[j].flagged() {
-			t.stats.HelpAssist.Inc()
+			t.stats.helpAssist.Add(1)
 			t.help(oldInfo[j].flag)
 			return nil
 		}
@@ -188,7 +188,7 @@ func (t *Trie[K, V]) newDesc(
 func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
 	for _, i := range [...]*info[K, V]{i1, i2, i3, i4} {
 		if i.flagged() {
-			t.stats.HelpAssist.Inc()
+			t.stats.helpAssist.Add(1)
 			t.help(i.flag)
 			return true
 		}
@@ -209,7 +209,7 @@ func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
 func (t *Trie[K, V]) makeInternal(n1, n2 *node[K, V], i *info[K, V]) *node[K, V] {
 	if n1.label.IsPrefixOf(n2.label) || n2.label.IsPrefixOf(n1.label) {
 		if i.flagged() {
-			t.stats.HelpAssist.Inc()
+			t.stats.helpAssist.Add(1)
 			t.help(i.flag)
 		}
 		return nil
@@ -234,11 +234,10 @@ func (t *Trie[K, V]) Insert(v K) bool {
 
 // InsertValue is Insert with a value payload bound to the fresh leaf.
 func (t *Trie[K, V]) InsertValue(v K, val V) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if keyInTrie(r.node, v, r.rmvd) {
@@ -322,11 +321,10 @@ func (t *Trie[K, V]) tryFill(v K, val V, r searchResult[K, V]) bool {
 // leaf's sibling; both the grandparent and the parent are flagged, and
 // the parent — which leaves the trie — stays flagged forever.
 func (t *Trie[K, V]) Delete(v K) bool {
-	t.snapMu.RLock()
-	defer t.snapMu.RUnlock()
+	defer t.gate.exit(t.gate.enter())
 	for first := true; ; first = false {
 		if !first {
-			t.stats.OpRetries.Inc()
+			t.stats.opRetries.Add(1)
 		}
 		r := t.searchMut(v)
 		if !keyInTrie(r.node, v, r.rmvd) {

@@ -20,7 +20,7 @@ const cacheLine = 64
 
 // Counter is a single atomic counter padded to a full cache line so that
 // adjacent Counters in an array never false-share. Use it for hot,
-// single-writer-ish counters (per-shard engine stats); for counters hammered
+// single-writer-ish counters (server byte totals); for counters hammered
 // by many cores at once prefer Striped.
 type Counter struct {
 	v atomic.Int64

@@ -29,10 +29,12 @@ type MapSnapshot[V any] struct {
 
 // Snapshot returns a read-only view of the map at the moment of the
 // call, in O(1) time and allocation independent of the map's size. The
-// call briefly quiesces mutators (it waits for in-flight operations to
-// finish, a bound set by individual lock-free operations, not by map
-// size); afterwards mutators copy-on-write diverged paths and the
-// snapshot stays frozen.
+// call briefly quiesces mutators: it waits for in-flight operations to
+// finish — a bound set by individual operations, not by map size, though
+// a mutator descheduled mid-operation stretches it — and mutators that
+// start meanwhile wait for it. Snapshot is the one blocking operation;
+// readers never wait. Afterwards mutators copy-on-write diverged paths
+// and the snapshot stays frozen.
 func (m *Map[V]) Snapshot() *MapSnapshot[V] {
 	return &MapSnapshot[V]{s: m.t.Snapshot()}
 }

@@ -27,8 +27,11 @@ import "nbtrie/internal/engine"
 //     after a Snapshot.
 //
 // DepthBuckets is a log2 histogram of per-mutation search depths:
-// bucket 0 counts depth 0 and bucket b>0 counts depths in
-// [2^(b-1), 2^b). DepthSamples and DepthSum are its count and sum.
+// bucket 0 counts depth 0 and bucket b in [1, 11] counts depths in
+// [2^(b-1), 2^b). Bucket 12 saturates: it counts every depth >= 2^11
+// (only StringMap keys of 128 bytes or more can descend that far), and
+// buckets 13 to 64 are always zero. DepthSamples and DepthSum are its
+// exact count and sum.
 type EngineStats struct {
 	Help             int64
 	HelpAssists      int64
