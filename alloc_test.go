@@ -6,7 +6,7 @@ import (
 )
 
 // Allocation pins for the wait-free read path at the public API layer.
-// The white-box pins in internal/core catch regressions in the
+// The white-box pins in internal/kv catch regressions in the
 // algorithm; these catch regressions in the wrapping — an interface
 // conversion or closure sneaking into Map.Load, or a registry
 // implementation whose Contains quietly starts boxing. Every registry

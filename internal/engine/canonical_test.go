@@ -174,20 +174,22 @@ func TestCanonicalShape(t *testing.T) {
 	// Uint64Key: a dense cluster (deep shared prefixes, slot fills and
 	// clears at every span) plus keys spread over the whole width.
 	const width = 20
+	u64c := keys.U64Codec{Width: width}
+	enc := func(k uint64) keys.Uint64Key { e, _ := u64c.Encode(k); return e }
 	var u64 []keys.Uint64Key
 	for k := uint64(0); k < 96; k++ {
-		u64 = append(u64, keys.EncodeUint64(k, width))
+		u64 = append(u64, enc(k))
 	}
 	for len(u64) < 160 {
-		u64 = append(u64, keys.EncodeUint64(uint64(rng.Intn(1<<width-96))+96, width))
+		u64 = append(u64, enc(uint64(rng.Intn(1<<width-96))+96))
 	}
 	u64 = dedup(u64)
 	for _, span := range []uint32{1, 2, 4, 6} {
 		runCanonical(t, canonTrie[keys.Uint64Key]{
 			name: fmt.Sprintf("uint64/span%d", span),
 			new: func() *Trie[keys.Uint64Key, uint64] {
-				return New[keys.Uint64Key, uint64](keys.Uint64DummyMin(width), keys.Uint64DummyMax(width),
-					WithSpan[keys.Uint64Key, uint64](span))
+				lo, hi := u64c.Bounds()
+				return New(lo, hi, WithSpan[keys.Uint64Key, uint64](span))
 			},
 			universe: u64,
 		})
@@ -210,25 +212,28 @@ func TestCanonicalShape(t *testing.T) {
 	runCanonical(t, canonTrie[keys.Bitstring]{
 		name: "bitstring/span1",
 		new: func() *Trie[keys.Bitstring, uint64] {
-			return New[keys.Bitstring, uint64](keys.StrDummyMin(), keys.StrDummyMax())
+			lo, hi := keys.StringCodec{}.Bounds()
+			return New[keys.Bitstring, uint64](lo, hi)
 		},
 		universe: dedup(strs),
 	})
 
 	// MortonKey: 65-bit keys, neighbouring cells and far corners.
+	morton := func(m uint64) keys.MortonKey { e, _ := keys.MortonCodec{}.Encode(m); return e }
 	var cells []keys.MortonKey
 	for x := uint32(0); x < 10; x++ {
 		for y := uint32(0); y < 10; y++ {
-			cells = append(cells, keys.EncodeMorton(keys.Interleave2(x, y)))
+			cells = append(cells, morton(keys.Interleave2(x, y)))
 		}
 	}
 	for len(cells) < 150 {
-		cells = append(cells, keys.EncodeMorton(rng.Uint64()))
+		cells = append(cells, morton(rng.Uint64()))
 	}
 	runCanonical(t, canonTrie[keys.MortonKey]{
 		name: "morton/span1",
 		new: func() *Trie[keys.MortonKey, uint64] {
-			return New[keys.MortonKey, uint64](keys.MortonDummyMin(), keys.MortonDummyMax())
+			lo, hi := keys.MortonCodec{}.Bounds()
+			return New[keys.MortonKey, uint64](lo, hi)
 		},
 		universe: dedup(cells),
 	})

@@ -26,11 +26,10 @@
 // The engine is deliberately key-agnostic: everything it needs from K
 // is the small keys.Key interface (bit access, length, prefix tests,
 // longest common prefix, a total label order) plus the two dummy keys
-// bounding the encoded key space, handed to New. The fixed-width trie
-// (internal/core), the byte-string trie (internal/strtrie) and the
-// Morton-keyed spatial trie (internal/spatial) are thin instantiations;
-// a new key space is an encoding plus two dummies, never a fourth copy
-// of this protocol.
+// bounding the encoded key space, handed to New. The fixed-width,
+// byte-string and Morton-keyed tries are one generic wrapper
+// (internal/kv) over this engine with a key codec each; a new key space
+// is a codec, never a fourth copy of this protocol.
 //
 // The hot paths are allocation-lean (see DESIGN.md): values are stored
 // unboxed in the leaf, descriptors are built from fixed-size arrays
@@ -410,11 +409,11 @@ type Trie[K keys.Key[K], V any] struct {
 	//
 	// Soundness constraint on instantiations: digit extraction must
 	// assign distinct slots to distinct keys under a shared node, which
-	// holds when all keys have one fixed length (core, spatial) or all
-	// lengths are multiples of span. Variable-length Bitstring keys
+	// holds when all keys have one fixed length (Uint64Key, MortonKey) or
+	// all lengths are multiples of span. Variable-length Bitstring keys
 	// (lengths 16n+2) violate it for span 4 — a 2-bit tail digit "11"
-	// and a 4-bit digit "0011" would share slot 3 — so strtrie stays at
-	// span 1.
+	// and a 4-bit digit "0011" would share slot 3 — so byte-string tries
+	// stay at span 1.
 	span uint32
 
 	// count tracks the number of live user keys for Len. It is bumped by

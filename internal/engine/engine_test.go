@@ -8,7 +8,7 @@ import (
 
 // The engine's white-box tests instantiate it once, with the fixed-width
 // Uint64Key at a small width, and drive the protocol machinery directly.
-// Every instantiation (core, strtrie, spatial) shares this exact code
+// Every key space (fixed-width, byte-string, Morton) shares this exact code
 // path, so the helping, backtracking and failure-injection batteries run
 // here once instead of per-trie copies.
 
@@ -28,7 +28,10 @@ type testTrie struct {
 }
 
 // enc maps a user key to its full-length internal key.
-func (tt testTrie) enc(k uint64) keys.Uint64Key { return keys.EncodeUint64(k, tt.width) }
+func (tt testTrie) enc(k uint64) keys.Uint64Key {
+	e, _ := keys.U64Codec{Width: tt.width}.Encode(k)
+	return e
+}
 
 func (tt testTrie) Insert(k uint64) bool   { return tt.Trie.Insert(tt.enc(k)) }
 func (tt testTrie) Delete(k uint64) bool   { return tt.Trie.Delete(tt.enc(k)) }
@@ -46,10 +49,8 @@ func (tt testTrie) Validate() error {
 
 func mustNew(t *testing.T, width uint32, opts ...Option[keys.Uint64Key, any]) testTrie {
 	t.Helper()
-	return testTrie{
-		Trie:  New[keys.Uint64Key, any](keys.Uint64DummyMin(width), keys.Uint64DummyMax(width), opts...),
-		width: width,
-	}
+	lo, hi := keys.U64Codec{Width: width}.Bounds()
+	return testTrie{Trie: New[keys.Uint64Key, any](lo, hi, opts...), width: width}
 }
 
 // testFlag returns an empty Flag descriptor for tests that fabricate

@@ -16,9 +16,10 @@ import (
 // digit width; 1 is the paper's binary trie.
 func runEngineOps(t *testing.T, data []byte, span uint32) {
 	const width = 10
-	tr := New[keys.Uint64Key, uint16](keys.Uint64DummyMin(width), keys.Uint64DummyMax(width),
-		WithSpan[keys.Uint64Key, uint16](span))
-	enc := func(k uint64) keys.Uint64Key { return keys.EncodeUint64(k, width) }
+	c := keys.U64Codec{Width: width}
+	lo, hi := c.Bounds()
+	tr := New[keys.Uint64Key, uint16](lo, hi, WithSpan[keys.Uint64Key, uint16](span))
+	enc := func(k uint64) keys.Uint64Key { e, _ := c.Encode(k); return e }
 
 	type entry struct {
 		present bool

@@ -311,7 +311,7 @@ func TestTryDeleteRootChildDefensive(t *testing.T) {
 	for !dummy.isLeaf() {
 		dummy = dummy.inner().child[0].Load()
 	}
-	if !dummy.label.Equal(keys.Uint64DummyMin(tr.width)) {
+	if lo, _ := (keys.U64Codec{Width: tr.width}).Bounds(); !dummy.label.Equal(lo) {
 		t.Fatal("setup: leftmost leaf should be the 0^ℓ dummy")
 	}
 	r := searchResult[keys.Uint64Key, any]{

@@ -143,19 +143,22 @@ func heapAlloc() uint64 {
 func TestFootprintMatchesHeap(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(21))
+	c := keys.U64Codec{Width: 63}
 	ks := make([]keys.Uint64Key, 0, n)
 	seen := make(map[uint64]bool, n)
 	for len(ks) < n {
 		k := rng.Uint64() >> 1
 		if !seen[k] {
 			seen[k] = true
-			ks = append(ks, keys.EncodeUint64(k, 63))
+			e, _ := c.Encode(k)
+			ks = append(ks, e)
 		}
 	}
 	seen = nil
 
 	before := heapAlloc()
-	tr := New[keys.Uint64Key, uint64](keys.Uint64DummyMin(63), keys.Uint64DummyMax(63))
+	lo, hi := c.Bounds()
+	tr := New[keys.Uint64Key, uint64](lo, hi)
 	for i, k := range ks {
 		tr.Store(k, uint64(i))
 	}

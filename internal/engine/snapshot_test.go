@@ -20,7 +20,7 @@ func snapKeys(s *Snapshot[keys.Uint64Key, any], width uint32) []uint64 {
 	var out []uint64
 	var zero keys.Uint64Key
 	s.AscendKV(zero, func(k keys.Uint64Key, _ any) bool {
-		out = append(out, keys.DecodeUint64(k, width))
+		out = append(out, keys.U64Codec{Width: width}.Decode(k))
 		return true
 	})
 	return out
@@ -208,7 +208,7 @@ func TestSnapshotPrefixConsistency(t *testing.T) {
 		var zero keys.Uint64Key
 		ok := true
 		s.AscendKV(zero, func(k keys.Uint64Key, _ any) bool {
-			u := keys.DecodeUint64(k, 32)
+			u := keys.U64Codec{Width: 32}.Decode(k)
 			if int64(u) <= prev {
 				t.Errorf("snapshot Ascend not strictly ascending: %d after %d", u, prev)
 				ok = false
@@ -292,7 +292,7 @@ func TestSnapshotQuickCheckAgainstModel(t *testing.T) {
 	walked := 0
 	var zero keys.Uint64Key
 	s.AscendKV(zero, func(k keys.Uint64Key, v any) bool {
-		u := keys.DecodeUint64(k, 16)
+		u := keys.U64Codec{Width: 16}.Decode(k)
 		if want, ok := snapModel[u]; !ok || v.(uint64) != want {
 			t.Fatalf("snapshot Ascend yields %d=%v; model says (%v, %v)", u, v, snapModel[u], ok)
 		}

@@ -35,7 +35,9 @@ import (
 	"math"
 	"sync/atomic"
 
-	"nbtrie/internal/core"
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
+	"nbtrie/internal/kv"
 	"nbtrie/internal/sharded"
 )
 
@@ -75,7 +77,7 @@ func (e Entry) idxKey() uint64 {
 // comment and DESIGN.md §12).
 type Index struct {
 	entries    *sharded.Trie[Entry]
-	byDeadline *core.Trie[uint64]
+	byDeadline *kv.U64[uint64]
 	seq        atomic.Uint64
 
 	// Reaper coordination: armed holds the deadline the reaper is
@@ -97,7 +99,7 @@ func New(width uint32, shardCount int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	byDeadline, err := core.New(idxWidth, core.WithSpan[uint64](4))
+	byDeadline, err := kv.NewU64(idxWidth, engine.WithSpan[keys.Uint64Key, uint64](4))
 	if err != nil {
 		return nil, err
 	}

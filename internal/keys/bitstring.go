@@ -1,9 +1,56 @@
 package keys
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
+
+// StringCodec is the Section VI key space: non-empty byte strings,
+// encoded bit-pair-wise (EncodeString) between the dummies 00 and 111.
+type StringCodec struct{}
+
+// Encode returns k's Section VI encoding; every non-empty k lies inside
+// the key space. An empty k panics: it encodes to "11", a prefix of the
+// 111 dummy, so it cannot coexist with it in a Patricia trie.
+func (StringCodec) Encode(k []byte) (Bitstring, bool) {
+	if len(k) == 0 {
+		panic("keys: empty byte-string keys are not supported (their Section VI " +
+			"encoding collides with the 111 dummy)")
+	}
+	return EncodeString(k), true
+}
+
+// Decode inverts Encode.
+func (StringCodec) Decode(b Bitstring) []byte {
+	k, _ := DecodeString(b) // only the dummies fail to decode, and the engine never yields them
+	return k
+}
+
+// Bounds returns the dummies 00 and 111: per Section VI, every encoded
+// key is greater than 00 and smaller than 111.
+func (StringCodec) Bounds() (lo, hi Bitstring) {
+	lo, _ = ParseBitstring("00")
+	hi, _ = ParseBitstring("111")
+	return lo, hi
+}
+
+// Check is the Section VI label rule: every leaf label is a dummy or a
+// valid encoding.
+func (c StringCodec) Check(label Bitstring, leaf bool) error {
+	if !leaf {
+		return nil
+	}
+	if lo, hi := c.Bounds(); label.Equal(lo) || label.Equal(hi) {
+		return nil
+	}
+	if _, ok := DecodeString(label); !ok {
+		return fmt.Errorf("leaf label %q is not a valid Section VI encoding", label)
+	}
+	return nil
+}
 
 // Bitstring is an immutable, arbitrary-length binary string used by the
-// variable-length-key Patricia trie (internal/strtrie). Bits are stored
+// variable-length key space (StringCodec). Bits are stored
 // left-aligned in 64-bit words: bit i of the string is bit (63 - i%64) of
 // word i/64. Unused trailing bits of the last word are zero, so two equal
 // strings are structurally equal word-for-word ("canonical form").
@@ -97,14 +144,6 @@ func DecodeString(b Bitstring) ([]byte, bool) {
 	}
 	return out, true
 }
-
-// StrDummyMin and StrDummyMax return the two dummy keys anchoring a
-// variable-length trie. Per Section VI, every encoded key is greater than
-// "00" and smaller than "111", so those strings are safe dummies.
-func StrDummyMin() Bitstring { b, _ := ParseBitstring("00"); return b }
-
-// StrDummyMax returns the upper dummy key "111".
-func StrDummyMax() Bitstring { b, _ := ParseBitstring("111"); return b }
 
 // Len returns the length of the string in bits.
 func (b Bitstring) Len() uint32 { return b.n }

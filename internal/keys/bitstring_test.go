@@ -139,7 +139,8 @@ func TestEncodeStringPrefixFree(t *testing.T) {
 func TestEncodeStringBetweenDummies(t *testing.T) {
 	f := func(s []byte) bool {
 		e := EncodeString(s)
-		return StrDummyMin().Compare(e) < 0 && e.Compare(StrDummyMax()) < 0
+		lo, hi := StringCodec{}.Bounds()
+		return lo.Compare(e) < 0 && e.Compare(hi) < 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -56,12 +56,12 @@ func TestDigitWordStraddle(t *testing.T) {
 		checkDigits(t, "bitstring-straddle", b, b.Prefix(64), s)
 	}
 
-	// MortonKey's 65th bit (the w0/w1 boundary) — including the
-	// EncodeMorton(2^64-1) carry corner where bit 64 is set via w1.
+	// MortonKey's 65th bit (the w0/w1 boundary) — including the carry
+	// corner of the code 2^64-1, whose encoding sets bit 64 via w1.
 	for _, m := range []uint64{0, 1, ^uint64(0), ^uint64(0) - 1, 1 << 63} {
-		k := EncodeMorton(m)
+		k := morton(m)
 		for _, s := range digitSpans {
-			checkDigits(t, "morton-boundary", k, EncodeMorton(m^1), s)
+			checkDigits(t, "morton-boundary", k, morton(m^1), s)
 		}
 	}
 }
@@ -76,14 +76,14 @@ func FuzzDigitAgreement(f *testing.F) {
 	f.Add(^uint64(0), ^uint64(0)-1, []byte("straddle!"), uint8(59))
 	f.Fuzz(func(t *testing.T, a, b uint64, s []byte, width uint8) {
 		w := uint32(width%MaxWidth) + 1
-		ka := EncodeUint64(a&(1<<w-1), w)
-		kb := EncodeUint64(b&(1<<w-1), w)
-		ma, mb := EncodeMorton(a), EncodeMorton(b)
+		ka := u64(a&(1<<w-1), w)
+		kb := u64(b&(1<<w-1), w)
+		ma, mb := morton(a), morton(b)
 		if len(s) > 64 {
 			s = s[:64]
 		}
 		ba := EncodeString(s)
-		bb := StrDummyMax()
+		_, bb := StringCodec{}.Bounds()
 		if len(s) > 0 {
 			bb = EncodeString(s[1:])
 		}

@@ -97,15 +97,16 @@ func TestCommonPrefixIsSymmetricAndMaximal(t *testing.T) {
 
 func TestDummiesBoundTheKeySpace(t *testing.T) {
 	for _, w := range []uint32{1, 8, 32, 63} {
-		lo, hi := DummyMin(w), DummyMax(w)
-		if lo != 0 {
-			t.Errorf("width %d: DummyMin = %#x", w, lo)
+		c := U64Codec{Width: w}
+		lo, hi := c.Bounds()
+		if lo.bits != 0 || lo.n != w+1 {
+			t.Errorf("width %d: lower dummy = %#x/%d", w, lo.bits, lo.n)
 		}
-		if hi != Mask(KeyLen(w)) {
-			t.Errorf("width %d: DummyMax = %#x", w, hi)
+		if hi.bits != Mask(w+1) || hi.n != w+1 {
+			t.Errorf("width %d: upper dummy = %#x/%d", w, hi.bits, hi.n)
 		}
-		if e := Encode(0, w); e <= lo || e >= hi {
-			t.Errorf("width %d: Encode(0) = %#x not strictly inside dummies", w, e)
+		if e, _ := c.Encode(0); e.bits <= lo.bits || e.bits >= hi.bits {
+			t.Errorf("width %d: Encode(0) = %#x not strictly inside dummies", w, e.bits)
 		}
 	}
 }

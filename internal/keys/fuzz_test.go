@@ -55,7 +55,7 @@ func FuzzEncodeStringPrefixFree(f *testing.F) {
 			t.Fatalf("encodings of %x and %x are prefix-related", a, b)
 		}
 		if len(a) > 0 {
-			if StrDummyMin().IsPrefixOf(ea) || !(StrDummyMin().Compare(ea) < 0 && ea.Compare(StrDummyMax()) < 0) {
+			if lo, hi := (StringCodec{}).Bounds(); lo.IsPrefixOf(ea) || !(lo.Compare(ea) < 0 && ea.Compare(hi) < 0) {
 				t.Fatalf("encoding of %x not strictly between the dummies", a)
 			}
 		}
@@ -64,7 +64,7 @@ func FuzzEncodeStringPrefixFree(f *testing.F) {
 
 // FuzzMortonRoundTrip: Interleave2/Deinterleave2 are mutually inverse
 // bijections (both directions), ditto the 3-D pair on its 21-bit
-// domain, and EncodeMorton/DecodeMorton round-trips with order
+// domain, and MortonCodec Encode/Decode round-trips with order
 // preserved.
 func FuzzMortonRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint64(0))
@@ -88,8 +88,8 @@ func FuzzMortonRoundTrip(f *testing.F) {
 			t.Fatalf("3-D round trip (%d,%d,%d) -> (%d,%d,%d)", x3, y3, z3, gx3, gy3, gz3)
 		}
 		// MortonKey encode/decode and order.
-		if got := DecodeMorton(EncodeMorton(m)); got != m {
-			t.Fatalf("DecodeMorton(EncodeMorton(%#x)) = %#x", m, got)
+		if got := (MortonCodec{}).Decode(morton(m)); got != m {
+			t.Fatalf("decode(encode(%#x)) = %#x", m, got)
 		}
 		m2 := Interleave2(x, y)
 		wantCmp := 0
@@ -98,7 +98,7 @@ func FuzzMortonRoundTrip(f *testing.F) {
 		} else if m > m2 {
 			wantCmp = 1
 		}
-		if got := EncodeMorton(m).Compare(EncodeMorton(m2)); got != wantCmp {
+		if got := morton(m).Compare(morton(m2)); got != wantCmp {
 			t.Fatalf("MortonKey order of %#x vs %#x = %d, want %d", m, m2, got, wantCmp)
 		}
 	})

@@ -22,12 +22,12 @@ import "strings"
 //     off it, so every instantiation inherits sorted iteration for
 //     free.
 //
-// The three instantiations in this repository are Uint64Key
-// (fixed-width integer keys, internal/core), Bitstring (the Section VI
-// unbounded byte-string encoding, internal/strtrie) and MortonKey
-// (65-bit Z-order point keys, internal/spatial). A new key space needs
-// only this interface plus two dummy keys bounding the encoded space —
-// no protocol code.
+// The three key spaces in this repository are Uint64Key (fixed-width
+// integer keys, U64Codec), Bitstring (the Section VI unbounded
+// byte-string encoding, StringCodec) and MortonKey (65-bit Z-order
+// point keys, MortonCodec). A new key space needs only this interface
+// plus a codec (internal/kv.Codec): the user-key mapping, two dummy
+// keys bounding the encoded space and a label rule — no protocol code.
 // renderLabel renders a label as "0101..." text, with "ε" for the empty
 // string — the shared String implementation of the fixed-size key types.
 // (Bitstring keeps its own String, whose historical contract renders the

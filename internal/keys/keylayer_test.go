@@ -9,6 +9,11 @@ import (
 // engine: Uint64Key and MortonKey. Bitstring, the third implementation,
 // has its own battery in bitstring_test.go.
 
+// u64 and morton are the codecs' Encode for in-range keys, as
+// expressions.
+func u64(k uint64, width uint32) Uint64Key { e, _ := U64Codec{Width: width}.Encode(k); return e }
+func morton(m uint64) MortonKey            { e, _ := MortonCodec{}.Encode(m); return e }
+
 // Compile-time interface compliance for all three key types.
 var (
 	_ Key[Uint64Key] = Uint64Key{}
@@ -18,14 +23,14 @@ var (
 
 func TestUint64KeyBasics(t *testing.T) {
 	const width = 8
-	k := EncodeUint64(5, width)
+	k := u64(5, width)
 	if k.Len() != 9 {
 		t.Errorf("Len = %d, want 9", k.Len())
 	}
-	if DecodeUint64(k, width) != 5 {
-		t.Errorf("decode(encode(5)) = %d", DecodeUint64(k, width))
+	if (U64Codec{Width: width}).Decode(k) != 5 {
+		t.Errorf("decode(encode(5)) = %d", (U64Codec{Width: width}).Decode(k))
 	}
-	if !k.Equal(EncodeUint64(5, width)) || k.Equal(EncodeUint64(6, width)) {
+	if !k.Equal(u64(5, width)) || k.Equal(u64(6, width)) {
 		t.Error("Equal broken")
 	}
 
@@ -36,9 +41,9 @@ func TestUint64KeyBasics(t *testing.T) {
 	}
 
 	// Dummies bound every encoded key.
-	lo, hi := Uint64DummyMin(width), Uint64DummyMax(width)
+	lo, hi := U64Codec{Width: width}.Bounds()
 	for u := uint64(0); u < 1<<width; u++ {
-		e := EncodeUint64(u, width)
+		e := u64(u, width)
 		if lo.Compare(e) >= 0 || e.Compare(hi) >= 0 {
 			t.Fatalf("encoded key %d not strictly inside the dummies", u)
 		}
@@ -46,13 +51,13 @@ func TestUint64KeyBasics(t *testing.T) {
 }
 
 // TestUint64KeyOrderMatchesUint64 pins that Compare over full-length
-// encoded keys is exactly the numeric key order — what core's sorted
-// iteration relies on.
+// encoded keys is exactly the numeric key order — what the fixed-width
+// trie's sorted iteration relies on.
 func TestUint64KeyOrderMatchesUint64(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		a, b := rng.Uint64()%1024, rng.Uint64()%1024
-		ka, kb := EncodeUint64(a, 10), EncodeUint64(b, 10)
+		ka, kb := u64(a, 10), u64(b, 10)
 		want := 0
 		if a < b {
 			want = -1
@@ -69,8 +74,8 @@ func TestUint64KeyCommonPrefix(t *testing.T) {
 	a := MakeUint64Key(0b1010<<60, 4)
 	b := MakeUint64Key(0b1011<<60, 4)
 	cp := a.CommonPrefix(b)
-	if cp.Len() != 3 || cp.Bits() != 0b101<<61 {
-		t.Errorf("CommonPrefix = %v/%d", cp.Bits(), cp.Len())
+	if cp.Len() != 3 || cp.bits != 0b101<<61 {
+		t.Errorf("CommonPrefix = %v/%d", cp.bits, cp.Len())
 	}
 	// Equal inputs: the common prefix is the whole label.
 	if cp2 := a.CommonPrefix(a); !cp2.Equal(a) {
@@ -89,18 +94,18 @@ func TestUint64KeyCommonPrefix(t *testing.T) {
 func TestMortonKeyEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []uint64{0, 1, 2, 0x5555_5555, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
 	for _, m := range cases {
-		k := EncodeMorton(m)
+		k := morton(m)
 		if k.Len() != 65 {
-			t.Fatalf("EncodeMorton(%#x).Len() = %d", m, k.Len())
+			t.Fatalf("encode(%#x).Len() = %d", m, k.Len())
 		}
-		if got := DecodeMorton(k); got != m {
+		if got := (MortonCodec{}).Decode(k); got != m {
 			t.Fatalf("decode(encode(%#x)) = %#x", m, got)
 		}
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 5000; i++ {
 		m := rng.Uint64()
-		if got := DecodeMorton(EncodeMorton(m)); got != m {
+		if got := (MortonCodec{}).Decode(morton(m)); got != m {
 			t.Fatalf("decode(encode(%#x)) = %#x", m, got)
 		}
 	}
@@ -124,7 +129,7 @@ func TestMortonKeyOrderMatchesCodes(t *testing.T) {
 			} else if a > b {
 				want = 1
 			}
-			if got := EncodeMorton(a).Compare(EncodeMorton(b)); got != want {
+			if got := morton(a).Compare(morton(b)); got != want {
 				t.Fatalf("Compare(%#x, %#x) = %d, want %d", a, b, got, want)
 			}
 		}
@@ -132,12 +137,12 @@ func TestMortonKeyOrderMatchesCodes(t *testing.T) {
 }
 
 func TestMortonKeyDummiesBoundEverything(t *testing.T) {
-	lo, hi := MortonDummyMin(), MortonDummyMax()
+	lo, hi := MortonCodec{}.Bounds()
 	if lo.Len() != 65 || hi.Len() != 65 {
 		t.Fatal("dummies must be full length")
 	}
 	for _, m := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
-		e := EncodeMorton(m)
+		e := morton(m)
 		if lo.Compare(e) >= 0 || e.Compare(hi) >= 0 {
 			t.Fatalf("encoded code %#x not strictly inside the dummies", m)
 		}
@@ -153,8 +158,8 @@ func TestMortonKeyPrefixAcrossWordBoundary(t *testing.T) {
 	// Keys differing only in the 65th bit: the codes 2^64-1 and 2^64-2
 	// encode to 65-bit strings sharing a 63-bit prefix... compute and
 	// check against Bit-by-bit expectations.
-	a := EncodeMorton(^uint64(0))     // encodes to 1 0^64
-	b := EncodeMorton(^uint64(0) - 1) // encodes to 0 1^64
+	a := morton(^uint64(0))     // encodes to 1 0^64
+	b := morton(^uint64(0) - 1) // encodes to 0 1^64
 	if a.Equal(b) {
 		t.Fatal("distinct codes must encode distinctly")
 	}
@@ -174,14 +179,14 @@ func TestMortonKeyPrefixAcrossWordBoundary(t *testing.T) {
 			wantA = 1
 		}
 		if a.Bit(i) != wantA {
-			t.Fatalf("EncodeMorton(2^64-1).Bit(%d) = %d, want %d", i, a.Bit(i), wantA)
+			t.Fatalf("encode(2^64-1).Bit(%d) = %d, want %d", i, a.Bit(i), wantA)
 		}
 		wantB := 1
 		if i == 0 {
 			wantB = 0
 		}
 		if b.Bit(i) != wantB {
-			t.Fatalf("EncodeMorton(2^64-2).Bit(%d) = %d, want %d", i, b.Bit(i), wantB)
+			t.Fatalf("encode(2^64-2).Bit(%d) = %d, want %d", i, b.Bit(i), wantB)
 		}
 	}
 

@@ -17,7 +17,7 @@ package keys
 import "math/bits"
 
 // MaxWidth is the largest supported user-key width in bits. The trie adds
-// one internal bit (see Encode), so internal keys fit in a uint64.
+// one internal bit (see U64Codec), so internal keys fit in a uint64.
 const MaxWidth = 63
 
 // Mask returns a uint64 whose top n bits are ones. Mask(0) == 0.
@@ -47,32 +47,6 @@ func IsPrefix(pbits uint64, plen uint32, b uint64) bool {
 func CommonPrefixLen(a, b uint64) uint32 {
 	return uint32(bits.LeadingZeros64(a ^ b))
 }
-
-// Encode maps a user key k of the given width into the trie's internal
-// left-aligned key space. The internal key length is width+1 bits and the
-// mapping is k -> k+1, so user keys occupy [1, 2^width] while the all-zeros
-// and all-ones strings remain free for the trie's two dummy leaves, exactly
-// as the paper requires ("we assume the keys 0^ℓ and 1^ℓ cannot be elements
-// of D"). Encode panics if k does not fit in width bits; the exported trie
-// API validates widths and key ranges before calling it.
-func Encode(k uint64, width uint32) uint64 {
-	return (k + 1) << (63 - width)
-}
-
-// Decode inverts Encode.
-func Decode(b uint64, width uint32) uint64 {
-	return (b >> (63 - width)) - 1
-}
-
-// KeyLen returns the internal key length ℓ for a given user-key width.
-func KeyLen(width uint32) uint32 { return width + 1 }
-
-// DummyMin and DummyMax return the left-aligned labels of the two dummy
-// leaves 0^ℓ and 1^ℓ for a given user-key width.
-func DummyMin(width uint32) uint64 { return 0 }
-
-// DummyMax returns the all-ones dummy key for the given width.
-func DummyMax(width uint32) uint64 { return Mask(KeyLen(width)) }
 
 // InRange reports whether k fits in width bits.
 func InRange(k uint64, width uint32) bool {

@@ -70,12 +70,14 @@ func TestCommonPrefixLen(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, width := range []uint32{1, 8, 20, 32, 63} {
 		maxKey := uint64(1)<<width - 1
+		c := U64Codec{Width: width}
+		lo, hi := c.Bounds()
 		for _, k := range []uint64{0, 1, maxKey / 2, maxKey} {
-			e := Encode(k, width)
-			if got := Decode(e, width); got != k {
+			e, ok := c.Encode(k)
+			if got := c.Decode(e); !ok || got != k {
 				t.Errorf("width %d: Decode(Encode(%d)) = %d", width, k, got)
 			}
-			if e == DummyMin(width) || e == DummyMax(width) {
+			if e == lo || e == hi {
 				t.Errorf("width %d: Encode(%d) collides with a dummy", width, k)
 			}
 		}
@@ -87,8 +89,8 @@ func TestEncodeOrderPreserving(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a %= 1 << width
 		b %= 1 << width
-		ea, eb := Encode(a, width), Encode(b, width)
-		return (a < b) == (ea < eb) && (a == b) == (ea == eb)
+		ea, eb := u64(a, width), u64(b, width)
+		return (a < b) == (ea.bits < eb.bits) && (a == b) == (ea == eb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -99,8 +101,9 @@ func TestEncodeBetweenDummies(t *testing.T) {
 	const width = 16
 	f := func(k uint64) bool {
 		k %= 1 << width
-		e := Encode(k, width)
-		return e > DummyMin(width) && e < DummyMax(width)
+		e := u64(k, width)
+		lo, hi := U64Codec{Width: width}.Bounds()
+		return e.bits > lo.bits && e.bits < hi.bits
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

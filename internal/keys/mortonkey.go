@@ -1,7 +1,36 @@
 package keys
 
-// MortonKey is the key/label type of the spatial instantiation
-// (internal/spatial): a binary string of at most 65 bits stored
+// MortonCodec is the spatial key space: raw 64-bit Z-order codes
+// (Interleave2 of a point's coordinates), stored as 65-bit MortonKeys.
+// Every code lies inside it.
+type MortonCodec struct{}
+
+// Encode returns m's internal key, the full-length key m+1, so codes
+// occupy [1, 2^64] and the dummies 0^65 and 1^65 stay free. It never
+// reports false.
+func (MortonCodec) Encode(m uint64) (MortonKey, bool) {
+	lo := m + 1
+	var hi uint64
+	if lo == 0 { // m+1 carried out of 64 bits: the code 2^64-1
+		hi = 1
+	}
+	return MortonKey{w0: hi<<63 | lo>>1, w1: lo << 63, n: 65}, true
+}
+
+// Decode inverts Encode.
+func (MortonCodec) Decode(k MortonKey) uint64 { return (k.w0<<1 | k.w1>>63) - 1 }
+
+// Bounds returns the dummies 0^65 and 1^65.
+func (MortonCodec) Bounds() (lo, hi MortonKey) {
+	return MortonKey{n: 65}, MortonKey{w0: ^uint64(0), w1: 1 << 63, n: 65}
+}
+
+// Check is the Morton label rule: 65-bit leaf labels, shorter internal
+// labels.
+func (MortonCodec) Check(label MortonKey, leaf bool) error { return checkLen(label.n, 65, leaf) }
+
+// MortonKey is the key/label type of the spatial key space
+// (MortonCodec): a binary string of at most 65 bits stored
 // left-aligned in two words, canonical beyond the length. 65 bits fit
 // the full 64-bit Morton code space — every (uint32, uint32) point —
 // after the usual k -> k+1 shift that frees the all-zeros and all-ones
@@ -16,31 +45,6 @@ type MortonKey struct {
 	// significant position; both canonical (zero beyond n).
 	w0, w1 uint64
 	n      uint32
-}
-
-// EncodeMorton maps a 64-bit Morton code into the 65-bit internal key
-// space as the full-length key m+1, so codes occupy [1, 2^64] and the
-// dummies 0^65 and 1^65 stay free.
-func EncodeMorton(m uint64) MortonKey {
-	lo := m + 1
-	var hi uint64
-	if lo == 0 { // m+1 carried out of 64 bits: the code 2^64-1
-		hi = 1
-	}
-	return MortonKey{w0: hi<<63 | lo>>1, w1: lo << 63, n: 65}
-}
-
-// DecodeMorton inverts EncodeMorton for full-length keys.
-func DecodeMorton(k MortonKey) uint64 {
-	return (k.w0<<1 | k.w1>>63) - 1
-}
-
-// MortonDummyMin returns the 0^65 dummy key.
-func MortonDummyMin() MortonKey { return MortonKey{n: 65} }
-
-// MortonDummyMax returns the 1^65 dummy key.
-func MortonDummyMax() MortonKey {
-	return MortonKey{w0: ^uint64(0), w1: 1 << 63, n: 65}
 }
 
 // Bit returns the i-th bit of the string.

@@ -1,6 +1,54 @@
 package keys
 
-// Uint64Key is the fixed-width key/label type of the paper's core trie:
+import "fmt"
+
+// U64Codec is the fixed-width key space: user keys in [0, 2^Width),
+// stored as full-length keys of ℓ = Width+1 bits. Keys at or above
+// 2^Width lie outside it.
+type U64Codec struct{ Width uint32 }
+
+// Encode returns k's internal key, and false for k >= 2^Width. The
+// mapping is k -> k+1 in ℓ bits, so user keys occupy [1, 2^Width] while
+// the all-zeros and all-ones strings remain free for the trie's two
+// dummy leaves, exactly as the paper requires ("we assume the keys 0^ℓ
+// and 1^ℓ cannot be elements of D").
+func (c U64Codec) Encode(k uint64) (Uint64Key, bool) {
+	if !InRange(k, c.Width) {
+		return Uint64Key{}, false
+	}
+	return Uint64Key{bits: (k + 1) << (63 - c.Width), n: c.Width + 1}, true
+}
+
+// Decode inverts Encode.
+func (c U64Codec) Decode(k Uint64Key) uint64 { return k.bits>>(63-c.Width) - 1 }
+
+// Bounds returns the dummies 0^ℓ and 1^ℓ.
+func (c U64Codec) Bounds() (lo, hi Uint64Key) {
+	return Uint64Key{n: c.Width + 1}, Uint64Key{bits: Mask(c.Width + 1), n: c.Width + 1}
+}
+
+// Check is the fixed-width label rule: canonical bits, the full key
+// length ℓ on leaves and a shorter label on internal nodes.
+func (c U64Codec) Check(label Uint64Key, leaf bool) error {
+	if label.bits&^Mask(label.n) != 0 {
+		return fmt.Errorf("label %#x/%d is not canonical", label.bits, label.n)
+	}
+	return checkLen(label.n, c.Width+1, leaf)
+}
+
+// checkLen is the label-length rule of the bounded key spaces: a leaf
+// carries a full-length key, an internal node a strictly shorter label.
+func checkLen(n, full uint32, leaf bool) error {
+	if leaf && n != full {
+		return fmt.Errorf("leaf label length %d != key length %d", n, full)
+	}
+	if !leaf && n >= full {
+		return fmt.Errorf("internal label length %d must be < key length %d", n, full)
+	}
+	return nil
+}
+
+// Uint64Key is the fixed-width key/label type (U64Codec):
 // a binary string of at most 64 bits stored left-aligned in a single
 // word, canonical (zero beyond the length). It implements Key[Uint64Key]
 // with pure value arithmetic — no method allocates — which is what keeps
@@ -16,32 +64,6 @@ type Uint64Key struct {
 func MakeUint64Key(bits uint64, plen uint32) Uint64Key {
 	return Uint64Key{bits: bits, n: plen}
 }
-
-// EncodeUint64 maps a user key of the given width into the trie's
-// internal key space as a full-length Uint64Key (see Encode for the
-// k -> k+1 shift that frees the dummy strings).
-func EncodeUint64(k uint64, width uint32) Uint64Key {
-	return Uint64Key{bits: Encode(k, width), n: KeyLen(width)}
-}
-
-// DecodeUint64 inverts EncodeUint64 for full-length keys.
-func DecodeUint64(k Uint64Key, width uint32) uint64 {
-	return Decode(k.bits, width)
-}
-
-// Uint64DummyMin returns the 0^ℓ dummy key for the given width.
-func Uint64DummyMin(width uint32) Uint64Key {
-	return Uint64Key{bits: DummyMin(width), n: KeyLen(width)}
-}
-
-// Uint64DummyMax returns the 1^ℓ dummy key for the given width.
-func Uint64DummyMax(width uint32) Uint64Key {
-	return Uint64Key{bits: DummyMax(width), n: KeyLen(width)}
-}
-
-// Bits returns the left-aligned label bits (for width-aware decoding and
-// diagnostics in the fixed-width instantiation).
-func (k Uint64Key) Bits() uint64 { return k.bits }
 
 // Bit returns the i-th bit of the string.
 func (k Uint64Key) Bit(i uint32) int { return BitAt(k.bits, i) }

@@ -1,10 +1,15 @@
-package core
+package kv
 
 import (
 	"testing"
+
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 )
 
-// Allocation regression pins for the allocation-lean update protocol.
+// Allocation regression pins for the allocation-lean update protocol,
+// held on the fixed-width and the Morton key spaces alike: both key
+// types are pure values, so the codec adds nothing to either path.
 // The read path must be allocation-free outright; the update paths get a
 // fixed budget derived from the nodes an update must create (each a
 // distinct heap object by the no-ABA rule) plus the descriptor and the
@@ -42,7 +47,7 @@ const (
 )
 
 func TestContainsIsAllocationFree(t *testing.T) {
-	tr, err := New[struct{}](20)
+	tr, err := NewU64[struct{}](20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +70,7 @@ func TestContainsIsAllocationFree(t *testing.T) {
 // layer: Trie[int] stores ints unboxed in the leaf, so Load involves no
 // interface conversion — zero allocations on hit and miss alike.
 func TestLoadIsAllocationFree(t *testing.T) {
-	tr, err := New[int](20)
+	tr, err := NewU64[int](20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestLoadIsAllocationFree(t *testing.T) {
 }
 
 func TestUpdateAllocationBudgets(t *testing.T) {
-	tr, err := New[int](30)
+	tr, err := NewU64[int](30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestUpdateAllocationBudgets(t *testing.T) {
 // allocation-free (the k-ary win is depth, never read-path garbage), and
 // the update paths get the wider budgets documented above.
 func TestKaryAllocationBudgets(t *testing.T) {
-	tr, err := New(30, WithSpan[int](4))
+	tr, err := NewU64(30, engine.WithSpan[keys.Uint64Key, int](4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +176,63 @@ func TestKaryAllocationBudgets(t *testing.T) {
 		d++
 	}); n > karyDeleteAllocBudget {
 		t.Errorf("uncontended span-4 delete allocates %v objects, budget %d", n, karyDeleteAllocBudget)
+	}
+}
+
+// TestMortonReadPathIsAllocationFree and TestMortonUpdateAllocationBudgets
+// hold the Morton key space to the same pins.
+func TestMortonReadPathIsAllocationFree(t *testing.T) {
+	tr := NewMorton[int]()
+	for x := uint32(0); x < 32; x++ {
+		for y := uint32(0); y < 32; y++ {
+			tr.Store(xy(x, y), int(x+y))
+		}
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if !tr.Contains(xy(5, 7)) {
+			t.Fatal("Contains(5,7) missed")
+		}
+		if tr.Contains(xy(40, 40)) {
+			t.Fatal("Contains(40,40) false positive")
+		}
+		if v, ok := tr.Load(xy(5, 7)); !ok || v != 12 {
+			t.Fatal("Load(5,7) wrong")
+		}
+	}); n != 0 {
+		t.Errorf("Morton read path allocates %v objects per call, want 0", n)
+	}
+}
+
+func TestMortonUpdateAllocationBudgets(t *testing.T) {
+	tr := NewMorton[int]()
+	for x := uint32(0); x < 32; x++ {
+		for y := uint32(0); y < 32; y++ {
+			tr.Store(xy(x, y), int(x+y))
+		}
+	}
+
+	x := uint32(1000)
+	if n := testing.AllocsPerRun(500, func() {
+		tr.Store(xy(x, 1000), 1)
+		x++
+	}); n > insertAllocBudget {
+		t.Errorf("uncontended insert allocates %v objects, budget %d", n, insertAllocBudget)
+	}
+
+	if n := testing.AllocsPerRun(500, func() {
+		tr.Store(xy(5, 7), 99)
+	}); n > overwriteAllocBudget {
+		t.Errorf("uncontended overwrite allocates %v objects, budget %d", n, overwriteAllocBudget)
+	}
+
+	d := uint32(1000)
+	if n := testing.AllocsPerRun(500, func() {
+		if !tr.Delete(xy(d, 1000)) {
+			t.Fatal("Delete failed")
+		}
+		d++
+	}); n > deleteAllocBudget {
+		t.Errorf("uncontended delete allocates %v objects, budget %d", n, deleteAllocBudget)
 	}
 }
 

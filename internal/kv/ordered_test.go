@@ -1,4 +1,4 @@
-package core
+package kv
 
 import (
 	"math/rand"

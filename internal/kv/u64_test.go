@@ -1,33 +1,46 @@
-package core
+package kv
 
 import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 )
 
-// mustNew builds a Trie[any] — the loosest instantiation, letting the
-// white-box tests exercise the set view and arbitrary value payloads on
-// the same trie. Allocation pins use concrete instantiations instead
-// (see alloc_test.go).
-func mustNew(t *testing.T, width uint32, opts ...Option[any]) *Trie[any] {
+// mustNew builds a U64[any] — the loosest fixed-width instantiation,
+// letting the white-box tests exercise the set view and arbitrary value
+// payloads on the same trie. Allocation pins use concrete
+// instantiations instead (see alloc_test.go).
+func mustNew(t *testing.T, width uint32, opts ...engine.Option[keys.Uint64Key, any]) *U64[any] {
 	t.Helper()
-	tr, err := New(width, opts...)
+	tr, err := NewU64(width, opts...)
 	if err != nil {
-		t.Fatalf("New(%d): %v", width, err)
+		t.Fatalf("NewU64(%d): %v", width, err)
 	}
 	return tr
 }
 
+// keysOf returns every key of tr in increasing encoded-key order.
+func keysOf[U any, K keys.Key[K], V any, C Codec[U, K]](tr *Trie[U, K, V, C]) []U {
+	var out []U
+	tr.AllKV(func(u U, _ V) bool {
+		out = append(out, u)
+		return true
+	})
+	return out
+}
+
 func TestNewWidthValidation(t *testing.T) {
 	for _, w := range []uint32{0, 64, 100} {
-		if _, err := New[any](w); err == nil {
-			t.Errorf("New(%d) should fail", w)
+		if _, err := NewU64[any](w); err == nil {
+			t.Errorf("NewU64(%d) should fail", w)
 		}
 	}
 	for _, w := range []uint32{1, 32, 63} {
-		if _, err := New[any](w); err != nil {
-			t.Errorf("New(%d): %v", w, err)
+		if _, err := NewU64[any](w); err != nil {
+			t.Errorf("NewU64(%d): %v", w, err)
 		}
 	}
 }
@@ -150,7 +163,7 @@ func TestReplaceSemantics(t *testing.T) {
 			if got := tr.Replace(c.old, c.new); got != c.want {
 				t.Fatalf("Replace(%d,%d) = %v, want %v", c.old, c.new, got, c.want)
 			}
-			got := tr.Keys()
+			got := keysOf(tr)
 			if !equalU64(got, c.post) {
 				t.Fatalf("post state %v, want %v", got, c.post)
 			}
@@ -253,7 +266,7 @@ func TestSequentialOracle(t *testing.T) {
 				wantKeys = append(wantKeys, k)
 			}
 			sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
-			if got := tr.Keys(); !equalU64(got, wantKeys) {
+			if got := keysOf(tr); !equalU64(got, wantKeys) {
 				t.Fatalf("w=%d seed=%d final keys mismatch: got %d keys, want %d", width, seed, len(got), len(wantKeys))
 			}
 		}
@@ -302,16 +315,16 @@ func TestKeysSortedAndRangeStops(t *testing.T) {
 	for _, k := range []uint64{9, 3, 200, 77} {
 		tr.Insert(k)
 	}
-	if got := tr.Keys(); !equalU64(got, []uint64{3, 9, 77, 200}) {
+	if got := keysOf(tr); !equalU64(got, []uint64{3, 9, 77, 200}) {
 		t.Errorf("Keys() = %v", got)
 	}
 	var seen []uint64
-	tr.Range(func(k uint64) bool {
+	tr.AllKV(func(k uint64, _ any) bool {
 		seen = append(seen, k)
 		return len(seen) < 2
 	})
 	if len(seen) != 2 {
-		t.Errorf("Range should stop after fn returns false, saw %v", seen)
+		t.Errorf("AllKV should stop after fn returns false, saw %v", seen)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package sharded is a sharded front-end over the fixed-width Patricia
-// trie (internal/core): the width-bit key space is partitioned into 2^s
+// trie (internal/kv's U64): the width-bit key space is partitioned into 2^s
 // contiguous slices by the top s key bits (keys.ShardOf), and each slice
 // is served by its own independent instance of the shared non-blocking
 // update engine. Every update funnelling through one root is the paper's
@@ -38,8 +38,9 @@ import (
 	"runtime"
 	"sync"
 
-	"nbtrie/internal/core"
+	"nbtrie/internal/engine"
 	"nbtrie/internal/keys"
+	"nbtrie/internal/kv"
 )
 
 // ErrCrossShard is returned by Replace when the two keys live in
@@ -82,13 +83,13 @@ func DefaultShards() int {
 }
 
 // Trie is the sharded front-end: a linearizable set/map over uint64 keys
-// in [0, 2^width) with the same per-operation surface as core.Trie,
+// in [0, 2^width) with the same per-operation surface as kv.U64,
 // served by 2^s independent engine instances. All methods are safe for
 // unrestricted concurrent use.
 type Trie[V any] struct {
 	width     uint32
 	shardBits uint32
-	shards    []*core.Trie[V]
+	shards    []*kv.U64[V]
 
 	// In-flight cross-shard move markers, keyed by source key. A marker
 	// exists exactly while a MoveKey is between its load and its final
@@ -118,7 +119,7 @@ func New[V any](width uint32, shardCount int) (*Trie[V], error) {
 }
 
 // NewSpan is New with the per-shard tries built at digit width span
-// (core.WithSpan): 2^span-child nodes resolve span key bits per level
+// (engine.WithSpan): 2^span-child nodes resolve span key bits per level
 // inside every shard, composing the sharded front-end's write scaling
 // with the k-ary depth cut. span must be in [1, 6]; 1 is New.
 func NewSpan[V any](width uint32, shardCount int, span uint32) (*Trie[V], error) {
@@ -141,10 +142,10 @@ func NewSpan[V any](width uint32, shardCount int, span uint32) (*Trie[V], error)
 	t := &Trie[V]{
 		width:     width,
 		shardBits: s,
-		shards:    make([]*core.Trie[V], 1<<s),
+		shards:    make([]*kv.U64[V], 1<<s),
 	}
 	for i := range t.shards {
-		st, err := core.New(width-s, core.WithSpan[V](span))
+		st, err := kv.NewU64(width-s, engine.WithSpan[keys.Uint64Key, V](span))
 		if err != nil {
 			return nil, err
 		}
@@ -165,10 +166,8 @@ func (t *Trie[V]) ShardBits() uint32 { return t.shardBits }
 // ShardOf returns the index of the shard owning k, and false for keys
 // outside [0, 2^width), which no shard owns.
 func (t *Trie[V]) ShardOf(k uint64) (int, bool) {
-	if !keys.InRange(k, t.width) {
-		return 0, false
-	}
-	return int(keys.ShardOf(k, t.width, t.shardBits)), true
+	idx, _, ok := t.route(k)
+	return int(idx), ok
 }
 
 // SameShard reports whether a and b are both in range and owned by the
@@ -179,88 +178,84 @@ func (t *Trie[V]) SameShard(a, b uint64) bool {
 	return okA && okB && ia == ib
 }
 
-// locate routes an in-range key to its shard and per-shard key; ok is
-// false for out-of-range keys, which are permanently absent.
-func (t *Trie[V]) locate(k uint64) (shard *core.Trie[V], rest uint64, ok bool) {
+// route returns the index of the shard owning k and the key that shard
+// stores in its place; ok is false for out-of-range keys, which no shard
+// owns and which are permanently absent.
+func (t *Trie[V]) route(k uint64) (idx, rest uint64, ok bool) {
 	if !keys.InRange(k, t.width) {
-		return nil, 0, false
+		return 0, 0, false
 	}
-	return t.shards[keys.ShardOf(k, t.width, t.shardBits)],
-		keys.ShardRest(k, t.width, t.shardBits), true
+	return keys.ShardOf(k, t.width, t.shardBits), keys.ShardRest(k, t.width, t.shardBits), true
 }
 
 // Contains reports membership, wait-free and allocation-free: one shard
 // index computation, then the shard trie's pure-read descent.
 func (t *Trie[V]) Contains(k uint64) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.Contains(rest)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].Contains(rest)
 }
 
 // Load returns the value bound to k, or (zero, false) when absent.
 // Wait-free and allocation-free like Contains.
 func (t *Trie[V]) Load(k uint64) (V, bool) {
-	sh, rest, ok := t.locate(k)
+	i, rest, ok := t.route(k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	return sh.Load(rest)
+	return t.shards[i].Load(rest)
 }
 
 // Insert adds k, returning false if it was already present or out of
 // range. Lock-free within the owning shard.
 func (t *Trie[V]) Insert(k uint64) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.Insert(rest)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].Insert(rest)
 }
 
 // InsertValue is Insert with a value payload bound to the fresh leaf.
 func (t *Trie[V]) InsertValue(k uint64, val V) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.InsertValue(rest, val)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].InsertValue(rest, val)
 }
 
 // Delete removes k, returning false if it was absent. Lock-free within
 // the owning shard.
 func (t *Trie[V]) Delete(k uint64) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.Delete(rest)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].Delete(rest)
 }
 
 // Store binds k to val, inserting or overwriting (lock-free upsert). It
 // returns false only for out-of-range keys.
 func (t *Trie[V]) Store(k uint64, val V) bool {
-	sh, rest, ok := t.locate(k)
-	if !ok {
-		return false
-	}
-	return sh.Store(rest, val)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].Store(rest, val)
 }
 
 // LoadOrStore returns the value bound to k if present (loaded true);
 // otherwise it stores val and returns it. ok is false only for
 // out-of-range keys, which can neither be loaded nor stored.
 func (t *Trie[V]) LoadOrStore(k uint64, val V) (actual V, loaded, ok bool) {
-	sh, rest, inRange := t.locate(k)
+	i, rest, inRange := t.route(k)
 	if !inRange {
-		var zero V
-		return zero, false, false
+		return actual, false, false
 	}
-	return sh.LoadOrStore(rest, val)
+	return t.shards[i].LoadOrStore(rest, val)
 }
 
 // CompareAndSwap swaps k's value from old to new if the stored value
 // equals old (interface equality; old must be comparable).
 func (t *Trie[V]) CompareAndSwap(k uint64, old, new V) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.CompareAndSwap(rest, old, new)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].CompareAndSwap(rest, old, new)
 }
 
 // CompareAndDelete deletes k if its stored value equals old (interface
 // equality; old must be comparable).
 func (t *Trie[V]) CompareAndDelete(k uint64, old V) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.CompareAndDelete(rest, old)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].CompareAndDelete(rest, old)
 }
 
 // DeleteFunc deletes k if cond returns true for its stored value,
@@ -268,8 +263,8 @@ func (t *Trie[V]) CompareAndDelete(k uint64, old V) bool {
 // value removed. cond may run more than once under contention and must
 // be side-effect free.
 func (t *Trie[V]) DeleteFunc(k uint64, cond func(V) bool) bool {
-	sh, rest, ok := t.locate(k)
-	return ok && sh.DeleteFunc(rest, cond)
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].DeleteFunc(rest, cond)
 }
 
 // Replace atomically removes old and inserts new when both keys live in
@@ -281,17 +276,15 @@ func (t *Trie[V]) DeleteFunc(k uint64, cond func(V) bool) bool {
 // the unsharded trie: an out-of-range old is never present, an
 // out-of-range new cannot be inserted.
 func (t *Trie[V]) Replace(old, new uint64) (bool, error) {
-	if !keys.InRange(old, t.width) || !keys.InRange(new, t.width) {
+	io, ro, okOld := t.route(old)
+	in, rn, okNew := t.route(new)
+	if !okOld || !okNew {
 		return false, nil
 	}
-	io := keys.ShardOf(old, t.width, t.shardBits)
-	in := keys.ShardOf(new, t.width, t.shardBits)
 	if io != in {
 		return false, ErrCrossShard
 	}
-	return t.shards[io].Replace(
-		keys.ShardRest(old, t.width, t.shardBits),
-		keys.ShardRest(new, t.width, t.shardBits)), nil
+	return t.shards[io].Replace(ro, rn), nil
 }
 
 // MoveKey moves the value stored under from to the key to, across shard
@@ -440,27 +433,32 @@ func (t *Trie[V]) ResolveMoves() int {
 }
 
 // AscendKV calls fn on every (key, value) pair with key >= from in
-// ascending key order, until fn returns false: the per-shard ascents of
-// the shards at or after from's, concatenated in shard-index order
-// (contiguous top-bit partitioning makes that the global key order).
-// Read-only and safe under concurrent updates with the per-shard Range
-// contract; entries in different shards are not a single snapshot.
+// ascending key order, until fn returns false. Read-only and safe under
+// concurrent updates with the per-shard Range contract; entries in
+// different shards are not a single snapshot.
 func (t *Trie[V]) AscendKV(from uint64, fn func(k uint64, val V) bool) {
-	if !keys.InRange(from, t.width) {
-		return // nothing sorts at or after an out-of-range from
-	}
-	start := keys.ShardOf(from, t.width, t.shardBits)
-	more := true
-	for idx := start; more && idx < uint64(len(t.shards)); idx++ {
+	ascend(t, t.shards, from, fn)
+}
+
+// ascender is the ordered walk of one shard: its live trie or its
+// snapshot.
+type ascender[V any] interface {
+	AscendKV(from uint64, fn func(k uint64, val V) bool)
+}
+
+// ascend calls fn on every (key, value) pair with key >= from, in
+// ascending key order, until fn returns false: the ascents of the
+// shards at or after from's, concatenated in shard-index order
+// (contiguous top-bit partitioning makes that the global key order).
+func ascend[V any, S ascender[V]](t *Trie[V], shards []S, from uint64, fn func(k uint64, val V) bool) {
+	start, rest, more := t.route(from) // nothing sorts at or after an out-of-range from
+	for idx := start; more && idx < uint64(len(shards)); idx++ {
 		base := keys.ShardBase(idx, t.width, t.shardBits)
-		rest := uint64(0)
-		if idx == start {
-			rest = keys.ShardRest(from, t.width, t.shardBits)
-		}
-		t.shards[idx].AscendKV(rest, func(k uint64, val V) bool {
+		shards[idx].AscendKV(rest, func(k uint64, val V) bool {
 			more = fn(base|k, val)
 			return more
 		})
+		rest = 0
 	}
 }
 

@@ -1,9 +1,6 @@
 package sharded
 
-import (
-	"nbtrie/internal/core"
-	"nbtrie/internal/keys"
-)
+import "nbtrie/internal/kv"
 
 // Snapshot is a read-only point-in-time view of the sharded trie: one
 // engine snapshot per shard, taken in shard-index order. Each shard's
@@ -19,14 +16,14 @@ import (
 // composite is exact as-is.
 type Snapshot[V any] struct {
 	t      *Trie[V]
-	shards []*core.Snapshot[V]
+	shards []*kv.U64Snapshot[V]
 }
 
 // Snapshot returns a frozen view of every shard, O(shards) time and
 // allocation, independent of the number of keys. See the type comment
 // for the cross-shard consistency contract.
 func (t *Trie[V]) Snapshot() *Snapshot[V] {
-	ss := make([]*core.Snapshot[V], len(t.shards))
+	ss := make([]*kv.U64Snapshot[V], len(t.shards))
 	for i, sh := range t.shards {
 		ss[i] = sh.Snapshot()
 	}
@@ -45,21 +42,18 @@ func (s *Snapshot[V]) Len() int {
 
 // Contains reports whether k was present in its shard's cut.
 func (s *Snapshot[V]) Contains(k uint64) bool {
-	if !keys.InRange(k, s.t.width) {
-		return false
-	}
-	return s.shards[keys.ShardOf(k, s.t.width, s.t.shardBits)].
-		Contains(keys.ShardRest(k, s.t.width, s.t.shardBits))
+	i, rest, ok := s.t.route(k)
+	return ok && s.shards[i].Contains(rest)
 }
 
 // Load returns the value bound to k in its shard's cut.
 func (s *Snapshot[V]) Load(k uint64) (V, bool) {
-	if !keys.InRange(k, s.t.width) {
+	i, rest, ok := s.t.route(k)
+	if !ok {
 		var zero V
 		return zero, false
 	}
-	return s.shards[keys.ShardOf(k, s.t.width, s.t.shardBits)].
-		Load(keys.ShardRest(k, s.t.width, s.t.shardBits))
+	return s.shards[i].Load(rest)
 }
 
 // AscendKV calls fn on every (key, value) pair with key >= from, in
@@ -67,21 +61,5 @@ func (s *Snapshot[V]) Load(k uint64) (V, bool) {
 // shard-index order (the same stitching as the live trie's AscendKV),
 // until fn returns false.
 func (s *Snapshot[V]) AscendKV(from uint64, fn func(k uint64, val V) bool) {
-	t := s.t
-	if !keys.InRange(from, t.width) {
-		return
-	}
-	start := keys.ShardOf(from, t.width, t.shardBits)
-	more := true
-	for idx := start; more && idx < uint64(len(s.shards)); idx++ {
-		base := keys.ShardBase(idx, t.width, t.shardBits)
-		rest := uint64(0)
-		if idx == start {
-			rest = keys.ShardRest(from, t.width, t.shardBits)
-		}
-		s.shards[idx].AscendKV(rest, func(k uint64, val V) bool {
-			more = fn(base|k, val)
-			return more
-		})
-	}
+	ascend(s.t, s.shards, from, fn)
 }

@@ -8,8 +8,7 @@ import "nbtrie/internal/engine"
 func (t *Trie[V]) EngineStats() engine.StatsSnapshot {
 	var agg engine.StatsSnapshot
 	for _, sh := range t.shards {
-		s := sh.EngineStats()
-		agg.Merge(s)
+		agg.Merge(sh.EngineStats())
 	}
 	return agg
 }
@@ -18,4 +17,20 @@ func (t *Trie[V]) EngineStats() engine.StatsSnapshot {
 // [0, Shards()).
 func (t *Trie[V]) ShardEngineStats(i int) engine.StatsSnapshot {
 	return t.shards[i].EngineStats()
+}
+
+// Footprint returns the engine census (engine.Footprint) summed over
+// every shard. Quiescent use only.
+func (t *Trie[V]) Footprint() engine.Footprint {
+	var sum engine.Footprint
+	for _, sh := range t.shards {
+		f := sh.Footprint()
+		sum.Internal += f.Internal
+		sum.Leaves += f.Leaves
+		sum.Infos += f.Infos
+		sum.InternalBytes += f.InternalBytes
+		sum.LeafBytes += f.LeafBytes
+		sum.InfoBytes += f.InfoBytes
+	}
+	return sum
 }

@@ -1,3 +1,7 @@
+// Package strtrie tests the Section VI byte-string key space: the
+// generic kv.Trie over keys.StringCodec, driven as kv.String. It holds
+// tests only; the code under test lives in internal/kv and
+// internal/keys.
 package strtrie
 
 import (
@@ -10,13 +14,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nbtrie/internal/kv"
 	"nbtrie/internal/settest"
 )
 
 // stringAdapter drives the byte-string trie through the uint64-based
 // conformance kit by printing keys in decimal (order differs from
 // numeric, which the kit never relies on).
-type stringAdapter struct{ t *Trie[any] }
+type stringAdapter struct{ t *kv.String[any] }
 
 func key(k uint64) []byte { return []byte(fmt.Sprintf("%020d", k)) }
 
@@ -27,12 +32,22 @@ func (a stringAdapter) Replace(old, new uint64) bool {
 	return a.t.Replace(key(old), key(new))
 }
 
+// keysOf returns every key of tr in increasing encoded-key order.
+func keysOf(tr *kv.String[any]) [][]byte {
+	var out [][]byte
+	tr.AllKV(func(k []byte, _ any) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
+}
+
 func TestConformance(t *testing.T) {
-	settest.Run(t, func(uint64) settest.Set { return stringAdapter{t: New[any]()} })
+	settest.Run(t, func(uint64) settest.Set { return stringAdapter{t: kv.NewString[any]()} })
 }
 
 func TestVariableLengthKeys(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	ks := [][]byte{
 		[]byte("a"), []byte("ab"), []byte("abc"), []byte("b"),
 		[]byte("zebra"), []byte("z"), {0}, {0, 0}, {0xff, 0xff, 0xff, 0xff},
@@ -69,37 +84,37 @@ func TestVariableLengthKeys(t *testing.T) {
 
 func TestKeysEncodedOrder(t *testing.T) {
 	// Prefix-free word sets come out in plain lexicographic order.
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	words := []string{"pear", "apple", "banana", "cherry", "zebra"}
 	for _, w := range words {
 		tr.Insert([]byte(w))
 	}
-	got := tr.Keys()
+	got := keysOf(tr)
 	want := make([]string, len(words))
 	copy(want, words)
 	sort.Strings(want)
 	if len(got) != len(want) {
-		t.Fatalf("Keys() returned %d keys", len(got))
+		t.Fatalf("keysOf returned %d keys", len(got))
 	}
 	for i := range want {
 		if string(got[i]) != want[i] {
-			t.Fatalf("Keys()[%d] = %q, want %q", i, got[i], want[i])
+			t.Fatalf("keysOf[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
 
 	// The Section VI terminator sorts a proper prefix after its
 	// extensions (11 > 01/10); pin that documented quirk.
-	tr2 := New[any]()
+	tr2 := kv.NewString[any]()
 	tr2.Insert([]byte("app"))
 	tr2.Insert([]byte("applesauce"))
-	got2 := tr2.Keys()
+	got2 := keysOf(tr2)
 	if string(got2[0]) != "applesauce" || string(got2[1]) != "app" {
 		t.Fatalf("encoded order of prefix pair = %q", got2)
 	}
 }
 
 func TestReplaceAcrossLengths(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	tr.Insert([]byte("short"))
 	if !tr.Replace([]byte("short"), []byte("a much longer key than before")) {
 		t.Fatal("replace to longer key failed")
@@ -110,7 +125,7 @@ func TestReplaceAcrossLengths(t *testing.T) {
 }
 
 func TestEmptyKeyPanics(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	defer func() {
 		if recover() == nil {
 			t.Error("empty key must panic (encoding collides with the 111 dummy)")
@@ -120,7 +135,7 @@ func TestEmptyKeyPanics(t *testing.T) {
 }
 
 func TestQuickRandomByteKeys(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	oracle := make(map[string]bool)
 	f := func(k []byte, insert bool) bool {
 		if len(k) == 0 {
@@ -148,7 +163,7 @@ func TestQuickRandomByteKeys(t *testing.T) {
 
 func TestConcurrentReplaceConservation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	const initial = 100
 	for i := 0; i < initial; i++ {
 		tr.Insert([]byte(fmt.Sprintf("task-%03d", i*7)))
@@ -173,7 +188,7 @@ func TestConcurrentReplaceConservation(t *testing.T) {
 }
 
 func TestValidateAfterChurn(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("fresh trie: %v", err)
 	}
@@ -201,7 +216,7 @@ func TestValidateAfterChurn(t *testing.T) {
 // which owns the node structure shared by every instantiation.)
 
 func TestLongKeysCrossWordBoundaries(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	long := bytes.Repeat([]byte("x"), 100) // 1602 encoded bits
 	tr.Insert(long)
 	if !tr.Contains(long) {
@@ -214,7 +229,7 @@ func TestLongKeysCrossWordBoundaries(t *testing.T) {
 }
 
 func TestMapOperations(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	k := []byte("alpha")
 	if _, ok := tr.Load(k); ok {
 		t.Error("Load on empty trie must miss")
@@ -227,10 +242,10 @@ func TestMapOperations(t *testing.T) {
 	if v, _ := tr.Load(k); v != 2 {
 		t.Errorf("Load after overwrite = %v", v)
 	}
-	if v, loaded := tr.LoadOrStore(k, 9); !loaded || v != 2 {
+	if v, loaded, _ := tr.LoadOrStore(k, 9); !loaded || v != 2 {
 		t.Errorf("LoadOrStore(present) = %v,%v", v, loaded)
 	}
-	if v, loaded := tr.LoadOrStore([]byte("beta"), 9); loaded || v != 9 {
+	if v, loaded, _ := tr.LoadOrStore([]byte("beta"), 9); loaded || v != 9 {
 		t.Errorf("LoadOrStore(absent) = %v,%v", v, loaded)
 	}
 	if tr.CompareAndSwap(k, 1, 3) || !tr.CompareAndSwap(k, 2, 3) {
@@ -255,7 +270,7 @@ func TestMapOperations(t *testing.T) {
 }
 
 func TestAllKV(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	tr.Store([]byte("a"), 1)
 	tr.Store([]byte("b"), 2)
 	got := map[string]any{}
@@ -274,7 +289,7 @@ func TestAllKV(t *testing.T) {
 }
 
 func TestConcurrentMapOps(t *testing.T) {
-	tr := New[any]()
+	tr := kv.NewString[any]()
 	keys := [][]byte{[]byte("x"), []byte("xy"), []byte("xyz"), []byte("y")}
 	const goroutines = 8
 	var wg sync.WaitGroup

@@ -3,8 +3,7 @@ package nbtrie
 import (
 	"iter"
 
-	"nbtrie/internal/core"
-	"nbtrie/internal/strtrie"
+	"nbtrie/internal/kv"
 )
 
 // Map is a linearizable concurrent map from uint64 keys to values of
@@ -25,14 +24,14 @@ import (
 // sync.Map: they panic if V (or the dynamic value stored) is not
 // comparable.
 type Map[V any] struct {
-	t *core.Trie[V]
+	t *kv.U64[V]
 }
 
 // NewMap returns an empty map over keys in [0, 2^width); width must be
 // in [1, 63]. Keys outside the range are treated as permanently absent:
 // lookups miss and stores report failure, but nothing panics.
 func NewMap[V any](width uint32) (*Map[V], error) {
-	t, err := core.New[V](width)
+	t, err := kv.NewU64[V](width)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +105,7 @@ func (m *Map[V]) Len() int {
 
 // Width returns the key width the map was built with.
 func (m *Map[V]) Width() uint32 {
-	return m.t.Width()
+	return m.t.Codec().Width
 }
 
 // All iterates over all entries in increasing key order. The sequence is
@@ -137,12 +136,12 @@ func (m *Map[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
 // CompareAndSwap and CompareAndDelete compare values with Go's ==, like
 // sync.Map: they panic if the values are not comparable.
 type StringMap[V any] struct {
-	t *strtrie.Trie[V]
+	t *kv.String[V]
 }
 
 // NewStringMap returns an empty variable-length-key map.
 func NewStringMap[V any]() *StringMap[V] {
-	return &StringMap[V]{t: strtrie.New[V]()}
+	return &StringMap[V]{t: kv.NewString[V]()}
 }
 
 // Load returns the value bound to k (read-only, lock-free). The only
@@ -159,7 +158,8 @@ func (m *StringMap[V]) Store(k []byte, val V) {
 // LoadOrStore returns the existing value for k if present (loaded true);
 // otherwise it stores val and returns it (loaded false).
 func (m *StringMap[V]) LoadOrStore(k []byte, val V) (actual V, loaded bool) {
-	return m.t.LoadOrStore(k, val)
+	actual, loaded, _ = m.t.LoadOrStore(k, val)
+	return actual, loaded
 }
 
 // Delete removes k; false iff k was absent.

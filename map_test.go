@@ -59,8 +59,8 @@ func TestMapConformance(t *testing.T) {
 
 // stringMapAdapter drives StringMap[uint64] through the same battery by
 // encoding uint64 keys as their big-endian byte strings (order- and
-// identity-preserving), so strtrie's independent map-operation
-// implementations get the linearizability checking too.
+// identity-preserving), so the byte-string key space gets the
+// linearizability checking too.
 type stringMapAdapter struct {
 	m *StringMap[uint64]
 }

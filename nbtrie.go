@@ -16,8 +16,9 @@
 //
 // All three key spaces are instantiations of one shared update engine
 // (internal/engine): the descriptor/flag/help protocol of the paper is
-// written once, generic over the key type, and each trie contributes
-// only its key encoding and dummy bounds (see DESIGN.md).
+// written once, generic over the key type, and each key space
+// contributes only a codec — its key encoding, dummy bounds and label
+// rule (see DESIGN.md).
 //
 //   - the paper's set layer: PatriciaTrie (wait-free Contains,
 //     lock-free Insert/Delete, and the lock-free atomic Replace none of
@@ -39,14 +40,16 @@ package nbtrie
 
 import (
 	"iter"
+	"slices"
 
 	"nbtrie/internal/avl"
 	"nbtrie/internal/bst"
-	"nbtrie/internal/core"
 	"nbtrie/internal/ctrie"
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 	"nbtrie/internal/kst"
+	"nbtrie/internal/kv"
 	"nbtrie/internal/skiplist"
-	"nbtrie/internal/strtrie"
 )
 
 // Set is a linearizable concurrent set of uint64 keys. All methods may be
@@ -76,7 +79,7 @@ type ReplaceSet interface {
 // treated as permanently absent (Contains and Delete report false,
 // Insert and Replace fail) rather than panicking.
 type PatriciaTrie struct {
-	t *core.Trie[struct{}]
+	t *kv.U64[struct{}]
 }
 
 var _ ReplaceSet = (*PatriciaTrie)(nil)
@@ -84,11 +87,7 @@ var _ ReplaceSet = (*PatriciaTrie)(nil)
 // NewPatriciaTrie returns an empty trie over keys in [0, 2^width);
 // width must be in [1, 63].
 func NewPatriciaTrie(width uint32) (*PatriciaTrie, error) {
-	t, err := core.New[struct{}](width)
-	if err != nil {
-		return nil, err
-	}
-	return &PatriciaTrie{t: t}, nil
+	return NewKaryPatriciaTrie(width, 1)
 }
 
 // KarySpan is the digit width of the registry's "karypatricia" (PAT-K)
@@ -103,7 +102,7 @@ const KarySpan = 4
 // slots, cutting expected depth span-fold. span must be in [1, 6];
 // span 1 is exactly NewPatriciaTrie.
 func NewKaryPatriciaTrie(width, span uint32) (*PatriciaTrie, error) {
-	t, err := core.New(width, core.WithSpan[struct{}](span))
+	t, err := kv.NewU64(width, engine.WithSpan[keys.Uint64Key, struct{}](span))
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +130,12 @@ func (p *PatriciaTrie) Replace(old, new uint64) bool { return p.t.Replace(old, n
 func (p *PatriciaTrie) Size() int { return p.t.Size() }
 
 // Keys returns the keys in increasing order; quiescent use only.
-func (p *PatriciaTrie) Keys() []uint64 { return p.t.Keys() }
+func (p *PatriciaTrie) Keys() []uint64 { return slices.Collect(p.All()) }
 
 // Range calls fn on each key in increasing order until fn returns false.
-func (p *PatriciaTrie) Range(fn func(k uint64) bool) { p.t.Range(fn) }
+func (p *PatriciaTrie) Range(fn func(k uint64) bool) {
+	p.t.AllKV(func(k uint64, _ struct{}) bool { return fn(k) })
+}
 
 // All iterates over the keys in increasing order. Entries present for
 // the whole iteration are always yielded; concurrent changes may or may
@@ -157,7 +158,7 @@ func (p *PatriciaTrie) Validate() error { return p.t.Validate() }
 func (p *PatriciaTrie) Dump() string { return p.t.Dump() }
 
 // Width returns the key width the trie was built with.
-func (p *PatriciaTrie) Width() uint32 { return p.t.Width() }
+func (p *PatriciaTrie) Width() uint32 { return p.t.Codec().Width }
 
 // Min returns the smallest key in the set. Exact at quiescence;
 // best-effort under concurrent updates (like Range).
@@ -201,11 +202,11 @@ func NewCtrie() Set { return ctrie.New() }
 // is unbounded); Insert, Delete and Replace are lock-free. Keys must be
 // non-empty — the empty string's encoding collides with a dummy leaf.
 type StringTrie struct {
-	t *strtrie.Trie[struct{}]
+	t *kv.String[struct{}]
 }
 
 // NewStringTrie returns an empty variable-length-key trie.
-func NewStringTrie() *StringTrie { return &StringTrie{t: strtrie.New[struct{}]()} }
+func NewStringTrie() *StringTrie { return &StringTrie{t: kv.NewString[struct{}]()} }
 
 // Insert adds k; false iff k was present. k is copied logically via its
 // encoding, so the caller may reuse the slice.
@@ -226,7 +227,7 @@ func (s *StringTrie) Size() int { return s.t.Size() }
 
 // Keys returns the keys in encoded order (lexicographic except that a
 // proper prefix follows its extensions); quiescent use only.
-func (s *StringTrie) Keys() [][]byte { return s.t.Keys() }
+func (s *StringTrie) Keys() [][]byte { return slices.Collect(s.All()) }
 
 // All iterates over the keys in encoded order, with the same concurrent-
 // read contract as PatriciaTrie.All.

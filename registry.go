@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
+	"nbtrie/internal/kv"
 	"nbtrie/internal/sharded"
-	"nbtrie/internal/spatial"
 )
 
 // ReplaceScope is the structured replace capability of a registered
@@ -160,7 +160,7 @@ var registry = []Implementation{
 			// The Morton key space is fixed at 64 bits (the full
 			// uint32 × uint32 plane); width is ignored. The uint64 set
 			// key is the raw Morton code.
-			return spatialSet{t: spatial.New[struct{}]()}, nil
+			return kv.NewMorton[struct{}](), nil
 		},
 	},
 	{
@@ -171,11 +171,15 @@ var registry = []Implementation{
 		Replace:      ReplacePerShard,
 		WaitFreeRead: true,
 		New: func(width uint32) (Set, error) {
+			// The sharded trie is a Set by itself and deliberately not a
+			// ReplaceSet: its Replace is atomic only within a shard and
+			// reports cross-shard pairs as an error, so it cannot honor the
+			// full-key-space contract.
 			t, err := sharded.New[struct{}](width, 0)
 			if err != nil {
 				return nil, err
 			}
-			return shardedSet{t: t}, nil
+			return t, nil
 		},
 	},
 	{

@@ -16,7 +16,7 @@
 # log.
 
 out="${1:-escape-smoke.log}"
-pkgs="./internal/resp ./internal/server ./internal/engine ./internal/core ./internal/obs"
+pkgs="./internal/resp ./internal/server ./internal/engine ./internal/kv ./internal/obs"
 
 {
     echo "# escape-analysis smoke: $(go version)"
@@ -37,7 +37,7 @@ pkgs="./internal/resp ./internal/server ./internal/engine ./internal/core ./inte
     echo "## k-ary read path (engine.go search/child loads)"
     # The engine's wait-free reads (Find/Get and the search descents)
     # must not heap-allocate — the 0-alloc Load/Contains pins in
-    # internal/core/alloc_test.go enforce the count; this section points
+    # internal/kv/alloc_test.go enforce the count; this section points
     # at the culprit line when one of those pins fails. Escapes in
     # engine.go outside the update/replace/snapshot files are the
     # read-path suspects: the child-slot loads (the inline pair, or the

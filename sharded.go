@@ -46,11 +46,7 @@ type ShardedMap[V any] struct {
 // [1, 256]. The count is clamped so each shard keeps at least one key
 // bit; Shards reports the count in effect.
 func NewShardedMap[V any](width uint32, shards int) (*ShardedMap[V], error) {
-	t, err := sharded.New[V](width, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedMap[V]{t: t}, nil
+	return NewShardedMapSpan[V](width, shards, 1)
 }
 
 // NewShardedMapSpan is NewShardedMap with each shard's trie built at
@@ -217,21 +213,3 @@ func (m *ShardedMap[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
 func (m *ShardedMap[V]) Validate() error {
 	return m.t.Validate()
 }
-
-// shardedSet adapts the sharded trie to the registry's Set interface.
-// It deliberately does not implement ReplaceSet: the sharded trie's
-// replace is atomic only within a shard, and a partial Replace cannot
-// honor the registry's full-key-space contract.
-type shardedSet struct {
-	t *sharded.Trie[struct{}]
-}
-
-var _ Set = shardedSet{}
-
-func (s shardedSet) Insert(k uint64) bool   { return s.t.Insert(k) }
-func (s shardedSet) Delete(k uint64) bool   { return s.t.Delete(k) }
-func (s shardedSet) Contains(k uint64) bool { return s.t.Contains(k) }
-
-// Size lets tools (triecli's size command) read the per-shard atomic
-// counters through the set view.
-func (s shardedSet) Size() int { return s.t.Len() }

@@ -2,11 +2,10 @@ package nbtrie
 
 import (
 	"iter"
+	"math"
 
-	"nbtrie/internal/core"
+	"nbtrie/internal/kv"
 	"nbtrie/internal/sharded"
-	"nbtrie/internal/spatial"
-	"nbtrie/internal/strtrie"
 )
 
 // O(1) point-in-time snapshots, surfaced from the engine's
@@ -24,7 +23,7 @@ import (
 
 // MapSnapshot is a frozen point-in-time view of a Map.
 type MapSnapshot[V any] struct {
-	s *core.Snapshot[V]
+	s *kv.U64Snapshot[V]
 }
 
 // Snapshot returns a read-only view of the map at the moment of the
@@ -64,7 +63,7 @@ func (s *MapSnapshot[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
 
 // StringMapSnapshot is a frozen point-in-time view of a StringMap.
 type StringMapSnapshot[V any] struct {
-	s *strtrie.Snapshot[V]
+	s *kv.StringSnapshot[V]
 }
 
 // Snapshot returns a read-only view of the map at the moment of the
@@ -101,7 +100,7 @@ func (s *StringMapSnapshot[V]) Ascend(from []byte) iter.Seq2[[]byte, V] {
 
 // SpatialMapSnapshot is a frozen point-in-time view of a SpatialMap.
 type SpatialMapSnapshot[V any] struct {
-	s *spatial.Snapshot[V]
+	s *kv.MortonSnapshot[V]
 }
 
 // Snapshot returns a read-only view of the spatial map at the moment of
@@ -115,11 +114,11 @@ func (m *SpatialMap[V]) Snapshot() *SpatialMapSnapshot[V] {
 }
 
 // Load returns the value stored at (x, y) at the snapshot point.
-func (s *SpatialMapSnapshot[V]) Load(x, y uint32) (V, bool) { return s.s.Load(x, y) }
+func (s *SpatialMapSnapshot[V]) Load(x, y uint32) (V, bool) { return s.s.Load(code(x, y)) }
 
 // Contains reports whether a point was stored at (x, y) at the snapshot
 // point.
-func (s *SpatialMapSnapshot[V]) Contains(x, y uint32) bool { return s.s.Contains(x, y) }
+func (s *SpatialMapSnapshot[V]) Contains(x, y uint32) bool { return s.s.Contains(code(x, y)) }
 
 // Len returns the number of stored points at the snapshot point (exact).
 func (s *SpatialMapSnapshot[V]) Len() int { return s.s.Len() }
@@ -127,21 +126,13 @@ func (s *SpatialMapSnapshot[V]) Len() int { return s.s.Len() }
 // All iterates over the snapshot's points in Z-order — a consistent
 // cut, unlike SpatialMap.All.
 func (s *SpatialMapSnapshot[V]) All() iter.Seq2[Point, V] {
-	return func(yield func(Point, V) bool) {
-		s.s.AscendMorton(0, func(_ uint64, x, y uint32, val V) bool {
-			return yield(Point{X: x, Y: y}, val)
-		})
-	}
+	return inRect(s.s.AscendKV, Point{}, Point{X: math.MaxUint32, Y: math.MaxUint32})
 }
 
 // InRect iterates over the snapshot's points inside the axis-aligned
 // rectangle [min.X, max.X] × [min.Y, max.Y] (inclusive), in Z-order.
 func (s *SpatialMapSnapshot[V]) InRect(min, max Point) iter.Seq2[Point, V] {
-	return func(yield func(Point, V) bool) {
-		s.s.InRect(min.X, min.Y, max.X, max.Y, func(x, y uint32, val V) bool {
-			return yield(Point{X: x, Y: y}, val)
-		})
-	}
+	return inRect(s.s.AscendKV, min, max)
 }
 
 // ShardedMapSnapshot is a frozen point-in-time view of a ShardedMap:

@@ -1,6 +1,7 @@
 package nbtrie
 
 import (
+	"math/rand"
 	"testing"
 
 	"nbtrie/internal/keys"
@@ -165,5 +166,64 @@ func TestSpatialMapReadPathDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("SpatialMap read path allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestInRectOracle cross-checks InRect against a brute-force filter over
+// random point sets and random rectangles, including degenerate and
+// empty rectangles.
+func TestInRectOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	m := NewSpatialMap[int]()
+	pts := make(map[Point]int)
+	for i := 0; i < 400; i++ {
+		p := Point{uint32(rng.Intn(64)), uint32(rng.Intn(64))}
+		pts[p] = i
+		m.Store(p.X, p.Y, i)
+	}
+	for trial := 0; trial < 200; trial++ {
+		x1, x2 := uint32(rng.Intn(70)), uint32(rng.Intn(70))
+		y1, y2 := uint32(rng.Intn(70)), uint32(rng.Intn(70))
+		lo, hi := Point{min(x1, x2), min(y1, y2)}, Point{max(x1, x2), max(y1, y2)}
+		want := map[Point]int{}
+		for p, v := range pts {
+			if p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y {
+				want[p] = v
+			}
+		}
+		got := map[Point]int{}
+		var lastM uint64
+		first := true
+		for p, v := range m.InRect(lo, hi) {
+			z := keys.Interleave2(p.X, p.Y)
+			if !first && z <= lastM {
+				t.Fatalf("InRect out of Z-order: %d after %d", z, lastM)
+			}
+			first, lastM = false, z
+			got[p] = v
+		}
+		if len(got) != len(want) {
+			t.Fatalf("rect %v-%v: got %d points, want %d", lo, hi, len(got), len(want))
+		}
+		for p, v := range want {
+			if got[p] != v {
+				t.Fatalf("rect %v-%v: point %v = %d, want %d", lo, hi, p, got[p], v)
+			}
+		}
+	}
+
+	// Inverted (empty) rectangles yield nothing.
+	for p := range m.InRect(Point{10, 10}, Point{5, 20}) {
+		t.Errorf("empty rect yielded %v", p)
+	}
+
+	// Early stop.
+	n := 0
+	for range m.InRect(Point{0, 0}, Point{63, 63}) {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Errorf("early stop visited %d points", n)
 	}
 }
