@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		noPrefill  = fs.Bool("no-prefill", false, "skip prefilling every other key before measuring")
 		bgsave     = fs.Bool("bgsave", false, "fire BGSAVE every 100ms during every trial (server must run with -dir); measures dump-under-load throughput")
 		ttl        = fs.Bool("ttl", false, "add a TTL-churn series: 1/4 of writes become SETEX with a 1s deadline, so expiry runs under the measured load")
-		suffix     = fs.String("series-suffix", "", "appended to every series name (e.g. \"-affine\" when benchmarking a -dispatch=affine server)")
+		suffix     = fs.String("series-suffix", "", "appended to every series name (e.g. \"-kary\" when benchmarking a -span 4 server)")
 		appendFl   = fs.Bool("append", false, "with -json: merge series into an existing artifact instead of overwriting it (same-name series are replaced)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -343,23 +343,6 @@ func trial(opt options, nClients int, d time.Duration, trialSeed uint64) (float6
 	return float64(total) / elapsed.Seconds(), lats, nil
 }
 
-// probeDispatchMode asks the server how it dispatches (the INFO
-// "dispatch:" line), so the in-process alloc probe measures the same
-// path the throughput numbers came from. Unknown/old servers report
-// "conn" — the default path.
-func probeDispatchMode(c *client) string {
-	v, err := c.do("INFO")
-	if err != nil || v.Kind != resp.TypeBulk {
-		return "conn"
-	}
-	for _, line := range strings.Split(string(v.Str), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "dispatch:"); ok {
-			return rest
-		}
-	}
-	return "conn"
-}
-
 // probeCommandstats snapshots the server's per-command call counters
 // (the INFO Commandstats section, cmdstat_<name>:calls=N,...). sweep
 // diffs two snapshots around a point's measured trials, so the artifact
@@ -421,12 +404,11 @@ func runBench(opt options, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("cannot reach server: %w", err)
 	}
-	if v, err := probe.do("PING"); err != nil || v.Kind != resp.TypeSimple {
-		probe.close()
+	v, err := probe.do("PING")
+	probe.close()
+	if err != nil || v.Kind != resp.TypeSimple {
 		return fmt.Errorf("server at %s did not answer PING (%v, %v)", opt.addr, v, err)
 	}
-	dispatchMode := probeDispatchMode(probe)
-	probe.close()
 
 	if !opt.noPrefill {
 		if err := prefill(opt); err != nil {
@@ -435,8 +417,8 @@ func runBench(opt options, stdout io.Writer) error {
 	}
 
 	baseName := fmt.Sprintf("get%d-set%d%s", opt.getPct, 100-opt.getPct, opt.suffix)
-	fmt.Fprintf(stdout, "nbtriebench: %s @ %s (dispatch=%s), pipeline %d, %dB values, key range %d, %d x %v per point\n",
-		baseName, opt.addr, dispatchMode, opt.pipeline, opt.valueSize, opt.keyRange, opt.trials, opt.duration)
+	fmt.Fprintf(stdout, "nbtriebench: %s @ %s, pipeline %d, %dB values, key range %d, %d x %v per point\n",
+		baseName, opt.addr, opt.pipeline, opt.valueSize, opt.keyRange, opt.trials, opt.duration)
 
 	sweep := func(o options, name string) (bench.Series, error) {
 		fmt.Fprintf(stdout, "%s\n%8s %14s %8s %10s %10s\n", name, "clients", "mean ops/s", "±stddev", "p50 µs", "p99 µs")
@@ -522,10 +504,9 @@ func runBench(opt options, stdout io.Writer) error {
 		allocs := codecAllocs(opt.valueSize)
 		a.AddSeries(series, &allocs)
 		// The server-side dispatch pins ride on the main series. The probe
-		// runs in-process against the same dispatch mode the server
-		// reported, so the artifact records the path that produced the
-		// throughput numbers above.
-		if sp, err := server.MeasureServerPathAllocs(dispatchMode, opt.valueSize); err == nil {
+		// runs the same dispatch path in-process, so the artifact records
+		// the allocations behind the throughput numbers above.
+		if sp, err := server.MeasureServerPathAllocs(opt.valueSize); err == nil {
 			a.Series[len(a.Series)-1].ServerAllocsPerOp = &bench.ServerAllocsProfile{
 				Get: sp.Get, Set: sp.Set, SetCodec: sp.SetCodec,
 				Del: sp.Del, Exists: sp.Exists, MGet: sp.MGet,
@@ -540,8 +521,8 @@ func runBench(opt options, stdout io.Writer) error {
 			a.AddSeries(*ttlSeries, nil)
 		}
 		// -append folds this run's series into an existing artifact (the
-		// two-mode BENCH_server.json workflow: one daemon per dispatch
-		// mode, two nbtriebench runs, one file). Same-name series are
+		// BENCH_server.json workflow: one daemon per trie layout, one
+		// nbtriebench run each, one file). Same-name series are
 		// replaced; everything else in the existing artifact is kept.
 		if opt.appendOut {
 			existingPath := filepath.Join(opt.outDir, bench.ArtifactFilename("server"))

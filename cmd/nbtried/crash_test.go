@@ -29,21 +29,17 @@ import (
 // cycle the data directory is opened in-process to run the trie's
 // structural Validate over the recovered state.
 //
-// The battery runs once per dispatch mode: affine moves the
-// store+append critical section from connection goroutines into shard
-// workers, and the zero-acked-write-loss promise must hold identically
-// on that path.
+// The subtest is named for the dispatch path it covers: every command
+// runs on its connection's goroutine.
 func TestCrashRecoveryBattery(t *testing.T) {
 	cycles := 50
 	if testing.Short() {
 		cycles = 6
 	}
-	for _, dispatch := range []string{"conn", "affine"} {
-		t.Run(dispatch, func(t *testing.T) { crashBattery(t, cycles, dispatch) })
-	}
+	t.Run("conn", func(t *testing.T) { crashBattery(t, cycles) })
 }
 
-func crashBattery(t *testing.T, cycles int, dispatch string) {
+func crashBattery(t *testing.T, cycles int) {
 	bin := buildDaemon(t)
 	dataDir := t.TempDir()
 	portFile := filepath.Join(t.TempDir(), "port")
@@ -56,7 +52,6 @@ func crashBattery(t *testing.T, cycles int, dispatch string) {
 		os.Remove(portFile)
 		cmd := exec.Command(bin,
 			"-addr", "127.0.0.1:0", "-port-file", portFile,
-			"-dispatch", dispatch,
 			"-dir", dataDir, "-aof", "-appendfsync", "always")
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

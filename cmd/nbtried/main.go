@@ -21,10 +21,6 @@
 //	            quarters the trie depth)
 //	-max-bulk   largest accepted bulk string (keys and values), bytes
 //	-scan-count SCAN's default page size
-//	-dispatch   request dispatch mode: "conn" (each connection executes
-//	            its own commands; the default) or "affine" (single-key
-//	            commands are routed to per-shard worker goroutines —
-//	            see DESIGN.md §10)
 //	-port-file  write the actual listen address to this file once
 //	            listening (for scripts that start on a random port)
 //
@@ -98,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		span        = fs.Uint("span", 1, "trie digit width in bits, in [1, 6]: nodes have 2^span children")
 		maxBulk     = fs.Int("max-bulk", resp.DefaultLimits.MaxBulkLen, "largest accepted bulk string in bytes")
 		scanCount   = fs.Int("scan-count", 10, "SCAN's default page size")
-		dispatch    = fs.String("dispatch", "conn", "dispatch mode: conn or affine")
 		portFile    = fs.String("port-file", "", "write the actual listen address here once listening")
 		metricsAddr = fs.String("metrics-addr", "", "observability HTTP listener (host:port): Prometheus /metrics + /debug/pprof (off when empty)")
 		slowerThan  = fs.Int64("slowlog-log-slower-than", server.SlowlogDefaultUS, "log commands slower than this many microseconds (0 = every command, negative = off)")
@@ -141,7 +136,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Span:                uint32(*span),
 		Limits:              resp.Limits{MaxBulkLen: *maxBulk},
 		ScanDefaultCount:    *scanCount,
-		Dispatch:            *dispatch,
 		SlowlogSlowerThanUS: slowlogUS,
 		SlowlogMaxLen:       *slowlogMax,
 		Persist:             server.PersistConfig{Dir: *dir, AOF: *aof, Fsync: policy},

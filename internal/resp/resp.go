@@ -149,13 +149,13 @@ func parseLen(b []byte, allowNeg bool) (int64, error) {
 // server half of the codec: every request is an array of bulk strings
 // or the connection is toast.
 //
-// It offers two parsing modes. ReadCommand allocates fresh slices per
-// command — the right call for clients, tools and replay code that
-// keep arguments around. ReadCommandReuse parses into a per-reader
+// It has one parser, ReadCommandReuse, which parses into a per-reader
 // arena that the next call overwrites, so a long-lived connection
 // parses commands with zero steady-state allocations; values that must
 // outlive the command (a SET payload headed into the map) are copied
-// out explicitly with Detach.
+// out explicitly with Detach. ReadCommand is the same parse followed by
+// a copy of every argument — the right call for clients, tools and
+// replay code that keep arguments around.
 type RequestReader struct {
 	r   *bufio.Reader
 	lim Limits
@@ -197,70 +197,15 @@ func (rr *RequestReader) Buffered() int { return rr.r.Buffered() }
 // disconnect; any malformed input is a ProtocolError. Empty arrays
 // ("*0") are rejected — a command needs at least a name.
 func (rr *RequestReader) ReadCommand() ([][]byte, error) {
-	first, err := rr.r.ReadByte()
-	if err != nil {
-		return nil, err // io.EOF here = clean disconnect between commands
-	}
-	if first != TypeArray {
-		// The one place inline commands would be accepted; refuse them
-		// loudly enough that a human typing into a raw socket learns
-		// what to use instead.
-		return nil, protoErrf("expected '*' (multibulk request), got %q; inline commands are not supported", first)
-	}
-	header, err := readLine(rr.r, maxLineDecl)
-	if err != nil {
-		return nil, eofToUnexpected(err)
-	}
-	n, err := parseLen(header, false)
+	args, err := rr.ReadCommandReuse()
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, protoErrf("empty command array")
+	out := make([][]byte, len(args))
+	for i, a := range args {
+		out[i] = Detach(a)
 	}
-	if n > int64(rr.lim.MaxArrayLen) {
-		return nil, protoErrf("request of %d elements exceeds limit %d", n, rr.lim.MaxArrayLen)
-	}
-	args := make([][]byte, 0, n)
-	for i := int64(0); i < n; i++ {
-		arg, err := rr.readBulk()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, arg)
-	}
-	return args, nil
-}
-
-// readBulk reads one $-prefixed bulk string of a request (null bulks
-// are not valid inside requests).
-func (rr *RequestReader) readBulk() ([]byte, error) {
-	marker, err := rr.r.ReadByte()
-	if err != nil {
-		return nil, eofToUnexpected(err)
-	}
-	if marker != TypeBulk {
-		return nil, protoErrf("expected '$' (bulk string) in request, got %q", marker)
-	}
-	header, err := readLine(rr.r, maxLineDecl)
-	if err != nil {
-		return nil, eofToUnexpected(err)
-	}
-	ln, err := parseLen(header, false)
-	if err != nil {
-		return nil, err
-	}
-	if ln > int64(rr.lim.MaxBulkLen) {
-		return nil, protoErrf("bulk of %d bytes exceeds limit %d", ln, rr.lim.MaxBulkLen)
-	}
-	buf := make([]byte, ln+2)
-	if _, err := io.ReadFull(rr.r, buf); err != nil {
-		return nil, eofToUnexpected(err)
-	}
-	if buf[ln] != '\r' || buf[ln+1] != '\n' {
-		return nil, protoErrf("bulk payload not terminated by CRLF")
-	}
-	return buf[:ln:ln], nil
+	return out, nil
 }
 
 // ReadCommandReuse reads one complete command like ReadCommand, but
@@ -279,6 +224,9 @@ func (rr *RequestReader) ReadCommandReuse() ([][]byte, error) {
 		return nil, err // io.EOF here = clean disconnect between commands
 	}
 	if first != TypeArray {
+		// The one place inline commands would be accepted; refuse them
+		// loudly enough that a human typing into a raw socket learns
+		// what to use instead.
 		return nil, protoErrf("expected '*' (multibulk request), got %q; inline commands are not supported", first)
 	}
 	header, err := readLine(rr.r, maxLineDecl)

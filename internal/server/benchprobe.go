@@ -54,11 +54,9 @@ func (r *loopReader) Read(p []byte) (int, error) {
 }
 
 // MeasureServerPathAllocs profiles the dispatch path with valueSize-byte
-// SET payloads. dispatchMode is a Config.Dispatch value ("", "conn",
-// "affine"); affine measurements include the route → shard worker →
-// drain round trip per command.
-func MeasureServerPathAllocs(dispatchMode string, valueSize int) (PathAllocs, error) {
-	s, err := New(Config{Dispatch: dispatchMode})
+// SET payloads.
+func MeasureServerPathAllocs(valueSize int) (PathAllocs, error) {
+	s, err := New(Config{})
 	if err != nil {
 		return PathAllocs{}, err
 	}
@@ -95,8 +93,7 @@ func MeasureServerPathAllocs(dispatchMode string, valueSize int) (PathAllocs, er
 
 	measure := func(wire []byte) float64 {
 		rr := resp.NewRequestReader(bufio.NewReaderSize(&loopReader{data: wire}, 16<<10), s.cfg.Limits)
-		// Warm the arena, span table, session scratch and (in affine
-		// mode) the per-op worker scratch to steady state.
+		// Warm the arena, span table and session scratch to steady state.
 		for i := 0; i < 8; i++ {
 			args, err := rr.ReadCommandReuse()
 			if err != nil {
@@ -104,16 +101,13 @@ func MeasureServerPathAllocs(dispatchMode string, valueSize int) (PathAllocs, er
 			}
 			ss.dispatch(args)
 		}
-		ss.drain()
-		n := testing.AllocsPerRun(200, func() {
+		return testing.AllocsPerRun(200, func() {
 			args, err := rr.ReadCommandReuse()
 			if err != nil {
 				panic(err)
 			}
 			ss.dispatch(args)
-			ss.drain()
 		})
-		return n
 	}
 
 	bulk := func(arg []byte) string {

@@ -31,33 +31,10 @@ type session struct {
 	// counters (see metrics.go) — assigned once per session so counter
 	// writes from different connections land on different cache lines.
 	stripe uint32
-
-	// Affine-mode state (nil/empty in conn mode): a fixed ring of op
-	// slots with stable addresses, ss.ops[:pend] routed and not yet
-	// answered, the per-shard chains being assembled for the current
-	// drain window, and the barrier the workers signal completion on.
-	// See affine.go.
-	ops     []affineOp
-	pend    int
-	tails   []*affineOp // per shard: chain tail (head is tail's first link)
-	heads   []*affineOp // per shard: chain head, nil when no pending ops
-	touched []int       // shards with a non-empty chain, in first-use order
-	wg      wgBarrier
 }
 
 func newSession(s *Server, w *resp.Writer) *session {
-	ss := &session{s: s, w: w, stripe: s.met.connSeq.Add(1)}
-	if s.aff != nil {
-		ss.ops = make([]affineOp, affineBurstMax)
-		for i := range ss.ops {
-			ss.ops[i].done = &ss.wg
-		}
-		n := s.db.Shards()
-		ss.heads = make([]*affineOp, n)
-		ss.tails = make([]*affineOp, n)
-		ss.touched = make([]int, 0, n)
-	}
-	return ss
+	return &session{s: s, w: w, stripe: s.met.connSeq.Add(1)}
 }
 
 // dispatch answers one command into ss.w (the caller flushes). It
@@ -70,9 +47,7 @@ func newSession(s *Server, w *resp.Writer) *session {
 // times the inline execution, and records calls / errors / latency into
 // the metrics registry plus the slowlog threshold check — all wait-free
 // and allocation-free (time.Now is a vDSO read; the slowlog only copies
-// arguments for commands that already blew the threshold). Routed
-// affine ops skip this path and are recorded at drain time instead,
-// where their replies are written (see affine.go).
+// arguments for commands that already blew the threshold).
 func (ss *session) dispatch(args [][]byte) (quit bool) {
 	// Upcase into session scratch (args[0] must stay intact: the
 	// unknown-command error echoes it as typed), then switch directly
@@ -80,15 +55,6 @@ func (ss *session) dispatch(args [][]byte) (quit bool) {
 	// the scratch is warm, and the compiler elides the conversion copy
 	// when the string is only compared.
 	cmd := ss.upper(args[0])
-	if ss.s.aff != nil {
-		if ss.route(cmd, args) {
-			return false
-		}
-		// Not routable: run inline, AFTER every routed op has finished,
-		// so per-key ordering and reply ordering both hold (see
-		// affine.go for the protocol).
-		ss.drain()
-	}
 	ci := cmdIndexOf(cmd)
 	errsBefore := ss.w.ErrorCount()
 	start := time.Now()
@@ -101,8 +67,9 @@ func (ss *session) dispatch(args [][]byte) (quit bool) {
 	return quit
 }
 
-// dispatchCmd executes one inline command (everything but routed affine
-// ops goes through here).
+// dispatchCmd executes one command. It is the one place each mutation's
+// order is written: take the persistence gate, clear or capture the TTL
+// arming, store or delete, then append the AOF record.
 func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 	s, w := ss.s, ss.w
 	switch string(cmd) {

@@ -290,37 +290,6 @@ func TestServerReapNow(t *testing.T) {
 	c.mustBulk("3", "GET", "c")
 }
 
-func TestServerExpiryAffineMode(t *testing.T) {
-	clk := newFakeClock()
-	_, addr := startServer(t, clk.cfg(Config{Dispatch: "affine"}))
-	c := dial(t, addr)
-
-	// GET/EXISTS run on shard workers; EXPIRE/TTL run inline behind the
-	// drain barrier. The lazy check must hold on both paths.
-	c.mustSimple("OK", "SET", "k", "v")
-	c.mustInt(1, "PEXPIRE", "k", "1000")
-	c.mustBulk("v", "GET", "k")
-	c.mustInt(1, "EXISTS", "k")
-	clk.advance(1001)
-	c.mustNull("GET", "k")
-	c.mustInt(0, "EXISTS", "k")
-	c.mustInt(0, "DBSIZE")
-
-	// Routed SET clears a TTL (worker-side clearTTL).
-	c.mustSimple("OK", "SET", "j", "v1")
-	c.mustInt(1, "PEXPIRE", "j", "1000")
-	c.mustSimple("OK", "SET", "j", "v2")
-	c.mustInt(-1, "TTL", "j")
-	clk.advance(5000)
-	c.mustBulk("v2", "GET", "j")
-
-	// Routed DEL drops the arming with the value.
-	c.mustInt(1, "PEXPIRE", "j", "1000")
-	c.mustInt(1, "DEL", "j")
-	c.mustSimple("OK", "SET", "j", "v3")
-	c.mustInt(-1, "TTL", "j")
-}
-
 func TestServerTTLSurvivesRestart(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()

@@ -34,11 +34,6 @@ type Keyer interface {
 	// key. It is only defined on Encode's image; the server only calls
 	// it on keys read back out of the trie.
 	Decode(k uint64) []byte
-	// DecodeAppend appends the wire form of k to dst and returns the
-	// extended slice, so hot paths (SCAN replies, AOF re-rendering in
-	// affine dispatch) can reuse one scratch buffer instead of
-	// allocating per key. Same domain restriction as Decode.
-	DecodeAppend(dst []byte, k uint64) []byte
 }
 
 // NewKeyer resolves a keyer by name: "bytes" (BytesKeyer) or "decimal"
@@ -106,11 +101,6 @@ func (DecimalKeyer) Decode(k uint64) []byte {
 	return strconv.AppendUint(nil, k, 10)
 }
 
-// DecodeAppend implements Keyer.
-func (DecimalKeyer) DecodeAppend(dst []byte, k uint64) []byte {
-	return strconv.AppendUint(dst, k, 10)
-}
-
 // BytesKeyer maps short binary keys — 1 to 7 arbitrary bytes, NULs and
 // all — injectively into a 59-bit trie key: the bytes big-endian in
 // the top 56 bits, zero-padded, with the byte count in the low 3 bits
@@ -153,16 +143,12 @@ func (BytesKeyer) Encode(key []byte) (uint64, error) {
 }
 
 // Decode implements Keyer.
-func (b BytesKeyer) Decode(k uint64) []byte {
-	return b.DecodeAppend(nil, k)
-}
-
-// DecodeAppend implements Keyer.
-func (BytesKeyer) DecodeAppend(dst []byte, k uint64) []byte {
+func (BytesKeyer) Decode(k uint64) []byte {
 	n := int(k & 7)
 	v := k >> 3
-	for i := 0; i < n; i++ {
-		dst = append(dst, byte(v>>(8*uint(BytesKeyerMaxLen-1-i))))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(v >> (8 * uint(BytesKeyerMaxLen-1-i)))
 	}
-	return dst
+	return out
 }

@@ -6,15 +6,34 @@ import (
 )
 
 func TestDecimalKeyerRoundTrip(t *testing.T) {
-	d := DecimalKeyer{KeyWidth: 20}
-	for _, key := range []string{"0", "1", "7", "42", "1048575"} {
-		k, err := d.Encode([]byte(key))
-		if err != nil {
-			t.Fatalf("Encode(%q): %v", key, err)
+	for _, tc := range []struct {
+		width uint32
+		keys  []string
+	}{
+		{20, []string{"0", "1", "7", "42", "1048575"}},
+		{63, []string{"0", "42", "9223372036854775807"}},
+	} {
+		d := DecimalKeyer{KeyWidth: tc.width}
+		for _, key := range tc.keys {
+			k, err := d.Encode([]byte(key))
+			if err != nil {
+				t.Fatalf("width %d: Encode(%q): %v", tc.width, key, err)
+			}
+			if got := string(d.Decode(k)); got != key {
+				t.Errorf("width %d: Decode(Encode(%q)) = %q", tc.width, key, got)
+			}
 		}
-		if got := string(d.Decode(k)); got != key {
-			t.Errorf("Decode(Encode(%q)) = %q", key, got)
+	}
+	// Encode runs on every command: the manual digit parse must not
+	// allocate (a strconv string conversion would).
+	d := DecimalKeyer{KeyWidth: 63}
+	num := []byte("123456789")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.Encode(num); err != nil {
+			panic(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("decimal Encode allocates %.1f/op, pinned at 0", allocs)
 	}
 }
 
@@ -32,7 +51,7 @@ func TestBytesKeyerRoundTrip(t *testing.T) {
 	keys := [][]byte{
 		[]byte("a"), []byte("ab"), []byte("abcdefg"),
 		{0}, {0, 0}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		[]byte("a\x00b"), []byte("1234567"),
+		[]byte("a\x00b"), []byte("1234567"), {0, 1, 2},
 	}
 	seen := map[uint64][]byte{}
 	for _, key := range keys {
@@ -99,61 +118,6 @@ func TestBytesKeyerExhaustiveShort(t *testing.T) {
 	}
 	if n != 256+65536 {
 		t.Fatalf("covered %d keys", n)
-	}
-}
-
-// TestDecodeAppend: DecodeAppend must agree with Decode and extend the
-// caller's buffer in place, and the Encode/DecodeAppend pair must be
-// allocation-free once scratch is warm — the server's affine dispatch
-// re-renders AOF keys with it on every mutation.
-func TestDecodeAppend(t *testing.T) {
-	b := BytesKeyer{}
-	d := DecimalKeyer{KeyWidth: 63}
-	scratch := append([]byte(nil), "prefix:"...)
-	for _, key := range [][]byte{[]byte("a"), []byte("abcdefg"), {0, 1, 2}} {
-		k, err := b.Encode(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := b.DecodeAppend(scratch, k)
-		if !bytes.Equal(got, append(append([]byte(nil), scratch...), key...)) {
-			t.Errorf("DecodeAppend(%q, Encode(%q)) = %q", scratch, key, got)
-		}
-	}
-	for _, key := range []string{"0", "42", "9223372036854775807"} {
-		k, err := d.Encode([]byte(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.DecodeAppend(nil, k); string(got) != key {
-			t.Errorf("decimal DecodeAppend = %q, want %q", got, key)
-		}
-	}
-
-	wire := []byte("key:123")
-	buf := make([]byte, 0, 16)
-	if allocs := testing.AllocsPerRun(100, func() {
-		k, err := b.Encode(wire)
-		if err != nil {
-			panic(err)
-		}
-		if buf = b.DecodeAppend(buf[:0], k); len(buf) != len(wire) {
-			panic("lost bytes")
-		}
-	}); allocs != 0 {
-		t.Errorf("bytes Encode+DecodeAppend allocates %.1f/op, pinned at 0", allocs)
-	}
-	num := []byte("123456789")
-	if allocs := testing.AllocsPerRun(100, func() {
-		k, err := d.Encode(num)
-		if err != nil {
-			panic(err)
-		}
-		if buf = d.DecodeAppend(buf[:0], k); len(buf) != len(num) {
-			panic("lost bytes")
-		}
-	}); allocs != 0 {
-		t.Errorf("decimal Encode+DecodeAppend allocates %.1f/op, pinned at 0", allocs)
 	}
 }
 

@@ -65,7 +65,7 @@ var cmdNames = [cmdCount]string{
 // cmdIndexOf classifies an upcased command word. The []byte→string
 // conversions in the switch are elided by the compiler (comparison
 // only), so this is allocation-free — it sits on the per-command hot
-// path in both dispatch modes.
+// path.
 func cmdIndexOf(cmd []byte) cmdIndex {
 	switch string(cmd) {
 	case "GET":
@@ -122,12 +122,6 @@ func cmdIndexOf(cmd []byte) cmdIndex {
 		return cmdSlowlog
 	}
 	return cmdOther
-}
-
-// opCmdIndex maps affine op kinds to command indices, for recording
-// routed ops at drain time.
-var opCmdIndex = [...]cmdIndex{
-	opGet: cmdGet, opSet: cmdSet, opDel: cmdDel, opExists: cmdExists,
 }
 
 // metrics is the server's always-on counter registry. Per-command call

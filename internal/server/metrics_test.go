@@ -36,69 +36,72 @@ func metricValue(t *testing.T, text, prefix string) int64 {
 	return 0
 }
 
+// TestMetricsFamiliesAndCounts and TestSlowlogCommands name their
+// subtest for the dispatch path it covers: every command runs on its
+// connection's goroutine.
 func TestMetricsFamiliesAndCounts(t *testing.T) {
-	for _, mode := range []string{"conn", "affine"} {
-		t.Run(mode, func(t *testing.T) {
-			s, addr := startServer(t, Config{Dispatch: mode})
+	t.Run("conn", metricsFamiliesAndCounts)
+}
 
-			// Idle: the engine's contention counters must read zero before
-			// any command touches the trie.
-			idle := metricsText(t, s)
-			for _, m := range []string{
-				"nbtried_engine_help_total",
-				"nbtried_engine_help_assists_total",
-				"nbtried_engine_child_cas_failures_total",
-				"nbtried_engine_flag_backtracks_total",
-				"nbtried_engine_op_retries_total",
-				"nbtried_engine_snapshot_renewals_total",
-			} {
-				if v := metricValue(t, idle, m); v != 0 {
-					t.Errorf("idle server: %s = %d, want 0", m, v)
-				}
-			}
+func metricsFamiliesAndCounts(t *testing.T) {
+	s, addr := startServer(t, Config{})
 
-			c := dial(t, addr)
-			c.mustSimple("OK", "SET", "a", "1")
-			c.mustBulk("1", "GET", "a")
-			c.mustNull("GET", "missing")
-			c.mustInt(1, "DEL", "a")
-			c.mustErrContain("wrong number of arguments", "GET")
+	// Idle: the engine's contention counters must read zero before
+	// any command touches the trie.
+	idle := metricsText(t, s)
+	for _, m := range []string{
+		"nbtried_engine_help_total",
+		"nbtried_engine_help_assists_total",
+		"nbtried_engine_child_cas_failures_total",
+		"nbtried_engine_flag_backtracks_total",
+		"nbtried_engine_op_retries_total",
+		"nbtried_engine_snapshot_renewals_total",
+	} {
+		if v := metricValue(t, idle, m); v != 0 {
+			t.Errorf("idle server: %s = %d, want 0", m, v)
+		}
+	}
 
-			text := metricsText(t, s)
-			// Exact per-command counts: the error-arity GET still counts as
-			// a GET call and as one GET error.
-			if v := metricValue(t, text, `nbtried_commands_total{cmd="get"}`); v != 3 {
-				t.Errorf(`commands_total{cmd="get"} = %d, want 3`, v)
-			}
-			if v := metricValue(t, text, `nbtried_commands_total{cmd="set"}`); v != 1 {
-				t.Errorf(`commands_total{cmd="set"} = %d, want 1`, v)
-			}
-			if v := metricValue(t, text, `nbtried_command_errors_total{cmd="get"}`); v != 1 {
-				t.Errorf(`command_errors_total{cmd="get"} = %d, want 1`, v)
-			}
-			if v := metricValue(t, text, "nbtried_engine_help_total"); v == 0 {
-				t.Error("engine_help_total still zero after a SET")
-			}
-			if v := metricValue(t, text, "nbtried_connections_total"); v != 1 {
-				t.Errorf("connections_total = %d, want 1", v)
-			}
-			for _, m := range []string{
-				"nbtried_net_input_bytes_total",
-				"nbtried_net_output_bytes_total",
-				`nbtried_command_latency_seconds_count{cmd="set"}`,
-			} {
-				if v := metricValue(t, text, m); v <= 0 {
-					t.Errorf("%s = %d, want > 0", m, v)
-				}
-			}
-			// Histogram well-formedness: a +Inf bucket per emitted family.
-			if !strings.Contains(text, `nbtried_command_latency_seconds_bucket{cmd="set",le="+Inf"}`) {
-				t.Error("command latency histogram missing +Inf bucket for set")
-			}
-			if !strings.Contains(text, "nbtried_engine_depth_bucket{") {
-				t.Error("engine depth histogram missing after mutations")
-			}
-		})
+	c := dial(t, addr)
+	c.mustSimple("OK", "SET", "a", "1")
+	c.mustBulk("1", "GET", "a")
+	c.mustNull("GET", "missing")
+	c.mustInt(1, "DEL", "a")
+	c.mustErrContain("wrong number of arguments", "GET")
+
+	text := metricsText(t, s)
+	// Exact per-command counts: the error-arity GET still counts as
+	// a GET call and as one GET error.
+	if v := metricValue(t, text, `nbtried_commands_total{cmd="get"}`); v != 3 {
+		t.Errorf(`commands_total{cmd="get"} = %d, want 3`, v)
+	}
+	if v := metricValue(t, text, `nbtried_commands_total{cmd="set"}`); v != 1 {
+		t.Errorf(`commands_total{cmd="set"} = %d, want 1`, v)
+	}
+	if v := metricValue(t, text, `nbtried_command_errors_total{cmd="get"}`); v != 1 {
+		t.Errorf(`command_errors_total{cmd="get"} = %d, want 1`, v)
+	}
+	if v := metricValue(t, text, "nbtried_engine_help_total"); v == 0 {
+		t.Error("engine_help_total still zero after a SET")
+	}
+	if v := metricValue(t, text, "nbtried_connections_total"); v != 1 {
+		t.Errorf("connections_total = %d, want 1", v)
+	}
+	for _, m := range []string{
+		"nbtried_net_input_bytes_total",
+		"nbtried_net_output_bytes_total",
+		`nbtried_command_latency_seconds_count{cmd="set"}`,
+	} {
+		if v := metricValue(t, text, m); v <= 0 {
+			t.Errorf("%s = %d, want > 0", m, v)
+		}
+	}
+	// Histogram well-formedness: a +Inf bucket per emitted family.
+	if !strings.Contains(text, `nbtried_command_latency_seconds_bucket{cmd="set",le="+Inf"}`) {
+		t.Error("command latency histogram missing +Inf bucket for set")
+	}
+	if !strings.Contains(text, "nbtried_engine_depth_bucket{") {
+		t.Error("engine depth histogram missing after mutations")
 	}
 }
 
@@ -160,61 +163,60 @@ func TestMetricsEngineContention(t *testing.T) {
 }
 
 func TestSlowlogCommands(t *testing.T) {
-	for _, mode := range []string{"conn", "affine"} {
-		t.Run(mode, func(t *testing.T) {
-			_, addr := startServer(t, Config{
-				Dispatch:            mode,
-				SlowlogSlowerThanUS: SlowlogAll,
-				SlowlogMaxLen:       4,
-			})
-			c := dial(t, addr)
-			c.mustSimple("OK", "SET", "a", "1")
-			c.mustBulk("1", "GET", "a")
+	t.Run("conn", slowlogCommands)
+}
 
-			v := c.do("SLOWLOG", "GET")
-			if v.Kind != resp.TypeArray || len(v.Array) < 2 {
-				t.Fatalf("SLOWLOG GET = %s, want >=2 entries", v)
-			}
-			// Newest first: entry 0 is the GET, entry 1 the SET. Each entry
-			// is [id, unix-ts, duration-us, args...].
-			e := v.Array[0]
-			if e.Kind != resp.TypeArray || len(e.Array) != 4 {
-				t.Fatalf("entry = %s, want 4 fields", e)
-			}
-			if e.Array[0].Kind != resp.TypeInt || e.Array[2].Kind != resp.TypeInt {
-				t.Fatalf("entry ids/durations not integers: %s", e)
-			}
-			args := e.Array[3]
-			if args.Kind != resp.TypeArray || len(args.Array) != 2 ||
-				!strings.EqualFold(string(args.Array[0].Str), "GET") {
-				t.Fatalf("newest entry args = %s, want [GET a]", args)
-			}
+func slowlogCommands(t *testing.T) {
+	_, addr := startServer(t, Config{
+		SlowlogSlowerThanUS: SlowlogAll,
+		SlowlogMaxLen:       4,
+	})
+	c := dial(t, addr)
+	c.mustSimple("OK", "SET", "a", "1")
+	c.mustBulk("1", "GET", "a")
 
-			// LEN is capped at SlowlogMaxLen; the ring keeps the newest.
-			for i := 0; i < 10; i++ {
-				c.mustSimple("OK", "SET", fmt.Sprintf("k%d", i), "v")
-			}
-			lv := c.do("SLOWLOG", "LEN")
-			if lv.Kind != resp.TypeInt || lv.Int != 4 {
-				t.Fatalf("SLOWLOG LEN = %s, want 4", lv)
-			}
-
-			// GET n limits, GET -1 returns all.
-			if got := c.do("SLOWLOG", "GET", "2"); len(got.Array) != 2 {
-				t.Fatalf("SLOWLOG GET 2 returned %d entries", len(got.Array))
-			}
-			if got := c.do("SLOWLOG", "GET", "-1"); len(got.Array) != 4 {
-				t.Fatalf("SLOWLOG GET -1 returned %d entries, want 4", len(got.Array))
-			}
-
-			// With SlowlogAll the RESET itself is logged after it empties
-			// the ring (Redis does the same with slowlog-log-slower-than 0).
-			c.mustSimple("OK", "SLOWLOG", "RESET")
-			c.mustInt(1, "SLOWLOG", "LEN")
-			c.mustErrContain("unknown SLOWLOG subcommand", "SLOWLOG", "HELP")
-			c.mustErrContain("count should be >= -1", "SLOWLOG", "GET", "-5")
-		})
+	v := c.do("SLOWLOG", "GET")
+	if v.Kind != resp.TypeArray || len(v.Array) < 2 {
+		t.Fatalf("SLOWLOG GET = %s, want >=2 entries", v)
 	}
+	// Newest first: entry 0 is the GET, entry 1 the SET. Each entry
+	// is [id, unix-ts, duration-us, args...].
+	e := v.Array[0]
+	if e.Kind != resp.TypeArray || len(e.Array) != 4 {
+		t.Fatalf("entry = %s, want 4 fields", e)
+	}
+	if e.Array[0].Kind != resp.TypeInt || e.Array[2].Kind != resp.TypeInt {
+		t.Fatalf("entry ids/durations not integers: %s", e)
+	}
+	args := e.Array[3]
+	if args.Kind != resp.TypeArray || len(args.Array) != 2 ||
+		!strings.EqualFold(string(args.Array[0].Str), "GET") {
+		t.Fatalf("newest entry args = %s, want [GET a]", args)
+	}
+
+	// LEN is capped at SlowlogMaxLen; the ring keeps the newest.
+	for i := 0; i < 10; i++ {
+		c.mustSimple("OK", "SET", fmt.Sprintf("k%d", i), "v")
+	}
+	lv := c.do("SLOWLOG", "LEN")
+	if lv.Kind != resp.TypeInt || lv.Int != 4 {
+		t.Fatalf("SLOWLOG LEN = %s, want 4", lv)
+	}
+
+	// GET n limits, GET -1 returns all.
+	if got := c.do("SLOWLOG", "GET", "2"); len(got.Array) != 2 {
+		t.Fatalf("SLOWLOG GET 2 returned %d entries", len(got.Array))
+	}
+	if got := c.do("SLOWLOG", "GET", "-1"); len(got.Array) != 4 {
+		t.Fatalf("SLOWLOG GET -1 returned %d entries, want 4", len(got.Array))
+	}
+
+	// With SlowlogAll the RESET itself is logged after it empties
+	// the ring (Redis does the same with slowlog-log-slower-than 0).
+	c.mustSimple("OK", "SLOWLOG", "RESET")
+	c.mustInt(1, "SLOWLOG", "LEN")
+	c.mustErrContain("unknown SLOWLOG subcommand", "SLOWLOG", "HELP")
+	c.mustErrContain("count should be >= -1", "SLOWLOG", "GET", "-5")
 }
 
 func TestSlowlogTruncation(t *testing.T) {

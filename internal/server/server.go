@@ -42,8 +42,12 @@
 //	          dump fields — DESIGN.md §12)
 //
 // Wire keys pass through a pluggable Keyer (see keyer.go); values are
-// stored as the raw request bytes (the RESP reader hands each argument
-// out as a freshly allocated slice, so storing it aliases nothing).
+// stored as the raw request bytes. The RESP reader parses each command
+// into a per-connection arena that the next command overwrites
+// (resp.RequestReader.ReadCommandReuse), so every argument is a view
+// valid for the current command only: keys are encoded to trie keys on
+// the spot, and the one slice that outlives the command — a SET/MSET
+// value headed into the map — is copied out with resp.Detach.
 package server
 
 import (
@@ -89,12 +93,6 @@ type Config struct {
 	// then terminates early with cursor 0, which clients must already
 	// tolerate — Redis cursors expire too).
 	MaxScanCursors int
-	// Dispatch selects the dispatch model: "conn" (default; each
-	// connection goroutine calls straight into the trie) or "affine"
-	// (single-key commands are routed to per-shard worker loops so
-	// writers on different shards never share cache lines; see
-	// affine.go and DESIGN.md §10).
-	Dispatch string
 	// Clock returns the current time in Unix milliseconds; nil means
 	// the wall clock. Expiry deadlines are evaluated against it —
 	// injectable so expiry tests are deterministic.
@@ -144,10 +142,6 @@ type Server struct {
 	gate sync.RWMutex
 	pst  *persister // nil when persistence is disabled
 
-	// aff is the shard-affine dispatcher (nil in conn mode): per-shard
-	// worker goroutines fed by request rings (see affine.go).
-	aff *affineDispatcher
-
 	// Snapshot-backed SCAN cursor table (see scan in dispatch.go).
 	scanMu   sync.Mutex
 	scans    map[uint64]*scanCursor
@@ -182,13 +176,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxScanCursors <= 0 {
 		cfg.MaxScanCursors = 128
-	}
-	switch cfg.Dispatch {
-	case "":
-		cfg.Dispatch = "conn"
-	case "conn", "affine":
-	default:
-		return nil, fmt.Errorf("server: unknown dispatch mode %q (want conn or affine)", cfg.Dispatch)
 	}
 	if cfg.Span == 0 {
 		cfg.Span = 1
@@ -236,13 +223,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.pst = p
 	}
-	if cfg.Dispatch == "affine" {
-		// Workers start after recovery: the first routed op must see the
-		// fully recovered keyspace, and recovery itself stays
-		// single-threaded.
-		s.aff = newAffineDispatcher(s)
-	}
-	// The reaper starts after recovery too: its opening pass purges
+	// The reaper starts after recovery: its opening pass purges
 	// whatever expired while the process was down, so a recovered
 	// keyspace converges to live-keys-only without waiting for reads.
 	go s.reaperLoop()
@@ -330,14 +311,9 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	// Every connection goroutine has drained, so no more ops can be
-	// routed: the affine workers stop first (they may still be draining
-	// appends), then the reaper (its purges mutate the map but never the
-	// AOF), and only then is the persister sealed — same "no append can
-	// race the shutdown" order as conn mode.
-	if s.aff != nil {
-		s.aff.stop()
-	}
+	// Every connection goroutine has drained, so no command can append
+	// any more: the reaper stops next (its purges mutate the map but
+	// never the AOF), and only then is the persister sealed.
 	close(s.reapStop)
 	<-s.reapDone
 	if s.pst != nil {
@@ -394,8 +370,8 @@ func (cw commitBeforeWrite) Write(p []byte) (int, error) {
 
 // flushBeforeRead interposes on the connection's read side: any read
 // that goes to the socket — which is exactly when the request parser
-// has exhausted its buffer and is about to block — first drains any
-// in-flight affine ops and flushes the pending replies. This is what
+// has exhausted its buffer and is about to block — first flushes the
+// pending replies. This is what
 // makes the pipelining model deadlock free in every case: a client
 // that sent N complete commands plus a *partial* (N+1)-th and then
 // waits for replies before sending the rest still gets its N replies,
@@ -414,7 +390,6 @@ type flushBeforeRead struct {
 }
 
 func (f flushBeforeRead) Read(p []byte) (int, error) {
-	f.ss.drain()
 	if f.ss.w.Buffered() > 0 {
 		if err := f.ss.w.Flush(); err != nil {
 			return 0, err
@@ -454,10 +429,6 @@ func (s *Server) handle(c net.Conn) {
 	for {
 		args, err := rr.ReadCommandReuse()
 		if err != nil {
-			// Routed ops may still be in flight when the parser fails
-			// without touching the socket (malformed bytes mid-buffer);
-			// their replies precede the error on the wire.
-			ss.drain()
 			if resp.IsProtocolError(err) {
 				w.WriteError("ERR protocol error: " + err.Error())
 				w.Flush()
@@ -501,7 +472,6 @@ func (s *Server) infoSections() []infoSection {
 			fmt.Fprintf(b, "key_width_bits:%d\r\n", s.keyer.Width())
 			fmt.Fprintf(b, "shards:%d\r\n", s.db.Shards())
 			fmt.Fprintf(b, "trie_span_bits:%d\r\n", s.cfg.Span)
-			fmt.Fprintf(b, "dispatch:%s\r\n", s.cfg.Dispatch)
 			fmt.Fprintf(b, "uptime_in_seconds:%d\r\n", int64(time.Since(s.start).Seconds()))
 		}},
 		{"clients", "Clients", func(b *strings.Builder) {

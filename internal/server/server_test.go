@@ -128,6 +128,7 @@ func TestServerBasics(t *testing.T) {
 	c.mustBulk("rebound", "GET", "foo")
 	c.mustInt(1, "DBSIZE")
 	c.mustInt(1, "DEL", "foo", "ghost")
+	c.mustInt(0, "DEL", "foo")
 	c.mustInt(0, "DBSIZE")
 	c.mustNull("GET", "foo")
 
@@ -345,9 +346,16 @@ func TestServerConcurrentClients(t *testing.T) {
 				return
 			}
 			for i := 0; i < 300*5; i++ {
-				if _, err := resp.ReadReply(r, resp.Limits{}); err != nil {
+				v, err := resp.ReadReply(r, resp.Limits{})
+				if err != nil {
 					t.Errorf("worker %d reply %d: %v", id, i, err)
 					return
+				}
+				if i%5 == 2 { // the GET of the worker's own key
+					if want := fmt.Sprintf("%d", i/5); string(v.Str) != want {
+						t.Errorf("worker %d own-key GET = %s, want %q", id, v, want)
+						return
+					}
 				}
 			}
 		}(w)
@@ -558,58 +566,24 @@ func TestServerFlushesBeforeBlockingOnPartialCommand(t *testing.T) {
 	}
 }
 
-// TestServerAffineBasics: the full command surface behaves identically
-// under -dispatch=affine — routed single-key commands, inline
-// multi-key/admin commands, errors, and case-insensitivity.
-func TestServerAffineBasics(t *testing.T) {
-	_, addr := startServer(t, Config{Dispatch: "affine"})
+// TestServerPipelinedMixedBurst: a deep pipelined burst mixing
+// single-key commands (the same keys repeatedly) with keyless and
+// multi-key commands must come back strictly in request order, each
+// reply observing every command pipelined before it.
+func TestServerPipelinedMixedBurst(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 8})
 	c := dial(t, addr)
 
-	c.mustSimple("PONG", "PING")
-	c.mustNull("GET", "nope")
-	c.mustSimple("OK", "SET", "foo", "bar")
-	c.mustBulk("bar", "GET", "foo")
-	c.mustInt(1, "EXISTS", "foo")
-	c.mustInt(1, "DEL", "foo")
-	c.mustInt(0, "DEL", "foo")
-	c.mustNull("GET", "foo")
-	c.mustSimple("OK", "set", "k", "v") // lowercase routes too
-	c.mustBulk("v", "gEt", "k")
-	c.mustSimple("OK", "MSET", "a", "1", "b", "2")
-	v := c.do("MGET", "a", "k", "nope")
-	if v.Kind != resp.TypeArray || len(v.Array) != 3 ||
-		string(v.Array[0].Str) != "1" || string(v.Array[1].Str) != "v" || !v.Array[2].IsNull() {
-		t.Fatalf("MGET = %s", v)
-	}
-	c.mustErrContain("unknown command", "FLUSHALL")
-	c.mustErrContain("9 bytes exceeds", "SET", "eightbyte", "v")
-	info := c.do("INFO")
-	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "dispatch:affine") {
-		t.Fatalf("INFO must report affine dispatch: %s", info)
-	}
-	c.mustSimple("OK", "QUIT")
-}
-
-// TestServerAffinePipelinedOrdering: a deep pipelined burst mixing
-// routed commands (different shards, same keys repeatedly) with inline
-// barrier commands must come back strictly in request order — the
-// reassembly protocol's core promise.
-func TestServerAffinePipelinedOrdering(t *testing.T) {
-	s, addr := startServer(t, Config{Dispatch: "affine", Shards: 8})
-	if s.DB().Shards() != 8 {
-		t.Fatalf("shards = %d", s.DB().Shards())
-	}
-	c := dial(t, addr)
-
-	const rounds = 300 // several affineBurstMax rings' worth
+	const rounds = 300
 	for i := 0; i < rounds; i++ {
 		key := fmt.Sprintf("k%d", i%17)
 		c.w.WriteCommandString("SET", key, fmt.Sprintf("v%d", i))
 		c.w.WriteCommandString("GET", key)
 		if i%50 == 49 {
-			// Inline command mid-burst: forces a drain barrier and must
-			// slot into the reply stream exactly here.
+			// Keyless and multi-key commands mid-burst must slot into the
+			// reply stream exactly here.
 			c.w.WriteCommandString("DBSIZE")
+			c.w.WriteCommandString("MGET", key, "nope")
 		}
 	}
 	if err := c.w.Flush(); err != nil {
@@ -627,69 +601,23 @@ func TestServerAffinePipelinedOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET reply %d: %v", i, err)
 		}
-		// Same-key FIFO through one shard ring: the GET pipelined right
-		// after its SET must observe exactly that SET's value.
-		if want := fmt.Sprintf("v%d", i); get.Kind != resp.TypeBulk || string(get.Str) != want {
+		// The GET pipelined right after its SET must observe exactly that
+		// SET's value.
+		want := fmt.Sprintf("v%d", i)
+		if get.Kind != resp.TypeBulk || string(get.Str) != want {
 			t.Fatalf("GET %d = %s, want %q (per-key order broken)", i, get, want)
 		}
 		if i%50 == 49 {
 			size, err := resp.ReadReply(c.r, resp.Limits{})
-			if err != nil || size.Kind != resp.TypeInt {
-				t.Fatalf("DBSIZE reply %d: %s, %v", i, size, err)
+			if err != nil || size.Kind != resp.TypeInt || size.Int != 17 {
+				t.Fatalf("DBSIZE reply %d: %s, %v, want 17", i, size, err)
+			}
+			mget, err := resp.ReadReply(c.r, resp.Limits{})
+			if err != nil || mget.Kind != resp.TypeArray || len(mget.Array) != 2 ||
+				string(mget.Array[0].Str) != want || !mget.Array[1].IsNull() {
+				t.Fatalf("MGET reply %d: %s, %v, want [%q nil]", i, mget, err, want)
 			}
 		}
-	}
-}
-
-// TestServerAffineConcurrentClients: many routers fanning into the same
-// shard workers, with -race watching the op hand-off protocol.
-func TestServerAffineConcurrentClients(t *testing.T) {
-	s, addr := startServer(t, Config{Dispatch: "affine"})
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-			wr := resp.NewWriter(bufio.NewWriter(conn))
-			mine := fmt.Sprintf("own%d", id)
-			for i := 0; i < 300; i++ {
-				wr.WriteCommandString("SET", mine, fmt.Sprintf("%d", i))
-				wr.WriteCommandString("SET", "shared", fmt.Sprintf("w%d-%d", id, i))
-				wr.WriteCommandString("GET", mine)
-				wr.WriteCommandString("DEL", "victim")
-				wr.WriteCommandString("SET", "victim", "v")
-			}
-			if err := wr.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < 300*5; i++ {
-				v, err := resp.ReadReply(r, resp.Limits{})
-				if err != nil {
-					t.Errorf("worker %d reply %d: %v", id, i, err)
-					return
-				}
-				if i%5 == 2 { // the GET of the worker's own key
-					if want := fmt.Sprintf("%d", i/5); string(v.Str) != want {
-						t.Errorf("worker %d own-key GET = %s, want %q", id, v, want)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	n := s.DB().Len()
-	if n < workers+1 || n > workers+2 {
-		t.Fatalf("DBSIZE = %d, want %d or %d", n, workers+1, workers+2)
 	}
 }
 

@@ -182,15 +182,6 @@ func (m *ShardedMap[V]) SameShard(a, b uint64) bool {
 	return m.t.SameShard(a, b)
 }
 
-// ShardOf returns the index (in [0, Shards())) of the shard owning k,
-// and false for keys outside the map's width. Shard-affine callers —
-// nbtried's -dispatch=affine routes each single-key command to a
-// per-shard worker with it — get the same partition the map itself
-// uses, so "same shard" here means "no contention there".
-func (m *ShardedMap[V]) ShardOf(k uint64) (int, bool) {
-	return m.t.ShardOf(k)
-}
-
 // All iterates over all entries in increasing key order, stitching the
 // per-shard ascents. Same consistency contract as Map.All per shard;
 // entries in different shards are not a single snapshot.
