@@ -78,8 +78,8 @@ type node[K keys.Key[K], V any] struct {
 	// frees the field to double as the leaf mark: they are structurally
 	// immutable, and the one mutation they can suffer (a general-case
 	// replace storing its Flag into the removed leaf's info) is filtered
-	// generationally through the Flag's pNode[0].gen instead (see
-	// Snapshot.removed).
+	// generationally through the generation of the Flag's first CAS
+	// target instead (see Snapshot.removed).
 	gen uint64
 
 	// info points at the header of the update operating on this node (a
@@ -302,50 +302,145 @@ type info[K keys.Key[K], V any] struct {
 
 // desc is the paper's Flag object: it describes one update operation
 // completely, so that any process reading it can finish the update
-// (help). Nodes point at its embedded header hdr, never at the desc
-// itself; that interior pointer keeps the whole descriptor alive for as
-// long as any node or delayed helper still holds it.
-//
-// Fixed-size arrays with explicit lengths keep each descriptor to a single
-// allocation; an update flags at most four internal nodes and changes at
-// most two child pointers (the replace general case). newDesc receives
-// the same fixed-size arrays as stack values, so a failed attempt
-// allocates nothing at all.
+// (help). It is the 16-byte header every descriptor shape starts with —
+// descOne, descTwo or descGen, the smallest that holds the update — and
+// parts recovers the shape's entries from it. Nodes point at its embedded
+// header hdr, never at the desc itself; that interior pointer keeps the
+// whole shape alive for as long as any node or delayed helper still
+// holds it.
 type desc[K keys.Key[K], V any] struct {
 	hdr info[K, V] // hdr.flag == this desc, set once by newFlag
 
-	nFlag   uint8 // entries used in flag/oldInfo
-	nUnflag uint8 // entries used in unflag
-	nPNode  uint8 // entries used in pNode/oldChild/newChild
+	nFlag uint8 // flag entries: the internal nodes to flag, in label order
+	nCAS  uint8 // CAS entries: the child (or root) pointers to swing
+
+	// tgt[j] is the index into the flag entries of the node whose child
+	// pointer CAS j swings, or rootTgt for the trie's root pointer. The
+	// targets are exactly the flagged nodes that stay in the trie, so
+	// they are what help unflags once the CASes are done; every other
+	// flagged node is removed by the update and stays flagged ("marked").
+	tgt [2]uint8
 
 	// flagDone is set once every node in flag was flagged successfully;
 	// helpers use it to distinguish "the update already happened and the
 	// node was unflagged" from "flagging failed, back off" (lines 93-106).
-	// It sits beside the counts so the header costs the desc no size
-	// class.
 	flagDone atomic.Bool
+}
 
-	// flag lists the internal nodes to flag, sorted by label; oldInfo[i]
-	// is the expected prior value of flag[i].info for the flag CAS.
-	flag    [4]*node[K, V]
-	oldInfo [4]*info[K, V]
+// rootTgt in desc.tgt marks a CAS on the trie's root pointer: the update
+// replaces the root node itself (a wide root's slot fill or clear).
+const rootTgt = ^uint8(0)
 
-	// unflag lists the flagged nodes that remain in the trie and must be
-	// unflagged once the child CASes are done. Nodes in flag but not in
-	// unflag are removed by the update and stay flagged ("marked").
-	unflag [2]*node[K, V]
+// flagEntry is one node to flag and the expected prior value of its info
+// for the flag CAS.
+type flagEntry[K keys.Key[K], V any] struct {
+	n       *node[K, V]
+	oldInfo *info[K, V]
+}
 
-	// For each i, the update CASes the appropriate child pointer of
-	// pNode[i] from oldChild[i] to newChild[i].
-	pNode    [2]*node[K, V]
-	oldChild [2]*node[K, V]
-	newChild [2]*node[K, V]
+// casEntry is one child CAS: the update swings the pointer its target
+// (desc.tgt) holds from oldChild to newChild.
+type casEntry[K keys.Key[K], V any] struct {
+	oldChild, newChild *node[K, V]
+}
 
-	// rmvLeaf, when non-nil, is the leaf holding the replaced key of a
-	// general-case replace. It is flagged (plain store) after all flag
-	// CASes succeed and before the first child CAS; searches reaching it
-	// afterwards use logicallyRemoved to decide whether the key is gone.
-	rmvLeaf *node[K, V]
+// The descriptor shapes. Each starts with the header (offset 0, pinned by
+// layout_test.go), so parts can cast back to it; shapeOf picks the shape
+// from the two counts alone, so the header is all parts needs. For a
+// Uint64Key trie they are 48, 64 and 120 B: the 48, 64 and 128 B size
+// classes.
+type (
+	// descOne: one flag, one CAS. An insert at a leaf, an overwrite,
+	// Replace case 1, a fill or clear of a wide root.
+	descOne[K keys.Key[K], V any] struct {
+		desc[K, V]
+		flag [1]flagEntry[K, V]
+		cas  [1]casEntry[K, V]
+	}
+	// descTwo: two flags, one CAS. A delete, an insert at an internal
+	// node, a fill or clear under a grandparent, a renewal, Replace cases
+	// 2 and 3.
+	descTwo[K keys.Key[K], V any] struct {
+		desc[K, V]
+		flag [2]flagEntry[K, V]
+		cas  [1]casEntry[K, V]
+	}
+	// descGen: Figure 6's general case and the three-flag fused cases.
+	descGen[K keys.Key[K], V any] struct {
+		desc[K, V]
+		flag [4]flagEntry[K, V]
+		cas  [2]casEntry[K, V]
+
+		// rmvLeaf, when non-nil, is the leaf holding the replaced key of
+		// a general-case replace. It is flagged (plain store) after all
+		// flag CASes succeed and before the first child CAS; searches
+		// reaching it afterwards use logicallyRemoved to decide whether
+		// the key is gone.
+		rmvLeaf *node[K, V]
+	}
+)
+
+const (
+	shapeOne = iota
+	shapeTwo
+	shapeGen
+)
+
+// shapeOf returns the smallest shape holding nFlag flag entries and nCAS
+// CAS entries.
+func shapeOf(nFlag, nCAS int) int {
+	switch {
+	case nCAS <= 1 && nFlag <= 1:
+		return shapeOne
+	case nCAS <= 1 && nFlag <= 2:
+		return shapeTwo
+	}
+	return shapeGen
+}
+
+// parts returns d's flag entries, its CAS entries and its removed leaf
+// (nil but for a general-case replace). The cast is sound because newFlag
+// allocated the shape the counts name, with the header first; the slices
+// alias the descriptor.
+func (d *desc[K, V]) parts() (flag []flagEntry[K, V], cas []casEntry[K, V], rmvLeaf *node[K, V]) {
+	switch shapeOf(int(d.nFlag), int(d.nCAS)) {
+	case shapeOne:
+		s := (*descOne[K, V])(unsafe.Pointer(d))
+		return s.flag[:d.nFlag], s.cas[:d.nCAS], nil
+	case shapeTwo:
+		s := (*descTwo[K, V])(unsafe.Pointer(d))
+		return s.flag[:d.nFlag], s.cas[:d.nCAS], nil
+	}
+	s := (*descGen[K, V])(unsafe.Pointer(d))
+	return s.flag[:d.nFlag], s.cas[:d.nCAS], s.rmvLeaf
+}
+
+// target returns the node whose child pointer CAS j swings, nil for the
+// root pointer; flag is d's flag entries.
+func (d *desc[K, V]) target(flag []flagEntry[K, V], j int) *node[K, V] {
+	if d.tgt[j] == rootTgt {
+		return nil
+	}
+	return flag[d.tgt[j]].n
+}
+
+// firstCAS returns the target and the old child of d's first CAS: the
+// linearization point whose having happened makes a general-case
+// replace's removed leaf logically removed.
+func (d *desc[K, V]) firstCAS() (p, oldChild *node[K, V]) {
+	flag, cas, _ := d.parts()
+	return d.target(flag, 0), cas[0].oldChild
+}
+
+// size returns the bytes of d's shape.
+func (d *desc[K, V]) size() uintptr {
+	switch shapeOf(int(d.nFlag), int(d.nCAS)) {
+	case shapeOne:
+		return unsafe.Sizeof(descOne[K, V]{})
+	case shapeTwo:
+		return unsafe.Sizeof(descTwo[K, V]{})
+	}
+	return unsafe.Sizeof(descGen[K, V]{})
 }
 
 // newUnflag allocates a fresh Unflag header. The allocation is
@@ -355,11 +450,29 @@ type desc[K keys.Key[K], V any] struct {
 // Do not pool or intern these.
 func newUnflag[K keys.Key[K], V any]() *info[K, V] { return new(info[K, V]) }
 
-// newFlag allocates a descriptor and ties its header to it; the caller
-// fills in the update.
-func newFlag[K keys.Key[K], V any]() *desc[K, V] {
-	d := new(desc[K, V])
+// newFlag allocates the smallest shape holding the first nFlag entries of
+// flag, the first nCAS of cas and rmvLeaf, fills it in and ties its
+// header to it. Only a general-case replace has a removed leaf, and it
+// has two CASes, so the counts alone name the general shape for it.
+func newFlag[K keys.Key[K], V any](flag *[4]flagEntry[K, V], nFlag int,
+	cas *[2]casEntry[K, V], nCAS int, tgt [2]uint8, rmvLeaf *node[K, V]) *desc[K, V] {
+	if rmvLeaf != nil && nCAS != 2 {
+		panic("engine: a removed leaf belongs to a two-CAS general-case replace")
+	}
+	var d *desc[K, V]
+	switch shapeOf(nFlag, nCAS) {
+	case shapeOne:
+		s := &descOne[K, V]{flag: [1]flagEntry[K, V]{flag[0]}, cas: [1]casEntry[K, V]{cas[0]}}
+		d = &s.desc
+	case shapeTwo:
+		s := &descTwo[K, V]{flag: [2]flagEntry[K, V]{flag[0], flag[1]}, cas: [1]casEntry[K, V]{cas[0]}}
+		d = &s.desc
+	default:
+		s := &descGen[K, V]{flag: *flag, cas: *cas, rmvLeaf: rmvLeaf}
+		d = &s.desc
+	}
 	d.hdr.flag = d
+	d.nFlag, d.nCAS, d.tgt = uint8(nFlag), uint8(nCAS), tgt
 	return d
 }
 
@@ -523,14 +636,14 @@ func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 // logicallyRemoved implements lines 122-124: a leaf whose info field holds
 // the Flag of a general-case replace is logically removed once that
 // replace's first child CAS has happened, which is detectable by the old
-// child no longer being a child of pNode[0] (Lemma 41). A nil pNode[0] is
-// the root-CAS sentinel: the replace's insert half replaced the root node
-// itself, so the check is against the trie's root pointer.
+// child no longer being a child of that CAS's target (Lemma 41). A nil
+// target is the root-CAS sentinel: the replace's insert half replaced the
+// root node itself, so the check is against the trie's root pointer.
 func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.flag.pNode[0], i.flag.oldChild[0]
+	p, old := i.flag.firstCAS()
 	if p == nil {
 		return t.root.Load() != old
 	}

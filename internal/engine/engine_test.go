@@ -17,6 +17,8 @@ type (
 	unode = node[keys.Uint64Key, any]
 	udesc = desc[keys.Uint64Key, any]
 	uinfo = info[keys.Uint64Key, any]
+	uflag = flagEntry[keys.Uint64Key, any]
+	ucas  = casEntry[keys.Uint64Key, any]
 )
 
 // testTrie wraps the engine with a width so tests can speak uint64 user
@@ -53,9 +55,23 @@ func mustNew(t *testing.T, width uint32, opts ...Option[keys.Uint64Key, any]) te
 	return testTrie{Trie: New[keys.Uint64Key, any](lo, hi, opts...), width: width}
 }
 
-// testFlag returns an empty Flag descriptor for tests that fabricate
-// protocol states by hand; nodes are flagged with its &d.hdr.
-func testFlag() *udesc { return newFlag[keys.Uint64Key, any]() }
+// lane0 is the gate lane white-box tests hand to help, newDesc and the
+// other internals a mutator would hand its own lane to.
+func (tt testTrie) lane0() *lane { return &tt.gate.lanes[0] }
+
+// testFlag returns a Flag descriptor built by hand, past newDesc's checks,
+// for tests that fabricate protocol states: flag entries fs and CAS
+// entries cs, CAS j targeting fs[tgt[j]] (or rootTgt). Nodes are flagged
+// with its &d.hdr.
+func testFlag(fs []uflag, cs []ucas, tgt ...uint8) *udesc {
+	var f [4]uflag
+	var c [2]ucas
+	var tg [2]uint8
+	copy(f[:], fs)
+	copy(c[:], cs)
+	copy(tg[:], tgt)
+	return newFlag(&f, len(fs), &c, len(cs), tg, nil)
+}
 
 func newTestLeaf(tt testTrie, k uint64) *unode {
 	return newLeaf[keys.Uint64Key, any](tt.enc(k))

@@ -92,7 +92,7 @@ func TestHelperCompletesStalledReplace(t *testing.T) {
 	done := make(chan bool)
 	go func() { done <- tr.Replace(100, 3002) }()
 	d := <-stalled
-	if d.rmvLeaf == nil {
+	if _, _, rmvLeaf := d.parts(); rmvLeaf == nil {
 		t.Fatalf("expected the stall to catch a general-case replace (rmvLeaf set)")
 	}
 
@@ -124,8 +124,9 @@ func TestHelperCompletesStalledReplace(t *testing.T) {
 // carries reports whether d installs the leaf k: as a new child, or as a
 // direct child of one (an insert's joining node).
 func carries(d *udesc, k keys.Uint64Key) bool {
-	for j := 0; j < int(d.nPNode); j++ {
-		c := d.newChild[j]
+	_, cas, _ := d.parts()
+	for _, e := range cas {
+		c := e.newChild
 		if c.isLeaf() {
 			if c.label.Equal(k) {
 				return true
@@ -308,8 +309,9 @@ func TestLoadPerformsNoCAS(t *testing.T) {
 	// Load must not have helped: every node the stalled update flagged
 	// still carries its descriptor (a CAS-ing reader would have completed
 	// the child swaps or unflagged them).
-	for j := 0; j < int(d.nFlag); j++ {
-		if d.flag[j].info.Load() != &d.hdr {
+	flag, _, _ := d.parts()
+	for _, f := range flag {
+		if f.n.info.Load() != &d.hdr {
 			t.Error("a flag planted by the stalled update was changed by Load")
 		}
 	}

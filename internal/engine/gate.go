@@ -34,8 +34,10 @@ import (
 // negative and a zero sum means none of them is still inside.
 //
 // The lanes also carry the two statistics every update records, Help and
-// Depth, each on a lane of its own draw: with them on shared words the
-// stripes would buy a fraction of what they do.
+// Depth: with them on shared words the stripes would buy a fraction of
+// what they do. An update records both on the lane it entered on, which
+// every mutator hands down to searchMut, help and the calls between, so
+// it draws once per operation.
 
 const (
 	// gateLanes is the number of lanes, a power of two. Eight were no
@@ -75,14 +77,12 @@ type gate struct {
 	pending atomic.Bool // a Snapshot holds mu and is draining or swapping
 }
 
-// pick returns a lane of a fresh random draw.
-func (g *gate) pick() *lane { return &g.lanes[rand.Uint32()%gateLanes] }
-
 // enter admits one mutating operation, waiting only while a Snapshot is
-// in progress, and returns the lane to hand back to exit.
+// in progress, and returns the lane to hand down to searchMut and help
+// and back to exit.
 func (g *gate) enter() *lane {
 	for {
-		l := g.pick()
+		l := &g.lanes[rand.Uint32()%gateLanes]
 		l.inflight.Add(1)
 		if !g.pending.Load() {
 			return l

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nbtrie/internal/keys"
 )
@@ -28,13 +29,9 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 		t.Fatal("test setup: expected internal children")
 	}
 	stale := newUnflag[keys.Uint64Key, any]() // never the current info of b
-	d := testFlag()
-	d.nFlag, d.nUnflag = 2, 2
-	d.flag[0], d.flag[1] = a, b
-	d.oldInfo[0], d.oldInfo[1] = a.info.Load(), stale
-	d.unflag[0], d.unflag[1] = a, b
+	d := testFlag([]uflag{{a, a.info.Load()}, {b, stale}}, nil)
 
-	if tr.help(d) {
+	if tr.help(tr.lane0(), d) {
 		t.Fatal("help must fail when a flag CAS cannot succeed")
 	}
 	if d.flagDone.Load() {
@@ -66,14 +63,13 @@ func TestNilBornInfoNoABA(t *testing.T) {
 	if x == tr.root.Load() || r.pInfo != nil || !r.node.isLeaf() {
 		t.Fatalf("setup: want 2's position under a never-flagged node, got p=%v pInfo=%p", x.label, r.pInfo)
 	}
-	join := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 2), nil)
+	join := tr.makeInternal(tr.lane0(), tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 2), nil)
 	if join == nil {
 		t.Fatal("setup: makeInternal failed")
 	}
-	stale := tr.newDesc(
-		[4]*unode{x}, [4]*uinfo{nil}, 1,
-		[2]*unode{x}, 1,
-		[2]*unode{x}, [2]*unode{r.node}, [2]*unode{join}, 1,
+	stale := tr.newDesc(tr.lane0(),
+		[4]uflag{{x, nil}}, 1,
+		[2]*unode{x}, [2]ucas{{r.node, join}}, 1,
 		nil)
 	if stale == nil {
 		t.Fatal("setup: a captured nil must be accepted as an old info value")
@@ -91,7 +87,7 @@ func TestNilBornInfoNoABA(t *testing.T) {
 	kids := [2]*unode{x.inner().child[0].Load(), x.inner().child[1].Load()}
 	dump := dumpShape(tr.Trie)
 
-	if tr.help(stale) {
+	if tr.help(tr.lane0(), stale) {
 		t.Fatal("help must fail: x's info is no longer the captured nil")
 	}
 	if stale.flagDone.Load() {
@@ -135,20 +131,19 @@ func TestHelpIsIdempotent(t *testing.T) {
 	tr.Insert(7)
 	r := tr.search(tr.enc(9))
 	nodeInfo := r.node.info.Load()
-	newNode := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
+	newNode := tr.makeInternal(tr.lane0(), tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
 	if newNode == nil {
 		t.Fatal("setup: makeInternal failed")
 	}
-	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
-		[2]*unode{r.p}, 1,
-		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{newNode}, 1,
+	d := tr.newDesc(tr.lane0(),
+		[4]uflag{{r.p, r.pInfo}}, 1,
+		[2]*unode{r.p}, [2]ucas{{r.node, newNode}}, 1,
 		nil)
-	if d == nil || !tr.help(d) {
+	if d == nil || !tr.help(tr.lane0(), d) {
 		t.Fatal("setup: first help must succeed")
 	}
 	for i := 0; i < 3; i++ {
-		if !tr.help(d) {
+		if !tr.help(tr.lane0(), d) {
 			t.Fatal("replayed help must still report success")
 		}
 	}
@@ -166,34 +161,32 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 	n := tr.root.Load().inner().child[0].Load()
 	info := n.info.Load()
 
-	// Same node twice with the same oldInfo: deduplicated to one entry.
-	d := tr.newDesc(
-		[4]*unode{n, n}, [4]*uinfo{info, info}, 2,
-		[2]*unode{n, n}, 2,
-		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
+	// Same node twice with the same oldInfo: deduplicated to one entry,
+	// which the CAS targets, in the shape the deduplicated count fits.
+	d := tr.newDesc(tr.lane0(),
+		[4]uflag{{n, info}, {n, info}}, 2,
+		[2]*unode{n}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil)
 	if d == nil {
 		t.Fatal("duplicates with equal oldInfo must be accepted")
 	}
-	if d.nFlag != 1 || d.nUnflag != 1 {
-		t.Errorf("dedup left nFlag=%d nUnflag=%d, want 1/1", d.nFlag, d.nUnflag)
+	if d.nFlag != 1 || d.tgt[0] != 0 || d.size() != unsafe.Sizeof(descOne[keys.Uint64Key, any]{}) {
+		t.Errorf("dedup left nFlag=%d, CAS target %d, a %d B shape; want 1, 0 and descOne", d.nFlag, d.tgt[0], d.size())
 	}
 
 	// Same node with different oldInfo: the node changed between reads.
-	if tr.newDesc(
-		[4]*unode{n, n}, [4]*uinfo{info, newUnflag[keys.Uint64Key, any]()}, 2,
-		[2]*unode{n}, 1,
-		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
+	if tr.newDesc(tr.lane0(),
+		[4]uflag{{n, info}, {n, newUnflag[keys.Uint64Key, any]()}}, 2,
+		[2]*unode{n}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil) != nil {
 		t.Error("duplicates with different oldInfo must be rejected")
 	}
 
 	// A flagged oldInfo: the conflicting update gets helped, nil returned.
-	flagged := testFlag()
-	if tr.newDesc(
-		[4]*unode{n}, [4]*uinfo{&flagged.hdr}, 1,
-		[2]*unode{n}, 1,
-		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
+	flagged := testFlag(nil, nil)
+	if tr.newDesc(tr.lane0(),
+		[4]uflag{{n, &flagged.hdr}}, 1,
+		[2]*unode{n}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil) != nil {
 		t.Error("flagged oldInfo must be rejected")
 	}
@@ -219,23 +212,27 @@ func TestNewDescSortsByLabel(t *testing.T) {
 	if len(internals) < 3 {
 		t.Fatalf("setup: want >=3 internal nodes, got %d", len(internals))
 	}
-	ns := [4]*unode{internals[2], internals[0], internals[1]}
-	is := [4]*uinfo{ns[0].info.Load(), ns[1].info.Load(), ns[2].info.Load()}
-	d := tr.newDesc(ns, is, 3,
-		[2]*unode{ns[0]}, 1,
-		[2]*unode{ns[0]}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
+	ns := [3]*unode{internals[2], internals[0], internals[1]}
+	d := tr.newDesc(tr.lane0(),
+		[4]uflag{{ns[0], ns[0].info.Load()}, {ns[1], ns[1].info.Load()}, {ns[2], ns[2].info.Load()}}, 3,
+		[2]*unode{ns[0]}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil)
 	if d == nil {
 		t.Fatal("newDesc failed")
 	}
-	for i := 1; i < int(d.nFlag); i++ {
-		if d.flag[i-1].label.Compare(d.flag[i].label) >= 0 {
-			t.Fatalf("flag array not sorted at %d", i)
+	flag, _, _ := d.parts()
+	for i := range flag {
+		if i > 0 && flag[i-1].n.label.Compare(flag[i].n.label) >= 0 {
+			t.Fatalf("flag entries not sorted at %d", i)
 		}
 		// The oldInfo permutation must follow its node.
-		if d.flag[i].info.Load() != d.oldInfo[i] {
-			t.Fatalf("oldInfo not permuted with flag at %d", i)
+		if flag[i].n.info.Load() != flag[i].oldInfo {
+			t.Fatalf("oldInfo not permuted with its node at %d", i)
 		}
+	}
+	// So must the CAS target's index.
+	if d.target(flag, 0) != ns[0] {
+		t.Fatalf("the CAS target index points at %v, want %v", d.target(flag, 0).label, ns[0].label)
 	}
 }
 
@@ -253,17 +250,15 @@ func TestLogicallyRemovedPredicate(t *testing.T) {
 	// Fabricate a replace-style flag whose pNode still points at
 	// oldChild: not yet removed.
 	p := tr.search(tr.enc(5)).p
-	d := testFlag()
-	d.nPNode = 1
-	d.pNode[0] = p
-	d.oldChild[0] = leaf5
+	d := testFlag([]uflag{{p, nil}}, []ucas{{leaf5, nil}}, 0)
 	if tr.logicallyRemoved(&d.hdr) {
-		t.Error("leaf still linked under pNode[0] is not removed")
+		t.Error("leaf still linked under the first CAS's target is not removed")
 	}
-	// Once oldChild is no longer a child of pNode[0], it is removed.
-	d.oldChild[0] = newTestLeaf(tr, 9)
+	// Once the old child is no longer a child of the target, it is removed.
+	_, cas, _ := d.parts()
+	cas[0].oldChild = newTestLeaf(tr, 9)
 	if !tr.logicallyRemoved(&d.hdr) {
-		t.Error("leaf unlinked from pNode[0] must report removed")
+		t.Error("leaf unlinked from the first CAS's target must report removed")
 	}
 }
 
@@ -272,7 +267,7 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	a := newTestLeaf(tr, 5)
 	b := newTestLeaf(tr, 5) // identical labels: prefix conflict
 
-	if tr.makeInternal(a, b, nil) != nil {
+	if tr.makeInternal(tr.lane0(), a, b, nil) != nil {
 		t.Error("equal labels must yield nil")
 	}
 	// With a completed Flag as info, makeInternal helps it (idempotent
@@ -280,14 +275,13 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	tr.Insert(7)
 	r := tr.search(tr.enc(9))
 	nodeInfo := r.node.info.Load()
-	nn := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
-	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
-		[2]*unode{r.p}, 1,
-		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{nn}, 1,
+	nn := tr.makeInternal(tr.lane0(), tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
+	d := tr.newDesc(tr.lane0(),
+		[4]uflag{{r.p, r.pInfo}}, 1,
+		[2]*unode{r.p}, [2]ucas{{r.node, nn}}, 1,
 		nil)
-	tr.help(d)
-	if tr.makeInternal(a, b, &d.hdr) != nil {
+	tr.help(tr.lane0(), d)
+	if tr.makeInternal(tr.lane0(), a, b, &d.hdr) != nil {
 		t.Error("conflict with flagged info must still yield nil")
 	}
 	if err := tr.Validate(); err != nil {
@@ -320,7 +314,7 @@ func TestTryDeleteRootChildDefensive(t *testing.T) {
 		node:  dummy,
 		// gp and gpInfo deliberately nil: the root has no parent.
 	}
-	if tr.tryDelete(dummy.label, r) {
+	if tr.tryDelete(tr.lane0(), dummy.label, r) {
 		t.Error("tryDelete with nil gp must refuse")
 	}
 	if !tr.Contains(7) || tr.Size() != 1 {
@@ -339,10 +333,8 @@ func TestOrderedSkipsLogicallyRemoved(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(50)
 	leaf := tr.search(tr.enc(50)).node
-	d := testFlag()
-	d.nPNode = 1
-	d.pNode[0] = tr.root.Load()
-	d.oldChild[0] = newTestLeaf(tr, 1) // not a child: "removed"
+	// The old child is not a child of the root: "removed".
+	d := testFlag([]uflag{{tr.root.Load(), nil}}, []ucas{{newTestLeaf(tr, 1), nil}}, 0)
 	leaf.info.Store(&d.hdr)
 	if _, ok := tr.Trie.Ceiling(tr.enc(0)); ok {
 		t.Error("logically removed leaf surfaced from Ceiling")
@@ -377,7 +369,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 
 	// A reachable flagged node at quiescence is a violation.
-	d := testFlag()
+	d := testFlag(nil, nil)
 	old := c0.info.Load()
 	c0.info.Store(&d.hdr)
 	if tr.Validate() == nil {

@@ -177,7 +177,8 @@ type Footprint struct {
 	Internal, Leaves, Infos int
 
 	// InternalBytes includes the slot blocks of wide nodes; InfoBytes
-	// counts a Flag (none is reachable at quiescence) as its whole desc.
+	// counts a Flag (none is reachable at quiescence) as its whole
+	// descriptor shape.
 	InternalBytes, LeafBytes, InfoBytes uintptr
 }
 
@@ -212,7 +213,7 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 	switch i := n.info.Load(); {
 	case i.flagged():
 		f.Infos++
-		f.InfoBytes += classSize(unsafe.Sizeof(*i.flag))
+		f.InfoBytes += classSize(i.flag.size())
 	case i != nil:
 		f.Infos++
 		f.InfoBytes += classSize(unsafe.Sizeof(*i))

@@ -12,8 +12,8 @@ import (
 // Layout pins. The sizes below are what the heap_bytes_per_key figure of
 // the repository benchmark is made of: one key costs one leaf, one
 // internal node and — once something has flagged that node — its Unflag
-// header. They are deterministic — a field added to a node shape or to
-// desc fails here before any benchmark runs.
+// header. They are deterministic — a field added to a node shape or to a
+// descriptor shape fails here before any benchmark runs.
 
 func TestLayoutSizes(t *testing.T) {
 	if got := unsafe.Sizeof(node[keys.Uint64Key, uint64]{}); got != 32 {
@@ -41,8 +41,30 @@ func TestLayoutSizes(t *testing.T) {
 	if off := unsafe.Offsetof(innerNode[keys.Uint64Key, uint64]{}.node); off != 0 {
 		t.Errorf("innerNode's header sits at offset %d, want 0", off)
 	}
-	if got := unsafe.Sizeof(desc[keys.Uint64Key, uint64]{}); got > 160 {
-		t.Errorf("desc is %d B, want <= 160 (the 160 B size class)", got)
+	// One pin per descriptor shape, and the header they share at offset 0:
+	// parts casts on it. An uncontended insert, overwrite or delete
+	// allocates a descOne or descTwo; only Figure 6's general case and
+	// the three-flag fused cases pay for descGen.
+	if got := unsafe.Sizeof(desc[keys.Uint64Key, uint64]{}); got != 16 {
+		t.Errorf("the desc header is %d B, want 16", got)
+	}
+	if got := unsafe.Sizeof(descOne[keys.Uint64Key, uint64]{}); got != 48 {
+		t.Errorf("descOne is %d B, want 48 (the 48 B size class)", got)
+	}
+	if got := unsafe.Sizeof(descTwo[keys.Uint64Key, uint64]{}); got != 64 {
+		t.Errorf("descTwo is %d B, want 64 (the 64 B size class)", got)
+	}
+	if got := unsafe.Sizeof(descGen[keys.Uint64Key, uint64]{}); got > 128 {
+		t.Errorf("descGen is %d B, want <= 128 (the 128 B size class)", got)
+	}
+	for name, off := range map[string]uintptr{
+		"descOne": unsafe.Offsetof(descOne[keys.Uint64Key, uint64]{}.desc),
+		"descTwo": unsafe.Offsetof(descTwo[keys.Uint64Key, uint64]{}.desc),
+		"descGen": unsafe.Offsetof(descGen[keys.Uint64Key, uint64]{}.desc),
+	} {
+		if off != 0 {
+			t.Errorf("%s's header sits at offset %d, want 0", name, off)
+		}
 	}
 	// Not zero: every zero-size allocation has the same address, and an
 	// Unflag is nothing but its address.

@@ -24,20 +24,21 @@ package engine
 // Store binds the encoded key v to val, inserting the key if absent and
 // overwriting the value if present (lock-free upsert).
 func (t *Trie[K, V]) Store(v K, val V) {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if !keyInTrie(r.node, v, r.rmvd) {
-			if t.tryInsert(v, val, r) {
+			if t.tryInsert(l, v, val, r) {
 				t.count.Add(1)
 				return
 			}
 			continue
 		}
-		if t.tryOverwrite(v, val, r) {
+		if t.tryOverwrite(l, v, val, r) {
 			return
 		}
 	}
@@ -46,16 +47,17 @@ func (t *Trie[K, V]) Store(v K, val V) {
 // LoadOrStore returns the value bound to v if present (loaded == true);
 // otherwise it stores val and returns it. The load path performs no CAS.
 func (t *Trie[K, V]) LoadOrStore(v K, val V) (actual V, loaded bool) {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if keyInTrie(r.node, v, r.rmvd) {
 			return r.node.leaf().val, true
 		}
-		if t.tryInsert(v, val, r) {
+		if t.tryInsert(l, v, val, r) {
 			t.count.Add(1)
 			return val, false
 		}
@@ -74,19 +76,20 @@ func valuesEqual[V any](a, b V) bool {
 // value equals old (interface equality; old must be comparable). It
 // returns true iff the swap happened.
 func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
 		if !valuesEqual(r.node.leaf().val, old) {
 			return false
 		}
-		if t.tryOverwrite(v, new, r) {
+		if t.tryOverwrite(l, v, new, r) {
 			return true
 		}
 	}
@@ -96,12 +99,13 @@ func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
 // equality; old must be comparable). It returns true iff the key was
 // deleted.
 func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
@@ -112,7 +116,7 @@ func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
 		// tryDelete's flag CAS on the parent fails unless the parent's
 		// info is unchanged since the search, which pins the leaf we
 		// inspected (a concurrent overwrite must flag the same parent).
-		if t.tryDelete(v, r) {
+		if t.tryDelete(l, v, r) {
 			t.count.Add(-1)
 			return true
 		}
@@ -126,19 +130,20 @@ func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
 // condition approved is the value that is removed. cond may be called
 // multiple times (once per retry) and must be side-effect free.
 func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
 		if !cond(r.node.leaf().val) {
 			return false
 		}
-		if t.tryDelete(v, r) {
+		if t.tryDelete(l, v, r) {
 			t.count.Add(-1)
 			return true
 		}
@@ -150,15 +155,13 @@ func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
 // paper's Replace special case 1: flag the parent, one child CAS from the
 // old leaf to the new. False means re-search and retry. The fresh leaf is
 // only built once the captured parent info is known not to be a Flag.
-func (t *Trie[K, V]) tryOverwrite(v K, val V, r searchResult[K, V]) bool {
-	if t.helpConflict(r.pInfo, nil, nil, nil) {
+func (t *Trie[K, V]) tryOverwrite(l *lane, v K, val V, r searchResult[K, V]) bool {
+	if t.helpConflict(l, r.pInfo, nil, nil, nil) {
 		return false
 	}
-	i := t.newDesc(
-		[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
-		[2]*node[K, V]{r.p}, 1,
-		[2]*node[K, V]{r.p}, [2]*node[K, V]{r.node},
-		[2]*node[K, V]{newLeafVal(v, val)}, 1,
+	i := t.newDesc(l,
+		[4]flagEntry[K, V]{{r.p, r.pInfo}}, 1,
+		[2]*node[K, V]{r.p}, [2]casEntry[K, V]{{r.node, newLeafVal(v, val)}}, 1,
 		nil)
-	return i != nil && t.help(i)
+	return i != nil && t.help(l, i)
 }

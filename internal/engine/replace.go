@@ -36,26 +36,27 @@ import "nbtrie/internal/keys"
 // values before building its replacement subtree, so a doomed attempt
 // costs no node allocations.
 func (t *Trie[K, V]) Replace(vd, vi K) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		rd := t.searchMut(vd)
+		rd := t.searchMut(l, vd)
 		if !keyInTrie(rd.node, vd, rd.rmvd) {
 			return false // old key absent (line 46)
 		}
-		ri := t.searchMut(vi)
+		ri := t.searchMut(l, vi)
 		if keyInTrie(ri.node, vi, ri.rmvd) {
 			return false // new key already present (line 48)
 		}
 		var i *desc[K, V]
 		if ri.node == nil {
-			i = t.replaceFill(vi, rd, ri)
+			i = t.replaceFill(l, vi, rd, ri)
 		} else {
-			i = t.replaceAt(vi, rd, ri)
+			i = t.replaceAt(l, vi, rd, ri)
 		}
-		if i != nil && t.help(i) {
+		if i != nil && t.help(l, i) {
 			return true
 		}
 	}
@@ -77,25 +78,19 @@ func (t *Trie[K, V]) afterDelete(p *node[K, V], sd int, g uint64) (res *node[K, 
 
 // oneCAS packs the descriptor for every fused replace case: a single
 // child CAS swinging target's slot (nil target = the trie root pointer)
-// from oldC to newC, flagging the nFlag nodes in f. The target is the
-// only flagged node that stays in the trie, so it alone is unflagged.
-func (t *Trie[K, V]) oneCAS(target, oldC, newC *node[K, V],
-	f [4]*node[K, V], fi [4]*info[K, V], nFlag int) *desc[K, V] {
-	var unflag [2]*node[K, V]
-	nUnflag := 0
-	if target != nil {
-		unflag[0] = target
-		nUnflag = 1
-	}
-	return t.newDesc(f, fi, nFlag, unflag, nUnflag,
-		[2]*node[K, V]{target}, [2]*node[K, V]{oldC}, [2]*node[K, V]{newC}, 1,
+// from oldC to newC, flagging the first nFlag entries of f. The target is
+// the only flagged node that stays in the trie, so it alone is unflagged.
+func (t *Trie[K, V]) oneCAS(l *lane, target, oldC, newC *node[K, V],
+	f [4]flagEntry[K, V], nFlag int) *desc[K, V] {
+	return t.newDesc(l, f, nFlag,
+		[2]*node[K, V]{target}, [2]casEntry[K, V]{{oldC, newC}}, 1,
 		nil)
 }
 
 // replaceAt builds the descriptor when the insertion point is an
 // occupied position ri.node: the paper's Figure 6, with the delete half
 // generalized through afterDelete.
-func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
+func (t *Trie[K, V]) replaceAt(l *lane, vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 	nodeInfoI := ri.node.info.Load() // line 49: info before children
 	sd := t.slotOf(rd.node.label, rd.p.label.Len())
 	g := t.curGen()
@@ -107,26 +102,26 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		// key shares the removed key's digit at rd.p (both searches
 		// descended through the same slot), so the one CAS lands on the
 		// removed leaf's slot.
-		if t.helpConflict(rd.pInfo, nil, nil, nil) {
+		if t.helpConflict(l, rd.pInfo, nil, nil, nil) {
 			return nil
 		}
-		return t.oneCAS(rd.p, ri.node, newLeafVal(vi, rd.node.leaf().val),
-			[4]*node[K, V]{rd.p}, [4]*info[K, V]{rd.pInfo}, 1)
+		return t.oneCAS(l, rd.p, ri.node, newLeafVal(vi, rd.node.leaf().val),
+			[4]flagEntry[K, V]{{rd.p, rd.pInfo}}, 1)
 
 	case ri.node == rd.p && ri.p == rd.gp:
 		// Special case 2 (lines 60-62): the new key diverges from the
 		// removed key's parent. One CAS replaces rd.p with the join of
 		// the new leaf and rd.p-after-the-delete.
-		if t.helpConflict(rd.gpInfo, rd.pInfo, nil, nil) {
+		if t.helpConflict(l, rd.gpInfo, rd.pInfo, nil, nil) {
 			return nil
 		}
 		res, _ := t.afterDelete(rd.p, sd, g)
-		newNodeI := t.makeInternal(res, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
+		newNodeI := t.makeInternal(l, res, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if newNodeI == nil {
 			return nil
 		}
-		return t.oneCAS(rd.gp, rd.p, newNodeI,
-			[4]*node[K, V]{rd.gp, rd.p}, [4]*info[K, V]{rd.gpInfo, rd.pInfo}, 2)
+		return t.oneCAS(l, rd.gp, rd.p, newNodeI,
+			[4]flagEntry[K, V]{{rd.gp, rd.gpInfo}, {rd.p, rd.pInfo}}, 2)
 
 	case ri.p == rd.p:
 		// Special case 3 (lines 63-64): both positions share a parent
@@ -137,10 +132,10 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		// not copied, exactly as the paper reuses the sibling: its new
 		// position is inside a fresh node, so no slot ever repeats a
 		// child value.
-		if t.helpConflict(rd.gpInfo, rd.pInfo, nodeInfoI, nil) {
+		if t.helpConflict(l, rd.gpInfo, rd.pInfo, nodeInfoI, nil) {
 			return nil
 		}
-		sub := t.makeInternal(ri.node, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
+		sub := t.makeInternal(l, ri.node, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if sub == nil {
 			return nil
 		}
@@ -156,34 +151,29 @@ func (t *Trie[K, V]) replaceAt(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			si := t.slotOf(vi, rd.p.label.Len())
 			np = t.copyNodeSet(rd.p, g, sd, nil, si, sub)
 		}
-		return t.oneCAS(rd.gp, rd.p, np,
-			[4]*node[K, V]{rd.p, rd.gp}, [4]*info[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
+		return t.oneCAS(l, rd.gp, rd.p, np,
+			[4]flagEntry[K, V]{{rd.p, rd.pInfo}, {rd.gp, rd.gpInfo}}, flagCount(rd.gp, 2))
 
 	case ri.node == rd.gp:
 		// Special case 4 (lines 65-70): the insertion displaces the
 		// removed key's grandparent. Rebuild rd.gp with the delete
 		// applied to its rd.p slot, then join that copy with the new
 		// leaf and swing it in over rd.gp.
-		if t.helpConflict(ri.pInfo, rd.gpInfo, rd.pInfo, nil) {
+		if t.helpConflict(l, ri.pInfo, rd.gpInfo, rd.pInfo, nil) {
 			return nil
 		}
 		res, _ := t.afterDelete(rd.p, sd, g)
 		sp := t.slotOf(rd.p.label, rd.gp.label.Len())
 		gpAfter := t.copyNodeSet(rd.gp, g, sp, res, -1, nil)
-		newNodeI := t.makeInternal(gpAfter, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
+		newNodeI := t.makeInternal(l, gpAfter, newLeafVal(vi, rd.node.leaf().val), nodeInfoI)
 		if newNodeI == nil {
 			return nil
 		}
-		return t.newDesc(
-			[4]*node[K, V]{ri.p, rd.gp, rd.p},
-			[4]*info[K, V]{ri.pInfo, rd.gpInfo, rd.pInfo}, 3,
-			[2]*node[K, V]{ri.p}, 1,
-			[2]*node[K, V]{ri.p}, [2]*node[K, V]{ri.node},
-			[2]*node[K, V]{newNodeI}, 1,
-			nil)
+		return t.oneCAS(l, ri.p, ri.node, newNodeI,
+			[4]flagEntry[K, V]{{ri.p, ri.pInfo}, {rd.gp, rd.gpInfo}, {rd.p, rd.pInfo}}, 3)
 
 	case ri.p != rd.p:
-		return t.replaceGeneral(vi, rd, ri, nodeInfoI, sd, g)
+		return t.replaceGeneral(l, vi, rd, ri, nodeInfoI, sd, g)
 	}
 	// ri.node == rd.p but ri.p != rd.gp: the two searches saw different
 	// parents for the same node — stale positions; retry.
@@ -208,11 +198,11 @@ func flagCount[K keys.Key[K], V any](gp *node[K, V], n int) int {
 // would flag, marks the old leaf, and performs two child CASes — insert
 // first, then delete. rmvLeaf is the old key's leaf; once the first child
 // CAS lands, searches reaching that leaf see it as logically removed.
-func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *info[K, V], sd int, g uint64) *desc[K, V] {
+func (t *Trie[K, V]) replaceGeneral(l *lane, vi K, rd, ri searchResult[K, V], nodeInfoI *info[K, V], sd int, g uint64) *desc[K, V] {
 	// Help-before-build: every info value this case will hand to newDesc
 	// is checked up front, so no subtree is constructed for an attempt
 	// that is already doomed by a conflicting update.
-	if t.helpConflict(rd.gpInfo, rd.pInfo, ri.pInfo, nodeInfoI) {
+	if t.helpConflict(l, rd.gpInfo, rd.pInfo, ri.pInfo, nodeInfoI) {
 		return nil
 	}
 	res, contracted := t.afterDelete(rd.p, sd, g)
@@ -223,50 +213,26 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 	// The fresh leaf for the new key inherits the removed leaf's value:
 	// rd.node is immutable, so reading its payload here is consistent
 	// with the leaf the descriptor marks as rmvLeaf.
-	newNodeI := t.makeInternal(t.copyNode(ri.node, g), newLeafVal(vi, rd.node.leaf().val), nodeInfoI) // lines 52-53
+	newNodeI := t.makeInternal(l, t.copyNode(ri.node, g), newLeafVal(vi, rd.node.leaf().val), nodeInfoI) // lines 52-53
 	if newNodeI == nil {
 		return nil
 	}
+	flag := [4]flagEntry[K, V]{{rd.p, rd.pInfo}, {ri.p, ri.pInfo}}
+	nFlag := 2
 	if !ri.node.isLeaf() {
 		// Line 55: the displaced insertion point is internal, so it too
 		// must be flagged (permanently — it leaves the trie).
-		if rd.gp == nil {
-			return t.newDesc(
-				[4]*node[K, V]{rd.p, ri.p, ri.node},
-				[4]*info[K, V]{rd.pInfo, ri.pInfo, nodeInfoI}, 3,
-				[2]*node[K, V]{ri.p}, 1,
-				[2]*node[K, V]{ri.p, nil},
-				[2]*node[K, V]{ri.node, rd.p},
-				[2]*node[K, V]{newNodeI, res}, 2,
-				rd.node)
-		}
-		return t.newDesc(
-			[4]*node[K, V]{rd.gp, rd.p, ri.p, ri.node},
-			[4]*info[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo, nodeInfoI}, 4,
-			[2]*node[K, V]{rd.gp, ri.p}, 2,
-			[2]*node[K, V]{ri.p, rd.gp},
-			[2]*node[K, V]{ri.node, rd.p},
-			[2]*node[K, V]{newNodeI, res}, 2,
-			rd.node)
+		flag[nFlag] = flagEntry[K, V]{ri.node, nodeInfoI}
+		nFlag++
 	}
-	// Line 57: leaf insertion point.
-	if rd.gp == nil {
-		return t.newDesc(
-			[4]*node[K, V]{rd.p, ri.p},
-			[4]*info[K, V]{rd.pInfo, ri.pInfo}, 2,
-			[2]*node[K, V]{ri.p}, 1,
-			[2]*node[K, V]{ri.p, nil},
-			[2]*node[K, V]{ri.node, rd.p},
-			[2]*node[K, V]{newNodeI, res}, 2,
-			rd.node)
+	if rd.gp != nil {
+		flag[nFlag] = flagEntry[K, V]{rd.gp, rd.gpInfo}
+		nFlag++
 	}
-	return t.newDesc(
-		[4]*node[K, V]{rd.gp, rd.p, ri.p},
-		[4]*info[K, V]{rd.gpInfo, rd.pInfo, ri.pInfo}, 3,
-		[2]*node[K, V]{rd.gp, ri.p}, 2,
-		[2]*node[K, V]{ri.p, rd.gp},
-		[2]*node[K, V]{ri.node, rd.p},
-		[2]*node[K, V]{newNodeI, res}, 2,
+	// Insert first (the linearization point), then the delete, under the
+	// root pointer when rd.p is the root.
+	return t.newDesc(l, flag, nFlag,
+		[2]*node[K, V]{ri.p, rd.gp}, [2]casEntry[K, V]{{ri.node, newNodeI}, {rd.p, res}}, 2,
 		rd.node)
 }
 
@@ -275,7 +241,7 @@ func (t *Trie[K, V]) replaceGeneral(vi K, rd, ri searchResult[K, V], nodeInfoI *
 // wholesale replacement of ri.p by a filled copy — tryFill's shape — and
 // the overlap analysis is reworked around which node that replacement
 // removes (ri.p) and which node its CAS targets (ri.gp, or the root).
-func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
+func (t *Trie[K, V]) replaceFill(l *lane, vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 	g := t.curGen()
 	sd := t.slotOf(rd.node.label, rd.p.label.Len())
 	si := t.slotOf(vi, ri.p.label.Len())
@@ -285,17 +251,17 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 		// Fill and clear land on the same node: one copy realizes both.
 		// The child count is unchanged, so no contraction can be due
 		// regardless of how many children rd.p has.
-		if t.helpConflict(rd.gpInfo, rd.pInfo, nil, nil) {
+		if t.helpConflict(l, rd.gpInfo, rd.pInfo, nil, nil) {
 			return nil
 		}
 		np := t.copyNodeSet(rd.p, g, sd, nil, si, newLeafVal(vi, rd.node.leaf().val))
-		return t.oneCAS(rd.gp, rd.p, np,
-			[4]*node[K, V]{rd.p, rd.gp}, [4]*info[K, V]{rd.pInfo, rd.gpInfo}, flagCount(rd.gp, 2))
+		return t.oneCAS(l, rd.gp, rd.p, np,
+			[4]flagEntry[K, V]{{rd.p, rd.pInfo}, {rd.gp, rd.gpInfo}}, flagCount(rd.gp, 2))
 
 	case ri.gp == rd.p:
 		// The delete replaces rd.p, whose child ri.p holds the empty
 		// slot: fold the filled copy of ri.p into the delete's result.
-		if t.helpConflict(rd.gpInfo, rd.pInfo, ri.pInfo, nil) {
+		if t.helpConflict(l, rd.gpInfo, rd.pInfo, ri.pInfo, nil) {
 			return nil
 		}
 		fp := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), -1, nil)
@@ -312,30 +278,28 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 			sp := t.slotOf(ri.p.label, rd.p.label.Len())
 			np = t.copyNodeSet(rd.p, g, sd, nil, sp, fp)
 		}
-		return t.oneCAS(rd.gp, rd.p, np,
-			[4]*node[K, V]{rd.p, ri.p, rd.gp},
-			[4]*info[K, V]{rd.pInfo, ri.pInfo, rd.gpInfo}, flagCount(rd.gp, 3))
+		return t.oneCAS(l, rd.gp, rd.p, np,
+			[4]flagEntry[K, V]{{rd.p, rd.pInfo}, {ri.p, ri.pInfo}, {rd.gp, rd.gpInfo}}, flagCount(rd.gp, 3))
 
 	case ri.p == rd.gp:
 		// The fill replaces ri.p, which the delete's CAS would target:
 		// fold the delete's result into the filled copy's rd.p slot.
-		if t.helpConflict(ri.gpInfo, ri.pInfo, rd.pInfo, nil) {
+		if t.helpConflict(l, ri.gpInfo, ri.pInfo, rd.pInfo, nil) {
 			return nil
 		}
 		res, _ := t.afterDelete(rd.p, sd, g)
 		sp := t.slotOf(rd.p.label, ri.p.label.Len())
 		np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), sp, res)
-		return t.oneCAS(ri.gp, ri.p, np,
-			[4]*node[K, V]{ri.p, rd.p, ri.gp},
-			[4]*info[K, V]{ri.pInfo, rd.pInfo, ri.gpInfo}, flagCount(ri.gp, 3))
+		return t.oneCAS(l, ri.gp, ri.p, np,
+			[4]flagEntry[K, V]{{ri.p, ri.pInfo}, {rd.p, rd.pInfo}, {ri.gp, ri.gpInfo}}, flagCount(ri.gp, 3))
 	}
 
-	// Disjoint: two CASes, fill first (pNode[0] — the linearization
-	// point, after which rd.node reads as logically removed), then the
+	// Disjoint: two CASes, fill first (the linearization point, after
+	// which rd.node reads as logically removed), then the
 	// delete. ri.p and rd.p both leave the trie and stay flagged; the two
 	// CAS targets survive and are unflagged. At most one target can be
 	// the root (both would mean ri.p == rd.p, handled above).
-	if t.helpConflict(ri.gpInfo, ri.pInfo, rd.gpInfo, rd.pInfo) {
+	if t.helpConflict(l, ri.gpInfo, ri.pInfo, rd.gpInfo, rd.pInfo) {
 		return nil
 	}
 	res, contracted := t.afterDelete(rd.p, sd, g)
@@ -344,31 +308,15 @@ func (t *Trie[K, V]) replaceFill(vi K, rd, ri searchResult[K, V]) *desc[K, V] {
 	}
 	np := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), -1, nil)
 
-	var flag [4]*node[K, V]
-	var fi [4]*info[K, V]
-	var unflag [2]*node[K, V]
-	nFlag, nUnflag := 0, 0
-	if ri.gp != nil {
-		flag[nFlag], fi[nFlag] = ri.gp, ri.gpInfo
-		nFlag++
-		unflag[nUnflag] = ri.gp
-		nUnflag++
+	flag := [4]flagEntry[K, V]{{ri.p, ri.pInfo}, {rd.p, rd.pInfo}}
+	nFlag := 2
+	for _, gp := range [...]flagEntry[K, V]{{ri.gp, ri.gpInfo}, {rd.gp, rd.gpInfo}} {
+		if gp.n != nil {
+			flag[nFlag] = gp
+			nFlag++
+		}
 	}
-	flag[nFlag], fi[nFlag] = ri.p, ri.pInfo
-	nFlag++
-	if rd.gp != nil {
-		flag[nFlag], fi[nFlag] = rd.gp, rd.gpInfo
-		nFlag++
-		unflag[nUnflag] = rd.gp
-		nUnflag++
-	}
-	flag[nFlag], fi[nFlag] = rd.p, rd.pInfo
-	nFlag++
-	return t.newDesc(
-		flag, fi, nFlag,
-		unflag, nUnflag,
-		[2]*node[K, V]{ri.gp, rd.gp},
-		[2]*node[K, V]{ri.p, rd.p},
-		[2]*node[K, V]{np, res}, 2,
+	return t.newDesc(l, flag, nFlag,
+		[2]*node[K, V]{ri.gp, rd.gp}, [2]casEntry[K, V]{{ri.p, np}, {rd.p, res}}, 2,
 		rd.node)
 }

@@ -31,12 +31,12 @@ import "nbtrie/internal/keys"
 // leaf's info — can only re-store the same value for a drained update;
 // for a post-snapshot replace it lands on a leaf that may be shared
 // with the snapshot, which is why the snapshot's logical-removal check
-// is generation-aware (removed): a Flag whose pNode[0] belongs to a
-// newer generation describes a removal that happened after this
+// is generation-aware (removed): a Flag whose first CAS target belongs
+// to a newer generation describes a removal that happened after this
 // snapshot and is ignored.
 //
 // Mutating operations that find no stale node on their path pay only
-// the gate (gate.go): an add on a lane of their own random draw, a load
+// the gate (gate.go): an add on a lane of one random draw, a load
 // of the pending flag and the add back, with no allocation and no word
 // two updaters are bound to share; the pinned allocs/op budgets are
 // unchanged. Renewal cost is paid once per stale path segment after a
@@ -98,11 +98,11 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.flag.pNode[0], i.flag.oldChild[0]
+	p, old := i.flag.firstCAS()
 	if p == nil {
 		// Root-CAS sentinel: the replace's insert half swapped the root
-		// node itself. The displaced root (oldChild[0], always internal)
-		// carries the generation the replace ran in.
+		// node itself. The displaced root (the first CAS's old child,
+		// always internal) carries the generation the replace ran in.
 		if old.gen > s.gen {
 			return false
 		}
@@ -181,8 +181,10 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 // copy over it through the flag protocol — before stepping into it, so
 // the returned position's gp, p and node (when internal) all carry the
 // current generation and are safe to flag and child-CAS without ever
-// mutating a node a snapshot can reach. Must be called inside the gate.
-func (t *Trie[K, V]) searchMut(v K) searchResult[K, V] {
+// mutating a node a snapshot can reach. Must be called inside the gate;
+// l is the lane the caller entered on, where the descent's depth is
+// recorded.
+func (t *Trie[K, V]) searchMut(l *lane, v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
 restart:
@@ -197,7 +199,7 @@ restart:
 			n = slot.Load()
 			depth++
 			if stale(n, g) {
-				t.renewChild(r.p, r.pInfo, n, g)
+				t.renewChild(l, r.p, r.pInfo, n, g)
 				// Carry on from the renewed child, re-reading r.p as a
 				// descent arriving at it now would (info before child).
 				// Only when r.p is flagged or the renewal lost does the
@@ -215,7 +217,7 @@ restart:
 			}
 		}
 		r.node = n
-		t.gate.pick().recordDepth(depth)
+		l.recordDepth(depth)
 		if n != nil && n.isLeaf() {
 			r.rmvd = t.logicallyRemoved(n.info.Load())
 		}
@@ -240,19 +242,18 @@ func stale[K keys.Key[K], V any](n *node[K, V], g uint64) bool {
 // c certifies the copy is faithful (the same Lemma 31 argument as
 // copyNode). On any conflict the attempt is abandoned after helping;
 // the caller re-descends either way.
-func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
+func (t *Trie[K, V]) renewChild(l *lane, p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
 	t.stats.snapshotRenewals.Add(1)
 	cInfo := c.info.Load()
-	if t.helpConflict(pInfo, cInfo, nil, nil) {
+	if t.helpConflict(l, pInfo, cInfo, nil, nil) {
 		return
 	}
 	nc := t.copyNode(c, g)
-	i := t.newDesc(
-		[4]*node[K, V]{p, c}, [4]*info[K, V]{pInfo, cInfo}, 2,
-		[2]*node[K, V]{p}, 1,
-		[2]*node[K, V]{p}, [2]*node[K, V]{c}, [2]*node[K, V]{nc}, 1,
+	i := t.newDesc(l,
+		[4]flagEntry[K, V]{{p, pInfo}, {c, cInfo}}, 2,
+		[2]*node[K, V]{p}, [2]casEntry[K, V]{{c, nc}}, 1,
 		nil)
 	if i != nil {
-		t.help(i)
+		t.help(l, i)
 	}
 }

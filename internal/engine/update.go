@@ -14,20 +14,22 @@ var testHookAfterFlagging func(any)
 // descriptor I (lines 86-106). It may be called by the update's own
 // process or by any process that encounters I while flagging; all calls
 // perform the same CAS sequence, and the algorithm guarantees each step
-// succeeds exactly once regardless of how many helpers race.
+// succeeds exactly once regardless of how many helpers race. l is the
+// gate lane the calling operation entered on; the call is counted there.
 //
-// The steps, in order: flag every node in I.flag (label order); if all
-// succeeded, publish flagDone, flag the removed leaf (general-case
-// replace only), and perform the child CASes; finally unflag survivors
-// (success) or backtrack the flags (failure). The update is linearized at
-// its first successful child CAS.
-func (t *Trie[K, V]) help(i *desc[K, V]) bool {
-	t.gate.pick().help.Add(1)
+// The steps, in order: flag every node in I's flag entries (label order);
+// if all succeeded, publish flagDone, flag the removed leaf (general-case
+// replace only), and perform the child CASes; finally unflag the CAS
+// targets (success) or backtrack the flags (failure). The update is
+// linearized at its first successful child CAS.
+func (t *Trie[K, V]) help(l *lane, i *desc[K, V]) bool {
+	l.help.Add(1)
 	fl := &i.hdr // what a node flagged by I holds
+	flag, cas, rmvLeaf := i.parts()
 	doChildCAS := true
-	for j := 0; j < int(i.nFlag) && doChildCAS; j++ {
-		n := i.flag[j]
-		n.info.CompareAndSwap(i.oldInfo[j], fl) // flag CAS (line 90)
+	for j := 0; j < len(flag) && doChildCAS; j++ {
+		n := flag[j].n
+		n.info.CompareAndSwap(flag[j].oldInfo, fl) // flag CAS (line 90)
 		doChildCAS = n.info.Load() == fl
 	}
 
@@ -39,23 +41,23 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 			h(i)
 		}
 		i.flagDone.Store(true)
-		if i.rmvLeaf != nil {
+		if rmvLeaf != nil {
 			// Flag the leaf to be removed (line 95). A plain store
 			// suffices in the paper because only helpers of I reach here
 			// and they all write the same value; Lemma 40 shows no other
 			// Flag can land on this leaf first. It is the only write a
 			// leaf's info ever sees: nil → Flag, never back.
-			i.rmvLeaf.info.Store(fl)
+			rmvLeaf.info.Store(fl)
 		}
-		for j := 0; j < int(i.nPNode); j++ {
-			p, nc := i.pNode[j], i.newChild[j]
+		for j, c := range cas {
+			p := i.target(flag, j)
 			if p == nil {
 				// Root-CAS sentinel: the update replaces the root node
 				// itself (a slot fill or clear on a root with no parent
 				// to re-point). Safe against Snapshot's root swap because
 				// every mutation, helpers included, runs inside the gate,
 				// which Snapshot drains before it swaps.
-				if !t.root.CompareAndSwap(i.oldChild[j], nc) {
+				if !t.root.CompareAndSwap(c.oldChild, c.newChild) {
 					t.stats.childCASFail.Add(1)
 				}
 				continue
@@ -65,8 +67,8 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 			// as the old child it replaces (copies keep the old label;
 			// fresh joins and leaves share the old child's digit, or the
 			// search would not have reached it).
-			k := t.slotOf(nc.label, p.label.Len())
-			if !p.inner().kid(k).CompareAndSwap(i.oldChild[j], nc) { // child CAS (line 98)
+			k := t.slotOf(c.newChild.label, p.label.Len())
+			if !p.inner().kid(k).CompareAndSwap(c.oldChild, c.newChild) { // child CAS (line 98)
 				// A failed child CAS here means a racing helper of this
 				// same descriptor already swung the pointer — a pure
 				// contention signal, never a correctness event.
@@ -76,16 +78,20 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 	}
 
 	if i.flagDone.Load() {
-		for j := int(i.nUnflag) - 1; j >= 0; j-- {
-			// The fresh Unflag per CAS is required for no-ABA; see
-			// newUnflag.
-			i.unflag[j].info.CompareAndSwap(fl, newUnflag[K, V]()) // unflag CAS (line 101)
+		// Unflag the survivors (line 101): the CAS targets, each once —
+		// both CASes of a general-case replace can target one node.
+		for j := range cas {
+			if p := i.target(flag, j); p != nil && (j == 0 || i.tgt[j] != i.tgt[0]) {
+				// The fresh Unflag per CAS is required for no-ABA; see
+				// newUnflag.
+				p.info.CompareAndSwap(fl, newUnflag[K, V]())
+			}
 		}
 		return true
 	}
 	t.stats.flagBacktrack.Add(1)
-	for j := int(i.nFlag) - 1; j >= 0; j-- {
-		i.flag[j].info.CompareAndSwap(fl, newUnflag[K, V]()) // backtrack CAS (line 105)
+	for j := len(flag) - 1; j >= 0; j-- {
+		flag[j].n.info.CompareAndSwap(fl, newUnflag[K, V]()) // backtrack CAS (line 105)
 	}
 	return false
 }
@@ -95,8 +101,10 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 // if any — when some node to be flagged is already owned by another
 // operation, or when the same node was captured twice with different info
 // values (its children may have changed between the two reads). Otherwise
-// it deduplicates and sorts the flag set by label in place and packs the
-// descriptor.
+// it deduplicates and sorts the flag entries by label in place, points
+// each CAS at its target's index among them (pNode[j], which must be
+// flagged, or nil for the root pointer), and packs the smallest shape
+// that holds the result.
 //
 // The parameters are fixed-size arrays with explicit occupancy counts,
 // passed by value: they live on the caller's stack, are mutated locally
@@ -104,18 +112,17 @@ func (t *Trie[K, V]) help(i *desc[K, V]) bool {
 // heap allocation on any path is the descriptor itself on success. The
 // earlier slice-based signature allocated up to nine slices per attempt —
 // including every retry of a contended update.
-func (t *Trie[K, V]) newDesc(
-	flag [4]*node[K, V], oldInfo [4]*info[K, V], nFlag int,
-	unflag [2]*node[K, V], nUnflag int,
-	pNode, oldChild, newChild [2]*node[K, V], nPNode int,
+func (t *Trie[K, V]) newDesc(l *lane,
+	flag [4]flagEntry[K, V], nFlag int,
+	pNode [2]*node[K, V], cas [2]casEntry[K, V], nCAS int,
 	rmvLeaf *node[K, V],
 ) *desc[K, V] {
 	// Lines 108-111: if any captured info value is a Flag, that update is
 	// incomplete; help it and make the caller retry from scratch.
 	for j := 0; j < nFlag; j++ {
-		if oldInfo[j].flagged() {
+		if flag[j].oldInfo.flagged() {
 			t.stats.helpAssist.Add(1)
-			t.help(oldInfo[j].flag)
+			t.help(l, flag[j].oldInfo.flag)
 			return nil
 		}
 	}
@@ -127,8 +134,8 @@ func (t *Trie[K, V]) newDesc(
 	for a := 0; a < nFlag; a++ {
 		dup := false
 		for b := 0; b < m; b++ {
-			if flag[b] == flag[a] {
-				if oldInfo[b] != oldInfo[a] {
+			if flag[b].n == flag[a].n {
+				if flag[b].oldInfo != flag[a].oldInfo {
 					return nil
 				}
 				dup = true
@@ -136,46 +143,38 @@ func (t *Trie[K, V]) newDesc(
 			}
 		}
 		if !dup {
-			flag[m], oldInfo[m] = flag[a], oldInfo[a]
+			flag[m] = flag[a]
 			m++
 		}
 	}
 	nFlag = m
 
-	m = 0
-	for a := 0; a < nUnflag; a++ {
-		dup := false
-		for b := 0; b < m; b++ {
-			if unflag[b] == unflag[a] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			unflag[m] = unflag[a]
-			m++
-		}
-	}
-	nUnflag = m
-
-	// Line 115: sort the flag set (and its old values) by label so every
-	// operation flags nodes in the same global order. Reachable nodes
-	// have distinct labels (Lemma 9), and K's Compare orders distinct
-	// labels totally, which is what the progress proof's "blaming"
-	// argument needs.
+	// Line 115: sort the flag entries by label so every operation flags
+	// nodes in the same global order. Reachable nodes have distinct
+	// labels (Lemma 9), and K's Compare orders distinct labels totally,
+	// which is what the progress proof's "blaming" argument needs.
 	for a := 1; a < nFlag; a++ {
-		for b := a; b > 0 && flag[b].label.Compare(flag[b-1].label) < 0; b-- {
+		for b := a; b > 0 && flag[b].n.label.Compare(flag[b-1].n.label) < 0; b-- {
 			flag[b], flag[b-1] = flag[b-1], flag[b]
-			oldInfo[b], oldInfo[b-1] = oldInfo[b-1], oldInfo[b]
 		}
 	}
 
-	d := newFlag[K, V]()
-	d.nFlag, d.nUnflag, d.nPNode = uint8(nFlag), uint8(nUnflag), uint8(nPNode)
-	d.flag, d.oldInfo, d.unflag = flag, oldInfo, unflag
-	d.pNode, d.oldChild, d.newChild = pNode, oldChild, newChild
-	d.rmvLeaf = rmvLeaf
-	return d
+	var tgt [2]uint8
+	for j := 0; j < nCAS; j++ {
+		tgt[j] = rootTgt
+		if pNode[j] == nil {
+			continue
+		}
+		k := 0
+		for k < nFlag && flag[k].n != pNode[j] {
+			k++
+		}
+		if k == nFlag {
+			panic("engine: a CAS target must be flagged")
+		}
+		tgt[j] = uint8(k)
+	}
+	return newFlag(&flag, nFlag, &cas, nCAS, tgt, rmvLeaf)
 }
 
 // helpConflict helps the first flagged descriptor among the captured info
@@ -185,11 +184,11 @@ func (t *Trie[K, V]) newDesc(
 // constructing leaves and copies that would be thrown away. nil entries
 // (unused arguments, and the info of a live leaf or a never-flagged
 // internal node) are skipped.
-func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
+func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3, i4 *info[K, V]) bool {
 	for _, i := range [...]*info[K, V]{i1, i2, i3, i4} {
 		if i.flagged() {
 			t.stats.helpAssist.Add(1)
-			t.help(i.flag)
+			t.help(l, i.flag)
 			return true
 		}
 	}
@@ -206,11 +205,11 @@ func (t *Trie[K, V]) helpConflict(i1, i2, i3, i4 *info[K, V]) bool {
 // info value is helped if it is a Flag (the usual cause: n1 is a stale
 // copy of a node another update is replacing) and nil is returned so the
 // caller retries.
-func (t *Trie[K, V]) makeInternal(n1, n2 *node[K, V], i *info[K, V]) *node[K, V] {
+func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *info[K, V]) *node[K, V] {
 	if n1.label.IsPrefixOf(n2.label) || n2.label.IsPrefixOf(n1.label) {
 		if i.flagged() {
 			t.stats.helpAssist.Add(1)
-			t.help(i.flag)
+			t.help(l, i.flag)
 		}
 		return nil
 	}
@@ -234,16 +233,17 @@ func (t *Trie[K, V]) Insert(v K) bool {
 
 // InsertValue is Insert with a value payload bound to the fresh leaf.
 func (t *Trie[K, V]) InsertValue(v K, val V) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if t.tryInsert(v, val, r) {
+		if t.tryInsert(l, v, val, r) {
 			t.count.Add(1)
 			return true
 		}
@@ -253,38 +253,33 @@ func (t *Trie[K, V]) InsertValue(v K, val V) bool {
 // tryInsert attempts one round of the insert protocol for the encoded
 // key v at the position located by r; it returns false when the caller
 // must re-search and retry (conflicting update helped, or CAS lost).
-func (t *Trie[K, V]) tryInsert(v K, val V, r searchResult[K, V]) bool {
+func (t *Trie[K, V]) tryInsert(l *lane, v K, val V, r searchResult[K, V]) bool {
 	n := r.node
 	if n == nil {
-		return t.tryFill(v, val, r)
+		return t.tryFill(l, v, val, r)
 	}
 	nodeInfo := n.info.Load() // line 25: info before children; nil if n was never flagged
 	// Deferred speculative construction: a flagged capture means newDesc
 	// would reject this attempt anyway, so help the conflicting update
 	// and retry before building the fresh leaf, the copy of n and the
 	// joining internal node only to discard them.
-	if t.helpConflict(r.pInfo, nodeInfo, nil, nil) {
+	if t.helpConflict(l, r.pInfo, nodeInfo, nil, nil) {
 		return false
 	}
-	newNode := t.makeInternal(t.copyNode(n, t.curGen()), newLeafVal(v, val), nodeInfo)
+	newNode := t.makeInternal(l, t.copyNode(n, t.curGen()), newLeafVal(v, val), nodeInfo)
 	if newNode == nil {
 		return false
 	}
-	var i *desc[K, V]
+	// A displaced internal node leaves the trie, so it is flagged too.
+	nFlag := 1
 	if !n.isLeaf() {
-		i = t.newDesc(
-			[4]*node[K, V]{r.p, n}, [4]*info[K, V]{r.pInfo, nodeInfo}, 2,
-			[2]*node[K, V]{r.p}, 1,
-			[2]*node[K, V]{r.p}, [2]*node[K, V]{n}, [2]*node[K, V]{newNode}, 1,
-			nil)
-	} else {
-		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
-			[2]*node[K, V]{r.p}, 1,
-			[2]*node[K, V]{r.p}, [2]*node[K, V]{n}, [2]*node[K, V]{newNode}, 1,
-			nil)
+		nFlag = 2
 	}
-	return i != nil && t.help(i)
+	i := t.newDesc(l,
+		[4]flagEntry[K, V]{{r.p, r.pInfo}, {n, nodeInfo}}, nFlag,
+		[2]*node[K, V]{r.p}, [2]casEntry[K, V]{{n, newNode}}, 1,
+		nil)
+	return i != nil && t.help(l, i)
 }
 
 // tryFill handles the insert case that exists only for wide nodes: the
@@ -293,27 +288,24 @@ func (t *Trie[K, V]) tryInsert(v K, val V, r searchResult[K, V]) bool {
 // of r.p with the slot holding v's leaf replaces r.p wholesale under
 // r.gp, or under the root pointer when r.p is the root. r.p leaves the
 // trie and stays flagged, exactly like every removed node.
-func (t *Trie[K, V]) tryFill(v K, val V, r searchResult[K, V]) bool {
-	if t.helpConflict(r.gpInfo, r.pInfo, nil, nil) {
+func (t *Trie[K, V]) tryFill(l *lane, v K, val V, r searchResult[K, V]) bool {
+	if t.helpConflict(l, r.gpInfo, r.pInfo, nil, nil) {
 		return false
 	}
 	si := t.slotOf(v, r.p.label.Len())
 	np := t.copyNodeSet(r.p, t.curGen(), si, newLeafVal(v, val), -1, nil)
-	var i *desc[K, V]
-	if r.gp == nil {
-		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
-			[2]*node[K, V]{}, 0,
-			[2]*node[K, V]{nil}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
-			nil)
-	} else {
-		i = t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
-			[2]*node[K, V]{r.gp}, 1,
-			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
-			nil)
-	}
-	return i != nil && t.help(i)
+	return t.replaceParent(l, r, np)
+}
+
+// replaceParent swings r.p out for np with one CAS under r.gp, or under
+// the root pointer when r.p is the root, flagging both: a wide node's slot
+// fill or clear. r.p leaves the trie and stays flagged.
+func (t *Trie[K, V]) replaceParent(l *lane, r searchResult[K, V], np *node[K, V]) bool {
+	i := t.newDesc(l,
+		[4]flagEntry[K, V]{{r.p, r.pInfo}, {r.gp, r.gpInfo}}, flagCount(r.gp, 2),
+		[2]*node[K, V]{r.gp}, [2]casEntry[K, V]{{r.p, np}}, 1,
+		nil)
+	return i != nil && t.help(l, i)
 }
 
 // Delete removes the encoded key v from the set, returning false if it
@@ -321,16 +313,17 @@ func (t *Trie[K, V]) tryFill(v K, val V, r searchResult[K, V]) bool {
 // leaf's sibling; both the grandparent and the parent are flagged, and
 // the parent — which leaves the trie — stays flagged forever.
 func (t *Trie[K, V]) Delete(v K) bool {
-	defer t.gate.exit(t.gate.enter())
+	l := t.gate.enter()
+	defer t.gate.exit(l)
 	for first := true; ; first = false {
 		if !first {
 			t.stats.opRetries.Add(1)
 		}
-		r := t.searchMut(v)
+		r := t.searchMut(l, v)
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if t.tryDelete(v, r) {
+		if t.tryDelete(l, v, r) {
 			t.count.Add(-1)
 			return true
 		}
@@ -344,7 +337,7 @@ func (t *Trie[K, V]) Delete(v K) bool {
 // slot cleared, swung in under the grandparent (or the root pointer when
 // the parent is the root — the root always keeps at least the two dummy
 // subtrees, so it is never contracted away).
-func (t *Trie[K, V]) tryDelete(v K, r searchResult[K, V]) bool {
+func (t *Trie[K, V]) tryDelete(l *lane, v K, r searchResult[K, V]) bool {
 	sd := t.slotOf(v, r.p.label.Len())
 	live, sib := r.p.inner().census(sd)
 	if live == 2 {
@@ -359,31 +352,11 @@ func (t *Trie[K, V]) tryDelete(v K, r searchResult[K, V]) bool {
 			// closed instead of dereferencing an uncertified position.
 			return false
 		}
-		i := t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
-			[2]*node[K, V]{r.gp}, 1,
-			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{sib}, 1,
-			nil)
-		return i != nil && t.help(i)
+		return t.replaceParent(l, r, sib)
 	}
 	// Slot clear: wide parent keeps >= 2 children after the removal.
-	if t.helpConflict(r.gpInfo, r.pInfo, nil, nil) {
+	if t.helpConflict(l, r.gpInfo, r.pInfo, nil, nil) {
 		return false
 	}
-	np := t.copyNodeSet(r.p, t.curGen(), sd, nil, -1, nil)
-	var i *desc[K, V]
-	if r.gp == nil {
-		i = t.newDesc(
-			[4]*node[K, V]{r.p}, [4]*info[K, V]{r.pInfo}, 1,
-			[2]*node[K, V]{}, 0,
-			[2]*node[K, V]{nil}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
-			nil)
-	} else {
-		i = t.newDesc(
-			[4]*node[K, V]{r.gp, r.p}, [4]*info[K, V]{r.gpInfo, r.pInfo}, 2,
-			[2]*node[K, V]{r.gp}, 1,
-			[2]*node[K, V]{r.gp}, [2]*node[K, V]{r.p}, [2]*node[K, V]{np}, 1,
-			nil)
-	}
-	return i != nil && t.help(i)
+	return t.replaceParent(l, r, t.copyNodeSet(r.p, t.curGen(), sd, nil, -1, nil))
 }

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"runtime"
 	"testing"
 
 	"nbtrie/internal/engine"
@@ -124,6 +125,76 @@ func TestUpdateAllocationBudgets(t *testing.T) {
 		d++
 	}); n != deleteAllocBudget {
 		t.Errorf("uncontended delete allocates %v objects, want exactly %d", n, deleteAllocBudget)
+	}
+}
+
+// The byte budgets of the same three updates on Map[uint64]-sized leaves:
+// the objects above, each at its size class. An insert is two 48 B
+// leaves, a 64 B internal node, a 48 B one-flag descriptor and an 8 B
+// Unflag; an overwrite a leaf, the descriptor and the Unflag; a delete a
+// 64 B two-flag descriptor and the Unflag. The next field added to a
+// descriptor shape fails here rather than in a benchmark.
+const (
+	insertByteBudget    = 216
+	overwriteByteBudget = 104
+	deleteByteBudget    = 72
+)
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates per call, averaged over runs calls after one warm-up call, at
+// GOMAXPROCS(1), read from runtime.MemStats.TotalAlloc (which counts each
+// object at its size class).
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+func TestUpdateByteBudgets(t *testing.T) {
+	tr, err := NewU64[int](30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd user keys encode even (the codec stores k+1), so every even key
+	// k inserted below differs from the present k-1 in its last bit alone:
+	// each insert lands at a leaf, and each delete below contracts the
+	// node that insert made.
+	for k := uint64(1); k < 2048; k += 2 {
+		tr.Store(k, int(k))
+	}
+
+	k := uint64(2)
+	if n := bytesPerRun(500, func() {
+		if !tr.Store(k, 1) {
+			t.Fatal("insert Store failed")
+		}
+		k += 2
+	}); n > insertByteBudget {
+		t.Errorf("uncontended insert allocates %d B, budget %d", n, insertByteBudget)
+	}
+
+	if n := bytesPerRun(500, func() {
+		if !tr.Store(513, 1) {
+			t.Fatal("overwrite Store failed")
+		}
+	}); n > overwriteByteBudget {
+		t.Errorf("uncontended overwrite allocates %d B, budget %d", n, overwriteByteBudget)
+	}
+
+	d := uint64(2)
+	if n := bytesPerRun(500, func() {
+		if !tr.Delete(d) {
+			t.Fatal("Delete failed")
+		}
+		d += 2
+	}); n > deleteByteBudget {
+		t.Errorf("uncontended delete allocates %d B, budget %d", n, deleteByteBudget)
 	}
 }
 
