@@ -208,114 +208,87 @@ func deadlineFromArg(now, n, unitMS int64, absolute bool) int64 {
 	return now + ms
 }
 
-// expireCmd implements EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT: arm (or
-// re-arm) a key's deadline. Replies :1 when a deadline was set (or the
-// key deleted outright for an already-past deadline, Redis semantics),
-// :0 when the key does not exist. The AOF record is always the absolute
+// expireCmd returns the EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT handler: arm
+// (or re-arm) a key's deadline, n units of unitMS each, absolute or
+// relative to now. Replies :1 when a deadline was set (or the key
+// deleted outright for an already-past deadline, Redis semantics), :0
+// when the key does not exist. The AOF record is always the absolute
 // form — PEXPIREAT key <ms> — so replay is immune to replay-time clocks.
-func (ss *session) expireCmd(args [][]byte, unitMS int64, absolute bool) {
-	s, w := ss.s, ss.w
-	if len(args) != 3 {
-		ss.wrongArity(string(args[0]))
-		return
-	}
-	if s.persistDegraded() {
-		s.misconf(w)
-		return
-	}
-	k, ok := ss.encodeKey(args[1])
-	if !ok {
-		return
-	}
-	n, ok := ss.parseIntArg(args[2])
-	if !ok {
-		return
-	}
-	now := s.nowMS()
-	deadline := deadlineFromArg(now, n, unitMS, absolute)
-	if !s.existsLive(k) {
-		w.WriteInt(0)
-		return
-	}
-	if deadline <= now {
-		// Already past: Redis deletes the key immediately and logs the
-		// deletion, not the no-op timeout. Capture the arming BEFORE the
-		// delete so the removal is conditional on it — a SETEX racing in
-		// after the delete installs a fresh arming this deletion must not
-		// clobber (same discipline as DEL).
+func expireCmd(unitMS int64, absolute bool) handler {
+	return func(ss *session, args [][]byte, ks []uint64) {
+		s, w, k := ss.s, ss.w, ks[0]
+		n, ok := ss.parseIntArg(args[2])
+		if !ok {
+			return
+		}
+		now := s.nowMS()
+		deadline := deadlineFromArg(now, n, unitMS, absolute)
+		if !s.existsLive(k) {
+			w.WriteInt(0)
+			return
+		}
+		if deadline <= now {
+			// Already past: Redis deletes the key immediately and logs
+			// the deletion, not the no-op timeout. Capture the arming
+			// BEFORE the delete so the removal is conditional on it — a
+			// SETEX racing in after the delete installs a fresh arming
+			// this deletion must not clobber (same discipline as DEL).
+			s.gate.RLock()
+			e, hadTTL := s.exp.Lookup(k)
+			deleted := s.db.Delete(k)
+			if hadTTL {
+				s.exp.Remove(k, e)
+			}
+			if deleted {
+				s.appendMutation([]byte("DEL"), args[1])
+			}
+			s.gate.RUnlock()
+			if deleted {
+				s.exp.NoteExpired()
+			}
+			w.WriteInt(1)
+			return
+		}
 		s.gate.RLock()
-		e, hadTTL := s.exp.Lookup(k)
-		deleted := s.db.Delete(k)
-		if hadTTL {
-			s.exp.Remove(k, e)
-		}
-		if deleted {
-			s.appendMutation([]byte("DEL"), args[1])
-		}
+		s.exp.Set(k, deadline)
+		s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
 		s.gate.RUnlock()
-		if deleted {
-			s.exp.NoteExpired()
-		}
 		w.WriteInt(1)
-		return
 	}
-	s.gate.RLock()
-	s.exp.Set(k, deadline)
-	s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
-	s.gate.RUnlock()
-	w.WriteInt(1)
 }
 
-// ttlCmd implements TTL (seconds, rounded to nearest — Redis semantics,
-// so 100ms remaining reports 0, not 1) and PTTL (milliseconds): -2 when
-// the key does not exist (or has expired), -1 when it has no deadline,
-// else the remaining time.
-func (ss *session) ttlCmd(args [][]byte, inMS bool) {
-	s, w := ss.s, ss.w
-	if len(args) != 2 {
-		ss.wrongArity(string(args[0]))
-		return
-	}
-	k, ok := ss.encodeKey(args[1])
-	if !ok {
-		return
-	}
-	if !s.existsLive(k) {
-		w.WriteInt(-2)
-		return
-	}
-	e, ok := s.exp.Lookup(k)
-	if !ok {
-		w.WriteInt(-1)
-		return
-	}
-	rem := e.DeadlineMS - s.nowMS()
-	if rem < 0 {
-		rem = 0
-	}
-	if inMS {
-		w.WriteInt(rem)
-	} else {
-		w.WriteInt((rem + 500) / 1000)
+// ttlCmd returns the TTL handler (seconds, rounded to nearest — Redis
+// semantics, so 100ms remaining reports 0, not 1) or with inMS the PTTL
+// handler (milliseconds): -2 when the key does not exist (or has
+// expired), -1 when it has no deadline, else the remaining time.
+func ttlCmd(inMS bool) handler {
+	return func(ss *session, _ [][]byte, ks []uint64) {
+		s, w, k := ss.s, ss.w, ks[0]
+		if !s.existsLive(k) {
+			w.WriteInt(-2)
+			return
+		}
+		e, ok := s.exp.Lookup(k)
+		if !ok {
+			w.WriteInt(-1)
+			return
+		}
+		rem := e.DeadlineMS - s.nowMS()
+		if rem < 0 {
+			rem = 0
+		}
+		if inMS {
+			w.WriteInt(rem)
+		} else {
+			w.WriteInt((rem + 500) / 1000)
+		}
 	}
 }
 
 // persistCmd implements PERSIST: drop the deadline, reply :1 iff one was
 // dropped.
-func (ss *session) persistCmd(args [][]byte) {
-	s, w := ss.s, ss.w
-	if len(args) != 2 {
-		ss.wrongArity("PERSIST")
-		return
-	}
-	if s.persistDegraded() {
-		s.misconf(w)
-		return
-	}
-	k, ok := ss.encodeKey(args[1])
-	if !ok {
-		return
-	}
+func (ss *session) persistCmd(args [][]byte, ks []uint64) {
+	s, w, k := ss.s, ss.w, ks[0]
 	if !s.existsLive(k) {
 		w.WriteInt(0)
 		return
@@ -337,20 +310,8 @@ func (ss *session) persistCmd(args [][]byte) {
 // The arming is installed BEFORE the value is stored (see the file
 // comment), and the AOF carries the pair SET + PEXPIREAT — the same
 // absolute translation Redis uses.
-func (ss *session) setex(args [][]byte) {
-	s, w := ss.s, ss.w
-	if len(args) != 4 {
-		ss.wrongArity("SETEX")
-		return
-	}
-	if s.persistDegraded() {
-		s.misconf(w)
-		return
-	}
-	k, ok := ss.encodeKey(args[1])
-	if !ok {
-		return
-	}
+func (ss *session) setex(args [][]byte, ks []uint64) {
+	s, w, k := ss.s, ss.w, ks[0]
 	sec, ok := ss.parseIntArg(args[2])
 	if !ok {
 		return
@@ -372,16 +333,8 @@ func (ss *session) setex(args [][]byte) {
 
 // getex implements GETEX key [EX s | PX ms | EXAT s | PXAT ms |
 // PERSIST]: GET that can atomically re-arm or disarm the deadline.
-func (ss *session) getex(args [][]byte) {
-	s, w := ss.s, ss.w
-	if len(args) < 2 || len(args) > 4 {
-		ss.wrongArity("GETEX")
-		return
-	}
-	k, ok := ss.encodeKey(args[1])
-	if !ok {
-		return
-	}
+func (ss *session) getex(args [][]byte, ks []uint64) {
+	s, w, k := ss.s, ss.w, ks[0]
 	// Parse the option before touching anything so a syntax error
 	// mutates nothing.
 	var (
@@ -419,6 +372,8 @@ func (ss *session) getex(args [][]byte) {
 		}
 		doExpire = true
 	}
+	// The row is not a write (a bare GETEX is a read), so the options
+	// that mutate take the degraded-AOF refusal here.
 	if (doPersist || doExpire) && s.persistDegraded() {
 		s.misconf(w)
 		return

@@ -81,7 +81,9 @@ func TestServerExpireVariants(t *testing.T) {
 	// Bad argument: standard Redis error, nothing armed.
 	c.mustErrContain("not an integer", "EXPIRE", "a", "soon")
 	c.mustInt(500_000, "PTTL", "a")
-	c.mustErrContain("wrong number of arguments", "EXPIRE", "a")
+	// Arity errors name the command as the table spells it, whatever
+	// the client typed.
+	c.mustErrContain("wrong number of arguments for 'EXPIRE' command", "expire", "a")
 }
 
 func TestServerSetexGetex(t *testing.T) {
@@ -369,20 +371,26 @@ func TestServerInfoExpirySection(t *testing.T) {
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
-// FuzzTTLArgs throws arbitrary argument vectors at every TTL-touching
-// command through the real dispatch path (parse → dispatch → reply
-// encode, no socket). The properties: never panic, and always produce
-// exactly one well-formed RESP reply per command.
+// FuzzTTLArgs throws arbitrary argument vectors at the dispatch
+// argument surface: sel picks a row of the command table, or past the
+// last row an unknown word, and the command runs through the real
+// dispatch path (parse → dispatch → reply encode, no socket). The
+// properties: never panic; always produce exactly one well-formed RESP
+// reply per command; and count it exactly once — the row's
+// nbtried_commands_total rises by 1 and its error counter by the number
+// of error replies sent.
 func FuzzTTLArgs(f *testing.F) {
-	f.Add(uint8(0), []byte("k\x00100"))
-	f.Add(uint8(1), []byte("k\x00-9999999999999999999"))
-	f.Add(uint8(7), []byte("k\x0060\x00value"))
-	f.Add(uint8(8), []byte("k\x00EX\x0010"))
-	f.Add(uint8(8), []byte("k\x00PERSIST"))
-	f.Add(uint8(4), []byte("k"))
-	f.Add(uint8(8), []byte("k\x00PXAT\x00notanumber"))
-
-	cmds := []string{"EXPIRE", "PEXPIRE", "EXPIREAT", "PEXPIREAT", "TTL", "PTTL", "PERSIST", "SETEX", "GETEX", "RENAME"}
+	row := func(name string) uint8 { return cmdByName[name] }
+	f.Add(row("EXPIRE"), []byte("k\x00100"))
+	f.Add(row("PEXPIRE"), []byte("k\x00-9999999999999999999"))
+	f.Add(row("SETEX"), []byte("k\x0060\x00value"))
+	f.Add(row("GETEX"), []byte("k\x00EX\x0010"))
+	f.Add(row("GETEX"), []byte("k\x00PERSIST"))
+	f.Add(row("TTL"), []byte("k"))
+	f.Add(row("GETEX"), []byte("k\x00PXAT\x00notanumber"))
+	f.Add(row("MSET"), []byte("k\x00v\x00toolongkey\x00w"))
+	f.Add(row("SCAN"), []byte("0\x00COUNT\x00-1"))
+	f.Add(uint8(len(commands)), []byte("k"))
 
 	s, err := New(Config{})
 	if err != nil {
@@ -394,11 +402,16 @@ func FuzzTTLArgs(f *testing.F) {
 		if len(raw) > 512 {
 			return
 		}
-		cmd := cmds[int(sel)%len(cmds)]
+		ci := int(sel) % (len(commands) + 1)
+		cmd := "NOSUCHCMD"
+		if ci < len(commands) {
+			cmd = commands[ci].name
+		}
 		args := [][]byte{[]byte(cmd)}
 		for _, part := range bytes.SplitN(raw, []byte{0}, 6) {
 			args = append(args, part)
 		}
+		calls, errs := s.met.cmdCalls.Load(ci), s.met.cmdErrs.Load(ci)
 		var out bytes.Buffer
 		bw := bufio.NewWriter(&out)
 		ss := newSession(s, resp.NewWriter(bw))
@@ -407,11 +420,30 @@ func FuzzTTLArgs(f *testing.F) {
 			t.Fatal(err)
 		}
 		br := bufio.NewReader(bytes.NewReader(out.Bytes()))
-		if _, err := resp.ReadReply(br, resp.Limits{}); err != nil {
+		v, err := resp.ReadReply(br, resp.Limits{})
+		if err != nil {
 			t.Fatalf("%s %q produced an unreadable reply %q: %v", cmd, raw, out.Bytes(), err)
 		}
 		if rest, _ := br.Peek(1); len(rest) != 0 {
 			t.Fatalf("%s %q produced more than one reply: %q", cmd, raw, out.Bytes())
 		}
+		if d := s.met.cmdCalls.Load(ci) - calls; d != 1 {
+			t.Fatalf("%s %q counted %d calls under %q, want 1", cmd, raw, d, cmdLabel(ci))
+		}
+		if d, want := s.met.cmdErrs.Load(ci)-errs, errorReplies(v); d != want {
+			t.Fatalf("%s %q counted %d errors under %q, sent %d: %q", cmd, raw, d, cmdLabel(ci), want, out.Bytes())
+		}
 	})
+}
+
+// errorReplies counts the error replies in v, nested ones included.
+func errorReplies(v resp.Value) int64 {
+	n := int64(0)
+	if v.Kind == resp.TypeError {
+		n++
+	}
+	for _, e := range v.Array {
+		n += errorReplies(e)
+	}
+	return n
 }

@@ -12,118 +12,6 @@ import (
 	"nbtrie/internal/obs"
 )
 
-// cmdIndex enumerates every command the server dispatches, for dense
-// per-command counter/histogram indexing. cmdOther absorbs unknown
-// commands so even garbage traffic is visible in the metrics.
-type cmdIndex int
-
-const (
-	cmdGet cmdIndex = iota
-	cmdSet
-	cmdDel
-	cmdExists
-	cmdMGet
-	cmdMSet
-	cmdPing
-	cmdQuit
-	cmdDBSize
-	cmdScan
-	cmdRename
-	cmdRenameStrict
-	cmdExpire
-	cmdPExpire
-	cmdExpireAt
-	cmdPExpireAt
-	cmdTTL
-	cmdPTTL
-	cmdPersist
-	cmdSetEx
-	cmdGetEx
-	cmdSave
-	cmdBGSave
-	cmdLastSave
-	cmdInfo
-	cmdSlowlog
-	cmdOther
-	cmdCount
-)
-
-// cmdNames maps cmdIndex to the lowercase name used in metric labels and
-// INFO commandstats lines (Redis renders cmdstat keys lowercase).
-var cmdNames = [cmdCount]string{
-	cmdGet: "get", cmdSet: "set", cmdDel: "del", cmdExists: "exists",
-	cmdMGet: "mget", cmdMSet: "mset", cmdPing: "ping", cmdQuit: "quit",
-	cmdDBSize: "dbsize", cmdScan: "scan", cmdRename: "rename",
-	cmdRenameStrict: "renamestrict", cmdExpire: "expire",
-	cmdPExpire: "pexpire", cmdExpireAt: "expireat",
-	cmdPExpireAt: "pexpireat", cmdTTL: "ttl", cmdPTTL: "pttl",
-	cmdPersist: "persist", cmdSetEx: "setex", cmdGetEx: "getex",
-	cmdSave: "save", cmdBGSave: "bgsave", cmdLastSave: "lastsave",
-	cmdInfo: "info", cmdSlowlog: "slowlog", cmdOther: "other",
-}
-
-// cmdIndexOf classifies an upcased command word. The []byte→string
-// conversions in the switch are elided by the compiler (comparison
-// only), so this is allocation-free — it sits on the per-command hot
-// path.
-func cmdIndexOf(cmd []byte) cmdIndex {
-	switch string(cmd) {
-	case "GET":
-		return cmdGet
-	case "SET":
-		return cmdSet
-	case "DEL":
-		return cmdDel
-	case "EXISTS":
-		return cmdExists
-	case "MGET":
-		return cmdMGet
-	case "MSET":
-		return cmdMSet
-	case "PING":
-		return cmdPing
-	case "QUIT":
-		return cmdQuit
-	case "DBSIZE":
-		return cmdDBSize
-	case "SCAN":
-		return cmdScan
-	case "RENAME":
-		return cmdRename
-	case "RENAMESTRICT":
-		return cmdRenameStrict
-	case "EXPIRE":
-		return cmdExpire
-	case "PEXPIRE":
-		return cmdPExpire
-	case "EXPIREAT":
-		return cmdExpireAt
-	case "PEXPIREAT":
-		return cmdPExpireAt
-	case "TTL":
-		return cmdTTL
-	case "PTTL":
-		return cmdPTTL
-	case "PERSIST":
-		return cmdPersist
-	case "SETEX":
-		return cmdSetEx
-	case "GETEX":
-		return cmdGetEx
-	case "SAVE":
-		return cmdSave
-	case "BGSAVE":
-		return cmdBGSave
-	case "LASTSAVE":
-		return cmdLastSave
-	case "INFO":
-		return cmdInfo
-	case "SLOWLOG":
-		return cmdSlowlog
-	}
-	return cmdOther
-}
-
 // metrics is the server's always-on counter registry. Per-command call
 // and error counters are striped by connection (obs.Striped) so a busy
 // multi-core server's connections don't serialize on a shared cache
@@ -133,9 +21,10 @@ func cmdIndexOf(cmd []byte) cmdIndex {
 // server keep its pinned 0-alloc GET/EXISTS/DEL/MGET paths with metrics
 // permanently enabled.
 type metrics struct {
-	cmdCalls *obs.Striped       // [cmdCount] per-command dispatches
-	cmdErrs  *obs.Striped       // [cmdCount] error replies per command
-	latency  [cmdCount]obs.Hist // per-command latency, microseconds
+	// One slot per command-table row plus "other" (see cmdLabel).
+	cmdCalls *obs.Striped // per-command dispatches
+	cmdErrs  *obs.Striped // error replies per command
+	latency  []obs.Hist   // per-command latency, microseconds
 
 	bytesIn  obs.Counter // socket reads (per fill, not per command)
 	bytesOut obs.Counter // socket writes
@@ -148,18 +37,20 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
+	n := len(commands) + 1
 	return &metrics{
-		cmdCalls: obs.NewStriped(int(cmdCount)),
-		cmdErrs:  obs.NewStriped(int(cmdCount)),
+		cmdCalls: obs.NewStriped(n),
+		cmdErrs:  obs.NewStriped(n),
+		latency:  make([]obs.Hist, n),
 	}
 }
 
 // record accounts one dispatched command: a call, its latency and any
 // error replies it produced. Wait-free, zero-alloc.
-func (m *metrics) record(stripe uint32, ci cmdIndex, d time.Duration, errs int64) {
-	m.cmdCalls.Inc(stripe, int(ci))
+func (m *metrics) record(stripe uint32, ci int, d time.Duration, errs int64) {
+	m.cmdCalls.Inc(stripe, ci)
 	if errs > 0 {
-		m.cmdErrs.Add(stripe, int(ci), errs)
+		m.cmdErrs.Add(stripe, ci, errs)
 	}
 	m.latency[ci].Record(uint64(d.Microseconds()))
 }
@@ -191,27 +82,27 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	b.WriteString("# HELP nbtried_commands_total Commands dispatched, by command.\n" +
 		"# TYPE nbtried_commands_total counter\n")
-	for ci := cmdIndex(0); ci < cmdCount; ci++ {
-		if n := m.cmdCalls.Load(int(ci)); n > 0 {
-			fmt.Fprintf(&b, "nbtried_commands_total{cmd=%q} %d\n", cmdNames[ci], n)
+	for ci := range m.latency {
+		if n := m.cmdCalls.Load(ci); n > 0 {
+			fmt.Fprintf(&b, "nbtried_commands_total{cmd=%q} %d\n", cmdLabel(ci), n)
 		}
 	}
 	b.WriteString("# HELP nbtried_command_errors_total Error replies, by command.\n" +
 		"# TYPE nbtried_command_errors_total counter\n")
-	for ci := cmdIndex(0); ci < cmdCount; ci++ {
-		if n := m.cmdErrs.Load(int(ci)); n > 0 {
-			fmt.Fprintf(&b, "nbtried_command_errors_total{cmd=%q} %d\n", cmdNames[ci], n)
+	for ci := range m.latency {
+		if n := m.cmdErrs.Load(ci); n > 0 {
+			fmt.Fprintf(&b, "nbtried_command_errors_total{cmd=%q} %d\n", cmdLabel(ci), n)
 		}
 	}
 
 	b.WriteString("# HELP nbtried_command_latency_seconds Command latency, by command.\n" +
 		"# TYPE nbtried_command_latency_seconds histogram\n")
-	for ci := cmdIndex(0); ci < cmdCount; ci++ {
+	for ci := range m.latency {
 		snap := m.latency[ci].Snapshot()
 		if snap.Count == 0 {
 			continue
 		}
-		writeHistProm(&b, "nbtried_command_latency_seconds", fmt.Sprintf("cmd=%q", cmdNames[ci]), snap)
+		writeHistProm(&b, "nbtried_command_latency_seconds", fmt.Sprintf("cmd=%q", cmdLabel(ci)), snap)
 	}
 
 	fmt.Fprintf(&b, "# HELP nbtried_keys Live keys in the map.\n"+
@@ -342,8 +233,8 @@ func (s *Server) MetricsHandler() http.Handler {
 // commandstatsText renders the INFO # Commandstats section body.
 func (s *Server) commandstatsText(b *strings.Builder) {
 	m := s.met
-	for ci := cmdIndex(0); ci < cmdCount; ci++ {
-		calls := m.cmdCalls.Load(int(ci))
+	for ci := range m.latency {
+		calls := m.cmdCalls.Load(ci)
 		if calls == 0 {
 			continue
 		}
@@ -353,20 +244,20 @@ func (s *Server) commandstatsText(b *strings.Builder) {
 			perCall = float64(snap.Sum) / float64(snap.Count)
 		}
 		fmt.Fprintf(b, "cmdstat_%s:calls=%d,usec=%d,usec_per_call=%.2f,errors=%d\r\n",
-			cmdNames[ci], calls, snap.Sum, perCall, m.cmdErrs.Load(int(ci)))
+			cmdLabel(ci), calls, snap.Sum, perCall, m.cmdErrs.Load(ci))
 	}
 }
 
 // latencystatsText renders the INFO # Latencystats section body.
 func (s *Server) latencystatsText(b *strings.Builder) {
 	m := s.met
-	for ci := cmdIndex(0); ci < cmdCount; ci++ {
+	for ci := range m.latency {
 		snap := m.latency[ci].Snapshot()
 		if snap.Count == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "latency_percentiles_usec_%s:p50=%d,p99=%d,p99.9=%d\r\n",
-			cmdNames[ci], snap.Quantile(0.50), snap.Quantile(0.99), snap.Quantile(0.999))
+			cmdLabel(ci), snap.Quantile(0.50), snap.Quantile(0.99), snap.Quantile(0.999))
 	}
 }
 

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -337,5 +340,54 @@ func TestInfoEngineSection(t *testing.T) {
 	}
 	if !strings.Contains(body, "engine_shard0_help:") && !strings.Contains(body, "engine_shard") {
 		t.Errorf("INFO engine missing per-shard breakdown: %q", body)
+	}
+}
+
+// TestCommandLabels pins the per-command metric labels, in order.
+// benchmark/ checks nbtried_commands_total{cmd=...} against the
+// commands it sent and cmd/nbtriebench reads cmdstat_* lines, both by
+// these names, so renaming a row must fail here rather than there.
+func TestCommandLabels(t *testing.T) {
+	want := []string{
+		"get", "set", "del", "exists", "mget", "mset", "ping", "quit",
+		"dbsize", "scan", "rename", "renamestrict", "expire", "pexpire",
+		"expireat", "pexpireat", "ttl", "pttl", "persist", "setex", "getex",
+		"save", "bgsave", "lastsave", "info", "slowlog", "other",
+	}
+	var labels []string
+	for ci := range len(commands) + 1 {
+		labels = append(labels, cmdLabel(ci))
+	}
+	if !slices.Equal(labels, want) {
+		t.Fatalf("table labels = %v\nwant %v", labels, want)
+	}
+
+	// Call every row once, plus an unknown word: each label must show up
+	// once in INFO commandstats and in /metrics.
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ss := newSession(s, resp.NewWriter(bufio.NewWriter(io.Discard)))
+	for _, c := range commands {
+		ss.dispatch([][]byte{[]byte(c.name)})
+	}
+	ss.dispatch([][]byte{[]byte("NOSUCHCMD")})
+	var stats []string
+	for _, line := range strings.Split(s.infoText("commandstats"), "\r\n") {
+		if rest, ok := strings.CutPrefix(line, "cmdstat_"); ok {
+			name, _, _ := strings.Cut(rest, ":")
+			stats = append(stats, name)
+		}
+	}
+	if !slices.Equal(stats, want) {
+		t.Errorf("INFO commandstats labels = %v\nwant %v", stats, want)
+	}
+	text := metricsText(t, s)
+	for _, l := range want {
+		if v := metricValue(t, text, fmt.Sprintf("nbtried_commands_total{cmd=%q}", l)); v != 1 {
+			t.Errorf("commands_total{cmd=%q} = %d, want 1", l, v)
+		}
 	}
 }

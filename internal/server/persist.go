@@ -108,6 +108,11 @@ type persister struct {
 	saveStatus atomic.Value // string: "ok" or the last dump error
 	aofStatus  atomic.Value // string: "ok" or the last append error
 	bgWG       sync.WaitGroup
+
+	// applyRecord's scratch (recovery is single-threaded): the upcased
+	// record name and the encoded keys.
+	word []byte
+	ks   []uint64
 }
 
 // openPersister recovers dir's state into s.db (dump, then AOF chain,
@@ -159,7 +164,7 @@ func (p *persister) recover(m persist.Manifest) error {
 			p.seq = n
 		}
 		err := persist.LoadDump(p.dir, m.Base, func(k, v []byte, expireAtMS uint64) error {
-			if err := p.s.applyRecord([][]byte{[]byte("SET"), k, v}); err != nil {
+			if err := p.applyRecord([][]byte{[]byte("SET"), k, v}); err != nil {
 				return err
 			}
 			if expireAtMS != 0 {
@@ -183,7 +188,7 @@ func (p *persister) recover(m persist.Manifest) error {
 			p.seq = n
 		}
 		_, truncated, err := persist.ReplayFile(
-			filepath.Join(p.dir, name), p.s.cfg.Limits, p.s.applyRecord)
+			filepath.Join(p.dir, name), p.s.cfg.Limits, p.applyRecord)
 		if err != nil {
 			return fmt.Errorf("server: replaying %s: %w", name, err)
 		}
@@ -218,118 +223,98 @@ func (p *persister) removeUnreferenced() {
 
 // applyRecord replays one AOF/dump record against the map (and the
 // expiry index: every record that changes a key's TTL state at serve
-// time changes it identically at replay time). It is the replay-side
-// mirror of the dispatch mutations, minus replies and re-appending; it
-// runs single-threaded (recovery) so the multi-step RENAME needs no
-// atomicity. Reaper purges are deliberately NOT recorded: recovery
-// re-evaluates the replayed absolute deadlines against the clock, so an
-// expiry that happened while up happens again (lazily or on the
-// reaper's opening pass) after a restart.
-func (s *Server) applyRecord(args [][]byte) error {
+// time changes it identically at replay time). It looks the record up in
+// the command table and applies the row's arity and key spec exactly as
+// dispatch does, then the row's replay — the replay-side mirror of the
+// handler, minus replies and re-appending. It runs single-threaded
+// (recovery), so the multi-step RENAME needs no atomicity. Reaper purges
+// are deliberately NOT recorded: recovery re-evaluates the replayed
+// absolute deadlines against the clock, so an expiry that happened while
+// up happens again (lazily or on the reaper's opening pass) after a
+// restart.
+func (p *persister) applyRecord(args [][]byte) error {
 	if len(args) == 0 {
 		return fmt.Errorf("empty record")
 	}
-	switch string(toUpper(args[0])) {
-	case "SET":
-		if len(args) != 3 {
-			return fmt.Errorf("SET record with %d args", len(args))
-		}
-		k, err := s.keyer.Encode(args[1])
-		if err != nil {
-			return err
-		}
-		s.db.Store(k, args[2])
-		s.exp.Clear(k) // plain SET discards any earlier arming
-	case "DEL":
-		if len(args) < 2 {
-			return fmt.Errorf("DEL record with %d args", len(args))
-		}
-		for _, key := range args[1:] {
-			k, err := s.keyer.Encode(key)
-			if err != nil {
-				return err
-			}
-			s.db.Delete(k)
-			s.exp.Clear(k)
-		}
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			return fmt.Errorf("MSET record with %d args", len(args))
-		}
-		for i := 1; i < len(args); i += 2 {
-			k, err := s.keyer.Encode(args[i])
-			if err != nil {
-				return err
-			}
-			s.db.Store(k, args[i+1])
-			s.exp.Clear(k)
-		}
-	case "RENAME":
-		if len(args) != 3 {
-			return fmt.Errorf("RENAME record with %d args", len(args))
-		}
-		old, err := s.keyer.Encode(args[1])
-		if err != nil {
-			return err
-		}
-		new, err := s.keyer.Encode(args[2])
-		if err != nil {
-			return err
-		}
-		if old == new {
-			return nil
-		}
-		if v, ok := s.db.Load(old); ok {
-			s.db.Delete(old)
-			s.db.Store(new, v)
-			// At serve time a rename's destination holds no arming when
-			// the move lands (it was absent, or expired and lazily
-			// purged — arming included). Replay must match: an earlier
-			// PEXPIREAT record may have re-armed the destination's old
-			// (possibly past) deadline, which must not survive onto the
-			// moved value, or the opening reaper pass eats it.
-			s.exp.Clear(new)
-			// The deadline travels with the value, exactly as it did at
-			// serve time (both the atomic and the two-phase rename log
-			// this one record).
-			if e, had := s.exp.Lookup(old); had {
-				s.exp.Set(new, e.DeadlineMS)
-				s.exp.Remove(old, e)
-			}
-		}
-	case "PEXPIREAT":
-		// Absolute-deadline arming: every wire-level EXPIRE variant is
-		// logged in this one canonical form (Redis does the same
-		// translation), so replay never depends on the clock at replay
-		// time. A deadline already past is still armed — the reaper's
-		// opening pass purges it, which is what makes downtime expiry
-		// converge.
-		if len(args) != 3 {
-			return fmt.Errorf("PEXPIREAT record with %d args", len(args))
-		}
-		k, err := s.keyer.Encode(args[1])
-		if err != nil {
-			return err
-		}
-		ms, ok := parseIntArg(args[2])
-		if !ok {
-			return fmt.Errorf("PEXPIREAT record with bad deadline %q", args[2])
-		}
-		if s.db.Contains(k) {
-			s.exp.Set(k, ms)
-		}
-	case "PERSIST":
-		if len(args) != 2 {
-			return fmt.Errorf("PERSIST record with %d args", len(args))
-		}
-		k, err := s.keyer.Encode(args[1])
-		if err != nil {
-			return err
-		}
-		s.exp.Clear(k)
-	default:
+	p.word = upperInto(p.word, args[0])
+	ci, ok := cmdByName[string(p.word)]
+	if !ok || commands[ci].replay == nil {
 		return fmt.Errorf("unknown record command %q", args[0])
 	}
+	c := &commands[ci]
+	if !c.fits(len(args)) {
+		return fmt.Errorf("%s record with %d args", c.name, len(args))
+	}
+	ks, err := c.keys(p.s.keyer, args, p.ks[:0])
+	p.ks = ks
+	if err != nil {
+		return err
+	}
+	return c.replay(p.s, args, ks)
+}
+
+// replaySet re-applies SET and MSET records: a plain store discards any
+// earlier arming.
+func (s *Server) replaySet(args [][]byte, ks []uint64) error {
+	for i, k := range ks {
+		s.db.Store(k, args[2+2*i])
+		s.exp.Clear(k)
+	}
+	return nil
+}
+
+func (s *Server) replayDel(_ [][]byte, ks []uint64) error {
+	for _, k := range ks {
+		s.db.Delete(k)
+		s.exp.Clear(k)
+	}
+	return nil
+}
+
+func (s *Server) replayRename(_ [][]byte, ks []uint64) error {
+	old, new := ks[0], ks[1]
+	if old == new {
+		return nil
+	}
+	if v, ok := s.db.Load(old); ok {
+		s.db.Delete(old)
+		s.db.Store(new, v)
+		// At serve time a rename's destination holds no arming when the
+		// move lands (it was absent, or expired and lazily purged —
+		// arming included). Replay must match: an earlier PEXPIREAT
+		// record may have re-armed the destination's old (possibly past)
+		// deadline, which must not survive onto the moved value, or the
+		// opening reaper pass eats it.
+		s.exp.Clear(new)
+		// The deadline travels with the value, exactly as it did at
+		// serve time (both the atomic and the two-phase rename log this
+		// one record).
+		if e, had := s.exp.Lookup(old); had {
+			s.exp.Set(new, e.DeadlineMS)
+			s.exp.Remove(old, e)
+		}
+	}
+	return nil
+}
+
+// replayPexpireat re-arms an absolute deadline: every wire-level EXPIRE
+// variant is logged in this one canonical form (Redis does the same
+// translation), so replay never depends on the clock at replay time. A
+// deadline already past is still armed — the reaper's opening pass
+// purges it, which is what makes downtime expiry converge.
+func (s *Server) replayPexpireat(args [][]byte, ks []uint64) error {
+	ms, ok := parseIntArg(args[2])
+	if !ok {
+		return fmt.Errorf("PEXPIREAT record with bad deadline %q", args[2])
+	}
+	if s.db.Contains(ks[0]) {
+		s.exp.Set(ks[0], ms)
+	}
+	return nil
+}
+
+func (s *Server) replayPersist(_ [][]byte, ks []uint64) error {
+	s.exp.Clear(ks[0])
 	return nil
 }
 

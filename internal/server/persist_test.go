@@ -226,6 +226,8 @@ func TestPersistLastSaveAndInfo(t *testing.T) {
 	if v := c.do("LASTSAVE"); v.Kind != resp.TypeInt || v.Int <= 0 {
 		t.Fatalf("LASTSAVE after SAVE = %s", v)
 	}
+	// The command word is case-insensitive: lower-case bgsave is BGSAVE.
+	c.mustSimple("Background saving started", "bgsave")
 	info := c.do("INFO")
 	for _, want := range []string{
 		"# Persistence", "aof_enabled:1", "aof_fsync:always",
@@ -347,27 +349,71 @@ func TestPersistShardCountChange(t *testing.T) {
 }
 
 // TestPersistDegradedRefusesMutations: after an AOF write error the
-// server must refuse every mutating command with -MISCONF (never
-// silently ack writes it can no longer make durable) while reads keep
-// serving, and INFO must surface the failure.
+// server must refuse every write row of the command table, and GETEX's
+// mutating options, with -MISCONF — never silently ack writes it can no
+// longer make durable. A refusal changes neither the map nor the TTL
+// state and appends nothing to the AOF; reads keep serving, and INFO
+// surfaces the failure.
 func TestPersistDegradedRefusesMutations(t *testing.T) {
-	dir := t.TempDir()
-	s, addr := startServer(t, persistCfg(dir))
+	clk := newFakeClock()
+	s, addr := startServer(t, clk.cfg(persistCfg(t.TempDir())))
 	c := dial(t, addr)
 	c.mustSimple("OK", "SET", "pre", "1")
 	c.mustSimple("OK", "SET", "src", "v")
+	c.mustSimple("OK", "SETEX", "ttl", "100", "t")
 
 	s.pst.degradeAOF(fmt.Errorf("disk on fire"))
 
-	c.mustErrContain("MISCONF", "SET", "post", "2")
-	c.mustErrContain("MISCONF", "DEL", "pre")
-	c.mustErrContain("MISCONF", "MSET", "a", "1", "b", "2")
-	c.mustErrContain("MISCONF", "RENAME", "src", "dst")
-	// Reads stay up, and no refused mutation leaked into the map.
+	// One invocation per write row that would mutate if it were served.
+	// Each is sent whatever its row's flag says, so a row that loses its
+	// write flag fails below, and a write row with no case fails here.
+	mutating := map[string][]string{
+		"SET":          {"post", "2"},
+		"DEL":          {"pre"},
+		"MSET":         {"a", "1", "b", "2"},
+		"RENAME":       {"src", "dst"},
+		"RENAMESTRICT": {"src", "dst"},
+		"EXPIRE":       {"pre", "100"},
+		"PEXPIRE":      {"pre", "100"},
+		"EXPIREAT":     {"pre", "1"}, // past: would delete
+		"PEXPIREAT":    {"pre", itoa(clk.now() + 5000)},
+		"PERSIST":      {"ttl"},
+		"SETEX":        {"post", "10", "v"},
+	}
+	var refused [][]string
+	for _, row := range commands {
+		if args, ok := mutating[row.name]; ok {
+			refused = append(refused, append([]string{row.name}, args...))
+		} else if row.write {
+			t.Errorf("write row %s has no refusal case here", row.name)
+		}
+	}
+	refused = append(refused, []string{"GETEX", "pre", "EX", "10"}, []string{"GETEX", "ttl", "PERSIST"})
+
+	// state is everything a refused command must leave alone.
+	state := func() string {
+		var b strings.Builder
+		for k, v := range s.db.All() {
+			e, _ := s.exp.Lookup(k)
+			fmt.Fprintf(&b, "%s=%s@%d ", s.keyer.Decode(k), v, e.DeadlineMS)
+		}
+		fmt.Fprintf(&b, "ttls=%d aof=%d", s.exp.Len(), s.pst.aof.Size())
+		return b.String()
+	}
+	before := state()
+	for _, args := range refused {
+		c.mustErrContain("MISCONF", args...)
+		if after := state(); after != before {
+			t.Errorf("refused %v changed the state:\n before %s\n after  %s", args, before, after)
+		}
+	}
+
 	c.mustBulk("1", "GET", "pre")
 	c.mustBulk("v", "GET", "src")
 	c.mustNull("GET", "post")
-	c.mustInt(2, "DBSIZE")
+	c.mustInt(100, "TTL", "ttl")
+	c.mustBulk("1", "GETEX", "pre")
+	c.mustInt(3, "DBSIZE")
 
 	info := c.do("INFO")
 	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "aof_last_write_status:disk on fire") {

@@ -2,9 +2,11 @@
 // key-value server over the repository's sharded non-blocking Patricia
 // trie (ShardedMap[[]byte]). It is the first layer of the ROADMAP's
 // "production-scale system serving heavy traffic": the paper's
-// lock-free engine does the synchronization, so the server needs no
-// lock around the data path at all — every connection goroutine calls
-// straight into the trie.
+// lock-free engine does the synchronization, and every connection
+// goroutine calls straight into the trie. The one lock on the data path
+// is the persistence gate (see persist.go), which every mutation holds
+// shared across its map update and AOF append so that a dump rotation
+// can cut between whole mutations.
 //
 // # Connection model and pipelining
 //
@@ -19,27 +21,12 @@
 // pipeline therefore costs one syscall per batch, not per command, and
 // a reply is never withheld while the connection waits for input.
 //
-// # Command → engine-op mapping
+// # Commands
 //
-//	GET     → ShardedMap.Load          (wait-free, 0-alloc in the trie)
-//	SET     → ShardedMap.Store         (lock-free upsert)
-//	DEL     → ShardedMap.Delete        (lock-free)
-//	EXISTS  → ShardedMap.Contains      (wait-free)
-//	MGET    → n × Load                 (each key individually linearizable)
-//	MSET    → n × Store                (not atomic across keys; documented)
-//	DBSIZE  → ShardedMap.Len           (per-shard atomic counters)
-//	SCAN    → ShardedMap.Ascend        (cursor = next trie key)
-//	RENAME  → ShardedMap.MoveKey       (the paper's atomic Replace when
-//	          the keys share a shard; a documented two-phase move —
-//	          insert-then-delete with an in-flight marker — across
-//	          shards, DESIGN.md §12)
-//	RENAMESTRICT → ShardedMap.ReplaceKey (atomic-only: cross-shard
-//	          pairs are refused with -CROSSSHARD, never emulated)
-//	EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT/TTL/PTTL/PERSIST/SETEX/GETEX
-//	        → expiry.Index             (secondary deadline-ordered trie;
-//	          lazy expiry on every read path + background reaper,
-//	          deadlines durable as absolute PEXPIREAT AOF records and
-//	          dump fields — DESIGN.md §12)
+// Each command is one row of the command table in dispatch.go: its
+// name, argument-count bounds, key positions, whether it is a write,
+// its handler and, for the commands the AOF logs, its replay. The rows'
+// comments give the engine operation each command maps onto.
 //
 // Wire keys pass through a pluggable Keyer (see keyer.go); values are
 // stored as the raw request bytes. The RESP reader parses each command
@@ -481,8 +468,8 @@ func (s *Server) infoSections() []infoSection {
 			fmt.Fprintf(b, "total_connections_received:%d\r\n", s.totalConns.Load())
 			fmt.Fprintf(b, "total_commands_processed:%d\r\n", s.totalCmds.Load())
 			var errs int64
-			for ci := cmdIndex(0); ci < cmdCount; ci++ {
-				errs += s.met.cmdErrs.Load(int(ci))
+			for ci := range s.met.latency {
+				errs += s.met.cmdErrs.Load(ci)
 			}
 			fmt.Fprintf(b, "total_error_replies:%d\r\n", errs)
 			fmt.Fprintf(b, "total_net_input_bytes:%d\r\n", s.met.bytesIn.Load())

@@ -513,6 +513,22 @@ func TestServerErrorRepliesAreCRLFSafe(t *testing.T) {
 	}
 }
 
+// TestServerErrorEchoBounded: an error reply quotes at most 128 bytes
+// of an echoed client argument, however long the argument, and the
+// connection stays usable.
+func TestServerErrorEchoBounded(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	huge := strings.Repeat("x", 1<<20)
+	for _, args := range [][]string{{huge}, {"SCAN", "0", huge, "5"}} {
+		v := c.do(args...)
+		if v.Kind != resp.TypeError || len(v.Str) >= 512 {
+			t.Fatalf("%s… reply is %d bytes, want an error under 512", args[0][:min(len(args[0]), 8)], len(v.Str))
+		}
+		c.mustSimple("PONG", "PING")
+	}
+}
+
 // TestServerMultiKeyBatchesValidateFirst: an invalid key anywhere in a
 // DEL/EXISTS/MGET/MSET batch fails the whole command before any effect.
 func TestServerMultiKeyBatchesValidateFirst(t *testing.T) {

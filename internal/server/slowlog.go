@@ -147,12 +147,8 @@ func (sl *slowlog) len() int {
 }
 
 // slowlogCmd implements SLOWLOG GET [n] / RESET / LEN.
-func (ss *session) slowlogCmd(args [][]byte) {
+func (ss *session) slowlogCmd(args [][]byte, _ []uint64) {
 	w := ss.w
-	if len(args) < 2 {
-		ss.wrongArity("SLOWLOG")
-		return
-	}
 	switch string(ss.upper(args[1])) {
 	case "GET":
 		n := 10

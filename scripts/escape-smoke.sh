@@ -57,6 +57,25 @@ pkgs="./internal/resp ./internal/server ./internal/engine ./internal/kv ./intern
         echo "none: the descent (incl. the k-ary child-array reads) is heap-free"
     fi
     echo
+    echo "## dispatch runner (internal/server/dispatch.go)"
+    # Every command crosses dispatch → run → its table row's handler; the
+    # 0-alloc GET/EXISTS/DEL/MGET and <= 1 SET-codec pins in
+    # internal/server/alloc_test.go (TestServerPathAllocPins) enforce the
+    # count, and this section points at the line that broke one. Expected
+    # sites: the table, its name map and the handler closures (built once
+    # in init), &session{...} (once per connection), the inlined Detach
+    # copy in set (SET's one pinned allocation), and the reply text of
+    # errors, SCAN and RENAME — cold paths. A new site in dispatch, run,
+    # keys, get, del or exists is the regression. Listed in line order.
+    disp="$(grep 'server/dispatch\.go' "$mlog" | sort -t: -k2,2n -k3,3n | uniq)"
+    if [ -n "$disp" ]; then
+        echo "$disp"
+        echo "(dispatch.go escape sites above: cross-check against the"
+        echo "server path pins before assuming they are cold-path.)"
+    else
+        echo "none: the dispatch runner is heap-free"
+    fi
+    echo
     echo "## obs record paths (Counter.Inc / Striped.Add / Hist.Record)"
     # Every command and every engine help/retry crosses these; the
     # 0-alloc pins in internal/obs/obs_test.go (AllocsPerRun) enforce
