@@ -25,6 +25,15 @@ func TestLayoutSizes(t *testing.T) {
 	if got := unsafe.Sizeof(leafNode[keys.Uint64Key, []byte]{}); got > 64 {
 		t.Errorf("leafNode[Uint64Key,[]byte] is %d B, want <= 64 (the 64 B size class)", got)
 	}
+	// nbtried's leaf: a []byte and its deadline (expiry.Value, whose own
+	// test pins it at 32 B) fill the 64 B class a []byte leaf already
+	// pays for — exactly, with no room to spare.
+	if got := unsafe.Sizeof(leafNode[keys.Uint64Key, struct {
+		b  []byte
+		at uint64
+	}]{}); got != 64 {
+		t.Errorf("leafNode[Uint64Key,{[]byte,uint64}] is %d B, want 64 (the 64 B size class, exactly)", got)
+	}
 	// Exactly the 64 B class, not merely within it: that class is what
 	// aligns every internal node to a cache line, so a descent touches one
 	// line per level.

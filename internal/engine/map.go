@@ -23,7 +23,13 @@ package engine
 
 // Store binds the encoded key v to val, inserting the key if absent and
 // overwriting the value if present (lock-free upsert).
-func (t *Trie[K, V]) Store(v K, val V) {
+func (t *Trie[K, V]) Store(v K, val V) { t.Swap(v, val) }
+
+// Swap is Store that also returns the value it replaced (loaded true) or
+// the zero value when v was absent, like sync.Map's Swap. The previous
+// value is the one on the leaf the overwrite's child CAS swung out: the
+// flag CAS on the parent pins that leaf from the search to the commit.
+func (t *Trie[K, V]) Swap(v K, val V) (previous V, loaded bool) {
 	l := t.gate.enter()
 	defer t.gate.exit(l)
 	for first := true; ; first = false {
@@ -34,12 +40,12 @@ func (t *Trie[K, V]) Store(v K, val V) {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			if t.tryInsert(l, v, val, r) {
 				t.count.Add(1)
-				return
+				return previous, false
 			}
 			continue
 		}
 		if t.tryOverwrite(l, v, val, r) {
-			return
+			return r.node.leaf().val, true
 		}
 	}
 }
@@ -60,6 +66,28 @@ func (t *Trie[K, V]) LoadOrStore(v K, val V) (actual V, loaded bool) {
 		if t.tryInsert(l, v, val, r) {
 			t.count.Add(1)
 			return val, false
+		}
+	}
+}
+
+// LoadAndDelete is Delete that also returns the value it removed, like
+// sync.Map's LoadAndDelete; loaded is false (and value the zero value)
+// when v was absent. As in DeleteFunc, the flag CAS pins the leaf read at
+// search time until the delete commits, so value is what was removed.
+func (t *Trie[K, V]) LoadAndDelete(v K) (value V, loaded bool) {
+	l := t.gate.enter()
+	defer t.gate.exit(l)
+	for first := true; ; first = false {
+		if !first {
+			t.stats.opRetries.Add(1)
+		}
+		r := t.searchMut(l, v)
+		if !keyInTrie(r.node, v, r.rmvd) {
+			return value, false
+		}
+		if t.tryDelete(l, v, r) {
+			t.count.Add(-1)
+			return r.node.leaf().val, true
 		}
 	}
 }
@@ -145,6 +173,32 @@ func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
 		}
 		if t.tryDelete(l, v, r) {
 			t.count.Add(-1)
+			return true
+		}
+	}
+}
+
+// CompareAndSwapFunc is DeleteFunc's twin: it binds v to new if v is
+// present and cond returns true for its stored value, returning true iff
+// the swap happened. It never compares values, so it works for
+// non-comparable value types, where CompareAndSwap panics. The flag CAS
+// pins the leaf cond approved until the child CAS swings it out. cond may
+// be called multiple times (once per retry) and must be side-effect free.
+func (t *Trie[K, V]) CompareAndSwapFunc(v K, cond func(V) bool, new V) bool {
+	l := t.gate.enter()
+	defer t.gate.exit(l)
+	for first := true; ; first = false {
+		if !first {
+			t.stats.opRetries.Add(1)
+		}
+		r := t.searchMut(l, v)
+		if !keyInTrie(r.node, v, r.rmvd) {
+			return false
+		}
+		if !cond(r.node.leaf().val) {
+			return false
+		}
+		if t.tryOverwrite(l, v, new, r) {
 			return true
 		}
 	}

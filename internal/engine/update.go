@@ -311,23 +311,11 @@ func (t *Trie[K, V]) replaceParent(l *lane, r searchResult[K, V], np *node[K, V]
 // Delete removes the encoded key v from the set, returning false if it
 // was absent (lines 33-41). The parent of v's leaf is replaced by the
 // leaf's sibling; both the grandparent and the parent are flagged, and
-// the parent — which leaves the trie — stays flagged forever.
+// the parent — which leaves the trie — stays flagged forever. The retry
+// loop is LoadAndDelete's (map.go).
 func (t *Trie[K, V]) Delete(v K) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if t.tryDelete(l, v, r) {
-			t.count.Add(-1)
-			return true
-		}
-	}
+	_, ok := t.LoadAndDelete(v)
+	return ok
 }
 
 // tryDelete attempts one round of the delete protocol for the encoded

@@ -1,44 +1,47 @@
-// Package expiry is nbtried's key-expiry subsystem: a secondary,
-// deadline-ordered index over the primary key space, built from the same
-// non-blocking Patricia-trie engine as the primary map and kept loosely
-// consistent with it.
+// Package expiry is nbtried's keyspace: one sharded non-blocking
+// Patricia trie whose leaves carry each key's value together with its
+// expiry arming, plus byDeadline, a deadline-ordered index over the
+// armed keys built from the same engine.
 //
-// Two tries make up an Index:
+// A key's deadline lives in its leaf (Value.At), so a write that changes
+// the value and the deadline together — SETEX, SET over a TTL'd key, DEL,
+// EXPIRE, PERSIST — is one engine update with one linearization point:
+// the child CAS that swings the key's parent to a fresh leaf, as in the
+// paper. byDeadline maps deadline<<20|seq → primary key. Packing the
+// deadline into the top bits makes trie order deadline order, so
+// "everything due by now" is one Ascend range scan and "when must the
+// reaper next wake" is one Min — the ordered-traversal dividend of the
+// Patricia trie (a hash index would need a separate heap).
 //
-//   - entries, a sharded trie mapping primary key → Entry{deadline, seq},
-//     sharded identically to the primary map so a key's TTL lives on the
-//     same shard partition as its value (one extra wait-free descent on
-//     the read path, no cross-shard traffic);
-//   - byDeadline, a single ordered trie mapping deadline<<20|seq →
-//     primary key. Packing the deadline into the top bits makes trie
-//     order deadline order, so "everything due by now" is one Ascend
-//     range scan and "when must the reaper next wake" is one Min — the
-//     ordered-traversal dividend of the Patricia trie (the paper's
-//     structure keeps keys in bit order for free; a hash index would
-//     need a separate heap).
+// The seq suffix (20 bits, from a global counter) makes index keys unique
+// even when many keys share one deadline millisecond; 43 bits remain for
+// the deadline, which covers Unix milliseconds up to year 2248. The index
+// key is also the arming's identity: a leaf's At is the index key of the
+// one node that finds it by deadline.
 //
-// The seq suffix (20 bits, from a global counter) makes index keys
-// unique even when many keys share one deadline millisecond; 43 bits
-// remain for the deadline, which covers Unix-milliseconds past year
-// 2500.
+// # Who deletes a node
 //
-// Loose consistency, precisely: entries is authoritative; byDeadline is
-// a hint. A racing re-EXPIRE can briefly leave a byDeadline node whose
-// entry has moved on — the reaper detects the mismatch (the entry it
-// loads no longer matches the node's deadline) and discards the stale
-// node without touching the key. Every purge is therefore
-// entry-conditional (CompareAndDelete on the Entry, value-conditional
-// DeleteFunc on the primary), never a blind delete.
+// byDeadline is a hint that the leaves keep honest by one rule: the
+// operation that retires an arming deletes its node. Every change of a
+// leaf's At is made by an operation that knows the At it replaced — Swap
+// and LoadAndDelete return the old value, CompareAndSwapFunc and
+// DeleteFunc approve it — and that operation deletes the old node after
+// its leaf update lands; an arming whose leaf update fails deletes its
+// own node. Neither the reaper nor a lazy read deletes a node it did not
+// retire. So at quiescence every node names a live arming and every
+// armed leaf has its node, and a node the reaper meets whose leaf does
+// not hold it yet (an arming in flight) or any more (a retirement in
+// flight) is left to its owner. DESIGN.md §12 has the full argument.
 package expiry
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
+	"time"
 
-	"nbtrie/internal/engine"
-	"nbtrie/internal/keys"
+	"nbtrie"
 	"nbtrie/internal/kv"
-	"nbtrie/internal/sharded"
 )
 
 const (
@@ -56,175 +59,323 @@ const (
 	MaxDeadlineMS = int64(1)<<(idxWidth-seqBits) - 1
 )
 
-// Entry is one key's expiry record: the absolute deadline and the
-// uniquifying sequence number its byDeadline node carries. Entry is
-// comparable, so the conditional trie operations (CompareAndDelete) work
-// on it directly — an Entry value identifies one specific arming of one
-// key's TTL.
-type Entry struct {
-	DeadlineMS int64
-	Seq        uint64
+// Value is what a key's leaf holds: the value bytes and the key's arming.
+// At is the arming's byDeadline key, deadline<<20 | seq, and 0 means the
+// key has no deadline. Deadlines are clamped to at least 1 ms, so an
+// armed At is never 0. Every arming draws a fresh seq, so At names one
+// arming of one key: comparing it is how a purge or a re-arm knows the
+// arming it saw is still in force. The struct is 32 B, so a leaf is
+// exactly the 64 B a []byte leaf's size class already spends.
+type Value struct {
+	B  []byte
+	At uint64
 }
 
-// idxKey packs the entry into its byDeadline key.
-func (e Entry) idxKey() uint64 {
-	return uint64(e.DeadlineMS)<<seqBits | e.Seq
+// DeadlineMS returns the absolute deadline (Unix milliseconds) of v's
+// arming, 0 when v has none.
+func (v Value) DeadlineMS() int64 { return int64(v.At >> seqBits) }
+
+// same reports whether have is exactly v: the same arming and the same
+// value allocation (slice identity; zero-length values have no element
+// to anchor on, so for them length is the whole check). A value stored
+// by a racing writer is a fresh allocation and never matches.
+func same(have, v Value) bool {
+	return have.At == v.At && len(have.B) == len(v.B) && (len(v.B) == 0 || &have.B[0] == &v.B[0])
 }
 
-// Index is the deadline-ordered expiry index. All methods are safe for
-// unrestricted concurrent use; consistency between the index and the
-// primary map it annotates is the caller's protocol (see the package
-// comment and DESIGN.md §12).
+// Index is the TTL'd keyspace. All methods are safe for unrestricted
+// concurrent use. Reads (Load, Contains, Lookup) are lazy-expiry reads:
+// a key whose deadline has passed reads as absent and is purged on the
+// spot. Writes never consult the clock, so AOF replay re-applies records
+// exactly as they were acknowledged.
 type Index struct {
-	entries    *sharded.Trie[Entry]
+	db         *nbtrie.ShardedMap[Value]
 	byDeadline *kv.U64[uint64]
+	clock      func() int64
 	seq        atomic.Uint64
 
-	// Reaper coordination: armed holds the deadline the reaper is
-	// currently sleeping toward (MaxInt64 when idle scanning); Set sends
-	// on wake — capacity 1, non-blocking — when it installs an earlier
-	// deadline, so the reaper can never sleep past work.
-	armed atomic.Int64
-	wake  chan struct{}
+	// Reaper coordination: wakeAt holds the deadline the reaper is
+	// currently sleeping toward (MaxInt64 when idle scanning); an arming
+	// sends on wake — capacity 1, non-blocking — when it installs an
+	// earlier deadline, so the reaper can never sleep past work.
+	wakeAt atomic.Int64
+	wake   chan struct{}
 
 	expired atomic.Uint64
 	passes  atomic.Uint64
 }
 
-// New returns an empty index for primary keys of the given width,
-// sharded shardCount ways (same constraints as the primary map — use the
-// primary's width and shard count so the partition lines up).
-func New(width uint32, shardCount int) (*Index, error) {
-	entries, err := sharded.New[Entry](width, shardCount)
+// Option configures New.
+type Option func(*config)
+
+type config struct {
+	span  uint32
+	clock func() int64
+}
+
+// WithSpan builds the keyspace's shards at digit width span (see
+// nbtrie.NewShardedMapSpan); the default is 1, the paper's binary nodes.
+func WithSpan(span uint32) Option { return func(c *config) { c.span = span } }
+
+// WithClock sets the clock, in Unix milliseconds, that reads compare
+// deadlines against; the default is the wall clock.
+func WithClock(clock func() int64) Option { return func(c *config) { c.clock = clock } }
+
+// New returns an empty keyspace over keys of the given width, sharded
+// shardCount ways (the nbtrie.NewShardedMap constraints).
+func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
+	c := config{span: 1, clock: func() int64 { return time.Now().UnixMilli() }}
+	for _, o := range opts {
+		o(&c)
+	}
+	db, err := nbtrie.NewShardedMapSpan[Value](width, shardCount, c.span)
 	if err != nil {
 		return nil, err
 	}
-	byDeadline, err := kv.NewU64(idxWidth, engine.WithSpan[keys.Uint64Key, uint64](4))
+	// Binary nodes, as a constant: an update of a wide node copies its
+	// whole slot block, and byDeadline is updated on every arming.
+	byDeadline, err := kv.NewU64[uint64](idxWidth)
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{entries: entries, byDeadline: byDeadline, wake: make(chan struct{}, 1)}
-	x.armed.Store(math.MaxInt64)
+	x := &Index{db: db, byDeadline: byDeadline, clock: c.clock, wake: make(chan struct{}, 1)}
+	x.wakeAt.Store(math.MaxInt64)
 	return x, nil
 }
 
-// setRetryLap bounds how many consecutive seq-collision retries Set
-// makes at one millisecond before degrading to a neighboring one: a
-// full lap of the suffix space in production (every slot provably
-// probed); tests lower it to exercise the exhaustion path without
-// arming 2^20 keys.
+// setRetryLap bounds how many consecutive seq-collision retries an
+// arming makes at one millisecond before degrading to a neighboring one:
+// a full lap of the suffix space in production (every slot provably
+// probed); tests lower it to exercise the exhaustion path without arming
+// 2^20 keys.
 var setRetryLap = seqMask
 
-// clampDeadline forces a deadline into the representable range.
+// clampDeadline forces a deadline into the representable range. The
+// floor is 1, not 0, so an armed At is never 0 and a dumped deadline is
+// never the dump format's "no TTL".
 func clampDeadline(ms int64) int64 {
-	if ms < 0 {
-		return 0
-	}
-	if ms > MaxDeadlineMS {
-		return MaxDeadlineMS
-	}
-	return ms
+	return min(max(ms, 1), MaxDeadlineMS)
 }
 
-// Set arms (or re-arms) k's deadline. The byDeadline node is inserted
-// before the entry is published, so the reaper can never observe an
-// entry without a node to find it by; the previous arming's node, if
-// any, is removed afterwards (on a lost race it survives as a stale node
-// for the reaper to discard). Finally the reaper is woken if the new
-// deadline is earlier than what it is sleeping toward. It returns the
-// Entry now in force; its deadline can differ from the requested one by
-// the representable-range clamp or, when every seq slot of a
+// arm inserts the byDeadline node of a fresh arming of k at deadlineMS
+// and returns its At, waking the reaper if the deadline is earlier than
+// the one it sleeps toward. The caller publishes the At in k's leaf and,
+// if that fails, deletes the node (retire). The deadline can differ from
+// the requested one by the clamp or, when every seq slot of a
 // millisecond is occupied, by the neighboring-millisecond fallback.
-func (x *Index) Set(k uint64, deadlineMS int64) Entry {
-	deadlineMS = clampDeadline(deadlineMS)
-	old, had := x.entries.Load(k)
-	e := Entry{DeadlineMS: deadlineMS}
+func (x *Index) arm(k uint64, deadlineMS int64) uint64 {
+	d := clampDeadline(deadlineMS)
 	down := false
 	for tries := 0; ; tries++ {
-		e.Seq = x.seq.Add(1) & seqMask
-		if x.byDeadline.InsertValue(e.idxKey(), k) {
-			break
+		at := uint64(d)<<seqBits | x.seq.Add(1)&seqMask
+		if x.byDeadline.InsertValue(at, k) {
+			if d < x.wakeAt.Load() {
+				x.notify()
+			}
+			return at
 		}
 		// Seq collision after 2^20 wraps at one millisecond: take the
-		// next counter value and retry. If a full lap finds every seq
-		// slot for this millisecond occupied (>2^20 keys armed at one
-		// deadline — a mass restore or bulk EXPIREAT), degrade by one
-		// millisecond instead of spinning forever: prefer later (firing
-		// a hair late is invisible), walk earlier once the clamp ceiling
-		// is hit so the search still terminates.
+		// next counter value and retry. If a full lap finds every seq slot
+		// for this millisecond occupied (>2^20 keys armed at one deadline
+		// — a mass restore or bulk EXPIREAT), degrade by one millisecond
+		// instead of spinning forever: prefer later (firing a hair late is
+		// invisible), walk earlier once the clamp ceiling is hit so the
+		// search still terminates.
 		if tries >= setRetryLap {
-			if down || e.DeadlineMS >= MaxDeadlineMS {
+			if down || d >= MaxDeadlineMS {
 				down = true
-				e.DeadlineMS--
+				d--
 			} else {
-				e.DeadlineMS++
+				d++
 			}
 			tries = -1
 		}
 	}
-	x.entries.Store(k, e)
-	if had {
-		x.byDeadline.CompareAndDelete(old.idxKey(), k)
-	}
-	if e.DeadlineMS < x.armed.Load() {
-		x.notify()
-	}
-	return e
 }
 
-// Clear removes k's deadline (PERSIST, or a plain SET overwriting a
-// TTL'd key), returning true iff an arming was removed.
-func (x *Index) Clear(k uint64) bool {
-	for {
-		e, ok := x.entries.Load(k)
-		if !ok {
-			return false
-		}
-		if x.entries.CompareAndDelete(k, e) {
-			x.byDeadline.CompareAndDelete(e.idxKey(), k)
-			return true
-		}
-		// Lost a race with a concurrent Set/Clear of the same key; the
-		// authoritative entry changed under us — reload and retry.
+// retire deletes the node of an arming its caller took out of a leaf
+// (or never got into one); at 0 is no arming.
+func (x *Index) retire(at uint64) {
+	if at != 0 {
+		x.byDeadline.Delete(at)
 	}
 }
 
-// Lookup returns k's current arming, if any. Wait-free, allocation-free
-// (one sharded-trie descent): this is the read-path check.
-func (x *Index) Lookup(k uint64) (Entry, bool) {
-	return x.entries.Load(k)
+// ---- reads ----
+
+// Lookup returns k's live value and arming: one Load, and the clock is
+// read only when the key is armed. Wait-free and allocation-free unless
+// the key turns out to be due, in which case it reads as absent and is
+// purged.
+func (x *Index) Lookup(k uint64) (Value, bool) {
+	v, ok := x.db.Load(k)
+	if ok && x.Expired(k, v) {
+		return Value{}, false
+	}
+	return v, ok
 }
 
-// Remove deletes k's arming only if it is still exactly e — the
-// conditional half of a purge. Returns true iff the entry was removed by
-// this call. The byDeadline node is removed best-effort either way.
-func (x *Index) Remove(k uint64, e Entry) bool {
-	if !x.entries.CompareAndDelete(k, e) {
+// Load returns k's live value bytes (GET).
+func (x *Index) Load(k uint64) ([]byte, bool) {
+	v, ok := x.Lookup(k)
+	return v.B, ok
+}
+
+// Contains reports whether k is live (EXISTS).
+func (x *Index) Contains(k uint64) bool {
+	_, ok := x.Lookup(k)
+	return ok
+}
+
+// Expired reports whether v, a value k held, is due by the clock, and if
+// so purges k from the keyspace when k still holds that arming. Lookup
+// applies it to the live value; SCAN to the value in its snapshot.
+func (x *Index) Expired(k uint64, v Value) bool {
+	if v.At == 0 || v.DeadlineMS() > x.clock() {
 		return false
 	}
-	x.byDeadline.CompareAndDelete(e.idxKey(), k)
+	x.purge(k, v.At)
 	return true
 }
 
+// purge deletes k if it still holds arming at — the conditional half of
+// every expiry, lazy or reaped — and reports whether this call removed
+// it. A racing write that replaced the leaf changed its At, so the
+// condition fails and the write survives; that write also retired at.
+func (x *Index) purge(k, at uint64) bool {
+	if !x.db.DeleteFunc(k, func(v Value) bool { return v.At == at }) {
+		return false
+	}
+	x.byDeadline.Delete(at)
+	x.expired.Add(1)
+	return true
+}
+
+// ---- writes ----
+
+// Store binds k to v with no deadline (SET): one Swap, then the node of
+// the arming it displaced, if any, is deleted. It returns false only for
+// an out-of-range k.
+func (x *Index) Store(k uint64, v []byte) bool {
+	old, _, ok := x.db.Swap(k, Value{B: v})
+	x.retire(old.At)
+	return ok
+}
+
+// StoreDeadline binds k to v armed at deadlineMS (SETEX): the node is
+// inserted, then one Swap publishes value and arming together, then the
+// displaced arming's node is deleted. It returns false only for an
+// out-of-range k.
+func (x *Index) StoreDeadline(k uint64, v []byte, deadlineMS int64) bool {
+	at := x.arm(k, deadlineMS)
+	old, _, ok := x.db.Swap(k, Value{B: v, At: at})
+	if !ok {
+		x.retire(at)
+	}
+	x.retire(old.At)
+	return ok
+}
+
+// Delete removes k and its arming (DEL); false iff k was absent.
+func (x *Index) Delete(k uint64) bool {
+	old, ok := x.db.LoadAndDelete(k)
+	x.retire(old.At)
+	return ok
+}
+
+// Set arms k's deadline if k is present (EXPIRE and its variants, and
+// PEXPIREAT replay), returning false when k is absent. The value is kept:
+// the leaf is swapped for one with the same bytes and the new At,
+// conditional on the exact value read. Set does not consult the clock, so
+// it arms a past deadline too; the server deletes instead when a client
+// asks for one.
+func (x *Index) Set(k uint64, deadlineMS int64) bool {
+	for {
+		v, ok := x.db.Load(k)
+		if !ok {
+			return false
+		}
+		if x.rearm(k, v, x.arm(k, deadlineMS)) {
+			return true
+		}
+	}
+}
+
+// Persist removes k's deadline, returning true iff one was removed.
+func (x *Index) Persist(k uint64) bool {
+	for {
+		v, ok := x.db.Load(k)
+		if !ok || v.At == 0 {
+			return false
+		}
+		if x.rearm(k, v, 0) {
+			return true
+		}
+	}
+}
+
+// rearm swaps k from exactly v to the same bytes armed at at (0: no
+// deadline), then retires v's arming; if k no longer holds v, it retires
+// at instead and reports false.
+func (x *Index) rearm(k uint64, v Value, at uint64) bool {
+	if x.db.CompareAndSwapFunc(k, func(have Value) bool { return same(have, v) }, Value{B: v.B, At: at}) {
+		x.retire(v.At)
+		return true
+	}
+	x.retire(at)
+	return false
+}
+
+// Rename moves old's value to new, which must be absent (RENAME; strict
+// refuses a cross-shard pair with nbtrie.ErrCrossShard instead of moving
+// it in two phases — see nbtrie.ShardedMap.MoveKey). The deadline travels
+// inside the leaf, so a same-shard rename moves value and deadline in one
+// step. Afterwards the arming's node still names old, so it is re-pointed:
+// a node for new, a conditional swap of new's At, then the old node is
+// deleted. Like every write, Rename does not consult the clock.
+func (x *Index) Rename(old, new uint64, strict bool) (moved bool, err error) {
+	if strict {
+		moved, err = x.db.ReplaceKey(old, new)
+	} else {
+		moved, err = x.db.MoveKey(old, new)
+	}
+	if moved {
+		// One try: if new changed since the move, whoever changed it
+		// retired the travelling arming, and what new holds now has its
+		// own node.
+		if v, ok := x.db.Load(new); ok && v.At != 0 {
+			x.rearm(new, v, x.arm(new, v.DeadlineMS()))
+		}
+	}
+	return moved, err
+}
+
+// NoteExpired counts a key the server deleted because a client set a
+// deadline already past (EXPIRE, GETEX); purges count themselves. It
+// feeds INFO's expired_keys.
+func (x *Index) NoteExpired() { x.expired.Add(1) }
+
+// ---- the reaper ----
+
 // Earliest returns the soonest armed deadline, if any arming exists.
-// Stale nodes can make it report a deadline whose arming has moved on —
-// harmless, the reaper's scan discards them.
+// A node whose retirement is in flight can make it report a deadline
+// that is already gone — harmless, the reaper's scan skips it.
 func (x *Index) Earliest() (deadlineMS int64, ok bool) {
-	idx, ok := x.byDeadline.Min()
+	at, ok := x.byDeadline.Min()
 	if !ok {
 		return 0, false
 	}
-	return int64(idx >> seqBits), true
+	return int64(at >> seqBits), true
 }
 
 // Arm records the deadline the reaper is about to sleep toward. Calling
 // Arm(math.MaxInt64) before scanning for the next deadline closes the
-// missed-wakeup window: any Set landing after that store sees an
-// "infinitely late" armed value and notifies.
-func (x *Index) Arm(deadlineMS int64) { x.armed.Store(deadlineMS) }
+// missed-wakeup window: any arming landing after that store sees an
+// "infinitely late" planned wake and notifies.
+func (x *Index) Arm(deadlineMS int64) { x.wakeAt.Store(deadlineMS) }
 
 // Wake is the reaper's wakeup channel: capacity 1, signalled (never
-// blocking) whenever a deadline earlier than the armed one is installed.
+// blocking) whenever a deadline earlier than the planned wake is armed.
 func (x *Index) Wake() <-chan struct{} { return x.wake }
 
 func (x *Index) notify() {
@@ -234,77 +385,90 @@ func (x *Index) notify() {
 	}
 }
 
-// Reap scans everything due at or before nowMS in deadline order. For
-// each candidate whose arming still matches its node, purge is invoked
-// with the key and its Entry; purge owns the actual removal protocol
-// (value-conditional primary delete, then Remove) and reports whether it
-// expired the key. Nodes whose arming moved on are discarded. Reap
-// returns the number of keys purge reported expired; it also counts one
-// reaper pass.
-func (x *Index) Reap(nowMS int64, purge func(k uint64, e Entry) bool) int {
+// Reap purges every key due at or before nowMS, in deadline order, and
+// returns how many it removed; it also counts one reaper pass. A node
+// whose key does not hold its arming is skipped, not deleted: the
+// arming is in flight or being retired, and its owner deletes the node.
+func (x *Index) Reap(nowMS int64) int {
 	x.passes.Add(1)
 	limit := uint64(clampDeadline(nowMS))<<seqBits | seqMask
-	type cand struct{ idx, key uint64 }
+	type cand struct{ at, key uint64 }
 	var cands []cand
-	x.byDeadline.AscendKV(0, func(idx uint64, key uint64) bool {
-		if idx > limit {
+	x.byDeadline.AscendKV(0, func(at uint64, key uint64) bool {
+		if at > limit {
 			return false
 		}
-		cands = append(cands, cand{idx, key})
+		cands = append(cands, cand{at, key})
 		return true
 	})
 	n := 0
 	for _, c := range cands {
-		e, ok := x.entries.Load(c.key)
-		if !ok || e.idxKey() != c.idx {
-			// Stale node: the arming it described was cleared or
-			// replaced. Drop the node; the key is not touched.
-			x.byDeadline.CompareAndDelete(c.idx, c.key)
-			continue
-		}
-		if purge(c.key, e) {
+		if x.purge(c.key, c.at) {
 			n++
 		}
-		// purge's Remove already dropped the node on success; on a lost
-		// race (concurrent re-arm) this conditional delete is a no-op
-		// for the new arming and cleanup for the old.
-		x.byDeadline.CompareAndDelete(c.idx, c.key)
 	}
 	return n
 }
 
-// NoteExpired counts a key expired (lazy purge or reaper purge); it
-// feeds INFO's expired_keys.
-func (x *Index) NoteExpired() { x.expired.Add(1) }
+// ---- whole-keyspace views ----
 
 // Stats returns the lifetime counters: keys expired and reaper passes.
 func (x *Index) Stats() (expired, passes uint64) {
 	return x.expired.Load(), x.passes.Load()
 }
 
-// Len reports the number of armed keys (per-shard-exact counter sum,
-// same contract as the primary map's Len).
-func (x *Index) Len() int { return x.entries.Len() }
+// Len reports the number of keys, expired-but-unpurged ones included
+// (the per-shard counter sum of nbtrie.ShardedMap.Len).
+func (x *Index) Len() int { return x.db.Len() }
 
-// Snapshot returns a frozen view of the armings — an O(shards) cut of
-// the entries trie, taken by the server under its persistence gate next
-// to the primary snapshot so dumps see one consistent (value, deadline)
-// cut per key.
-func (x *Index) Snapshot() *Snapshot {
-	return &Snapshot{s: x.entries.Snapshot()}
-}
+// ArmedKeys reports the number of armed keys: byDeadline's counter, one
+// node per arming, exact at quiescence.
+func (x *Index) ArmedKeys() int { return x.byDeadline.Len() }
 
-// Snapshot is a point-in-time view of the index's armings.
-type Snapshot struct {
-	s *sharded.Snapshot[Entry]
-}
+// Snapshot returns a frozen view of the keyspace, deadlines included:
+// the dump's one cut, and SCAN's.
+func (x *Index) Snapshot() *nbtrie.ShardedMapSnapshot[Value] { return x.db.Snapshot() }
 
-// DeadlineMS returns k's absolute deadline in the cut, 0 when k had no
-// TTL at the cut.
-func (s *Snapshot) DeadlineMS(k uint64) int64 {
-	e, ok := s.s.Load(k)
-	if !ok {
-		return 0
+// Shards returns the keyspace's shard count.
+func (x *Index) Shards() int { return x.db.Shards() }
+
+// EngineStats returns the keyspace's contention counters summed over its
+// shards.
+func (x *Index) EngineStats() nbtrie.EngineStats { return x.db.EngineStats() }
+
+// ShardEngineStats returns shard i's contention counters.
+func (x *Index) ShardEngineStats(i int) nbtrie.EngineStats { return x.db.ShardEngineStats(i) }
+
+// Validate checks both tries' structural invariants and the node rule
+// (see the package comment): every byDeadline node names a key whose
+// leaf holds its arming, and every armed leaf has its node. Quiescent
+// use only.
+func (x *Index) Validate() error {
+	if err := x.db.Validate(); err != nil {
+		return err
 	}
-	return e.DeadlineMS
+	if err := x.byDeadline.Validate(); err != nil {
+		return err
+	}
+	var err error
+	nodes, armed := 0, 0
+	x.byDeadline.AllKV(func(at, k uint64) bool {
+		nodes++
+		if v, _ := x.db.Load(k); v.At != at {
+			err = fmt.Errorf("expiry: byDeadline node %#x names key %#x, whose leaf holds arming %#x", at, k, v.At)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, v := range x.db.All() {
+		if v.At != 0 {
+			armed++
+		}
+	}
+	if armed != nodes {
+		return fmt.Errorf("expiry: %d armed keys, %d byDeadline nodes", armed, nodes)
+	}
+	return nil
 }

@@ -1,106 +1,153 @@
 package expiry
 
 import (
+	"bytes"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
-func newIndex(t testing.TB) *Index {
+// testClock is a hand-driven millisecond clock.
+type testClock struct{ ms atomic.Int64 }
+
+func (c *testClock) now() int64 { return c.ms.Load() }
+
+func newIndex(t testing.TB) (*Index, *testClock) {
 	t.Helper()
-	x, err := New(16, 4)
+	clk := &testClock{}
+	x, err := New(16, 4, WithClock(clk.now))
 	if err != nil {
 		t.Fatalf("New(16, 4): %v", err)
 	}
-	return x
+	return x, clk
+}
+
+// deadline returns k's raw deadline: 0 when k is unarmed or absent.
+func deadline(x *Index, k uint64) int64 {
+	v, _ := x.db.Load(k)
+	return v.DeadlineMS()
+}
+
+// TestValueLeafSize pins the leaf: a 32 B engine header plus a 32 B
+// Value is exactly the 64 B size class a []byte leaf (56 B) already
+// spends, so moving the deadline into the leaf costs unarmed keys nothing.
+func TestValueLeafSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d B, want 32 (a []byte header and one uint64)", got)
+	}
 }
 
 func TestSetLookupClear(t *testing.T) {
-	x := newIndex(t)
-	if _, ok := x.Lookup(7); ok {
-		t.Fatal("Lookup on empty index")
+	x, _ := newIndex(t)
+	if x.Set(7, 1000) {
+		t.Fatal("Set armed an absent key")
 	}
-	e := x.Set(7, 1000)
-	if e.DeadlineMS != 1000 {
-		t.Fatalf("Set returned deadline %d", e.DeadlineMS)
+	if x.ArmedKeys() != 0 {
+		t.Fatalf("a refused Set left %d nodes", x.ArmedKeys())
 	}
-	got, ok := x.Lookup(7)
-	if !ok || got != e {
-		t.Fatalf("Lookup = %+v, %v; want %+v", got, ok, e)
+	x.Store(7, []byte("v"))
+	if v, ok := x.Lookup(7); !ok || v.At != 0 || string(v.B) != "v" {
+		t.Fatalf("Lookup after Store = %+v, %v", v, ok)
 	}
-	// Re-arm: the new entry replaces the old, old node cleaned up.
-	e2 := x.Set(7, 2000)
-	if got, _ := x.Lookup(7); got != e2 {
-		t.Fatalf("Lookup after re-arm = %+v, want %+v", got, e2)
+	if !x.Set(7, 1000) {
+		t.Fatal("Set refused a present key")
 	}
-	if d, ok := x.Earliest(); !ok || d != 2000 {
-		t.Fatalf("Earliest after re-arm = %d, %v (stale node survived?)", d, ok)
+	v, ok := x.Lookup(7)
+	if !ok || v.DeadlineMS() != 1000 || string(v.B) != "v" {
+		t.Fatalf("Lookup = %+v, %v; want v armed at 1000", v, ok)
 	}
-	if !x.Clear(7) {
-		t.Fatal("Clear found nothing")
+	// Re-arm: the new arming replaces the old, old node cleaned up.
+	x.Set(7, 2000)
+	if got := deadline(x, 7); got != 2000 {
+		t.Fatalf("deadline after re-arm = %d, want 2000", got)
 	}
-	if x.Clear(7) {
-		t.Fatal("second Clear succeeded")
+	if d, ok := x.Earliest(); !ok || d != 2000 || x.ArmedKeys() != 1 {
+		t.Fatalf("Earliest after re-arm = %d, %v with %d nodes (stale node survived?)", d, ok, x.ArmedKeys())
+	}
+	if !x.Persist(7) {
+		t.Fatal("Persist found nothing")
+	}
+	if x.Persist(7) {
+		t.Fatal("second Persist succeeded")
 	}
 	if _, ok := x.Earliest(); ok {
-		t.Fatal("Earliest nonempty after Clear")
+		t.Fatal("Earliest nonempty after Persist")
 	}
-	if x.Len() != 0 {
-		t.Fatalf("Len = %d", x.Len())
+	if b, ok := x.Load(7); !ok || string(b) != "v" {
+		t.Fatalf("Persist lost the value: %q, %v", b, ok)
+	}
+	// SETEX, then SET and DEL each retire the arming with the value.
+	x.StoreDeadline(7, []byte("w"), 3000)
+	x.Store(7, []byte("u"))
+	if deadline(x, 7) != 0 || x.ArmedKeys() != 0 {
+		t.Fatalf("Store kept the arming: deadline %d, %d nodes", deadline(x, 7), x.ArmedKeys())
+	}
+	x.StoreDeadline(7, []byte("w"), 3000)
+	if !x.Delete(7) || x.ArmedKeys() != 0 || x.Len() != 0 {
+		t.Fatalf("Delete left %d nodes, %d keys", x.ArmedKeys(), x.Len())
 	}
 }
 
+// TestRemoveIsConditional: a purge removes a key only while its leaf
+// still holds the arming that fell due. The purge of a superseded arming
+// is a no-op, however far past its deadline.
 func TestRemoveIsConditional(t *testing.T) {
-	x := newIndex(t)
-	e1 := x.Set(3, 100)
-	e2 := x.Set(3, 200) // e1 is now a stale identity
-	if x.Remove(3, e1) {
-		t.Fatal("Remove succeeded with a superseded entry")
+	x, _ := newIndex(t)
+	x.StoreDeadline(3, []byte("v"), 100)
+	v1, _ := x.db.Load(3)
+	x.Set(3, 200) // v1.At is now a superseded arming
+	if x.purge(3, v1.At) {
+		t.Fatal("purge succeeded with a superseded arming")
 	}
-	if got, ok := x.Lookup(3); !ok || got != e2 {
-		t.Fatalf("stale Remove disturbed the live arming: %+v, %v", got, ok)
+	v2, ok := x.db.Load(3)
+	if !ok || v2.DeadlineMS() != 200 {
+		t.Fatalf("stale purge disturbed the live arming: %+v, %v", v2, ok)
 	}
-	if !x.Remove(3, e2) {
-		t.Fatal("Remove with the live entry failed")
+	if !x.purge(3, v2.At) {
+		t.Fatal("purge of the live arming failed")
 	}
-	if _, ok := x.Lookup(3); ok {
-		t.Fatal("arming survived Remove")
+	if _, ok := x.db.Load(3); ok || x.ArmedKeys() != 0 {
+		t.Fatalf("key or node survived its purge (%d nodes)", x.ArmedKeys())
 	}
 }
 
 func TestEarliestOrdering(t *testing.T) {
-	x := newIndex(t)
-	x.Set(1, 500)
-	x.Set(2, 100)
-	x.Set(3, 900)
+	x, _ := newIndex(t)
+	x.StoreDeadline(1, nil, 500)
+	x.StoreDeadline(2, nil, 100)
+	x.StoreDeadline(3, nil, 900)
 	if d, ok := x.Earliest(); !ok || d != 100 {
 		t.Fatalf("Earliest = %d, %v; want 100", d, ok)
 	}
-	x.Clear(2)
+	x.Persist(2)
 	if d, ok := x.Earliest(); !ok || d != 500 {
-		t.Fatalf("Earliest after clearing the min = %d, %v; want 500", d, ok)
+		t.Fatalf("Earliest after disarming the min = %d, %v; want 500", d, ok)
 	}
 }
 
 func TestClamping(t *testing.T) {
-	x := newIndex(t)
-	if e := x.Set(1, -50); e.DeadlineMS != 0 {
-		t.Fatalf("negative deadline clamped to %d, want 0", e.DeadlineMS)
+	x, _ := newIndex(t)
+	x.StoreDeadline(1, nil, -50)
+	if d := deadline(x, 1); d != 1 {
+		t.Fatalf("negative deadline clamped to %d, want 1 (0 means unarmed)", d)
 	}
-	if e := x.Set(2, math.MaxInt64); e.DeadlineMS != MaxDeadlineMS {
-		t.Fatalf("huge deadline clamped to %d, want %d", e.DeadlineMS, MaxDeadlineMS)
+	x.StoreDeadline(2, nil, math.MaxInt64)
+	if d := deadline(x, 2); d != MaxDeadlineMS {
+		t.Fatalf("huge deadline clamped to %d, want %d", d, MaxDeadlineMS)
 	}
-	if d, ok := x.Earliest(); !ok || d != 0 {
+	if d, ok := x.Earliest(); !ok || d != 1 {
 		t.Fatalf("Earliest = %d, %v", d, ok)
 	}
 }
 
 // TestSetExhaustedMillisecond arms a key at a deadline whose seq slot
 // space is already occupied — a mass restore or bulk EXPIREAT aimed at
-// one deadline: Set must terminate by degrading to a neighboring
+// one deadline: the arming must terminate by degrading to a neighboring
 // millisecond instead of retrying the exhausted slot space forever.
 // The lap bound is lowered and the colliding byDeadline nodes planted
-// directly (a fresh index's seq counter starts at 0, so Set probes
+// directly (a fresh index's seq counter starts at 0, so an arming probes
 // seqs 1, 2, 3, ...); exhausting the real 2^20-slot space exercises the
 // identical loop at ~2M trie ops per case.
 func TestSetExhaustedMillisecond(t *testing.T) {
@@ -118,98 +165,81 @@ func TestSetExhaustedMillisecond(t *testing.T) {
 	}
 
 	t.Run("degrades later", func(t *testing.T) {
-		x := newIndex(t)
+		x, _ := newIndex(t)
 		const d = int64(5000)
 		plant(t, x, d)
-		e := x.Set(9, d)
-		if e.DeadlineMS != d+1 {
-			t.Fatalf("Set on an exhausted millisecond landed at %d, want %d", e.DeadlineMS, d+1)
-		}
-		if got, ok := x.Lookup(9); !ok || got != e {
-			t.Fatalf("Lookup = %+v, %v; want %+v", got, ok, e)
+		x.Store(9, []byte("v"))
+		x.Set(9, d)
+		if got := deadline(x, 9); got != d+1 {
+			t.Fatalf("Set on an exhausted millisecond landed at %d, want %d", got, d+1)
 		}
 	})
 
 	t.Run("walks earlier at the clamp ceiling", func(t *testing.T) {
-		x := newIndex(t)
+		x, _ := newIndex(t)
 		plant(t, x, MaxDeadlineMS)
-		e := x.Set(9, math.MaxInt64) // clamps to MaxDeadlineMS, which is full
-		if e.DeadlineMS != MaxDeadlineMS-1 {
-			t.Fatalf("Set at the exhausted ceiling landed at %d, want %d", e.DeadlineMS, MaxDeadlineMS-1)
+		x.StoreDeadline(9, []byte("v"), math.MaxInt64) // clamps to MaxDeadlineMS, which is full
+		if got := deadline(x, 9); got != MaxDeadlineMS-1 {
+			t.Fatalf("arming at the exhausted ceiling landed at %d, want %d", got, MaxDeadlineMS-1)
 		}
 	})
 }
 
-// purgeInto returns a Reap purge callback implementing the server's
-// protocol against a plain map primary: delete from the primary, then
-// conditionally Remove the arming.
-func purgeInto(x *Index, primary map[uint64]bool) func(k uint64, e Entry) bool {
-	return func(k uint64, e Entry) bool {
-		delete(primary, k)
-		return x.Remove(k, e)
-	}
-}
-
 func TestReap(t *testing.T) {
-	x := newIndex(t)
-	primary := map[uint64]bool{10: true, 11: true, 12: true, 13: true}
-	x.Set(10, 100)
-	x.Set(11, 200)
-	x.Set(12, 200) // same millisecond: seq disambiguates
-	x.Set(13, 300)
+	x, _ := newIndex(t)
+	x.StoreDeadline(10, nil, 100)
+	x.StoreDeadline(11, nil, 200)
+	x.StoreDeadline(12, nil, 200) // same millisecond: seq disambiguates
+	x.StoreDeadline(13, nil, 300)
+	x.Store(14, nil)
 
-	if n := x.Reap(50, purgeInto(x, primary)); n != 0 {
+	if n := x.Reap(50); n != 0 {
 		t.Fatalf("Reap(50) purged %d", n)
 	}
 	// The limit is inclusive: everything due AT now expires too.
-	if n := x.Reap(200, purgeInto(x, primary)); n != 3 {
+	if n := x.Reap(200); n != 3 {
 		t.Fatalf("Reap(200) purged %d, want 3", n)
 	}
-	if !primary[13] || len(primary) != 1 {
-		t.Fatalf("primary after reap = %v", primary)
+	if x.Len() != 2 || !x.db.Contains(13) || !x.db.Contains(14) {
+		t.Fatalf("keyspace after reap holds %d keys", x.Len())
 	}
 	if d, ok := x.Earliest(); !ok || d != 300 {
 		t.Fatalf("Earliest after reap = %d, %v", d, ok)
 	}
 	expired, passes := x.Stats()
-	if expired != 0 { // Reap itself doesn't count; the server's purge calls NoteExpired
-		t.Fatalf("expired = %d before any NoteExpired", expired)
-	}
-	if passes != 2 {
-		t.Fatalf("passes = %d, want 2", passes)
+	if expired != 3 || passes != 2 {
+		t.Fatalf("expired = %d, passes = %d; want 3, 2", expired, passes)
 	}
 }
 
-// TestReapSkipsRearmed: a key re-armed to a later deadline between the
-// scan and the purge must not be purged via its old node — the entry
-// check detects the stale node and discards it without touching the key.
+// TestReapSkipsRearmed: a node whose key no longer holds its arming —
+// re-armed to a later deadline, with the old node's deletion still in
+// flight — must not purge the key. The reaper leaves the node to the
+// operation that retired its arming.
 func TestReapSkipsRearmed(t *testing.T) {
-	x := newIndex(t)
-	primary := map[uint64]bool{5: true}
-	e1 := x.Set(5, 100)
-	// Simulate the race: the old byDeadline node survives (re-insert it
-	// as a stale node the way a lost CAD race would), while the entry
-	// moves on to a later deadline.
-	x.byDeadline.InsertValue(e1.idxKey(), 5)
+	x, _ := newIndex(t)
+	x.StoreDeadline(5, []byte("v"), 100)
+	v1, _ := x.db.Load(5)
 	x.Set(5, 99999)
+	// The re-arm deleted v1's node; put it back, as if that deletion had
+	// not landed yet when the reaper scans.
+	x.byDeadline.InsertValue(v1.At, 5)
 
-	if n := x.Reap(200, purgeInto(x, primary)); n != 0 {
+	if n := x.Reap(200); n != 0 {
 		t.Fatalf("Reap purged %d through a stale node", n)
 	}
-	if !primary[5] {
-		t.Fatal("re-armed key was purged")
+	if v, ok := x.Lookup(5); !ok || v.DeadlineMS() != 99999 {
+		t.Fatalf("re-armed key was purged or disarmed: %+v, %v", v, ok)
 	}
-	if _, ok := x.Lookup(5); !ok {
-		t.Fatal("live arming lost")
-	}
-	// The stale node was discarded: the earliest deadline is the live one.
-	if d, ok := x.Earliest(); !ok || d != 99999 {
-		t.Fatalf("Earliest = %d, %v; stale node survived the reap", d, ok)
+	if d, ok := x.Earliest(); !ok || d != 100 {
+		t.Fatalf("Earliest = %d, %v; the reaper deleted a node it did not retire", d, ok)
 	}
 }
 
 func TestWakeSignalling(t *testing.T) {
-	x := newIndex(t)
+	x, _ := newIndex(t)
+	x.Store(1, nil)
+	x.Store(2, nil)
 	x.Arm(5000) // reaper sleeping toward 5000
 	x.Set(1, 9000)
 	select {
@@ -225,116 +255,215 @@ func TestWakeSignalling(t *testing.T) {
 	}
 }
 
-// TestConcurrentSetClearRemove hammers one key from many goroutines;
-// the invariant is convergence — after the dust settles the entry and
-// node views agree — plus no panics/races under -race.
+// TestConcurrentSetClearRemove hammers a few keys with every keyspace
+// write from many goroutines, while others purge. The invariant is the
+// node rule: at every pause, each byDeadline node names a key holding
+// its arming and each armed key has its node (Validate); and a total
+// reap leaves no armed leaf and no node — no orphan arming, no stale
+// node.
 func TestConcurrentSetClearRemove(t *testing.T) {
-	x := newIndex(t)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := uint64(i % 16)
-				switch g % 3 {
-				case 0:
-					x.Set(k, int64(1000+i))
-				case 1:
-					x.Clear(k)
-				case 2:
-					if e, ok := x.Lookup(k); ok {
-						x.Remove(k, e)
+	x, clk := newIndex(t)
+	clk.ms.Store(500)
+	const phases, perPhase = 10, 200
+	for phase := 0; phase < phases; phase++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := phase * perPhase; i < (phase+1)*perPhase; i++ {
+					k := uint64(i % 16)
+					switch (g + i) % 8 {
+					case 0:
+						x.Set(k, int64(1000+i))
+					case 1:
+						x.Persist(k)
+					case 2:
+						x.StoreDeadline(k, []byte("e"), int64(i))
+					case 3:
+						x.Store(k, []byte("s"))
+					case 4:
+						x.Delete(k)
+					case 5:
+						x.Rename(k, (k+5)%16, false)
+					case 6:
+						x.Load(k) // purges what is due by 500
+					case 7:
+						x.Reap(int64(i))
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		if err := x.Validate(); err != nil {
+			t.Fatalf("after phase %d: %v", phase, err)
+		}
 	}
-	wg.Wait()
-	// Quiescent convergence: one final reap far in the future purges
-	// every surviving arming and discards every stale node.
-	n := x.Reap(MaxDeadlineMS, func(k uint64, e Entry) bool { return x.Remove(k, e) })
-	if x.Len() != 0 {
-		t.Fatalf("Len = %d after a total reap (purged %d)", x.Len(), n)
+	n := x.Reap(MaxDeadlineMS)
+	if x.ArmedKeys() != 0 {
+		t.Fatalf("%d byDeadline nodes after a total reap (purged %d)", x.ArmedKeys(), n)
 	}
-	if _, ok := x.Earliest(); ok {
-		t.Fatal("byDeadline nonempty after a total reap")
+	for k, v := range x.Snapshot().All() {
+		if v.At != 0 {
+			t.Fatalf("key %d still armed at %d after a total reap", k, v.DeadlineMS())
+		}
 	}
 }
 
-// FuzzExpiryIndexOps drives a byte-coded op sequence against the index
-// and a plain timed-map oracle; after every op the views must agree on
-// membership, deadlines, order (Earliest) and count. Single-threaded,
-// so byDeadline must mirror entries exactly (Set/Clear/Remove clean up
-// their own nodes when unraced).
+// TestExpireRacingPurgeKeepsRearmedKey races a purge that saw a key's
+// due arming against an EXPIRE that re-arms the key. Because the purge
+// is conditional on the arming in the leaf, whichever lands second
+// fails: the key is either purged (and the EXPIRE finds nothing to arm)
+// or re-armed and alive — never acknowledged as re-armed and gone.
+func TestExpireRacingPurgeKeepsRearmedKey(t *testing.T) {
+	x, clk := newIndex(t)
+	clk.ms.Store(1000)
+
+	// The interleaving, step by step: the purge observes the arming,
+	// EXPIRE lands, then the purge commits.
+	x.StoreDeadline(1, []byte("v"), 900)
+	seen, _ := x.db.Load(1)
+	if !x.Set(1, 5000) {
+		t.Fatal("EXPIRE of a present key failed")
+	}
+	if x.purge(1, seen.At) {
+		t.Fatal("the purge deleted a key re-armed after it looked")
+	}
+	if v, ok := x.Lookup(1); !ok || v.DeadlineMS() != 5000 {
+		t.Fatalf("re-armed key lost: %+v, %v", v, ok)
+	}
+
+	// And raced for real.
+	for i := 0; i < 500; i++ {
+		x.StoreDeadline(2, []byte("v"), 900)
+		var armed bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); x.Reap(1000) }()
+		go func() { defer wg.Done(); armed = x.Set(2, 5000) }()
+		wg.Wait()
+		v, ok := x.Lookup(2)
+		if armed && (!ok || v.DeadlineMS() != 5000) {
+			t.Fatalf("round %d: EXPIRE re-armed the key, then it was lost (%+v, %v)", i, v, ok)
+		}
+		if !armed && ok {
+			t.Fatalf("round %d: EXPIRE failed but the key survived: %+v", i, v)
+		}
+	}
+}
+
+// FuzzExpiryIndexOps drives a byte-coded op sequence against the
+// keyspace and a plain (value, deadline) map oracle, with a clock the
+// sequence advances. After every op the views must agree on every key's
+// value and deadline, on order (Earliest) and on the key and armed
+// counts. Single-threaded, so byDeadline must mirror the armed leaves
+// exactly.
 func FuzzExpiryIndexOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42})
-	f.Add([]byte{0x10, 0x05, 0x11, 0x05, 0x30, 0x06})
-	f.Add([]byte{0x00, 0xFF, 0x20, 0x00, 0x30, 0xFF, 0x00, 0x01})
+	f.Add([]byte{0x10, 0x05, 0x11, 0x05, 0x37, 0x06, 0x1a, 0x05})
+	f.Add([]byte{0x01, 0xFF, 0x22, 0x00, 0x36, 0xFF, 0x05, 0x01, 0x07, 0x23})
+	f.Add([]byte{0x09, 0x03, 0x05, 0x03, 0x0a, 0x04, 0x05, 0x24, 0x07, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x, err := New(16, 4)
-		if err != nil {
-			t.Fatal(err)
+		x, clk := newIndex(t)
+		type entry struct {
+			v        []byte
+			deadline int64 // 0: unarmed
 		}
-		oracle := map[uint64]int64{} // key → clamped deadline
+		oracle := map[uint64]entry{}
 		check := func(op string) {
+			t.Helper()
 			if got, want := x.Len(), len(oracle); got != want {
 				t.Fatalf("after %s: Len = %d, oracle %d", op, got, want)
 			}
-			var min int64 = math.MaxInt64
-			for k, d := range oracle {
-				e, ok := x.Lookup(k)
-				if !ok || e.DeadlineMS != d {
-					t.Fatalf("after %s: Lookup(%d) = %+v, %v; oracle %d", op, k, e, ok, d)
+			armed, earliest := 0, int64(math.MaxInt64)
+			for k, e := range oracle {
+				v, ok := x.db.Load(k)
+				if !ok || !bytes.Equal(v.B, e.v) || v.DeadlineMS() != e.deadline {
+					t.Fatalf("after %s: key %d = %q@%d, %v; oracle %q@%d", op, k, v.B, v.DeadlineMS(), ok, e.v, e.deadline)
 				}
-				if d < min {
-					min = d
+				if e.deadline != 0 {
+					armed++
+					earliest = min(earliest, e.deadline)
 				}
 			}
+			if got := x.ArmedKeys(); got != armed {
+				t.Fatalf("after %s: %d byDeadline nodes, oracle %d armed keys", op, got, armed)
+			}
 			d, ok := x.Earliest()
-			if ok != (len(oracle) > 0) || (ok && d != min) {
-				t.Fatalf("after %s: Earliest = %d, %v; oracle min %d of %d keys",
-					op, d, ok, min, len(oracle))
+			if ok != (armed > 0) || (ok && d != earliest) {
+				t.Fatalf("after %s: Earliest = %d, %v; oracle min %d of %d armed", op, d, ok, earliest, armed)
+			}
+			if err := x.Validate(); err != nil {
+				t.Fatalf("after %s: %v", op, err)
 			}
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			k := uint64(arg % 32)
-			switch op % 4 {
-			case 0: // set
-				d := clampDeadline(int64(op/4) * int64(arg) * 7)
-				x.Set(k, d)
-				oracle[k] = d
-				check("set")
-			case 1: // clear
-				if got, want := x.Clear(k), oracle[k] != 0 || hasKey(oracle, k); got != want {
-					t.Fatalf("Clear(%d) = %v, oracle had=%v", k, got, want)
+			d := clampDeadline(int64(op/8) * int64(arg) * 7)
+			val := []byte{arg, op}
+			switch op % 8 {
+			case 0: // SET
+				x.Store(k, val)
+				oracle[k] = entry{val, 0}
+			case 1: // SETEX
+				x.StoreDeadline(k, val, d)
+				oracle[k] = entry{val, d}
+			case 2: // EXPIRE (raw: no clock)
+				e, had := oracle[k]
+				if got := x.Set(k, d); got != had {
+					t.Fatalf("Set(%d) = %v, oracle had %v", k, got, had)
+				}
+				if had {
+					oracle[k] = entry{e.v, d}
+				}
+			case 3: // PERSIST
+				e, had := oracle[k]
+				if got := x.Persist(k); got != (had && e.deadline != 0) {
+					t.Fatalf("Persist(%d) = %v, oracle %+v, %v", k, got, e, had)
+				}
+				if had {
+					oracle[k] = entry{e.v, 0}
+				}
+			case 4: // DEL
+				_, had := oracle[k]
+				if got := x.Delete(k); got != had {
+					t.Fatalf("Delete(%d) = %v, oracle had %v", k, got, had)
 				}
 				delete(oracle, k)
-				check("clear")
-			case 2: // conditional remove of the live entry
-				if e, ok := x.Lookup(k); ok {
-					if !x.Remove(k, e) {
-						t.Fatalf("Remove(%d, live entry) failed unraced", k)
-					}
+			case 5: // RENAME k → k+arg/32
+				to := (k + uint64(arg/32) + 1) % 32
+				e, had := oracle[k]
+				_, taken := oracle[to]
+				moved, err := x.Rename(k, to, false)
+				if err != nil || moved != (had && !taken) {
+					t.Fatalf("Rename(%d, %d) = %v, %v; oracle had %v, taken %v", k, to, moved, err, had, taken)
+				}
+				if moved {
+					delete(oracle, k)
+					oracle[to] = e
+				}
+			case 6: // advance the clock, then GET: due keys read as absent and go
+				clk.ms.Add(int64(arg) * 11)
+				e, had := oracle[k]
+				due := had && e.deadline != 0 && e.deadline <= clk.now()
+				v, ok := x.Load(k)
+				if ok != (had && !due) || (ok && !bytes.Equal(v, e.v)) {
+					t.Fatalf("Load(%d) at %d = %q, %v; oracle %+v, %v", k, clk.now(), v, ok, e, had)
+				}
+				if due {
 					delete(oracle, k)
 				}
-				check("remove")
-			case 3: // reap everything due by an arbitrary now
-				now := int64(op/4) * int64(arg) * 5
-				x.Reap(now, func(k uint64, e Entry) bool { return x.Remove(k, e) })
-				for k, d := range oracle {
-					if d <= clampDeadline(now) {
+			case 7: // reap everything due by an arbitrary now
+				now := int64(op/8) * int64(arg) * 5
+				x.Reap(now)
+				for k, e := range oracle {
+					if e.deadline != 0 && e.deadline <= clampDeadline(now) {
 						delete(oracle, k)
 					}
 				}
-				check("reap")
 			}
+			check([]string{"set", "setex", "expire", "persist", "del", "rename", "get", "reap"}[op%8])
 		}
 	})
-}
-
-func hasKey(m map[uint64]int64, k uint64) bool {
-	_, ok := m[k]
-	return ok
 }

@@ -147,6 +147,25 @@ func (t *Trie[U, K, V, C]) Store(u U, val V) bool {
 	return ok
 }
 
+// Swap is Store that also returns the value it replaced (loaded true).
+// ok is false only for a key outside the key space, which is not stored.
+func (t *Trie[U, K, V, C]) Swap(u U, val V) (previous V, loaded, ok bool) {
+	k, ok := t.c.Encode(u)
+	if !ok {
+		return previous, false, false
+	}
+	previous, loaded = t.e.Swap(k, val)
+	return previous, loaded, true
+}
+
+// LoadAndDelete is Delete that also returns the value it removed.
+func (t *Trie[U, K, V, C]) LoadAndDelete(u U) (value V, loaded bool) {
+	if k, ok := t.c.Encode(u); ok {
+		return t.e.LoadAndDelete(k)
+	}
+	return value, false
+}
+
 // LoadOrStore returns the value bound to u if present (loaded true);
 // otherwise it stores val and returns it. ok is false only for a key
 // outside the key space, which can be neither loaded nor stored; actual
@@ -184,6 +203,14 @@ func (t *Trie[U, K, V, C]) CompareAndDelete(u U, old V) bool {
 func (t *Trie[U, K, V, C]) DeleteFunc(u U, cond func(V) bool) bool {
 	k, ok := t.c.Encode(u)
 	return ok && t.e.DeleteFunc(k, cond)
+}
+
+// CompareAndSwapFunc binds u to new if cond returns true for its stored
+// value, returning true iff the swap happened: DeleteFunc's twin, for
+// value types CompareAndSwap cannot compare. Same contract on cond.
+func (t *Trie[U, K, V, C]) CompareAndSwapFunc(u U, cond func(V) bool, new V) bool {
+	k, ok := t.c.Encode(u)
+	return ok && t.e.CompareAndSwapFunc(k, cond, new)
 }
 
 // Ordered reads. Like Size, Validate and Dump, these walk the trie

@@ -77,7 +77,7 @@ func TestMapSequentialOracle(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		k := rng.Uint64() % keyRange
 		val := rng.Intn(8)
-		switch rng.Intn(7) {
+		switch rng.Intn(11) {
 		case 0: // Store
 			if !tr.Store(k, val) {
 				t.Fatalf("op %d: Store(%d) failed", i, k)
@@ -141,6 +141,39 @@ func TestMapSequentialOracle(t *testing.T) {
 			if want {
 				delete(oracle, k)
 				oracle[k2] = ov
+			}
+		case 7: // Swap returns what it replaced
+			ov, oOK := oracle[k]
+			prev, loaded, ok := tr.Swap(k, val)
+			if !ok || loaded != oOK || (loaded && prev != ov) {
+				t.Fatalf("op %d: Swap(%d) = %v,%v,%v want %v,%v", i, k, prev, loaded, ok, ov, oOK)
+			}
+			oracle[k] = val
+		case 8: // LoadAndDelete returns what it removed
+			ov, oOK := oracle[k]
+			if v, loaded := tr.LoadAndDelete(k); loaded != oOK || (loaded && v != ov) {
+				t.Fatalf("op %d: LoadAndDelete(%d) = %v,%v want %v,%v", i, k, v, loaded, ov, oOK)
+			}
+			delete(oracle, k)
+		case 9: // CompareAndSwapFunc: the condition sees the stored value
+			old := rng.Intn(8)
+			ov, oOK := oracle[k]
+			want := oOK && ov == old
+			if got := tr.CompareAndSwapFunc(k, func(v any) bool { return v == old }, val); got != want {
+				t.Fatalf("op %d: CompareAndSwapFunc(%d,==%d,%d) = %v want %v", i, k, old, val, got, want)
+			}
+			if want {
+				oracle[k] = val
+			}
+		case 10: // DeleteFunc
+			old := rng.Intn(8)
+			ov, oOK := oracle[k]
+			want := oOK && ov == old
+			if got := tr.DeleteFunc(k, func(v any) bool { return v == old }); got != want {
+				t.Fatalf("op %d: DeleteFunc(%d,==%d) = %v want %v", i, k, old, got, want)
+			}
+			if want {
+				delete(oracle, k)
 			}
 		}
 	}

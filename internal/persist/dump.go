@@ -81,21 +81,26 @@ func (cw *crcWriter) write(p []byte) {
 	_, cw.err = cw.w.Write(p)
 }
 
+// entryMarker opens every record; a shared slice, so writing it through
+// the io.Writer interface allocates nothing per record.
+var entryMarker = []byte{recEntry}
+
 // WriteDump streams a dump: the magic, one framed record per entry
 // yielded by iter, and the trailer (entry count + CRC-64/ECMA of every
 // preceding byte). Each record carries the entry's absolute expiry
 // deadline in Unix milliseconds (0 = no TTL). iter must call its
 // argument once per entry and stop when it returns false (it only
-// returns false on a write error, to cut a doomed iteration short). The
-// caller owns w — buffering, fsync and atomic rename happen at the file
-// layer (SaveDump).
+// returns false on a write error, to cut a doomed iteration short). k
+// and v are written out before the call returns, so iter may reuse
+// their buffers. The caller owns w — buffering, fsync and atomic rename
+// happen at the file layer (SaveDump).
 func WriteDump(w io.Writer, iter func(fn func(k, v []byte, expireAtMS uint64) bool)) error {
 	cw := &crcWriter{w: w}
 	var scratch [binary.MaxVarintLen64]byte
 	cw.write([]byte(dumpMagic))
 	count := uint64(0)
 	iter(func(k, v []byte, expireAtMS uint64) bool {
-		cw.write([]byte{recEntry})
+		cw.write(entryMarker)
 		cw.write(scratch[:binary.PutUvarint(scratch[:], uint64(len(k)))])
 		cw.write(k)
 		cw.write(scratch[:binary.PutUvarint(scratch[:], uint64(len(v)))])

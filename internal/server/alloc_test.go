@@ -10,8 +10,11 @@ import (
 // perf issue: GET/EXISTS/DEL/MGET at 0 allocs/op, SET's codec share at
 // ≤ 1 (the value's copy out of the connection arena); the engine's own
 // store-path allocations are pinned separately by the library
-// artifacts. The subtest is named for the dispatch path it covers:
-// every command runs on its connection's goroutine.
+// artifacts. The TTL write paths are pinned whole, keyspace included:
+// the value's copy, one leaf Swap, and the byDeadline node inserted for
+// a new deadline or deleted for a displaced one — binary nodes, and no
+// allocation for the AOF record. The subtest is named for the dispatch
+// path it covers: every command runs on its connection's goroutine.
 func TestServerPathAllocPins(t *testing.T) {
 	t.Run("conn", serverPathAllocPins)
 }
@@ -31,6 +34,10 @@ func serverPathAllocPins(t *testing.T) {
 		{"DEL", p.Del, 0},
 		{"MGET", p.MGet, 0},
 		{"SET codec", p.SetCodec, 1},
+		{"SETEX, unarmed key", p.SetexUnarmed, 10},
+		{"SETEX, armed key", p.SetexArmed, 12},
+		{"SET, armed key", p.SetArmed, 6},
+		{"DEL, armed key", p.DelArmed, 4},
 	}
 	for _, pin := range pins {
 		if pin.got > pin.want {
@@ -44,4 +51,6 @@ func serverPathAllocPins(t *testing.T) {
 	}
 	t.Logf("get=%.1f exists=%.1f del=%.1f mget=%.1f set=%.1f set_codec=%.1f",
 		p.Get, p.Exists, p.Del, p.MGet, p.Set, p.SetCodec)
+	t.Logf("setex_unarmed=%.2f setex_armed=%.2f set_armed=%.2f del_armed=%.2f",
+		p.SetexUnarmed, p.SetexArmed, p.SetArmed, p.DelArmed)
 }

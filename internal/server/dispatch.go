@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nbtrie"
+	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
 )
 
@@ -43,13 +44,15 @@ var (
 
 func init() {
 	commands = []command{
-		// → ShardedMap.Load behind the lazy expiry check (wait-free, 0-alloc in the trie).
+		// Each key command is one operation of the keyspace, expiry.Index,
+		// over one ShardedMap whose leaves hold value and deadline.
+		// → Load: one wait-free descent; the clock is read only for an armed key.
 		{name: "GET", min: 2, max: 2, first: 1, last: 1, step: 1, run: (*session).get},
-		// → ShardedMap.Store (lock-free upsert); SET is MSET with one pair.
+		// → Store: one Swap (lock-free upsert); SET is MSET with one pair.
 		{name: "SET", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: (*session).set, replay: (*Server).replaySet},
-		// → n × ShardedMap.Delete (lock-free).
+		// → n × Delete: one LoadAndDelete each (lock-free).
 		{name: "DEL", min: 2, max: -1, first: 1, last: -1, step: 1, write: true, run: (*session).del, replay: (*Server).replayDel},
-		// → n × ShardedMap.Contains (wait-free).
+		// → n × Contains (wait-free).
 		{name: "EXISTS", min: 2, max: -1, first: 1, last: -1, step: 1, run: (*session).exists},
 		// → n × Load / n × Store: each key individually linearizable, the
 		// batch not atomic (the trie has no multi-key transaction).
@@ -57,17 +60,18 @@ func init() {
 		{name: "MSET", min: 3, max: -1, first: 1, last: -1, step: 2, write: true, run: (*session).set, replay: (*Server).replaySet},
 		{name: "PING", min: 1, max: 2, run: (*session).ping},
 		{name: "QUIT", min: 1, max: -1, run: (*session).quitCmd},
-		// → ShardedMap.Len (per-shard atomic counters).
+		// → Len (per-shard atomic counters).
 		{name: "DBSIZE", min: 1, max: 1, run: (*session).dbsize},
-		// → ShardedMap.Snapshot, then Ascend over the frozen cut.
+		// → Snapshot, then Ascend over the frozen cut.
 		{name: "SCAN", min: 2, max: 4, run: (*session).scan},
-		// → ShardedMap.MoveKey: the paper's atomic Replace when the keys
-		// share a shard, a two-phase move across shards (DESIGN.md §12).
+		// → Rename: ShardedMap.MoveKey, the paper's atomic Replace when the
+		// keys share a shard, a two-phase move across shards (DESIGN.md §12).
 		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: renameCmd(false), replay: (*Server).replayRename},
-		// → ShardedMap.ReplaceKey: atomic only, cross-shard pairs refused.
+		// → Rename over ShardedMap.ReplaceKey: atomic only, cross-shard pairs refused.
 		{name: "RENAMESTRICT", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: renameCmd(true)},
-		// The TTL commands → expiry.Index, the deadline-ordered secondary
-		// trie; every EXPIRE variant is logged as PEXPIREAT (expiry.go).
+		// The TTL commands (expiry.go): EXPIRE and PERSIST swap the leaf for
+		// one with the same bytes and a new deadline; every EXPIRE variant
+		// is logged as PEXPIREAT.
 		{name: "EXPIRE", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: expireCmd(1000, false)},
 		{name: "PEXPIRE", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: expireCmd(1, false)},
 		{name: "EXPIREAT", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: expireCmd(1000, true)},
@@ -75,7 +79,8 @@ func init() {
 		{name: "TTL", min: 2, max: 2, first: 1, last: 1, step: 1, run: ttlCmd(false)},
 		{name: "PTTL", min: 2, max: 2, first: 1, last: 1, step: 1, run: ttlCmd(true)},
 		{name: "PERSIST", min: 2, max: 2, first: 1, last: 1, step: 1, write: true, run: (*session).persistCmd, replay: (*Server).replayPersist},
-		// → expiry.Index.Set, then ShardedMap.Store; logged as SET + PEXPIREAT.
+		// → StoreDeadline: one Swap of value and deadline together; logged
+		// as SET + PEXPIREAT.
 		{name: "SETEX", min: 4, max: 4, first: 1, last: 1, step: 1, write: true, run: (*session).setex},
 		// → Load; only the re-arming and disarming options are refused
 		// while the AOF is degraded, so the handler checks that itself.
@@ -144,6 +149,7 @@ type session struct {
 
 	ks     []uint64 // encoded-key scratch, reused across commands
 	cmdBuf []byte   // upper's scratch: the upcased command word
+	num    []byte   // itoa's scratch: an integer argument of an AOF record
 	quit   bool     // set by QUIT: the connection closes after this reply
 
 	// stripe is this connection's index into the striped per-command
@@ -229,7 +235,7 @@ func (ss *session) quitCmd(_ [][]byte, _ []uint64) {
 // writer, never copied.
 func (ss *session) get(_ [][]byte, ks []uint64) {
 	for _, k := range ks {
-		if v, found := ss.s.getLive(k); found {
+		if v, found := ss.s.db.Load(k); found {
 			ss.w.WriteBulk(v)
 		} else {
 			ss.w.WriteNull()
@@ -243,23 +249,18 @@ func (ss *session) mget(args [][]byte, ks []uint64) {
 }
 
 // set stores SET's pair or MSET's pairs, in the order every mutation
-// follows: take the persistence gate, clear or capture the TTL arming,
-// store or delete, then append the AOF record. The gate keeps the map
-// update and the record on one side of any dump rotation; the AOF
-// append copies args into its own buffer synchronously, so arena-backed
-// keys are safe to pass through.
+// follows: take the persistence gate, update the keyspace, then append
+// the AOF record. The gate keeps the keyspace update and the record on
+// one side of any dump rotation; the AOF append copies args into its own
+// buffer synchronously, so arena-backed keys are safe to pass through.
+// A store discards the key's deadline in the same Swap.
 func (ss *session) set(args [][]byte, ks []uint64) {
 	s := ss.s
 	s.gate.RLock()
 	for i, k := range ks {
 		// The value is arena-backed and dies with this command: Detach
 		// copies out the one slice that outlives it.
-		v := resp.Detach(args[2+2*i])
-		// TTL cleared BEFORE the store (SET discards any deadline): a
-		// concurrent purge that loads the fresh value then re-checks the
-		// arming finds it gone and aborts — see expiry.go.
-		s.clearTTL(k)
-		s.db.Store(k, v)
+		s.db.Store(k, resp.Detach(args[2+2*i]))
 	}
 	s.appendMutation(args...)
 	s.gate.RUnlock()
@@ -271,15 +272,8 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 	n := int64(0)
 	s.gate.RLock()
 	for _, k := range ks {
-		// Capture the arming BEFORE the delete so the removal is
-		// conditional on it: a SETEX racing in after the delete
-		// installs a fresh arming this DEL must not clobber.
-		e, hadTTL := s.exp.Lookup(k)
 		if s.db.Delete(k) {
 			n++
-		}
-		if hadTTL {
-			s.exp.Remove(k, e)
 		}
 	}
 	if n > 0 {
@@ -294,7 +288,7 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 func (ss *session) exists(_ [][]byte, ks []uint64) {
 	n := int64(0)
 	for _, k := range ks {
-		if ss.s.existsLive(k) {
+		if ss.s.db.Contains(k) {
 			n++
 		}
 	}
@@ -347,7 +341,7 @@ func (ss *session) info(args [][]byte, _ []uint64) {
 // scanCursor is one open SCAN: a frozen O(1) snapshot of the map plus
 // the trie key the next page starts from.
 type scanCursor struct {
-	snap *nbtrie.ShardedMapSnapshot[[]byte]
+	snap *nbtrie.ShardedMapSnapshot[expiry.Value]
 	next uint64
 }
 
@@ -416,19 +410,19 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 
 	keys := make([][]byte, 0, count)
 	more := false
-	for k := range sc.snap.Ascend(sc.next) {
+	for k, v := range sc.snap.Ascend(sc.next) {
 		if len(keys) == count {
 			sc.next = k // the first key of the next page
 			more = true
 			break
 		}
-		// Lazy expiry applies to SCAN too: a key whose deadline has
-		// passed since the snapshot froze is skipped (and purged from
-		// the live map, not the frozen cut).
-		if s.expireIfDue(k) {
+		// Lazy expiry applies to SCAN too: a key whose deadline in the
+		// cut has passed by now is skipped (and purged from the live
+		// keyspace if it still holds that arming, not from the cut).
+		if s.db.Expired(k, v) {
 			continue
 		}
-		keys = append(keys, s.keyer.Decode(k))
+		keys = append(keys, s.keyer.AppendDecode(nil, k))
 	}
 
 	var id uint64
@@ -476,59 +470,37 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 // In both variants an existing destination is an error, not an
 // overwrite: Replace and MoveKey are insert-if-absent by definition,
 // and silently deleting the destination first would need a second
-// linearization point. A deadline on the source travels with the value
-// (re-armed on the destination after the move, same loose-consistency
-// window as the move itself). Like every write row, both variants are
+// linearization point. A deadline on the source travels inside the
+// leaf (Index.Rename). Like every write row, both variants are
 // refused while the AOF is degraded — the rename-to-self fast path
 // below mutates nothing but gets the same refusal for predictability.
 func renameCmd(strict bool) handler {
 	return func(ss *session, args [][]byte, ks []uint64) {
 		s, w := ss.s, ss.w
 		old, new := ks[0], ks[1]
+		// An expired-but-unpurged source must rename as absent.
+		if !s.db.Contains(old) {
+			w.WriteError("ERR no such key")
+			return
+		}
 		if old == new {
 			// Degenerate rename-to-self: Replace refuses (old != new is
 			// part of its contract), but "key exists" would be a
 			// misleading error. Match Redis: succeed iff the key exists.
-			if s.existsLive(old) {
-				w.WriteSimple("OK")
-			} else {
-				w.WriteError("ERR no such key")
-			}
-			return
-		}
-		// An expired-but-unpurged source must rename as absent.
-		if s.expireIfDue(old) {
-			w.WriteError("ERR no such key")
+			w.WriteSimple("OK")
 			return
 		}
 		// And an expired-but-unpurged destination must not block the
 		// move: it reads as absent everywhere else, so "destination key
-		// exists" would be a lie. Purge it before attempting the move.
-		s.expireIfDue(new)
-		// The source's arming, captured before the move so it can
-		// travel: conditional removal afterwards, same discipline as DEL.
-		oldArming, hadTTL := s.exp.Lookup(old)
+		// exists" would be a lie. The live read purges it.
+		s.db.Contains(new)
 
-		var moved bool
-		var err error
 		s.gate.RLock()
-		if strict {
-			moved, err = s.db.ReplaceKey(old, new)
-		} else {
-			moved, err = s.db.MoveKey(old, new)
-		}
+		moved, err := s.db.Rename(old, new, strict)
 		if moved {
-			if hadTTL {
-				// Re-arm the destination, then drop the source's arming.
-				// Readers can see the destination without its TTL for the
-				// instant between — the index's documented loose window.
-				s.exp.Set(new, oldArming.DeadlineMS)
-				s.exp.Remove(old, oldArming)
-			}
-			// One AOF record for the move; replay re-expresses it as
-			// load+delete+store (+ deadline move), which is safe
+			// One AOF record for the move; replay re-runs it
 			// single-threaded (recovery).
-			s.appendMutation([]byte("RENAME"), args[1], args[2])
+			s.appendMutation(recRENAME, args[1], args[2])
 		}
 		s.gate.RUnlock()
 		if err != nil {

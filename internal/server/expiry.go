@@ -1,7 +1,10 @@
 package server
 
-// Key expiry: the server-side half of the expiry subsystem (the index
-// itself is internal/expiry; DESIGN.md §12 has the full protocol).
+// Key expiry: the wire half of the TTL commands. The keyspace itself —
+// values, deadlines, lazy and reaped purges — is internal/expiry's Index
+// (DESIGN.md §12 has the protocol); the handlers here parse arguments,
+// call one Index operation, and log the AOF record under the persistence
+// gate.
 //
 // Every read path is lazy: a key whose deadline has passed reads as
 // absent and is purged on the spot. The background reaper (reaperLoop)
@@ -9,30 +12,13 @@ package server
 // range-scans everything due, so expired keys stop occupying memory even
 // if nothing ever reads them.
 //
-// # Why a purge can never eat a live value
-//
-// The index is loosely consistent with the primary map, so every purge
-// is doubly conditional, and the write paths order their two updates to
-// make the dangerous interleavings impossible (Go atomics are
-// sequentially consistent):
-//
-//   - purge (purgeExpired): load the primary value FIRST, re-verify the
-//     arming is still the expired Entry we saw, then delete the primary
-//     key only if it still holds that exact value (identity, via
-//     DeleteFunc), and finally remove the arming only if it is still
-//     that exact Entry.
-//   - plain SET: clear the arming BEFORE storing the new value. A purge
-//     that loaded the fresh value re-checks the arming afterwards and
-//     finds it gone (or changed) — abort.
-//   - SET with TTL (SETEX/GETEX EX): install the new arming BEFORE
-//     storing the value. A purge racing the store either sees the new
-//     arming (abort) or deletes the OLD value identity — after which
-//     the store simply re-inserts the new value under the new arming.
-//
-// The one residual anomaly: an EXPIRE re-arming a key in the same
-// instant a purge commits can lose the key as if the old deadline fired
-// first — which it did; the re-arm merely lost the race. Documented in
-// DESIGN.md §12 as the price of the lock-free loosely-consistent index.
+// A key's deadline lives in its leaf, so arming and value change at one
+// linearization point: a purge deletes a key only if its leaf still holds
+// the arming that fell due, and any write that replaced the leaf in the
+// meantime — SET, SETEX, EXPIRE, PERSIST — changed that arming, so the
+// purge cannot eat it. Writes never consult the clock; the handlers that
+// must treat an expired key as absent (EXPIRE, PERSIST, GETEX, RENAME)
+// read it live first.
 
 import (
 	"math"
@@ -46,81 +32,10 @@ import (
 // nowMS is the server's current time in Unix milliseconds.
 func (s *Server) nowMS() int64 { return s.clock() }
 
-// expireIfDue is the lazy read-path check: true means k's deadline has
-// passed (the caller must treat the key as absent); the expired value is
-// purged best-effort on the way out. For keys with no arming this is one
-// wait-free allocation-free index load — the cost added to GET/EXISTS/
-// MGET — and the clock is only consulted when an arming exists.
-func (s *Server) expireIfDue(k uint64) bool {
-	e, ok := s.exp.Lookup(k)
-	if !ok {
-		return false
-	}
-	if e.DeadlineMS > s.nowMS() {
-		return false
-	}
-	s.purgeExpired(k, e)
-	return true
-}
-
-// purgeExpired removes k if it still holds the value it held while the
-// expired arming e was in force. Returns true iff this call deleted the
-// primary value. See the file comment for the ordering argument.
-func (s *Server) purgeExpired(k uint64, e expiry.Entry) bool {
-	v, ok := s.db.Load(k)
-	if !ok {
-		// Value already gone (concurrent DEL or purge): drop the
-		// orphaned arming if it is still e.
-		s.exp.Remove(k, e)
-		return false
-	}
-	if cur, ok := s.exp.Lookup(k); !ok || cur != e {
-		return false // re-armed or cleared since the caller's check
-	}
-	// Identity-conditional delete: same backing array, same length. A
-	// value freshly stored by a racing SET is a different allocation and
-	// survives. (Zero-length values have no element to take the address
-	// of; for them length equality is the whole check.)
-	deleted := s.db.DeleteFunc(k, func(have []byte) bool {
-		return len(have) == len(v) && (len(v) == 0 || &have[0] == &v[0])
-	})
-	s.exp.Remove(k, e)
-	if deleted {
-		s.exp.NoteExpired()
-	}
-	return deleted
-}
-
-// clearTTL drops k's arming, conditional on the arming observed now —
-// the plain-SET path (which clears before storing; see the file
-// comment). Paths that clear AFTER a delete (DEL, past-deadline
-// EXPIRE/GETEX) must instead capture the arming before the delete and
-// Remove it conditionally, or a SETEX racing into the gap would have
-// its fresh arming clobbered.
-func (s *Server) clearTTL(k uint64) {
-	if e, ok := s.exp.Lookup(k); ok {
-		s.exp.Remove(k, e)
-	}
-}
-
-// existsLive reports whether k is present and unexpired (purging it if
-// due).
-func (s *Server) existsLive(k uint64) bool {
-	return !s.expireIfDue(k) && s.db.Contains(k)
-}
-
-// getLive is Load behind the lazy expiry check.
-func (s *Server) getLive(k uint64) ([]byte, bool) {
-	if s.expireIfDue(k) {
-		return nil, false
-	}
-	return s.db.Load(k)
-}
-
 // reapOnce runs one reaper pass over everything due by now.
 func (s *Server) reapOnce() int {
 	start := time.Now()
-	n := s.exp.Reap(s.nowMS(), s.purgeExpired)
+	n := s.db.Reap(s.nowMS())
 	s.met.reapPass.Record(uint64(time.Since(start).Microseconds()))
 	return n
 }
@@ -132,44 +47,61 @@ func (s *Server) ReapNow() int { return s.reapOnce() }
 
 // reaperLoop is the background reaper: sleep until the earliest armed
 // deadline, scan everything due, repeat. The missed-wakeup protocol with
-// Index.Set: Arm(MaxInt64) BEFORE reading Earliest, so any Set landing
-// between the read and the sleep sees an "infinitely late" armed value
-// and signals Wake; then Arm(deadline) so only genuinely earlier
-// deadlines signal while sleeping.
+// the Index's armings: Arm(MaxInt64) BEFORE reading Earliest, so any
+// arming landing between the read and the sleep sees an "infinitely
+// late" planned wake and signals Wake; then Arm(deadline) so only
+// genuinely earlier deadlines signal while sleeping. A pass that expired
+// nothing while a due node remains met only armings in flight; it waits
+// a millisecond for their writers instead of spinning.
 func (s *Server) reaperLoop() {
 	defer close(s.reapDone)
 	// Opening pass: purge whatever expired before the process started
 	// (recovery replays absolute deadlines; some are already past).
-	s.reapOnce()
+	n := s.reapOnce()
 	for {
-		s.exp.Arm(math.MaxInt64)
-		deadline, ok := s.exp.Earliest()
+		s.db.Arm(math.MaxInt64)
+		deadline, ok := s.db.Earliest()
 		if !ok {
 			select {
 			case <-s.reapStop:
 				return
-			case <-s.exp.Wake():
+			case <-s.db.Wake():
 				continue
 			}
 		}
-		s.exp.Arm(deadline)
-		if wait := deadline - s.nowMS(); wait > 0 {
+		s.db.Arm(deadline)
+		wait := deadline - s.nowMS()
+		if wait <= 0 && n == 0 {
+			wait = 1
+		}
+		if wait > 0 {
 			t := time.NewTimer(time.Duration(wait) * time.Millisecond)
 			select {
 			case <-s.reapStop:
 				t.Stop()
 				return
-			case <-s.exp.Wake():
+			case <-s.db.Wake():
 				t.Stop()
 				continue // an earlier deadline arrived; re-plan
 			case <-t.C:
 			}
 		}
-		s.reapOnce()
+		n = s.reapOnce()
 	}
 }
 
 // ---- wire commands ----
+
+// The names of the AOF records the TTL commands and RENAME write under
+// another command's name (package-level, so logging them allocates
+// nothing).
+var (
+	recSET       = []byte("SET")
+	recDEL       = []byte("DEL")
+	recPEXPIREAT = []byte("PEXPIREAT")
+	recPERSIST   = []byte("PERSIST")
+	recRENAME    = []byte("RENAME")
+)
 
 // parseIntArg parses a signed 64-bit integer argument (seconds or
 // milliseconds). Shared by dispatch and AOF replay (PEXPIREAT records).
@@ -185,6 +117,13 @@ func (ss *session) parseIntArg(b []byte) (int64, bool) {
 		ss.w.WriteError("ERR value is not an integer or out of range")
 	}
 	return n, ok
+}
+
+// itoa renders n into the session's integer scratch; the result is valid
+// until the next call.
+func (ss *session) itoa(n int64) []byte {
+	ss.num = strconv.AppendInt(ss.num[:0], n, 10)
+	return ss.num
 }
 
 // deadlineFromArg turns a parsed quantity into an absolute deadline in
@@ -208,52 +147,52 @@ func deadlineFromArg(now, n, unitMS int64, absolute bool) int64 {
 	return now + ms
 }
 
+// setTTL changes the deadline of key (encoded k), which the caller has
+// just read live, and logs the change, under the persistence gate:
+// persist drops the deadline; otherwise a deadline at or before now
+// deletes the key, as Redis does, and a later one arms it. Every arming
+// is logged as PEXPIREAT key <ms>, so replay is immune to replay-time
+// clocks. It reports whether the key changed.
+func (ss *session) setTTL(key []byte, k uint64, deadline, now int64, persist bool) bool {
+	s := ss.s
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	switch {
+	case persist:
+		if !s.db.Persist(k) {
+			return false
+		}
+		s.appendMutation(recPERSIST, key)
+	case deadline <= now:
+		if !s.db.Delete(k) {
+			return false
+		}
+		s.db.NoteExpired()
+		s.appendMutation(recDEL, key)
+	default:
+		if !s.db.Set(k, deadline) {
+			return false
+		}
+		s.appendMutation(recPEXPIREAT, key, ss.itoa(deadline))
+	}
+	return true
+}
+
 // expireCmd returns the EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT handler: arm
 // (or re-arm) a key's deadline, n units of unitMS each, absolute or
 // relative to now. Replies :1 when a deadline was set (or the key
 // deleted outright for an already-past deadline, Redis semantics), :0
-// when the key does not exist. The AOF record is always the absolute
-// form — PEXPIREAT key <ms> — so replay is immune to replay-time clocks.
+// when the key does not exist.
 func expireCmd(unitMS int64, absolute bool) handler {
 	return func(ss *session, args [][]byte, ks []uint64) {
-		s, w, k := ss.s, ss.w, ks[0]
 		n, ok := ss.parseIntArg(args[2])
 		if !ok {
 			return
 		}
-		now := s.nowMS()
+		now := ss.s.nowMS()
 		deadline := deadlineFromArg(now, n, unitMS, absolute)
-		if !s.existsLive(k) {
-			w.WriteInt(0)
-			return
-		}
-		if deadline <= now {
-			// Already past: Redis deletes the key immediately and logs
-			// the deletion, not the no-op timeout. Capture the arming
-			// BEFORE the delete so the removal is conditional on it — a
-			// SETEX racing in after the delete installs a fresh arming
-			// this deletion must not clobber (same discipline as DEL).
-			s.gate.RLock()
-			e, hadTTL := s.exp.Lookup(k)
-			deleted := s.db.Delete(k)
-			if hadTTL {
-				s.exp.Remove(k, e)
-			}
-			if deleted {
-				s.appendMutation([]byte("DEL"), args[1])
-			}
-			s.gate.RUnlock()
-			if deleted {
-				s.exp.NoteExpired()
-			}
-			w.WriteInt(1)
-			return
-		}
-		s.gate.RLock()
-		s.exp.Set(k, deadline)
-		s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
-		s.gate.RUnlock()
-		w.WriteInt(1)
+		done := ss.s.db.Contains(ks[0]) && ss.setTTL(args[1], ks[0], deadline, now, false)
+		ss.w.WriteInt(b2i(done))
 	}
 }
 
@@ -263,24 +202,19 @@ func expireCmd(unitMS int64, absolute bool) handler {
 // expired), -1 when it has no deadline, else the remaining time.
 func ttlCmd(inMS bool) handler {
 	return func(ss *session, _ [][]byte, ks []uint64) {
-		s, w, k := ss.s, ss.w, ks[0]
-		if !s.existsLive(k) {
+		s, w := ss.s, ss.w
+		v, ok := s.db.Lookup(ks[0])
+		switch {
+		case !ok:
 			w.WriteInt(-2)
-			return
-		}
-		e, ok := s.exp.Lookup(k)
-		if !ok {
+		case v.At == 0:
 			w.WriteInt(-1)
-			return
-		}
-		rem := e.DeadlineMS - s.nowMS()
-		if rem < 0 {
-			rem = 0
-		}
-		if inMS {
+		default:
+			rem := max(v.DeadlineMS()-s.nowMS(), 0)
+			if !inMS {
+				rem = (rem + 500) / 1000
+			}
 			w.WriteInt(rem)
-		} else {
-			w.WriteInt((rem + 500) / 1000)
 		}
 	}
 }
@@ -288,30 +222,15 @@ func ttlCmd(inMS bool) handler {
 // persistCmd implements PERSIST: drop the deadline, reply :1 iff one was
 // dropped.
 func (ss *session) persistCmd(args [][]byte, ks []uint64) {
-	s, w, k := ss.s, ss.w, ks[0]
-	if !s.existsLive(k) {
-		w.WriteInt(0)
-		return
-	}
-	s.gate.RLock()
-	cleared := s.exp.Clear(k)
-	if cleared {
-		s.appendMutation([]byte("PERSIST"), args[1])
-	}
-	s.gate.RUnlock()
-	if cleared {
-		w.WriteInt(1)
-	} else {
-		w.WriteInt(0)
-	}
+	done := ss.s.db.Contains(ks[0]) && ss.setTTL(args[1], ks[0], 0, 0, true)
+	ss.w.WriteInt(b2i(done))
 }
 
-// setex implements SETEX key seconds value: SET + EXPIRE as one command.
-// The arming is installed BEFORE the value is stored (see the file
-// comment), and the AOF carries the pair SET + PEXPIREAT — the same
-// absolute translation Redis uses.
+// setex implements SETEX key seconds value: SET + EXPIRE as one keyspace
+// write (Index.StoreDeadline), logged as the pair SET + PEXPIREAT — the
+// same absolute translation Redis uses.
 func (ss *session) setex(args [][]byte, ks []uint64) {
-	s, w, k := ss.s, ss.w, ks[0]
+	s, w := ss.s, ss.w
 	sec, ok := ss.parseIntArg(args[2])
 	if !ok {
 		return
@@ -323,18 +242,17 @@ func (ss *session) setex(args [][]byte, ks []uint64) {
 	deadline := deadlineFromArg(s.nowMS(), sec, 1000, false)
 	v := resp.Detach(args[3])
 	s.gate.RLock()
-	s.exp.Set(k, deadline)
-	s.db.Store(k, v)
-	s.appendMutation([]byte("SET"), args[1], v)
-	s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
+	s.db.StoreDeadline(ks[0], v, deadline)
+	s.appendMutation(recSET, args[1], v)
+	s.appendMutation(recPEXPIREAT, args[1], ss.itoa(deadline))
 	s.gate.RUnlock()
 	w.WriteSimple("OK")
 }
 
 // getex implements GETEX key [EX s | PX ms | EXAT s | PXAT ms |
-// PERSIST]: GET that can atomically re-arm or disarm the deadline.
+// PERSIST]: GET that can re-arm or disarm the deadline.
 func (ss *session) getex(args [][]byte, ks []uint64) {
-	s, w, k := ss.s, ss.w, ks[0]
+	s, w := ss.s, ss.w
 	// Parse the option before touching anything so a syntax error
 	// mutates nothing.
 	var (
@@ -378,41 +296,25 @@ func (ss *session) getex(args [][]byte, ks []uint64) {
 		s.misconf(w)
 		return
 	}
-	v, found := s.getLive(k)
+	v, found := s.db.Load(ks[0])
 	if !found {
 		w.WriteNull()
 		return
 	}
-	now := s.nowMS()
 	switch {
 	case doPersist:
-		s.gate.RLock()
-		if s.exp.Clear(k) {
-			s.appendMutation([]byte("PERSIST"), args[1])
-		}
-		s.gate.RUnlock()
+		ss.setTTL(args[1], ks[0], 0, 0, true)
 	case doExpire:
-		deadline := deadlineFromArg(now, n, unitMS, absolute)
-		if deadline <= now {
-			// Arming captured BEFORE the delete, removal conditional on
-			// it — same race and same discipline as the EXPIRE past-
-			// deadline path above.
-			s.gate.RLock()
-			e, hadTTL := s.exp.Lookup(k)
-			if s.db.Delete(k) {
-				s.appendMutation([]byte("DEL"), args[1])
-				s.exp.NoteExpired()
-			}
-			if hadTTL {
-				s.exp.Remove(k, e)
-			}
-			s.gate.RUnlock()
-		} else {
-			s.gate.RLock()
-			s.exp.Set(k, deadline)
-			s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
-			s.gate.RUnlock()
-		}
+		now := s.nowMS()
+		ss.setTTL(args[1], ks[0], deadlineFromArg(now, n, unitMS, absolute), now, false)
 	}
 	w.WriteBulk(v)
+}
+
+// b2i is a boolean reply: :1 or :0.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -3,8 +3,11 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,7 +201,7 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustInt(-2, "TTL", "100")
 
 	// Cross-shard two-phase move carries it too.
-	if s.DB().SameShard(200, 8392) {
+	if sameShard(t, s, 200, 8392) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
 	c.mustSimple("OK", "RENAME", "200", "8392")
@@ -228,7 +231,7 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustSimple("OK", "MSET", "700", "live2", "8500", "dying2")
 	c.mustInt(1, "PEXPIRE", "8500", "50")
 	clk.advance(51)
-	if s.DB().SameShard(700, 8500) {
+	if sameShard(t, s, 700, 8500) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
 	c.mustSimple("OK", "RENAME", "700", "8500") // cross-shard two-phase
@@ -366,6 +369,90 @@ func TestServerInfoExpirySection(t *testing.T) {
 		if !strings.Contains(info, want) {
 			t.Fatalf("INFO after expiry lacks %q:\n%s", want, info)
 		}
+	}
+}
+
+// TestServerTTLStress runs every keyspace write against a few keys from
+// concurrent sessions while the clock advances under them and the
+// reaper runs beside them: SET, SETEX, EXPIRE, PERSIST, DEL, RENAME
+// (across shards too), GETEX and GET. Once they stop, every byDeadline
+// node must name a key holding its arming (Validate). Then the clock
+// passes every deadline and one reaper pass runs. Every arming must be
+// gone with its key: no leaf still armed (an orphan arming the reaper
+// cannot find) and no byDeadline node left (a stale node nobody
+// retired).
+func TestServerTTLStress(t *testing.T) {
+	clk := newFakeClock()
+	s, err := New(clk.cfg(Config{Shards: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Keys whose first bytes differ in the top bits land in different
+	// shards, so RENAME runs both the atomic and the two-phase move.
+	keys := []string{"a", "b", "c", "A", "B", "1"}
+	cmds := func(rng *rand.Rand) []string {
+		k, k2 := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
+		secs := strconv.Itoa(1 + rng.Intn(3))
+		switch rng.Intn(8) {
+		case 0:
+			return []string{"SET", k, "v"}
+		case 1:
+			return []string{"SETEX", k, secs, "e"}
+		case 2:
+			return []string{"EXPIRE", k, secs}
+		case 3:
+			return []string{"PERSIST", k}
+		case 4:
+			return []string{"DEL", k}
+		case 5:
+			return []string{"RENAME", k, k2}
+		case 6:
+			return []string{"GETEX", k, "PX", strconv.Itoa(rng.Intn(3000))}
+		default:
+			return []string{"GET", k}
+		}
+	}
+	const workers, rounds = 4, 3000
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			ss := newSession(s, resp.NewWriter(bufio.NewWriter(io.Discard)))
+			for i := 0; i < rounds; i++ {
+				var args [][]byte
+				for _, a := range cmds(rng) {
+					args = append(args, []byte(a))
+				}
+				ss.dispatch(args)
+				if i%50 == 0 {
+					clk.advance(int64(rng.Intn(400)))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Close stops the background reaper, so the checks below see a
+	// quiescent keyspace.
+	s.Close()
+	if err := s.db.Validate(); err != nil {
+		t.Fatalf("at quiescence: %v", err)
+	}
+
+	clk.advance(time.Hour.Milliseconds())
+	s.ReapNow()
+	for k, v := range s.db.Snapshot().All() {
+		if v.At != 0 {
+			t.Errorf("key %q still armed at %d after every deadline passed and a reaper pass", s.keyer.AppendDecode(nil, k), v.DeadlineMS())
+		}
+	}
+	if n := s.db.ArmedKeys(); n != 0 {
+		t.Errorf("%d byDeadline nodes survive with no armed key", n)
+	}
+	if err := s.db.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,10 +30,11 @@ type Keyer interface {
 	// Encode maps a wire key to a trie key in [0, 2^Width()), or
 	// returns an error describing why the key is not representable.
 	Encode(key []byte) (uint64, error)
-	// Decode renders a trie key produced by Encode back into the wire
-	// key. It is only defined on Encode's image; the server only calls
-	// it on keys read back out of the trie.
-	Decode(k uint64) []byte
+	// AppendDecode appends the wire key of a trie key produced by Encode
+	// to dst and returns the extended slice, so a caller decoding many
+	// keys can reuse one buffer. It is only defined on Encode's image;
+	// the server only calls it on keys read back out of the trie.
+	AppendDecode(dst []byte, k uint64) []byte
 }
 
 // NewKeyer resolves a keyer by name: "bytes" (BytesKeyer) or "decimal"
@@ -96,9 +97,9 @@ func (d DecimalKeyer) Encode(key []byte) (uint64, error) {
 	return n, nil
 }
 
-// Decode implements Keyer.
-func (DecimalKeyer) Decode(k uint64) []byte {
-	return strconv.AppendUint(nil, k, 10)
+// AppendDecode implements Keyer.
+func (DecimalKeyer) AppendDecode(dst []byte, k uint64) []byte {
+	return strconv.AppendUint(dst, k, 10)
 }
 
 // BytesKeyer maps short binary keys — 1 to 7 arbitrary bytes, NULs and
@@ -142,13 +143,11 @@ func (BytesKeyer) Encode(key []byte) (uint64, error) {
 	return v<<3 | uint64(n), nil
 }
 
-// Decode implements Keyer.
-func (BytesKeyer) Decode(k uint64) []byte {
-	n := int(k & 7)
+// AppendDecode implements Keyer.
+func (BytesKeyer) AppendDecode(dst []byte, k uint64) []byte {
 	v := k >> 3
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(v >> (8 * uint(BytesKeyerMaxLen-1-i)))
+	for i := range int(k & 7) {
+		dst = append(dst, byte(v>>(8*uint(BytesKeyerMaxLen-1-i))))
 	}
-	return out
+	return dst
 }

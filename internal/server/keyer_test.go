@@ -19,8 +19,8 @@ func TestDecimalKeyerRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("width %d: Encode(%q): %v", tc.width, key, err)
 			}
-			if got := string(d.Decode(k)); got != key {
-				t.Errorf("width %d: Decode(Encode(%q)) = %q", tc.width, key, got)
+			if got := string(d.AppendDecode(nil, k)); got != key {
+				t.Errorf("width %d: AppendDecode(nil, Encode(%q)) = %q", tc.width, key, got)
 			}
 		}
 	}
@@ -66,8 +66,13 @@ func TestBytesKeyerRoundTrip(t *testing.T) {
 			t.Fatalf("collision: %q and %q both encode to %d", prev, key, k)
 		}
 		seen[k] = key
-		if got := b.Decode(k); !bytes.Equal(got, key) {
-			t.Errorf("Decode(Encode(%q)) = %q", key, got)
+		if got := b.AppendDecode(nil, k); !bytes.Equal(got, key) {
+			t.Errorf("AppendDecode(nil, Encode(%q)) = %q", key, got)
+		}
+		// Appending keeps what dst held: the dump decodes every key into
+		// one reused buffer.
+		if got := b.AppendDecode([]byte("pre"), k); !bytes.Equal(got, append([]byte("pre"), key...)) {
+			t.Errorf("AppendDecode(pre, Encode(%q)) = %q", key, got)
 		}
 	}
 	for _, key := range [][]byte{{}, []byte("12345678")} {

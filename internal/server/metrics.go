@@ -108,10 +108,10 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(&b, "# HELP nbtried_keys Live keys in the map.\n"+
 		"# TYPE nbtried_keys gauge\n"+
 		"nbtried_keys %d\n", s.db.Len())
-	expired, passes := s.exp.Stats()
+	expired, passes := s.db.Stats()
 	fmt.Fprintf(&b, "# HELP nbtried_keys_with_ttl Keys with an armed deadline.\n"+
 		"# TYPE nbtried_keys_with_ttl gauge\n"+
-		"nbtried_keys_with_ttl %d\n", s.exp.Len())
+		"nbtried_keys_with_ttl %d\n", s.db.ArmedKeys())
 	fmt.Fprintf(&b, "# HELP nbtried_expired_keys_total Keys expired (lazy + reaper).\n"+
 		"# TYPE nbtried_expired_keys_total counter\n"+
 		"nbtried_expired_keys_total %d\n", expired)

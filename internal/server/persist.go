@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"iter"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -164,18 +165,17 @@ func (p *persister) recover(m persist.Manifest) error {
 			p.seq = n
 		}
 		err := persist.LoadDump(p.dir, m.Base, func(k, v []byte, expireAtMS uint64) error {
-			if err := p.applyRecord([][]byte{[]byte("SET"), k, v}); err != nil {
+			ek, err := p.s.keyer.Encode(k)
+			if err != nil {
 				return err
 			}
-			if expireAtMS != 0 {
+			if expireAtMS == 0 {
+				p.s.db.Store(ek, v)
+			} else {
 				// Re-arm the dumped deadline, even one already past: the
 				// reaper's opening pass (and any lazy read) purges it, the
 				// same convergence path as replayed PEXPIREAT records.
-				ek, err := p.s.keyer.Encode(k)
-				if err != nil {
-					return err
-				}
-				p.s.exp.Set(ek, int64(expireAtMS))
+				p.s.db.StoreDeadline(ek, v, int64(min(expireAtMS, math.MaxInt64)))
 			}
 			return nil
 		})
@@ -221,13 +221,14 @@ func (p *persister) removeUnreferenced() {
 	}
 }
 
-// applyRecord replays one AOF/dump record against the map (and the
-// expiry index: every record that changes a key's TTL state at serve
-// time changes it identically at replay time). It looks the record up in
-// the command table and applies the row's arity and key spec exactly as
-// dispatch does, then the row's replay — the replay-side mirror of the
-// handler, minus replies and re-appending. It runs single-threaded
-// (recovery), so the multi-step RENAME needs no atomicity. Reaper purges
+// applyRecord replays one AOF record against the keyspace (every record
+// that changes a key's TTL state at serve time changes it identically at
+// replay time; keyspace writes never consult the clock, so a deadline
+// that passed during downtime does not cut the replay short). It looks
+// the record up in the command table and applies the row's arity and
+// key spec exactly as dispatch does, then the row's replay — the
+// replay-side mirror of the handler, minus replies and re-appending. It
+// runs single-threaded (recovery), before the reaper starts. Reaper purges
 // are deliberately NOT recorded: recovery re-evaluates the replayed
 // absolute deadlines against the clock, so an expiry that happened while
 // up happens again (lazily or on the reaper's opening pass) after a
@@ -258,7 +259,6 @@ func (p *persister) applyRecord(args [][]byte) error {
 func (s *Server) replaySet(args [][]byte, ks []uint64) error {
 	for i, k := range ks {
 		s.db.Store(k, args[2+2*i])
-		s.exp.Clear(k)
 	}
 	return nil
 }
@@ -266,34 +266,24 @@ func (s *Server) replaySet(args [][]byte, ks []uint64) error {
 func (s *Server) replayDel(_ [][]byte, ks []uint64) error {
 	for _, k := range ks {
 		s.db.Delete(k)
-		s.exp.Clear(k)
 	}
 	return nil
 }
 
+// replayRename re-runs a rename; the deadline travels inside the leaf,
+// exactly as it did at serve time.
 func (s *Server) replayRename(_ [][]byte, ks []uint64) error {
 	old, new := ks[0], ks[1]
 	if old == new {
 		return nil
 	}
-	if v, ok := s.db.Load(old); ok {
-		s.db.Delete(old)
-		s.db.Store(new, v)
-		// At serve time a rename's destination holds no arming when the
-		// move lands (it was absent, or expired and lazily purged —
-		// arming included). Replay must match: an earlier PEXPIREAT
-		// record may have re-armed the destination's old (possibly past)
-		// deadline, which must not survive onto the moved value, or the
-		// opening reaper pass eats it.
-		s.exp.Clear(new)
-		// The deadline travels with the value, exactly as it did at
-		// serve time (both the atomic and the two-phase rename log this
-		// one record).
-		if e, had := s.exp.Lookup(old); had {
-			s.exp.Set(new, e.DeadlineMS)
-			s.exp.Remove(old, e)
-		}
-	}
+	// At serve time a logged rename's destination was absent when the
+	// move landed, or expired and lazily purged. Replay can hold it
+	// still: an earlier PEXPIREAT record re-armed its old, now past,
+	// deadline, and nothing purges during replay. Drop it, or the move
+	// would be refused.
+	s.db.Delete(new)
+	s.db.Rename(old, new, false)
 	return nil
 }
 
@@ -307,14 +297,12 @@ func (s *Server) replayPexpireat(args [][]byte, ks []uint64) error {
 	if !ok {
 		return fmt.Errorf("PEXPIREAT record with bad deadline %q", args[2])
 	}
-	if s.db.Contains(ks[0]) {
-		s.exp.Set(ks[0], ms)
-	}
+	s.db.Set(ks[0], ms)
 	return nil
 }
 
 func (s *Server) replayPersist(_ [][]byte, ks []uint64) error {
-	s.exp.Clear(ks[0])
+	s.db.Persist(ks[0])
 	return nil
 }
 
@@ -429,12 +417,9 @@ func (p *persister) save(background bool) error {
 		p.manifest = next
 	}
 	p.seq = dumpSeq
-	// Both snapshots under the same gate.Lock instant: the dump's
-	// (value, deadline) pairs are one consistent cut — no TTL for a key
-	// the value cut doesn't have, no value whose arming the TTL cut
-	// missed.
+	// One snapshot: each leaf holds its key's value and deadline, so the
+	// dump's (value, deadline) pairs are one cut.
 	snap := p.s.db.Snapshot() // globally exact: writers are quiesced by the gate
-	expSnap := p.s.exp.Snapshot()
 	oldSeg := p.aof
 	if p.aofOn {
 		p.aof = newSeg
@@ -454,7 +439,7 @@ func (p *persister) save(background bool) error {
 
 	doDump := func() error {
 		defer p.bgActive.Store(false)
-		err := p.writeDumpAndCommit(snap, expSnap, dumpSeq)
+		err := p.writeDumpAndCommit(snap, dumpSeq)
 		if err != nil {
 			p.saveStatus.Store(err.Error())
 			return err
@@ -483,13 +468,17 @@ func (p *persister) save(background bool) error {
 
 // writeDumpAndCommit streams the snapshot into base-<seq>, swings the
 // manifest to it and removes the files the new recipe dropped. Each
-// record carries the key's deadline from the expiry cut (0 = no TTL),
-// so a dump restores TTL state without any AOF record.
-func (p *persister) writeDumpAndCommit(snap snapshotIter, expSnap *expiry.Snapshot, seq uint64) error {
+// record carries the key's deadline from its leaf (0 = no TTL), so a
+// dump restores TTL state without any AOF record.
+func (p *persister) writeDumpAndCommit(snap snapshotIter, seq uint64) error {
 	baseName := persist.BaseName(seq)
 	err := persist.SaveDump(p.dir, baseName, func(fn func(k, v []byte, expireAtMS uint64) bool) {
+		// One key buffer for the whole dump: WriteDump has written the
+		// key out by the time fn returns.
+		var key []byte
 		for k, v := range snap.All() {
-			if !fn(p.s.keyer.Decode(k), v, uint64(expSnap.DeadlineMS(k))) {
+			key = p.s.keyer.AppendDecode(key[:0], k)
+			if !fn(key, v.B, uint64(v.DeadlineMS())) {
 				return
 			}
 		}
@@ -543,7 +532,7 @@ func segmentsAtOrAfter(chain []string, seq uint64) []string {
 // snapshotIter is the slice of ShardedMapSnapshot the dump needs;
 // narrowing it keeps writeDumpAndCommit testable.
 type snapshotIter interface {
-	All() iter.Seq2[uint64, []byte]
+	All() iter.Seq2[uint64, expiry.Value]
 }
 
 // StartPeriodicSave triggers a BGSAVE-equivalent dump cycle every

@@ -98,6 +98,39 @@ func TestPersistWithoutAOFOnlySaveSurvives(t *testing.T) {
 	c2.mustNull("GET", "vol")
 }
 
+// TestPersistSaveAllocsPerKey pins what a dump allocates per key: the
+// whole dump decodes every key into one reused buffer and writes the
+// record framing from shared slices, so the per-key count is ~0, where a
+// fresh decoded key and a fresh record marker would cost 2. The keys are
+// armed, so the deadline's trip from the leaf is covered.
+func TestPersistSaveAllocsPerKey(t *testing.T) {
+	s, err := New(Config{Persist: PersistConfig{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 5000
+	val := []byte("0123456789abcdef")
+	for i := 0; i < n; i++ {
+		k, err := s.keyer.Encode([]byte(strconv.Itoa(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.db.StoreDeadline(k, val, expiryFarFuture)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := s.pst.save(false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perKey := allocs / n; perKey > 0.1 {
+		t.Errorf("SAVE allocates %.3f times per key, pinned at 0.1", perKey)
+	}
+}
+
+// expiryFarFuture is a deadline no test clock reaches.
+const expiryFarFuture = int64(1) << 42
+
 // TestPersistBGSAVEExactBoundary hammers unique-key SETs from several
 // connections while BGSAVEs rotate underneath, then restarts: every
 // acknowledged write must be present exactly once. This is the
@@ -393,11 +426,10 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 	// state is everything a refused command must leave alone.
 	state := func() string {
 		var b strings.Builder
-		for k, v := range s.db.All() {
-			e, _ := s.exp.Lookup(k)
-			fmt.Fprintf(&b, "%s=%s@%d ", s.keyer.Decode(k), v, e.DeadlineMS)
+		for k, v := range s.db.Snapshot().All() {
+			fmt.Fprintf(&b, "%s=%s@%d ", s.keyer.AppendDecode(nil, k), v.B, v.DeadlineMS())
 		}
-		fmt.Fprintf(&b, "ttls=%d aof=%d", s.exp.Len(), s.pst.aof.Size())
+		fmt.Fprintf(&b, "ttls=%d aof=%d", s.db.ArmedKeys(), s.pst.aof.Size())
 		return b.String()
 	}
 	before := state()

@@ -1,12 +1,14 @@
 // Package server is nbtried's network layer: a pipelined, RESP2-subset
 // key-value server over the repository's sharded non-blocking Patricia
-// trie (ShardedMap[[]byte]). It is the first layer of the ROADMAP's
+// trie. The keyspace is internal/expiry's Index: one ShardedMap whose
+// leaves hold each key's value and deadline, plus the deadline-ordered
+// index the reaper scans. It is the first layer of the ROADMAP's
 // "production-scale system serving heavy traffic": the paper's
 // lock-free engine does the synchronization, and every connection
 // goroutine calls straight into the trie. The one lock on the data path
 // is the persistence gate (see persist.go), which every mutation holds
-// shared across its map update and AOF append so that a dump rotation
-// can cut between whole mutations.
+// shared across its keyspace update and AOF append so that a dump
+// rotation can cut between whole mutations.
 //
 // # Connection model and pipelining
 //
@@ -47,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbtrie"
 	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
 )
@@ -103,14 +104,14 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	keyer Keyer
-	db    *nbtrie.ShardedMap[[]byte]
 	start time.Time
 
-	// exp is the deadline-ordered expiry index (see internal/expiry and
-	// expiry.go in this package); clock feeds every deadline comparison.
-	// The reaper goroutine wakes on the earliest armed deadline and
-	// range-scans everything due; reapStop/reapDone bound its lifetime.
-	exp      *expiry.Index
+	// db is the keyspace: values, their deadlines and the deadline index
+	// (see internal/expiry and expiry.go in this package); clock feeds
+	// every deadline comparison. The reaper goroutine wakes on the
+	// earliest armed deadline and range-scans everything due;
+	// reapStop/reapDone bound its lifetime.
+	db       *expiry.Index
 	clock    func() int64
 	reapStop chan struct{}
 	reapDone chan struct{}
@@ -167,19 +168,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Span == 0 {
 		cfg.Span = 1
 	}
-	db, err := nbtrie.NewShardedMapSpan[[]byte](cfg.Keyer.Width(), cfg.Shards, cfg.Span)
-	if err != nil {
-		return nil, err
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
-	// The expiry index shares the primary map's width and shard count so
-	// a key's TTL lives on the same shard partition as its value. It must
-	// exist before recovery runs: replayed PEXPIREAT records and dump
-	// deadlines land in it.
-	exp, err := expiry.New(cfg.Keyer.Width(), db.Shards())
+	db, err := expiry.New(cfg.Keyer.Width(), cfg.Shards, expiry.WithSpan(cfg.Span), expiry.WithClock(clock))
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +181,6 @@ func New(cfg Config) (*Server, error) {
 		keyer:    cfg.Keyer,
 		db:       db,
 		start:    time.Now(),
-		exp:      exp,
 		clock:    clock,
 		reapStop: make(chan struct{}),
 		reapDone: make(chan struct{}),
@@ -217,8 +209,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// DB exposes the backing map (tests and embedders).
-func (s *Server) DB() *nbtrie.ShardedMap[[]byte] { return s.db }
+// DB exposes the keyspace (tests and embedders).
+func (s *Server) DB() *expiry.Index { return s.db }
 
 // ListenAndServe listens on addr ("host:port") and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -479,8 +471,8 @@ func (s *Server) infoSections() []infoSection {
 		{"commandstats", "Commandstats", s.commandstatsText},
 		{"latencystats", "Latencystats", s.latencystatsText},
 		{"expiry", "Expiry", func(b *strings.Builder) {
-			expired, passes := s.exp.Stats()
-			fmt.Fprintf(b, "keys_with_ttl:%d\r\n", s.exp.Len())
+			expired, passes := s.db.Stats()
+			fmt.Fprintf(b, "keys_with_ttl:%d\r\n", s.db.ArmedKeys())
 			fmt.Fprintf(b, "expired_keys:%d\r\n", expired)
 			fmt.Fprintf(b, "reaper_passes:%d\r\n", passes)
 		}},

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nbtrie"
 	"nbtrie/internal/persist"
 	"nbtrie/internal/resp"
 )
@@ -207,6 +208,17 @@ func TestServerPipelining(t *testing.T) {
 	}
 }
 
+// sameShard reports whether keys a and b share a shard of s's keyspace,
+// computed on an empty map of the same width and shard count.
+func sameShard(t *testing.T, s *Server, a, b uint64) bool {
+	t.Helper()
+	m, err := nbtrie.NewShardedMap[struct{}](s.keyer.Width(), s.DB().Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.SameShard(a, b)
+}
+
 // TestServerRename covers all four outcomes: atomic same-shard rename,
 // missing source, existing destination, and the cross-shard refusal.
 func TestServerRename(t *testing.T) {
@@ -239,7 +251,7 @@ func TestServerRename(t *testing.T) {
 	// Cross-shard: 200 is in shard 0, 8192+200 in shard 1. Strict mode
 	// preserves the atomic-only contract and refuses; plain RENAME runs
 	// the two-phase move (DESIGN.md §12) and succeeds.
-	if s.DB().SameShard(200, 8392) {
+	if sameShard(t, s, 200, 8392) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
 	c.mustErrContain("CROSSSHARD", "RENAMESTRICT", "200", "8392")

@@ -171,6 +171,54 @@ func TestMoveKeyOverwriteIdentity(t *testing.T) {
 	}
 }
 
+// TestMoveKeyStructValues: a struct value that holds a slice — nbtried's
+// {bytes, deadline} leaf — is not comparable, so phase 3's identity test
+// compares it field by field. The moved value must leave the source,
+// and an overwrite of the source mid-move that differs in either field
+// must survive there.
+func TestMoveKeyStructValues(t *testing.T) {
+	type value struct {
+		b  []byte
+		at uint64
+	}
+	tr, err := New[value](16, 8)
+	if err != nil {
+		t.Fatalf("New(16, 8): %v", err)
+	}
+	tr.Store(100, value{[]byte("v"), 7})
+	if moved, err := tr.MoveKey(100, 8292); !moved || err != nil {
+		t.Fatalf("MoveKey = %v, %v", moved, err)
+	}
+	if tr.Contains(100) {
+		t.Fatal("a struct value moved but stayed at the source")
+	}
+	if v, ok := tr.Load(8292); !ok || string(v.b) != "v" || v.at != 7 {
+		t.Fatalf("Load(dest) = %+v, %v", v, ok)
+	}
+
+	for name, overwrite := range map[string]func(v value) value{
+		"new bytes":    func(v value) value { return value{[]byte("v"), v.at} },
+		"new deadline": func(v value) value { return value{v.b, v.at + 1} },
+	} {
+		tr.Store(200, value{[]byte("v"), 7})
+		tr.moveHook = func(phase int) {
+			if phase == 2 {
+				v, _ := tr.Load(200)
+				tr.Store(200, overwrite(v))
+			}
+		}
+		if moved, err := tr.MoveKey(200, 8392); !moved || err != nil {
+			t.Fatalf("%s: MoveKey = %v, %v", name, moved, err)
+		}
+		tr.moveHook = nil
+		if !tr.Contains(200) {
+			t.Fatalf("%s: an overwrite of the source mid-move was deleted by phase 3", name)
+		}
+		tr.Delete(200)
+		tr.Delete(8392)
+	}
+}
+
 // TestMoveKeyCrashAfterInsert kills the mover (simulated with a hook
 // panic) between phase 2 (destination inserted) and phase 3 (source
 // deleted): both copies exist, the marker records the move, and

@@ -233,6 +233,24 @@ func (t *Trie[V]) Store(k uint64, val V) bool {
 	return ok && t.shards[i].Store(rest, val)
 }
 
+// Swap is Store that also returns the value it replaced (loaded true).
+// ok is false only for out-of-range keys, which are not stored.
+func (t *Trie[V]) Swap(k uint64, val V) (previous V, loaded, ok bool) {
+	i, rest, inRange := t.route(k)
+	if !inRange {
+		return previous, false, false
+	}
+	return t.shards[i].Swap(rest, val)
+}
+
+// LoadAndDelete is Delete that also returns the value it removed.
+func (t *Trie[V]) LoadAndDelete(k uint64) (value V, loaded bool) {
+	if i, rest, ok := t.route(k); ok {
+		return t.shards[i].LoadAndDelete(rest)
+	}
+	return value, false
+}
+
 // LoadOrStore returns the value bound to k if present (loaded true);
 // otherwise it stores val and returns it. ok is false only for
 // out-of-range keys, which can neither be loaded nor stored.
@@ -265,6 +283,15 @@ func (t *Trie[V]) CompareAndDelete(k uint64, old V) bool {
 func (t *Trie[V]) DeleteFunc(k uint64, cond func(V) bool) bool {
 	i, rest, ok := t.route(k)
 	return ok && t.shards[i].DeleteFunc(rest, cond)
+}
+
+// CompareAndSwapFunc binds k to new if cond returns true for its stored
+// value, returning true iff the swap happened; the value cond approved is
+// the value replaced. cond may run more than once under contention and
+// must be side-effect free.
+func (t *Trie[V]) CompareAndSwapFunc(k uint64, cond func(V) bool, new V) bool {
+	i, rest, ok := t.route(k)
+	return ok && t.shards[i].CompareAndSwapFunc(rest, cond, new)
 }
 
 // Replace atomically removes old and inserts new when both keys live in
@@ -358,20 +385,31 @@ func (t *Trie[V]) MoveKey(from, to uint64) (bool, error) {
 // identical reports whether two stored values are the same stored value
 // — allocation identity, not content equality. Slices match on backing
 // array and length (zero-length slices have no element to anchor on, so
-// length equality is the whole check — the same test the server's expiry
-// purge applies); other reference kinds match on their referent pointer;
-// plain comparable values fall back to ==. A fresh allocation with equal
+// length equality is the whole check); other reference kinds match on
+// their referent pointer; structs match field by field, so a server
+// value {bytes, arming} is identical when both halves are; plain
+// comparable values fall back to ==. A fresh allocation with equal
 // content is deliberately NOT identical: a value stored by a concurrent
 // writer must never satisfy a conditional delete aimed at the value a
 // mover loaded earlier.
 func identical[V any](a, b V) bool {
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	return identicalValue(reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem())
+}
+
+func identicalValue(va, vb reflect.Value) bool {
 	switch va.Kind() {
 	case reflect.Slice:
 		return va.Len() == vb.Len() &&
 			(va.Len() == 0 || va.UnsafePointer() == vb.UnsafePointer())
 	case reflect.Map, reflect.Chan, reflect.Func, reflect.Pointer, reflect.UnsafePointer:
 		return va.UnsafePointer() == vb.UnsafePointer()
+	case reflect.Struct:
+		for i := range va.NumField() {
+			if !identicalValue(va.Field(i), vb.Field(i)) {
+				return false
+			}
+		}
+		return true
 	default:
 		return va.Comparable() && va.Equal(vb)
 	}

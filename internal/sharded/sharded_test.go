@@ -244,7 +244,7 @@ func TestSequentialOracle(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			k := rng.Uint64() % keyRange
 			val := rng.Uint64() % 64
-			switch rng.Intn(6) {
+			switch rng.Intn(9) {
 			case 0:
 				if !tr.Store(k, val) {
 					t.Fatalf("shards=%d op=%d: Store(%d) failed", shardCount, i, k)
@@ -298,6 +298,29 @@ func TestSequentialOracle(t *testing.T) {
 				if swapped {
 					delete(oracle, k)
 					oracle[k2] = ov
+				}
+			case 6:
+				ov, oOK := oracle[k]
+				prev, loaded, ok := tr.Swap(k, val)
+				if !ok || loaded != oOK || (loaded && prev != ov) {
+					t.Fatalf("shards=%d op=%d: Swap(%d) = %d,%v,%v oracle %d,%v", shardCount, i, k, prev, loaded, ok, ov, oOK)
+				}
+				oracle[k] = val
+			case 7:
+				ov, oOK := oracle[k]
+				if v, loaded := tr.LoadAndDelete(k); loaded != oOK || (loaded && v != ov) {
+					t.Fatalf("shards=%d op=%d: LoadAndDelete(%d) = %d,%v oracle %d,%v", shardCount, i, k, v, loaded, ov, oOK)
+				}
+				delete(oracle, k)
+			case 8:
+				ov, oOK := oracle[k]
+				old := rng.Uint64() % 64
+				want := oOK && ov == old
+				if got := tr.CompareAndSwapFunc(k, func(v uint64) bool { return v == old }, val); got != want {
+					t.Fatalf("shards=%d op=%d: CompareAndSwapFunc(%d) = %v want %v", shardCount, i, k, got, want)
+				}
+				if want {
+					oracle[k] = val
 				}
 			}
 		}

@@ -76,6 +76,19 @@ func (m *ShardedMap[V]) Store(k uint64, val V) bool {
 	return m.t.Store(k, val)
 }
 
+// Swap is Store that also returns the value it replaced (loaded true),
+// like sync.Map's Swap. ok is false only when k is out of range —
+// nothing was stored.
+func (m *ShardedMap[V]) Swap(k uint64, val V) (previous V, loaded, ok bool) {
+	return m.t.Swap(k, val)
+}
+
+// LoadAndDelete removes k and returns the value it held; loaded is false
+// iff k was absent. Like sync.Map's LoadAndDelete.
+func (m *ShardedMap[V]) LoadAndDelete(k uint64) (value V, loaded bool) {
+	return m.t.LoadAndDelete(k)
+}
+
 // LoadOrStore returns the existing value for k if present (loaded true);
 // otherwise it stores val and returns it (loaded false). ok is false
 // only when k is out of range — nothing was loaded or stored.
@@ -117,9 +130,19 @@ func (m *ShardedMap[V]) ReplaceKey(old, new uint64) (swapped bool, err error) {
 // delete commits, so the value cond approved is exactly the value
 // removed. cond may run more than once under contention and must be
 // side-effect free. This is the primitive nbtried's expiry uses to purge
-// a key only if it still holds the expired value.
+// a key only if it still holds the expired arming.
 func (m *ShardedMap[V]) DeleteFunc(k uint64, cond func(V) bool) bool {
 	return m.t.DeleteFunc(k, cond)
+}
+
+// CompareAndSwapFunc binds k to new if cond returns true for its stored
+// value, returning true iff the swap happened: DeleteFunc's twin, and the
+// CompareAndSwap of non-comparable value types. The value cond approved
+// is exactly the value replaced; cond may run more than once under
+// contention and must be side-effect free. nbtried's EXPIRE and PERSIST
+// re-arm a key with it: same bytes, new deadline.
+func (m *ShardedMap[V]) CompareAndSwapFunc(k uint64, cond func(V) bool, new V) bool {
+	return m.t.CompareAndSwapFunc(k, cond, new)
 }
 
 // MoveKey moves the value stored under from to the key to. Same-shard

@@ -131,6 +131,38 @@ func TestShardedMapBasics(t *testing.T) {
 	}
 }
 
+// TestShardedMapSwapFamily covers the sync.Map-style primitives on a
+// non-comparable value type, where CompareAndSwap would panic and
+// CompareAndSwapFunc is the conditional update.
+func TestShardedMapSwapFamily(t *testing.T) {
+	m, err := NewShardedMap[[]byte](16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prev, loaded, ok := m.Swap(7, []byte("a")); !ok || loaded || prev != nil {
+		t.Fatalf("Swap(absent) = %q, %v, %v", prev, loaded, ok)
+	}
+	if prev, loaded, ok := m.Swap(7, []byte("b")); !ok || !loaded || string(prev) != "a" {
+		t.Fatalf("Swap(present) = %q, %v, %v; want the replaced a", prev, loaded, ok)
+	}
+	if _, _, ok := m.Swap(1<<16, []byte("x")); ok {
+		t.Fatal("Swap stored an out-of-range key")
+	}
+	isB := func(v []byte) bool { return string(v) == "b" }
+	if m.CompareAndSwapFunc(8, isB, []byte("c")) || m.Contains(8) {
+		t.Fatal("CompareAndSwapFunc stored an absent key")
+	}
+	if !m.CompareAndSwapFunc(7, isB, []byte("c")) || m.CompareAndSwapFunc(7, isB, []byte("d")) {
+		t.Fatal("CompareAndSwapFunc ignored its condition")
+	}
+	if v, loaded := m.LoadAndDelete(7); !loaded || string(v) != "c" || m.Len() != 0 {
+		t.Fatalf("LoadAndDelete = %q, %v with %d keys left", v, loaded, m.Len())
+	}
+	if _, loaded := m.LoadAndDelete(7); loaded {
+		t.Fatal("LoadAndDelete of an absent key loaded")
+	}
+}
+
 // TestShardedMapDefaultShards: shards = 0 picks the documented default.
 func TestShardedMapDefaultShards(t *testing.T) {
 	m, err := NewShardedMap[int](30, 0)
