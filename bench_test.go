@@ -1,30 +1,29 @@
 package nbtrie
 
 // Benchmark families regenerating the paper's evaluation (Section V).
-// One family per figure; sub-benchmarks are the figure's series (the six
-// implementations of the paper's legend). Throughput corresponds to
-// 1/ns-per-op; vary concurrency with -cpu, e.g.:
+// One family per figure; sub-benchmarks are the figure's series (the
+// legend entries of the implementation registry). Throughput corresponds
+// to 1/ns-per-op; vary concurrency with -cpu, e.g.:
 //
 //	go test -bench 'Fig09' -cpu 1,2,4,8 -benchmem
 //
-// cmd/benchtrie runs the same experiments as wall-clock throughput sweeps
-// with the paper's prefill/warmup/trials protocol and prints the series
-// tables; these testing.B variants are the quick, profiling-friendly
-// form. Ablation benchmarks for the design choices called out in
-// DESIGN.md follow at the bottom.
+// Each family starts from the paper's half-full prefill
+// (workload.Prefill). These are the paper's figures in runnable form;
+// the end-to-end and per-layer numbers the repository is judged by come
+// from the benchmark/ program. Ablation benchmarks for the design
+// choices called out in DESIGN.md follow at the bottom.
 
 import (
 	"fmt"
 	"sync/atomic"
 	"testing"
 
-	"nbtrie/internal/bench"
 	"nbtrie/internal/workload"
 )
 
 // mkSet builds an implementation through the registry (legend labels
 // resolve as well as registry names).
-func mkSet(b *testing.B, name string, width uint32) bench.Set {
+func mkSet(b *testing.B, name string, width uint32) Set {
 	b.Helper()
 	s, err := NewSetWithWidth(name, width)
 	if err != nil {
@@ -54,10 +53,10 @@ func widthFor(keyRange uint64) uint32 {
 }
 
 // runMix drives one prefilled set with the given mix under RunParallel.
-func runMix(b *testing.B, s bench.Set, mix workload.Mix, keyRange, seqLen uint64) {
+func runMix(b *testing.B, s Set, mix workload.Mix, keyRange, seqLen uint64) {
 	b.Helper()
-	bench.Prefill(s, keyRange, 1)
-	rs, hasReplace := s.(bench.ReplaceSet)
+	workload.Prefill(s, keyRange, 1)
+	rs, hasReplace := s.(ReplaceSet)
 	if mix.ReplacePct > 0 && !hasReplace {
 		b.Fatalf("mix %v needs replace support", mix)
 	}
@@ -202,7 +201,7 @@ func BenchmarkContains_PAT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bench.Prefill(p, 1_000_000, 1)
+	workload.Prefill(p, 1_000_000, 1)
 	var seeds atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

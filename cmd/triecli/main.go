@@ -23,7 +23,7 @@
 //
 // With -connect addr, triecli instead becomes an interactive RESP
 // client for a running nbtried server, sharing the wire codec
-// (internal/resp) with the server and cmd/nbtriebench. Each input line
+// (internal/resp) with the server and the benchmark. Each input line
 // is sent verbatim as one command — `set foo bar`, `get foo`,
 // `scan 0 count 5`, `info` — and the reply is printed in a
 // redis-cli-like rendering; quit (or EOF) exits.

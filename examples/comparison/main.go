@@ -1,59 +1,63 @@
 // Comparison: drives every registered set implementation — the paper's
-// six plus the spatial and sharded engine instantiations — through the
-// same mixed workload and prints a small throughput table: a miniature,
-// single-shot version of what cmd/benchtrie measures rigorously.
+// six plus the spatial, sharded and k-ary engine instantiations — through
+// the same mixed workload and prints a small throughput table. Each row
+// is one timed pass from the paper's half-full prefill: a quick look, not
+// a measurement (the benchmark/ program is where numbers come from).
 package main
 
 import (
 	"fmt"
 	"log"
+	"sync"
 	"time"
 
 	"nbtrie"
-	"nbtrie/internal/bench"
 	"nbtrie/internal/workload"
 )
 
 func main() {
+	const (
+		keyRange  = 100_000
+		workers   = 4
+		opsPerWkr = 250_000
+	)
+	mix := workload.MixI15D15F70
+	fmt.Printf("workload %v, key range %d, %d goroutines x %d ops\n\n", mix, keyRange, workers, opsPerWkr)
+	fmt.Printf("%-6s %6s %14s  %s\n", "impl", "fanout", "ops/s", "replace")
+
 	// The registry enumerates every implementation — no hard-coded list.
-	type impl struct {
-		name    string
-		replace nbtrie.ReplaceScope
-		fanout  int
-		mk      func() bench.Set
-	}
-	// Width 17 is the smallest covering the key range below — minimal on
-	// purpose: the sharded front-end (PAT-S) routes on the top key bits,
-	// so slack width would funnel every key into its first shard.
-	var impls []impl
 	for _, im := range nbtrie.AllImplementations() {
-		impls = append(impls, impl{im.Legend, im.Replace, im.Fanout, func() bench.Set {
-			s, err := im.New(17)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return s
-		}})
-	}
-
-	cfg := bench.Config{
-		Mix:      workload.MixI15D15F70,
-		KeyRange: 100_000,
-		Threads:  4,
-		Duration: 300 * time.Millisecond,
-		Trials:   3,
-		Warmup:   50 * time.Millisecond,
-		Seed:     1,
-	}
-	fmt.Printf("workload %v, key range %d, %d goroutines, %d trials x %v\n\n",
-		cfg.Mix, cfg.KeyRange, cfg.Threads, cfg.Trials, cfg.Duration)
-	fmt.Printf("%-6s %6s %14s %8s  %s\n", "impl", "fanout", "mean ops/s", "±stddev", "replace")
-
-	for _, im := range impls {
-		sum, err := bench.RunExperiment(im.mk, cfg)
+		// Width 17 is the smallest covering the key range — minimal on
+		// purpose: the sharded front-end (PAT-S) routes on the top key
+		// bits, so slack width would funnel every key into its first shard.
+		s, err := im.New(17)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-6s %6d %14.0f %7.1f%%  %s\n", im.name, im.fanout, sum.Mean, 100*sum.RelStddev(), im.replace)
+		workload.Prefill(s, keyRange, 1)
+
+		var wg sync.WaitGroup
+		start := time.Now()
+		for w := range workers {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				g := workload.NewGenerator(mix, keyRange, seed)
+				for range opsPerWkr {
+					op := g.Next()
+					switch op.Kind {
+					case workload.OpInsert:
+						s.Insert(op.Key)
+					case workload.OpDelete:
+						s.Delete(op.Key)
+					default:
+						s.Contains(op.Key)
+					}
+				}
+			}(uint64(w) + 2)
+		}
+		wg.Wait()
+		opsPerSec := float64(workers*opsPerWkr) / time.Since(start).Seconds()
+		fmt.Printf("%-6s %6d %14.0f  %s\n", im.Legend, im.Fanout, opsPerSec, im.Replace)
 	}
 }

@@ -3,6 +3,7 @@ package resp
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -74,6 +75,44 @@ func TestDetachIsOneAlloc(t *testing.T) {
 	}
 	if d := Detach([]byte{}); d == nil {
 		t.Error("Detach of an empty non-nil slice must stay non-nil (empty bulk != null bulk)")
+	}
+}
+
+// TestClientCodecAllocs pins the client side of one command round trip —
+// encode the request with WriteCommandString, parse a canned reply with
+// ReadReply — with no network involved, so the counts are exact: a bulk
+// or simple-string reply carries a payload the parser copies out (one
+// allocation), and an integer reply parses into the stack Value (none).
+func TestClientCodecAllocs(t *testing.T) {
+	w := NewWriter(bufio.NewWriterSize(io.Discard, 64<<10))
+	val := string(bytes.Repeat([]byte{'x'}, 64))
+	var rd bytes.Reader
+	br := bufio.NewReaderSize(nil, 4<<10)
+	for _, tc := range []struct {
+		name  string
+		cmd   func()
+		reply string
+		want  float64
+	}{
+		{"GET", func() { w.WriteCommandString("GET", "key:123456") }, "$5\r\nhello\r\n", 1},
+		{"SET", func() { w.WriteCommandString("SET", "key:123456", val) }, "+OK\r\n", 1},
+		{"DEL", func() { w.WriteCommandString("DEL", "key:123456") }, ":1\r\n", 0},
+	} {
+		reply := []byte(tc.reply)
+		got := testing.AllocsPerRun(200, func() {
+			tc.cmd()
+			if err := w.Flush(); err != nil {
+				panic(err)
+			}
+			rd.Reset(reply)
+			br.Reset(&rd)
+			if v, err := ReadReply(br, Limits{}); err != nil || v.Kind == TypeError {
+				panic(fmt.Sprintf("codec round trip broke: %v %v", v, err))
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s round trip allocates %.1f/op, pinned at exactly %.0f", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package resp implements the subset of the RESP2 wire protocol
 // (REdis Serialization Protocol, version 2) that the nbtried server
 // speaks, exactly once, for its three consumers: the server's request
-// reader and reply writer (internal/server), the load generator's
-// client codec (cmd/nbtriebench) and triecli's -connect mode.
+// reader and reply writer (internal/server), the benchmark's load
+// generator (benchmark/) and triecli's -connect mode.
 //
 // The subset, and the deliberate restrictions:
 //

@@ -11,14 +11,14 @@ import (
 	"nbtrie/internal/resp"
 )
 
-// In-process measurement of the server dispatch path, exported for
-// cmd/nbtriebench's artifact: a TCP load generator can only see client
+// In-process measurement of the server dispatch path, pinned by
+// TestServerPathAllocPins: a TCP load generator can only see client
 // codec allocations, while the numbers that decide the server's GC
 // pressure — wire parse → dispatch → reply encode, per command — are
 // hidden behind the socket. The probe runs that exact path (the same
 // ReadCommandReuse + session.dispatch the connection loop uses) against
 // an in-memory server with the replies discarded, so the counts are
-// deterministic and benchcheck can gate them strictly.
+// deterministic and the test can pin them exactly.
 
 // PathAllocs is the steady-state allocations per command on the server
 // dispatch path. Get/Del/Exists/MGet run the full path, engine

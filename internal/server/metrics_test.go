@@ -345,8 +345,8 @@ func TestInfoEngineSection(t *testing.T) {
 
 // TestCommandLabels pins the per-command metric labels, in order.
 // benchmark/ checks nbtried_commands_total{cmd=...} against the
-// commands it sent and cmd/nbtriebench reads cmdstat_* lines, both by
-// these names, so renaming a row must fail here rather than there.
+// commands it sent, by these names, so renaming a row must fail here
+// rather than there.
 func TestCommandLabels(t *testing.T) {
 	want := []string{
 		"get", "set", "del", "exists", "mget", "mset", "ping", "quit",

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -765,4 +766,123 @@ func TestServerSpan(t *testing.T) {
 		t.Fatalf("default span must report 1: %s", info2)
 	}
 	_ = s
+}
+
+// TestServerSmokeBattery is the end-to-end command battery on a fresh
+// server with the default bytes keyer and 8 shards, once per trie
+// layout: the k-ary nodes (span 4) take the slot-fill and slot-clear
+// update paths the binary trie never does. The assertions are exact, so
+// each run starts from an empty keyspace.
+func TestServerSmokeBattery(t *testing.T) {
+	for _, span := range []uint32{1, 4} {
+		t.Run(fmt.Sprintf("span%d", span), func(t *testing.T) {
+			s, addr := startServer(t, Config{Shards: 8, Span: span})
+			c := dial(t, addr)
+			mustIntIn := func(lo, hi int64, args ...string) {
+				t.Helper()
+				// TTL on a freshly armed key is its round-up remainder,
+				// which any pause between commands can shave.
+				if v := c.do(args...); v.Kind != resp.TypeInt || v.Int < lo || v.Int > hi {
+					t.Fatalf("%v = %s, want integer in [%d, %d]", args, v, lo, hi)
+				}
+			}
+
+			c.mustSimple("PONG", "PING")
+			c.mustSimple("OK", "SET", "aa", "v1")
+			c.mustBulk("v1", "GET", "aa")
+			c.mustInt(1, "EXISTS", "aa")
+			c.mustNull("GET", "zz")
+			c.mustSimple("OK", "MSET", "ab", "v2", "ac", "v3")
+			c.mustInt(3, "DBSIZE")
+
+			// Same-shard atomic rename: "aa" and "ad" share their first
+			// byte, hence their shard.
+			if !sameShard(t, s, mustEncode(t, s.keyer, "aa"), mustEncode(t, s.keyer, "ad")) {
+				t.Fatal("test premise broken: aa and ad in different shards")
+			}
+			c.mustSimple("OK", "RENAME", "aa", "ad")
+			c.mustNull("GET", "aa")
+			c.mustBulk("v1", "GET", "ad")
+			c.mustErrContain("no such key", "RENAME", "aa", "ae")
+			c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
+
+			// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
+			// RENAMESTRICT keeps the atomic-only contract and refuses;
+			// RENAME performs the two-phase move.
+			if sameShard(t, s, mustEncode(t, s.keyer, "ad"), mustEncode(t, s.keyer, "\xe1d")) {
+				t.Fatal("test premise broken: ad and \\xe1d share a shard")
+			}
+			c.mustErrContain("CROSSSHARD", "RENAMESTRICT", "ad", "\xe1d")
+			c.mustBulk("v1", "GET", "ad")
+			c.mustSimple("OK", "RENAME", "ad", "\xe1d")
+			c.mustNull("GET", "ad")
+			c.mustBulk("v1", "GET", "\xe1d")
+			c.mustErrContain("destination key exists", "RENAME", "ab", "\xe1d")
+			c.mustErrContain("exceeds the 7-byte maximum", "SET", "12345678", "v")
+			c.mustInt(1, "DEL", "\xe1d", "nope")
+			c.mustInt(2, "DBSIZE")
+
+			// TTL battery: arm, observe, disarm, and expire.
+			c.mustInt(-1, "TTL", "ab")
+			c.mustInt(-2, "TTL", "nope")
+			c.mustInt(0, "EXPIRE", "nope", "100")
+			c.mustInt(1, "EXPIRE", "ab", "100")
+			mustIntIn(1, 100, "TTL", "ab")
+			mustIntIn(1, 100_000, "PTTL", "ab")
+			c.mustInt(1, "PERSIST", "ab")
+			c.mustInt(-1, "TTL", "ab")
+			c.mustSimple("OK", "SETEX", "tt", "100", "vt")
+			mustIntIn(1, 100, "TTL", "tt")
+			c.mustBulk("vt", "GETEX", "tt", "PERSIST")
+			c.mustInt(-1, "TTL", "tt")
+			// A deadline in the past deletes at once (Redis replies :1).
+			c.mustInt(1, "PEXPIREAT", "tt", "1")
+			c.mustNull("GET", "tt")
+			c.mustInt(-2, "TTL", "tt")
+			c.mustInt(2, "DBSIZE")
+
+			// SCAN returns every live key exactly once.
+			seen := map[string]int{}
+			cursor := "0"
+			for pages := 0; ; pages++ {
+				if pages > 100 {
+					t.Fatal("SCAN did not terminate")
+				}
+				v := c.do("SCAN", cursor, "COUNT", "1")
+				if v.Kind != resp.TypeArray || len(v.Array) != 2 {
+					t.Fatalf("SCAN reply shape: %s", v)
+				}
+				for _, k := range v.Array[1].Array {
+					seen[string(k.Str)]++
+				}
+				cursor = string(v.Array[0].Str)
+				if cursor == "0" {
+					break
+				}
+			}
+			if len(seen) != 2 || seen["ab"] != 1 || seen["ac"] != 1 {
+				t.Fatalf("SCAN keys = %v, want ab and ac exactly once", seen)
+			}
+
+			// Pipelining: a burst of writes answered in order.
+			const burst = 50
+			for i := 0; i < burst; i++ {
+				c.w.WriteCommandString("SET", "p", strconv.Itoa(i))
+				c.w.WriteCommandString("GET", "p")
+			}
+			if err := c.w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < burst; i++ {
+				set, err := resp.ReadReply(c.r, resp.Limits{})
+				if err != nil || set.Kind != resp.TypeSimple {
+					t.Fatalf("pipelined SET %d = %s, %v", i, set, err)
+				}
+				get, err := resp.ReadReply(c.r, resp.Limits{})
+				if want := strconv.Itoa(i); err != nil || string(get.Str) != want {
+					t.Fatalf("pipelined GET %d = %s, %v, want %q: replies out of order", i, get, err, want)
+				}
+			}
+		})
+	}
 }

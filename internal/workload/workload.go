@@ -146,3 +146,27 @@ func (g *Generator) nextKey() uint64 {
 
 // KeyRange returns the generator's key range.
 func (g *Generator) KeyRange() uint64 { return g.keyRange }
+
+// Prefill populates s to half-full over [0, keyRange). The paper fills by
+// running a random i50-d50 stream to steady state, which leaves each key
+// present with probability 1/2; we sample that stationary distribution
+// directly. Keys are inserted in a shuffled order: the random stream's
+// insertion order is what gives the unbalanced trees (BST, k-ST) their
+// expected logarithmic depth, so a sequential fill would mismeasure them
+// catastrophically.
+func Prefill(s interface{ Insert(k uint64) bool }, keyRange, seed uint64) {
+	g := NewGenerator(MixI50D50, keyRange, seed)
+	perm := make([]uint64, keyRange)
+	for k := range perm {
+		perm[k] = uint64(k)
+	}
+	for k := keyRange - 1; k > 0; k-- {
+		j := g.Next().Key % (k + 1) // generator doubles as shuffle source
+		perm[k], perm[j] = perm[j], perm[k]
+	}
+	for _, k := range perm {
+		if g.Next().Key&1 == 0 {
+			s.Insert(k)
+		}
+	}
+}

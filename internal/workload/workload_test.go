@@ -118,6 +118,32 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// mapSet is the smallest set Prefill can fill.
+type mapSet map[uint64]bool
+
+func (s mapSet) Insert(k uint64) bool {
+	if s[k] {
+		return false
+	}
+	s[k] = true
+	return true
+}
+
+func TestPrefillRoughlyHalf(t *testing.T) {
+	s := mapSet{}
+	Prefill(s, 10000, 1)
+	n := 0
+	for k := range s {
+		if k >= 10000 {
+			t.Fatalf("prefill inserted %d, outside the key range", k)
+		}
+		n++
+	}
+	if n < 4500 || n > 5500 {
+		t.Errorf("prefill left %d/10000 keys, want ~5000", n)
+	}
+}
+
 func TestOpKindString(t *testing.T) {
 	if OpInsert.String() != "insert" || OpReplace.String() != "replace" {
 		t.Error("OpKind.String broken")

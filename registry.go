@@ -50,8 +50,8 @@ func (s ReplaceScope) String() string {
 // Morton-keyed spatial instantiation of the shared engine, and the
 // sharded front-end that partitions the key space across engine
 // instances.
-// Tools (cmd/benchtrie, cmd/triecli, the conformance tests and the
-// examples) enumerate this registry instead of hard-coding the list, so
+// Tools (the figure benchmarks, cmd/triecli, the conformance tests and
+// the examples) enumerate this registry instead of hard-coding the list, so
 // a new implementation registers once and appears everywhere.
 type Implementation struct {
 	// Name is the stable registry key, e.g. "patricia".
