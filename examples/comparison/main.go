@@ -28,8 +28,9 @@ func main() {
 	// The registry enumerates every implementation — no hard-coded list.
 	for _, im := range nbtrie.AllImplementations() {
 		// Width 17 is the smallest covering the key range — minimal on
-		// purpose: the sharded front-end (PAT-S) routes on the top key
-		// bits, so slack width would funnel every key into its first shard.
+		// purpose: the sharded trie (PAT-S) picks a root slot by the top
+		// key bits, so slack width would funnel every key into its first
+		// slot.
 		s, err := im.New(17)
 		if err != nil {
 			log.Fatal(err)

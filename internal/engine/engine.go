@@ -182,8 +182,8 @@ type slotBlock[K keys.Key[K], V any, A any] struct {
 }
 
 // newSlots returns the ext value of a fresh wide node of 2^span empty
-// slots: a pointer to a slice header allocated together with its backing
-// array, one object per node whatever the span. The interior pointer
+// slots: for span <= 6 a pointer to a slice header allocated together
+// with its backing array, one object per node. The interior pointer
 // keeps the whole block alive, as any Go pointer does.
 func newSlots[K keys.Key[K], V any](span uint32) *[]atomic.Pointer[node[K, V]] {
 	switch span {
@@ -208,7 +208,10 @@ func newSlots[K keys.Key[K], V any](span uint32) *[]atomic.Pointer[node[K, V]] {
 		b.s = b.a[:]
 		return &b.s
 	}
-	panic("engine: span must be in [2, 6] for a wide node")
+	// Only a root digit is wider than 6 bits: the root is one node, so
+	// its slots may cost a second object.
+	s := make([]atomic.Pointer[node[K, V]], 1<<span)
+	return &s
 }
 
 // census counts n's non-nil children and returns the last one found
@@ -242,13 +245,18 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 	return &l.node
 }
 
-// newNode returns an empty internal node of the trie's fanout with the
-// given label and generation; the caller stores the children. Its info is
-// nil — never flagged — so a binary node is its only allocation.
+// newNode returns an empty internal node with the given label and
+// generation, with the fanout of the digit its label length starts; the
+// caller stores the children. Its info is nil — never flagged — so a
+// binary node is its only allocation.
 func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
 	n := &innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}
-	if t.span > 1 {
-		n.ext = newSlots[K, V](t.span)
+	s := t.span
+	if t.rootSpan != s && label.Len() == 0 {
+		s = t.rootSpan
+	}
+	if s > 1 {
+		n.ext = newSlots[K, V](s)
 	}
 	return n
 }
@@ -512,22 +520,26 @@ type Trie[K keys.Key[K], V any] struct {
 
 	dummyMin, dummyMax K
 
-	// span is the digit width s in bits: internal nodes have 2^span
-	// child slots and every level of the trie resolves span key bits,
-	// cutting expected depth span-fold. span 1 is exactly the paper's
-	// binary trie. Internal labels are always a whole number of digits
-	// long (CommonDigitPrefix floors to a digit boundary); the digit at
-	// the very bottom of a key whose length is not a multiple of span is
-	// partial, occupying only the low 2^r slots of its node.
+	// The digit schedule. The root resolves the first rootSpan key bits
+	// through 2^rootSpan slots, and every internal node below it the
+	// next span bits through 2^span slots, cutting expected depth
+	// span-fold; both 1 is exactly the paper's binary trie. A wide root
+	// over a binary or k-ary trie is what a sharded map is: each root
+	// slot holds the subtrie a separate shard would, and an update moving
+	// a key between slots is one engine operation (DESIGN.md §5).
+	// Internal labels always end on a digit boundary — 0, rootSpan,
+	// rootSpan+span, ... (digitFloor) — and the digit at the very bottom
+	// of a key whose length does not end on one is partial, occupying
+	// only the low 2^r slots of its node.
 	//
 	// Soundness constraint on instantiations: digit extraction must
 	// assign distinct slots to distinct keys under a shared node, which
 	// holds when all keys have one fixed length (Uint64Key, MortonKey) or
-	// all lengths are multiples of span. Variable-length Bitstring keys
+	// all lengths end on a boundary. Variable-length Bitstring keys
 	// (lengths 16n+2) violate it for span 4 — a 2-bit tail digit "11"
 	// and a 4-bit digit "0011" would share slot 3 — so byte-string tries
-	// stay at span 1.
-	span uint32
+	// stay binary.
+	span, rootSpan uint32
 
 	// count tracks the number of live user keys for Len. It is bumped by
 	// the *initiating* goroutine of a successful insert or delete — never
@@ -543,10 +555,16 @@ type Trie[K keys.Key[K], V any] struct {
 	count atomic.Int64
 
 	// stats holds the counters that stay zero without contention (see
-	// stats.go), on count's line: by value, so each trie — and hence each
-	// shard of a sharded map — owns its own, with no pointer chase on the
-	// record paths.
+	// stats.go), on count's line: by value, so each trie owns its own,
+	// with no pointer chase on the record paths.
 	stats contention
+
+	// rootHits counts the mutating searches through each root slot, one
+	// block of 2^rootSpan counters per gate lane (lane-major), so a
+	// sharded map can report how its updates spread over the slots. nil
+	// unless WithRootSpan built the trie; behind a pointer, which keeps a
+	// Trie in the 640 B size class (layout_test.go).
+	rootHits *[]atomic.Int64
 }
 
 // Option configures a Trie.
@@ -563,6 +581,22 @@ func WithSpan[K keys.Key[K], V any](s uint32) Option[K, V] {
 	return func(t *Trie[K, V]) { t.span = s }
 }
 
+// MaxRootSpan bounds WithRootSpan: the root is copied whole by every
+// slot fill or clear and by every Snapshot, so its 2^r slots stay few.
+const MaxRootSpan = 9
+
+// WithRootSpan sets the root's digit width r apart from the span below
+// it: the root gets 2^r slots, one per r-bit key prefix, and the trie
+// counts the updates through each (RootSlotHits). r must be in
+// [1, MaxRootSpan]. Without it the root resolves span bits like every
+// other node.
+func WithRootSpan[K keys.Key[K], V any](r uint32) Option[K, V] {
+	if r < 1 || r > MaxRootSpan {
+		panic("engine: root span must be in [1, MaxRootSpan]")
+	}
+	return func(t *Trie[K, V]) { t.rootSpan = r }
+}
+
 // New returns an empty trie anchored by the two dummy leaves, which must
 // bound every encoded key the instantiation will ever pass in. The zero
 // value of K must be the empty string; it labels the root.
@@ -571,6 +605,12 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	t := &Trie[K, V]{dummyMin: dummyMin, dummyMax: dummyMax, span: 1}
 	for _, o := range opts {
 		o(t)
+	}
+	if t.rootSpan == 0 {
+		t.rootSpan = t.span
+	} else {
+		hits := make([]atomic.Int64, gateLanes<<t.rootSpan)
+		t.rootHits = &hits
 	}
 	// The root is built after the options so it gets the configured
 	// fanout. The dummies always occupy distinct slots: their first bits
@@ -582,16 +622,38 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	return t
 }
 
+// spanAt returns the width of the digit starting at bit pos of the
+// schedule: rootSpan at the root, span below it.
+func (t *Trie[K, V]) spanAt(pos uint32) uint32 {
+	if pos == 0 {
+		return t.rootSpan
+	}
+	return t.span
+}
+
+// digitFloor returns the longest digit boundary of the schedule that is
+// at most n bits: the length of the label of the internal node that
+// separates two keys sharing exactly n leading bits.
+func (t *Trie[K, V]) digitFloor(n uint32) uint32 {
+	if n < t.rootSpan {
+		return 0
+	}
+	return n - (n-t.rootSpan)%t.span
+}
+
 // slotOf returns the child-slot index the key v selects at an internal
-// node whose label is pos bits long. pos is always a whole number of
-// digits (internal labels are digit-aligned) and pos < v.Len(). The
-// span-1 branch keeps the binary instantiations on the one-shift Bit
-// path rather than paying Digit's division by a non-constant.
+// node whose label is pos bits long. pos is always a digit boundary
+// (internal labels end on one) and pos < v.Len(). The first branch keeps
+// the binary levels below the root on the one-shift Bit path, testing
+// no more than the uniform binary trie did.
 func (t *Trie[K, V]) slotOf(v K, pos uint32) int {
-	if t.span == 1 {
+	if t.span == 1 && pos != 0 {
 		return v.Bit(pos)
 	}
-	return v.Digit(pos/t.span, t.span)
+	if s := t.spanAt(pos); s > 1 {
+		return v.Digit(pos, s)
+	}
+	return v.Bit(pos)
 }
 
 // curGen returns the current snapshot generation — the generation of the

@@ -12,13 +12,13 @@ import (
 // oracle, and checks the structural invariants at the end. The byte
 // stream decodes to (op, key, key2/value) triples, so a fuzzer can
 // construct adversarial shapes (prefix pile-ups, replace chains,
-// overwrite storms) no hand-written table covers. span selects the
-// digit width; 1 is the paper's binary trie.
-func runEngineOps(t *testing.T, data []byte, span uint32) {
+// overwrite storms) no hand-written table covers. opts select the digit
+// schedule; none is the paper's binary trie.
+func runEngineOps(t *testing.T, data []byte, opts ...Option[keys.Uint64Key, uint16]) {
 	const width = 10
 	c := keys.U64Codec{Width: width}
 	lo, hi := c.Bounds()
-	tr := New[keys.Uint64Key, uint16](lo, hi, WithSpan[keys.Uint64Key, uint16](span))
+	tr := New[keys.Uint64Key, uint16](lo, hi, opts...)
 	enc := func(k uint64) keys.Uint64Key { e, _ := c.Encode(k); return e }
 
 	type entry struct {
@@ -121,24 +121,32 @@ func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 3, 5, 9, 0, 9, 0, 3, 9, 5, 1, 9, 0})
 	f.Add([]byte{4, 1, 7, 5, 1, 7, 8, 1, 7, 6, 1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runEngineOps(t, data, 1)
+		runEngineOps(t, data)
 	})
 }
 
 // FuzzEngineOpsKary is the same oracle fuzz with the first byte selecting
-// the digit width from {1, 2, 4, 6}, so one corpus exercises the binary
-// protocol and the k-ary slot fill/clear paths (including the partial
-// bottom digit: width 10 is not a multiple of 4 or 6) side by side.
+// the digit width from {1, 2, 4, 6} and the root's from {same, 1, 3, 9},
+// so one corpus exercises the binary protocol, the k-ary slot fill/clear
+// paths (including the partial bottom digit: width 10 is not a multiple
+// of 4 or 6) and a wide root over either, whose replaces move keys
+// between root slots, side by side.
 func FuzzEngineOpsKary(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 1, 2, 0, 3, 1, 9, 1, 1, 0})
 	f.Add([]byte{1, 0, 5, 0, 3, 5, 9, 0, 9, 0, 3, 9, 5, 1, 9, 0})
 	f.Add([]byte{3, 4, 1, 7, 5, 1, 7, 8, 1, 7, 6, 1, 9})
 	f.Add([]byte{0, 0, 8, 0, 0, 9, 0, 1, 8, 0, 3, 8, 200, 1, 9, 0})
+	f.Add([]byte{8, 0, 1, 0, 0, 200, 0, 3, 1, 200, 3, 200, 9, 1, 1, 0})
+	f.Add([]byte{13, 0, 5, 0, 0, 250, 0, 3, 5, 130, 3, 250, 7, 1, 130, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		spans := [...]uint32{1, 2, 4, 6}
-		runEngineOps(t, data[1:], spans[data[0]%4])
+		opts := []Option[keys.Uint64Key, uint16]{WithSpan[keys.Uint64Key, uint16](spans[data[0]%4])}
+		if r := [...]uint32{0, 1, 3, 9}[data[0]/4%4]; r != 0 {
+			opts = append(opts, WithRootSpan[keys.Uint64Key, uint16](r))
+		}
+		runEngineOps(t, data[1:], opts...)
 	})
 }

@@ -50,7 +50,9 @@ func (t *Trie[K, V]) Size() int {
 //     prefix of y.label; hence labels strictly lengthen along every path.
 //   - Every internal node has at least two non-nil children (Lemma 4;
 //     exactly two at span 1), each in the slot its label's digit selects.
-//   - Internal labels are a whole number of digits long.
+//   - Internal labels end on a digit boundary of the schedule (the root
+//     digit, then span-bit digits), and each node has the fanout of
+//     the digit its label starts.
 //   - The two dummy leaves are the extreme leaves of the trie.
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
@@ -104,14 +106,11 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 		*leaves = append(*leaves, n.label)
 		return nil
 	}
-	if n.label.Len()%t.span != 0 {
-		return fmt.Errorf("internal label %v is not a whole number of %d-bit digits", n.label, t.span)
+	if t.digitFloor(n.label.Len()) != n.label.Len() {
+		return fmt.Errorf("internal label %v does not end on a digit boundary (root %d bits, then %d)", n.label, t.rootSpan, t.span)
 	}
 	in := n.inner()
-	want := 2
-	if t.span > 1 {
-		want = 1 << t.span
-	}
+	want := 1 << t.spanAt(n.label.Len())
 	if in.fanout() != want {
 		return fmt.Errorf("internal node %v has fanout %d, want %d", n.label, in.fanout(), want)
 	}

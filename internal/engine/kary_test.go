@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -264,16 +265,23 @@ func TestKarySnapshotFrozen(t *testing.T) {
 
 // TestKaryQuickOpSequences is the random op-sequence property test at
 // each wide span, at a width whose internal key length (17) is a
-// multiple of none of them — every trie has partial bottom digits.
+// multiple of none of them — every trie has partial bottom digits — and
+// at wide roots over binary and k-ary levels, whose digit boundaries
+// (3, 3+4, ...) are multiples of no span either.
 func TestKaryQuickOpSequences(t *testing.T) {
-	for _, span := range []uint32{2, 4, 6} {
+	for _, sched := range [][2]uint32{{2, 0}, {4, 0}, {6, 0}, {1, 3}, {1, 9}, {4, 3}, {2, 5}, {4, 1}} {
+		span, root := sched[0], sched[1]
 		type op struct {
 			Kind byte
 			K    uint16
 			K2   uint16
 		}
 		f := func(ops []op) bool {
-			tr := karyNew(t, 16, span)
+			opts := []Option[keys.Uint64Key, any]{WithSpan[keys.Uint64Key, any](span)}
+			if root != 0 {
+				opts = append(opts, WithRootSpan[keys.Uint64Key, any](root))
+			}
+			tr := mustNew(t, 16, opts...)
 			oracle := make(map[uint64]bool)
 			for _, o := range ops {
 				k, k2 := uint64(o.K), uint64(o.K2)
@@ -307,10 +315,10 @@ func TestKaryQuickOpSequences(t *testing.T) {
 		}
 		cfg := &quick.Config{
 			MaxCount: 150,
-			Rand:     rand.New(rand.NewSource(int64(span))),
+			Rand:     rand.New(rand.NewSource(int64(span*16 + root))),
 		}
 		if err := quick.Check(f, cfg); err != nil {
-			t.Errorf("span %d: %v", span, err)
+			t.Errorf("span %d, root span %d: %v", span, root, err)
 		}
 	}
 }
@@ -380,5 +388,106 @@ func TestKaryConcurrent(t *testing.T) {
 	}
 	if tr.Size() != tr.Len() {
 		t.Fatalf("Size %d != Len %d at quiescence", tr.Size(), tr.Len())
+	}
+}
+
+// TestRootSlotHits pins the per-root-slot update counts a wide root
+// keeps: every mutating search is counted once, in the slot its key's
+// first digit selects, and only WithRootSpan turns the counting on.
+func TestRootSlotHits(t *testing.T) {
+	if hits := mustNew(t, 10).RootSlotHits(); hits != nil {
+		t.Fatalf("a trie without WithRootSpan reports hits %v", hits)
+	}
+	// Width 10: internal keys are 11 bits, k+1 left-aligned, so the
+	// 3-bit root digit of key k is (k+1) >> 8.
+	tr := mustNew(t, 10, WithRootSpan[keys.Uint64Key, any](3))
+	for _, k := range []uint64{0, 1, 300, 301, 302, 600} {
+		tr.Insert(k)
+	}
+	tr.Contains(600) // reads are not counted
+	tr.Replace(600, 1023)
+	want := []int64{2, 3, 2, 0, 1, 0, 0, 0} // Replace searches both keys
+	hits := tr.RootSlotHits()
+	for i := range want {
+		if hits[i] != want[i] {
+			t.Fatalf("RootSlotHits = %v, want %v", hits, want)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRootSpanCrossSlotReplace is Figure 6's general case with its two
+// parents under different root slots, raced: movers shuttle tokens
+// between slot 0 or 1 and slot 4 of a 3-bit root while a snapshotter
+// takes cuts. A cross-slot Replace neither loses nor duplicates a key:
+// every snapshot — an exact cut between whole operations — holds each
+// token in exactly one of its two keys, and so does the trie at
+// quiescence. The snapshots also force renewals of the wide root. That
+// no reader sees a state between a Replace's two child CASes is the map
+// battery's linearizability check, run on an 8-shard ShardedMap.
+func TestRootSpanCrossSlotReplace(t *testing.T) {
+	const tokens = 64
+	tr := mustNew(t, 10, WithRootSpan[keys.Uint64Key, any](3))
+	// Token i lives at i (root slot 0 or 1) or at 512+i (root slot 4).
+	for i := uint64(0); i < tokens; i++ {
+		tr.Insert(i)
+	}
+	exactlyOnce := func(contains func(keys.Uint64Key) bool) error {
+		c := keys.U64Codec{Width: 10}
+		for i := uint64(0); i < tokens; i++ {
+			a, _ := c.Encode(i)
+			b, _ := c.Encode(512 + i)
+			if contains(a) == contains(b) {
+				return fmt.Errorf("token %d: at %d %v, at %d %v — want exactly one", i, i, contains(a), 512+i, contains(b))
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for n := 0; n < 3000; n++ {
+				i := uint64(rng.Intn(tokens))
+				if !tr.Replace(i, 512+i) {
+					tr.Replace(512+i, i)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		for cuts := 0; ; cuts++ {
+			select {
+			case <-stop:
+				snapErr <- nil
+				return
+			default:
+			}
+			s := tr.Trie.Snapshot()
+			if err := exactlyOnce(s.Contains); err != nil || s.Len() != tokens {
+				snapErr <- fmt.Errorf("snapshot %d (Len %d): %v", cuts, s.Len(), err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-snapErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := exactlyOnce(tr.Trie.Contains); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Len(); got != tokens {
+		t.Fatalf("Len = %d, want %d", got, tokens)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -218,6 +218,9 @@ restart:
 		}
 		r.node = n
 		l.recordDepth(depth)
+		if t.rootHits != nil {
+			(*t.rootHits)[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
+		}
 		if n != nil && n.isLeaf() {
 			r.rmvd = t.logicallyRemoved(n.info.Load())
 		}

@@ -35,8 +35,7 @@ type contention struct {
 	snapshotRenewals atomic.Int64 // stale-generation nodes renewed by searchMut
 }
 
-// StatsSnapshot is a plain-value copy of a trie's statistics, mergeable
-// across shards.
+// StatsSnapshot is a plain-value copy of a trie's statistics.
 //
 // Depth is the histogram of per-mutator-search descent depths (searchMut)
 // in obs.HistSnapshot's log2 layout, but only its first depthBuckets (13)
@@ -77,13 +76,18 @@ func (t *Trie[K, V]) StatsSnapshot() StatsSnapshot {
 	return s
 }
 
-// Merge adds another snapshot into s (per-shard → aggregate).
-func (s *StatsSnapshot) Merge(o StatsSnapshot) {
-	s.Help += o.Help
-	s.HelpAssist += o.HelpAssist
-	s.ChildCASFail += o.ChildCASFail
-	s.FlagBacktrack += o.FlagBacktrack
-	s.OpRetries += o.OpRetries
-	s.SnapshotRenewals += o.SnapshotRenewals
-	s.Depth.Merge(o.Depth)
+// RootSlotHits returns, per root slot, the number of mutating searches
+// that descended through it, summed over the lanes; nil unless
+// WithRootSpan built the trie. Like StatsSnapshot it is a metrics read:
+// each count is exact, the set of them is not one cut.
+func (t *Trie[K, V]) RootSlotHits() []int64 {
+	if t.rootHits == nil {
+		return nil
+	}
+	n := 1 << t.rootSpan
+	hits := make([]int64, n)
+	for i := range *t.rootHits {
+		hits[i%n] += (*t.rootHits)[i].Load()
+	}
+	return hits
 }

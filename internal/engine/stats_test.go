@@ -81,24 +81,6 @@ func TestStatsSnapshotRenewals(t *testing.T) {
 	}
 }
 
-// TestStatsMerge exercises the per-shard → aggregate path.
-func TestStatsMerge(t *testing.T) {
-	a := mustNew(t, 16)
-	b := mustNew(t, 16)
-	a.Insert(1)
-	a.Insert(2)
-	b.Insert(3)
-	sa, sb := a.StatsSnapshot(), b.StatsSnapshot()
-	want := sa.Help + sb.Help
-	sa.Merge(sb)
-	if sa.Help != want {
-		t.Fatalf("merged Help = %d, want %d", sa.Help, want)
-	}
-	if sa.Depth.Count != a.StatsSnapshot().Depth.Count+b.StatsSnapshot().Depth.Count {
-		t.Fatal("merged Depth count mismatch")
-	}
-}
-
 // TestStatsUnderContention: four writers hammer one small key range with
 // inserts, deletes and replaces. Which contention counters light up is
 // racy; what is checked once the writers quiesce is not, and holds at

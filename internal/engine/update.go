@@ -197,7 +197,7 @@ func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3, i4 *info[K, V]) bool {
 
 // makeInternal is the paper's createNode (lines 117-121): it returns a new
 // internal node whose label is the longest common prefix of the two
-// labels floored to a digit boundary and whose children sit in their
+// labels floored to a digit boundary (digitFloor) and whose children sit in their
 // digit slots (the two digits differ: the floored prefix's next digit
 // contains the first differing bit, and same-length digits that share a
 // prefix up to a differing bit differ as integers). If either label is a
@@ -213,7 +213,13 @@ func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *info[K, V]) *n
 		}
 		return nil
 	}
-	cp := n1.label.CommonDigitPrefix(n2.label, t.span) // shorter than both labels
+	cp := n1.label.CommonPrefix(n2.label) // shorter than both labels
+	if t.span > 1 || t.rootSpan > 1 {
+		// Binary tries skip the floor: every length is a digit boundary.
+		if n := t.digitFloor(cp.Len()); n < cp.Len() {
+			cp = cp.Prefix(n)
+		}
+	}
 	nn := t.newNode(cp, t.curGen())
 	nn.kid(t.slotOf(n1.label, cp.Len())).Store(n1)
 	nn.kid(t.slotOf(n2.label, cp.Len())).Store(n2)

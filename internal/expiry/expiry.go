@@ -1,5 +1,5 @@
-// Package expiry is nbtried's keyspace: one sharded non-blocking
-// Patricia trie whose leaves carry each key's value together with its
+// Package expiry is nbtried's keyspace: one non-blocking Patricia trie,
+// sharded at its root, whose leaves carry each key's value together with its
 // expiry arming, plus byDeadline, a deadline-ordered index over the
 // armed keys built from the same engine.
 //
@@ -113,8 +113,9 @@ type config struct {
 	clock func() int64
 }
 
-// WithSpan builds the keyspace's shards at digit width span (see
-// nbtrie.NewShardedMapSpan); the default is 1, the paper's binary nodes.
+// WithSpan builds the keyspace's trie below the root at digit width span
+// (see nbtrie.NewShardedMapSpan); the default is 1, the paper's binary
+// nodes.
 func WithSpan(span uint32) Option { return func(c *config) { c.span = span } }
 
 // WithClock sets the clock, in Unix milliseconds, that reads compare
@@ -326,19 +327,15 @@ func (x *Index) rearm(k uint64, v Value, at uint64) bool {
 	return false
 }
 
-// Rename moves old's value to new, which must be absent (RENAME; strict
-// refuses a cross-shard pair with nbtrie.ErrCrossShard instead of moving
-// it in two phases — see nbtrie.ShardedMap.MoveKey). The deadline travels
-// inside the leaf, so a same-shard rename moves value and deadline in one
-// step. Afterwards the arming's node still names old, so it is re-pointed:
-// a node for new, a conditional swap of new's At, then the old node is
-// deleted. Like every write, Rename does not consult the clock.
-func (x *Index) Rename(old, new uint64, strict bool) (moved bool, err error) {
-	if strict {
-		moved, err = x.db.ReplaceKey(old, new)
-	} else {
-		moved, err = x.db.MoveKey(old, new)
-	}
+// Rename moves old's value to new, which must be absent (RENAME): one
+// ReplaceKey, the paper's atomic Replace, whichever shards the keys live
+// in. The deadline travels inside the leaf, so value and deadline move in
+// one step. Afterwards the arming's node still names old, so it is
+// re-pointed: a node for new, a conditional swap of new's At, then the
+// old node is deleted. Like every write, Rename does not consult the
+// clock.
+func (x *Index) Rename(old, new uint64) bool {
+	moved, _ := x.db.ReplaceKey(old, new)
 	if moved {
 		// One try: if new changed since the move, whoever changed it
 		// retired the travelling arming, and what new holds now has its
@@ -347,7 +344,7 @@ func (x *Index) Rename(old, new uint64, strict bool) (moved bool, err error) {
 			x.rearm(new, v, x.arm(new, v.DeadlineMS()))
 		}
 	}
-	return moved, err
+	return moved
 }
 
 // NoteExpired counts a key the server deleted because a client set a
@@ -418,7 +415,7 @@ func (x *Index) Stats() (expired, passes uint64) {
 }
 
 // Len reports the number of keys, expired-but-unpurged ones included
-// (the per-shard counter sum of nbtrie.ShardedMap.Len).
+// (nbtrie.ShardedMap.Len's counter).
 func (x *Index) Len() int { return x.db.Len() }
 
 // ArmedKeys reports the number of armed keys: byDeadline's counter, one
@@ -427,16 +424,16 @@ func (x *Index) ArmedKeys() int { return x.byDeadline.Len() }
 
 // Snapshot returns a frozen view of the keyspace, deadlines included:
 // the dump's one cut, and SCAN's.
-func (x *Index) Snapshot() *nbtrie.ShardedMapSnapshot[Value] { return x.db.Snapshot() }
+func (x *Index) Snapshot() *nbtrie.MapSnapshot[Value] { return x.db.Snapshot() }
 
 // Shards returns the keyspace's shard count.
 func (x *Index) Shards() int { return x.db.Shards() }
 
-// EngineStats returns the keyspace's contention counters summed over its
-// shards.
+// EngineStats returns the keyspace's contention counters.
 func (x *Index) EngineStats() nbtrie.EngineStats { return x.db.EngineStats() }
 
-// ShardEngineStats returns shard i's contention counters.
+// ShardEngineStats returns shard i's share of the statistics (see
+// nbtrie.ShardedMap.ShardEngineStats).
 func (x *Index) ShardEngineStats(i int) nbtrie.EngineStats { return x.db.ShardEngineStats(i) }
 
 // Validate checks both tries' structural invariants and the node rule

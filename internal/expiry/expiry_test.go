@@ -285,7 +285,7 @@ func TestConcurrentSetClearRemove(t *testing.T) {
 					case 4:
 						x.Delete(k)
 					case 5:
-						x.Rename(k, (k+5)%16, false)
+						x.Rename(k, (k+5)%16)
 					case 6:
 						x.Load(k) // purges what is due by 500
 					case 7:
@@ -435,11 +435,10 @@ func FuzzExpiryIndexOps(f *testing.F) {
 				to := (k + uint64(arg/32) + 1) % 32
 				e, had := oracle[k]
 				_, taken := oracle[to]
-				moved, err := x.Rename(k, to, false)
-				if err != nil || moved != (had && !taken) {
-					t.Fatalf("Rename(%d, %d) = %v, %v; oracle had %v, taken %v", k, to, moved, err, had, taken)
+				if moved := x.Rename(k, to); moved != (had && !taken) {
+					t.Fatalf("Rename(%d, %d) = %v; oracle had %v, taken %v", k, to, moved, had, taken)
 				}
-				if moved {
+				if had && !taken {
 					delete(oracle, k)
 					oracle[to] = e
 				}

@@ -218,11 +218,11 @@ func (b Bitstring) Prefix(n uint32) Bitstring {
 	return Bitstring{w: w, n: n}
 }
 
-// Digit returns the i-th s-bit digit (see Key.Digit), word-at-a-time: the
-// digit's bits are gathered into the top of one 64-bit window, pulling
-// from the following word when the digit straddles a word boundary.
-func (b Bitstring) Digit(i, s uint32) int {
-	pos := i * s
+// Digit returns the s-bit digit starting at bit pos (see Key.Digit),
+// word-at-a-time: the digit's bits are gathered into the top of one
+// 64-bit window, pulling from the following word when the digit
+// straddles a word boundary.
+func (b Bitstring) Digit(pos, s uint32) int {
 	w := min(s, b.n-pos)
 	wi, off := pos/64, pos%64
 	top := b.w[wi] << off
@@ -230,23 +230,6 @@ func (b Bitstring) Digit(i, s uint32) int {
 		top |= b.w[wi+1] >> (64 - off)
 	}
 	return int(top >> (64 - w))
-}
-
-// CommonDigitPrefix returns the longest common prefix floored to a whole
-// number of s-bit digits (see Key.CommonDigitPrefix).
-func (b Bitstring) CommonDigitPrefix(o Bitstring, s uint32) Bitstring {
-	n := min(b.n, o.n)
-	var cpl uint32
-	for cpl < n {
-		i := cpl / 64
-		if b.w[i] == o.w[i] {
-			cpl = min((i+1)*64, n)
-			continue
-		}
-		cpl = min(i*64+CommonPrefixLen(b.w[i], o.w[i]), n)
-		break
-	}
-	return b.Prefix(cpl - cpl%s)
 }
 
 // String renders the bit string as "0101..." text.

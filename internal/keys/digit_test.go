@@ -6,27 +6,26 @@ import "testing"
 // Bit; s=4 is the PAT-K default; 6 is the widest the fuzz battery uses).
 var digitSpans = []uint32{1, 2, 3, 4, 5, 6}
 
-// checkDigits asserts every digit of k under span s against the
-// bit-by-bit reference, and that CommonDigitPrefix(o, s) is the floored
-// CommonPrefix.
+// checkDigits asserts the s-bit digit of k at every bit position — the
+// engine's digit schedule starts digits off multiples of s below a wide
+// root — against the bit-by-bit reference, and that the common prefix
+// floored to a multiple of s, cut with Prefix, is a prefix of both keys.
 func checkDigits[K Key[K]](t *testing.T, name string, k, o K, s uint32) {
 	t.Helper()
-	for pos, i := uint32(0), uint32(0); pos < k.Len(); pos, i = pos+s, i+1 {
-		got, want := k.Digit(i, s), DigitRef(k, i, s)
+	for pos := uint32(0); pos < k.Len(); pos++ {
+		got, want := k.Digit(pos, s), DigitRef(k, pos, s)
 		if got != want {
-			t.Fatalf("%s: Digit(%d, %d) = %d, want %d (key %v)", name, i, s, got, want, k)
+			t.Fatalf("%s: Digit(%d, %d) = %d, want %d (key %v)", name, pos, s, got, want, k)
 		}
 	}
 	cp := k.CommonPrefix(o)
 	want := cp.Len() - cp.Len()%s
-	dp := k.CommonDigitPrefix(o, s)
+	dp := cp.Prefix(want)
 	if dp.Len() != want {
-		t.Fatalf("%s: CommonDigitPrefix(s=%d) has length %d, want %d (keys %v / %v)",
-			name, s, dp.Len(), want, k, o)
+		t.Fatalf("%s: Prefix(%d) has length %d (keys %v / %v)", name, want, dp.Len(), k, o)
 	}
 	if !dp.IsPrefixOf(k) || !dp.IsPrefixOf(o) {
-		t.Fatalf("%s: CommonDigitPrefix(s=%d) = %v is not a prefix of both %v and %v",
-			name, s, dp, k, o)
+		t.Fatalf("%s: Prefix(%d) = %v is not a prefix of both %v and %v", name, want, dp, k, o)
 	}
 }
 
@@ -35,12 +34,17 @@ func TestDigitKnownValues(t *testing.T) {
 	// and the partial 3-bit tail 0b001=1.
 	k := MakeUint64Key(0b10110111001<<53, 11)
 	for i, want := range []int{11, 7, 1} {
-		if got := k.Digit(uint32(i), 4); got != want {
-			t.Fatalf("Digit(%d, 4) = %d, want %d", i, got, want)
+		if got := k.Digit(uint32(i)*4, 4); got != want {
+			t.Fatalf("Digit(%d, 4) = %d, want %d", i*4, got, want)
 		}
 	}
 	if got := k.Digit(3, 1); got != 1 {
 		t.Fatalf("Digit(3, 1) = %d, want 1 (Bit fast-path agreement)", got)
+	}
+	// A digit off the multiples of its width, as below a 3-bit root:
+	// bits 3..6 are 1011.
+	if got := k.Digit(3, 4); got != 11 {
+		t.Fatalf("Digit(3, 4) = %d, want 11", got)
 	}
 }
 
@@ -50,8 +54,8 @@ func TestDigitWordStraddle(t *testing.T) {
 	bits := make([]int, 70)
 	bits[62], bits[63], bits[64], bits[65] = 1, 0, 1, 1
 	b := BitstringFromBits(bits)
-	// span 4 => digit 15 covers bits 60..63, digit 16 bits 64..67; use
-	// span 3 so digit 21 covers bits 63..65... simpler: check all.
+	// checkDigits reads a digit at every position, so each span crosses
+	// the boundary.
 	for _, s := range digitSpans {
 		checkDigits(t, "bitstring-straddle", b, b.Prefix(64), s)
 	}
@@ -69,7 +73,7 @@ func TestDigitWordStraddle(t *testing.T) {
 // FuzzDigitAgreement checks the per-type Digit fast paths
 // (Uint64Key shift-mask, Bitstring word-at-a-time, MortonKey two-word
 // splice) against the bit-by-bit DigitRef oracle, across every span the
-// engine uses, plus the CommonDigitPrefix flooring contract.
+// engine uses, plus the Prefix contract.
 func FuzzDigitAgreement(f *testing.F) {
 	f.Add(uint64(0), uint64(0), []byte(""), uint8(20))
 	f.Add(uint64(1)<<62, uint64(3)<<61, []byte("ab"), uint8(63))

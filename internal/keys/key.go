@@ -62,27 +62,23 @@ type Key[K any] interface {
 	// Compare orders strings prefix-first lexicographically,
 	// returning -1, 0 or +1.
 	Compare(K) int
-	// Digit returns the i-th s-bit digit of the string: the bits
-	// [i*s, min((i+1)*s, Len())) read as an integer, most significant
-	// bit first. The digit at the tail of a string whose length is not
-	// a multiple of s is partial — fewer than s bits wide — and its
-	// value ranges over [0, 2^r) for the r remaining bits. i*s must be
-	// < Len(). Digit(i, 1) == Bit(i). The k-ary engine dispatches on
-	// digits instead of bits, resolving s levels of the binary trie
-	// with one child-array index.
-	Digit(i, s uint32) int
-	// CommonDigitPrefix returns the longest common prefix of the two
-	// strings truncated down to a whole number of s-bit digits — the
-	// label of the k-ary internal node that separates them.
-	// CommonDigitPrefix(o, 1) == CommonPrefix(o).
-	CommonDigitPrefix(o K, s uint32) K
+	// Digit returns the s-bit digit starting at bit pos: the bits
+	// [pos, min(pos+s, Len())) read as an integer, most significant bit
+	// first. A digit running past the end of the string is partial —
+	// fewer than s bits wide — and its value ranges over [0, 2^r) for
+	// the r remaining bits. pos must be < Len(). Digit(pos, 1) ==
+	// Bit(pos). The k-ary engine dispatches on digits instead of bits,
+	// resolving s levels of the binary trie with one child-array index.
+	Digit(pos, s uint32) int
+	// Prefix returns the first n bits of the string; n must be <= Len().
+	// The engine cuts a common prefix down to a digit boundary with it.
+	Prefix(n uint32) K
 }
 
 // DigitRef is the bit-by-bit reference implementation of Key.Digit, the
 // oracle the per-type fast paths are fuzzed against: it assembles the
 // digit one Bit call at a time.
-func DigitRef[K Key[K]](k K, i, s uint32) int {
-	lo := i * s
+func DigitRef[K Key[K]](k K, lo, s uint32) int {
 	hi := min(lo+s, k.Len())
 	d := 0
 	for p := lo; p < hi; p++ {

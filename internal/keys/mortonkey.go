@@ -78,11 +78,7 @@ func (k MortonKey) CommonPrefix(o MortonKey) MortonKey {
 	if cpl == 64 {
 		cpl += CommonPrefixLen(k.w1, o.w1)
 	}
-	cpl = min(cpl, k.n, o.n)
-	if cpl <= 64 {
-		return MortonKey{w0: k.w0 & Mask(cpl), n: cpl}
-	}
-	return MortonKey{w0: k.w0, w1: k.w1 & Mask(cpl-64), n: cpl}
+	return k.Prefix(min(cpl, k.n, o.n))
 }
 
 // Compare orders labels prefix-first lexicographically; as with
@@ -106,13 +102,12 @@ func (k MortonKey) Compare(o MortonKey) int {
 	return 0
 }
 
-// Digit returns the i-th s-bit digit (see Key.Digit). Digits with
-// s > 1 can straddle bit 64 — the w0/w1 word boundary — so the two
-// words are spliced into one window before the final shift. (Go shifts
-// by >= 64 would be a concern only at off == 0, where the straddle
-// branch cannot trigger because w <= s <= 64.)
-func (k MortonKey) Digit(i, s uint32) int {
-	pos := i * s
+// Digit returns the s-bit digit starting at bit pos (see Key.Digit).
+// Digits with s > 1 can straddle bit 64 — the w0/w1 word boundary — so
+// the two words are spliced into one window before the final shift. (Go
+// shifts by >= 64 would be a concern only at off == 0, where the
+// straddle branch cannot trigger because w <= s <= 64.)
+func (k MortonKey) Digit(pos, s uint32) int {
 	w := min(s, k.n-pos)
 	var top uint64
 	if pos < 64 {
@@ -126,19 +121,12 @@ func (k MortonKey) Digit(i, s uint32) int {
 	return int(top >> (64 - w))
 }
 
-// CommonDigitPrefix returns the longest common prefix floored to a whole
-// number of s-bit digits (see Key.CommonDigitPrefix).
-func (k MortonKey) CommonDigitPrefix(o MortonKey, s uint32) MortonKey {
-	cpl := CommonPrefixLen(k.w0, o.w0)
-	if cpl == 64 {
-		cpl += CommonPrefixLen(k.w1, o.w1)
+// Prefix returns the first n bits of k (see Key.Prefix).
+func (k MortonKey) Prefix(n uint32) MortonKey {
+	if n <= 64 {
+		return MortonKey{w0: k.w0 & Mask(n), n: n}
 	}
-	cpl = min(cpl, k.n, o.n)
-	cpl -= cpl % s
-	if cpl <= 64 {
-		return MortonKey{w0: k.w0 & Mask(cpl), n: cpl}
-	}
-	return MortonKey{w0: k.w0, w1: k.w1 & Mask(cpl-64), n: cpl}
+	return MortonKey{w0: k.w0, w1: k.w1 & Mask(n-64), n: n}
 }
 
 // String renders the label as "0101..." text ("ε" when empty).

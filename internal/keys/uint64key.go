@@ -81,8 +81,7 @@ func (k Uint64Key) IsPrefixOf(o Uint64Key) bool {
 
 // CommonPrefix returns the longest common prefix of k and o.
 func (k Uint64Key) CommonPrefix(o Uint64Key) Uint64Key {
-	cpl := min(CommonPrefixLen(k.bits, o.bits), k.n, o.n)
-	return Uint64Key{bits: k.bits & Mask(cpl), n: cpl}
+	return k.Prefix(min(CommonPrefixLen(k.bits, o.bits), k.n, o.n))
 }
 
 // Compare orders labels prefix-first lexicographically. For canonical
@@ -104,22 +103,16 @@ func (k Uint64Key) Compare(o Uint64Key) int {
 	return 0
 }
 
-// Digit returns the i-th s-bit digit (see Key.Digit). One shift-mask on
-// the left-aligned word: shifting the digit's first bit to the MSB and
-// the word down to the digit's (possibly partial) width.
-func (k Uint64Key) Digit(i, s uint32) int {
-	pos := i * s
+// Digit returns the s-bit digit starting at bit pos (see Key.Digit). One
+// shift-mask on the left-aligned word: shifting the digit's first bit to
+// the MSB and the word down to the digit's (possibly partial) width.
+func (k Uint64Key) Digit(pos, s uint32) int {
 	w := min(s, k.n-pos)
 	return int(k.bits << pos >> (64 - w))
 }
 
-// CommonDigitPrefix returns the longest common prefix floored to a whole
-// number of s-bit digits (see Key.CommonDigitPrefix).
-func (k Uint64Key) CommonDigitPrefix(o Uint64Key, s uint32) Uint64Key {
-	cpl := min(CommonPrefixLen(k.bits, o.bits), k.n, o.n)
-	cpl -= cpl % s
-	return Uint64Key{bits: k.bits & Mask(cpl), n: cpl}
-}
+// Prefix returns the first n bits of k (see Key.Prefix).
+func (k Uint64Key) Prefix(n uint32) Uint64Key { return Uint64Key{bits: k.bits & Mask(n), n: n} }
 
 // String renders the label as "0101..." text ("ε" when empty).
 func (k Uint64Key) String() string { return renderLabel(k) }

@@ -62,7 +62,7 @@ type (
 )
 
 // New returns an empty trie over c's key space; opts configure the
-// engine (engine.WithSpan).
+// engine's digit schedule (engine.WithSpan, engine.WithRootSpan).
 func New[U any, K keys.Key[K], V any, C Codec[U, K]](c C, opts ...engine.Option[K, V]) *Trie[U, K, V, C] {
 	lo, hi := c.Bounds()
 	return &Trie[U, K, V, C]{c: c, e: engine.New(lo, hi, opts...)}
@@ -316,6 +316,10 @@ func (t *Trie[U, K, V, C]) Dump() string {
 // EngineStats returns a snapshot of the engine's contention counters
 // (see engine.Stats).
 func (t *Trie[U, K, V, C]) EngineStats() engine.StatsSnapshot { return t.e.StatsSnapshot() }
+
+// RootSlotHits returns the mutating searches through each root slot, nil
+// unless the trie was built with engine.WithRootSpan.
+func (t *Trie[U, K, V, C]) RootSlotHits() []int64 { return t.e.RootSlotHits() }
 
 // Footprint returns the engine's census of the heap objects reachable
 // from the root (see engine.Footprint). Quiescent use only.

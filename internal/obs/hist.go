@@ -77,15 +77,6 @@ func BucketUpper(b int) uint64 {
 	return uint64(1) << b
 }
 
-// Merge adds another snapshot into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) by locating the bucket
 // containing the target rank and interpolating linearly inside it. With
 // log2 buckets the estimate is within 2x of the true value, which is plenty

@@ -164,21 +164,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotMerge(t *testing.T) {
-	var a, b Hist
-	a.Record(5)
-	a.Record(100)
-	b.Record(5)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 || sa.Sum != 110 {
-		t.Fatalf("merged Count=%d Sum=%d, want 3/110", sa.Count, sa.Sum)
-	}
-	if sa.Buckets[bucketOf(5)] != 2 {
-		t.Fatalf("merged bucket for 5 = %d, want 2", sa.Buckets[bucketOf(5)])
-	}
-}
-
 // TestRecordPathsZeroAlloc pins the record paths at zero allocations.
 func TestRecordPathsZeroAlloc(t *testing.T) {
 	var c Counter

@@ -354,7 +354,7 @@ func (w *Writer) WriteSimple(s string) error { return w.line(TypeSimple, s) }
 
 // WriteError writes "-msg\r\n". msg must not contain CR or LF; by RESP
 // convention it starts with an uppercase error-class word ("ERR ...",
-// "CROSSSHARD ...").
+// "MISCONF ...").
 func (w *Writer) WriteError(msg string) error {
 	w.errs++
 	return w.line(TypeError, msg)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -60,15 +59,13 @@ func init() {
 		{name: "MSET", min: 3, max: -1, first: 1, last: -1, step: 2, write: true, run: (*session).set, replay: (*Server).replaySet},
 		{name: "PING", min: 1, max: 2, run: (*session).ping},
 		{name: "QUIT", min: 1, max: -1, run: (*session).quitCmd},
-		// → Len (per-shard atomic counters).
+		// → Len (the trie's atomic counter).
 		{name: "DBSIZE", min: 1, max: 1, run: (*session).dbsize},
 		// → Snapshot, then Ascend over the frozen cut.
 		{name: "SCAN", min: 2, max: 4, run: (*session).scan},
-		// → Rename: ShardedMap.MoveKey, the paper's atomic Replace when the
-		// keys share a shard, a two-phase move across shards (DESIGN.md §12).
-		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: renameCmd(false), replay: (*Server).replayRename},
-		// → Rename over ShardedMap.ReplaceKey: atomic only, cross-shard pairs refused.
-		{name: "RENAMESTRICT", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: renameCmd(true)},
+		// → Rename: ShardedMap.ReplaceKey, the paper's atomic Replace,
+		// whichever shards the keys live in.
+		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: (*session).rename, replay: (*Server).replayRename},
 		// The TTL commands (expiry.go): EXPIRE and PERSIST swap the leaf for
 		// one with the same bytes and a new deadline; every EXPIRE variant
 		// is logged as PEXPIREAT.
@@ -341,7 +338,7 @@ func (ss *session) info(args [][]byte, _ []uint64) {
 // scanCursor is one open SCAN: a frozen O(1) snapshot of the map plus
 // the trie key the next page starts from.
 type scanCursor struct {
-	snap *nbtrie.ShardedMapSnapshot[expiry.Value]
+	snap *nbtrie.MapSnapshot[expiry.Value]
 	next uint64
 }
 
@@ -451,87 +448,55 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 	}
 }
 
-// renameCmd returns the RENAME old new handler, or with strict set its
-// RENAMESTRICT variant. Same-shard pairs are always the paper's atomic
-// Replace — ShardedMap.MoveKey routes them through ReplaceKey, one
-// linearization point moving the value from old to new. Cross-shard
-// pairs diverge:
+// rename is RENAME old new: the paper's atomic Replace, one
+// linearization point moving the value — and, inside the leaf, its
+// deadline — from old to new, whichever shards the two keys live in.
 //
-//   - RENAME runs the documented two-phase MoveKey (DESIGN.md §12):
-//     insert at the destination, then delete the source. Not atomic — a
-//     concurrent reader can briefly see both keys — but never neither,
-//     and the in-flight marker makes the move recoverable. This is
-//     MOVE-style semantics, announced rather than faked atomicity.
-//   - RENAMESTRICT preserves the old contract: cross-shard pairs are
-//     refused with -CROSSSHARD (mirroring Redis Cluster's -CROSSSLOT),
-//     for clients that must know their rename was one linearization
-//     point.
-//
-// In both variants an existing destination is an error, not an
-// overwrite: Replace and MoveKey are insert-if-absent by definition,
-// and silently deleting the destination first would need a second
-// linearization point. A deadline on the source travels inside the
-// leaf (Index.Rename). Like every write row, both variants are
-// refused while the AOF is degraded — the rename-to-self fast path
-// below mutates nothing but gets the same refusal for predictability.
-func renameCmd(strict bool) handler {
-	return func(ss *session, args [][]byte, ks []uint64) {
-		s, w := ss.s, ss.w
-		old, new := ks[0], ks[1]
-		// An expired-but-unpurged source must rename as absent.
-		if !s.db.Contains(old) {
-			w.WriteError("ERR no such key")
-			return
-		}
-		if old == new {
-			// Degenerate rename-to-self: Replace refuses (old != new is
-			// part of its contract), but "key exists" would be a
-			// misleading error. Match Redis: succeed iff the key exists.
-			w.WriteSimple("OK")
-			return
-		}
-		// And an expired-but-unpurged destination must not block the
-		// move: it reads as absent everywhere else, so "destination key
-		// exists" would be a lie. The live read purges it.
-		s.db.Contains(new)
+// An existing destination is an error, not an overwrite: Replace is
+// insert-if-absent by definition, and silently deleting the destination
+// first would need a second linearization point. Like every write row,
+// RENAME is refused while the AOF is degraded — the rename-to-self fast
+// path below mutates nothing but gets the same refusal for
+// predictability.
+func (ss *session) rename(args [][]byte, ks []uint64) {
+	s, w := ss.s, ss.w
+	old, new := ks[0], ks[1]
+	// An expired-but-unpurged source must rename as absent.
+	if !s.db.Contains(old) {
+		w.WriteError("ERR no such key")
+		return
+	}
+	if old == new {
+		// Degenerate rename-to-self: Replace refuses (old != new is part
+		// of its contract), but "key exists" would be a misleading error.
+		// Match Redis: succeed iff the key exists.
+		w.WriteSimple("OK")
+		return
+	}
+	// And an expired-but-unpurged destination must not block the move:
+	// it reads as absent everywhere else, so "destination key exists"
+	// would be a lie. The live read purges it.
+	s.db.Contains(new)
 
-		s.gate.RLock()
-		moved, err := s.db.Rename(old, new, strict)
-		if moved {
-			// One AOF record for the move; replay re-runs it
-			// single-threaded (recovery).
-			s.appendMutation(recRENAME, args[1], args[2])
-		}
-		s.gate.RUnlock()
-		if err != nil {
-			switch {
-			case errors.Is(err, nbtrie.ErrCrossShard):
-				// Strict mode only. -CROSSSHARD mirrors Redis Cluster's
-				// -CROSSSLOT: the operation is well-formed but these two
-				// keys cannot be moved atomically; plain RENAME moves them
-				// with two-phase (non-atomic) semantics instead.
-				w.WriteError(fmt.Sprintf(
-					"CROSSSHARD keys map to different shards (%d-shard map); atomic RENAMESTRICT is per-shard — use RENAME for a two-phase cross-shard move, see DESIGN.md §12: %v",
-					s.db.Shards(), err))
-			case errors.Is(err, nbtrie.ErrMoveBusy):
-				w.WriteError("ERR cross-shard move of this key already in flight; retry")
-			default:
-				w.WriteError("ERR " + err.Error())
-			}
-			return
-		}
-		if moved {
-			w.WriteSimple("OK")
-			return
-		}
-		// Distinguish the two failure modes for the error message only;
-		// the check is best-effort under concurrency, the refusal itself
-		// was decided atomically by Replace/MoveKey.
-		if !s.db.Contains(old) {
-			w.WriteError("ERR no such key")
-		} else {
-			w.WriteError("ERR destination key exists (RENAME is insert-if-absent, like the trie's atomic Replace; DEL it first to overwrite)")
-		}
+	s.gate.RLock()
+	moved := s.db.Rename(old, new)
+	if moved {
+		// One AOF record for the move; replay re-runs it single-threaded
+		// (recovery).
+		s.appendMutation(recRENAME, args[1], args[2])
+	}
+	s.gate.RUnlock()
+	if moved {
+		w.WriteSimple("OK")
+		return
+	}
+	// Distinguish the two failure modes for the error message only; the
+	// check is best-effort under concurrency, the refusal itself was
+	// decided atomically by Replace.
+	if !s.db.Contains(old) {
+		w.WriteError("ERR no such key")
+	} else {
+		w.WriteError("ERR destination key exists (RENAME is insert-if-absent, like the trie's atomic Replace; DEL it first to overwrite)")
 	}
 }
 

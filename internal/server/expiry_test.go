@@ -200,7 +200,7 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustInt(20_000, "PTTL", "200")
 	c.mustInt(-2, "TTL", "100")
 
-	// Cross-shard two-phase move carries it too.
+	// So does a rename across shards: the same atomic Replace.
 	if sameShard(t, s, 200, 8392) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
@@ -234,7 +234,7 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	if sameShard(t, s, 700, 8500) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustSimple("OK", "RENAME", "700", "8500") // cross-shard two-phase
+	c.mustSimple("OK", "RENAME", "700", "8500") // across shards
 	c.mustBulk("live2", "GET", "8500")
 	c.mustInt(-1, "TTL", "8500")
 }
@@ -389,7 +389,7 @@ func TestServerTTLStress(t *testing.T) {
 	}
 	defer s.Close()
 	// Keys whose first bytes differ in the top bits land in different
-	// shards, so RENAME runs both the atomic and the two-phase move.
+	// shards, so RENAME moves keys both within and across shards.
 	keys := []string{"a", "b", "c", "A", "B", "1"}
 	cmds := func(rng *rand.Rand) []string {
 		k, k2 := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]

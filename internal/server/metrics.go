@@ -261,9 +261,9 @@ func (s *Server) latencystatsText(b *strings.Builder) {
 	}
 }
 
-// engineText renders the INFO # Engine section body: the aggregate
-// contention counters plus a per-shard help breakdown (shards with zero
-// help traffic are omitted).
+// engineText renders the INFO # Engine section body: the contention
+// counters plus the updates counted per shard, busiest first (shards with
+// none are omitted).
 func (s *Server) engineText(b *strings.Builder) {
 	es := s.db.EngineStats()
 	fmt.Fprintf(b, "engine_help_total:%d\r\n", es.Help)
@@ -276,18 +276,18 @@ func (s *Server) engineText(b *strings.Builder) {
 	fmt.Fprintf(b, "engine_depth_samples:%d\r\n", es.DepthSamples)
 	fmt.Fprintf(b, "engine_depth_p50:%d\r\n", depth.Quantile(0.50))
 	fmt.Fprintf(b, "engine_depth_p99:%d\r\n", depth.Quantile(0.99))
-	type shardHelp struct {
+	type shardUpdates struct {
 		shard int
-		help  int64
+		n     int64
 	}
-	var hot []shardHelp
+	var hot []shardUpdates
 	for i := 0; i < s.db.Shards(); i++ {
-		if ss := s.db.ShardEngineStats(i); ss.Help > 0 {
-			hot = append(hot, shardHelp{i, ss.Help})
+		if n := s.db.ShardEngineStats(i).DepthSamples; n > 0 {
+			hot = append(hot, shardUpdates{i, n})
 		}
 	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].help > hot[j].help })
+	sort.Slice(hot, func(i, j int) bool { return hot[i].n > hot[j].n })
 	for _, h := range hot {
-		fmt.Fprintf(b, "engine_shard%d_help:%d\r\n", h.shard, h.help)
+		fmt.Fprintf(b, "engine_shard%d_updates:%d\r\n", h.shard, h.n)
 	}
 }

@@ -338,7 +338,7 @@ func TestInfoEngineSection(t *testing.T) {
 			t.Errorf("INFO engine missing %q in %q", want, body)
 		}
 	}
-	if !strings.Contains(body, "engine_shard0_help:") && !strings.Contains(body, "engine_shard") {
+	if !strings.Contains(body, "_updates:") || !strings.Contains(body, "engine_shard") {
 		t.Errorf("INFO engine missing per-shard breakdown: %q", body)
 	}
 }
@@ -350,7 +350,7 @@ func TestInfoEngineSection(t *testing.T) {
 func TestCommandLabels(t *testing.T) {
 	want := []string{
 		"get", "set", "del", "exists", "mget", "mset", "ping", "quit",
-		"dbsize", "scan", "rename", "renamestrict", "expire", "pexpire",
+		"dbsize", "scan", "rename", "expire", "pexpire",
 		"expireat", "pexpireat", "ttl", "pttl", "persist", "setex", "getex",
 		"save", "bgsave", "lastsave", "info", "slowlog", "other",
 	}

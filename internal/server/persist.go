@@ -31,7 +31,7 @@ import (
 // it (a) opens a fresh AOF segment, (b) commits the manifest listing
 // it, (c) takes the map snapshot the dump will stream from and (d)
 // seals the old segment (flush + fsync + close). Writers are quiesced
-// for those four steps only — O(shards) work plus a handful of file
+// for those four steps only — one root swap plus a handful of file
 // operations whose cost is bounded by one batch's buffered appends,
 // independent of data size; the dump itself streams from the frozen
 // snapshot with no lock held. Every mutation therefore observes the
@@ -42,10 +42,6 @@ import (
 // (commitAOF) also run under gate.RLock against whatever segment is
 // current, so a pre-swap append can only be acknowledged after either
 // its own segment's commit or the rotation's seal has made it durable.
-//
-// The gate also makes the sharded snapshot's documented weakness moot
-// here: taken under gate.Lock, the per-shard cuts see an identical
-// (quiesced) world, so the composite IS a globally exact cut.
 //
 // # Crash windows
 //
@@ -283,7 +279,7 @@ func (s *Server) replayRename(_ [][]byte, ks []uint64) error {
 	// deadline, and nothing purges during replay. Drop it, or the move
 	// would be refused.
 	s.db.Delete(new)
-	s.db.Rename(old, new, false)
+	s.db.Rename(old, new)
 	return nil
 }
 
@@ -529,7 +525,7 @@ func segmentsAtOrAfter(chain []string, seq uint64) []string {
 	return out
 }
 
-// snapshotIter is the slice of ShardedMapSnapshot the dump needs;
+// snapshotIter is the slice of MapSnapshot the dump needs;
 // narrowing it keeps writeDumpAndCommit testable.
 type snapshotIter interface {
 	All() iter.Seq2[uint64, expiry.Value]

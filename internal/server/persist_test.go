@@ -401,17 +401,16 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 	// Each is sent whatever its row's flag says, so a row that loses its
 	// write flag fails below, and a write row with no case fails here.
 	mutating := map[string][]string{
-		"SET":          {"post", "2"},
-		"DEL":          {"pre"},
-		"MSET":         {"a", "1", "b", "2"},
-		"RENAME":       {"src", "dst"},
-		"RENAMESTRICT": {"src", "dst"},
-		"EXPIRE":       {"pre", "100"},
-		"PEXPIRE":      {"pre", "100"},
-		"EXPIREAT":     {"pre", "1"}, // past: would delete
-		"PEXPIREAT":    {"pre", itoa(clk.now() + 5000)},
-		"PERSIST":      {"ttl"},
-		"SETEX":        {"post", "10", "v"},
+		"SET":       {"post", "2"},
+		"DEL":       {"pre"},
+		"MSET":      {"a", "1", "b", "2"},
+		"RENAME":    {"src", "dst"},
+		"EXPIRE":    {"pre", "100"},
+		"PEXPIRE":   {"pre", "100"},
+		"EXPIREAT":  {"pre", "1"}, // past: would delete
+		"PEXPIREAT": {"pre", itoa(clk.now() + 5000)},
+		"PERSIST":   {"ttl"},
+		"SETEX":     {"post", "10", "v"},
 	}
 	var refused [][]string
 	for _, row := range commands {

@@ -64,7 +64,7 @@ type Config struct {
 	// Shards is handed to NewShardedMap: 0 picks the default
 	// (GOMAXPROCS-derived), otherwise a power of two in [1, 256].
 	Shards int
-	// Span is the trie digit width inside every shard: each internal
+	// Span is the trie digit width below the sharding root: each internal
 	// node resolves Span key bits through 2^Span children (see
 	// nbtrie.NewKaryPatriciaTrie). 0 means 1 (the paper's binary
 	// nodes); otherwise it must be in [1, 6].
@@ -125,7 +125,7 @@ type Server struct {
 
 	// gate is the persistence boundary (see persist.go): mutating
 	// commands hold RLock across map update + AOF append; a dump
-	// rotation holds Lock for its O(shards) instant. With persistence
+	// rotation holds Lock for its one-root-swap instant. With persistence
 	// off it is an uncontended RLock — a few nanoseconds per mutation.
 	gate sync.RWMutex
 	pst  *persister // nil when persistence is disabled

@@ -209,23 +209,35 @@ func TestServerPipelining(t *testing.T) {
 	}
 }
 
-// sameShard reports whether keys a and b share a shard of s's keyspace,
-// computed on an empty map of the same width and shard count.
+// sameShard reports whether keys a and b count their updates in the same
+// shard of s's keyspace, found by storing each in an empty map of the
+// same width and shard count.
 func sameShard(t *testing.T, s *Server, a, b uint64) bool {
 	t.Helper()
-	m, err := nbtrie.NewShardedMap[struct{}](s.keyer.Width(), s.DB().Shards())
-	if err != nil {
-		t.Fatal(err)
+	shardOf := func(k uint64) int {
+		m, err := nbtrie.NewShardedMap[struct{}](s.keyer.Width(), s.DB().Shards())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Store(k, struct{}{})
+		for i := range m.Shards() {
+			if m.ShardEngineStats(i).DepthSamples > 0 {
+				return i
+			}
+		}
+		t.Fatalf("key %d counted in no shard", k)
+		return -1
 	}
-	return m.SameShard(a, b)
+	return shardOf(a) == shardOf(b)
 }
 
-// TestServerRename covers all four outcomes: atomic same-shard rename,
-// missing source, existing destination, and the cross-shard refusal.
+// TestServerRename covers the outcomes: atomic rename within and across
+// shards, missing source, existing destination, and the retired
+// RENAMESTRICT.
 func TestServerRename(t *testing.T) {
-	// Decimal keyer at width 16 with 8 shards: the top 3 bits route, so
-	// keys 0..8191 share shard 0 and 8192 lands in shard 1 — the shard
-	// boundary is exactly computable for the test.
+	// Decimal keyer at width 16 with 8 shards: the trie stores k+1 and
+	// its root digit is the top 4 of those 17 bits, so keys up to 8190
+	// share shard 0 and 8392 lands in shard 1.
 	s, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}, Shards: 8})
 	if s.DB().Shards() != 8 {
 		t.Fatalf("shards = %d", s.DB().Shards())
@@ -249,27 +261,18 @@ func TestServerRename(t *testing.T) {
 	c.mustErrContain("no such key", "RENAME", "5555", "5555")
 	c.mustErrContain("not a decimal", "RENAME", "ghost", "ghost")
 
-	// Cross-shard: 200 is in shard 0, 8192+200 in shard 1. Strict mode
-	// preserves the atomic-only contract and refuses; plain RENAME runs
-	// the two-phase move (DESIGN.md §12) and succeeds.
+	// Cross-shard: 200 is in shard 0, 8392 in shard 1. RENAME is the same
+	// atomic Replace there; RENAMESTRICT, which used to refuse such a
+	// pair, is gone.
 	if sameShard(t, s, 200, 8392) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustErrContain("CROSSSHARD", "RENAMESTRICT", "200", "8392")
-	c.mustBulk("payload", "GET", "200") // refusal was not a partial move
-	c.mustNull("GET", "8392")
-
-	c.mustSimple("OK", "RENAME", "200", "8392") // two-phase cross-shard move
+	c.mustErrContain("unknown command", "RENAMESTRICT", "200", "8392")
+	c.mustSimple("OK", "RENAME", "200", "8392")
 	c.mustNull("GET", "200")
 	c.mustBulk("payload", "GET", "8392")
 
-	// RENAMESTRICT is the same command on same-shard pairs.
-	c.mustSimple("OK", "SET", "400", "strictv")
-	c.mustSimple("OK", "RENAMESTRICT", "400", "500")
-	c.mustBulk("strictv", "GET", "500")
-	c.mustErrContain("no such key", "RENAMESTRICT", "400", "600")
-
-	// Cross-shard destination-exists: MoveKey refuses, nothing moved.
+	// Cross-shard destination-exists: refused, nothing moved.
 	c.mustErrContain("destination key exists", "RENAME", "300", "8392")
 	c.mustBulk("other", "GET", "300")
 	c.mustBulk("payload", "GET", "8392")
@@ -807,13 +810,10 @@ func TestServerSmokeBattery(t *testing.T) {
 			c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
 
 			// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
-			// RENAMESTRICT keeps the atomic-only contract and refuses;
-			// RENAME performs the two-phase move.
+			// RENAME is the same atomic Replace across shards.
 			if sameShard(t, s, mustEncode(t, s.keyer, "ad"), mustEncode(t, s.keyer, "\xe1d")) {
 				t.Fatal("test premise broken: ad and \\xe1d share a shard")
 			}
-			c.mustErrContain("CROSSSHARD", "RENAMESTRICT", "ad", "\xe1d")
-			c.mustBulk("v1", "GET", "ad")
 			c.mustSimple("OK", "RENAME", "ad", "\xe1d")
 			c.mustNull("GET", "ad")
 			c.mustBulk("v1", "GET", "\xe1d")

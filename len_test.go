@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Len is maintained by per-trie (per-shard, for ShardedMap) atomic
-// counters bumped only on successful insert/delete paths, so it must be
-// O(1)-cheap, allocation-free, exact at quiescence, and must never
-// drift no matter how much concurrent helping happened. These tests pin
+// Len is maintained by a per-trie atomic counter bumped only on
+// successful insert/delete paths, so it must be O(1)-cheap,
+// allocation-free, exact at quiescence, and must never drift no matter
+// how much concurrent helping happened. These tests pin
 // that contract at the public surface for all four map flavors.
 
 func TestLenAllMaps(t *testing.T) {
@@ -91,8 +91,8 @@ func TestLenAllMaps(t *testing.T) {
 }
 
 // TestShardedLenConcurrent hammers a ShardedMap across every shard from
-// many goroutines and checks the summed per-shard counters against a
-// full traversal at quiescence.
+// many goroutines and checks its counter against a full traversal at
+// quiescence.
 func TestShardedLenConcurrent(t *testing.T) {
 	const (
 		workers = 8

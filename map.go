@@ -51,6 +51,13 @@ func (m *Map[V]) Store(k uint64, val V) bool {
 	return m.t.Store(k, val)
 }
 
+// Swap is Store that also returns the value it replaced (loaded true),
+// like sync.Map's Swap. ok is false only when k is out of range —
+// nothing was stored.
+func (m *Map[V]) Swap(k uint64, val V) (previous V, loaded, ok bool) {
+	return m.t.Swap(k, val)
+}
+
 // LoadOrStore returns the existing value for k if present (loaded true);
 // otherwise it stores val and returns it (loaded false). ok is false
 // only when k is out of range — nothing was loaded or stored and actual
@@ -63,6 +70,34 @@ func (m *Map[V]) LoadOrStore(k uint64, val V) (actual V, loaded, ok bool) {
 // Delete removes k; false iff k was absent.
 func (m *Map[V]) Delete(k uint64) bool {
 	return m.t.Delete(k)
+}
+
+// LoadAndDelete removes k and returns the value it held; loaded is false
+// iff k was absent. Like sync.Map's LoadAndDelete.
+func (m *Map[V]) LoadAndDelete(k uint64) (value V, loaded bool) {
+	return m.t.LoadAndDelete(k)
+}
+
+// DeleteFunc deletes k if cond returns true for its stored value,
+// returning true iff the key was deleted. Unlike CompareAndDelete it
+// never boxes or compares values, so it works for non-comparable value
+// types (byte slices); the engine pins the inspected leaf until the
+// delete commits, so the value cond approved is exactly the value
+// removed. cond may run more than once under contention and must be
+// side-effect free. This is the primitive nbtried's expiry uses to purge
+// a key only if it still holds the expired arming.
+func (m *Map[V]) DeleteFunc(k uint64, cond func(V) bool) bool {
+	return m.t.DeleteFunc(k, cond)
+}
+
+// CompareAndSwapFunc binds k to new if cond returns true for its stored
+// value, returning true iff the swap happened: DeleteFunc's twin, and the
+// CompareAndSwap of non-comparable value types. The value cond approved
+// is exactly the value replaced; cond may run more than once under
+// contention and must be side-effect free. nbtried's EXPIRE and PERSIST
+// re-arm a key with it: same bytes, new deadline.
+func (m *Map[V]) CompareAndSwapFunc(k uint64, cond func(V) bool, new V) bool {
+	return m.t.CompareAndSwapFunc(k, cond, new)
 }
 
 // CompareAndSwap swaps k's value from old to new if the stored value
@@ -106,6 +141,13 @@ func (m *Map[V]) Len() int {
 // Width returns the key width the map was built with.
 func (m *Map[V]) Width() uint32 {
 	return m.t.Codec().Width
+}
+
+// Validate checks the trie's structural invariants — the paper's proof
+// invariants plus the fixed-width label rule. Quiescent use only (tests,
+// diagnostics, post-recovery verification).
+func (m *Map[V]) Validate() error {
+	return m.t.Validate()
 }
 
 // All iterates over all entries in increasing key order. The sequence is

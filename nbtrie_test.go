@@ -69,17 +69,16 @@ func TestRegistry(t *testing.T) {
 		if !s.Insert(7) || !s.Contains(7) || !s.Delete(7) {
 			t.Fatalf("NewSet(%q) produced a broken set", name)
 		}
-		// The structured replace capability must match the set surface:
-		// exactly the ReplaceFull entries satisfy ReplaceSet. A per-shard
-		// replace must NOT leak through the full-key-space interface.
+		// The replace capability must match the set surface: exactly the
+		// ReplaceFull entries satisfy ReplaceSet.
 		if _, isReplace := s.(ReplaceSet); (im.Replace == ReplaceFull) != isReplace {
 			t.Fatalf("%q: ReplaceScope=%v but ReplaceSet assertion=%v", name, im.Replace, isReplace)
 		}
 	}
-	if im, _ := LookupImplementation("sharded"); im.Replace != ReplacePerShard {
-		t.Fatalf("sharded ReplaceScope = %v, want ReplacePerShard", im.Replace)
+	if im, _ := LookupImplementation("sharded"); im.Replace != ReplaceFull {
+		t.Fatalf("sharded ReplaceScope = %v, want ReplaceFull", im.Replace)
 	}
-	for _, scope := range []ReplaceScope{ReplaceNone, ReplaceFull, ReplacePerShard} {
+	for _, scope := range []ReplaceScope{ReplaceNone, ReplaceFull} {
 		if scope.String() == "" || strings.HasPrefix(scope.String(), "ReplaceScope(") {
 			t.Errorf("ReplaceScope(%d).String() = %q", scope, scope)
 		}

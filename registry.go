@@ -6,14 +6,9 @@ import (
 	"strings"
 
 	"nbtrie/internal/kv"
-	"nbtrie/internal/sharded"
 )
 
-// ReplaceScope is the structured replace capability of a registered
-// implementation. A bare "has replace" bool could not express the
-// sharded front-end honestly: its Replace is the paper's atomic
-// operation within a shard and refused (ErrCrossShard) across shards,
-// which is neither "no replace" nor "replace over the full key space".
+// ReplaceScope is the replace capability of a registered implementation.
 type ReplaceScope uint8
 
 const (
@@ -23,12 +18,6 @@ const (
 	// ReplaceFull: the paper's atomic Replace over the entire key
 	// space; the implementation satisfies ReplaceSet.
 	ReplaceFull
-	// ReplacePerShard: replace is atomic only between keys owned by the
-	// same shard and refused otherwise. The set view does NOT satisfy
-	// ReplaceSet — a partial replace cannot honor its full-key-space
-	// contract — but ShardedMap.ReplaceKey exposes the per-shard
-	// operation, with SameShard as the precondition probe.
-	ReplacePerShard
 )
 
 // String renders the scope for tables and CLIs.
@@ -36,8 +25,6 @@ func (s ReplaceScope) String() string {
 	switch s {
 	case ReplaceFull:
 		return "full"
-	case ReplacePerShard:
-		return "per-shard"
 	case ReplaceNone:
 		return "none"
 	default:
@@ -46,10 +33,9 @@ func (s ReplaceScope) String() string {
 }
 
 // Implementation describes one registered concurrent-set implementation:
-// the paper's Patricia trie, the five baselines of its evaluation, the
-// Morton-keyed spatial instantiation of the shared engine, and the
-// sharded front-end that partitions the key space across engine
-// instances.
+// the paper's Patricia trie, the five baselines of its evaluation, and
+// three more instantiations of the shared engine: Morton-keyed, with a
+// wide sharding root, and k-ary.
 // Tools (the figure benchmarks, cmd/triecli, the conformance tests and
 // the examples) enumerate this registry instead of hard-coding the list, so
 // a new implementation registers once and appears everywhere.
@@ -60,11 +46,8 @@ type Implementation struct {
 	Legend string
 	// Description is a one-line human-readable summary with the citation.
 	Description string
-	// Replace is the structured replace capability: none, full
-	// (ReplaceSet is satisfied), or per-shard (atomic within a shard,
-	// refused across; only the map layer exposes it). Tools that need
-	// the paper's whole-key-space Replace must check for ReplaceFull,
-	// not merely "not none".
+	// Replace is the replace capability: none, or full (ReplaceSet is
+	// satisfied).
 	Replace ReplaceScope
 	// WaitFreeRead reports whether the implementation's Contains is
 	// wait-free — a pure read that performs no CAS, helps no other
@@ -167,19 +150,15 @@ var registry = []Implementation{
 		Name:         "sharded",
 		Fanout:       2,
 		Legend:       "PAT-S",
-		Description:  "sharded front-end: 2^s independent engine instances partitioned by the top key bits, for multi-core write scaling (replace atomic per shard, refused cross-shard)",
-		Replace:      ReplacePerShard,
+		Description:  "PAT under a wide root: the top key bits pick one of 2^s root slots (the shards of ShardedMap); one trie, Replace atomic across slots",
+		Replace:      ReplaceFull,
 		WaitFreeRead: true,
 		New: func(width uint32) (Set, error) {
-			// The sharded trie is a Set by itself and deliberately not a
-			// ReplaceSet: its Replace is atomic only within a shard and
-			// reports cross-shard pairs as an error, so it cannot honor the
-			// full-key-space contract.
-			t, err := sharded.New[struct{}](width, 0)
+			t, _, err := newSharded[struct{}](width, 0, 1)
 			if err != nil {
 				return nil, err
 			}
-			return t, nil
+			return &PatriciaTrie{t: t}, nil
 		},
 	},
 	{

@@ -5,13 +5,12 @@ import (
 	"math"
 
 	"nbtrie/internal/kv"
-	"nbtrie/internal/sharded"
 )
 
 // O(1) point-in-time snapshots, surfaced from the engine's
 // generation-stamp protocol (DESIGN.md §9). A snapshot is a frozen,
 // read-only view of a map at one instant: taking it costs O(1) time and
-// allocation regardless of map size (O(shards) for ShardedMap), reading
+// allocation regardless of map size, reading
 // it never blocks or is blocked by live-map updates, and iterating it is
 // a true consistent cut — unlike the live maps' All/Ascend, which only
 // promise best-effort consistency under concurrent mutation.
@@ -133,50 +132,4 @@ func (s *SpatialMapSnapshot[V]) All() iter.Seq2[Point, V] {
 // rectangle [min.X, max.X] × [min.Y, max.Y] (inclusive), in Z-order.
 func (s *SpatialMapSnapshot[V]) InRect(min, max Point) iter.Seq2[Point, V] {
 	return inRect(s.s.AscendKV, min, max)
-}
-
-// ShardedMapSnapshot is a frozen point-in-time view of a ShardedMap:
-// one engine snapshot per shard, each an exact cut of its shard. The
-// per-shard cuts are taken sequentially, so the composite is not a
-// single linearization point of the whole map — see
-// ShardedMap.Snapshot.
-type ShardedMapSnapshot[V any] struct {
-	s *sharded.Snapshot[V]
-}
-
-// Snapshot returns a read-only view of every shard, in O(shards) time
-// and allocation independent of the number of entries.
-//
-// Consistency is weaker than Map.Snapshot: each shard's view is an
-// exact frozen cut of that shard, but the cuts are taken one after
-// another rather than under a global barrier, so updates racing with
-// the call may land on either side independently per shard (no torn
-// entries, no duplicates — only cross-shard ordering is unpromised, the
-// same window ShardedMap.Len and All already have). Callers that need a
-// globally exact cut must quiesce writers around the call, as the
-// nbtried server's persistence gate does.
-func (m *ShardedMap[V]) Snapshot() *ShardedMapSnapshot[V] {
-	return &ShardedMapSnapshot[V]{s: m.t.Snapshot()}
-}
-
-// Load returns the value bound to k in its shard's cut.
-func (s *ShardedMapSnapshot[V]) Load(k uint64) (V, bool) { return s.s.Load(k) }
-
-// Contains reports whether k had a binding in its shard's cut.
-func (s *ShardedMapSnapshot[V]) Contains(k uint64) bool { return s.s.Contains(k) }
-
-// Len sums the per-shard snapshot counts: exact per shard, exact
-// globally when the snapshot was taken with writers quiesced.
-func (s *ShardedMapSnapshot[V]) Len() int { return s.s.Len() }
-
-// All iterates over the snapshot's entries in increasing key order,
-// stitching the per-shard frozen walks.
-func (s *ShardedMapSnapshot[V]) All() iter.Seq2[uint64, V] { return s.Ascend(0) }
-
-// Ascend iterates over the snapshot's entries with key >= from, in
-// increasing key order.
-func (s *ShardedMapSnapshot[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) {
-		s.s.AscendKV(from, yield)
-	}
 }

@@ -68,15 +68,3 @@ func (m *StringMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.Engi
 
 // EngineStats returns the map's contention counters.
 func (m *SpatialMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.EngineStats()) }
-
-// EngineStats returns the contention counters summed over all shards.
-// Shards are snapshotted independently — the sum is not one global cut,
-// which is fine for monitoring.
-func (m *ShardedMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.EngineStats()) }
-
-// ShardEngineStats returns shard i's own contention counters; i must be
-// in [0, Shards()). Per-shard deltas localize hot spots that the
-// aggregate view averages away.
-func (m *ShardedMap[V]) ShardEngineStats(i int) EngineStats {
-	return engineStatsOf(m.t.ShardEngineStats(i))
-}
