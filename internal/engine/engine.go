@@ -59,12 +59,12 @@ import (
 // shape. The label is immutable after construction; leaf labels are
 // full-length encoded keys, internal labels proper prefixes of them.
 //
-// The header of a Uint64Key trie is 32 bytes, so an innerNode is 56 bytes
-// — the 64-byte size class, which the allocator aligns to 64: a descent
-// touches exactly one cache line per level. A leaf is touched once per
-// operation, at the end, so it need not be line-aligned and takes the
-// smallest class its value fits in (48 bytes for uint64). All pinned by
-// layout_test.go.
+// The header of a Uint64Key trie is 32 bytes, so a binary internal node,
+// padded by newNode, is 56 bytes — the 64-byte size class, which the
+// allocator aligns to 64: a descent touches exactly one cache line per
+// level. A leaf is touched once per operation, at the end, so it need not
+// be line-aligned and takes the smallest class its value fits in (48
+// bytes for uint64). All pinned by layout_test.go.
 type node[K keys.Key[K], V any] struct {
 	label K
 
@@ -108,28 +108,25 @@ type leafNode[K keys.Key[K], V any] struct {
 	val V
 }
 
-// innerNode is the internal shape: the header and the child slots.
+// innerNode is the internal shape: the header and the child slots, all
+// of them inline in the node's one allocation. The struct names the
+// first two; a wide node's other 2^s-2 follow them in memory (see
+// newNode), and kid reaches every slot by its offset from the first.
+// Unoccupied slots are nil. Empty slots are never CASed in place — nil
+// repeats as an expected value, which would re-open the ABA window — so
+// filling or clearing a slot always builds a fresh copy of the whole node
+// and swings the parent's (or the root) pointer instead; see copyNodeSet.
 type innerNode[K keys.Key[K], V any] struct {
 	node[K, V]
-
-	// child holds the left (0) and right (1) children of a binary
-	// internal node (trie span 1, the paper's layout). Keeping the two
-	// slots inline — rather than always using ext — keeps a binary
-	// internal node to one allocation, preserving the pinned allocs/op
-	// budgets of the s=1 instantiations exactly.
 	child [2]atomic.Pointer[node[K, V]]
+}
 
-	// ext points at the 2^s child slots of a wide internal node (trie
-	// span s > 1), nil for binary nodes; a node self-describes its fanout
-	// through it. It is an interior pointer to a slice header that lives
-	// in the same allocation as the slots it describes (see newSlots), so
-	// the node pays 8 bytes for it rather than 24 and a wide node is still
-	// two objects. Unoccupied slots are nil. Empty slots are never CASed
-	// in place — nil repeats as an expected value, which would re-open the
-	// ABA window — so filling or clearing a slot always builds a fresh
-	// copy of the whole node and swings the parent's (or the root) pointer
-	// instead; see copyNodeSet.
-	ext *[]atomic.Pointer[node[K, V]]
+// innerAlloc is the object an internal node is allocated as: the
+// innerNode, then tail — the remaining 2^s-2 slots of a wide node, or
+// one word of padding for a binary one.
+type innerAlloc[K keys.Key[K], V any, T any] struct {
+	innerNode[K, V]
+	tail T
 }
 
 // leafGen in a node's gen field marks it as a leaf. Snapshot generations
@@ -158,69 +155,24 @@ func (n *node[K, V]) inner() *innerNode[K, V] {
 	return (*innerNode[K, V])(unsafe.Pointer(n))
 }
 
-// fanout returns the number of child slots.
-func (n *innerNode[K, V]) fanout() int {
-	if n.ext != nil {
-		return len(*n.ext)
-	}
-	return 2
-}
-
-// kid returns the i-th child slot.
+// kid returns the i-th child slot. Every slot lies inline in n's
+// allocation, in order from child[0], so slot i is i words past it.
 func (n *innerNode[K, V]) kid(i int) *atomic.Pointer[node[K, V]] {
-	if n.ext != nil {
-		return &(*n.ext)[i]
-	}
-	return &n.child[i]
+	p := unsafe.Add(unsafe.Pointer(&n.child[0]), uintptr(i)*unsafe.Sizeof(n.child[0]))
+	return (*atomic.Pointer[node[K, V]])(p)
 }
 
-// slotBlock is the one object behind a wide node's ext pointer: the
-// slice header and the array it slices, side by side.
-type slotBlock[K keys.Key[K], V any, A any] struct {
-	s []atomic.Pointer[node[K, V]]
-	a A
-}
-
-// newSlots returns the ext value of a fresh wide node of 2^span empty
-// slots: for span <= 6 a pointer to a slice header allocated together
-// with its backing array, one object per node. The interior pointer
-// keeps the whole block alive, as any Go pointer does.
-func newSlots[K keys.Key[K], V any](span uint32) *[]atomic.Pointer[node[K, V]] {
-	switch span {
-	case 2:
-		b := new(slotBlock[K, V, [4]atomic.Pointer[node[K, V]]])
-		b.s = b.a[:]
-		return &b.s
-	case 3:
-		b := new(slotBlock[K, V, [8]atomic.Pointer[node[K, V]]])
-		b.s = b.a[:]
-		return &b.s
-	case 4:
-		b := new(slotBlock[K, V, [16]atomic.Pointer[node[K, V]]])
-		b.s = b.a[:]
-		return &b.s
-	case 5:
-		b := new(slotBlock[K, V, [32]atomic.Pointer[node[K, V]]])
-		b.s = b.a[:]
-		return &b.s
-	case 6:
-		b := new(slotBlock[K, V, [64]atomic.Pointer[node[K, V]]])
-		b.s = b.a[:]
-		return &b.s
-	}
-	// Only a root digit is wider than 6 bits: the root is one node, so
-	// its slots may cost a second object.
-	s := make([]atomic.Pointer[node[K, V]], 1<<span)
-	return &s
-}
+// fanout returns the number of child slots of n: the digit schedule
+// fixes it from the length of n's label.
+func (t *Trie[K, V]) fanout(n *innerNode[K, V]) int { return 1 << t.spanAt(n.label.Len()) }
 
 // census counts n's non-nil children and returns the last one found
 // outside slot skip (the lone sibling when the count is 2). Like every
 // child read feeding a copy or contraction, the result is certified by
 // the flag CAS on n: a torn census implies n's info changed and the
 // attempt dies at flagging (Lemma 31).
-func (n *innerNode[K, V]) census(skip int) (live int, sib *node[K, V]) {
-	for j := 0; j < n.fanout(); j++ {
+func (t *Trie[K, V]) census(n *innerNode[K, V], skip int) (live int, sib *node[K, V]) {
+	for j := 0; j < t.fanout(n); j++ {
 		if c := n.kid(j).Load(); c != nil {
 			live++
 			if j != skip {
@@ -247,18 +199,38 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 
 // newNode returns an empty internal node with the given label and
 // generation, with the fanout of the digit its label length starts; the
-// caller stores the children. Its info is nil — never flagged — so a
-// binary node is its only allocation.
+// caller stores the children. Its info is nil — never flagged — so the
+// node is its only allocation. A binary node carries one word of padding:
+// for a Uint64Key trie that fills the 64 B size class, which the
+// allocator aligns to a cache line, so a descent touches one line per
+// level (layout_test.go).
 func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
-	n := &innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}
-	s := t.span
-	if t.rootSpan != s && label.Len() == 0 {
-		s = t.rootSpan
+	type slot = atomic.Pointer[node[K, V]]
+	switch t.spanAt(label.Len()) {
+	case 1:
+		return newInner[K, V, uintptr](label, gen)
+	case 2:
+		return newInner[K, V, [2]slot](label, gen)
+	case 3:
+		return newInner[K, V, [6]slot](label, gen)
+	case 4:
+		return newInner[K, V, [14]slot](label, gen)
+	case 5:
+		return newInner[K, V, [30]slot](label, gen)
+	case 6:
+		return newInner[K, V, [62]slot](label, gen)
+	case 7:
+		return newInner[K, V, [126]slot](label, gen)
+	case 8:
+		return newInner[K, V, [254]slot](label, gen)
 	}
-	if s > 1 {
-		n.ext = newSlots[K, V](s)
-	}
-	return n
+	return newInner[K, V, [1<<MaxRootSpan - 2]slot](label, gen)
+}
+
+// newInner allocates an internal node as an innerAlloc with tail T.
+func newInner[K keys.Key[K], V any, T any](label K, gen uint64) *innerNode[K, V] {
+	a := &innerAlloc[K, V, T]{innerNode: innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}}
+	return &a.innerNode
 }
 
 // copyNode returns a fresh copy of n stamped with the given generation
@@ -285,7 +257,7 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 		return newLeafVal(n.label, n.leaf().val)
 	}
 	in, c := n.inner(), t.newNode(n.label, gen)
-	for j := 0; j < in.fanout(); j++ {
+	for j := 0; j < t.fanout(in); j++ {
 		c.kid(j).Store(in.kid(j).Load())
 	}
 	if slotA >= 0 {
@@ -570,10 +542,11 @@ type Trie[K keys.Key[K], V any] struct {
 // Option configures a Trie.
 type Option[K keys.Key[K], V any] func(*Trie[K, V])
 
-// WithSpan sets the digit width s: internal nodes grow 2^s child slots
-// (a span-4 node's 16 pointers fill two cache lines) and every level
-// resolves s key bits. s must be in [1, 6]; 1 is the paper's binary
-// trie. See the span field for the key-length soundness constraint.
+// WithSpan sets the digit width s: internal nodes grow 2^s child slots,
+// inline in the node's one allocation (a span-4 node is the 32 B header
+// and 16 pointers, 160 B), and every level resolves s key bits. s must be
+// in [1, 6]; 1 is the paper's binary trie. See the span field for the
+// key-length soundness constraint.
 func WithSpan[K keys.Key[K], V any](s uint32) Option[K, V] {
 	if s < 1 || s > 6 {
 		panic("engine: span must be in [1, 6]")
@@ -583,6 +556,8 @@ func WithSpan[K keys.Key[K], V any](s uint32) Option[K, V] {
 
 // MaxRootSpan bounds WithRootSpan: the root is copied whole by every
 // slot fill or clear and by every Snapshot, so its 2^r slots stay few.
+// newNode has one node shape per digit width up to it; a 9-bit root is
+// one object of 32 + 512·8 B.
 const MaxRootSpan = 9
 
 // WithRootSpan sets the root's digit width r apart from the span below
@@ -709,12 +684,12 @@ func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
 	if p == nil {
 		return t.root.Load() != old
 	}
-	return !holdsChild(p.inner(), old)
+	return !t.holdsChild(p.inner(), old)
 }
 
 // holdsChild reports whether some slot of p currently holds c.
-func holdsChild[K keys.Key[K], V any](p *innerNode[K, V], c *node[K, V]) bool {
-	for j := 0; j < p.fanout(); j++ {
+func (t *Trie[K, V]) holdsChild(p *innerNode[K, V], c *node[K, V]) bool {
+	for j := 0; j < t.fanout(p); j++ {
 		if p.kid(j).Load() == c {
 			return true
 		}

@@ -121,9 +121,9 @@ func TestHelperCompletesStalledReplace(t *testing.T) {
 	}
 }
 
-// carries reports whether d installs the leaf k: as a new child, or as a
+// carries reports whether d, an update on tr, installs the leaf k: as a new child, or as a
 // direct child of one (an insert's joining node).
-func carries(d *udesc, k keys.Uint64Key) bool {
+func carries(tr testTrie, d *udesc, k keys.Uint64Key) bool {
 	_, cas, _ := d.parts()
 	for _, e := range cas {
 		c := e.newChild
@@ -134,7 +134,7 @@ func carries(d *udesc, k keys.Uint64Key) bool {
 			continue
 		}
 		in := c.inner()
-		for s := 0; s < in.fanout(); s++ {
+		for s := 0; s < tr.fanout(in); s++ {
 			if x := in.kid(s).Load(); x != nil && x.isLeaf() && x.label.Equal(k) {
 				return true
 			}
@@ -159,7 +159,7 @@ func TestSnapshotDrainsParkedUpdater(t *testing.T) {
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
 	testHookAfterFlagging = func(x any) {
-		if carries(x.(*udesc), tr.enc(a)) && once.CompareAndSwap(false, true) {
+		if carries(tr, x.(*udesc), tr.enc(a)) && once.CompareAndSwap(false, true) {
 			close(parked)
 			<-release
 		}

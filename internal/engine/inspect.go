@@ -51,8 +51,7 @@ func (t *Trie[K, V]) Size() int {
 //   - Every internal node has at least two non-nil children (Lemma 4;
 //     exactly two at span 1), each in the slot its label's digit selects.
 //   - Internal labels end on a digit boundary of the schedule (the root
-//     digit, then span-bit digits), and each node has the fanout of
-//     the digit its label starts.
+//     digit, then span-bit digits).
 //   - The two dummy leaves are the extreme leaves of the trie.
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
@@ -110,12 +109,8 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 		return fmt.Errorf("internal label %v does not end on a digit boundary (root %d bits, then %d)", n.label, t.rootSpan, t.span)
 	}
 	in := n.inner()
-	want := 1 << t.spanAt(n.label.Len())
-	if in.fanout() != want {
-		return fmt.Errorf("internal node %v has fanout %d, want %d", n.label, in.fanout(), want)
-	}
 	live := 0
-	for idx := 0; idx < in.fanout(); idx++ {
+	for idx := 0; idx < t.fanout(in); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil {
 			continue
@@ -158,7 +153,7 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 		return
 	}
 	in := n.inner()
-	for idx := 0; idx < in.fanout(); idx++ {
+	for idx := 0; idx < t.fanout(in); idx++ {
 		if c := in.kid(idx).Load(); c != nil {
 			t.dumpNode(sb, c, format, depth+1)
 		}
@@ -175,9 +170,9 @@ type Footprint struct {
 	// headers that exist — a node nothing has flagged yet has none.
 	Internal, Leaves, Infos int
 
-	// InternalBytes includes the slot blocks of wide nodes; InfoBytes
-	// counts a Flag (none is reachable at quiescence) as its whole
-	// descriptor shape.
+	// InternalBytes counts each internal node as newNode allocates it,
+	// all its slots inline; InfoBytes counts a Flag (none is reachable at
+	// quiescence) as its whole descriptor shape.
 	InternalBytes, LeafBytes, InfoBytes uintptr
 }
 
@@ -223,12 +218,14 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 		return
 	}
 	in := n.inner()
-	f.Internal++
-	f.InternalBytes += classSize(unsafe.Sizeof(*in))
-	if in.ext != nil {
-		f.InternalBytes += classSize(unsafe.Sizeof(*in.ext) + uintptr(len(*in.ext))*unsafe.Sizeof((*in.ext)[0]))
+	fan := t.fanout(in)
+	tail := uintptr(fan-2) * unsafe.Sizeof(in.child[0]) // a wide node's other slots
+	if fan == 2 {
+		tail = unsafe.Sizeof(uintptr(0)) // a binary node's padding word
 	}
-	for idx := 0; idx < in.fanout(); idx++ {
+	f.Internal++
+	f.InternalBytes += classSize(unsafe.Sizeof(*in) + tail)
+	for idx := 0; idx < fan; idx++ {
 		if c := in.kid(idx).Load(); c != nil {
 			t.footprintNode(c, f)
 		}

@@ -12,8 +12,8 @@ import (
 
 // Tests of the k-ary (span > 1) generalization: the slot fill/clear
 // paths that do not exist at span 1, the root-CAS sentinel, digit-based
-// contraction, snapshots over wide nodes, and the discipline that span 1
-// keeps the inline two-slot layout (so the binary alloc pins hold).
+// contraction, snapshots over wide nodes, and the fanout the digit
+// schedule gives each node.
 
 func karyNew(t *testing.T, width, span uint32) testTrie {
 	t.Helper()
@@ -33,9 +33,9 @@ func TestKarySpanBounds(t *testing.T) {
 	}
 }
 
-// TestSpanLayout pins the hybrid child storage: span 1 nodes use the
-// inline two-slot array (ext == nil, one allocation per internal node —
-// the binary alloc budgets depend on it), wide nodes carry a 2^s ext.
+// TestSpanLayout pins the fanout the digit schedule gives each node: two
+// slots at span 1, 2^s at a span-s root. (The one-object allocation of
+// either shape is pinned by TestLayoutSizes.)
 func TestSpanLayout(t *testing.T) {
 	bin := mustNew(t, 8)
 	for _, k := range []uint64{3, 9, 200, 77} {
@@ -47,10 +47,10 @@ func TestSpanLayout(t *testing.T) {
 			return
 		}
 		in := n.inner()
-		if in.ext != nil || in.fanout() != 2 {
-			t.Fatalf("span-1 internal node %v has ext (fanout %d)", n.label, in.fanout())
+		if got := bin.fanout(in); got != 2 {
+			t.Fatalf("span-1 internal node %v has fanout %d, want 2", n.label, got)
 		}
-		for j := 0; j < in.fanout(); j++ {
+		for j := 0; j < 2; j++ {
 			if c := in.kid(j).Load(); c != nil {
 				walk(c)
 			}
@@ -59,7 +59,7 @@ func TestSpanLayout(t *testing.T) {
 	walk(bin.root.Load())
 
 	wide := karyNew(t, 8, 4)
-	if got := wide.root.Load().inner().fanout(); got != 16 {
+	if got := wide.fanout(wide.root.Load().inner()); got != 16 {
 		t.Fatalf("span-4 root fanout = %d, want 16", got)
 	}
 	if err := wide.Validate(); err != nil {
@@ -74,7 +74,7 @@ func TestSpanLayout(t *testing.T) {
 func TestKaryRootFillAndClear(t *testing.T) {
 	tr := karyNew(t, 7, 4) // internal keys are 8 bits: two whole digits
 	r0 := tr.root.Load()
-	if live, _ := r0.inner().census(-1); live != 2 {
+	if live, _ := tr.census(r0.inner(), -1); live != 2 {
 		t.Fatalf("fresh root has %d children, want the 2 dummies", live)
 	}
 
@@ -122,7 +122,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	tr.Insert(48)
 	tr.Insert(49)
 	a := tr.root.Load().inner().kid(3).Load()
-	if a == nil || a.isLeaf() || a.label.Len() != 4 || a.inner().fanout() != 16 {
+	if a == nil || a.isLeaf() || a.label.Len() != 4 || tr.fanout(a.inner()) != 16 {
 		t.Fatalf("expected a wide internal node with a one-digit label under root slot 3")
 	}
 
@@ -134,7 +134,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	if b == a {
 		t.Fatal("deep slot fill must swing the grandparent's child to a fresh copy")
 	}
-	if live, _ := b.inner().census(-1); live != 3 {
+	if live, _ := tr.census(b.inner(), -1); live != 3 {
 		t.Fatalf("filled node has %d children, want 3", live)
 	}
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -35,13 +36,36 @@ func TestLayoutSizes(t *testing.T) {
 		t.Errorf("leafNode[Uint64Key,{[]byte,uint64}] is %d B, want 64 (the 64 B size class, exactly)", got)
 	}
 	// Exactly the 64 B class, not merely within it: that class is what
-	// aligns every internal node to a cache line, so a descent touches one
-	// line per level.
-	if got := classSize(unsafe.Sizeof(innerNode[keys.Uint64Key, uint64]{})); got != 64 {
-		t.Errorf("innerNode[Uint64Key,uint64] lands in the %d B size class, want 64", got)
+	// aligns every binary internal node to a cache line, so a descent
+	// touches one line per level.
+	if got := classSize(unsafe.Sizeof(innerAlloc[keys.Uint64Key, uint64, uintptr]{})); got != 64 {
+		t.Errorf("a binary node [Uint64Key,uint64] lands in the %d B size class, want 64", got)
 	}
-	if got := classSize(unsafe.Sizeof(innerNode[keys.Uint64Key, []byte]{})); got != 64 {
-		t.Errorf("innerNode[Uint64Key,[]byte] lands in the %d B size class, want 64", got)
+	if got := classSize(unsafe.Sizeof(innerAlloc[keys.Uint64Key, []byte, uintptr]{})); got != 64 {
+		t.Errorf("a binary node [Uint64Key,[]byte] lands in the %d B size class, want 64", got)
+	}
+	// A span-4 node: the header and its 16 slots, 32 + 16·8 B. kid finds
+	// slot i at i words past child[0], so the tail must follow child with
+	// no gap.
+	type wide = innerAlloc[keys.Uint64Key, uint64, [14]atomic.Pointer[node[keys.Uint64Key, uint64]]]
+	if got := unsafe.Sizeof(wide{}); got != 32+16*8 {
+		t.Errorf("a span-4 node is %d B, want %d", got, 32+16*8)
+	}
+	if off, want := unsafe.Offsetof(wide{}.tail), unsafe.Offsetof(wide{}.child)+2*8; off != want {
+		t.Errorf("a wide node's tail sits at offset %d, want %d (right after child)", off, want)
+	}
+	// What newNode allocates: one object of the pinned class per node.
+	for _, c := range []struct {
+		name  string
+		span  uint32
+		bytes uint64
+	}{{"binary", 1, 64}, {"span-4", 4, 160}} {
+		lo, hi := keys.U64Codec{Width: 63}.Bounds()
+		tr := New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](c.span))
+		objs, bytes := allocPerRun(100, func() { nodeSink = tr.newNode(keys.Uint64Key{}, 0) })
+		if objs != 1 || bytes != c.bytes {
+			t.Errorf("a %s newNode allocates %d objects, %d B; want 1 object, %d B", c.name, objs, bytes, c.bytes)
+		}
 	}
 	// Both shapes must start with the header: leaf() and inner() cast on it.
 	if off := unsafe.Offsetof(leafNode[keys.Uint64Key, uint64]{}.node); off != 0 {
@@ -156,6 +180,24 @@ func TestUnflagsAreDistinct(t *testing.T) {
 	runtime.KeepAlive(a)
 }
 
+// nodeSink keeps allocPerRun's nodes on the heap.
+var nodeSink *innerNode[keys.Uint64Key, uint64]
+
+// allocPerRun returns the heap objects and bytes f allocates per call,
+// averaged over runs calls after one warm-up call, at GOMAXPROCS(1), read
+// from runtime.MemStats (which counts each object at its size class).
+func allocPerRun(runs int, f func()) (objs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // heapAlloc returns the live heap after a forced collection.
 func heapAlloc() uint64 {
 	runtime.GC()
@@ -167,10 +209,11 @@ func heapAlloc() uint64 {
 
 // TestFootprintMatchesHeap holds the census to the heap it describes:
 // after 2^16 uniform keys the size-class-predicted bytes and the measured
-// HeapAlloc growth agree within 5 %, and both come to what the layout
-// promises per key. Only some internal nodes hold an Unflag: the ones an
-// insert flagged as the parent of its new node, not the ones still as
-// they were born.
+// HeapAlloc growth agree within 5 %, for a binary trie and a span-4 one,
+// whose wide nodes the census sizes from the digit schedule. The binary
+// trie also comes to what the layout promises per key. Only some
+// internal nodes hold an Unflag: the ones an insert flagged as the parent
+// of its new node, not the ones still as they were born.
 func TestFootprintMatchesHeap(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(21))
@@ -187,26 +230,33 @@ func TestFootprintMatchesHeap(t *testing.T) {
 	}
 	seen = nil
 
-	before := heapAlloc()
-	lo, hi := c.Bounds()
-	tr := New[keys.Uint64Key, uint64](lo, hi)
-	for i, k := range ks {
-		tr.Store(k, uint64(i))
-	}
-	measured := float64(heapAlloc() - before)
+	for _, span := range []uint32{1, 4} {
+		before := heapAlloc()
+		lo, hi := c.Bounds()
+		tr := New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](span))
+		for i, k := range ks {
+			tr.Store(k, uint64(i))
+		}
+		measured := float64(heapAlloc() - before)
 
-	f := tr.Footprint()
-	if f.Leaves != n+2 || f.Internal != n+1 || f.Infos <= 0 || f.Infos >= f.Internal {
-		t.Errorf("census = %+v, want %d leaves, %d internal nodes and 0 < Infos < Internal", f, n+2, n+1)
+		f := tr.Footprint()
+		if f.Leaves != n+2 || f.Infos <= 0 || f.Infos >= f.Internal {
+			t.Errorf("span %d: census = %+v, want %d leaves and 0 < Infos < Internal", span, f, n+2)
+		}
+		predicted := float64(f.Bytes())
+		t.Logf("span %d, %d keys: measured %.1f B/key, predicted %.1f B/key", span, n, measured/n, predicted/n)
+		if d := (measured - predicted) / predicted; d < -0.05 || d > 0.05 {
+			t.Errorf("span %d: measured heap %.0f B vs predicted %.0f B: off by %.1f %%, want within 5 %%", span, measured, predicted, 100*d)
+		}
+		if span == 1 {
+			if f.Internal != n+1 {
+				t.Errorf("census = %+v, want %d internal nodes", f, n+1)
+			}
+			if perKey := predicted / n; perKey > 120 {
+				t.Errorf("predicted %.1f B per key, want <= 120", perKey)
+			}
+		}
+		runtime.KeepAlive(tr)
 	}
-	predicted := float64(f.Bytes())
-	t.Logf("%d keys: measured %.1f B/key, predicted %.1f B/key", n, measured/n, predicted/n)
-	if d := (measured - predicted) / predicted; d < -0.05 || d > 0.05 {
-		t.Errorf("measured heap %.0f B vs predicted %.0f B: off by %.1f %%, want within 5 %%", measured, predicted, 100*d)
-	}
-	if perKey := predicted / n; perKey > 120 {
-		t.Errorf("predicted %.1f B per key, want <= 120", perKey)
-	}
-	runtime.KeepAlive(tr)
 	runtime.KeepAlive(ks)
 }

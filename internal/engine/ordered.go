@@ -52,7 +52,7 @@ func (t *Trie[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
 		return true
 	}
 	in := n.inner()
-	for idx := 0; idx < in.fanout(); idx++ {
+	for idx := 0; idx < t.fanout(in); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
@@ -78,7 +78,7 @@ func (t *Trie[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
 		return zero, false
 	}
 	in := n.inner()
-	for idx := 0; idx < in.fanout(); idx++ {
+	for idx := 0; idx < t.fanout(in); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
@@ -105,7 +105,7 @@ func (t *Trie[K, V]) floorNode(n *node[K, V], v K) (K, bool) {
 		return zero, false
 	}
 	in := n.inner()
-	for idx := in.fanout() - 1; idx >= 0; idx-- {
+	for idx := t.fanout(in) - 1; idx >= 0; idx-- {
 		c := in.kid(idx).Load()
 		if c == nil || allAbove(c, v) {
 			continue

@@ -69,7 +69,7 @@ func (t *Trie[K, V]) Replace(vd, vi K) bool {
 // shape depends on it. The copy reads p's children, so the caller must
 // flag p with the info captured at search time (Lemma 31).
 func (t *Trie[K, V]) afterDelete(p *node[K, V], sd int, g uint64) (res *node[K, V], contracted bool) {
-	live, sib := p.inner().census(sd)
+	live, sib := t.census(p.inner(), sd)
 	if live == 2 {
 		return sib, true
 	}
@@ -139,7 +139,7 @@ func (t *Trie[K, V]) replaceAt(l *lane, vi K, rd, ri searchResult[K, V]) *desc[K
 		if sub == nil {
 			return nil
 		}
-		live, _ := rd.p.inner().census(sd)
+		live, _ := t.census(rd.p.inner(), sd)
 		np := sub
 		if live == 2 {
 			if rd.gp == nil {
@@ -265,7 +265,7 @@ func (t *Trie[K, V]) replaceFill(l *lane, vi K, rd, ri searchResult[K, V]) *desc
 			return nil
 		}
 		fp := t.copyNodeSet(ri.p, g, si, newLeafVal(vi, rd.node.leaf().val), -1, nil)
-		live, sib := rd.p.inner().census(sd)
+		live, sib := t.census(rd.p.inner(), sd)
 		np := fp
 		if live == 2 {
 			// rd.p contracts; its lone surviving child must be ri.p,

@@ -108,7 +108,7 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 		}
 		return s.t.root.Load() != old
 	}
-	return p.gen <= s.gen && !holdsChild(p.inner(), old)
+	return p.gen <= s.gen && !s.t.holdsChild(p.inner(), old)
 }
 
 // search is the read-only descent over the frozen structure.
@@ -156,7 +156,7 @@ func (s *Snapshot[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool
 		return true
 	}
 	in := n.inner()
-	for idx := 0; idx < in.fanout(); idx++ {
+	for idx := 0; idx < s.t.fanout(in); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue

@@ -333,7 +333,7 @@ func (t *Trie[K, V]) Delete(v K) bool {
 // subtrees, so it is never contracted away).
 func (t *Trie[K, V]) tryDelete(l *lane, v K, r searchResult[K, V]) bool {
 	sd := t.slotOf(v, r.p.label.Len())
-	live, sib := r.p.inner().census(sd)
+	live, sib := t.census(r.p.inner(), sd)
 	if live == 2 {
 		if r.gp == nil {
 			// A binary parent that is the root cannot hold a user leaf:

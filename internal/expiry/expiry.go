@@ -133,8 +133,8 @@ func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Binary nodes, as a constant: an update of a wide node copies its
-	// whole slot block, and byDeadline is updated on every arming.
+	// Binary nodes, as a constant: an update of a wide node copies all
+	// its slots, and byDeadline is updated on every arming.
 	byDeadline, err := kv.NewU64[uint64](idxWidth)
 	if err != nil {
 		return nil, err

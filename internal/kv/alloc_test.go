@@ -33,18 +33,17 @@ const (
 	// Unflag, which re-opens the ABA window (see engine.newUnflag).
 	deleteAllocBudget = 2
 
-	// The span-4 (k-ary) budgets. A wide internal node costs one extra
-	// allocation (its slot block: the 16 child slots and their slice
-	// header, one object), and the slot-oriented paths rebuild a node
-	// where the binary trie re-links: an insert is either a slot fill
-	// (parent copy: node + slot block; fresh leaf; descriptor + final
-	// Unflag = 5) or a leaf displacement (binary shape + the slot block
-	// of the joining node = 6); a delete is either a contraction (2, as
-	// binary) or a slot clear (parent copy + desc + Unflag = 4). The pins
-	// take each path's worst case; depth-per-level is what the wider
-	// nodes buy. See DESIGN.md §11 for the full table.
-	karyInsertAllocBudget = 6
-	karyDeleteAllocBudget = 4
+	// The span-4 (k-ary) budgets. A wide internal node is one object,
+	// its 16 child slots inline, like a binary one; but the
+	// slot-oriented paths rebuild a node where the binary trie re-links:
+	// an insert is either a slot fill (parent copy, fresh leaf,
+	// descriptor and final Unflag = 4) or a leaf displacement (the binary
+	// shape = 5); a delete is either a contraction (2, as binary) or a
+	// slot clear (parent copy + desc + Unflag = 3). The pins take each
+	// path's worst case; depth-per-level is what the wider nodes buy. See
+	// DESIGN.md §11 for the full table.
+	karyInsertAllocBudget = 5
+	karyDeleteAllocBudget = 3
 )
 
 func TestContainsIsAllocationFree(t *testing.T) {

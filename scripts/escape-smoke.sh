@@ -40,16 +40,16 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
     # internal/kv/alloc_test.go enforce the count; this section points
     # at the culprit line when one of those pins fails. Escapes in
     # engine.go outside the update/replace/snapshot files are the
-    # read-path suspects: the child-slot loads (the inline pair, or the
-    # slot block a wide node holds behind its ext pointer — kid()
-    # returns the address of a slot inside an object that is already on
-    # the heap, which is not an escape) should add nothing here. Nor
+    # read-path suspects: the child-slot loads (every slot lies inline
+    # in its node — kid() returns the address of a slot inside an
+    # object that is already on the heap, which is not an escape)
+    # should add nothing here. Nor
     # do leaf()/inner(), which only re-type a pointer: the "leaf() on an
     # internal node" / "inner() on a leaf" lines are their guards' panic
     # arguments, constants boxed at compile time, listed wherever the
     # accessors are inlined. The constructors in engine.go (newLeafVal's
-    # &leafNode{...}, newNode's &innerNode{...}, newSlots, newUnflag,
-    # newFlag) are expected sites: update path only.
+    # &leafNode{...}, newInner's &innerAlloc{...}, newUnflag, newFlag)
+    # are expected sites: update path only.
     if grep 'engine/engine\.go' "$mlog"; then
         echo "(engine.go escape sites above: cross-check against the"
         echo "0-alloc read pins before assuming they are cold-path.)"
