@@ -198,8 +198,8 @@ func exec(s nbtrie.Set, out io.Writer, line string, width uint32) bool {
 	case "impls":
 		for _, im := range nbtrie.AllImplementations() {
 			replace := ""
-			if im.Replace != nbtrie.ReplaceNone {
-				replace = " [replace:" + im.Replace.String() + "]"
+			if im.Replace {
+				replace = " [replace]"
 			}
 			fmt.Fprintf(out, "%-12s %-6s [fanout:%d]%s %s\n", im.Name, im.Legend, im.Fanout, replace, im.Description)
 		}

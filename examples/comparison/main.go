@@ -59,6 +59,6 @@ func main() {
 		}
 		wg.Wait()
 		opsPerSec := float64(workers*opsPerWkr) / time.Since(start).Seconds()
-		fmt.Printf("%-6s %6d %14.0f  %s\n", im.Legend, im.Fanout, opsPerSec, im.Replace)
+		fmt.Printf("%-6s %6d %14.0f  %t\n", im.Legend, im.Fanout, opsPerSec, im.Replace)
 	}
 }

@@ -354,8 +354,8 @@ type (
 		// rmvLeaf, when non-nil, is the leaf holding the replaced key of
 		// a general-case replace. It is flagged (plain store) after all
 		// flag CASes succeed and before the first child CAS; searches
-		// reaching it afterwards use logicallyRemoved to decide whether
-		// the key is gone.
+		// reaching it afterwards use the removal check (Snapshot.removed)
+		// to decide whether the key is gone.
 		rmvLeaf *node[K, V]
 	}
 )
@@ -637,54 +637,11 @@ func (t *Trie[K, V]) slotOf(v K, pos uint32) int {
 func (t *Trie[K, V]) curGen() uint64 { return t.root.Load().gen }
 
 // searchResult carries the paper's 6-tuple ⟨gp, p, node, gpInfo, pInfo,
-// rmvd⟩ returned by search.
+// rmvd⟩ returned by searchMut.
 type searchResult[K keys.Key[K], V any] struct {
 	gp, p, node   *node[K, V]
 	gpInfo, pInfo *info[K, V]
 	rmvd          bool
-}
-
-// search locates the encoded key v, per lines 76-85. It starts at the
-// root and descends by the bit of v at each node's label length, stopping
-// at a leaf or at an internal node whose label is no longer a proper
-// prefix of v. Labels strictly lengthen along any path (Invariant 7), so
-// the loop runs at most |v| times: wait-free for bounded key types,
-// lock-free (bounded by the key's own length plus concurrent
-// restructuring) for unbounded ones. It performs no CAS, never writes
-// shared memory, and never allocates beyond what K's own methods do.
-func (t *Trie[K, V]) search(v K) searchResult[K, V] {
-	var r searchResult[K, V]
-	n := t.root.Load()
-	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
-		r.gp, r.gpInfo = r.p, r.pInfo
-		r.p, r.pInfo = n, n.info.Load()
-		n = n.inner().kid(t.slotOf(v, n.label.Len())).Load()
-	}
-	// r.node == nil means the descent hit an empty slot of r.p (wide
-	// nodes only): the key is absent, and an insert fills the slot by
-	// replacing r.p wholesale under r.gp.
-	r.node = n
-	if n != nil && n.isLeaf() {
-		r.rmvd = t.logicallyRemoved(n.info.Load())
-	}
-	return r
-}
-
-// logicallyRemoved implements lines 122-124: a leaf whose info field holds
-// the Flag of a general-case replace is logically removed once that
-// replace's first child CAS has happened, which is detectable by the old
-// child no longer being a child of that CAS's target (Lemma 41). A nil
-// target is the root-CAS sentinel: the replace's insert half replaced the
-// root node itself, so the check is against the trie's root pointer.
-func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
-	if !i.flagged() {
-		return false
-	}
-	p, old := i.flag.firstCAS()
-	if p == nil {
-		return t.root.Load() != old
-	}
-	return !t.holdsChild(p.inner(), old)
 }
 
 // holdsChild reports whether some slot of p currently holds c.
@@ -704,10 +661,10 @@ func keyInTrie[K keys.Key[K], V any](n *node[K, V], v K, rmvd bool) bool {
 
 // Contains reports whether the encoded key v is in the set. It only
 // reads shared memory and never performs a CAS (the paper's find, lines
-// 72-75).
+// 72-75): it is the Snapshot descent run at the live root.
 func (t *Trie[K, V]) Contains(v K) bool {
-	r := t.search(v)
-	return keyInTrie(r.node, v, r.rmvd)
+	s := t.live()
+	return s.Contains(v)
 }
 
 // Load returns the value stored under v, or (zero, false) when v is not
@@ -716,10 +673,6 @@ func (t *Trie[K, V]) Contains(v K) bool {
 // are immutable (updates install fresh leaves), so the value returned is
 // exactly the one bound to v at the linearization point.
 func (t *Trie[K, V]) Load(v K) (V, bool) {
-	r := t.search(v)
-	if !keyInTrie(r.node, v, r.rmvd) {
-		var zero V
-		return zero, false
-	}
-	return r.node.leaf().val, true
+	s := t.live()
+	return s.Load(v)
 }

@@ -22,7 +22,7 @@ type (
 )
 
 // testTrie wraps the engine with a width so tests can speak uint64 user
-// keys; the embedded Trie's white-box internals (root, search, help,
+// keys; the embedded Trie's white-box internals (root, searchMut, help,
 // newDesc, ...) stay directly reachable.
 type testTrie struct {
 	*Trie[keys.Uint64Key, any]

@@ -58,7 +58,7 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 func TestNilBornInfoNoABA(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(3) // joins the 0^ℓ dummy and 3 under a fresh internal node x
-	r := tr.search(tr.enc(2))
+	r := tr.searchMut(tr.lane0(), tr.enc(2))
 	x := r.p
 	if x == tr.root.Load() || r.pInfo != nil || !r.node.isLeaf() {
 		t.Fatalf("setup: want 2's position under a never-flagged node, got p=%v pInfo=%p", x.label, r.pInfo)
@@ -110,7 +110,7 @@ func TestNilBornInfoNoABA(t *testing.T) {
 	// flags and unflags x.
 	for i := 0; i < 200; i++ {
 		tr.Store(3, i)
-		if tr.search(tr.enc(3)).p != x {
+		if tr.searchMut(tr.lane0(), tr.enc(3)).p != x {
 			t.Fatal("setup: x is no longer 3's parent")
 		}
 		u := x.info.Load()
@@ -129,7 +129,7 @@ func TestNilBornInfoNoABA(t *testing.T) {
 func TestHelpIsIdempotent(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(7)
-	r := tr.search(tr.enc(9))
+	r := tr.searchMut(tr.lane0(), tr.enc(9))
 	nodeInfo := r.node.info.Load()
 	newNode := tr.makeInternal(tr.lane0(), tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
 	if newNode == nil {
@@ -239,25 +239,26 @@ func TestNewDescSortsByLabel(t *testing.T) {
 func TestLogicallyRemovedPredicate(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(5)
-	leaf5 := tr.search(tr.enc(5)).node
+	leaf5 := tr.searchMut(tr.lane0(), tr.enc(5)).node
+	live := tr.live()
 
 	if leaf5.info.Load() != nil {
 		t.Error("a live leaf must be born with a nil info")
 	}
-	if tr.logicallyRemoved(leaf5.info.Load()) {
+	if live.removed(leaf5.info.Load()) {
 		t.Error("unflagged leaf must not be logically removed")
 	}
 	// Fabricate a replace-style flag whose pNode still points at
 	// oldChild: not yet removed.
-	p := tr.search(tr.enc(5)).p
+	p := tr.searchMut(tr.lane0(), tr.enc(5)).p
 	d := testFlag([]uflag{{p, nil}}, []ucas{{leaf5, nil}}, 0)
-	if tr.logicallyRemoved(&d.hdr) {
+	if live.removed(&d.hdr) {
 		t.Error("leaf still linked under the first CAS's target is not removed")
 	}
 	// Once the old child is no longer a child of the target, it is removed.
 	_, cas, _ := d.parts()
 	cas[0].oldChild = newTestLeaf(tr, 9)
-	if !tr.logicallyRemoved(&d.hdr) {
+	if !live.removed(&d.hdr) {
 		t.Error("leaf unlinked from the first CAS's target must report removed")
 	}
 }
@@ -273,7 +274,7 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	// With a completed Flag as info, makeInternal helps it (idempotent
 	// re-help) and still returns nil.
 	tr.Insert(7)
-	r := tr.search(tr.enc(9))
+	r := tr.searchMut(tr.lane0(), tr.enc(9))
 	nodeInfo := r.node.info.Load()
 	nn := tr.makeInternal(tr.lane0(), tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
 	d := tr.newDesc(tr.lane0(),
@@ -332,7 +333,7 @@ func TestTryDeleteRootChildDefensive(t *testing.T) {
 func TestOrderedSkipsLogicallyRemoved(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(50)
-	leaf := tr.search(tr.enc(50)).node
+	leaf := tr.searchMut(tr.lane0(), tr.enc(50)).node
 	// The old child is not a child of the root: "removed".
 	d := testFlag([]uflag{{tr.root.Load(), nil}}, []ucas{{newTestLeaf(tr, 1), nil}}, 0)
 	leaf.info.Store(&d.hdr)
@@ -379,7 +380,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 
 	// So is a reachable leaf that holds anything but nil: an Unflag is a
 	// wasted header, a Flag an unfinished general-case replace.
-	leaf := tr.search(tr.enc(3)).node
+	leaf := tr.searchMut(tr.lane0(), tr.enc(3)).node
 	for _, i := range []*uinfo{newUnflag[keys.Uint64Key, any](), &d.hdr} {
 		leaf.info.Store(i)
 		if tr.Validate() == nil {

@@ -7,7 +7,8 @@ import (
 
 // The Len counter is bumped only by the initiating goroutine of a
 // successful insert or delete, after the operation's linearization
-// point. These tests pin the two halves of that contract: every
+// point, at update's two count sites (map.go) that every single-key write
+// form shares. These tests pin the two halves of that contract: every
 // key-count-changing path moves it by exactly one, every neutral path
 // (failed ops, overwrites, replaces) leaves it alone, and after any
 // amount of concurrent hammering it agrees with a full traversal.
@@ -61,6 +62,40 @@ func TestLenSequential(t *testing.T) {
 	check(1, "delete")
 	tr.Delete(11) // absent: no change
 	check(1, "duplicate delete")
+
+	tr.Trie.Swap(tr.enc(40), "a") // swap-insert
+	check(2, "Swap insert")
+	tr.Trie.Swap(tr.enc(40), "b") // swap-overwrite: no change
+	check(2, "Swap overwrite")
+
+	if !tr.Trie.InsertValue(tr.enc(50), "c") {
+		t.Fatal("InsertValue failed")
+	}
+	check(3, "InsertValue")
+	tr.Trie.InsertValue(tr.enc(50), "d") // duplicate: no change
+	check(3, "duplicate InsertValue")
+
+	isB := func(v any) bool { return v == "b" }
+	tr.Trie.CompareAndSwapFunc(tr.enc(40), isB, "e") // value only: no change
+	check(3, "CompareAndSwapFunc")
+	tr.Trie.CompareAndSwapFunc(tr.enc(60), isB, "e") // absent: no insert
+	check(3, "CompareAndSwapFunc on an absent key")
+
+	isE := func(v any) bool { return v == "e" }
+	tr.Trie.DeleteFunc(tr.enc(50), isE) // cond says no: no change
+	check(3, "refused DeleteFunc")
+	if !tr.Trie.DeleteFunc(tr.enc(40), isE) {
+		t.Fatal("DeleteFunc failed")
+	}
+	check(2, "DeleteFunc")
+
+	if _, loaded := tr.Trie.LoadAndDelete(tr.enc(50)); !loaded {
+		t.Fatal("LoadAndDelete failed")
+	}
+	check(1, "LoadAndDelete")
+	tr.Trie.LoadAndDelete(tr.enc(50)) // absent: no change
+	check(1, "failed LoadAndDelete")
+
 	tr.Delete(20)
 	check(0, "final delete")
 }
@@ -91,7 +126,7 @@ func TestLenConcurrent(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				k := next() % space
-				switch next() % 6 {
+				switch next() % 11 {
 				case 0:
 					tr.Insert(k)
 				case 1:
@@ -104,6 +139,16 @@ func TestLenConcurrent(t *testing.T) {
 					tr.Trie.CompareAndDelete(tr.enc(k), seed)
 				case 5:
 					tr.Replace(k, next()%space)
+				case 6:
+					tr.Trie.Swap(tr.enc(k), seed)
+				case 7:
+					tr.Trie.LoadAndDelete(tr.enc(k))
+				case 8:
+					tr.Trie.InsertValue(tr.enc(k), seed)
+				case 9:
+					tr.Trie.DeleteFunc(tr.enc(k), func(v any) bool { return v != seed })
+				case 10:
+					tr.Trie.CompareAndSwapFunc(tr.enc(k), func(v any) bool { return v != seed }, seed)
 				}
 			}
 		}(uint64(w) + 1)

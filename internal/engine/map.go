@@ -10,8 +10,12 @@ package engine
 // overwrite against any concurrent insert/delete/replace touching the
 // same pointer, and the overwrite is linearized at its single child CAS.
 //
-// Reads (Load) reuse the read-only search and add only a field read of
-// the immutable leaf; they perform no CAS and write no shared memory.
+// Every single-key write — Insert, Store, Swap, LoadOrStore, Delete,
+// LoadAndDelete and the compare-and-* family — is one call to update,
+// the engine's one search/check/flag/help/retry loop. Reads (Load) are
+// the Snapshot descent at the live root (Trie.live) and add only a field
+// read of the immutable leaf; they perform no CAS and write no shared
+// memory.
 //
 // CompareAndSwap and CompareAndDelete compare values with Go interface
 // equality, mirroring sync.Map: the old value must be comparable or the
@@ -21,81 +25,91 @@ package engine
 // search, and the paper's Lemma 31 argument then pins the child pointer
 // (and hence the leaf) for the duration.
 
+// onPresent is what update does when it finds the key present (and cond,
+// if any, approves its value).
+type onPresent uint8
+
+const (
+	keep      onPresent = iota // leave the leaf alone: a load
+	overwrite                  // swing in a fresh leaf carrying val
+	remove                     // delete the leaf
+)
+
+// update is the one retry loop of every single-key write (Figure 6,
+// lines 20-41): search, check, try the step the case calls for, retry on
+// a lost attempt. An absent key is inserted with val when insert is set
+// and left absent otherwise; a present key whose value cond approves
+// (nil cond approves all) gets act. It returns the value found (loaded
+// true when the key was present) and whether the trie changed. cond runs
+// on the value read at search time, and the flag CAS of the overwrite or
+// delete pins that leaf until the child CAS swings it out, so the value
+// cond approved is the value replaced; cond may run once per retry and
+// must be side-effect free. Len's count moves only here.
+func (t *Trie[K, V]) update(v K, val V, insert bool, act onPresent, cond func(V) bool) (old V, loaded, done bool) {
+	l := t.gate.enter()
+	defer t.gate.exit(l)
+	for first := true; ; first = false {
+		if !first {
+			t.stats.opRetries.Add(1)
+		}
+		r := t.searchMut(l, v)
+		if !keyInTrie(r.node, v, r.rmvd) {
+			if !insert {
+				return old, false, false
+			}
+			if t.tryInsert(l, v, val, r) {
+				t.count.Add(1)
+				return old, false, true
+			}
+			continue
+		}
+		cur := r.node.leaf().val
+		switch {
+		case act == keep || cond != nil && !cond(cur):
+			return cur, true, false
+		case act == overwrite:
+			if t.tryOverwrite(l, v, val, r) {
+				return cur, true, true
+			}
+		default: // remove
+			if t.tryDelete(l, v, r) {
+				t.count.Add(-1)
+				return cur, true, true
+			}
+		}
+	}
+}
+
 // Store binds the encoded key v to val, inserting the key if absent and
 // overwriting the value if present (lock-free upsert).
 func (t *Trie[K, V]) Store(v K, val V) { t.Swap(v, val) }
 
 // Swap is Store that also returns the value it replaced (loaded true) or
-// the zero value when v was absent, like sync.Map's Swap. The previous
-// value is the one on the leaf the overwrite's child CAS swung out: the
-// flag CAS on the parent pins that leaf from the search to the commit.
+// the zero value when v was absent, like sync.Map's Swap.
 func (t *Trie[K, V]) Swap(v K, val V) (previous V, loaded bool) {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			if t.tryInsert(l, v, val, r) {
-				t.count.Add(1)
-				return previous, false
-			}
-			continue
-		}
-		if t.tryOverwrite(l, v, val, r) {
-			return r.node.leaf().val, true
-		}
-	}
+	previous, loaded, _ = t.update(v, val, true, overwrite, nil)
+	return previous, loaded
 }
 
 // LoadOrStore returns the value bound to v if present (loaded == true);
 // otherwise it stores val and returns it. The load path performs no CAS.
 func (t *Trie[K, V]) LoadOrStore(v K, val V) (actual V, loaded bool) {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if keyInTrie(r.node, v, r.rmvd) {
-			return r.node.leaf().val, true
-		}
-		if t.tryInsert(l, v, val, r) {
-			t.count.Add(1)
-			return val, false
-		}
+	if actual, loaded, _ = t.update(v, val, true, keep, nil); loaded {
+		return actual, true
 	}
+	return val, false
 }
 
 // LoadAndDelete is Delete that also returns the value it removed, like
 // sync.Map's LoadAndDelete; loaded is false (and value the zero value)
-// when v was absent. As in DeleteFunc, the flag CAS pins the leaf read at
-// search time until the delete commits, so value is what was removed.
+// when v was absent.
 func (t *Trie[K, V]) LoadAndDelete(v K) (value V, loaded bool) {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return value, false
-		}
-		if t.tryDelete(l, v, r) {
-			t.count.Add(-1)
-			return r.node.leaf().val, true
-		}
-	}
+	value, loaded, _ = t.update(v, value, false, remove, nil)
+	return value, loaded
 }
 
 // valuesEqual compares two values with Go interface equality (the
-// sync.Map contract): it panics when the values are not comparable. The
-// conversions to any may box, but only on the CompareAndSwap /
-// CompareAndDelete paths, which mutate and hence allocate anyway.
+// sync.Map contract): it panics when the values are not comparable.
 func valuesEqual[V any](a, b V) bool {
 	return any(a) == any(b)
 }
@@ -104,104 +118,33 @@ func valuesEqual[V any](a, b V) bool {
 // value equals old (interface equality; old must be comparable). It
 // returns true iff the swap happened.
 func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if !valuesEqual(r.node.leaf().val, old) {
-			return false
-		}
-		if t.tryOverwrite(l, v, new, r) {
-			return true
-		}
-	}
+	return t.CompareAndSwapFunc(v, func(cur V) bool { return valuesEqual(cur, old) }, new)
 }
 
 // CompareAndDelete deletes v if its stored value equals old (interface
 // equality; old must be comparable). It returns true iff the key was
 // deleted.
 func (t *Trie[K, V]) CompareAndDelete(v K, old V) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if !valuesEqual(r.node.leaf().val, old) {
-			return false
-		}
-		// The value check above is still valid when the delete commits:
-		// tryDelete's flag CAS on the parent fails unless the parent's
-		// info is unchanged since the search, which pins the leaf we
-		// inspected (a concurrent overwrite must flag the same parent).
-		if t.tryDelete(l, v, r) {
-			t.count.Add(-1)
-			return true
-		}
-	}
+	return t.DeleteFunc(v, func(cur V) bool { return valuesEqual(cur, old) })
 }
 
 // DeleteFunc deletes v if cond returns true for its stored value. It
-// returns true iff the key was deleted. The condition runs on the value
-// read at search time; as with CompareAndDelete, the flag CAS on the
-// parent pins that leaf until the delete commits, so the value the
-// condition approved is the value that is removed. cond may be called
-// multiple times (once per retry) and must be side-effect free.
+// returns true iff the key was deleted. cond may be called multiple
+// times (once per retry) and must be side-effect free.
 func (t *Trie[K, V]) DeleteFunc(v K, cond func(V) bool) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if !cond(r.node.leaf().val) {
-			return false
-		}
-		if t.tryDelete(l, v, r) {
-			t.count.Add(-1)
-			return true
-		}
-	}
+	var zero V
+	_, _, done := t.update(v, zero, false, remove, cond)
+	return done
 }
 
 // CompareAndSwapFunc is DeleteFunc's twin: it binds v to new if v is
 // present and cond returns true for its stored value, returning true iff
 // the swap happened. It never compares values, so it works for
-// non-comparable value types, where CompareAndSwap panics. The flag CAS
-// pins the leaf cond approved until the child CAS swings it out. cond may
-// be called multiple times (once per retry) and must be side-effect free.
+// non-comparable value types, where CompareAndSwap panics. cond may be
+// called multiple times (once per retry) and must be side-effect free.
 func (t *Trie[K, V]) CompareAndSwapFunc(v K, cond func(V) bool, new V) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if !keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if !cond(r.node.leaf().val) {
-			return false
-		}
-		if t.tryOverwrite(l, v, new, r) {
-			return true
-		}
-	}
+	_, _, done := t.update(v, new, false, overwrite, cond)
+	return done
 }
 
 // tryOverwrite attempts to replace the live leaf r.node (holding encoded

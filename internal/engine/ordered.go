@@ -8,18 +8,10 @@ import "nbtrie/internal/keys"
 // with Compare-based pruning: a subtree rooted at label L holds exactly
 // the live keys that are proper extensions of L, and every extension of
 // L sorts on the same side of a probe v as L itself unless L is a prefix
-// of v. All of these read without synchronization: results are exact at
-// quiescence and best-effort under concurrent updates (each visited link
-// was current at the moment it was read).
-
-// usableLeaf reports whether a leaf holds a live user key: not one of
-// the two dummies and not logically removed by a general-case replace.
-func (t *Trie[K, V]) usableLeaf(n *node[K, V]) bool {
-	if n.label.Equal(t.dummyMin) || n.label.Equal(t.dummyMax) {
-		return false
-	}
-	return !t.logicallyRemoved(n.info.Load())
-}
+// of v. The walks are Snapshot methods; the live trie runs them on
+// Trie.live, without synchronization: results are exact at quiescence and
+// best-effort under concurrent updates (each visited link was current at
+// the moment it was read).
 
 // allBelow reports whether every leaf under c sorts strictly before v:
 // c's label differs from v at some bit before either ends and is
@@ -41,49 +33,31 @@ func allAbove[K keys.Key[K], V any](c *node[K, V], v K) bool {
 // are pruned, so resuming an iteration from a midpoint costs one
 // descent, not a full walk.
 func (t *Trie[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
-	t.ascendNode(t.root.Load(), from, fn)
-}
-
-func (t *Trie[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
-	if n.isLeaf() {
-		if n.label.Compare(v) >= 0 && t.usableLeaf(n) {
-			return fn(n.label, n.leaf().val)
-		}
-		return true
-	}
-	in := n.inner()
-	for idx := 0; idx < t.fanout(in); idx++ {
-		c := in.kid(idx).Load()
-		if c == nil || allBelow(c, v) {
-			continue
-		}
-		if !t.ascendNode(c, v, fn) {
-			return false
-		}
-	}
-	return true
+	s := t.live()
+	s.AscendKV(from, fn)
 }
 
 // Ceiling returns the smallest live key >= v, if any.
 func (t *Trie[K, V]) Ceiling(v K) (K, bool) {
-	return t.ceilNode(t.root.Load(), v)
+	s := t.live()
+	return s.ceilNode(s.root, v)
 }
 
-func (t *Trie[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
+func (s *Snapshot[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
 	if n.isLeaf() {
-		if n.label.Compare(v) >= 0 && t.usableLeaf(n) {
+		if n.label.Compare(v) >= 0 && s.usable(n) {
 			return n.label, true
 		}
 		var zero K
 		return zero, false
 	}
 	in := n.inner()
-	for idx := 0; idx < t.fanout(in); idx++ {
+	for idx := 0; idx < s.t.fanout(in); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil || allBelow(c, v) {
 			continue
 		}
-		if k, ok := t.ceilNode(c, v); ok {
+		if k, ok := s.ceilNode(c, v); ok {
 			return k, true
 		}
 	}
@@ -93,24 +67,25 @@ func (t *Trie[K, V]) ceilNode(n *node[K, V], v K) (K, bool) {
 
 // Floor returns the largest live key <= v, if any.
 func (t *Trie[K, V]) Floor(v K) (K, bool) {
-	return t.floorNode(t.root.Load(), v)
+	s := t.live()
+	return s.floorNode(s.root, v)
 }
 
-func (t *Trie[K, V]) floorNode(n *node[K, V], v K) (K, bool) {
+func (s *Snapshot[K, V]) floorNode(n *node[K, V], v K) (K, bool) {
 	if n.isLeaf() {
-		if n.label.Compare(v) <= 0 && t.usableLeaf(n) {
+		if n.label.Compare(v) <= 0 && s.usable(n) {
 			return n.label, true
 		}
 		var zero K
 		return zero, false
 	}
 	in := n.inner()
-	for idx := t.fanout(in) - 1; idx >= 0; idx-- {
+	for idx := s.t.fanout(in) - 1; idx >= 0; idx-- {
 		c := in.kid(idx).Load()
 		if c == nil || allAbove(c, v) {
 			continue
 		}
-		if k, ok := t.floorNode(c, v); ok {
+		if k, ok := s.floorNode(c, v); ok {
 			return k, true
 		}
 	}

@@ -35,6 +35,12 @@ import "nbtrie/internal/keys"
 // to a newer generation describes a removal that happened after this
 // snapshot and is ignored.
 //
+// The live trie reads through the same code: Trie.live is a Snapshot
+// value at the current root whose generation (liveGen) is newer than
+// any node's, so removed counts every Flag — the paper's check — and
+// Contains, Load and the ordered walks have one descent each, as a
+// Ctrie reads a snapshot and the live trie with one lookup.
+//
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load
 // of the pending flag and the add back, with no allocation and no word
@@ -85,8 +91,26 @@ func (s *Snapshot[K, V]) Gen() uint64 { return s.gen }
 // with no mutation in flight.
 func (s *Snapshot[K, V]) Len() int { return int(s.n) }
 
-// removed is the snapshot's generation-aware version of
-// logicallyRemoved: a Flag planted on a leaf by a replace whose flagged
+// liveGen is the generation of the live view (Trie.live): newer than
+// every internal node's, so removed counts every Flag and reduces to the
+// paper's logically-removed check (lines 122-124).
+const liveGen = ^uint64(0)
+
+// live returns the live trie as a Snapshot value at its current root, so
+// the live reads (Contains, Load, AscendKV, Ceiling, Floor) run the
+// snapshot's descent, removal check and ordered walk. Unlike a real
+// snapshot the structure under it keeps moving: each visited link was
+// current when it was read. It carries no count and must not escape.
+func (t *Trie[K, V]) live() Snapshot[K, V] {
+	return Snapshot[K, V]{t: t, root: t.root.Load(), gen: liveGen}
+}
+
+// removed implements lines 122-124, generation-aware: a leaf whose info
+// holds the Flag of a general-case replace is logically removed once that
+// replace's first child CAS has happened, detectable by the old child no
+// longer being a child of that CAS's target (Lemma 41); a nil target is
+// the root-CAS sentinel (the replace's insert half replaced the root node
+// itself), checked against the trie's root pointer. A Flag whose flagged
 // parents belong to a generation newer than the snapshot describes a
 // removal that happened after the snapshot was taken, so the leaf was
 // live in this view. (A replace from this or an older generation
@@ -111,7 +135,12 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 	return p.gen <= s.gen && !s.t.holdsChild(p.inner(), old)
 }
 
-// search is the read-only descent over the frozen structure.
+// search is the read-only descent (the paper's search, lines 76-85): at
+// each internal node whose label is a proper prefix of v it steps into
+// the slot of v's next digit. Labels strictly lengthen along any path
+// (Invariant 7), so the loop runs at most |v| times: wait-free for
+// bounded key types, lock-free for unbounded ones. A nil n is an empty
+// slot of a wide node: v is absent.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
 	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
@@ -142,8 +171,8 @@ func (s *Snapshot[K, V]) Load(v K) (V, bool) {
 
 // AscendKV calls fn on every (key, value) pair with key >= from that was
 // live at the snapshot point, in ascending encoded-key order, until fn
-// returns false. Unlike the live trie's iterator this is a true
-// consistent cut: the structure cannot change mid-walk.
+// returns false. On a real snapshot this is a true consistent cut: the
+// structure cannot change mid-walk.
 func (s *Snapshot[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 	s.ascendNode(s.root, from, fn)
 }
@@ -168,7 +197,8 @@ func (s *Snapshot[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool
 	return true
 }
 
-// usable mirrors Trie.usableLeaf with the generation-aware removal check.
+// usable reports whether a leaf holds a live user key in this view: not
+// one of the two dummies and not removed.
 func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 	if n.label.Equal(s.t.dummyMin) || n.label.Equal(s.t.dummyMax) {
 		return false
@@ -176,7 +206,8 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 	return !s.removed(n.info.Load())
 }
 
-// searchMut is search for mutating operations: the same descent, but it
+// searchMut is Snapshot.search for mutating operations on the live trie:
+// the same descent, recording the paper's 6-tuple, but it
 // renews any stale internal node it meets — splicing a current-generation
 // copy over it through the flag protocol — before stepping into it, so
 // the returned position's gp, p and node (when internal) all carry the
@@ -222,7 +253,8 @@ restart:
 			(*t.rootHits)[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
 		}
 		if n != nil && n.isLeaf() {
-			r.rmvd = t.logicallyRemoved(n.info.Load())
+			live := Snapshot[K, V]{t: t, gen: liveGen}
+			r.rmvd = live.removed(n.info.Load())
 		}
 		return r
 	}

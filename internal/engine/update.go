@@ -239,21 +239,8 @@ func (t *Trie[K, V]) Insert(v K) bool {
 
 // InsertValue is Insert with a value payload bound to the fresh leaf.
 func (t *Trie[K, V]) InsertValue(v K, val V) bool {
-	l := t.gate.enter()
-	defer t.gate.exit(l)
-	for first := true; ; first = false {
-		if !first {
-			t.stats.opRetries.Add(1)
-		}
-		r := t.searchMut(l, v)
-		if keyInTrie(r.node, v, r.rmvd) {
-			return false
-		}
-		if t.tryInsert(l, v, val, r) {
-			t.count.Add(1)
-			return true
-		}
-	}
+	_, loaded, _ := t.update(v, val, true, keep, nil)
+	return !loaded
 }
 
 // tryInsert attempts one round of the insert protocol for the encoded
@@ -318,7 +305,7 @@ func (t *Trie[K, V]) replaceParent(l *lane, r searchResult[K, V], np *node[K, V]
 // was absent (lines 33-41). The parent of v's leaf is replaced by the
 // leaf's sibling; both the grandparent and the parent are flagged, and
 // the parent — which leaves the trie — stays flagged forever. The retry
-// loop is LoadAndDelete's (map.go).
+// loop is update's (map.go).
 func (t *Trie[K, V]) Delete(v K) bool {
 	_, ok := t.LoadAndDelete(v)
 	return ok

@@ -89,41 +89,116 @@ func TestLoadIsAllocationFree(t *testing.T) {
 	}
 }
 
+// writeForm is one public write form under the update pins: op applies
+// it to key k and reports whether it did what its leg expects — changed
+// the trie, or on the no-op leg left it alone. Every form writes
+// pinVal(k), and the conditional forms compare against it through a
+// closure over k, so a cond that escaped to the heap would cost an
+// object on every leg it runs on.
+type writeForm struct {
+	name string
+	op   func(tr *U64[int], k uint64) bool
+}
+
+func pinVal(k uint64) int { return int(k) + 100000 }
+
+// The four legs. Every form of a leg runs the one engine loop down the
+// same path, so each must meet its leg's budget on its own.
+var (
+	insertForms = []writeForm{
+		{"Store", func(tr *U64[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
+		{"LoadOrStore", func(tr *U64[int], k uint64) bool {
+			_, loaded, ok := tr.LoadOrStore(k, pinVal(k))
+			return ok && !loaded
+		}},
+		{"InsertValue", func(tr *U64[int], k uint64) bool { return tr.InsertValue(k, pinVal(k)) }},
+	}
+	overwriteForms = []writeForm{
+		{"Store", func(tr *U64[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
+		{"Swap", func(tr *U64[int], k uint64) bool {
+			_, loaded, ok := tr.Swap(k, pinVal(k))
+			return ok && loaded
+		}},
+		{"CompareAndSwap", func(tr *U64[int], k uint64) bool { return tr.CompareAndSwap(k, pinVal(k), pinVal(k)) }},
+		{"CompareAndSwapFunc", func(tr *U64[int], k uint64) bool {
+			return tr.CompareAndSwapFunc(k, func(v int) bool { return v == pinVal(k) }, pinVal(k))
+		}},
+	}
+	deleteForms = []writeForm{
+		{"Delete", func(tr *U64[int], k uint64) bool { return tr.Delete(k) }},
+		{"LoadAndDelete", func(tr *U64[int], k uint64) bool {
+			_, loaded := tr.LoadAndDelete(k)
+			return loaded
+		}},
+		{"CompareAndDelete", func(tr *U64[int], k uint64) bool { return tr.CompareAndDelete(k, pinVal(k)) }},
+		{"DeleteFunc", func(tr *U64[int], k uint64) bool {
+			return tr.DeleteFunc(k, func(v int) bool { return v == pinVal(k) })
+		}},
+	}
+	noopForms = []writeForm{
+		{"LoadOrStore hit", func(tr *U64[int], k uint64) bool {
+			v, loaded, ok := tr.LoadOrStore(k, 0)
+			return ok && loaded && v == pinVal(k)
+		}},
+		{"CompareAndSwap wrong old", func(tr *U64[int], k uint64) bool { return !tr.CompareAndSwap(k, pinVal(k)+1, 0) }},
+		{"CompareAndDelete wrong old", func(tr *U64[int], k uint64) bool { return !tr.CompareAndDelete(k, pinVal(k)+1) }},
+		{"DeleteFunc cond says no", func(tr *U64[int], k uint64) bool {
+			return !tr.DeleteFunc(k, func(v int) bool { return v != pinVal(k) })
+		}},
+	}
+)
+
 func TestUpdateAllocationBudgets(t *testing.T) {
 	tr, err := NewU64[int](30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := uint64(0); k < 1024; k++ {
-		tr.Store(k, int(k))
+	for k := uint64(0); k < 4096; k++ {
+		tr.Store(k, pinVal(k))
 	}
 
 	k := uint64(1 << 20)
-	if n := testing.AllocsPerRun(500, func() {
-		if !tr.Store(k, 100000+int(k)) {
-			t.Fatal("insert Store failed")
+	for _, f := range insertForms {
+		if n := testing.AllocsPerRun(500, func() {
+			if !f.op(tr, k) {
+				t.Fatalf("insert %s failed", f.name)
+			}
+			k++
+		}); n > insertAllocBudget {
+			t.Errorf("uncontended insert by %s allocates %v objects, budget %d", f.name, n, insertAllocBudget)
 		}
-		k++
-	}); n > insertAllocBudget {
-		t.Errorf("uncontended insert allocates %v objects, budget %d", n, insertAllocBudget)
 	}
 
-	if n := testing.AllocsPerRun(500, func() {
-		if !tr.Store(512, 100000) {
-			t.Fatal("overwrite Store failed")
+	for _, f := range overwriteForms {
+		if n := testing.AllocsPerRun(500, func() {
+			if !f.op(tr, 512) {
+				t.Fatalf("overwrite %s failed", f.name)
+			}
+		}); n > overwriteAllocBudget {
+			t.Errorf("uncontended overwrite by %s allocates %v objects, budget %d", f.name, n, overwriteAllocBudget)
 		}
-	}); n > overwriteAllocBudget {
-		t.Errorf("uncontended overwrite allocates %v objects, budget %d", n, overwriteAllocBudget)
 	}
 
-	d := uint64(1 << 20)
-	if n := testing.AllocsPerRun(500, func() {
-		if !tr.Delete(d) {
-			t.Fatal("Delete failed")
+	for _, f := range noopForms {
+		if n := testing.AllocsPerRun(500, func() {
+			if !f.op(tr, 512) {
+				t.Fatalf("%s changed the trie", f.name)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %v objects, want 0", f.name, n)
 		}
-		d++
-	}); n != deleteAllocBudget {
-		t.Errorf("uncontended delete allocates %v objects, want exactly %d", n, deleteAllocBudget)
+	}
+
+	d := uint64(0)
+	for _, f := range deleteForms {
+		if n := testing.AllocsPerRun(500, func() {
+			if !f.op(tr, d) {
+				t.Fatalf("delete %s failed", f.name)
+			}
+			d++
+		}); n != deleteAllocBudget {
+			t.Errorf("uncontended delete by %s allocates %v objects, want exactly %d", f.name, n, deleteAllocBudget)
+		}
 	}
 }
 
@@ -162,38 +237,44 @@ func TestUpdateByteBudgets(t *testing.T) {
 	}
 	// Odd user keys encode even (the codec stores k+1), so every even key
 	// k inserted below differs from the present k-1 in its last bit alone:
-	// each insert lands at a leaf, and each delete below contracts the
-	// node that insert made.
-	for k := uint64(1); k < 2048; k += 2 {
-		tr.Store(k, int(k))
+	// each insert lands at a leaf. A binary delete always contracts its
+	// parent, so the deletes below take any present key.
+	for k := uint64(1); k < 8192; k += 2 {
+		tr.Store(k, pinVal(k))
 	}
 
 	k := uint64(2)
-	if n := bytesPerRun(500, func() {
-		if !tr.Store(k, 1) {
-			t.Fatal("insert Store failed")
+	for _, f := range insertForms {
+		if n := bytesPerRun(500, func() {
+			if !f.op(tr, k) {
+				t.Fatalf("insert %s failed", f.name)
+			}
+			k += 2
+		}); n > insertByteBudget {
+			t.Errorf("uncontended insert by %s allocates %d B, budget %d", f.name, n, insertByteBudget)
 		}
-		k += 2
-	}); n > insertByteBudget {
-		t.Errorf("uncontended insert allocates %d B, budget %d", n, insertByteBudget)
 	}
 
-	if n := bytesPerRun(500, func() {
-		if !tr.Store(513, 1) {
-			t.Fatal("overwrite Store failed")
+	for _, f := range overwriteForms {
+		if n := bytesPerRun(500, func() {
+			if !f.op(tr, 513) {
+				t.Fatalf("overwrite %s failed", f.name)
+			}
+		}); n > overwriteByteBudget {
+			t.Errorf("uncontended overwrite by %s allocates %d B, budget %d", f.name, n, overwriteByteBudget)
 		}
-	}); n > overwriteByteBudget {
-		t.Errorf("uncontended overwrite allocates %d B, budget %d", n, overwriteByteBudget)
 	}
 
 	d := uint64(2)
-	if n := bytesPerRun(500, func() {
-		if !tr.Delete(d) {
-			t.Fatal("Delete failed")
+	for _, f := range deleteForms {
+		if n := bytesPerRun(500, func() {
+			if !f.op(tr, d) {
+				t.Fatalf("delete %s failed", f.name)
+			}
+			d++
+		}); n > deleteByteBudget {
+			t.Errorf("uncontended delete by %s allocates %d B, budget %d", f.name, n, deleteByteBudget)
 		}
-		d += 2
-	}); n > deleteByteBudget {
-		t.Errorf("uncontended delete allocates %d B, budget %d", n, deleteByteBudget)
 	}
 }
 

@@ -1,7 +1,6 @@
 package nbtrie
 
 import (
-	"strings"
 	"testing"
 
 	"nbtrie/internal/settest"
@@ -49,7 +48,7 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("%s Fanout = %d, want >= 2", name, im.Fanout)
 		}
 	}
-	if im, _ := LookupImplementation("karypatricia"); im.Fanout != 1<<KarySpan || im.Replace != ReplaceFull || !im.WaitFreeRead {
+	if im, _ := LookupImplementation("karypatricia"); im.Fanout != 1<<KarySpan || !im.Replace || !im.WaitFreeRead {
 		t.Fatalf("karypatricia descriptor wrong: %+v", im)
 	}
 	seen := map[string]bool{}
@@ -70,18 +69,13 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("NewSet(%q) produced a broken set", name)
 		}
 		// The replace capability must match the set surface: exactly the
-		// ReplaceFull entries satisfy ReplaceSet.
-		if _, isReplace := s.(ReplaceSet); (im.Replace == ReplaceFull) != isReplace {
-			t.Fatalf("%q: ReplaceScope=%v but ReplaceSet assertion=%v", name, im.Replace, isReplace)
+		// Replace entries satisfy ReplaceSet.
+		if _, isReplace := s.(ReplaceSet); im.Replace != isReplace {
+			t.Fatalf("%q: Replace=%v but ReplaceSet assertion=%v", name, im.Replace, isReplace)
 		}
 	}
-	if im, _ := LookupImplementation("sharded"); im.Replace != ReplaceFull {
-		t.Fatalf("sharded ReplaceScope = %v, want ReplaceFull", im.Replace)
-	}
-	for _, scope := range []ReplaceScope{ReplaceNone, ReplaceFull} {
-		if scope.String() == "" || strings.HasPrefix(scope.String(), "ReplaceScope(") {
-			t.Errorf("ReplaceScope(%d).String() = %q", scope, scope)
-		}
+	if im, _ := LookupImplementation("sharded"); !im.Replace {
+		t.Fatal("sharded Replace = false, want true")
 	}
 	// AllImplementations mirrors Implementations in order and content,
 	// and hands out copies (mutating one must not poison the registry).

@@ -8,30 +8,6 @@ import (
 	"nbtrie/internal/kv"
 )
 
-// ReplaceScope is the replace capability of a registered implementation.
-type ReplaceScope uint8
-
-const (
-	// ReplaceNone: the implementation has no atomic replace at all (the
-	// paper's five baselines).
-	ReplaceNone ReplaceScope = iota
-	// ReplaceFull: the paper's atomic Replace over the entire key
-	// space; the implementation satisfies ReplaceSet.
-	ReplaceFull
-)
-
-// String renders the scope for tables and CLIs.
-func (s ReplaceScope) String() string {
-	switch s {
-	case ReplaceFull:
-		return "full"
-	case ReplaceNone:
-		return "none"
-	default:
-		return fmt.Sprintf("ReplaceScope(%d)", uint8(s))
-	}
-}
-
 // Implementation describes one registered concurrent-set implementation:
 // the paper's Patricia trie, the five baselines of its evaluation, and
 // three more instantiations of the shared engine: Morton-keyed, with a
@@ -46,9 +22,10 @@ type Implementation struct {
 	Legend string
 	// Description is a one-line human-readable summary with the citation.
 	Description string
-	// Replace is the replace capability: none, or full (ReplaceSet is
-	// satisfied).
-	Replace ReplaceScope
+	// Replace reports whether the implementation has the paper's atomic
+	// Replace over its entire key space, i.e. satisfies ReplaceSet (the
+	// paper's five baselines do not).
+	Replace bool
 	// WaitFreeRead reports whether the implementation's Contains is
 	// wait-free — a pure read that performs no CAS, helps no other
 	// operation and allocates nothing. Implementations claiming this are
@@ -81,7 +58,7 @@ var registry = []Implementation{
 		Fanout:       2,
 		Legend:       "PAT",
 		Description:  "non-blocking Patricia trie with Replace (Shafiei, ICDCS 2013); wait-free Contains",
-		Replace:      ReplaceFull,
+		Replace:      true,
 		WaitFreeRead: true,
 		New: func(width uint32) (Set, error) {
 			return NewPatriciaTrie(width)
@@ -137,7 +114,7 @@ var registry = []Implementation{
 		Fanout:       2,
 		Legend:       "PAT-Z",
 		Description:  "Morton-keyed spatial instantiation of the shared engine (65-bit Z-order keys; atomic point moves via Replace)",
-		Replace:      ReplaceFull,
+		Replace:      true,
 		WaitFreeRead: true,
 		New: func(uint32) (Set, error) {
 			// The Morton key space is fixed at 64 bits (the full
@@ -151,7 +128,7 @@ var registry = []Implementation{
 		Fanout:       2,
 		Legend:       "PAT-S",
 		Description:  "PAT under a wide root: the top key bits pick one of 2^s root slots (the shards of ShardedMap); one trie, Replace atomic across slots",
-		Replace:      ReplaceFull,
+		Replace:      true,
 		WaitFreeRead: true,
 		New: func(width uint32) (Set, error) {
 			t, _, err := newSharded[struct{}](width, 0, 1)
@@ -166,7 +143,7 @@ var registry = []Implementation{
 		Fanout:       1 << KarySpan,
 		Legend:       "PAT-K",
 		Description:  "k-ary engine instantiation: 16-child cache-line-sized nodes resolve 4 key bits per level, same flag/help protocol and atomic Replace",
-		Replace:      ReplaceFull,
+		Replace:      true,
 		WaitFreeRead: true,
 		New: func(width uint32) (Set, error) {
 			return NewKaryPatriciaTrie(width, KarySpan)

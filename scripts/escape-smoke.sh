@@ -34,24 +34,28 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
         grep -E 'escapes to heap|moved to heap' >"$mlog"
     sort <"$mlog" | uniq -c | sort -rn
     echo
-    echo "## k-ary read path (engine.go search/child loads)"
-    # The engine's wait-free reads (Find/Get and the search descents)
-    # must not heap-allocate — the 0-alloc Load/Contains pins in
-    # internal/kv/alloc_test.go enforce the count; this section points
-    # at the culprit line when one of those pins fails. Escapes in
-    # engine.go outside the update/replace/snapshot files are the
-    # read-path suspects: the child-slot loads (every slot lies inline
-    # in its node — kid() returns the address of a slot inside an
-    # object that is already on the heap, which is not an escape)
-    # should add nothing here. Nor
-    # do leaf()/inner(), which only re-type a pointer: the "leaf() on an
-    # internal node" / "inner() on a leaf" lines are their guards' panic
-    # arguments, constants boxed at compile time, listed wherever the
-    # accessors are inlined. The constructors in engine.go (newLeafVal's
-    # &leafNode{...}, newInner's &innerAlloc{...}, newUnflag, newFlag)
-    # are expected sites: update path only.
-    if grep 'engine/engine\.go' "$mlog"; then
-        echo "(engine.go escape sites above: cross-check against the"
+    echo "## k-ary read path (snapshot.go search/ordered walks)"
+    # The engine's wait-free reads must not heap-allocate — the 0-alloc
+    # Load/Contains pins in internal/kv/alloc_test.go enforce the count;
+    # this section points at the culprit line when one of those pins
+    # fails. Every read runs one descent, Snapshot.search in snapshot.go
+    # (the live trie runs it as a Snapshot value on the stack at its
+    # current root, Trie.live), and the ordered walks of snapshot.go and
+    # ordered.go. The child-slot loads (every slot lies inline in its
+    # node — kid() returns the address of a slot inside an object that
+    # is already on the heap, which is not an escape) should add nothing
+    # here, and neither should the live view: a Trie.live value listed
+    # as moved to heap is the regression. Nor do leaf()/inner(), which
+    # only re-type a pointer: the "leaf() on an internal node" /
+    # "inner() on a leaf" lines are their guards' panic arguments,
+    # constants boxed at compile time, listed wherever the accessors are
+    # inlined. Expected sites: Trie.Snapshot's &Snapshot{...} (once per
+    # snapshot, not per read) and the update path's searchMut and
+    # renewChild, which share the file. Listed once each, in line order.
+    walk="$(grep -E 'engine/(snapshot|ordered)\.go' "$mlog" | sort -t: -k1,1 -k2,2n -k3,3n | uniq)"
+    if [ -n "$walk" ]; then
+        echo "$walk"
+        echo "(read-walk escape sites above: cross-check against the"
         echo "0-alloc read pins before assuming they are cold-path.)"
     else
         echo "none: the descent (incl. the k-ary child-array reads) is heap-free"
