@@ -290,14 +290,15 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	}
 }
 
-// TestTryDeleteRootChildDefensive pins the defensive ordering in
-// tryDelete: the gp == nil branch must be taken before anything is read
-// through the search result. The situation cannot arise through Delete —
-// a leaf directly under the root is necessarily one of the two permanent
-// dummies (the 0-prefix and 1-prefix subtrees always contain them), and
-// dummy labels never equal an encoded user key, so keyInTrie rejects the
-// position first — but tryDelete must still fail closed when handed such
-// a result, leaving the trie untouched.
+// TestTryDeleteRootChildDefensive pins that a delete of a root child
+// fails closed: handed a search result whose parent is the binary root
+// (no grandparent to re-point), tryDelete refuses and leaves the trie
+// untouched. The root must never contract away its dummy subtrees. The
+// situation cannot arise through Delete — a leaf directly under the root
+// is necessarily one of the two permanent dummies (the 0-prefix and
+// 1-prefix subtrees always contain them), and dummy labels never equal
+// an encoded user key, so keyInTrie rejects the position first — but a
+// malformed result from a white-box caller must not corrupt the trie.
 func TestTryDeleteRootChildDefensive(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(7)

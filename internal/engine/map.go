@@ -153,12 +153,8 @@ func (t *Trie[K, V]) CompareAndSwapFunc(v K, cond func(V) bool, new V) bool {
 // old leaf to the new. False means re-search and retry. The fresh leaf is
 // only built once the captured parent info is known not to be a Flag.
 func (t *Trie[K, V]) tryOverwrite(l *lane, v K, val V, r searchResult[K, V]) bool {
-	if t.helpConflict(l, r.pInfo, nil, nil, nil) {
+	if t.helpConflict(l, r.pInfo, nil, nil) {
 		return false
 	}
-	i := t.newDesc(l,
-		[4]flagEntry[K, V]{{r.p, r.pInfo}}, 1,
-		[2]*node[K, V]{r.p}, [2]casEntry[K, V]{{r.node, newLeafVal(v, val)}}, 1,
-		nil)
-	return i != nil && t.help(l, i)
+	return t.commit(l, half[K, V]{r.p, r.node, newLeafVal(v, val), [3]flagEntry[K, V]{{r.p, r.pInfo}}})
 }

@@ -38,8 +38,9 @@ import "nbtrie/internal/keys"
 // The live trie reads through the same code: Trie.live is a Snapshot
 // value at the current root whose generation (liveGen) is newer than
 // any node's, so removed counts every Flag — the paper's check — and
-// Contains, Load and the ordered walks have one descent each, as a
-// Ctrie reads a snapshot and the live trie with one lookup.
+// Contains and Load have one descent (search) and AscendKV, Ceiling and
+// Floor one ordered walk (walk), as a Ctrie reads a snapshot and the
+// live trie with one lookup.
 //
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load
@@ -174,27 +175,7 @@ func (s *Snapshot[K, V]) Load(v K) (V, bool) {
 // returns false. On a real snapshot this is a true consistent cut: the
 // structure cannot change mid-walk.
 func (s *Snapshot[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
-	s.ascendNode(s.root, from, fn)
-}
-
-func (s *Snapshot[K, V]) ascendNode(n *node[K, V], v K, fn func(K, V) bool) bool {
-	if n.isLeaf() {
-		if n.label.Compare(v) >= 0 && s.usable(n) {
-			return fn(n.label, n.leaf().val)
-		}
-		return true
-	}
-	in := n.inner()
-	for idx := 0; idx < s.t.fanout(in); idx++ {
-		c := in.kid(idx).Load()
-		if c == nil || allBelow(c, v) {
-			continue
-		}
-		if !s.ascendNode(c, v, fn) {
-			return false
-		}
-	}
-	return true
+	s.walk(s.root, from, false, fn)
 }
 
 // usable reports whether a leaf holds a live user key in this view: not
@@ -280,15 +261,8 @@ func stale[K keys.Key[K], V any](n *node[K, V], g uint64) bool {
 func (t *Trie[K, V]) renewChild(l *lane, p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
 	t.stats.snapshotRenewals.Add(1)
 	cInfo := c.info.Load()
-	if t.helpConflict(l, pInfo, cInfo, nil, nil) {
+	if t.helpConflict(l, pInfo, cInfo, nil) {
 		return
 	}
-	nc := t.copyNode(c, g)
-	i := t.newDesc(l,
-		[4]flagEntry[K, V]{{p, pInfo}, {c, cInfo}}, 2,
-		[2]*node[K, V]{p}, [2]casEntry[K, V]{{c, nc}}, 1,
-		nil)
-	if i != nil {
-		t.help(l, i)
-	}
+	t.commit(l, half[K, V]{p, c, t.copyNode(c, g), [3]flagEntry[K, V]{{p, pInfo}, {c, cInfo}}})
 }

@@ -1,5 +1,13 @@
 package engine
 
+import "nbtrie/internal/keys"
+
+// The update protocol. help carries out a descriptor and newDesc builds
+// one; every descriptor is built from at most two halves. insertHalf and
+// deleteHalf are the paper's insert and delete (a join or a slot fill, a
+// contraction or a slot clear); tryInsert and tryDelete commit one each,
+// and Replace's general case joins one of each (replace.go).
+
 // testHookAfterFlagging, when non-nil, runs inside help after all flag
 // CASes succeeded and before the child CASes. It receives the *desc[K, V]
 // of the stalled update as an any (a package-level hook cannot be
@@ -101,10 +109,12 @@ func (t *Trie[K, V]) help(l *lane, i *desc[K, V]) bool {
 // if any — when some node to be flagged is already owned by another
 // operation, or when the same node was captured twice with different info
 // values (its children may have changed between the two reads). Otherwise
-// it deduplicates and sorts the flag entries by label in place, points
-// each CAS at its target's index among them (pNode[j], which must be
-// flagged, or nil for the root pointer), and packs the smallest shape
-// that holds the result.
+// it drops the entries with a nil node (a half's absent grandparent: the
+// root pointer is never flagged), deduplicates and sorts the rest by
+// label in place, points each CAS at its target's index among them
+// (pNode[j], which must be flagged, or nil for the root pointer), and
+// packs the smallest shape that holds the result. Its two callers are
+// oneCAS and replaceGeneral.
 //
 // The parameters are fixed-size arrays with explicit occupancy counts,
 // passed by value: they live on the caller's stack, are mutated locally
@@ -132,6 +142,9 @@ func (t *Trie[K, V]) newDesc(l *lane,
 	// between our two reads of it; retry.
 	m := 0
 	for a := 0; a < nFlag; a++ {
+		if flag[a].n == nil {
+			continue
+		}
 		dup := false
 		for b := 0; b < m; b++ {
 			if flag[b].n == flag[a].n {
@@ -177,6 +190,46 @@ func (t *Trie[K, V]) newDesc(l *lane,
 	return newFlag(&flag, nFlag, &cas, nCAS, tgt, rmvLeaf)
 }
 
+// half is one update's share of a descriptor: its one child CAS, which
+// swings the pointer tgt holds (nil: the root pointer) from old to new,
+// and the nodes it flags, each with the info captured for it. Entries
+// with a nil node are unused (newDesc drops them), so an absent
+// grandparent needs no count. An insert, a delete, an overwrite, a
+// renewal and every fused Figure 6 case is one half, committed through
+// oneCAS; the general-case replace is a delete half and an insert half
+// in one descriptor (replaceGeneral). Insert and delete halves flag at
+// most two nodes, which is what lets two of them share the four flag
+// entries of the general shape.
+type half[K keys.Key[K], V any] struct {
+	tgt, old, new *node[K, V]
+	flag          [3]flagEntry[K, V]
+}
+
+// oneCAS builds the descriptor of a single half: one child CAS, with the
+// target the only flagged node that stays in the trie, so it alone is
+// unflagged.
+func (t *Trie[K, V]) oneCAS(l *lane, h half[K, V]) *desc[K, V] {
+	return t.newDesc(l,
+		[4]flagEntry[K, V]{h.flag[0], h.flag[1], h.flag[2]}, 3,
+		[2]*node[K, V]{h.tgt}, [2]casEntry[K, V]{{h.old, h.new}}, 1,
+		nil)
+}
+
+// commit runs a single half to completion: false means re-search and
+// retry (conflicting update helped, or a flag CAS lost).
+func (t *Trie[K, V]) commit(l *lane, h half[K, V]) bool {
+	i := t.oneCAS(l, h)
+	return i != nil && t.help(l, i)
+}
+
+// swing is the half that replaces r.p wholesale by np under r.gp, or
+// under the root pointer when r.p is the root, flagging both: a wide
+// node's slot fill or clear, or a contraction into the sibling. r.p
+// leaves the trie and stays flagged.
+func swing[K keys.Key[K], V any](r searchResult[K, V], np *node[K, V]) half[K, V] {
+	return half[K, V]{r.gp, r.p, np, [3]flagEntry[K, V]{{r.p, r.pInfo}, {r.gp, r.gpInfo}}}
+}
+
 // helpConflict helps the first flagged descriptor among the captured info
 // values, reporting whether one was found. Update attempts call it before
 // building any speculative nodes: a flagged capture dooms the attempt
@@ -184,8 +237,8 @@ func (t *Trie[K, V]) newDesc(l *lane,
 // constructing leaves and copies that would be thrown away. nil entries
 // (unused arguments, and the info of a live leaf or a never-flagged
 // internal node) are skipped.
-func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3, i4 *info[K, V]) bool {
-	for _, i := range [...]*info[K, V]{i1, i2, i3, i4} {
+func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3 *info[K, V]) bool {
+	for _, i := range [...]*info[K, V]{i1, i2, i3} {
 		if i.flagged() {
 			t.stats.helpAssist.Add(1)
 			t.help(l, i.flag)
@@ -247,58 +300,41 @@ func (t *Trie[K, V]) InsertValue(v K, val V) bool {
 // key v at the position located by r; it returns false when the caller
 // must re-search and retry (conflicting update helped, or CAS lost).
 func (t *Trie[K, V]) tryInsert(l *lane, v K, val V, r searchResult[K, V]) bool {
-	n := r.node
-	if n == nil {
-		return t.tryFill(l, v, val, r)
-	}
-	nodeInfo := n.info.Load() // line 25: info before children; nil if n was never flagged
-	// Deferred speculative construction: a flagged capture means newDesc
-	// would reject this attempt anyway, so help the conflicting update
-	// and retry before building the fresh leaf, the copy of n and the
-	// joining internal node only to discard them.
-	if t.helpConflict(l, r.pInfo, nodeInfo, nil, nil) {
-		return false
-	}
-	newNode := t.makeInternal(l, t.copyNode(n, t.curGen()), newLeafVal(v, val), nodeInfo)
-	if newNode == nil {
-		return false
-	}
-	// A displaced internal node leaves the trie, so it is flagged too.
-	nFlag := 1
-	if !n.isLeaf() {
-		nFlag = 2
-	}
-	i := t.newDesc(l,
-		[4]flagEntry[K, V]{{r.p, r.pInfo}, {n, nodeInfo}}, nFlag,
-		[2]*node[K, V]{r.p}, [2]casEntry[K, V]{{n, newNode}}, 1,
-		nil)
-	return i != nil && t.help(l, i)
+	h, ok := t.insertHalf(l, v, val, r)
+	return ok && t.commit(l, h)
 }
 
-// tryFill handles the insert case that exists only for wide nodes: the
-// search ended at an empty slot of r.p. The slot is never CASed from nil
-// in place (nil repeats as an expected value — ABA); instead a fresh copy
-// of r.p with the slot holding v's leaf replaces r.p wholesale under
-// r.gp, or under the root pointer when r.p is the root. r.p leaves the
-// trie and stays flagged, exactly like every removed node.
-func (t *Trie[K, V]) tryFill(l *lane, v K, val V, r searchResult[K, V]) bool {
-	if t.helpConflict(l, r.gpInfo, r.pInfo, nil, nil) {
-		return false
+// insertHalf builds the insert of v, bound to val, at the position r.
+// At an occupied position r.node it joins a fresh leaf with a copy of
+// r.node under r.p (lines 25-27); a displaced internal node leaves the
+// trie, so it is flagged too. At an empty slot of a wide r.p — never
+// CASed from nil in place, since nil repeats as an expected value (ABA)
+// — it swings in a copy of r.p with the slot filled. ok is false when
+// the caller must re-search: a conflicting update was helped, or the
+// position was stale. Deferred speculative construction: the captured
+// infos are checked for a Flag, which would doom the attempt, before
+// any node is built.
+func (t *Trie[K, V]) insertHalf(l *lane, v K, val V, r searchResult[K, V]) (h half[K, V], ok bool) {
+	if r.node == nil {
+		if t.helpConflict(l, r.gpInfo, r.pInfo, nil) {
+			return h, false
+		}
+		si := t.slotOf(v, r.p.label.Len())
+		return swing(r, t.copyNodeSet(r.p, t.curGen(), si, newLeafVal(v, val), -1, nil)), true
 	}
-	si := t.slotOf(v, r.p.label.Len())
-	np := t.copyNodeSet(r.p, t.curGen(), si, newLeafVal(v, val), -1, nil)
-	return t.replaceParent(l, r, np)
-}
-
-// replaceParent swings r.p out for np with one CAS under r.gp, or under
-// the root pointer when r.p is the root, flagging both: a wide node's slot
-// fill or clear. r.p leaves the trie and stays flagged.
-func (t *Trie[K, V]) replaceParent(l *lane, r searchResult[K, V], np *node[K, V]) bool {
-	i := t.newDesc(l,
-		[4]flagEntry[K, V]{{r.p, r.pInfo}, {r.gp, r.gpInfo}}, flagCount(r.gp, 2),
-		[2]*node[K, V]{r.gp}, [2]casEntry[K, V]{{r.p, np}}, 1,
-		nil)
-	return i != nil && t.help(l, i)
+	nodeInfo := r.node.info.Load() // line 25: info before children; nil if never flagged
+	if t.helpConflict(l, r.pInfo, nodeInfo, nil) {
+		return h, false
+	}
+	nn := t.makeInternal(l, t.copyNode(r.node, t.curGen()), newLeafVal(v, val), nodeInfo)
+	if nn == nil {
+		return h, false
+	}
+	h = half[K, V]{r.p, r.node, nn, [3]flagEntry[K, V]{{r.p, r.pInfo}}}
+	if !r.node.isLeaf() {
+		h.flag[1] = flagEntry[K, V]{r.node, nodeInfo}
+	}
+	return h, true
 }
 
 // Delete removes the encoded key v from the set, returning false if it
@@ -312,32 +348,29 @@ func (t *Trie[K, V]) Delete(v K) bool {
 }
 
 // tryDelete attempts one round of the delete protocol for the encoded
-// key v located by r; false means re-search and retry. A parent left
-// with one child contracts into its sibling as in the paper; a wide
-// parent with three or more children instead gets a fresh copy with the
-// slot cleared, swung in under the grandparent (or the root pointer when
-// the parent is the root — the root always keeps at least the two dummy
-// subtrees, so it is never contracted away).
+// key v located by r; false means re-search and retry.
 func (t *Trie[K, V]) tryDelete(l *lane, v K, r searchResult[K, V]) bool {
-	sd := t.slotOf(v, r.p.label.Len())
-	live, sib := t.census(r.p.inner(), sd)
-	if live == 2 {
-		if r.gp == nil {
-			// A binary parent that is the root cannot hold a user leaf:
-			// its two children are the dummy subtrees, and a wide root
-			// with a direct user leaf has at least three children (the
-			// leaf's digit is shared with no other key, and each dummy
-			// anchors its own slot). Unreachable from Delete; retry
-			// defensively before any read through r.p, so a malformed
-			// searchResult (white-box callers, future refactors) fails
-			// closed instead of dereferencing an uncertified position.
-			return false
-		}
-		return t.replaceParent(l, r, sib)
+	h, ok := t.deleteHalf(l, v, r)
+	return ok && t.commit(l, h)
+}
+
+// deleteHalf builds the delete of v's leaf r.node: r.p is swung out
+// under r.gp (or the root pointer when r.p is the root) for what
+// afterDelete leaves — the sibling when r.p had two children, as in the
+// paper, or a copy of r.p with v's slot cleared. ok is false when the
+// caller must re-search.
+func (t *Trie[K, V]) deleteHalf(l *lane, v K, r searchResult[K, V]) (h half[K, V], ok bool) {
+	if t.helpConflict(l, r.gpInfo, r.pInfo, nil) {
+		return h, false
 	}
-	// Slot clear: wide parent keeps >= 2 children after the removal.
-	if t.helpConflict(l, r.gpInfo, r.pInfo, nil, nil) {
-		return false
+	res, contracted := t.afterDelete(r.p, t.slotOf(v, r.p.label.Len()), t.curGen())
+	if contracted && r.gp == nil {
+		// The root never contracts: a binary root's two children are the
+		// dummy subtrees, and a wide root with a user leaf directly under
+		// it has at least three (the leaf's digit is shared with no other
+		// key, and each dummy anchors its own slot). A two-child census
+		// here is torn, or the search result malformed; fail closed.
+		return h, false
 	}
-	return t.replaceParent(l, r, t.copyNodeSet(r.p, t.curGen(), sd, nil, -1, nil))
+	return swing(r, res), true
 }

@@ -389,3 +389,145 @@ func TestMortonUpdateAllocationBudgets(t *testing.T) {
 
 // (TestTryDeleteRootChildDefensive, a white-box test of the engine's
 // tryDelete, lives in internal/engine.)
+
+// The Replace pins. A general-case replace builds the insert's three
+// nodes (fresh leaf, copy of the displaced leaf, joining node) plus the
+// delete's result (nothing at span 1, where the parent contracts into
+// its sibling), one four-flag descriptor and an Unflag per CAS target; a
+// near-key replace is one of Figure 6's fused cases, a single child CAS.
+// At span 4 the fills and clears rebuild their parent instead. The
+// numbers are the engine's at the time of writing, not a ceiling chosen
+// for slack: a refactor of the Replace cases must keep them. The object
+// counts are held from below as well, like the delete pin: one fewer
+// means an unflag CAS stopped allocating its fresh Unflag.
+const replaceHigh = 1 << 20
+
+// fillOdd stores every odd key in [base, base+n) with its pin value.
+func fillOdd(tr *U64[int], base, n uint64) {
+	for k := base + 1; k < base+n; k += 2 {
+		tr.Store(k, pinVal(k))
+	}
+}
+
+var replaceCases = []struct {
+	name  string
+	span  uint32
+	high  bool                              // also fill the odd keys above replaceHigh
+	op    func(tr *U64[int], i uint64) bool // the i-th Replace, true when it took effect
+	objs  float64                           // objects per call (0 exactly for a no-op)
+	bytes uint64                            // bytes per call
+}{
+	// General case: the old key's leaf is low, the new key lands next to
+	// the present high key it differs from in its last bit alone.
+	{"general span 1", 1, true, func(tr *U64[int], i uint64) bool {
+		return tr.Replace(2*i+1, replaceHigh+2*i+2)
+	}, replaceGeneralAllocs, replaceGeneralBytes},
+	{"general span 4", 4, true, func(tr *U64[int], i uint64) bool {
+		return tr.Replace(2*i+1, replaceHigh+2*i+2)
+	}, replaceGeneralKaryAllocs, replaceGeneralKaryBytes},
+	// Near key: the new key differs from the old in the last bit, so at
+	// span 1 both searches end at the old leaf (case 1) and at span 4 in
+	// the same bottom node (one copy clears and fills).
+	{"near span 1", 1, false, func(tr *U64[int], i uint64) bool {
+		return tr.Replace(2*i+1, 2*i+2)
+	}, replaceNearAllocs, replaceNearBytes},
+	{"near span 4", 4, false, func(tr *U64[int], i uint64) bool {
+		return tr.Replace(2*i+1, 2*i+2)
+	}, replaceNearKaryAllocs, replaceNearKaryBytes},
+	// No-ops: old absent, or new present.
+	{"absent old", 1, true, func(tr *U64[int], i uint64) bool {
+		return !tr.Replace(2*i+2, replaceHigh+2*i+2)
+	}, 0, 0},
+	{"present new", 1, true, func(tr *U64[int], i uint64) bool {
+		return !tr.Replace(2*i+1, replaceHigh+2*i+1)
+	}, 0, 0},
+}
+
+// The span-1 general case is two 48 B leaves, a 64 B joining node, a
+// 128 B general descriptor and two 8 B Unflags; the near-key case a leaf,
+// a 48 B one-flag descriptor and an Unflag. At span 4 a near-key replace
+// is a 160 B bottom-node copy, a leaf, a 64 B two-flag descriptor and an
+// Unflag; the general case mixes slot fills, slot clears and
+// contractions down the run, so its figures are averages (AllocsPerRun
+// truncates to a whole object).
+const (
+	replaceGeneralAllocs     = 6
+	replaceGeneralBytes      = 304
+	replaceGeneralKaryAllocs = 5
+	replaceGeneralKaryBytes  = 469
+	replaceNearAllocs        = 3
+	replaceNearBytes         = 104
+	replaceNearKaryAllocs    = 4
+	replaceNearKaryBytes     = 280
+)
+
+func TestReplaceAllocationBudgets(t *testing.T) {
+	for _, c := range replaceCases {
+		t.Run(c.name, func(t *testing.T) {
+			fresh := func() *U64[int] {
+				tr, err := NewU64(30, engine.WithSpan[keys.Uint64Key, int](c.span))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillOdd(tr, 0, 4096)
+				if c.high {
+					fillOdd(tr, replaceHigh, 4096)
+				}
+				return tr
+			}
+			run := func(tr *U64[int]) func() {
+				i := uint64(0)
+				return func() {
+					if !c.op(tr, i) {
+						t.Fatalf("replace %d did not do what %s expects", i, c.name)
+					}
+					i++
+				}
+			}
+			n := testing.AllocsPerRun(500, run(fresh()))
+			tr := fresh()
+			// Collect the setup's garbage first, so no cycle it triggers
+			// lands in the byte count.
+			runtime.GC()
+			b := bytesPerRun(500, run(tr))
+			t.Logf("%v objects, %d B", n, b)
+			if c.objs == 0 && (n != 0 || b != 0) {
+				t.Errorf("no-op %s allocates %v objects, %d B; want 0", c.name, n, b)
+			}
+			if n != c.objs {
+				t.Errorf("uncontended %s replace allocates %v objects, want exactly %v", c.name, n, c.objs)
+			}
+			if b > c.bytes {
+				t.Errorf("uncontended %s replace allocates %d B, budget %d", c.name, b, c.bytes)
+			}
+		})
+	}
+}
+
+// TestOrderedReadsAreAllocationFree holds the ordered reads to the same
+// pin: Ceiling, Floor and Min run the one ordered walk with a closure
+// that must stay on the stack, at span 1 and span 4.
+func TestOrderedReadsAreAllocationFree(t *testing.T) {
+	for _, span := range []uint32{1, 4} {
+		tr, err := NewU64(20, engine.WithSpan[keys.Uint64Key, int](span))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 1024; k += 2 {
+			tr.Store(k, int(k))
+		}
+		if n := testing.AllocsPerRun(500, func() {
+			if k, ok := tr.Ceiling(511); !ok || k != 512 {
+				t.Fatal("Ceiling(511) wrong")
+			}
+			if k, ok := tr.Floor(511); !ok || k != 510 {
+				t.Fatal("Floor(511) wrong")
+			}
+			if k, ok := tr.Min(); !ok || k != 0 {
+				t.Fatal("Min wrong")
+			}
+		}); n != 0 {
+			t.Errorf("span-%d ordered reads allocate %v objects per call, want 0", span, n)
+		}
+	}
+}

@@ -2,8 +2,12 @@ package kv
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 )
 
 func TestOrderedQueriesBasic(t *testing.T) {
@@ -67,37 +71,61 @@ func TestOrderedQueriesBoundaryWidths(t *testing.T) {
 	}
 }
 
+// TestOrderedQueriesOracle checks Ceiling, Floor and AscendKV against a
+// sorted oracle on a binary trie, a span-4 trie and a binary trie under
+// a wide root. The wide layouts have empty slots, which both walk
+// directions must step over, and partial bottom digits.
 func TestOrderedQueriesOracle(t *testing.T) {
-	tr := mustNew(t, 10)
-	rng := rand.New(rand.NewSource(5))
-	present := make(map[uint64]bool)
-	for i := 0; i < 300; i++ {
-		k := rng.Uint64() % 1024
-		if rng.Intn(3) == 0 {
-			tr.Delete(k)
-			delete(present, k)
-		} else {
-			tr.Insert(k)
-			present[k] = true
-		}
-	}
-	sorted := make([]uint64, 0, len(present))
-	for k := range present {
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for _, c := range []struct {
+		name string
+		opts []engine.Option[keys.Uint64Key, any]
+	}{
+		{"span 1", nil},
+		{"span 4", []engine.Option[keys.Uint64Key, any]{engine.WithSpan[keys.Uint64Key, any](4)}},
+		{"root span 6", []engine.Option[keys.Uint64Key, any]{engine.WithRootSpan[keys.Uint64Key, any](6)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := mustNew(t, 10, c.opts...)
+			rng := rand.New(rand.NewSource(5))
+			present := make(map[uint64]bool)
+			for i := 0; i < 300; i++ {
+				k := rng.Uint64() % 1024
+				if rng.Intn(3) == 0 {
+					tr.Delete(k)
+					delete(present, k)
+				} else {
+					tr.Insert(k)
+					present[k] = true
+				}
+			}
+			sorted := make([]uint64, 0, len(present))
+			for k := range present {
+				sorted = append(sorted, k)
+			}
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-	for probe := uint64(0); probe < 1024; probe += 7 {
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= probe })
-		gotK, gotOK := tr.Ceiling(probe)
-		if wantOK := i < len(sorted); gotOK != wantOK || (gotOK && gotK != sorted[i]) {
-			t.Fatalf("Ceiling(%d) = %d,%v; oracle %v", probe, gotK, gotOK, sorted[i:min(i+1, len(sorted))])
-		}
-		j := sort.Search(len(sorted), func(i int) bool { return sorted[i] > probe }) - 1
-		gotK, gotOK = tr.Floor(probe)
-		if wantOK := j >= 0; gotOK != wantOK || (gotOK && gotK != sorted[j]) {
-			t.Fatalf("Floor(%d) = %d,%v; oracle j=%d", probe, gotK, gotOK, j)
-		}
+			var got []uint64
+			tr.AllKV(func(k uint64, _ any) bool {
+				got = append(got, k)
+				return true
+			})
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("AscendKV order = %v; oracle %v", got, sorted)
+			}
+
+			for probe := uint64(0); probe < 1024; probe += 7 {
+				i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= probe })
+				gotK, gotOK := tr.Ceiling(probe)
+				if wantOK := i < len(sorted); gotOK != wantOK || (gotOK && gotK != sorted[i]) {
+					t.Fatalf("Ceiling(%d) = %d,%v; oracle %v", probe, gotK, gotOK, sorted[i:min(i+1, len(sorted))])
+				}
+				j := sort.Search(len(sorted), func(i int) bool { return sorted[i] > probe }) - 1
+				gotK, gotOK = tr.Floor(probe)
+				if wantOK := j >= 0; gotOK != wantOK || (gotOK && gotK != sorted[j]) {
+					t.Fatalf("Floor(%d) = %d,%v; oracle j=%d", probe, gotK, gotOK, j)
+				}
+			}
+		})
 	}
 }
 

@@ -34,14 +34,18 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
         grep -E 'escapes to heap|moved to heap' >"$mlog"
     sort <"$mlog" | uniq -c | sort -rn
     echo
-    echo "## k-ary read path (snapshot.go search/ordered walks)"
+    echo "## k-ary read path (snapshot.go search/ordered.go walk)"
     # The engine's wait-free reads must not heap-allocate — the 0-alloc
-    # Load/Contains pins in internal/kv/alloc_test.go enforce the count;
-    # this section points at the culprit line when one of those pins
-    # fails. Every read runs one descent, Snapshot.search in snapshot.go
-    # (the live trie runs it as a Snapshot value on the stack at its
-    # current root, Trie.live), and the ordered walks of snapshot.go and
-    # ordered.go. The child-slot loads (every slot lies inline in its
+    # Load/Contains and Ceiling/Floor/Min pins in
+    # internal/kv/alloc_test.go enforce the count; this section points at
+    # the culprit line when one of those pins fails. Every read runs one
+    # descent, Snapshot.search in snapshot.go (the live trie runs it as a
+    # Snapshot value on the stack at its current root, Trie.live), or the
+    # one ordered walk, Snapshot.walk in ordered.go. walk's callback and
+    # the closure Ceiling and Floor hand it (Snapshot.first, which
+    # captures the key it returns) must not escape: a "func literal
+    # escapes" or a "moved to heap" line in ordered.go is the
+    # regression. The child-slot loads (every slot lies inline in its
     # node — kid() returns the address of a slot inside an object that
     # is already on the heap, which is not an escape) should add nothing
     # here, and neither should the live view: a Trie.live value listed
@@ -49,9 +53,10 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
     # only re-type a pointer: the "leaf() on an internal node" /
     # "inner() on a leaf" lines are their guards' panic arguments,
     # constants boxed at compile time, listed wherever the accessors are
-    # inlined. Expected sites: Trie.Snapshot's &Snapshot{...} (once per
-    # snapshot, not per read) and the update path's searchMut and
-    # renewChild, which share the file. Listed once each, in line order.
+    # inlined (search's and walk's among them). Expected sites:
+    # Trie.Snapshot's &Snapshot{...} (once per snapshot, not per read)
+    # and the update path's searchMut and renewChild, which share
+    # snapshot.go. Listed once each, in line order.
     walk="$(grep -E 'engine/(snapshot|ordered)\.go' "$mlog" | sort -t: -k1,1 -k2,2n -k3,3n | uniq)"
     if [ -n "$walk" ]; then
         echo "$walk"
