@@ -32,19 +32,6 @@ func (h *Hist) Record(v uint64) {
 	h.sum.Add(int64(v))
 }
 
-// Count returns the total number of recorded samples (sum over buckets).
-// Under concurrent writes the result may lag in-flight Records.
-func (h *Hist) Count() int64 {
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all recorded sample values.
-func (h *Hist) Sum() int64 { return h.sum.Load() }
-
 // Snapshot captures a point-in-time copy of the histogram. The copy is not
 // atomic across buckets, but each bucket is individually consistent and
 // counts only grow, so derived quantiles are sandwiched between the true

@@ -30,14 +30,8 @@ type Counter struct {
 // Add increments the counter by d. Wait-free, zero-alloc.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Inc increments the counter by one. Wait-free, zero-alloc.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store sets the counter; intended for tests and reset paths only.
-func (c *Counter) Store(v int64) { c.v.Store(v) }
 
 // NumStripes is the number of replicas in a Striped counter vector. Writers
 // pick a stripe (e.g. from a connection sequence number) and touch only that
@@ -54,7 +48,6 @@ const StripeMask = NumStripes - 1
 // lives at lanes[s].v[i], and distinct stripes never share a line.
 type Striped struct {
 	lanes [NumStripes]stripeLane
-	n     int
 }
 
 // stripeLane holds one stripe's counter replicas. The trailing pad keeps the
@@ -67,7 +60,7 @@ type stripeLane struct {
 
 // NewStriped returns a striped vector of n counters, all zero.
 func NewStriped(n int) *Striped {
-	s := &Striped{n: n}
+	s := &Striped{}
 	// One backing array per stripe, rounded up to a whole number of cache
 	// lines so stripes can never overlap a coherence granule.
 	per := (n + 7) &^ 7
@@ -76,9 +69,6 @@ func NewStriped(n int) *Striped {
 	}
 	return s
 }
-
-// Len returns the number of logical counters in the vector.
-func (s *Striped) Len() int { return s.n }
 
 // Add increments counter i on the given stripe by d. The stripe may be any
 // value; it is masked internally. Wait-free, zero-alloc.
@@ -98,15 +88,4 @@ func (s *Striped) Load(i int) int64 {
 		t += s.lanes[l].v[i].Load()
 	}
 	return t
-}
-
-// Reset zeroes every counter on every stripe; intended for tests and
-// explicit reset commands (e.g. SLOWLOG RESET-style admin paths), not for
-// concurrent use with writers expecting exact totals.
-func (s *Striped) Reset() {
-	for l := range s.lanes {
-		for i := range s.lanes[l].v {
-			s.lanes[l].v[i].Store(0)
-		}
-	}
 }

@@ -9,22 +9,15 @@ import (
 
 func TestCounterBasic(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(41)
 	if got := c.Load(); got != 42 {
 		t.Fatalf("Load = %d, want 42", got)
-	}
-	c.Store(7)
-	if got := c.Load(); got != 7 {
-		t.Fatalf("Load after Store = %d, want 7", got)
 	}
 }
 
 func TestStripedSumsAcrossStripes(t *testing.T) {
 	s := NewStriped(3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
 	for stripe := uint32(0); stripe < NumStripes*2; stripe++ {
 		s.Add(stripe, 1, 2)
 		s.Inc(stripe, 2)
@@ -37,10 +30,6 @@ func TestStripedSumsAcrossStripes(t *testing.T) {
 	}
 	if got := s.Load(2); got != 16 {
 		t.Fatalf("counter 2 = %d, want 16", got)
-	}
-	s.Reset()
-	if got := s.Load(1); got != 0 {
-		t.Fatalf("counter 1 after Reset = %d, want 0", got)
 	}
 }
 
@@ -61,7 +50,7 @@ func TestConcurrentHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				c.Add(1)
 				s.Add(uint32(g), i&3, 1)
 				h.Record(uint64(i))
 			}
@@ -78,11 +67,12 @@ func TestConcurrentHammer(t *testing.T) {
 	if stripedTotal != goroutines*perG {
 		t.Fatalf("Striped total = %d, want %d", stripedTotal, goroutines*perG)
 	}
-	if got := h.Count(); got != goroutines*perG {
+	snap := h.Snapshot()
+	if got := snap.Count; got != goroutines*perG {
 		t.Fatalf("Hist count = %d, want %d", got, goroutines*perG)
 	}
 	wantSum := int64(goroutines) * int64(perG) * int64(perG-1) / 2
-	if got := h.Sum(); got != wantSum {
+	if got := snap.Sum; got != wantSum {
 		t.Fatalf("Hist sum = %d, want %d", got, wantSum)
 	}
 }
@@ -169,8 +159,8 @@ func TestRecordPathsZeroAlloc(t *testing.T) {
 	var c Counter
 	s := NewStriped(4)
 	var h Hist
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Errorf("Counter.Inc allocs = %v, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
+		t.Errorf("Counter.Add allocs = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { s.Add(3, 2, 1) }); n != 0 {
 		t.Errorf("Striped.Add allocs = %v, want 0", n)
@@ -180,11 +170,11 @@ func TestRecordPathsZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkCounterInc(b *testing.B) {
+func BenchmarkCounterAdd(b *testing.B) {
 	var c Counter
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c.Inc()
+			c.Add(1)
 		}
 	})
 }

@@ -186,11 +186,6 @@ func NewRequestReader(r *bufio.Reader, lim Limits) *RequestReader {
 	return &RequestReader{r: r, lim: lim.orDefaults()}
 }
 
-// Buffered reports how many request bytes are already in memory. The
-// server uses it to decide when a pipelined batch is exhausted and the
-// reply buffer should be flushed before blocking in the next read.
-func (rr *RequestReader) Buffered() int { return rr.r.Buffered() }
-
 // ReadCommand reads one complete command: a RESP array of bulk strings.
 // The returned slices are freshly allocated and remain valid after the
 // next call. io.EOF before the first byte of a command is a clean

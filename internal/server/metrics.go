@@ -5,12 +5,21 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"nbtrie/internal/obs"
 )
+
+// This file holds the server's statistics: the metrics registry the
+// record paths write, wait-free and zero-alloc, and the stats table the
+// two views read. Every scalar statistic is one row of the table, named
+// once for INFO (section and key) and for /metrics (family and HELP) and
+// read once per render. infoText and WriteMetrics are loops over the
+// rows, plus the per-command lines and histograms that have no scalar
+// form; writeHist states the one rule for histogram bucket bounds.
 
 // metrics is the server's always-on counter registry. Per-command call
 // and error counters are striped by connection (obs.Striped) so a busy
@@ -55,30 +64,186 @@ func (m *metrics) record(stripe uint32, ci int, d time.Duration, errs int64) {
 	m.latency[ci].Record(uint64(d.Microseconds()))
 }
 
-// WriteMetrics renders the full registry — server, command, expiry,
-// persistence and engine families — in the Prometheus text exposition
-// format. Counters scrape-side allocate freely; only the record paths
-// are pinned.
+// stat is one row of the statistics table. INFO shows it as the line
+// key:val in its section; /metrics, when family is set, as that family
+// with help as its HELP text: a counter when the name ends in _total, a
+// gauge otherwise, or a histogram once it has samples when val is an
+// obs.HistSnapshot (such rows have no section).
+type stat struct {
+	section, key string
+	family, help string
+	val          any
+}
+
+// infoTitles is INFO's section order. Commandstats, Latencystats and
+// the per-shard end of Engine have no rows: infoText renders them from
+// the per-command and per-shard counters.
+var infoTitles = []string{"Server", "Clients", "Stats", "Commandstats",
+	"Latencystats", "Expiry", "Persistence", "Engine", "Keyspace"}
+
+// stats reads every statistic once, each section's rows in INFO order.
+func (s *Server) stats() []stat {
+	m := s.met
+	var errs int64
+	for ci := range m.latency {
+		errs += m.cmdErrs.Load(ci)
+	}
+	expired, passes := s.db.Stats()
+	es := s.db.EngineStats()
+	depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
+	dir, aofOn := "", false
+	if s.pst != nil {
+		dir, aofOn = s.pst.dir, s.pst.aofOn
+	}
+	rows := []stat{
+		{"Server", "nbtried_version", "", "", Version},
+		{"Server", "engine", "", "", "nbtrie-sharded-patricia"},
+		{"Server", "keyer", "", "", s.keyer.Name()},
+		{"Server", "key_width_bits", "", "", s.keyer.Width()},
+		{"Server", "shards", "", "", s.db.Shards()},
+		{"Server", "trie_span_bits", "", "", s.cfg.Span},
+		{"Server", "uptime_in_seconds", "nbtried_uptime_seconds",
+			"Seconds since the server started.", int64(time.Since(s.start).Seconds())},
+		{"Clients", "connected_clients", "nbtried_connected_clients",
+			"Currently open client connections.", s.connectedClients()},
+		{"Stats", "total_connections_received", "nbtried_connections_total",
+			"Connections accepted since start.", s.totalConns.Load()},
+		{"Stats", "total_commands_processed", "", "", s.totalCmds.Load()},
+		{"Stats", "total_error_replies", "", "", errs},
+		{"Stats", "total_net_input_bytes", "nbtried_net_input_bytes_total",
+			"Bytes read from client sockets.", m.bytesIn.Load()},
+		{"Stats", "total_net_output_bytes", "nbtried_net_output_bytes_total",
+			"Bytes written to client sockets.", m.bytesOut.Load()},
+		{"Stats", "slowlog_len", "nbtried_slowlog_entries",
+			"Entries currently in the slowlog ring.", s.slog.len()},
+		{"Expiry", "keys_with_ttl", "nbtried_keys_with_ttl",
+			"Keys with an armed deadline.", s.db.ArmedKeys()},
+		{"Expiry", "expired_keys", "nbtried_expired_keys_total",
+			"Keys expired (lazy + reaper).", expired},
+		{"Expiry", "reaper_passes", "nbtried_reaper_passes_total",
+			"Background reaper passes.", passes},
+		{"", "", "nbtried_reaper_pass_duration_seconds",
+			"Reaper pass duration.", m.reapPass.Snapshot()},
+		{"Persistence", "persistence_dir", "", "", dir},
+		{"Persistence", "aof_enabled", "nbtried_aof_enabled",
+			"Whether the append-only file is enabled.", flag(aofOn)},
+		{"", "", "nbtried_aof_commit_duration_seconds",
+			"AOF group-commit duration.", m.aofCommit.Snapshot()},
+		{"Engine", "engine_help_total", "nbtried_engine_help_total",
+			"help() executions (initiators + helpers).", es.Help},
+		{"Engine", "engine_help_assists_total", "nbtried_engine_help_assists_total",
+			"Operations that completed another operation's work.", es.HelpAssists},
+		{"Engine", "engine_child_cas_failures_total", "nbtried_engine_child_cas_failures_total",
+			"Child CASes lost to a racing helper.", es.ChildCASFailures},
+		{"Engine", "engine_flag_backtracks_total", "nbtried_engine_flag_backtracks_total",
+			"help() executions that failed flagging and unwound.", es.FlagBacktracks},
+		{"Engine", "engine_op_retries_total", "nbtried_engine_op_retries_total",
+			"Mutator retry-loop iterations past the first.", es.OpRetries},
+		{"Engine", "engine_snapshot_renewals_total", "nbtried_engine_snapshot_renewals_total",
+			"Stale-generation nodes renewed after a snapshot.", es.SnapshotRenewals},
+		{"", "", "nbtried_engine_depth",
+			"Trie descent depth per mutation (levels, not seconds).", depth},
+		{"Engine", "engine_depth_samples", "", "", es.DepthSamples},
+		{"Engine", "engine_depth_p50", "", "", depth.Quantile(0.50)},
+		{"Engine", "engine_depth_p99", "", "", depth.Quantile(0.99)},
+		{"Keyspace", "db0", "nbtried_keys", "Live keys in the map.", dbKeys(s.db.Len())},
+	}
+	// A data directory adds the rest of the Persistence section; INFO
+	// puts each row in its section, so appending keeps their order.
+	if p := s.pst; p != nil {
+		var size int64
+		segs := 0
+		if p.aofOn {
+			p.mu.Lock()
+			if p.aof != nil {
+				size = p.aof.Size()
+			}
+			segs = len(p.manifest.Incrs)
+			p.mu.Unlock()
+		}
+		rows = append(rows,
+			stat{"Persistence", "aof_fsync", "", "", p.policy},
+			stat{"Persistence", "aof_current_size", "", "", size},
+			stat{"Persistence", "aof_segments", "", "", segs},
+			stat{"Persistence", "aof_last_write_status", "", "", p.aofStatus.Load()},
+			stat{"Persistence", "rdb_bgsave_in_progress", "", "", flag(p.bgActive.Load())},
+			stat{"Persistence", "rdb_last_save_time", "", "", p.lastSave.Load()},
+			stat{"Persistence", "rdb_last_bgsave_status", "", "", p.saveStatus.Load()})
+	}
+	return rows
+}
+
+// dbKeys is the keyspace row's value. INFO shows it Redis's way, keys=N,
+// through String; /metrics prints every value with %d, which does not
+// call String.
+type dbKeys int
+
+func (n dbKeys) String() string { return fmt.Sprintf("keys=%d", int(n)) }
+
+// flag shows a boolean statistic as 0 or 1.
+func flag(on bool) int {
+	if on {
+		return 1
+	}
+	return 0
+}
+
+// infoText renders the INFO reply. section is the already-lowercased
+// requested section; "" (no argument), "all", "default" and
+// "everything" render every section, any other name renders exactly
+// that section, and an unknown name renders nothing (the caller's empty
+// bulk reply — Redis semantics).
+func (s *Server) infoText(section string) string {
+	all := section == "" || section == "all" || section == "default" || section == "everything"
+	rows := s.stats()
+	var b strings.Builder
+	for _, title := range infoTitles {
+		if !all && strings.ToLower(title) != section {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString("\r\n")
+		}
+		b.WriteString("# " + title + "\r\n")
+		for _, r := range rows {
+			if r.section == title {
+				fmt.Fprintf(&b, "%s:%v\r\n", r.key, r.val)
+			}
+		}
+		switch title {
+		case "Commandstats":
+			s.commandstatsText(&b)
+		case "Latencystats":
+			s.latencystatsText(&b)
+		case "Engine":
+			s.shardUpdatesText(&b)
+		}
+	}
+	return b.String()
+}
+
+// WriteMetrics renders the table's families, then the per-command ones,
+// in the Prometheus text exposition format. Scrape-side code allocates
+// freely; only the record paths are pinned.
 func (s *Server) WriteMetrics(w io.Writer) {
 	m := s.met
 	var b strings.Builder
 	b.Grow(16 << 10)
-
-	fmt.Fprintf(&b, "# HELP nbtried_uptime_seconds Seconds since the server started.\n"+
-		"# TYPE nbtried_uptime_seconds gauge\n"+
-		"nbtried_uptime_seconds %d\n", int64(time.Since(s.start).Seconds()))
-	fmt.Fprintf(&b, "# HELP nbtried_connected_clients Currently open client connections.\n"+
-		"# TYPE nbtried_connected_clients gauge\n"+
-		"nbtried_connected_clients %d\n", s.connectedClients())
-	fmt.Fprintf(&b, "# HELP nbtried_connections_total Connections accepted since start.\n"+
-		"# TYPE nbtried_connections_total counter\n"+
-		"nbtried_connections_total %d\n", s.totalConns.Load())
-	fmt.Fprintf(&b, "# HELP nbtried_net_input_bytes_total Bytes read from client sockets.\n"+
-		"# TYPE nbtried_net_input_bytes_total counter\n"+
-		"nbtried_net_input_bytes_total %d\n", m.bytesIn.Load())
-	fmt.Fprintf(&b, "# HELP nbtried_net_output_bytes_total Bytes written to client sockets.\n"+
-		"# TYPE nbtried_net_output_bytes_total counter\n"+
-		"nbtried_net_output_bytes_total %d\n", m.bytesOut.Load())
+	for _, r := range s.stats() {
+		h, hist := r.val.(obs.HistSnapshot)
+		switch {
+		case r.family == "" || hist && h.Count == 0:
+		case hist:
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", r.family, r.help, r.family)
+			writeHist(&b, r.family, "", h)
+		default:
+			typ := "gauge"
+			if strings.HasSuffix(r.family, "_total") {
+				typ = "counter"
+			}
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", r.family, r.help, r.family, typ, r.family, r.val)
+		}
+	}
 
 	b.WriteString("# HELP nbtried_commands_total Commands dispatched, by command.\n" +
 		"# TYPE nbtried_commands_total counter\n")
@@ -94,79 +259,13 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(&b, "nbtried_command_errors_total{cmd=%q} %d\n", cmdLabel(ci), n)
 		}
 	}
-
 	b.WriteString("# HELP nbtried_command_latency_seconds Command latency, by command.\n" +
 		"# TYPE nbtried_command_latency_seconds histogram\n")
 	for ci := range m.latency {
-		snap := m.latency[ci].Snapshot()
-		if snap.Count == 0 {
-			continue
+		if snap := m.latency[ci].Snapshot(); snap.Count > 0 {
+			writeHist(&b, "nbtried_command_latency_seconds", fmt.Sprintf("cmd=%q", cmdLabel(ci)), snap)
 		}
-		writeHistProm(&b, "nbtried_command_latency_seconds", fmt.Sprintf("cmd=%q", cmdLabel(ci)), snap)
 	}
-
-	fmt.Fprintf(&b, "# HELP nbtried_keys Live keys in the map.\n"+
-		"# TYPE nbtried_keys gauge\n"+
-		"nbtried_keys %d\n", s.db.Len())
-	expired, passes := s.db.Stats()
-	fmt.Fprintf(&b, "# HELP nbtried_keys_with_ttl Keys with an armed deadline.\n"+
-		"# TYPE nbtried_keys_with_ttl gauge\n"+
-		"nbtried_keys_with_ttl %d\n", s.db.ArmedKeys())
-	fmt.Fprintf(&b, "# HELP nbtried_expired_keys_total Keys expired (lazy + reaper).\n"+
-		"# TYPE nbtried_expired_keys_total counter\n"+
-		"nbtried_expired_keys_total %d\n", expired)
-	fmt.Fprintf(&b, "# HELP nbtried_reaper_passes_total Background reaper passes.\n"+
-		"# TYPE nbtried_reaper_passes_total counter\n"+
-		"nbtried_reaper_passes_total %d\n", passes)
-	if snap := m.reapPass.Snapshot(); snap.Count > 0 {
-		b.WriteString("# HELP nbtried_reaper_pass_duration_seconds Reaper pass duration.\n" +
-			"# TYPE nbtried_reaper_pass_duration_seconds histogram\n")
-		writeHistProm(&b, "nbtried_reaper_pass_duration_seconds", "", snap)
-	}
-
-	aofEnabled := 0
-	if s.pst != nil && s.pst.aofOn {
-		aofEnabled = 1
-	}
-	fmt.Fprintf(&b, "# HELP nbtried_aof_enabled Whether the append-only file is enabled.\n"+
-		"# TYPE nbtried_aof_enabled gauge\n"+
-		"nbtried_aof_enabled %d\n", aofEnabled)
-	if snap := m.aofCommit.Snapshot(); snap.Count > 0 {
-		b.WriteString("# HELP nbtried_aof_commit_duration_seconds AOF group-commit duration.\n" +
-			"# TYPE nbtried_aof_commit_duration_seconds histogram\n")
-		writeHistProm(&b, "nbtried_aof_commit_duration_seconds", "", snap)
-	}
-
-	es := s.db.EngineStats()
-	b.WriteString("# HELP nbtried_engine_help_total help() executions (initiators + helpers).\n" +
-		"# TYPE nbtried_engine_help_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_help_total %d\n", es.Help)
-	b.WriteString("# HELP nbtried_engine_help_assists_total Operations that completed another operation's work.\n" +
-		"# TYPE nbtried_engine_help_assists_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_help_assists_total %d\n", es.HelpAssists)
-	b.WriteString("# HELP nbtried_engine_child_cas_failures_total Child CASes lost to a racing helper.\n" +
-		"# TYPE nbtried_engine_child_cas_failures_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_child_cas_failures_total %d\n", es.ChildCASFailures)
-	b.WriteString("# HELP nbtried_engine_flag_backtracks_total help() executions that failed flagging and unwound.\n" +
-		"# TYPE nbtried_engine_flag_backtracks_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_flag_backtracks_total %d\n", es.FlagBacktracks)
-	b.WriteString("# HELP nbtried_engine_op_retries_total Mutator retry-loop iterations past the first.\n" +
-		"# TYPE nbtried_engine_op_retries_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_op_retries_total %d\n", es.OpRetries)
-	b.WriteString("# HELP nbtried_engine_snapshot_renewals_total Stale-generation nodes renewed after a snapshot.\n" +
-		"# TYPE nbtried_engine_snapshot_renewals_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_snapshot_renewals_total %d\n", es.SnapshotRenewals)
-	if es.DepthSamples > 0 {
-		depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
-		b.WriteString("# HELP nbtried_engine_depth Trie descent depth per mutation (levels, not seconds).\n" +
-			"# TYPE nbtried_engine_depth histogram\n")
-		writeHistRaw(&b, "nbtried_engine_depth", "", depth)
-	}
-
-	fmt.Fprintf(&b, "# HELP nbtried_slowlog_entries Entries currently in the slowlog ring.\n"+
-		"# TYPE nbtried_slowlog_entries gauge\n"+
-		"nbtried_slowlog_entries %d\n", s.slog.len())
-
 	io.WriteString(w, b.String())
 }
 
@@ -175,35 +274,23 @@ func (s *Server) WriteMetrics(w io.Writer) {
 // the tail, so higher boundaries only bloat the scrape.
 const promMaxBucket = 40
 
-// writeHistProm renders a microsecond log2 histogram as a Prometheus
-// histogram in SECONDS: bucket b's exclusive upper bound 2^b µs becomes
-// le="2^b / 1e6".
-func writeHistProm(b *strings.Builder, name, label string, s obs.HistSnapshot) {
-	lbl, plain := "", ""
-	if label != "" {
-		lbl = label + ","
-		plain = "{" + label + "}"
-	}
-	var cum int64
-	for i := 0; i < obs.NumBuckets && i <= promMaxBucket; i++ {
-		cum += s.Buckets[i]
-		if s.Buckets[i] == 0 && i > 0 {
-			// Only emit boundaries that close out samples, plus le=1µs so
-			// every series has a floor bucket. Prometheus tolerates sparse
-			// le sets as long as they are cumulative.
-			continue
+// writeHist renders a log2 histogram (bucket b holds samples in
+// [2^(b-1), 2^b), bucket 0 the zeros) as a Prometheus histogram. It
+// leaves out the bounds of empty buckets past bucket 0: Prometheus needs
+// the le set cumulative, not dense. The family's name says what a sample
+// is. A *_seconds family holds durations truncated to whole microseconds
+// (d.Microseconds()): the duration behind a sample in bucket b was under
+// 2^b µs, so that is its bound, shown in seconds. Any other family holds
+// exact integers (depths): the largest in bucket b is 2^b − 1, and that
+// is its bound.
+func writeHist(b *strings.Builder, name, label string, s obs.HistSnapshot) {
+	seconds := strings.HasSuffix(name, "_seconds")
+	num := func(v uint64) string {
+		if seconds {
+			return strconv.FormatFloat(float64(v)/1e6, 'g', -1, 64)
 		}
-		le := float64(obs.BucketUpper(i)) / 1e6
-		fmt.Fprintf(b, "%s_bucket{%sle=\"%g\"} %d\n", name, lbl, le, cum)
+		return strconv.FormatUint(v, 10)
 	}
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, lbl, s.Count)
-	fmt.Fprintf(b, "%s_sum%s %g\n", name, plain, float64(s.Sum)/1e6)
-	fmt.Fprintf(b, "%s_count%s %d\n", name, plain, s.Count)
-}
-
-// writeHistRaw renders a unitless log2 histogram (e.g. trie depth) with
-// its native bucket bounds.
-func writeHistRaw(b *strings.Builder, name, label string, s obs.HistSnapshot) {
 	lbl, plain := "", ""
 	if label != "" {
 		lbl = label + ","
@@ -215,10 +302,14 @@ func writeHistRaw(b *strings.Builder, name, label string, s obs.HistSnapshot) {
 		if s.Buckets[i] == 0 && i > 0 {
 			continue
 		}
-		fmt.Fprintf(b, "%s_bucket{%sle=\"%d\"} %d\n", name, lbl, obs.BucketUpper(i), cum)
+		le := obs.BucketUpper(i)
+		if !seconds {
+			le--
+		}
+		fmt.Fprintf(b, "%s_bucket{%sle=\"%s\"} %d\n", name, lbl, num(le), cum)
 	}
 	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, lbl, s.Count)
-	fmt.Fprintf(b, "%s_sum%s %d\n", name, plain, s.Sum)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, plain, num(uint64(s.Sum)))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, plain, s.Count)
 }
 
@@ -261,21 +352,9 @@ func (s *Server) latencystatsText(b *strings.Builder) {
 	}
 }
 
-// engineText renders the INFO # Engine section body: the contention
-// counters plus the updates counted per shard, busiest first (shards with
-// none are omitted).
-func (s *Server) engineText(b *strings.Builder) {
-	es := s.db.EngineStats()
-	fmt.Fprintf(b, "engine_help_total:%d\r\n", es.Help)
-	fmt.Fprintf(b, "engine_help_assists_total:%d\r\n", es.HelpAssists)
-	fmt.Fprintf(b, "engine_child_cas_failures_total:%d\r\n", es.ChildCASFailures)
-	fmt.Fprintf(b, "engine_flag_backtracks_total:%d\r\n", es.FlagBacktracks)
-	fmt.Fprintf(b, "engine_op_retries_total:%d\r\n", es.OpRetries)
-	fmt.Fprintf(b, "engine_snapshot_renewals_total:%d\r\n", es.SnapshotRenewals)
-	depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
-	fmt.Fprintf(b, "engine_depth_samples:%d\r\n", es.DepthSamples)
-	fmt.Fprintf(b, "engine_depth_p50:%d\r\n", depth.Quantile(0.50))
-	fmt.Fprintf(b, "engine_depth_p99:%d\r\n", depth.Quantile(0.99))
+// shardUpdatesText ends the INFO # Engine section: the updates counted
+// per shard, busiest first (shards with none are omitted).
+func (s *Server) shardUpdatesText(b *strings.Builder) {
 	type shardUpdates struct {
 		shard int
 		n     int64

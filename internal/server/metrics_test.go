@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"nbtrie/internal/obs"
 	"nbtrie/internal/resp"
 )
 
@@ -388,6 +392,239 @@ func TestCommandLabels(t *testing.T) {
 	for _, l := range want {
 		if v := metricValue(t, text, fmt.Sprintf("nbtried_commands_total{cmd=%q}", l)); v != 1 {
 			t.Errorf("commands_total{cmd=%q} = %d, want 1", l, v)
+		}
+	}
+}
+
+// TestWriteHistBounds checks every bucket line writeHist emits against
+// the samples it claims to count. A *_seconds family holds durations
+// truncated to whole microseconds, so its le (in µs) counts the samples
+// below it; any other family holds exact integers, so its le counts the
+// samples at or below it. Powers of two sit on the boundary.
+func TestWriteHistBounds(t *testing.T) {
+	samples := []uint64{0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 1000}
+	var h obs.Hist
+	for _, v := range samples {
+		h.Record(v)
+	}
+	for _, name := range []string{"nbtried_engine_depth", "nbtried_x_duration_seconds"} {
+		seconds := strings.HasSuffix(name, "_seconds")
+		var b strings.Builder
+		writeHist(&b, name, "", h.Snapshot())
+		lines := 0
+		for _, line := range strings.Split(b.String(), "\n") {
+			rest, ok := strings.CutPrefix(line, name+`_bucket{le="`)
+			if !ok {
+				continue
+			}
+			lines++
+			bound, count, _ := strings.Cut(rest, `"} `)
+			got, _ := strconv.Atoi(count)
+			want := len(samples)
+			if bound != "+Inf" {
+				le, err := strconv.ParseFloat(bound, 64)
+				if err != nil {
+					t.Fatalf("%s: bad bound in %q", name, line)
+				}
+				want = 0
+				for _, v := range samples {
+					if seconds && v < uint64(math.Round(le*1e6)) || !seconds && float64(v) <= le {
+						want++
+					}
+				}
+			}
+			if got != want {
+				t.Errorf("%s: %q counts %d samples, want %d", name, line, got, want)
+			}
+		}
+		// Bucket 0, the non-empty buckets 1, 2, 3, 4, 5 and 10, and +Inf.
+		if lines != 8 {
+			t.Errorf("%s: %d bucket lines, want 8:\n%s", name, lines, b.String())
+		}
+	}
+}
+
+// TestStatsNamesAndViewsAgree pins every INFO key, section by section,
+// and every /metrics family, on a server with persistence off and one
+// with AOF on: benchmark/ reads nbtried_* families and
+// rdb_bgsave_in_progress, and CI reads the engine families. After
+// traffic, at quiescence, each statistic both views show must read the
+// same in both.
+func TestStatsNamesAndViewsAgree(t *testing.T) {
+	t.Run("off", func(t *testing.T) { statsNamesAndViewsAgree(t, Config{}) })
+	t.Run("aof", func(t *testing.T) {
+		statsNamesAndViewsAgree(t, Config{Persist: PersistConfig{Dir: t.TempDir(), AOF: true}})
+	})
+}
+
+func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
+	s, addr := startServer(t, cfg)
+	c := dial(t, addr)
+	c.mustSimple("OK", "SET", "a", "1")
+	c.mustSimple("OK", "SET", "b", "2")
+	c.mustBulk("1", "GET", "a")
+	c.mustNull("GET", "zz")
+	c.mustInt(1, "DEL", "b")
+	c.mustInt(1, "EXPIRE", "a", "1000")
+	c.mustErrContain("wrong number of arguments", "GET")
+	// The reaper's opening pass runs on its own goroutine; its next is
+	// 1000 s away.
+	for deadline := time.Now().Add(5 * time.Second); s.met.reapPass.Snapshot().Count == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the reaper's opening pass never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Read INFO on both sides of the scrape, so uptime cannot tick
+	// between the views unseen.
+	var info, prom string
+	for range 5 {
+		info = s.infoText("")
+		prom = metricsText(t, s)
+		if s.infoText("") == info {
+			break
+		}
+	}
+
+	keys := map[string][]string{}
+	vals := map[string]string{}
+	section := ""
+	for _, line := range strings.Split(strings.TrimSuffix(info, "\r\n"), "\r\n") {
+		if title, ok := strings.CutPrefix(line, "# "); ok {
+			section = title
+			continue
+		}
+		key, val, ok := strings.Cut(line, ":")
+		if !ok {
+			continue // the blank line between sections
+		}
+		if strings.HasPrefix(key, "engine_shard") && strings.HasSuffix(key, "_updates") {
+			key = "engine_shardN_updates" // which shards depends on the keys' digits
+		}
+		if !slices.Contains(keys[section], key) {
+			keys[section] = append(keys[section], key)
+		}
+		vals[key] = val
+	}
+	persistence := []string{"persistence_dir", "aof_enabled"}
+	if cfg.Persist.Dir != "" {
+		persistence = append(persistence, "aof_fsync", "aof_current_size", "aof_segments",
+			"aof_last_write_status", "rdb_bgsave_in_progress", "rdb_last_save_time", "rdb_last_bgsave_status")
+	}
+	wantKeys := map[string][]string{
+		"Server": {"nbtried_version", "engine", "keyer", "key_width_bits", "shards",
+			"trie_span_bits", "uptime_in_seconds"},
+		"Clients": {"connected_clients"},
+		"Stats": {"total_connections_received", "total_commands_processed", "total_error_replies",
+			"total_net_input_bytes", "total_net_output_bytes", "slowlog_len"},
+		"Commandstats": {"cmdstat_get", "cmdstat_set", "cmdstat_del", "cmdstat_expire"},
+		"Latencystats": {"latency_percentiles_usec_get", "latency_percentiles_usec_set",
+			"latency_percentiles_usec_del", "latency_percentiles_usec_expire"},
+		"Expiry":      {"keys_with_ttl", "expired_keys", "reaper_passes"},
+		"Persistence": persistence,
+		"Engine": {"engine_help_total", "engine_help_assists_total", "engine_child_cas_failures_total",
+			"engine_flag_backtracks_total", "engine_op_retries_total", "engine_snapshot_renewals_total",
+			"engine_depth_samples", "engine_depth_p50", "engine_depth_p99", "engine_shardN_updates"},
+		"Keyspace": {"db0"},
+	}
+	var order []string
+	for _, line := range strings.Split(info, "\r\n") {
+		if title, ok := strings.CutPrefix(line, "# "); ok {
+			order = append(order, title)
+		}
+	}
+	if want := []string{"Server", "Clients", "Stats", "Commandstats", "Latencystats",
+		"Expiry", "Persistence", "Engine", "Keyspace"}; !slices.Equal(order, want) {
+		t.Errorf("INFO sections = %v\nwant %v", order, want)
+	}
+	for sec, want := range wantKeys {
+		if !slices.Equal(keys[sec], want) {
+			t.Errorf("INFO # %s keys = %v\nwant %v", sec, keys[sec], want)
+		}
+	}
+
+	var families []string
+	for _, line := range strings.Split(prom, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, rest)
+		}
+	}
+	wantFamilies := []string{
+		"nbtried_uptime_seconds gauge",
+		"nbtried_connected_clients gauge",
+		"nbtried_connections_total counter",
+		"nbtried_net_input_bytes_total counter",
+		"nbtried_net_output_bytes_total counter",
+		"nbtried_slowlog_entries gauge",
+		"nbtried_commands_total counter",
+		"nbtried_command_errors_total counter",
+		"nbtried_command_latency_seconds histogram",
+		"nbtried_keys gauge",
+		"nbtried_keys_with_ttl gauge",
+		"nbtried_expired_keys_total counter",
+		"nbtried_reaper_passes_total counter",
+		"nbtried_reaper_pass_duration_seconds histogram",
+		"nbtried_aof_enabled gauge",
+		"nbtried_engine_help_total counter",
+		"nbtried_engine_help_assists_total counter",
+		"nbtried_engine_child_cas_failures_total counter",
+		"nbtried_engine_flag_backtracks_total counter",
+		"nbtried_engine_op_retries_total counter",
+		"nbtried_engine_snapshot_renewals_total counter",
+		"nbtried_engine_depth histogram",
+	}
+	if cfg.Persist.AOF {
+		wantFamilies = append(wantFamilies, "nbtried_aof_commit_duration_seconds histogram")
+	}
+	slices.Sort(families)
+	slices.Sort(wantFamilies)
+	if !slices.Equal(families, wantFamilies) {
+		t.Errorf("/metrics families = %v\nwant %v", families, wantFamilies)
+	}
+
+	shared := map[string]string{
+		"uptime_in_seconds":               "nbtried_uptime_seconds",
+		"connected_clients":               "nbtried_connected_clients",
+		"total_connections_received":      "nbtried_connections_total",
+		"total_net_input_bytes":           "nbtried_net_input_bytes_total",
+		"total_net_output_bytes":          "nbtried_net_output_bytes_total",
+		"slowlog_len":                     "nbtried_slowlog_entries",
+		"keys_with_ttl":                   "nbtried_keys_with_ttl",
+		"expired_keys":                    "nbtried_expired_keys_total",
+		"reaper_passes":                   "nbtried_reaper_passes_total",
+		"aof_enabled":                     "nbtried_aof_enabled",
+		"engine_help_total":               "nbtried_engine_help_total",
+		"engine_help_assists_total":       "nbtried_engine_help_assists_total",
+		"engine_child_cas_failures_total": "nbtried_engine_child_cas_failures_total",
+		"engine_flag_backtracks_total":    "nbtried_engine_flag_backtracks_total",
+		"engine_op_retries_total":         "nbtried_engine_op_retries_total",
+		"engine_snapshot_renewals_total":  "nbtried_engine_snapshot_renewals_total",
+		"db0":                             "nbtried_keys",
+	}
+	for key, family := range shared {
+		want, err := strconv.ParseInt(strings.TrimPrefix(vals[key], "keys="), 10, 64)
+		if err != nil {
+			t.Errorf("INFO %s = %q, not a count", key, vals[key])
+			continue
+		}
+		if got := metricValue(t, prom, family); got != want {
+			t.Errorf("%s = %d in /metrics, %s = %d in INFO", family, got, key, want)
+		}
+	}
+	// The traffic moved what it should: the equalities above are not 0 = 0.
+	aof := "0"
+	if cfg.Persist.AOF {
+		aof = "1"
+	}
+	for key, want := range map[string]string{"connected_clients": "1", "total_connections_received": "1",
+		"keys_with_ttl": "1", "db0": "keys=1", "aof_enabled": aof, "total_error_replies": "1"} {
+		if vals[key] != want {
+			t.Errorf("INFO %s = %s, want %s", key, vals[key], want)
+		}
+	}
+	for _, key := range []string{"total_net_input_bytes", "total_net_output_bytes", "engine_help_total", "reaper_passes"} {
+		if vals[key] == "0" {
+			t.Errorf("INFO %s = 0 after traffic", key)
 		}
 	}
 }

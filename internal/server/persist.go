@@ -580,43 +580,3 @@ func (p *persister) close() {
 		p.aof = nil
 	}
 }
-
-// infoPersistence renders INFO's persistence section.
-func (p *persister) info() string {
-	aofEnabled := 0
-	var aofSize int64
-	segs := 0
-	if p.aofOn {
-		aofEnabled = 1
-		p.mu.Lock()
-		if p.aof != nil {
-			aofSize = p.aof.Size()
-		}
-		segs = len(p.manifest.Incrs)
-		p.mu.Unlock()
-	}
-	bg := 0
-	if p.bgActive.Load() {
-		bg = 1
-	}
-	return fmt.Sprintf(
-		"persistence_dir:%s\r\n"+
-			"aof_enabled:%d\r\n"+
-			"aof_fsync:%s\r\n"+
-			"aof_current_size:%d\r\n"+
-			"aof_segments:%d\r\n"+
-			"aof_last_write_status:%s\r\n"+
-			"rdb_bgsave_in_progress:%d\r\n"+
-			"rdb_last_save_time:%d\r\n"+
-			"rdb_last_bgsave_status:%s\r\n",
-		p.dir,
-		aofEnabled,
-		p.policy,
-		aofSize,
-		segs,
-		p.aofStatus.Load(),
-		bg,
-		p.lastSave.Load(),
-		p.saveStatus.Load(),
-	)
-}

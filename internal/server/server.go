@@ -42,9 +42,7 @@ package server
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +97,8 @@ type Config struct {
 }
 
 // Server owns the map and the listener lifecycle. Create with New,
-// start with Serve (or ListenAndServe), stop with Close; Close unblocks
-// Serve, closes every live connection and waits for their goroutines.
+// start with Serve, stop with Close; Close unblocks Serve, closes every
+// live connection and waits for their goroutines.
 type Server struct {
 	cfg   Config
 	keyer Keyer
@@ -211,15 +209,6 @@ func New(cfg Config) (*Server, error) {
 
 // DB exposes the keyspace (tests and embedders).
 func (s *Server) DB() *expiry.Index { return s.db }
-
-// ListenAndServe listens on addr ("host:port") and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until Close is called (which returns
 // nil here) or the listener fails. The caller keeps ln's address —
@@ -428,89 +417,4 @@ func (s *Server) handle(c net.Conn) {
 			return
 		}
 	}
-}
-
-// infoSection is one named block of the INFO reply. name is the
-// lowercase match key for `INFO <section>`; title the rendered header.
-type infoSection struct {
-	name  string
-	title string
-	body  func(*strings.Builder)
-}
-
-// infoSections lists every INFO block, in render order. The section
-// bodies write plain "key:value\r\n" lines with no headers or blank
-// lines — infoText owns the framing, so a single-section reply and the
-// full reply format identically.
-func (s *Server) infoSections() []infoSection {
-	return []infoSection{
-		{"server", "Server", func(b *strings.Builder) {
-			fmt.Fprintf(b, "nbtried_version:%s\r\n", Version)
-			b.WriteString("engine:nbtrie-sharded-patricia\r\n")
-			fmt.Fprintf(b, "keyer:%s\r\n", s.keyer.Name())
-			fmt.Fprintf(b, "key_width_bits:%d\r\n", s.keyer.Width())
-			fmt.Fprintf(b, "shards:%d\r\n", s.db.Shards())
-			fmt.Fprintf(b, "trie_span_bits:%d\r\n", s.cfg.Span)
-			fmt.Fprintf(b, "uptime_in_seconds:%d\r\n", int64(time.Since(s.start).Seconds()))
-		}},
-		{"clients", "Clients", func(b *strings.Builder) {
-			fmt.Fprintf(b, "connected_clients:%d\r\n", s.connectedClients())
-		}},
-		{"stats", "Stats", func(b *strings.Builder) {
-			fmt.Fprintf(b, "total_connections_received:%d\r\n", s.totalConns.Load())
-			fmt.Fprintf(b, "total_commands_processed:%d\r\n", s.totalCmds.Load())
-			var errs int64
-			for ci := range s.met.latency {
-				errs += s.met.cmdErrs.Load(ci)
-			}
-			fmt.Fprintf(b, "total_error_replies:%d\r\n", errs)
-			fmt.Fprintf(b, "total_net_input_bytes:%d\r\n", s.met.bytesIn.Load())
-			fmt.Fprintf(b, "total_net_output_bytes:%d\r\n", s.met.bytesOut.Load())
-			fmt.Fprintf(b, "slowlog_len:%d\r\n", s.slog.len())
-		}},
-		{"commandstats", "Commandstats", s.commandstatsText},
-		{"latencystats", "Latencystats", s.latencystatsText},
-		{"expiry", "Expiry", func(b *strings.Builder) {
-			expired, passes := s.db.Stats()
-			fmt.Fprintf(b, "keys_with_ttl:%d\r\n", s.db.ArmedKeys())
-			fmt.Fprintf(b, "expired_keys:%d\r\n", expired)
-			fmt.Fprintf(b, "reaper_passes:%d\r\n", passes)
-		}},
-		{"persistence", "Persistence", func(b *strings.Builder) {
-			if s.pst != nil {
-				b.WriteString(s.pst.info())
-				return
-			}
-			b.WriteString("persistence_dir:\r\naof_enabled:0\r\n")
-		}},
-		{"engine", "Engine", s.engineText},
-		{"keyspace", "Keyspace", func(b *strings.Builder) {
-			fmt.Fprintf(b, "db0:keys=%d\r\n", s.db.Len())
-		}},
-	}
-}
-
-// infoText renders the INFO reply. section is the already-lowercased
-// requested section; "" (no argument), "all", "default" and
-// "everything" render every section, any other name renders exactly
-// that section, and an unknown name renders nothing (the caller's empty
-// bulk reply — Redis semantics).
-func (s *Server) infoText(section string) string {
-	all := section == "" || section == "all" || section == "default" || section == "everything"
-	var b strings.Builder
-	first := true
-	for _, sec := range s.infoSections() {
-		if !all && sec.name != section {
-			continue
-		}
-		if !first {
-			b.WriteString("\r\n")
-		}
-		first = false
-		b.WriteString("# ")
-		b.WriteString(sec.title)
-		b.WriteString("\r\n")
-		sec.body(&b)
-	}
-	return b.String()
 }

@@ -39,6 +39,7 @@
 package nbtrie
 
 import (
+	"fmt"
 	"iter"
 	"slices"
 
@@ -102,11 +103,23 @@ const KarySpan = 4
 // slots, cutting expected depth span-fold. span must be in [1, 6];
 // span 1 is exactly NewPatriciaTrie.
 func NewKaryPatriciaTrie(width, span uint32) (*PatriciaTrie, error) {
+	if err := checkSpan(span); err != nil {
+		return nil, err
+	}
 	t, err := kv.NewU64(width, engine.WithSpan[keys.Uint64Key, struct{}](span))
 	if err != nil {
 		return nil, err
 	}
 	return &PatriciaTrie{t: t}, nil
+}
+
+// checkSpan rejects a digit width outside [1, 6] with an error before
+// engine.WithSpan would panic on it.
+func checkSpan(span uint32) error {
+	if span < 1 || span > 6 {
+		return fmt.Errorf("nbtrie: span %d out of range [1, 6]", span)
+	}
+	return nil
 }
 
 // Insert adds k; false iff k was present or out of range. Lock-free.

@@ -181,4 +181,9 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewPatriciaTrie(64); err == nil {
 		t.Error("width 64 should be rejected")
 	}
+	for _, span := range []uint32{0, 7} {
+		if _, err := NewKaryPatriciaTrie(16, span); err == nil {
+			t.Errorf("span %d should be rejected", span)
+		}
+	}
 }

@@ -110,7 +110,7 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
         echo "none: the TTL write paths are heap-free"
     fi
     echo
-    echo "## obs record paths (Counter.Inc / Striped.Add / Hist.Record)"
+    echo "## obs record paths (Counter.Add / Striped.Add / Hist.Record)"
     # Every command and every engine help/retry crosses these; the
     # 0-alloc pins in internal/obs/obs_test.go (AllocsPerRun) enforce
     # the count, this section localizes the site when one fails. The

@@ -72,8 +72,8 @@ func newSharded[V any](width uint32, shards int, span uint32) (*kv.U64[V], int, 
 	if width < 1 || width > keys.MaxWidth {
 		return nil, 0, fmt.Errorf("sharded map: width %d out of range [1, %d]", width, keys.MaxWidth)
 	}
-	if span < 1 || span > 6 {
-		return nil, 0, fmt.Errorf("sharded map: span %d out of range [1, 6]", span)
+	if err := checkSpan(span); err != nil {
+		return nil, 0, err
 	}
 	if shards == 0 {
 		shards = defaultShards()
