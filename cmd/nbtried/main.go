@@ -40,14 +40,16 @@
 //	-dir         data directory; setting it enables persistence.
 //	             Recovery (base dump, then the AOF chain) runs before
 //	             the listener opens, so no client ever sees a
-//	             half-recovered keyspace.
+//	             half-recovered keyspace. The directory may hold other
+//	             files: only MANIFEST, base-*.rdb and incr-*.aof (and
+//	             their temp files) are the daemon's.
 //	-aof         append every acknowledged mutation to an append-only
 //	             file (requires -dir)
 //	-appendfsync AOF sync policy: always (an acknowledged write
 //	             survives any crash), everysec (≤ ~1s of acked writes
 //	             at risk; the Redis default), or no
 //	-save        SAVE-style background dump every N seconds (0 = only
-//	             on explicit SAVE/BGSAVE commands)
+//	             on explicit SAVE/BGSAVE commands; requires -dir)
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
 // live connections are torn down, and the process exits 0.
@@ -101,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		dir         = fs.String("dir", "", "data directory; enables persistence")
 		aof         = fs.Bool("aof", false, "append acknowledged mutations to an append-only file (requires -dir)")
 		fsyncMode   = fs.String("appendfsync", "everysec", "AOF sync policy: always, everysec or no")
-		savePer     = fs.Int("save", 0, "background dump every N seconds (0 = only on SAVE/BGSAVE)")
+		savePer     = fs.Int("save", 0, "background dump every N seconds (0 = only on SAVE/BGSAVE; requires -dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,6 +121,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *savePer < 0 {
 		return fmt.Errorf("-save must be >= 0")
+	}
+	if *savePer > 0 && *dir == "" {
+		return fmt.Errorf("-save requires -dir")
 	}
 	// The flag keeps Redis's semantics (0 = log everything, negative =
 	// off); Config uses sentinels so its zero value means "default
@@ -143,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *savePer > 0 && *dir != "" {
+	if *savePer > 0 {
 		stopSaver := srv.StartPeriodicSave(time.Duration(*savePer) * time.Second)
 		defer stopSaver()
 	}

@@ -81,7 +81,10 @@ func TestDaemonLifecycle(t *testing.T) {
 }
 
 func TestDaemonBadFlags(t *testing.T) {
-	ctx := context.Background()
+	// Cancelled up front: a case that wrongly starts serving returns
+	// nil at once instead of hanging.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
 		{"-keyer", "md5"},
@@ -91,6 +94,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-aof"}, // -aof without -dir
 		{"-appendfsync", "sometimes"},
 		{"-dir", os.DevNull + "/nope", "-save", "-1"},
+		{"-save", "5", "-addr", "127.0.0.1:0"}, // -save without -dir
 	} {
 		if err := run(ctx, args, &out, &errOut); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -121,36 +121,16 @@ func (a *AOF) Append(args ...[]byte) error {
 // Commit flushes buffered records into the file; under SyncAlways it
 // also fsyncs, so on return every appended record is durable. Called on
 // the batch boundary, before replies are flushed to clients.
-func (a *AOF) Commit() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.commitLocked()
-}
-
-func (a *AOF) commitLocked() error {
-	if a.err != nil {
-		return a.err
-	}
-	if a.bw.Buffered() > 0 {
-		if err := a.bw.Flush(); err != nil {
-			a.err = err
-			return err
-		}
-		a.dirty = true
-	}
-	if a.policy == SyncAlways && a.dirty {
-		if err := a.f.Sync(); err != nil {
-			a.err = err
-			return err
-		}
-		a.dirty = false
-	}
-	return nil
-}
+func (a *AOF) Commit() error { return a.flush(a.policy == SyncAlways) }
 
 // Sync flushes and fsyncs regardless of policy (the everysec ticker,
 // rotation, shutdown).
-func (a *AOF) Sync() error {
+func (a *AOF) Sync() error { return a.flush(true) }
+
+// flush moves buffered records into the file and, with fsync, every
+// byte written since the last fsync to stable storage. The first error
+// sticks: later appends and flushes return it.
+func (a *AOF) flush(fsync bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.err != nil {
@@ -163,7 +143,7 @@ func (a *AOF) Sync() error {
 		}
 		a.dirty = true
 	}
-	if a.dirty {
+	if fsync && a.dirty {
 		if err := a.f.Sync(); err != nil {
 			a.err = err
 			return err

@@ -6,6 +6,11 @@
 // shards or key encodings; the server layer feeds it snapshot iterations
 // and replays records back through its own dispatch.
 //
+// Dir is the one owner of a data directory: it names every file, holds
+// the manifest and the sequence numbers, and is the only code that
+// creates, truncates or deletes a file there. The server keeps the
+// locks that decide when Dir's operations run.
+//
 // Crash-safety model (the same contract as Redis, sharpened where its
 // docs are vague):
 //
@@ -13,7 +18,8 @@
 //     magic, every record frame, the trailing entry count and a CRC-64
 //     over every preceding byte. Dumps are written to a temp file and
 //     atomically renamed, so a crash mid-dump leaves the previous state
-//     untouched.
+//     untouched. A reader caps each key and value at the server's RESP
+//     bulk limit, the largest value the server can have accepted.
 //   - The AOF is append-only; a crash can only tear its tail. Replay
 //     accepts a torn tail (the writes it held were never acknowledged
 //     under appendfsync always) and reports the byte offset of the last
@@ -47,11 +53,6 @@ const (
 	recEntry = 'R' // one key/value pair
 	recEnd   = 'E' // trailer: entry count + CRC
 )
-
-// MaxDumpValueLen bounds a single key or value read back from a dump,
-// so a corrupt length prefix cannot allocate unbounded memory. It
-// matches the server's default RESP bulk limit.
-const MaxDumpValueLen = 8 << 20
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -93,7 +94,7 @@ var entryMarker = []byte{recEntry}
 // returns false on a write error, to cut a doomed iteration short). k
 // and v are written out before the call returns, so iter may reuse
 // their buffers. The caller owns w — buffering, fsync and atomic rename
-// happen at the file layer (SaveDump).
+// happen at the file layer (Dir.SaveBase).
 func WriteDump(w io.Writer, iter func(fn func(k, v []byte, expireAtMS uint64) bool)) error {
 	cw := &crcWriter{w: w}
 	var scratch [binary.MaxVarintLen64]byte
@@ -126,8 +127,9 @@ func WriteDump(w io.Writer, iter func(fn func(k, v []byte, expireAtMS uint64) bo
 // the bytes a writer digested. It reads through a bufio.Reader but
 // updates the CRC per consumed piece, never per buffered chunk.
 type crcReader struct {
-	r   *bufio.Reader
-	crc uint64
+	r      *bufio.Reader
+	crc    uint64
+	maxLen int
 }
 
 func (cr *crcReader) readByte() (byte, error) {
@@ -169,14 +171,16 @@ func (cr *crcReader) readUvarint() (uint64, error) {
 // ReadDump parses a dump written by WriteDump, calling fn for every
 // record with its absolute expiry deadline (Unix milliseconds, 0 = no
 // TTL; always 0 for version-1 dumps, which predate TTLs). The key and
-// value slices are freshly allocated and may be retained. Any structural
-// violation — bad magic, unknown marker, a length beyond
-// MaxDumpValueLen, short file, count or CRC mismatch, trailing garbage —
+// value slices are freshly allocated and may be retained. maxLen caps
+// each key and value, so a corrupt length prefix cannot allocate
+// unbounded memory; the server passes its RESP bulk limit, the largest
+// value it can have accepted. Any structural violation — bad magic,
+// unknown marker, a length beyond maxLen, short file, count or CRC mismatch, trailing garbage —
 // returns a *CorruptError (a dump is all-or-nothing; there is no
 // torn-tail tolerance here, that is the AOF's department). An error from
 // fn aborts the read and is returned as-is.
-func ReadDump(r io.Reader, fn func(k, v []byte, expireAtMS uint64) error) error {
-	cr := &crcReader{r: bufio.NewReader(r)}
+func ReadDump(r io.Reader, maxLen int, fn func(k, v []byte, expireAtMS uint64) error) error {
+	cr := &crcReader{r: bufio.NewReader(r), maxLen: maxLen}
 	magic := make([]byte, len(dumpMagic))
 	if err := cr.readFull(magic); err != nil {
 		return corruptf("short magic: %v", err)
@@ -243,8 +247,8 @@ func (cr *crcReader) readLenPrefixed() ([]byte, error) {
 	if err != nil {
 		return nil, corruptf("short length prefix: %v", err)
 	}
-	if n > MaxDumpValueLen {
-		return nil, corruptf("length %d exceeds limit %d", n, MaxDumpValueLen)
+	if n > uint64(cr.maxLen) {
+		return nil, corruptf("length %d exceeds limit %d", n, cr.maxLen)
 	}
 	buf := make([]byte, n)
 	if err := cr.readFull(buf); err != nil {

@@ -3,6 +3,7 @@ package persist
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 // It is a short text file replaced atomically, so recovery always sees
 // a complete recipe.
 //
-// The rotation protocol (driven by the server's BGSAVE) keeps the
+// The rotation protocol (Dir.Rotate, then Dir.CommitBase) keeps the
 // recipe conservative: before a new base dump starts, the manifest is
 // committed listing the NEW incr segment appended to the existing
 // chain — so a crash while the dump is still being written recovers
@@ -59,8 +60,8 @@ func validName(name string) bool {
 	return name != "" && name == filepath.Base(name) && !strings.ContainsAny(name, "\n\r")
 }
 
-// WriteManifest atomically replaces dir's manifest: temp file, fsync,
-// rename, directory fsync. After it returns the new recipe is durable.
+// WriteManifest atomically replaces dir's manifest. After it returns
+// the new recipe is durable.
 func WriteManifest(dir string, m Manifest) error {
 	for _, n := range append([]string{}, m.Incrs...) {
 		if !validName(n) {
@@ -70,11 +71,6 @@ func WriteManifest(dir string, m Manifest) error {
 	if m.Base != "" && !validName(m.Base) {
 		return fmt.Errorf("persist: bad manifest base %q", m.Base)
 	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
 	var sb strings.Builder
 	sb.WriteString(manifestMagic + "\n")
 	if m.Base != "" {
@@ -83,21 +79,10 @@ func WriteManifest(dir string, m Manifest) error {
 	for _, n := range m.Incrs {
 		sb.WriteString("incr " + n + "\n")
 	}
-	if _, err := tmp.WriteString(sb.String()); err != nil {
-		tmp.Close()
+	return writeAtomic(dir, ManifestName, func(w io.Writer) error {
+		_, err := io.WriteString(w, sb.String())
 		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // ReadManifest loads dir's manifest. ok is false when none exists (a
@@ -143,23 +128,28 @@ func ReadManifest(dir string) (m Manifest, ok bool, err error) {
 	return m, true, nil
 }
 
-// SaveDump writes a dump of iter to dir/name crash-safely: temp file,
-// WriteDump, fsync, atomic rename, directory fsync.
-func SaveDump(dir, name string, iter func(fn func(k, v []byte, expireAtMS uint64) bool)) error {
-	if !validName(name) {
-		return fmt.Errorf("persist: bad dump name %q", name)
-	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+// LoadDump reads the dump at dir/name through fn; maxLen caps each key
+// and value (see ReadDump).
+func LoadDump(dir, name string, maxLen int, fn func(k, v []byte, expireAtMS uint64) error) error {
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := WriteDump(bw, iter); err != nil {
-		tmp.Close()
+	defer f.Close()
+	return ReadDump(f, maxLen, fn)
+}
+
+// writeAtomic replaces dir/name crash-safely: write into a temp file
+// beside it, fsync, rename over name, fsync the directory. A crash
+// leaves the old file or the new one, plus at most a temp file that
+// the next sweep removes.
+func writeAtomic(dir, name string, write func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, name+tmpInfix+"*")
+	if err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -174,17 +164,6 @@ func SaveDump(dir, name string, iter func(fn func(k, v []byte, expireAtMS uint64
 		return err
 	}
 	return syncDir(dir)
-}
-
-// LoadDump reads the dump at dir/name through fn. A missing file with
-// name == "" (no base yet) is not an error; a missing named file is.
-func LoadDump(dir, name string, fn func(k, v []byte, expireAtMS uint64) error) error {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ReadDump(f, fn)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable. Some

@@ -15,6 +15,9 @@ import (
 	"nbtrie/internal/resp"
 )
 
+// maxLen is the key and value cap the dump tests read under.
+const maxLen = 1 << 20
+
 func pairs(n int) [][2][]byte {
 	out := make([][2][]byte, n)
 	for i := range out {
@@ -54,7 +57,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		}
 		var got [][2][]byte
 		var ttls []uint64
-		err := ReadDump(bytes.NewReader(buf.Bytes()), func(k, v []byte, expireAtMS uint64) error {
+		err := ReadDump(bytes.NewReader(buf.Bytes()), maxLen, func(k, v []byte, expireAtMS uint64) error {
 			got = append(got, [2][]byte{k, v})
 			ttls = append(ttls, expireAtMS)
 			return nil
@@ -83,7 +86,7 @@ func TestDumpReadsV1(t *testing.T) {
 	var buf bytes.Buffer
 	writeDumpV1(&buf, ps)
 	var n int
-	err := ReadDump(bytes.NewReader(buf.Bytes()), func(k, v []byte, expireAtMS uint64) error {
+	err := ReadDump(bytes.NewReader(buf.Bytes()), maxLen, func(k, v []byte, expireAtMS uint64) error {
 		if !bytes.Equal(k, ps[n][0]) || !bytes.Equal(v, ps[n][1]) {
 			t.Fatalf("record %d mismatch", n)
 		}
@@ -103,7 +106,7 @@ func TestDumpReadsV1(t *testing.T) {
 	raw := buf.Bytes()
 	mut := append([]byte(nil), raw...)
 	mut[len(mut)/2] ^= 0x41
-	if err := ReadDump(bytes.NewReader(mut), func(k, v []byte, e uint64) error { return nil }); err == nil {
+	if err := ReadDump(bytes.NewReader(mut), maxLen, func(k, v []byte, e uint64) error { return nil }); err == nil {
 		t.Error("damaged v1 dump went undetected")
 	}
 }
@@ -143,28 +146,32 @@ func TestDumpDetectsDamage(t *testing.T) {
 	for i := range valid {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x41
-		if err := ReadDump(bytes.NewReader(mut), discard); err == nil {
+		if err := ReadDump(bytes.NewReader(mut), maxLen, discard); err == nil {
 			t.Errorf("flipping byte %d went undetected", i)
 		}
 	}
 	for i := 0; i < len(valid); i++ {
-		if err := ReadDump(bytes.NewReader(valid[:i]), discard); err == nil {
+		if err := ReadDump(bytes.NewReader(valid[:i]), maxLen, discard); err == nil {
 			t.Errorf("truncation to %d bytes went undetected", i)
 		}
 	}
-	if err := ReadDump(bytes.NewReader(append(append([]byte(nil), valid...), 'x')), discard); err == nil {
+	if err := ReadDump(bytes.NewReader(append(append([]byte(nil), valid...), 'x')), maxLen, discard); err == nil {
 		t.Error("trailing garbage went undetected")
 	}
 }
 
 func TestSaveLoadDumpFile(t *testing.T) {
 	dir := t.TempDir()
+	d, err := OpenDir(dir, false, SyncNo, resp.Limits{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps := pairs(100)
-	if err := SaveDump(dir, BaseName(1), iterOf(ps)); err != nil {
+	if err := d.SaveBase(1, iterOf(ps)); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := LoadDump(dir, BaseName(1), func(k, v []byte, expireAtMS uint64) error { n++; return nil }); err != nil {
+	if err := LoadDump(dir, BaseName(1), maxLen, func(k, v []byte, expireAtMS uint64) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 100 {
@@ -173,7 +180,7 @@ func TestSaveLoadDumpFile(t *testing.T) {
 	// No temp litter.
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
-		t.Errorf("data dir holds %d files after SaveDump, want 1", len(ents))
+		t.Errorf("data dir holds %d files after SaveBase, want 1", len(ents))
 	}
 }
 

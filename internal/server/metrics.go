@@ -91,10 +91,7 @@ func (s *Server) stats() []stat {
 	expired, passes := s.db.Stats()
 	es := s.db.EngineStats()
 	depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
-	dir, aofOn := "", false
-	if s.pst != nil {
-		dir, aofOn = s.pst.dir, s.pst.aofOn
-	}
+	aofOn := s.pst != nil && s.pst.aofOn
 	rows := []stat{
 		{"Server", "nbtried_version", "", "", Version},
 		{"Server", "engine", "", "", "nbtrie-sharded-patricia"},
@@ -124,7 +121,7 @@ func (s *Server) stats() []stat {
 			"Background reaper passes.", passes},
 		{"", "", "nbtried_reaper_pass_duration_seconds",
 			"Reaper pass duration.", m.reapPass.Snapshot()},
-		{"Persistence", "persistence_dir", "", "", dir},
+		{"Persistence", "persistence_dir", "", "", s.cfg.Persist.Dir},
 		{"Persistence", "aof_enabled", "nbtried_aof_enabled",
 			"Whether the append-only file is enabled.", flag(aofOn)},
 		{"", "", "nbtried_aof_commit_duration_seconds",
@@ -158,11 +155,11 @@ func (s *Server) stats() []stat {
 			if p.aof != nil {
 				size = p.aof.Size()
 			}
-			segs = len(p.manifest.Incrs)
+			segs = p.dir.Segments()
 			p.mu.Unlock()
 		}
 		rows = append(rows,
-			stat{"Persistence", "aof_fsync", "", "", p.policy},
+			stat{"Persistence", "aof_fsync", "", "", s.cfg.Persist.Fsync},
 			stat{"Persistence", "aof_current_size", "", "", size},
 			stat{"Persistence", "aof_segments", "", "", segs},
 			stat{"Persistence", "aof_last_write_status", "", "", p.aofStatus.Load()},

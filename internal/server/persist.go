@@ -2,21 +2,25 @@ package server
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nbtrie"
 	"nbtrie/internal/expiry"
 	"nbtrie/internal/persist"
 	"nbtrie/internal/resp"
 )
 
-// Durability orchestration: how the server composes internal/persist's
-// dumps, AOF segments and manifest with the map's O(1) snapshots.
+// Durability orchestration: when the server calls persist.Dir, and
+// under which locks. The directory itself — its file names, manifest,
+// sequence numbers and sweep — is Dir's; this file keeps the
+// exact-boundary gate, group commit before the reply flush, -MISCONF
+// degradation, the command-table replay and BGSAVE's lifecycle.
+// Rotation and snapshot run under gate.Lock, and every call into Dir
+// but the dump's streaming runs under persister.mu.
 //
 // # The exact-boundary invariant
 //
@@ -28,13 +32,13 @@ import (
 // with the wrong value). The server enforces the boundary with one
 // RWMutex, gate: every mutating command holds gate.RLock across its
 // map update AND its AOF append, and a rotation holds gate.Lock while
-// it (a) opens a fresh AOF segment, (b) commits the manifest listing
-// it, (c) takes the map snapshot the dump will stream from and (d)
-// seals the old segment (flush + fsync + close). Writers are quiesced
-// for those four steps only — one root swap plus a handful of file
-// operations whose cost is bounded by one batch's buffered appends,
-// independent of data size; the dump itself streams from the frozen
-// snapshot with no lock held. Every mutation therefore observes the
+// Dir.Rotate (a) opens a fresh AOF segment and (b) commits the manifest
+// listing it, and while the server (c) takes the map snapshot the dump
+// will stream from and (d) seals the old segment (flush + fsync +
+// close). Writers are quiesced for those four steps only — one root
+// swap plus a handful of file operations whose cost is bounded by one
+// batch's buffered appends, independent of data size; the dump itself
+// streams from the frozen snapshot with no lock held. Every mutation therefore observes the
 // rotation entirely before it (its map update is in the snapshot, its
 // record durable in an old segment the next manifest drops) or
 // entirely after (not in the snapshot, record in the new segment).
@@ -49,7 +53,8 @@ import (
 //     base plus the WHOLE segment chain including the new segment, so a
 //     crash recovers everything acknowledged up to the crash. The
 //     half-written dump is an unreferenced temp file; recovery ignores
-//     and removes it.
+//     it and OpenDir's sweep removes it, as it does a segment opened
+//     in step (a) whose manifest never committed.
 //   - After the dump completes, it is fsynced and renamed, then a
 //     second manifest commit swings base to it and drops the
 //     pre-rotation segments. Both manifest commits are atomic
@@ -88,17 +93,15 @@ type PersistConfig struct {
 
 // persister is the server's durability state.
 type persister struct {
-	s      *Server
-	dir    string
-	aofOn  bool
-	policy persist.SyncPolicy
+	s     *Server
+	aofOn bool
 
-	// mu serializes SAVE/BGSAVE/rotation bookkeeping and Close; it is
-	// never held while streaming a dump.
-	mu       sync.Mutex
-	aof      *persist.AOF
-	manifest persist.Manifest
-	seq      uint64 // highest sequence number in use
+	// mu serializes SAVE/BGSAVE/rotation bookkeeping, every call into
+	// dir but SaveBase, and Close; it is never held while streaming a
+	// dump.
+	mu  sync.Mutex
+	aof *persist.AOF
+	dir *persist.Dir
 
 	bgActive   atomic.Bool
 	lastSave   atomic.Int64 // unix seconds of the last completed dump
@@ -116,105 +119,39 @@ type persister struct {
 // truncating a torn tail) and arranges for new appends; called from New
 // before any listener exists, so recovery sees no concurrency.
 func openPersister(s *Server, cfg PersistConfig) (*persister, error) {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	p := &persister{s: s, dir: cfg.Dir, aofOn: cfg.AOF, policy: cfg.Fsync}
+	p := &persister{s: s, aofOn: cfg.AOF}
 	p.saveStatus.Store("ok")
 	p.aofStatus.Store("ok")
-
-	m, ok, err := persist.ReadManifest(cfg.Dir)
+	d, err := persist.OpenDir(cfg.Dir, cfg.AOF, cfg.Fsync, s.cfg.Limits, p.loadEntry, p.applyRecord)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		if err := p.recover(m); err != nil {
-			return nil, err
-		}
-		p.manifest = m
-	}
-	p.removeUnreferenced()
-
+	p.dir = d
 	if p.aofOn {
 		// Appends go to a fresh segment committed into the manifest
-		// before the first record can land in it, so a crash at any
-		// point finds every segment it needs listed.
-		p.seq++
-		name := persist.IncrName(p.seq)
-		p.manifest.Incrs = append(p.manifest.Incrs, name)
-		if err := persist.WriteManifest(p.dir, p.manifest); err != nil {
+		// before the first record can land in it.
+		if _, p.aof, err = d.Rotate(); err != nil {
 			return nil, err
 		}
-		a, err := persist.OpenAOF(filepath.Join(p.dir, name), p.policy)
-		if err != nil {
-			return nil, err
-		}
-		p.aof = a
 	}
 	return p, nil
 }
 
-// recover loads the manifest's recipe into the (empty) map.
-func (p *persister) recover(m persist.Manifest) error {
-	if m.Base != "" {
-		if n, ok := persist.SeqOf(m.Base); ok && n > p.seq {
-			p.seq = n
-		}
-		err := persist.LoadDump(p.dir, m.Base, func(k, v []byte, expireAtMS uint64) error {
-			ek, err := p.s.keyer.Encode(k)
-			if err != nil {
-				return err
-			}
-			if expireAtMS == 0 {
-				p.s.db.Store(ek, v)
-			} else {
-				// Re-arm the dumped deadline, even one already past: the
-				// reaper's opening pass (and any lazy read) purges it, the
-				// same convergence path as replayed PEXPIREAT records.
-				p.s.db.StoreDeadline(ek, v, int64(min(expireAtMS, math.MaxInt64)))
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("server: loading base dump %s: %w", m.Base, err)
-		}
+// loadEntry stores one base-dump record into the (empty) map.
+func (p *persister) loadEntry(k, v []byte, expireAtMS uint64) error {
+	ek, err := p.s.keyer.Encode(k)
+	if err != nil {
+		return err
 	}
-	for _, name := range m.Incrs {
-		if n, ok := persist.SeqOf(name); ok && n > p.seq {
-			p.seq = n
-		}
-		_, truncated, err := persist.ReplayFile(
-			filepath.Join(p.dir, name), p.s.cfg.Limits, p.applyRecord)
-		if err != nil {
-			return fmt.Errorf("server: replaying %s: %w", name, err)
-		}
-		if truncated {
-			fmt.Fprintf(os.Stderr, "nbtried: truncated torn tail of %s (crash artifact; the partial record was never acknowledged)\n", name)
-		}
+	if expireAtMS == 0 {
+		p.s.db.Store(ek, v)
+	} else {
+		// Re-arm the dumped deadline, even one already past: the
+		// reaper's opening pass (and any lazy read) purges it, the same
+		// convergence path as replayed PEXPIREAT records.
+		p.s.db.StoreDeadline(ek, v, int64(min(expireAtMS, math.MaxInt64)))
 	}
 	return nil
-}
-
-// removeUnreferenced deletes dump/segment-shaped files the manifest
-// does not name — half-written temp files and stale bases/segments a
-// crash interrupted the cleanup of.
-func (p *persister) removeUnreferenced() {
-	referenced := map[string]bool{persist.ManifestName: true}
-	if p.manifest.Base != "" {
-		referenced[p.manifest.Base] = true
-	}
-	for _, n := range p.manifest.Incrs {
-		referenced[n] = true
-	}
-	ents, err := os.ReadDir(p.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if !referenced[e.Name()] {
-			os.Remove(filepath.Join(p.dir, e.Name()))
-		}
-	}
 }
 
 // applyRecord replays one AOF record against the keyspace (every record
@@ -388,39 +325,17 @@ func (p *persister) save(background bool) error {
 
 	// Rotation, under the write gate: fresh segment, conservative
 	// manifest (old base + whole chain + fresh segment), snapshot.
-	dumpSeq := p.seq + 1
-	var newSeg *persist.AOF
-	var err error
-	prev := p.manifest
-
 	p.s.gate.Lock()
-	if p.aofOn {
-		segName := persist.IncrName(dumpSeq)
-		newSeg, err = persist.OpenAOF(filepath.Join(p.dir, segName), p.policy)
-		if err != nil {
-			p.s.gate.Unlock()
-			p.mu.Unlock()
-			return err
-		}
-		next := persist.Manifest{Base: prev.Base, Incrs: append(append([]string{}, prev.Incrs...), segName)}
-		if err := persist.WriteManifest(p.dir, next); err != nil {
-			p.s.gate.Unlock()
-			p.mu.Unlock()
-			newSeg.Close()
-			os.Remove(filepath.Join(p.dir, segName))
-			return err
-		}
-		p.manifest = next
+	seq, seg, err := p.dir.Rotate()
+	if err != nil {
+		p.s.gate.Unlock()
+		p.mu.Unlock()
+		return err
 	}
-	p.seq = dumpSeq
 	// One snapshot: each leaf holds its key's value and deadline, so the
 	// dump's (value, deadline) pairs are one cut.
 	snap := p.s.db.Snapshot() // globally exact: writers are quiesced by the gate
-	oldSeg := p.aof
-	if p.aofOn {
-		p.aof = newSeg
-	}
-	if oldSeg != nil {
+	if seg != nil {
 		// Seal (flush + fsync + close) the old segment BEFORE releasing
 		// the gate. commitAOF runs under gate.RLock and commits whatever
 		// p.aof points to, so a batch appended pre-swap can be committed
@@ -429,13 +344,17 @@ func (p *persister) save(background bool) error {
 		// before any such acknowledgement is possible; sealing after the
 		// unlock would leave a window where a crash loses acked bytes
 		// still sitting in the old segment's write buffer.
-		oldSeg.Close()
+		old := p.aof
+		p.aof = seg
+		if old != nil {
+			old.Close()
+		}
 	}
 	p.s.gate.Unlock()
 
 	doDump := func() error {
 		defer p.bgActive.Store(false)
-		err := p.writeDumpAndCommit(snap, dumpSeq)
+		err := p.writeDumpAndCommit(snap, seq)
 		if err != nil {
 			p.saveStatus.Store(err.Error())
 			return err
@@ -462,13 +381,12 @@ func (p *persister) save(background bool) error {
 	return nil
 }
 
-// writeDumpAndCommit streams the snapshot into base-<seq>, swings the
-// manifest to it and removes the files the new recipe dropped. Each
-// record carries the key's deadline from its leaf (0 = no TTL), so a
-// dump restores TTL state without any AOF record.
-func (p *persister) writeDumpAndCommit(snap snapshotIter, seq uint64) error {
-	baseName := persist.BaseName(seq)
-	err := persist.SaveDump(p.dir, baseName, func(fn func(k, v []byte, expireAtMS uint64) bool) {
+// writeDumpAndCommit streams the snapshot into the base dump for seq
+// and swings the manifest to it. Each record carries the key's deadline
+// from its leaf (0 = no TTL), so a dump restores TTL state without any
+// AOF record.
+func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], seq uint64) error {
+	err := p.dir.SaveBase(seq, func(fn func(k, v []byte, expireAtMS uint64) bool) {
 		// One key buffer for the whole dump: WriteDump has written the
 		// key out by the time fn returns.
 		var key []byte
@@ -482,53 +400,9 @@ func (p *persister) writeDumpAndCommit(snap snapshotIter, seq uint64) error {
 	if err != nil {
 		return err
 	}
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	old := p.manifest
-	next := persist.Manifest{Base: baseName}
-	if p.aofOn {
-		// The segment opened by this cycle's rotation — and any opened
-		// by later rotations while a BGSAVE streamed — hold exactly the
-		// post-snapshot records.
-		next.Incrs = segmentsAtOrAfter(old.Incrs, seq)
-	}
-	if err := persist.WriteManifest(p.dir, next); err != nil {
-		return err
-	}
-	p.manifest = next
-
-	drop := map[string]bool{}
-	if old.Base != "" && old.Base != baseName {
-		drop[old.Base] = true
-	}
-	for _, n := range old.Incrs {
-		drop[n] = true
-	}
-	for _, n := range next.Incrs {
-		delete(drop, n)
-	}
-	for n := range drop {
-		os.Remove(filepath.Join(p.dir, n))
-	}
-	return nil
-}
-
-// segmentsAtOrAfter filters the chain to segments with sequence >= seq.
-func segmentsAtOrAfter(chain []string, seq uint64) []string {
-	var out []string
-	for _, n := range chain {
-		if s, ok := persist.SeqOf(n); ok && s >= seq {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// snapshotIter is the slice of MapSnapshot the dump needs;
-// narrowing it keeps writeDumpAndCommit testable.
-type snapshotIter interface {
-	All() iter.Seq2[uint64, expiry.Value]
+	return p.dir.CommitBase(seq)
 }
 
 // StartPeriodicSave triggers a BGSAVE-equivalent dump cycle every

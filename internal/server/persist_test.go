@@ -451,3 +451,68 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 		t.Fatalf("INFO does not surface the AOF failure:\n%s", info.Str)
 	}
 }
+
+// TestPersistSweepKeepsForeignFiles: a data directory may hold the
+// operator's files. Startup and SAVE remove only what the directory's
+// own scheme names and the manifest does not — a stale segment, a
+// dump's temp file — and a foreign file survives both.
+func TestPersistSweepKeepsForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := persistCfg(dir)
+	s, addr := startServer(t, cfg)
+	dial(t, addr).mustSimple("OK", "SET", "k", "v")
+	plant := func(names ...string) {
+		for _, n := range names {
+			if err := os.WriteFile(filepath.Join(dir, n), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string, gone ...string) {
+		if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+			t.Errorf("%s: foreign file removed: %v", when, err)
+		}
+		for _, n := range gone {
+			if _, err := os.Stat(filepath.Join(dir, n)); err == nil {
+				t.Errorf("%s: stale %s survived", when, n)
+			}
+		}
+	}
+
+	stale, staleTmp := persist.IncrName(0), persist.BaseName(0)+".tmp-1"
+	plant("notes.txt", stale)
+	_, addr2 := restart(t, s, cfg)
+	check("restart", stale)
+
+	plant(stale, staleTmp)
+	c := dial(t, addr2)
+	c.mustSimple("OK", "SAVE")
+	check("SAVE", stale, staleTmp)
+	if ents, _ := os.ReadDir(dir); len(ents) != 4 {
+		t.Errorf("after SAVE the directory holds %d files, want MANIFEST, a base, a segment and notes.txt", len(ents))
+	}
+	c.mustBulk("v", "GET", "k")
+}
+
+// TestPersistDumpHonoursBulkLimit: a dump holds every value the server
+// accepted, so it loads back under the same bulk limit — a value above
+// the default 8 MiB survives SAVE and a restart.
+func TestPersistDumpHonoursBulkLimit(t *testing.T) {
+	cfg := persistCfg(t.TempDir())
+	cfg.Limits.MaxBulkLen = 16 << 20
+	s, addr := startServer(t, cfg)
+	big := strings.Repeat("x", 10<<20)
+	c := dial(t, addr)
+	c.mustSimple("OK", "SET", "big", big)
+	c.mustSimple("OK", "SAVE")
+
+	s2, addr2 := restart(t, s, cfg)
+	dial(t, addr2).mustInt(1, "DBSIZE")
+	k, err := s2.keyer.Encode([]byte("big"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s2.DB().Load(k); !ok || len(v) != len(big) {
+		t.Fatalf("recovered value has %d bytes (present %v), want %d", len(v), ok, len(big))
+	}
+}
