@@ -187,7 +187,7 @@ func TestSnapshotDrainsParkedUpdater(t *testing.T) {
 
 	snapC := make(chan *Snapshot[keys.Uint64Key, any], 1)
 	go func() { snapC <- tr.Snapshot() }()
-	for deadline := time.Now().Add(5 * time.Second); !tr.gate.pending.Load(); runtime.Gosched() {
+	for deadline := time.Now().Add(5 * time.Second); tr.gate.state.Load()&pending == 0; runtime.Gosched() {
 		select {
 		case <-snapC:
 			t.Fatal("Snapshot returned while updater A was parked inside the gate")

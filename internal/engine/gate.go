@@ -70,12 +70,22 @@ func (l *lane) recordDepth(d uint64) {
 	l.depthSum.Add(int64(d))
 }
 
-// gate is the snapshot barrier: the lanes, and the mutex and flag a
-// Snapshot holds them with.
+// The gate's state word: bit 0 is pending — a Snapshot holds mu and is
+// draining or swapping — and the bits above it count the snapshots taken
+// and not yet released, in units of held. The count rises only inside a
+// drain, so no updater inside the gate ever sees it rise; Release may
+// lower it at any time.
+const (
+	pending uint32 = 1
+	held    uint32 = 2
+)
+
+// gate is the snapshot barrier: the lanes, and the mutex and state word
+// a Snapshot holds them with.
 type gate struct {
-	lanes   [gateLanes]lane
-	mu      sync.Mutex  // held by a Snapshot from drain to reopen
-	pending atomic.Bool // a Snapshot holds mu and is draining or swapping
+	lanes [gateLanes]lane
+	mu    sync.Mutex    // held by a Snapshot from drain to reopen
+	state atomic.Uint32 // pending, plus held per unreleased snapshot
 }
 
 // enter admits one mutating operation, waiting only while a Snapshot is
@@ -85,7 +95,7 @@ func (g *gate) enter() *lane {
 	for {
 		l := &g.lanes[rand.Uint32()%gateLanes]
 		l.inflight.Add(1)
-		if !g.pending.Load() {
+		if g.state.Load()&pending == 0 {
 			return l
 		}
 		l.inflight.Add(-1)
@@ -105,7 +115,7 @@ func (g *gate) exit(l *lane) { l.inflight.Add(-1) }
 // drain shuts the gate and waits until no updater is inside it.
 func (g *gate) drain() {
 	g.mu.Lock()
-	g.pending.Store(true)
+	g.state.Or(pending)
 	for g.inflight() != 0 {
 		runtime.Gosched()
 	}
@@ -113,9 +123,19 @@ func (g *gate) drain() {
 
 // reopen lets updaters in again after drain.
 func (g *gate) reopen() {
-	g.pending.Store(false)
+	g.state.And(^pending)
 	g.mu.Unlock()
 }
+
+// hold counts one more unreleased snapshot. Called only between drain
+// and reopen.
+func (g *gate) hold() { g.state.Add(held) }
+
+// release counts one snapshot fewer.
+func (g *gate) release() { g.state.Add(^(held - 1)) }
+
+// snapshots returns the number of unreleased snapshots.
+func (g *gate) snapshots() uint32 { return g.state.Load() / held }
 
 // inflight returns the number of updaters inside the gate.
 func (g *gate) inflight() int64 {

@@ -185,9 +185,18 @@ func (f Footprint) Bytes() uintptr { return f.InternalBytes + f.LeafBytes + f.In
 var sizeClasses = [...]uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192,
 	208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024}
 
+// mallocHeader is the word the allocator (Go 1.22 and later) puts in
+// front of every object larger than 512 B that holds pointers, to find
+// its pointer bitmap. Every object the census counts holds pointers.
+const mallocHeader, maxHeaderless = 8, 512
+
 // classSize returns the bytes the allocator hands out for an n-byte
-// object; sizes beyond the table are returned unrounded.
+// object that holds pointers, malloc header included; sizes beyond the
+// table are returned unrounded.
 func classSize(n uintptr) uintptr {
+	if n > maxHeaderless {
+		n += mallocHeader
+	}
 	for _, c := range sizeClasses {
 		if n <= c {
 			return c

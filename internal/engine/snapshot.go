@@ -1,6 +1,10 @@
 package engine
 
-import "nbtrie/internal/keys"
+import (
+	"sync/atomic"
+
+	"nbtrie/internal/keys"
+)
 
 // O(1) point-in-time snapshots via generation stamps, the Ctrie line's
 // signature trick (Prokopec et al., "Cache-Aware Lock-Free Concurrent
@@ -44,22 +48,48 @@ import "nbtrie/internal/keys"
 //
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load
-// of the pending flag and the add back, with no allocation and no word
-// two updaters are bound to share; the pinned allocs/op budgets are
-// unchanged. Renewal cost is paid once per stale path segment after a
-// snapshot and amortizes away, exactly as in Ctries.
+// of the gate's state word and the add back, with no allocation and no
+// word two updaters are bound to share; the pinned allocs/op budgets are
+// unchanged.
+//
+// Renewal is paid only while a snapshot is held. A Ctrie renews every
+// stale node after every snapshot ever taken, because it never learns
+// that a snapshot is done; here the reader says so with Release. The
+// gate's state word counts the unreleased snapshots, and searchMut
+// renews a stale node only when that count, read next to the root, is
+// non-zero; otherwise it flags old-generation nodes in place. Why that
+// is linearizable:
+//   - Snapshot raises the count inside its drain, so no updater inside
+//     the gate can see it rise. An updater that read 0 knows no snapshot
+//     other than released ones can reach the nodes it flags, and a
+//     released snapshot is never read again (the wrappers panic).
+//   - Release may lower the count mid-operation. An updater that read
+//     the higher value only renews nodes it need not have: harmless,
+//     and a renewal in flight finishes or fails like any update.
+//   - While any snapshot S is held, every updater renews, so every Flag
+//     lands on a node of the current generation, newer than S's, and
+//     removed's generation check is exactly as before. A snapshot taken
+//     after writers flagged old nodes in place sees them as the live
+//     trie it captured: the drain finished every such update first.
+// With overlapping snapshots the rule is conservative: writers renew
+// every node older than the current generation until the last one is
+// released, even nodes only a released snapshot can reach. For one
+// snapshot at a time, the BGSAVE pattern, it is exact. A snapshot that
+// is never released behaves as one always did.
 
 // Snapshot is a read-only point-in-time view of a Trie, obtained in
 // O(1) from Trie.Snapshot. It shares structure with the live trie:
 // nothing reachable from its root can change after Snapshot returns, so
 // all methods are safe for unrestricted concurrent use (against each
 // other and against live-trie updates) and always observe exactly the
-// state the trie held at the snapshot's linearization point.
+// state the trie held at the snapshot's linearization point, until
+// Release.
 type Snapshot[K keys.Key[K], V any] struct {
-	t    *Trie[K, V]
-	root *node[K, V]
-	gen  uint64
-	n    int64
+	t        *Trie[K, V]
+	root     *node[K, V]
+	gen      uint64
+	n        int64
+	released atomic.Bool
 }
 
 // Snapshot returns a read-only view of the trie at the moment of the
@@ -72,17 +102,35 @@ type Snapshot[K keys.Key[K], V any] struct {
 // every mutation in flight — an updater descheduled mid-operation holds
 // it up for as long as it stays descheduled — and mutations that start
 // meanwhile wait for the Snapshot to return. Reads never wait.
+//
+// Until it is released, the snapshot makes every mutation renew the
+// stale nodes on its path; call Release when done reading.
 func (t *Trie[K, V]) Snapshot() *Snapshot[K, V] {
 	t.gate.drain()
 	old := t.root.Load()
 	t.root.Store(t.copyNode(old, old.gen+1))
 	n := t.count.Load()
+	t.gate.hold()
 	t.gate.reopen()
 	if n < 0 {
 		n = 0
 	}
 	return &Snapshot[K, V]{t: t, root: old, gen: old.gen, n: n}
 }
+
+// Release tells the trie the snapshot will not be read again, so
+// mutations stop renewing nodes for it once no other snapshot is held.
+// Idempotent. The snapshot must not be read after Release: the engine
+// does not check (its reads are also the live trie's), the wrappers do
+// (Released).
+func (s *Snapshot[K, V]) Release() {
+	if s.released.CompareAndSwap(false, true) {
+		s.t.gate.release()
+	}
+}
+
+// Released reports whether Release has been called.
+func (s *Snapshot[K, V]) Released() bool { return s.released.Load() }
 
 // Gen returns the snapshot's generation (diagnostics and tests).
 func (s *Snapshot[K, V]) Gen() uint64 { return s.gen }
@@ -193,12 +241,14 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 // copy over it through the flag protocol — before stepping into it, so
 // the returned position's gp, p and node (when internal) all carry the
 // current generation and are safe to flag and child-CAS without ever
-// mutating a node a snapshot can reach. Must be called inside the gate;
+// mutating a node a snapshot can reach. With no snapshot held it renews
+// nothing (see the top of this file). Must be called inside the gate;
 // l is the lane the caller entered on, where the descent's depth is
 // recorded.
 func (t *Trie[K, V]) searchMut(l *lane, v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
+	renew := t.gate.snapshots() != 0
 restart:
 	for {
 		var r searchResult[K, V]
@@ -210,7 +260,7 @@ restart:
 			slot := n.inner().kid(t.slotOf(v, n.label.Len()))
 			n = slot.Load()
 			depth++
-			if stale(n, g) {
+			if renew && stale(n, g) {
 				t.renewChild(l, r.p, r.pInfo, n, g)
 				// Carry on from the renewed child, re-reading r.p as a
 				// descent arriving at it now would (info before child).

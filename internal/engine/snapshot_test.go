@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -176,7 +178,7 @@ func TestSnapshotReadAllocsPinned(t *testing.T) {
 
 // TestSnapshotPrefixConsistency is the linearizability check: writers
 // insert strictly ascending private sequences while snapshots are taken
-// concurrently. Every snapshot must show, for every writer, a prefix of
+// and released concurrently. Every snapshot must show, for every writer, a prefix of
 // that writer's sequence (an insert acknowledged before the snapshot is
 // in it; one acknowledged after is not; nothing in between is skipped),
 // and two walks of the same snapshot must agree exactly.
@@ -239,6 +241,9 @@ func TestSnapshotPrefixConsistency(t *testing.T) {
 		if again != seen {
 			t.Errorf("snapshot not frozen: first walk %d keys, second %d", seen, again)
 		}
+		// Released, so between rounds the writers flag old nodes in
+		// place and the next round's cut is taken over them.
+		s.Release()
 		runtime.Gosched()
 	}
 	stop.Store(true)
@@ -313,5 +318,151 @@ func TestSnapshotQuickCheckAgainstModel(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// u64Trie is a Trie with unboxed uint64 values, whose overwrite costs are
+// the ones the allocation pins name: a 48 B leaf, a 48 B one-CAS Flag and
+// an 8 B Unflag.
+func u64Trie(width uint32) (*Trie[keys.Uint64Key, uint64], func(uint64) keys.Uint64Key) {
+	c := keys.U64Codec{Width: width}
+	lo, hi := c.Bounds()
+	return New[keys.Uint64Key, uint64](lo, hi), func(k uint64) keys.Uint64Key {
+		e, _ := c.Encode(k)
+		return e
+	}
+}
+
+// overwriteAll stores val under every key of ks and returns what one
+// overwrite cost on average, in heap objects and bytes, rounded.
+func overwriteAll(tr *Trie[keys.Uint64Key, uint64], ks []keys.Uint64Key, val uint64) (objs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range ks {
+		tr.Store(k, val)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(ks))
+	return math.Round(float64(after.Mallocs-before.Mallocs) / n), math.Round(float64(after.TotalAlloc-before.TotalAlloc) / n)
+}
+
+// TestReleaseStopsRenewal pins what a held snapshot costs writers and
+// that Release ends it. A 2^16-key overwrite costs 3 objects and 104 B
+// with no snapshot; with a snapshot held each overwrite also renews,
+// once, every internal node below the root on its path, one 64 B copy,
+// a 64 B two-node Flag and an 8 B Unflag per node, 6 objects and 240 B
+// in all, and the snapshot stays frozen; after Release the overwrite
+// costs 3 and 104 again and renews nothing.
+func TestReleaseStopsRenewal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 1 << 16
+	tr, enc := u64Trie(32)
+	ks := make([]keys.Uint64Key, n)
+	for i := range ks {
+		ks[i] = enc(uint64(i) * 40503)
+		tr.Store(ks[i], 0)
+	}
+	pass := func(name string, val uint64, wantObjs, wantBytes float64, wantRenewals int64) {
+		t.Helper()
+		r0 := tr.StatsSnapshot().SnapshotRenewals
+		objs, bytes := overwriteAll(tr, ks, val)
+		if objs != wantObjs || bytes != wantBytes {
+			t.Errorf("%s: an overwrite costs %.0f objects and %.0f B, want %.0f and %.0f", name, objs, bytes, wantObjs, wantBytes)
+		}
+		if got := tr.StatsSnapshot().SnapshotRenewals - r0; got != wantRenewals {
+			t.Errorf("%s: %d renewals, want %d", name, got, wantRenewals)
+		}
+	}
+
+	pass("no snapshot", 1, 3, 104, 0)
+	s := tr.Snapshot()
+	// n+2 leaves hang under n+1 internal nodes; the root is fresh.
+	pass("snapshot held", 2, 6, 240, n)
+	for i, k := range ks {
+		if v, ok := s.Load(k); !ok || v != 1 {
+			t.Fatalf("held snapshot: key %d = (%d, %v), want (1, true)", i, v, ok)
+		}
+	}
+	if s.Len() != n {
+		t.Errorf("held snapshot: Len = %d, want %d", s.Len(), n)
+	}
+	s.Release()
+	pass("after Release", 3, 3, 104, 0)
+	if err := tr.Validate(nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReleaseKeepsOtherSnapshotsFrozen takes two overlapping snapshots,
+// the second after the lower half of the keys was overwritten, so the
+// two share the upper half's nodes, and releases either one first:
+// writers must keep renewing for the one still held, which reads its
+// own cut through a full overwrite, a delete and a general-case
+// Replace. Releasing twice counts once, and never reaches the pending
+// bit. Once both are released, writers renew nothing.
+func TestReleaseKeepsOtherSnapshotsFrozen(t *testing.T) {
+	const n = 1 << 10
+	for _, first := range []int{0, 1} {
+		t.Run(fmt.Sprintf("release-%d-first", first), func(t *testing.T) {
+			tr, enc := u64Trie(32)
+			ks := make([]keys.Uint64Key, n)
+			for i := range ks {
+				ks[i] = enc(uint64(i) << 16)
+				tr.Store(ks[i], 0)
+			}
+			var snaps [2]*Snapshot[keys.Uint64Key, uint64]
+			snaps[0] = tr.Snapshot()
+			for _, k := range ks[:n/2] {
+				tr.Store(k, 1)
+			}
+			snaps[1] = tr.Snapshot()
+			want := func(s, i int) uint64 { // key i's value in snapshot s
+				if s == 1 && i < n/2 {
+					return 1
+				}
+				return 0
+			}
+
+			snaps[first].Release()
+			snaps[first].Release()
+			if st, h := tr.gate.state.Load(), tr.StatsSnapshot().SnapshotsHeld; st != held || h != 1 {
+				t.Errorf("release %d twice: state word %#x and %d held, want %#x and 1", first, st, h, held)
+			}
+			for _, k := range ks {
+				tr.Store(k, 2)
+			}
+			tr.Delete(ks[1])
+			if !tr.Replace(ks[2], enc(n<<16|5)) {
+				t.Fatal("Replace of a live key failed")
+			}
+			kept := snaps[1-first]
+			for i, k := range ks {
+				if v, ok := kept.Load(k); !ok || v != want(1-first, i) {
+					t.Fatalf("release %d first: snapshot %d reads key %d as (%d, %v), want (%d, true)",
+						first, 1-first, i, v, ok, want(1-first, i))
+				}
+			}
+			walked := 0
+			var zero keys.Uint64Key
+			kept.AscendKV(zero, func(keys.Uint64Key, uint64) bool { walked++; return true })
+			if walked != n || kept.Len() != n {
+				t.Errorf("release %d first: snapshot %d walks %d keys, Len %d, want %d", first, 1-first, walked, kept.Len(), n)
+			}
+
+			kept.Release()
+			if h := tr.StatsSnapshot().SnapshotsHeld; h != 0 {
+				t.Errorf("both released: %d held, want 0", h)
+			}
+			r0 := tr.StatsSnapshot().SnapshotRenewals
+			for _, k := range ks {
+				tr.Store(k, 3)
+			}
+			if r := tr.StatsSnapshot().SnapshotRenewals - r0; r != 0 {
+				t.Errorf("both released: %d renewals, want 0", r)
+			}
+			if err := tr.Validate(nil); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

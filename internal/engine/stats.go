@@ -42,6 +42,10 @@ type contention struct {
 // buckets are used, and the last of those saturates: Buckets[12] counts
 // every depth >= 2^11, not only depths in [2^11, 2^12). Count and Sum are
 // exact.
+//
+// SnapshotsHeld is not a counter but the number of snapshots taken and
+// not yet released: while it is non-zero, mutations renew the stale nodes
+// on their paths (SnapshotRenewals).
 type StatsSnapshot struct {
 	Help             int64
 	HelpAssist       int64
@@ -49,6 +53,7 @@ type StatsSnapshot struct {
 	FlagBacktrack    int64
 	OpRetries        int64
 	SnapshotRenewals int64
+	SnapshotsHeld    int64
 	Depth            obs.HistSnapshot
 }
 
@@ -62,6 +67,7 @@ func (t *Trie[K, V]) StatsSnapshot() StatsSnapshot {
 		FlagBacktrack:    t.stats.flagBacktrack.Load(),
 		OpRetries:        t.stats.opRetries.Load(),
 		SnapshotRenewals: t.stats.snapshotRenewals.Load(),
+		SnapshotsHeld:    int64(t.gate.snapshots()),
 	}
 	for i := range t.gate.lanes {
 		l := &t.gate.lanes[i]

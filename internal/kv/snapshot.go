@@ -10,7 +10,9 @@ import (
 // is frozen: nothing it can reach changes after Snapshot returns, so all
 // methods are safe for unrestricted concurrent use and answer with the
 // state at the snapshot's linearization point. Its iteration is a true
-// consistent cut, unlike the live trie's.
+// consistent cut, unlike the live trie's. Release it when done: until
+// then every mutation renews the stale nodes on its path, and reading it
+// afterwards panics.
 type Snapshot[U any, K keys.Key[K], V any, C Codec[U, K]] struct {
 	t *Trie[U, K, V, C]
 	s *engine.Snapshot[K, V]
@@ -29,9 +31,22 @@ func (t *Trie[U, K, V, C]) Snapshot() *Snapshot[U, K, V, C] {
 	return &Snapshot[U, K, V, C]{t: t, s: t.e.Snapshot()}
 }
 
+// Release ends the snapshot: mutations stop renewing nodes for it, and
+// any later read panics. Idempotent.
+func (s *Snapshot[U, K, V, C]) Release() { s.s.Release() }
+
+// view returns the engine snapshot to read, panicking once it has been
+// released: the nodes it reached may have been flagged in place since.
+func (s *Snapshot[U, K, V, C]) view() *engine.Snapshot[K, V] {
+	if s.s.Released() {
+		panic("nbtrie: read from a released snapshot")
+	}
+	return s.s
+}
+
 // Len returns the number of keys at the snapshot point (exact: the count
 // is captured inside the snapshot barrier).
-func (s *Snapshot[U, K, V, C]) Len() int { return s.s.Len() }
+func (s *Snapshot[U, K, V, C]) Len() int { return s.view().Len() }
 
 // Gen returns the snapshot's engine generation (diagnostics and tests).
 func (s *Snapshot[U, K, V, C]) Gen() uint64 { return s.s.Gen() }
@@ -39,31 +54,34 @@ func (s *Snapshot[U, K, V, C]) Gen() uint64 { return s.s.Gen() }
 // Contains reports whether u was in the set at the snapshot point; it
 // reads exactly as the live trie's Contains does.
 func (s *Snapshot[U, K, V, C]) Contains(u U) bool {
+	v := s.view()
 	k, ok := s.t.c.Encode(u)
-	return ok && s.s.Contains(k)
+	return ok && v.Contains(k)
 }
 
 // Load returns the value bound to u at the snapshot point.
 func (s *Snapshot[U, K, V, C]) Load(u U) (V, bool) {
+	v := s.view()
 	k, ok := s.t.c.Encode(u)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	return s.s.Load(k)
+	return v.Load(k)
 }
 
 // AscendKV calls fn on every (key, value) pair with key >= from that was
 // live at the snapshot point, in increasing encoded-key order, until fn
 // returns false.
 func (s *Snapshot[U, K, V, C]) AscendKV(from U, fn func(u U, val V) bool) {
+	v := s.view()
 	if k, ok := s.t.c.Encode(from); ok {
-		s.s.AscendKV(k, s.t.decoded(fn))
+		v.AscendKV(k, s.t.decoded(fn))
 	}
 }
 
 // AllKV is AscendKV from the bottom of the key space.
 func (s *Snapshot[U, K, V, C]) AllKV(fn func(u U, val V) bool) {
 	var bottom K
-	s.s.AscendKV(bottom, s.t.decoded(fn))
+	s.view().AscendKV(bottom, s.t.decoded(fn))
 }

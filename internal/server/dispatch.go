@@ -354,7 +354,9 @@ type scanCursor struct {
 // Cursors live in a bounded table; the oldest is evicted when it fills,
 // and a SCAN with an unknown/evicted id terminates with cursor 0 and an
 // empty page — the shape Redis clients already handle for an exhausted
-// scan. Snapshots are reclaimed by GC when their cursor is dropped.
+// scan. A cursor's snapshot is released when its walk ends, when it is
+// evicted and when the server closes: while it is held, every write
+// renews the stale nodes on its path.
 func (ss *session) scan(args [][]byte, _ []uint64) {
 	s, w := ss.s, ss.w
 	if len(args) == 3 {
@@ -435,9 +437,14 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 					oldest = other
 				}
 			}
+			// No session is reading it: a session takes its cursor out
+			// of the table for the length of a page.
+			s.scans[oldest].snap.Release()
 			delete(s.scans, oldest)
 		}
 		s.scanMu.Unlock()
+	} else {
+		sc.snap.Release()
 	}
 
 	w.WriteArrayHeader(2)

@@ -63,6 +63,7 @@ func metricsFamiliesAndCounts(t *testing.T) {
 		"nbtried_engine_flag_backtracks_total",
 		"nbtried_engine_op_retries_total",
 		"nbtried_engine_snapshot_renewals_total",
+		"nbtried_engine_snapshots_held",
 	} {
 		if v := metricValue(t, idle, m); v != 0 {
 			t.Errorf("idle server: %s = %d, want 0", m, v)
@@ -524,7 +525,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"Persistence": persistence,
 		"Engine": {"engine_help_total", "engine_help_assists_total", "engine_child_cas_failures_total",
 			"engine_flag_backtracks_total", "engine_op_retries_total", "engine_snapshot_renewals_total",
-			"engine_depth_samples", "engine_depth_p50", "engine_depth_p99", "engine_shardN_updates"},
+			"engine_snapshots_held", "engine_depth_samples", "engine_depth_p50", "engine_depth_p99", "engine_shardN_updates"},
 		"Keyspace": {"db0"},
 	}
 	var order []string
@@ -571,6 +572,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"nbtried_engine_flag_backtracks_total counter",
 		"nbtried_engine_op_retries_total counter",
 		"nbtried_engine_snapshot_renewals_total counter",
+		"nbtried_engine_snapshots_held gauge",
 		"nbtried_engine_depth histogram",
 	}
 	if cfg.Persist.AOF {
@@ -599,6 +601,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"engine_flag_backtracks_total":    "nbtried_engine_flag_backtracks_total",
 		"engine_op_retries_total":         "nbtried_engine_op_retries_total",
 		"engine_snapshot_renewals_total":  "nbtried_engine_snapshot_renewals_total",
+		"engine_snapshots_held":           "nbtried_engine_snapshots_held",
 		"db0":                             "nbtried_keys",
 	}
 	for key, family := range shared {

@@ -381,10 +381,11 @@ func (p *persister) save(background bool) error {
 	return nil
 }
 
-// writeDumpAndCommit streams the snapshot into the base dump for seq
-// and swings the manifest to it. Each record carries the key's deadline
-// from its leaf (0 = no TTL), so a dump restores TTL state without any
-// AOF record.
+// writeDumpAndCommit streams the snapshot into the base dump for seq,
+// releases it, and swings the manifest to the dump. Each record carries
+// the key's deadline from its leaf (0 = no TTL), so a dump restores TTL
+// state without any AOF record. The snapshot is released whether or not
+// the dump succeeded: writers renew stale nodes only while it is held.
 func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], seq uint64) error {
 	err := p.dir.SaveBase(seq, func(fn func(k, v []byte, expireAtMS uint64) bool) {
 		// One key buffer for the whole dump: WriteDump has written the
@@ -397,6 +398,7 @@ func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], s
 			}
 		}
 	})
+	snap.Release()
 	if err != nil {
 		return err
 	}

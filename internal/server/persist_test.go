@@ -516,3 +516,85 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 		t.Fatalf("recovered value has %d bytes (present %v), want %d", len(v), ok, len(big))
 	}
 }
+
+// TestScanAndSaveReleaseSnapshots: every snapshot the server takes is
+// released when its reader is done — a SCAN cursor when its walk ends,
+// in one page or many, when it is evicted past MaxScanCursors and when
+// the server closes, and BGSAVE's cut when its dump is written — so
+// INFO and /metrics read engine_snapshots_held 0 and a later SET renews
+// no node. An open cursor counts as held.
+func TestScanAndSaveReleaseSnapshots(t *testing.T) {
+	s, addr := startServer(t, Config{MaxScanCursors: 2, Persist: PersistConfig{Dir: t.TempDir()}})
+	c := dial(t, addr)
+	for i := 0; i < 30; i++ {
+		c.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
+	}
+	held := func(when string, want int64) {
+		t.Helper()
+		if got := metricValue(t, metricsText(t, s), "nbtried_engine_snapshots_held"); got != want {
+			t.Errorf("%s: nbtried_engine_snapshots_held = %d, want %d", when, got, want)
+		}
+		if !strings.Contains(s.infoText("engine"), fmt.Sprintf("engine_snapshots_held:%d\r\n", want)) {
+			t.Errorf("%s: INFO engine lacks engine_snapshots_held:%d", when, want)
+		}
+	}
+	open := func() string {
+		t.Helper()
+		cursor := string(c.do("SCAN", "0", "COUNT", "5").Array[0].Str)
+		if cursor == "0" {
+			t.Fatal("SCAN COUNT 5 over 30 keys finished in one page")
+		}
+		return cursor
+	}
+	finish := func(cursor string) {
+		t.Helper()
+		for pages := 0; cursor != "0"; pages++ {
+			if pages > 30 {
+				t.Fatal("SCAN never terminated")
+			}
+			cursor = string(c.do("SCAN", cursor, "COUNT", "5").Array[0].Str)
+		}
+	}
+
+	held("idle", 0)
+	cursor := open()
+	held("a cursor open", 1)
+	finish(cursor)
+	held("after a full SCAN loop", 0)
+
+	if v := c.do("SCAN", "0", "COUNT", "100"); string(v.Array[0].Str) != "0" {
+		t.Fatalf("SCAN COUNT 100 over 30 keys = %s, want one page", v)
+	}
+	held("after a one-page SCAN", 0)
+
+	c.mustSimple("Background saving started", "BGSAVE")
+	for deadline := time.Now().Add(5 * time.Second); s.pst.bgActive.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("BGSAVE never finished")
+		}
+	}
+	held("after a finished BGSAVE", 0)
+
+	evicted := open()
+	second, third := open(), open()
+	held("three cursors opened, one evicted", 2)
+	finish(evicted) // terminates at once
+	finish(second)
+	finish(third)
+	held("after an eviction past MaxScanCursors", 0)
+
+	renewals := s.DB().EngineStats().SnapshotRenewals
+	c.mustSimple("OK", "SET", "k00", "w")
+	if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
+		t.Errorf("a SET with no snapshot held renewed %d nodes, want 0", got-renewals)
+	}
+
+	open()
+	held("a cursor open before Close", 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.DB().EngineStats().SnapshotsHeld; h != 0 {
+		t.Errorf("after Close: %d snapshots held, want 0", h)
+	}
+}

@@ -280,8 +280,15 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	// Every connection goroutine has drained, so no command can append
-	// any more: the reaper stops next (its purges mutate the map but
+	// any more and no session reads a SCAN cursor: their snapshots are
+	// released, the reaper stops next (its purges mutate the map but
 	// never the AOF), and only then is the persister sealed.
+	s.scanMu.Lock()
+	for _, sc := range s.scans {
+		sc.snap.Release()
+	}
+	clear(s.scans)
+	s.scanMu.Unlock()
 	close(s.reapStop)
 	<-s.reapDone
 	if s.pst != nil {

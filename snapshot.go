@@ -17,8 +17,11 @@ import (
 //
 // Snapshots share structure with the live map; memory for the shared
 // parts is reclaimed by the garbage collector once both the snapshot and
-// the live map have let go of them (drop the snapshot when done, there
-// is no Close).
+// the live map have let go of them. Call Release when done reading:
+// while a snapshot is held, every update copies the not-yet-copied
+// nodes on its path, and only a released snapshot stops that tax. A
+// snapshot that is dropped without Release stays counted as held.
+// Reading a snapshot after its Release panics.
 
 // MapSnapshot is a frozen point-in-time view of a Map.
 type MapSnapshot[V any] struct {
@@ -32,7 +35,7 @@ type MapSnapshot[V any] struct {
 // a mutator descheduled mid-operation stretches it — and mutators that
 // start meanwhile wait for it. Snapshot is the one blocking operation;
 // readers never wait. Afterwards mutators copy-on-write diverged paths
-// and the snapshot stays frozen.
+// and the snapshot stays frozen, until Release.
 func (m *Map[V]) Snapshot() *MapSnapshot[V] {
 	return &MapSnapshot[V]{s: m.t.Snapshot()}
 }
@@ -47,6 +50,11 @@ func (s *MapSnapshot[V]) Contains(k uint64) bool { return s.s.Contains(k) }
 // Len returns the number of entries at the snapshot point. Exact: the
 // count is captured with no mutation in flight.
 func (s *MapSnapshot[V]) Len() int { return s.s.Len() }
+
+// Release ends the snapshot: updates stop copying nodes for it once no
+// other snapshot of the map is held, and any later read of it panics.
+// Idempotent.
+func (s *MapSnapshot[V]) Release() { s.s.Release() }
 
 // All iterates over the snapshot's entries in increasing key order — a
 // consistent cut, unlike Map.All.
@@ -80,6 +88,9 @@ func (s *StringMapSnapshot[V]) Contains(k []byte) bool { return s.s.Contains(k) 
 
 // Len returns the number of entries at the snapshot point (exact).
 func (s *StringMapSnapshot[V]) Len() int { return s.s.Len() }
+
+// Release ends the snapshot (see MapSnapshot.Release).
+func (s *StringMapSnapshot[V]) Release() { s.s.Release() }
 
 // All iterates over the snapshot's entries in encoded-key order — a
 // consistent cut, unlike StringMap.All.
@@ -121,6 +132,9 @@ func (s *SpatialMapSnapshot[V]) Contains(x, y uint32) bool { return s.s.Contains
 
 // Len returns the number of stored points at the snapshot point (exact).
 func (s *SpatialMapSnapshot[V]) Len() int { return s.s.Len() }
+
+// Release ends the snapshot (see MapSnapshot.Release).
+func (s *SpatialMapSnapshot[V]) Release() { s.s.Release() }
 
 // All iterates over the snapshot's points in Z-order — a consistent
 // cut, unlike SpatialMap.All.

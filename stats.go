@@ -24,7 +24,11 @@ import "nbtrie/internal/engine"
 //   - OpRetries: mutator retry-loop iterations past the first.
 //   - SnapshotRenewals: stale-generation internal nodes copied into the
 //     current generation by the first mutation to descend through them
-//     after a Snapshot.
+//     while a Snapshot is held.
+//
+// SnapshotsHeld is a gauge, not a counter: the snapshots taken and not
+// yet released. Mutations renew only while it is non-zero, so a snapshot
+// that is never released keeps taxing writers.
 //
 // DepthBuckets is a log2 histogram of per-mutation search depths:
 // bucket 0 counts depth 0 and bucket b in [1, 11] counts depths in
@@ -39,6 +43,7 @@ type EngineStats struct {
 	FlagBacktracks   int64
 	OpRetries        int64
 	SnapshotRenewals int64
+	SnapshotsHeld    int64
 
 	DepthSamples int64
 	DepthSum     int64
@@ -54,6 +59,7 @@ func engineStatsOf(s engine.StatsSnapshot) EngineStats {
 		FlagBacktracks:   s.FlagBacktrack,
 		OpRetries:        s.OpRetries,
 		SnapshotRenewals: s.SnapshotRenewals,
+		SnapshotsHeld:    s.SnapshotsHeld,
 		DepthSamples:     s.Depth.Count,
 		DepthSum:         s.Depth.Sum,
 		DepthBuckets:     s.Depth.Buckets,
