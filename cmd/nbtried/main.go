@@ -14,15 +14,13 @@
 //	            or "decimal" (canonical decimal integers)
 //	-width      key width in bits for the decimal keyer (default 63;
 //	            the bytes keyer is fixed at 59)
-//	-shards     shard count for the backing map (0 = GOMAXPROCS-based)
-//	-span       trie digit width in bits: each internal node resolves
-//	            span key bits through 2^span children (1 = the paper's
-//	            binary nodes; 4 packs a node into one cache line and
-//	            quarters the trie depth)
 //	-max-bulk   largest accepted bulk string (keys and values), bytes
-//	-scan-count SCAN's default page size
 //	-port-file  write the actual listen address to this file once
 //	            listening (for scripts that start on a random port)
+//
+// The keyspace's shape is fixed: the paper's binary nodes below a root
+// whose digit is the shard, GOMAXPROCS rounded up to a power of two and
+// at least 8 shards (DESIGN.md §5). The startup banner reports it.
 //
 // Observability (see DESIGN.md §13):
 //
@@ -65,6 +63,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -92,10 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr        = fs.String("addr", "127.0.0.1:6380", "listen address (host:port; port 0 = random free port)")
 		keyerName   = fs.String("keyer", "bytes", "wire-key mapping: bytes or decimal")
 		width       = fs.Uint("width", 63, "key width in bits for the decimal keyer (the bytes keyer is fixed at 59)")
-		shards      = fs.Int("shards", 0, "shard count (0 = default, else a power of two in [1, 256])")
-		span        = fs.Uint("span", 1, "trie digit width in bits, in [1, 6]: nodes have 2^span children")
 		maxBulk     = fs.Int("max-bulk", resp.DefaultLimits.MaxBulkLen, "largest accepted bulk string in bytes")
-		scanCount   = fs.Int("scan-count", 10, "SCAN's default page size")
 		portFile    = fs.String("port-file", "", "write the actual listen address here once listening")
 		metricsAddr = fs.String("metrics-addr", "", "observability HTTP listener (host:port): Prometheus /metrics + /debug/pprof (off when empty)")
 		slowerThan  = fs.Int64("slowlog-log-slower-than", server.SlowlogDefaultUS, "log commands slower than this many microseconds (0 = every command, negative = off)")
@@ -108,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	keyer, err := buildKeyer(*keyerName, uint32(*width))
+	keyer, err := server.NewKeyer(*keyerName, uint32(*width))
 	if err != nil {
 		return err
 	}
@@ -137,10 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	srv, err := server.New(server.Config{
 		Keyer:               keyer,
-		Shards:              *shards,
-		Span:                uint32(*span),
 		Limits:              resp.Limits{MaxBulkLen: *maxBulk},
-		ScanDefaultCount:    *scanCount,
 		SlowlogSlowerThanUS: slowlogUS,
 		SlowlogMaxLen:       *slowlogMax,
 		Persist:             server.PersistConfig{Dir: *dir, AOF: *aof, Fsync: policy},
@@ -148,10 +141,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stopSaver := func() {}
 	if *savePer > 0 {
-		stopSaver := srv.StartPeriodicSave(time.Duration(*savePer) * time.Second)
-		defer stopSaver()
+		stopSaver = srv.StartPeriodicSave(time.Duration(*savePer) * time.Second)
 	}
+	// shutdown stops the saver before it closes the server: a save that
+	// ran after Close would reopen the data directory. Every way out of
+	// run calls it, and a second call waits for the first to finish.
+	shutdown := sync.OnceFunc(func() {
+		stopSaver()
+		srv.Close()
+	})
+	defer shutdown()
 	// The observability listener is a PRIVATE mux: registering pprof on
 	// http.DefaultServeMux would expose profiling to anything else in
 	// the process that serves the default mux, and the daemon must not
@@ -183,8 +184,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=%s width=%d shards=%d span=%d)\n",
-		server.Version, ln.Addr(), keyer.Name(), keyer.Width(), srv.DB().Shards(), *span)
+	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=%s width=%d shards=%d)\n",
+		server.Version, ln.Addr(), keyer.Name(), keyer.Width(), srv.DB().Shards())
 
 	// A cancelled context (signal, test shutdown) closes the server,
 	// which unblocks Serve with a nil error: the graceful path.
@@ -193,7 +194,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	go func() {
 		select {
 		case <-ctx.Done():
-			srv.Close()
+			shutdown()
 		case <-done: // Serve failed on its own; don't leak the goroutine
 		}
 	}()
@@ -206,22 +207,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	// Serve can return while the watcher's Close is still draining
-	// connection goroutines; Close is idempotent and waits, so this
-	// call is the synchronization point — no handler is cut off by
-	// process exit.
-	srv.Close()
+	// Serve can return while the watcher's shutdown is still draining
+	// connection goroutines; a second call waits for it, so this call is
+	// the synchronization point — no handler is cut off by process exit.
+	shutdown()
 	fmt.Fprintln(stdout, "nbtried: shut down")
 	return nil
-}
-
-// buildKeyer resolves the -keyer/-width flag pair.
-func buildKeyer(name string, width uint32) (server.Keyer, error) {
-	if name == "decimal" {
-		if width < 1 || width > 63 {
-			return nil, fmt.Errorf("width %d out of range [1, 63]", width)
-		}
-		return server.DecimalKeyer{KeyWidth: width}, nil
-	}
-	return server.NewKeyer(name)
 }

@@ -89,7 +89,10 @@ func TestDaemonBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-keyer", "md5"},
 		{"-keyer", "decimal", "-width", "99"},
-		{"-shards", "3"},
+		// The keyspace's shape and SCAN's page are not flags.
+		{"-shards", "1"},
+		{"-span", "4"},
+		{"-scan-count", "5"},
 		{"-addr", "not an address"},
 		{"-aof"}, // -aof without -dir
 		{"-appendfsync", "sometimes"},
@@ -102,14 +105,28 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 }
 
+// TestBuildKeyer pins how the -keyer/-width pair resolves, as the
+// banner reports it: the decimal keyer takes the width, the bytes keyer
+// ignores it and stays at 59 bits. The context is cancelled up front,
+// so each run prints its banner and shuts down at once.
 func TestBuildKeyer(t *testing.T) {
-	k, err := buildKeyer("decimal", 20)
-	if err != nil || k.Width() != 20 {
-		t.Fatalf("decimal@20: %v, %v", k, err)
-	}
-	k, err = buildKeyer("bytes", 63) // width ignored for bytes
-	if err != nil || k.Width() != 59 {
-		t.Fatalf("bytes: %v, %v", k, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-keyer", "decimal", "-width", "20"}, "keyer=decimal width=20 "},
+		{[]string{"-keyer", "bytes", "-width", "63"}, "keyer=bytes width=59 "},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)
+		if err := run(ctx, args, &out, io.Discard); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("run(%v) banner = %q, want %q", args, out.String(), c.want)
+		}
 	}
 }
 

@@ -32,6 +32,14 @@
 // armed leaf has its node, and a node the reaper meets whose leaf does
 // not hold it yet (an arming in flight) or any more (a retirement in
 // flight) is left to its owner. DESIGN.md §12 has the full argument.
+//
+// # The reaper
+//
+// StartReaper runs the eager half of expiry: a goroutine that sleeps
+// until the earliest armed deadline and purges everything due, so
+// expired keys stop occupying memory even if nothing reads them. An
+// arming that installs an earlier deadline wakes it. Both sides of that
+// wakeup protocol, arm's and reaper's, live in this package.
 package expiry
 
 import (
@@ -42,6 +50,7 @@ import (
 
 	"nbtrie"
 	"nbtrie/internal/kv"
+	"nbtrie/internal/obs"
 )
 
 const (
@@ -101,35 +110,32 @@ type Index struct {
 	wakeAt atomic.Int64
 	wake   chan struct{}
 
+	// expired counts purged keys; passes times every reaper pass, in
+	// microseconds, and its count is the number of passes.
 	expired atomic.Uint64
-	passes  atomic.Uint64
+	passes  obs.Hist
 }
 
 // Option configures New.
 type Option func(*config)
 
 type config struct {
-	span  uint32
 	clock func() int64
 }
-
-// WithSpan builds the keyspace's trie below the root at digit width span
-// (see nbtrie.NewShardedMapSpan); the default is 1, the paper's binary
-// nodes.
-func WithSpan(span uint32) Option { return func(c *config) { c.span = span } }
 
 // WithClock sets the clock, in Unix milliseconds, that reads compare
 // deadlines against; the default is the wall clock.
 func WithClock(clock func() int64) Option { return func(c *config) { c.clock = clock } }
 
 // New returns an empty keyspace over keys of the given width, sharded
-// shardCount ways (the nbtrie.NewShardedMap constraints).
+// shardCount ways (the nbtrie.NewShardedMap constraints: 0 picks the
+// GOMAXPROCS-derived default). The trie has the paper's binary nodes.
 func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
-	c := config{span: 1, clock: func() int64 { return time.Now().UnixMilli() }}
+	c := config{clock: func() int64 { return time.Now().UnixMilli() }}
 	for _, o := range opts {
 		o(&c)
 	}
-	db, err := nbtrie.NewShardedMapSpan[Value](width, shardCount, c.span)
+	db, err := nbtrie.NewShardedMap[Value](width, shardCount)
 	if err != nil {
 		return nil, err
 	}
@@ -354,10 +360,10 @@ func (x *Index) NoteExpired() { x.expired.Add(1) }
 
 // ---- the reaper ----
 
-// Earliest returns the soonest armed deadline, if any arming exists.
+// earliest returns the soonest armed deadline, if any arming exists.
 // A node whose retirement is in flight can make it report a deadline
 // that is already gone — harmless, the reaper's scan skips it.
-func (x *Index) Earliest() (deadlineMS int64, ok bool) {
+func (x *Index) earliest() (deadlineMS int64, ok bool) {
 	at, ok := x.byDeadline.Min()
 	if !ok {
 		return 0, false
@@ -365,16 +371,8 @@ func (x *Index) Earliest() (deadlineMS int64, ok bool) {
 	return int64(at >> seqBits), true
 }
 
-// Arm records the deadline the reaper is about to sleep toward. Calling
-// Arm(math.MaxInt64) before scanning for the next deadline closes the
-// missed-wakeup window: any arming landing after that store sees an
-// "infinitely late" planned wake and notifies.
-func (x *Index) Arm(deadlineMS int64) { x.wakeAt.Store(deadlineMS) }
-
-// Wake is the reaper's wakeup channel: capacity 1, signalled (never
-// blocking) whenever a deadline earlier than the planned wake is armed.
-func (x *Index) Wake() <-chan struct{} { return x.wake }
-
+// notify signals wake, never blocking: wake has capacity 1, so a signal
+// already pending covers this one.
 func (x *Index) notify() {
 	select {
 	case x.wake <- struct{}{}:
@@ -382,12 +380,59 @@ func (x *Index) notify() {
 	}
 }
 
-// Reap purges every key due at or before nowMS, in deadline order, and
-// returns how many it removed; it also counts one reaper pass. A node
+// StartReaper starts the background reaper and returns the function
+// that stops it and waits for it to exit. Start it once the keyspace is
+// recovered: its opening pass purges whatever expired while the process
+// was down.
+func (x *Index) StartReaper() (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		x.reaper(quit)
+	}()
+	return func() { close(quit); <-done }
+}
+
+// reaper sleeps until the earliest armed deadline, purges everything
+// due, and repeats until quit closes. The missed-wakeup protocol with
+// arm: wakeAt is set to MaxInt64 BEFORE earliest is read, so an arming
+// landing between the read and the sleep sees an "infinitely late"
+// planned wake and signals wake; then wakeAt is set to the deadline, so
+// only a genuinely earlier arming signals while the reaper sleeps. A
+// pass that expired nothing while a due node remains met only armings
+// in flight; the reaper waits a millisecond for their writers instead
+// of spinning.
+func (x *Index) reaper(quit <-chan struct{}) {
+	n := x.Reap(x.clock())
+	for {
+		x.wakeAt.Store(math.MaxInt64)
+		var due <-chan time.Time // nil while nothing is armed: only wake ends the sleep
+		if deadline, ok := x.earliest(); ok {
+			x.wakeAt.Store(deadline)
+			wait := deadline - x.clock()
+			if wait <= 0 && n == 0 {
+				wait = 1
+			}
+			due = time.After(time.Duration(max(wait, 0)) * time.Millisecond)
+		}
+		select {
+		case <-quit:
+			return
+		case <-x.wake:
+			continue // an earlier deadline arrived; re-plan
+		case <-due:
+		}
+		n = x.Reap(x.clock())
+	}
+}
+
+// Reap runs one reaper pass: it purges every key due at or before
+// nowMS, in deadline order, and returns how many it removed. A node
 // whose key does not hold its arming is skipped, not deleted: the
 // arming is in flight or being retired, and its owner deletes the node.
 func (x *Index) Reap(nowMS int64) int {
-	x.passes.Add(1)
+	start := time.Now()
 	limit := uint64(clampDeadline(nowMS))<<seqBits | seqMask
 	type cand struct{ at, key uint64 }
 	var cands []cand
@@ -404,14 +449,16 @@ func (x *Index) Reap(nowMS int64) int {
 			n++
 		}
 	}
+	x.passes.Record(uint64(time.Since(start).Microseconds()))
 	return n
 }
 
 // ---- whole-keyspace views ----
 
-// Stats returns the lifetime counters: keys expired and reaper passes.
-func (x *Index) Stats() (expired, passes uint64) {
-	return x.expired.Load(), x.passes.Load()
+// Stats returns the lifetime counters: keys expired, and the reaper
+// passes with their durations in microseconds.
+func (x *Index) Stats() (expired uint64, passes obs.HistSnapshot) {
+	return x.expired.Load(), x.passes.Snapshot()
 }
 
 // Len reports the number of keys, expired-but-unpurged ones included

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -63,7 +64,7 @@ func TestSetLookupClear(t *testing.T) {
 	if got := deadline(x, 7); got != 2000 {
 		t.Fatalf("deadline after re-arm = %d, want 2000", got)
 	}
-	if d, ok := x.Earliest(); !ok || d != 2000 || x.ArmedKeys() != 1 {
+	if d, ok := x.earliest(); !ok || d != 2000 || x.ArmedKeys() != 1 {
 		t.Fatalf("Earliest after re-arm = %d, %v with %d nodes (stale node survived?)", d, ok, x.ArmedKeys())
 	}
 	if !x.Persist(7) {
@@ -72,7 +73,7 @@ func TestSetLookupClear(t *testing.T) {
 	if x.Persist(7) {
 		t.Fatal("second Persist succeeded")
 	}
-	if _, ok := x.Earliest(); ok {
+	if _, ok := x.earliest(); ok {
 		t.Fatal("Earliest nonempty after Persist")
 	}
 	if b, ok := x.Load(7); !ok || string(b) != "v" {
@@ -118,11 +119,11 @@ func TestEarliestOrdering(t *testing.T) {
 	x.StoreDeadline(1, nil, 500)
 	x.StoreDeadline(2, nil, 100)
 	x.StoreDeadline(3, nil, 900)
-	if d, ok := x.Earliest(); !ok || d != 100 {
+	if d, ok := x.earliest(); !ok || d != 100 {
 		t.Fatalf("Earliest = %d, %v; want 100", d, ok)
 	}
 	x.Persist(2)
-	if d, ok := x.Earliest(); !ok || d != 500 {
+	if d, ok := x.earliest(); !ok || d != 500 {
 		t.Fatalf("Earliest after disarming the min = %d, %v; want 500", d, ok)
 	}
 }
@@ -137,7 +138,7 @@ func TestClamping(t *testing.T) {
 	if d := deadline(x, 2); d != MaxDeadlineMS {
 		t.Fatalf("huge deadline clamped to %d, want %d", d, MaxDeadlineMS)
 	}
-	if d, ok := x.Earliest(); !ok || d != 1 {
+	if d, ok := x.earliest(); !ok || d != 1 {
 		t.Fatalf("Earliest = %d, %v", d, ok)
 	}
 }
@@ -203,12 +204,12 @@ func TestReap(t *testing.T) {
 	if x.Len() != 2 || !x.db.Contains(13) || !x.db.Contains(14) {
 		t.Fatalf("keyspace after reap holds %d keys", x.Len())
 	}
-	if d, ok := x.Earliest(); !ok || d != 300 {
+	if d, ok := x.earliest(); !ok || d != 300 {
 		t.Fatalf("Earliest after reap = %d, %v", d, ok)
 	}
 	expired, passes := x.Stats()
-	if expired != 3 || passes != 2 {
-		t.Fatalf("expired = %d, passes = %d; want 3, 2", expired, passes)
+	if expired != 3 || passes.Count != 2 {
+		t.Fatalf("expired = %d, passes = %d; want 3, 2", expired, passes.Count)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestReapSkipsRearmed(t *testing.T) {
 	if v, ok := x.Lookup(5); !ok || v.DeadlineMS() != 99999 {
 		t.Fatalf("re-armed key was purged or disarmed: %+v, %v", v, ok)
 	}
-	if d, ok := x.Earliest(); !ok || d != 100 {
+	if d, ok := x.earliest(); !ok || d != 100 {
 		t.Fatalf("Earliest = %d, %v; the reaper deleted a node it did not retire", d, ok)
 	}
 }
@@ -240,18 +241,49 @@ func TestWakeSignalling(t *testing.T) {
 	x, _ := newIndex(t)
 	x.Store(1, nil)
 	x.Store(2, nil)
-	x.Arm(5000) // reaper sleeping toward 5000
+	x.wakeAt.Store(5000) // reaper sleeping toward 5000
 	x.Set(1, 9000)
 	select {
-	case <-x.Wake():
+	case <-x.wake:
 		t.Fatal("later deadline woke the reaper")
 	default:
 	}
 	x.Set(2, 1000)
 	select {
-	case <-x.Wake():
+	case <-x.wake:
 	default:
 		t.Fatal("earlier deadline did not wake the reaper")
+	}
+}
+
+// TestReaperWakesForEarlierDeadline runs the background reaper on the
+// wall clock. It sleeps toward a deadline an hour away; an arming due in
+// 20 ms must wake it, and it must purge that key alone. Stop returns
+// only once the reaper has exited.
+func TestReaperWakesForEarlierDeadline(t *testing.T) {
+	x, err := New(16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixMilli()
+	x.StoreDeadline(1, []byte("late"), now+time.Hour.Milliseconds())
+	stop := x.StartReaper()
+	defer stop()
+	for _, passes := x.Stats(); passes.Count == 0; _, passes = x.Stats() {
+		time.Sleep(time.Millisecond) // the opening pass
+	}
+	x.StoreDeadline(2, []byte("soon"), time.Now().UnixMilli()+20)
+	for deadline := time.Now().Add(5 * time.Second); x.Len() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the reaper did not purge the earlier arming: %d keys", x.Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !x.db.Contains(1) || x.db.Contains(2) {
+		t.Fatal("the reaper purged the wrong key")
+	}
+	if expired, _ := x.Stats(); expired != 1 {
+		t.Fatalf("expired = %d, want 1", expired)
 	}
 }
 
@@ -389,7 +421,7 @@ func FuzzExpiryIndexOps(f *testing.F) {
 			if got := x.ArmedKeys(); got != armed {
 				t.Fatalf("after %s: %d byDeadline nodes, oracle %d armed keys", op, got, armed)
 			}
-			d, ok := x.Earliest()
+			d, ok := x.earliest()
 			if ok != (armed > 0) || (ok && d != earliest) {
 				t.Fatalf("after %s: Earliest = %d, %v; oracle min %d of %d armed", op, d, ok, earliest, armed)
 			}

@@ -66,10 +66,7 @@ var DefaultLimits = Limits{MaxArrayLen: 1024, MaxBulkLen: 8 << 20}
 // the resolved limits a parser built from l will actually enforce.
 // Servers use it to align reply sizing (e.g. SCAN's page cap) with the
 // request-side limits.
-func (l Limits) WithDefaults() Limits { return l.orDefaults() }
-
-// orDefaults fills zero fields from DefaultLimits.
-func (l Limits) orDefaults() Limits {
+func (l Limits) WithDefaults() Limits {
 	if l.MaxArrayLen <= 0 {
 		l.MaxArrayLen = DefaultLimits.MaxArrayLen
 	}
@@ -183,7 +180,7 @@ const arenaRetainMax = 1 << 20
 
 // NewRequestReader wraps r. Zero fields of lim take DefaultLimits.
 func NewRequestReader(r *bufio.Reader, lim Limits) *RequestReader {
-	return &RequestReader{r: r, lim: lim.orDefaults()}
+	return &RequestReader{r: r, lim: lim.WithDefaults()}
 }
 
 // ReadCommand reads one complete command: a RESP array of bulk strings.
@@ -459,7 +456,7 @@ func (v Value) String() string {
 // ReadReply parses one complete reply of any RESP2 type. Nested arrays
 // are bounded to the same element limit per level and a fixed depth.
 func ReadReply(r *bufio.Reader, lim Limits) (Value, error) {
-	return readReply(r, lim.orDefaults(), 0)
+	return readReply(r, lim.WithDefaults(), 0)
 }
 
 // maxReplyDepth bounds array nesting; the server subset never nests

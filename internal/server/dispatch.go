@@ -342,6 +342,10 @@ type scanCursor struct {
 	next uint64
 }
 
+// scanDefaultCount is SCAN's page size when no COUNT is given: Redis's
+// fixed 10.
+const scanDefaultCount = 10
+
 // scan implements SCAN cursor [COUNT n], backed by the engine's O(1)
 // snapshots: SCAN 0 freezes a snapshot and every later page of that
 // cursor walks the SAME frozen keyspace in ascending key order. A full
@@ -368,7 +372,7 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 		w.WriteError("ERR invalid cursor")
 		return
 	}
-	count := s.cfg.ScanDefaultCount
+	count := scanDefaultCount
 	if len(args) == 4 {
 		// Reusing the command-word scratch is safe here: dispatch has
 		// already looked the word up by the time a handler runs.
@@ -376,19 +380,16 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 			w.WriteError(fmt.Sprintf("ERR syntax error: expected COUNT, got %q", clip(args[2])))
 			return
 		}
-		c, err := strconv.Atoi(string(args[3]))
-		if err != nil || c < 1 {
+		if count, err = strconv.Atoi(string(args[3])); err != nil || count < 1 {
 			w.WriteError("ERR COUNT must be a positive integer")
 			return
 		}
-		// Clamp to the resolved array limit before sizing anything: an
-		// unclamped client COUNT would drive the page allocation (and
-		// the reply array) arbitrarily large.
-		if c > s.cfg.Limits.MaxArrayLen {
-			c = s.cfg.Limits.MaxArrayLen
-		}
-		count = c
 	}
+	// Clamp to the resolved array limit before sizing anything: an
+	// unclamped COUNT would drive the page allocation (and the reply
+	// array) arbitrarily large, and a page over the limit would be
+	// rejected by every consumer of the shared codec.
+	count = min(count, s.cfg.Limits.MaxArrayLen)
 
 	var sc *scanCursor
 	if cursor == 0 {

@@ -7,10 +7,8 @@ package server
 // gate.
 //
 // Every read path is lazy: a key whose deadline has passed reads as
-// absent and is purged on the spot. The background reaper (reaperLoop)
-// is the eager half — it sleeps until the earliest armed deadline and
-// range-scans everything due, so expired keys stop occupying memory even
-// if nothing ever reads them.
+// absent and is purged on the spot. The Index's reaper (StartReaper) is
+// the eager half; the server only starts and stops it.
 //
 // A key's deadline lives in its leaf, so arming and value change at one
 // linearization point: a purge deletes a key only if its leaf still holds
@@ -21,9 +19,7 @@ package server
 // read it live first.
 
 import (
-	"math"
 	"strconv"
-	"time"
 
 	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
@@ -31,64 +27,6 @@ import (
 
 // nowMS is the server's current time in Unix milliseconds.
 func (s *Server) nowMS() int64 { return s.clock() }
-
-// reapOnce runs one reaper pass over everything due by now.
-func (s *Server) reapOnce() int {
-	start := time.Now()
-	n := s.db.Reap(s.nowMS())
-	s.met.reapPass.Record(uint64(time.Since(start).Microseconds()))
-	return n
-}
-
-// ReapNow forces one synchronous reaper pass and returns the number of
-// keys it expired (tests and diagnostics; the background reaper does
-// this on its own schedule).
-func (s *Server) ReapNow() int { return s.reapOnce() }
-
-// reaperLoop is the background reaper: sleep until the earliest armed
-// deadline, scan everything due, repeat. The missed-wakeup protocol with
-// the Index's armings: Arm(MaxInt64) BEFORE reading Earliest, so any
-// arming landing between the read and the sleep sees an "infinitely
-// late" planned wake and signals Wake; then Arm(deadline) so only
-// genuinely earlier deadlines signal while sleeping. A pass that expired
-// nothing while a due node remains met only armings in flight; it waits
-// a millisecond for their writers instead of spinning.
-func (s *Server) reaperLoop() {
-	defer close(s.reapDone)
-	// Opening pass: purge whatever expired before the process started
-	// (recovery replays absolute deadlines; some are already past).
-	n := s.reapOnce()
-	for {
-		s.db.Arm(math.MaxInt64)
-		deadline, ok := s.db.Earliest()
-		if !ok {
-			select {
-			case <-s.reapStop:
-				return
-			case <-s.db.Wake():
-				continue
-			}
-		}
-		s.db.Arm(deadline)
-		wait := deadline - s.nowMS()
-		if wait <= 0 && n == 0 {
-			wait = 1
-		}
-		if wait > 0 {
-			t := time.NewTimer(time.Duration(wait) * time.Millisecond)
-			select {
-			case <-s.reapStop:
-				t.Stop()
-				return
-			case <-s.db.Wake():
-				t.Stop()
-				continue // an earlier deadline arrived; re-plan
-			case <-t.C:
-			}
-		}
-		n = s.reapOnce()
-	}
-}
 
 // ---- wire commands ----
 

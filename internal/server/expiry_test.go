@@ -189,7 +189,8 @@ func TestServerScanSkipsExpired(t *testing.T) {
 
 func TestServerRenameMovesTTL(t *testing.T) {
 	clk := newFakeClock()
-	s, addr := startServer(t, clk.cfg(Config{Keyer: DecimalKeyer{KeyWidth: 16}, Shards: 8}))
+	s, addr := startServer(t, clk.cfg(Config{Keyer: DecimalKeyer{KeyWidth: 16}}))
+	far, far2 := strconv.Itoa(shardSpan(s)+200), strconv.Itoa(shardSpan(s)+700)
 	c := dial(t, addr)
 
 	// Same-shard rename carries the deadline.
@@ -201,16 +202,16 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustInt(-2, "TTL", "100")
 
 	// So does a rename across shards: the same atomic Replace.
-	if sameShard(t, s, 200, 8392) {
+	if sameShard(t, s, 200, uint64(shardSpan(s)+200)) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustSimple("OK", "RENAME", "200", "8392")
-	c.mustInt(20_000, "PTTL", "8392")
+	c.mustSimple("OK", "RENAME", "200", far)
+	c.mustInt(20_000, "PTTL", far)
 	c.mustInt(-2, "TTL", "200")
 
 	// And the moved deadline still fires.
 	clk.advance(20_000)
-	c.mustNull("GET", "8392")
+	c.mustNull("GET", far)
 
 	// An expired source renames as absent.
 	c.mustSimple("OK", "SET", "300", "w")
@@ -228,15 +229,15 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustBulk("live", "GET", "600")
 	c.mustInt(-1, "TTL", "600") // the dead destination's arming is gone
 
-	c.mustSimple("OK", "MSET", "700", "live2", "8500", "dying2")
-	c.mustInt(1, "PEXPIRE", "8500", "50")
+	c.mustSimple("OK", "MSET", "700", "live2", far2, "dying2")
+	c.mustInt(1, "PEXPIRE", far2, "50")
 	clk.advance(51)
-	if sameShard(t, s, 700, 8500) {
+	if sameShard(t, s, 700, uint64(shardSpan(s)+700)) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustSimple("OK", "RENAME", "700", "8500") // across shards
-	c.mustBulk("live2", "GET", "8500")
-	c.mustInt(-1, "TTL", "8500")
+	c.mustSimple("OK", "RENAME", "700", far2) // across shards
+	c.mustBulk("live2", "GET", far2)
+	c.mustInt(-1, "TTL", far2)
 }
 
 // TestServerReaperPurges uses the real wall clock: short TTLs must
@@ -279,17 +280,17 @@ func TestServerReapNow(t *testing.T) {
 	c.mustSimple("OK", "MSET", "a", "1", "b", "2", "c", "3")
 	c.mustInt(1, "PEXPIRE", "a", "1000")
 	c.mustInt(1, "PEXPIRE", "b", "2000")
-	if n := s.ReapNow(); n != 0 {
-		t.Fatalf("ReapNow before any deadline = %d", n)
+	if n := s.db.Reap(clk.now()); n != 0 {
+		t.Fatalf("Reap before any deadline = %d", n)
 	}
 	clk.advance(1500)
-	if n := s.ReapNow(); n != 1 {
-		t.Fatalf("ReapNow past a's deadline = %d, want 1", n)
+	if n := s.db.Reap(clk.now()); n != 1 {
+		t.Fatalf("Reap past a's deadline = %d, want 1", n)
 	}
 	c.mustInt(2, "DBSIZE")
 	clk.advance(1000)
-	if n := s.ReapNow(); n != 1 {
-		t.Fatalf("ReapNow past b's deadline = %d, want 1", n)
+	if n := s.db.Reap(clk.now()); n != 1 {
+		t.Fatalf("Reap past b's deadline = %d, want 1", n)
 	}
 	c.mustInt(1, "DBSIZE")
 	c.mustBulk("3", "GET", "c")
@@ -383,7 +384,7 @@ func TestServerInfoExpirySection(t *testing.T) {
 // retired).
 func TestServerTTLStress(t *testing.T) {
 	clk := newFakeClock()
-	s, err := New(clk.cfg(Config{Shards: 8}))
+	s, err := New(clk.cfg(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestServerTTLStress(t *testing.T) {
 	}
 
 	clk.advance(time.Hour.Milliseconds())
-	s.ReapNow()
+	s.db.Reap(clk.now())
 	for k, v := range s.db.Snapshot().All() {
 		if v.At != 0 {
 			t.Errorf("key %q still armed at %d after every deadline passed and a reaper pass", s.keyer.AppendDecode(nil, k), v.DeadlineMS())

@@ -37,14 +37,18 @@ type Keyer interface {
 	AppendDecode(dst []byte, k uint64) []byte
 }
 
-// NewKeyer resolves a keyer by name: "bytes" (BytesKeyer) or "decimal"
-// (DecimalKeyer at the maximum width 63).
-func NewKeyer(name string) (Keyer, error) {
+// NewKeyer resolves a keyer by name: "bytes" (BytesKeyer, whose width
+// is fixed at 59, so width is ignored) or "decimal" (DecimalKeyer at
+// width, which must be in [1, 63]).
+func NewKeyer(name string, width uint32) (Keyer, error) {
 	switch name {
 	case "bytes":
 		return BytesKeyer{}, nil
 	case "decimal":
-		return DecimalKeyer{KeyWidth: 63}, nil
+		if width < 1 || width > 63 {
+			return nil, fmt.Errorf("width %d out of range [1, 63]", width)
+		}
+		return DecimalKeyer{KeyWidth: width}, nil
 	default:
 		return nil, fmt.Errorf("unknown keyer %q (want bytes or decimal)", name)
 	}

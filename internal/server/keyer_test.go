@@ -126,21 +126,33 @@ func TestBytesKeyerExhaustiveShort(t *testing.T) {
 	}
 }
 
+// TestNewKeyer covers the one resolver behind nbtried's -keyer/-width
+// pair: the decimal keyer takes the width, the bytes keyer ignores it.
 func TestNewKeyer(t *testing.T) {
-	for _, name := range []string{"bytes", "decimal"} {
-		k, err := NewKeyer(name)
-		if err != nil || k.Name() != name {
-			t.Errorf("NewKeyer(%q) = %v, %v", name, k, err)
+	for _, c := range []struct {
+		name  string
+		width uint32
+		want  uint32
+	}{{"bytes", 63, 59}, {"decimal", 20, 20}, {"decimal", 63, 63}} {
+		k, err := NewKeyer(c.name, c.width)
+		if err != nil || k.Name() != c.name || k.Width() != c.want {
+			t.Errorf("NewKeyer(%q, %d) = %v, %v; want width %d", c.name, c.width, k, err, c.want)
+			continue
+		}
+		// The widths must be accepted by the sharded map.
+		s, err := New(Config{Keyer: k})
+		if err != nil {
+			t.Errorf("server over %s keyer: %v", c.name, err)
+			continue
+		}
+		s.Close()
+	}
+	for _, w := range []uint32{0, 64} {
+		if _, err := NewKeyer("decimal", w); err == nil {
+			t.Errorf("NewKeyer must reject decimal width %d", w)
 		}
 	}
-	if _, err := NewKeyer("md5"); err == nil {
+	if _, err := NewKeyer("md5", 63); err == nil {
 		t.Error("NewKeyer must reject unknown names")
-	}
-	// The widths must be accepted by the sharded map.
-	for _, name := range []string{"bytes", "decimal"} {
-		k, _ := NewKeyer(name)
-		if _, err := New(Config{Keyer: k}); err != nil {
-			t.Errorf("server over %s keyer: %v", name, err)
-		}
 	}
 }

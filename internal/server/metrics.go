@@ -39,7 +39,6 @@ type metrics struct {
 	bytesOut obs.Counter // socket writes
 
 	aofCommit obs.Hist // commitAOF duration, microseconds (batches with work)
-	reapPass  obs.Hist // reaper pass duration, microseconds
 
 	// connSeq hands each new session a stripe index.
 	connSeq atomic.Uint32
@@ -98,7 +97,6 @@ func (s *Server) stats() []stat {
 		{"Server", "keyer", "", "", s.keyer.Name()},
 		{"Server", "key_width_bits", "", "", s.keyer.Width()},
 		{"Server", "shards", "", "", s.db.Shards()},
-		{"Server", "trie_span_bits", "", "", s.cfg.Span},
 		{"Server", "uptime_in_seconds", "nbtried_uptime_seconds",
 			"Seconds since the server started.", int64(time.Since(s.start).Seconds())},
 		{"Clients", "connected_clients", "nbtried_connected_clients",
@@ -118,9 +116,9 @@ func (s *Server) stats() []stat {
 		{"Expiry", "expired_keys", "nbtried_expired_keys_total",
 			"Keys expired (lazy + reaper).", expired},
 		{"Expiry", "reaper_passes", "nbtried_reaper_passes_total",
-			"Background reaper passes.", passes},
+			"Background reaper passes.", passes.Count},
 		{"", "", "nbtried_reaper_pass_duration_seconds",
-			"Reaper pass duration.", m.reapPass.Snapshot()},
+			"Reaper pass duration.", passes},
 		{"Persistence", "persistence_dir", "", "", s.cfg.Persist.Dir},
 		{"Persistence", "aof_enabled", "nbtried_aof_enabled",
 			"Whether the append-only file is enabled.", flag(aofOn)},

@@ -137,7 +137,7 @@ func TestMetricsHandlerHTTP(t *testing.T) {
 // nonzero assertion applies only when real parallelism is available (the
 // deterministic helper-counted test lives in internal/engine).
 func TestMetricsEngineContention(t *testing.T) {
-	s, addr := startServer(t, Config{Shards: 1})
+	s, addr := startServer(t, Config{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -327,7 +327,7 @@ func TestInfoSectionFiltering(t *testing.T) {
 }
 
 func TestInfoEngineSection(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 4})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 	for i := 0; i < 64; i++ {
 		c.mustSimple("OK", "SET", fmt.Sprintf("key%03d", i), "v")
@@ -470,11 +470,13 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 	c.mustErrContain("wrong number of arguments", "GET")
 	// The reaper's opening pass runs on its own goroutine; its next is
 	// 1000 s away.
-	for deadline := time.Now().Add(5 * time.Second); s.met.reapPass.Snapshot().Count == 0; {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, passes := s.db.Stats(); passes.Count > 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("the reaper's opening pass never ran")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	// Read INFO on both sides of the scrape, so uptime cannot tick
 	// between the views unseen.
@@ -514,7 +516,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 	}
 	wantKeys := map[string][]string{
 		"Server": {"nbtried_version", "engine", "keyer", "key_width_bits", "shards",
-			"trie_span_bits", "uptime_in_seconds"},
+			"uptime_in_seconds"},
 		"Clients": {"connected_clients"},
 		"Stats": {"total_connections_received", "total_commands_processed", "total_error_replies",
 			"total_net_input_bytes", "total_net_output_bytes", "slowlog_len"},

@@ -98,10 +98,12 @@ type persister struct {
 
 	// mu serializes SAVE/BGSAVE/rotation bookkeeping, every call into
 	// dir but SaveBase, and Close; it is never held while streaming a
-	// dump.
-	mu  sync.Mutex
-	aof *persist.AOF
-	dir *persist.Dir
+	// dump. closed is set by close: from then on save refuses, so no
+	// rotation can reopen the directory.
+	mu     sync.Mutex
+	aof    *persist.AOF
+	dir    *persist.Dir
+	closed bool
 
 	bgActive   atomic.Bool
 	lastSave   atomic.Int64 // unix seconds of the last completed dump
@@ -318,6 +320,10 @@ func (s *Server) misconf(w *resp.Writer) {
 // mutators are quiesced only for the rotation instant.
 func (p *persister) save(background bool) error {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return fmt.Errorf("the server is closed")
+	}
 	if p.bgActive.Load() {
 		p.mu.Unlock()
 		return fmt.Errorf("a background save is already in progress")
@@ -438,10 +444,14 @@ func (s *Server) StartPeriodicSave(period time.Duration) (stop func()) {
 	return func() { close(quit); <-done }
 }
 
-// close seals the persister: waits for an in-flight background dump and
-// syncs+closes the current segment. Called after every connection
-// goroutine has drained, so no append can race it.
+// close seals the persister: refuses every later save, waits for an
+// in-flight background dump and syncs+closes the current segment.
+// Called after every connection goroutine has drained, so no append can
+// race it.
 func (p *persister) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
 	p.bgWG.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()

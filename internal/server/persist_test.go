@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -359,12 +361,14 @@ func TestScanCursorEviction(t *testing.T) {
 	}
 }
 
-// TestPersistAcrossKeyers: the dump stores wire keys, so a restart with
-// a different shard count recovers identically.
+// TestPersistShardCountChange: the dump and the AOF store wire keys, so
+// a restart under a different shard count recovers identically. The
+// count follows GOMAXPROCS, so the test changes that across the restart.
 func TestPersistShardCountChange(t *testing.T) {
-	dir := t.TempDir()
-	cfgA := Config{Shards: 2, Persist: PersistConfig{Dir: dir, AOF: true, Fsync: persist.SyncAlways}}
-	s, addr := startServer(t, cfgA)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	cfg := persistCfg(t.TempDir())
+	s, addr := startServer(t, cfg)
 	c := dial(t, addr)
 	for i := 0; i < 64; i++ {
 		c.mustSimple("OK", "SET", "key-"+strconv.Itoa(i), strconv.Itoa(i))
@@ -372,13 +376,54 @@ func TestPersistShardCountChange(t *testing.T) {
 	c.mustSimple("OK", "SAVE")
 	c.mustSimple("OK", "SET", "tail", "write")
 
-	cfgB := cfgA
-	cfgB.Shards = 8
-	_, addr2 := restart(t, s, cfgB)
+	runtime.GOMAXPROCS(32)
+	s2, addr2 := restart(t, s, cfg)
+	if s2.DB().Shards() == s.DB().Shards() {
+		t.Fatalf("both boots have %d shards; the restart must change the count", s.DB().Shards())
+	}
 	c2 := dial(t, addr2)
 	c2.mustBulk("33", "GET", "key-33")
 	c2.mustBulk("write", "GET", "tail")
 	c2.mustInt(65, "DBSIZE")
+}
+
+// TestPersistSaveAfterClose: once Close has sealed the persister, a
+// save — a periodic saver's next tick, say — is refused, and the data
+// directory and the AOF stay as Close left them. A saver ticking every
+// millisecond runs across the Close.
+func TestPersistSaveAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Persist: PersistConfig{Dir: dir, AOF: true, Fsync: persist.SyncEverySec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopSaver := s.StartPeriodicSave(time.Millisecond)
+	defer stopSaver()
+	time.Sleep(5 * time.Millisecond)
+	s.Close()
+	names := func() (out []string) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	before := names()
+	if err := s.pst.save(true); err == nil {
+		t.Error("save after Close succeeded")
+	}
+	time.Sleep(5 * time.Millisecond) // the saver's ticks after Close
+	if after := names(); !slices.Equal(before, after) {
+		t.Errorf("save after Close changed the directory: %v -> %v", before, after)
+	}
+	s.pst.mu.Lock()
+	defer s.pst.mu.Unlock()
+	if s.pst.aof != nil {
+		t.Error("save after Close reopened the AOF")
+	}
 }
 
 // TestPersistDegradedRefusesMutations: after an AOF write error the

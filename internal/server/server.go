@@ -55,23 +55,13 @@ import (
 const Version = "0.6.0"
 
 // Config parameterizes a Server. The zero value is usable: BytesKeyer,
-// default shard count, default protocol limits.
+// default protocol limits. The keyspace's shape is not configurable:
+// expiry.New picks it (binary nodes, a GOMAXPROCS-derived shard count).
 type Config struct {
 	// Keyer maps wire keys to trie keys; nil means BytesKeyer{}.
 	Keyer Keyer
-	// Shards is handed to NewShardedMap: 0 picks the default
-	// (GOMAXPROCS-derived), otherwise a power of two in [1, 256].
-	Shards int
-	// Span is the trie digit width below the sharding root: each internal
-	// node resolves Span key bits through 2^Span children (see
-	// nbtrie.NewKaryPatriciaTrie). 0 means 1 (the paper's binary
-	// nodes); otherwise it must be in [1, 6].
-	Span uint32
 	// Limits bounds the request parser; zero fields take resp.DefaultLimits.
 	Limits resp.Limits
-	// ScanDefaultCount is SCAN's page size when no COUNT is given;
-	// 0 means 10 (Redis's default).
-	ScanDefaultCount int
 	// Persist enables durability (see persist.go); zero Dir disables it.
 	Persist PersistConfig
 	// MaxScanCursors caps the live snapshot-backed SCAN cursor table;
@@ -106,13 +96,10 @@ type Server struct {
 
 	// db is the keyspace: values, their deadlines and the deadline index
 	// (see internal/expiry and expiry.go in this package); clock feeds
-	// every deadline comparison. The reaper goroutine wakes on the
-	// earliest armed deadline and range-scans everything due;
-	// reapStop/reapDone bound its lifetime.
-	db       *expiry.Index
-	clock    func() int64
-	reapStop chan struct{}
-	reapDone chan struct{}
+	// every deadline comparison. stopReaper stops db's reaper.
+	db         *expiry.Index
+	clock      func() int64
+	stopReaper func()
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -149,28 +136,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Keyer == nil {
 		cfg.Keyer = BytesKeyer{}
 	}
-	if cfg.ScanDefaultCount <= 0 {
-		cfg.ScanDefaultCount = 10
-	}
 	// Resolve the limits once: the dispatcher sizes replies (SCAN's
-	// page cap) from the same values the request parser enforces. The
-	// default page size is clamped too — a page larger than the array
-	// limit would be rejected by every consumer of the shared codec.
+	// page cap) from the same values the request parser enforces.
 	cfg.Limits = cfg.Limits.WithDefaults()
-	if cfg.ScanDefaultCount > cfg.Limits.MaxArrayLen {
-		cfg.ScanDefaultCount = cfg.Limits.MaxArrayLen
-	}
 	if cfg.MaxScanCursors <= 0 {
 		cfg.MaxScanCursors = 128
-	}
-	if cfg.Span == 0 {
-		cfg.Span = 1
 	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
-	db, err := expiry.New(cfg.Keyer.Width(), cfg.Shards, expiry.WithSpan(cfg.Span), expiry.WithClock(clock))
+	db, err := expiry.New(cfg.Keyer.Width(), 0, expiry.WithClock(clock))
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +156,6 @@ func New(cfg Config) (*Server, error) {
 		db:       db,
 		start:    time.Now(),
 		clock:    clock,
-		reapStop: make(chan struct{}),
-		reapDone: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 		scans:    make(map[uint64]*scanCursor),
 		scanNext: 1,
@@ -203,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 	// The reaper starts after recovery: its opening pass purges
 	// whatever expired while the process was down, so a recovered
 	// keyspace converges to live-keys-only without waiting for reads.
-	go s.reaperLoop()
+	s.stopReaper = db.StartReaper()
 	return s, nil
 }
 
@@ -289,8 +263,7 @@ func (s *Server) Close() error {
 	}
 	clear(s.scans)
 	s.scanMu.Unlock()
-	close(s.reapStop)
-	<-s.reapDone
+	s.stopReaper()
 	if s.pst != nil {
 		s.pst.close()
 	}

@@ -231,17 +231,18 @@ func sameShard(t *testing.T, s *Server, a, b uint64) bool {
 	return shardOf(a) == shardOf(b)
 }
 
+// shardSpan is how many consecutive keys one shard of s's keyspace
+// holds under a decimal keyer of width 16: the trie stores k+1, so keys
+// below shardSpan(s)-1 share shard 0 and shardSpan(s)+k, for small k,
+// lands in shard 1.
+func shardSpan(s *Server) int { return (1 << 16) / s.DB().Shards() }
+
 // TestServerRename covers the outcomes: atomic rename within and across
 // shards, missing source, existing destination, and the retired
 // RENAMESTRICT.
 func TestServerRename(t *testing.T) {
-	// Decimal keyer at width 16 with 8 shards: the trie stores k+1 and
-	// its root digit is the top 4 of those 17 bits, so keys up to 8190
-	// share shard 0 and 8392 lands in shard 1.
-	s, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}, Shards: 8})
-	if s.DB().Shards() != 8 {
-		t.Fatalf("shards = %d", s.DB().Shards())
-	}
+	s, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}})
+	far := strconv.Itoa(shardSpan(s) + 200)
 	c := dial(t, addr)
 
 	c.mustSimple("OK", "SET", "100", "payload")
@@ -261,21 +262,38 @@ func TestServerRename(t *testing.T) {
 	c.mustErrContain("no such key", "RENAME", "5555", "5555")
 	c.mustErrContain("not a decimal", "RENAME", "ghost", "ghost")
 
-	// Cross-shard: 200 is in shard 0, 8392 in shard 1. RENAME is the same
+	// Cross-shard: 200 is in shard 0, far in shard 1. RENAME is the same
 	// atomic Replace there; RENAMESTRICT, which used to refuse such a
 	// pair, is gone.
-	if sameShard(t, s, 200, 8392) {
+	if sameShard(t, s, 200, uint64(shardSpan(s)+200)) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustErrContain("unknown command", "RENAMESTRICT", "200", "8392")
-	c.mustSimple("OK", "RENAME", "200", "8392")
+	c.mustErrContain("unknown command", "RENAMESTRICT", "200", far)
+	c.mustSimple("OK", "RENAME", "200", far)
 	c.mustNull("GET", "200")
-	c.mustBulk("payload", "GET", "8392")
+	c.mustBulk("payload", "GET", far)
 
 	// Cross-shard destination-exists: refused, nothing moved.
-	c.mustErrContain("destination key exists", "RENAME", "300", "8392")
+	c.mustErrContain("destination key exists", "RENAME", "300", far)
 	c.mustBulk("other", "GET", "300")
-	c.mustBulk("payload", "GET", "8392")
+	c.mustBulk("payload", "GET", far)
+}
+
+// TestScanDefaultPage: a bare SCAN pages by Redis's fixed 10, clamped
+// to the array limit, since a longer page would be refused by every
+// reader of the shared codec.
+func TestScanDefaultPage(t *testing.T) {
+	for _, c := range []struct{ maxArray, want int }{{0, 10}, {4, 4}} {
+		_, addr := startServer(t, Config{Limits: resp.Limits{MaxArrayLen: c.maxArray}})
+		cl := dial(t, addr)
+		for i := range 20 {
+			cl.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
+		}
+		v := cl.do("SCAN", "0")
+		if len(v.Array) != 2 || len(v.Array[1].Array) != c.want || string(v.Array[0].Str) == "0" {
+			t.Errorf("MaxArrayLen %d: bare SCAN 0 over 20 keys = %s, want %d keys and a non-zero cursor", c.maxArray, v, c.want)
+		}
+	}
 }
 
 // TestServerScan walks a known key set page by page and requires every
@@ -603,7 +621,7 @@ func TestServerFlushesBeforeBlockingOnPartialCommand(t *testing.T) {
 // multi-key commands must come back strictly in request order, each
 // reply observing every command pipelined before it.
 func TestServerPipelinedMixedBurst(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 8})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 
 	const rounds = 300
@@ -737,152 +755,117 @@ func TestServerMidBurstThresholdFlush(t *testing.T) {
 	}
 }
 
-// TestServerSpan pins the -span plumbing: a Config.Span of 4 builds the
-// k-ary sharded map, INFO reports it, and the command surface (SET/GET/
-// DEL/RENAME/SCAN) is unchanged on the wider nodes. Span 0 defaults to
-// 1 and out-of-range spans refuse to construct.
-func TestServerSpan(t *testing.T) {
-	if _, err := New(Config{Span: 7}); err == nil {
-		t.Fatal("span 7 must be rejected")
-	}
-	s, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}, Shards: 8, Span: 4})
-	c := dial(t, addr)
-
-	info := c.do("INFO")
-	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "trie_span_bits:4") {
-		t.Fatalf("INFO must report the trie span: %s", info)
-	}
-	c.mustSimple("OK", "SET", "100", "payload")
-	c.mustBulk("payload", "GET", "100")
-	c.mustSimple("OK", "RENAME", "100", "200")
-	c.mustNull("GET", "100")
-	c.mustBulk("payload", "GET", "200")
-	c.mustInt(1, "DEL", "200")
-	c.mustNull("GET", "200")
-
-	// The default span reports as 1.
-	s2, addr2 := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}})
-	defer s2.Close()
-	c2 := dial(t, addr2)
-	info2 := c2.do("INFO")
-	if !strings.Contains(string(info2.Str), "trie_span_bits:1") {
-		t.Fatalf("default span must report 1: %s", info2)
-	}
-	_ = s
+// TestServerSmokeBattery is the end-to-end command battery on a fresh
+// server with the default bytes keyer and shard count. The keyspace is
+// always a binary (span 1) trie, which names the one subtest. The
+// assertions are exact, so it starts from an empty keyspace.
+func TestServerSmokeBattery(t *testing.T) {
+	t.Run("span1", smokeBattery)
 }
 
-// TestServerSmokeBattery is the end-to-end command battery on a fresh
-// server with the default bytes keyer and 8 shards, once per trie
-// layout: the k-ary nodes (span 4) take the slot-fill and slot-clear
-// update paths the binary trie never does. The assertions are exact, so
-// each run starts from an empty keyspace.
-func TestServerSmokeBattery(t *testing.T) {
-	for _, span := range []uint32{1, 4} {
-		t.Run(fmt.Sprintf("span%d", span), func(t *testing.T) {
-			s, addr := startServer(t, Config{Shards: 8, Span: span})
-			c := dial(t, addr)
-			mustIntIn := func(lo, hi int64, args ...string) {
-				t.Helper()
-				// TTL on a freshly armed key is its round-up remainder,
-				// which any pause between commands can shave.
-				if v := c.do(args...); v.Kind != resp.TypeInt || v.Int < lo || v.Int > hi {
-					t.Fatalf("%v = %s, want integer in [%d, %d]", args, v, lo, hi)
-				}
-			}
+func smokeBattery(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	mustIntIn := func(lo, hi int64, args ...string) {
+		t.Helper()
+		// TTL on a freshly armed key is its round-up remainder,
+		// which any pause between commands can shave.
+		if v := c.do(args...); v.Kind != resp.TypeInt || v.Int < lo || v.Int > hi {
+			t.Fatalf("%v = %s, want integer in [%d, %d]", args, v, lo, hi)
+		}
+	}
 
-			c.mustSimple("PONG", "PING")
-			c.mustSimple("OK", "SET", "aa", "v1")
-			c.mustBulk("v1", "GET", "aa")
-			c.mustInt(1, "EXISTS", "aa")
-			c.mustNull("GET", "zz")
-			c.mustSimple("OK", "MSET", "ab", "v2", "ac", "v3")
-			c.mustInt(3, "DBSIZE")
+	c.mustSimple("PONG", "PING")
+	c.mustSimple("OK", "SET", "aa", "v1")
+	c.mustBulk("v1", "GET", "aa")
+	c.mustInt(1, "EXISTS", "aa")
+	c.mustNull("GET", "zz")
+	c.mustSimple("OK", "MSET", "ab", "v2", "ac", "v3")
+	c.mustInt(3, "DBSIZE")
 
-			// Same-shard atomic rename: "aa" and "ad" share their first
-			// byte, hence their shard.
-			if !sameShard(t, s, mustEncode(t, s.keyer, "aa"), mustEncode(t, s.keyer, "ad")) {
-				t.Fatal("test premise broken: aa and ad in different shards")
-			}
-			c.mustSimple("OK", "RENAME", "aa", "ad")
-			c.mustNull("GET", "aa")
-			c.mustBulk("v1", "GET", "ad")
-			c.mustErrContain("no such key", "RENAME", "aa", "ae")
-			c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
+	// Same-shard atomic rename: "aa" and "ad" share their first
+	// byte, hence their shard.
+	if !sameShard(t, s, mustEncode(t, s.keyer, "aa"), mustEncode(t, s.keyer, "ad")) {
+		t.Fatal("test premise broken: aa and ad in different shards")
+	}
+	c.mustSimple("OK", "RENAME", "aa", "ad")
+	c.mustNull("GET", "aa")
+	c.mustBulk("v1", "GET", "ad")
+	c.mustErrContain("no such key", "RENAME", "aa", "ae")
+	c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
 
-			// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
-			// RENAME is the same atomic Replace across shards.
-			if sameShard(t, s, mustEncode(t, s.keyer, "ad"), mustEncode(t, s.keyer, "\xe1d")) {
-				t.Fatal("test premise broken: ad and \\xe1d share a shard")
-			}
-			c.mustSimple("OK", "RENAME", "ad", "\xe1d")
-			c.mustNull("GET", "ad")
-			c.mustBulk("v1", "GET", "\xe1d")
-			c.mustErrContain("destination key exists", "RENAME", "ab", "\xe1d")
-			c.mustErrContain("exceeds the 7-byte maximum", "SET", "12345678", "v")
-			c.mustInt(1, "DEL", "\xe1d", "nope")
-			c.mustInt(2, "DBSIZE")
+	// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
+	// RENAME is the same atomic Replace across shards.
+	if sameShard(t, s, mustEncode(t, s.keyer, "ad"), mustEncode(t, s.keyer, "\xe1d")) {
+		t.Fatal("test premise broken: ad and \\xe1d share a shard")
+	}
+	c.mustSimple("OK", "RENAME", "ad", "\xe1d")
+	c.mustNull("GET", "ad")
+	c.mustBulk("v1", "GET", "\xe1d")
+	c.mustErrContain("destination key exists", "RENAME", "ab", "\xe1d")
+	c.mustErrContain("exceeds the 7-byte maximum", "SET", "12345678", "v")
+	c.mustInt(1, "DEL", "\xe1d", "nope")
+	c.mustInt(2, "DBSIZE")
 
-			// TTL battery: arm, observe, disarm, and expire.
-			c.mustInt(-1, "TTL", "ab")
-			c.mustInt(-2, "TTL", "nope")
-			c.mustInt(0, "EXPIRE", "nope", "100")
-			c.mustInt(1, "EXPIRE", "ab", "100")
-			mustIntIn(1, 100, "TTL", "ab")
-			mustIntIn(1, 100_000, "PTTL", "ab")
-			c.mustInt(1, "PERSIST", "ab")
-			c.mustInt(-1, "TTL", "ab")
-			c.mustSimple("OK", "SETEX", "tt", "100", "vt")
-			mustIntIn(1, 100, "TTL", "tt")
-			c.mustBulk("vt", "GETEX", "tt", "PERSIST")
-			c.mustInt(-1, "TTL", "tt")
-			// A deadline in the past deletes at once (Redis replies :1).
-			c.mustInt(1, "PEXPIREAT", "tt", "1")
-			c.mustNull("GET", "tt")
-			c.mustInt(-2, "TTL", "tt")
-			c.mustInt(2, "DBSIZE")
+	// TTL battery: arm, observe, disarm, and expire.
+	c.mustInt(-1, "TTL", "ab")
+	c.mustInt(-2, "TTL", "nope")
+	c.mustInt(0, "EXPIRE", "nope", "100")
+	c.mustInt(1, "EXPIRE", "ab", "100")
+	mustIntIn(1, 100, "TTL", "ab")
+	mustIntIn(1, 100_000, "PTTL", "ab")
+	c.mustInt(1, "PERSIST", "ab")
+	c.mustInt(-1, "TTL", "ab")
+	c.mustSimple("OK", "SETEX", "tt", "100", "vt")
+	mustIntIn(1, 100, "TTL", "tt")
+	c.mustBulk("vt", "GETEX", "tt", "PERSIST")
+	c.mustInt(-1, "TTL", "tt")
+	// A deadline in the past deletes at once (Redis replies :1).
+	c.mustInt(1, "PEXPIREAT", "tt", "1")
+	c.mustNull("GET", "tt")
+	c.mustInt(-2, "TTL", "tt")
+	c.mustInt(2, "DBSIZE")
 
-			// SCAN returns every live key exactly once.
-			seen := map[string]int{}
-			cursor := "0"
-			for pages := 0; ; pages++ {
-				if pages > 100 {
-					t.Fatal("SCAN did not terminate")
-				}
-				v := c.do("SCAN", cursor, "COUNT", "1")
-				if v.Kind != resp.TypeArray || len(v.Array) != 2 {
-					t.Fatalf("SCAN reply shape: %s", v)
-				}
-				for _, k := range v.Array[1].Array {
-					seen[string(k.Str)]++
-				}
-				cursor = string(v.Array[0].Str)
-				if cursor == "0" {
-					break
-				}
-			}
-			if len(seen) != 2 || seen["ab"] != 1 || seen["ac"] != 1 {
-				t.Fatalf("SCAN keys = %v, want ab and ac exactly once", seen)
-			}
+	// SCAN returns every live key exactly once.
+	seen := map[string]int{}
+	cursor := "0"
+	for pages := 0; ; pages++ {
+		if pages > 100 {
+			t.Fatal("SCAN did not terminate")
+		}
+		v := c.do("SCAN", cursor, "COUNT", "1")
+		if v.Kind != resp.TypeArray || len(v.Array) != 2 {
+			t.Fatalf("SCAN reply shape: %s", v)
+		}
+		for _, k := range v.Array[1].Array {
+			seen[string(k.Str)]++
+		}
+		cursor = string(v.Array[0].Str)
+		if cursor == "0" {
+			break
+		}
+	}
+	if len(seen) != 2 || seen["ab"] != 1 || seen["ac"] != 1 {
+		t.Fatalf("SCAN keys = %v, want ab and ac exactly once", seen)
+	}
 
-			// Pipelining: a burst of writes answered in order.
-			const burst = 50
-			for i := 0; i < burst; i++ {
-				c.w.WriteCommandString("SET", "p", strconv.Itoa(i))
-				c.w.WriteCommandString("GET", "p")
-			}
-			if err := c.w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < burst; i++ {
-				set, err := resp.ReadReply(c.r, resp.Limits{})
-				if err != nil || set.Kind != resp.TypeSimple {
-					t.Fatalf("pipelined SET %d = %s, %v", i, set, err)
-				}
-				get, err := resp.ReadReply(c.r, resp.Limits{})
-				if want := strconv.Itoa(i); err != nil || string(get.Str) != want {
-					t.Fatalf("pipelined GET %d = %s, %v, want %q: replies out of order", i, get, err, want)
-				}
-			}
-		})
+	// Pipelining: a burst of writes answered in order.
+	const burst = 50
+	for i := 0; i < burst; i++ {
+		c.w.WriteCommandString("SET", "p", strconv.Itoa(i))
+		c.w.WriteCommandString("GET", "p")
+	}
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		set, err := resp.ReadReply(c.r, resp.Limits{})
+		if err != nil || set.Kind != resp.TypeSimple {
+			t.Fatalf("pipelined SET %d = %s, %v", i, set, err)
+		}
+		get, err := resp.ReadReply(c.r, resp.Limits{})
+		if want := strconv.Itoa(i); err != nil || string(get.Str) != want {
+			t.Fatalf("pipelined GET %d = %s, %v, want %q: replies out of order", i, get, err, want)
+		}
 	}
 }
