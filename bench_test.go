@@ -128,10 +128,11 @@ func BenchmarkFig10_Replace_PAT(b *testing.B) {
 	runMix(b, mkSet(b, "PAT", widthFor(1_000_000)), workload.MixI10D10R80, 1_000_000, 0)
 }
 
-// BenchmarkFig11_NonUniform_i15d15f70 is Figure 11: operations walk runs
-// of 50 consecutive keys from random starting points, 15/15/70, range
-// (0, 10^6) — the skewed workload where fixed-height structures (PAT,
-// Ctrie) outrun comparison-based trees.
+// BenchmarkFig11_NonUniform_i15d15f70 is Figure 11: 15/15/70 over the
+// range (0, 10^6), each goroutine walking runs of 50 consecutive keys
+// from random starting points. Only the operations walk runs: the
+// prefill is the uniform, shuffled half-full one of every family
+// (workload.Prefill), so the comparison-based trees start balanced.
 func BenchmarkFig11_NonUniform_i15d15f70(b *testing.B) {
 	figBench(b, workload.MixI15D15F70, 1_000_000, 50)
 }

@@ -5,10 +5,12 @@
 // value payload V carried unboxed on leaves, a linearizable K → V map
 // — with
 //
-//   - a read-only Contains/Load (the paper's find) that performs no CAS
-//     and never writes shared memory; it is wait-free whenever K has
-//     bounded length (Uint64Key, MortonKey) and lock-free for unbounded
-//     keys (Bitstring, the paper's Section VI),
+//   - a Contains/Load (the paper's find) that performs no CAS and never
+//     writes the trie; its one possible write is a hint stored into the
+//     live reads' shortcut table, which lets it start below the root
+//     (shortcut.go). It is wait-free whenever K has bounded length
+//     (Uint64Key, MortonKey) and lock-free for unbounded keys
+//     (Bitstring, the paper's Section VI),
 //   - lock-free Insert, Delete and value updates, and
 //   - a lock-free Replace(old, new) that removes one key and inserts
 //     another atomically at a single linearization point.
@@ -481,8 +483,8 @@ type Trie[K keys.Key[K], V any] struct {
 	//
 	// It comes first so its lanes start line-aligned for every K; its
 	// mutex and state word, written only by Snapshot and Release, share
-	// the read-mostly line of root, the dummies and span. 632 bytes in
-	// all for a Uint64Key trie, the 640 B size class with the
+	// the read-mostly line of root, short, dummyMin and span. 632 bytes
+	// in all for a Uint64Key trie, the 640 B size class with the
 	// allocator's header (pinned by layout_test.go).
 	gate gate
 
@@ -492,7 +494,15 @@ type Trie[K keys.Key[K], V any] struct {
 	// either side of a racing swap — both are valid linearizable views.
 	root atomic.Pointer[node[K, V]]
 
-	dummyMin, dummyMax K
+	// short is the live reads' shortcut table (shortcut.go), nil until
+	// the trie first holds shortcutMinKeys keys; the same object carries
+	// the root-slot counters of a WithRootSpan trie from birth. Every
+	// live read loads it, so it sits on root's line.
+	short atomic.Pointer[shortcut[K, V]]
+
+	// dummyMin and dummyMax bound the key space; only the ordered walks
+	// read them, so dummyMax sits past span, off root's line.
+	dummyMin K
 
 	// The digit schedule. The root resolves the first rootSpan key bits
 	// through 2^rootSpan slots, and every internal node below it the
@@ -515,6 +525,8 @@ type Trie[K keys.Key[K], V any] struct {
 	// stay binary.
 	span, rootSpan uint32
 
+	dummyMax K
+
 	// count tracks the number of live user keys for Len. It is bumped by
 	// the *initiating* goroutine of a successful insert or delete — never
 	// by helpers, so each successful operation is counted exactly once —
@@ -525,20 +537,13 @@ type Trie[K keys.Key[K], V any] struct {
 	// state by at most the number of in-flight mutations (each op's bump
 	// lands within its own invocation window, so Len is always a value
 	// the set held at some point inside the read's own window of
-	// concurrent operations).
+	// concurrent operations). It is off root's line.
 	count atomic.Int64
 
 	// stats holds the counters that stay zero without contention (see
 	// stats.go), on count's line: by value, so each trie owns its own,
 	// with no pointer chase on the record paths.
 	stats contention
-
-	// rootHits counts the mutating searches through each root slot, one
-	// block of 2^rootSpan counters per gate lane (lane-major), so a
-	// sharded map can report how its updates spread over the slots. nil
-	// unless WithRootSpan built the trie; behind a pointer, which keeps a
-	// Trie in the 640 B size class (layout_test.go).
-	rootHits *[]atomic.Int64
 }
 
 // Option configures a Trie.
@@ -586,8 +591,7 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	if t.rootSpan == 0 {
 		t.rootSpan = t.span
 	} else {
-		hits := make([]atomic.Int64, gateLanes<<t.rootSpan)
-		t.rootHits = &hits
+		t.short.Store(&shortcut[K, V]{hits: make([]atomic.Int64, gateLanes<<t.rootSpan)})
 	}
 	// The root is built after the options so it gets the configured
 	// fanout. The dummies always occupy distinct slots: their first bits
@@ -661,19 +665,22 @@ func keyInTrie[K keys.Key[K], V any](n *node[K, V], v K, rmvd bool) bool {
 	return n != nil && n.isLeaf() && n.label.Equal(v) && !rmvd
 }
 
-// Contains reports whether the encoded key v is in the set. It only
-// reads shared memory and never performs a CAS (the paper's find, lines
-// 72-75): it is the Snapshot descent run at the live root.
+// Contains reports whether the encoded key v is in the set. It performs
+// no CAS and never writes the trie (the paper's find, lines 72-75): it
+// is the Snapshot descent run at the live root, started at the node the
+// shortcut table holds for v when that node is still in the trie, with
+// at most one hint store into the table (shortcut.go).
 func (t *Trie[K, V]) Contains(v K) bool {
 	s := t.live()
 	return s.Contains(v)
 }
 
 // Load returns the value stored under v, or (zero, false) when v is not
-// in the set. Like Contains it is read-only and CAS-free: one descent,
-// and the value comes back unboxed straight from the leaf. Leaf values
-// are immutable (updates install fresh leaves), so the value returned is
-// exactly the one bound to v at the linearization point.
+// in the set. Like Contains it is CAS-free and never writes the trie:
+// one descent, from the shortcut table or the root, and the value comes
+// back unboxed straight from the leaf. Leaf values are immutable
+// (updates install fresh leaves), so the value returned is exactly the
+// one bound to v at the linearization point.
 func (t *Trie[K, V]) Load(v K) (V, bool) {
 	s := t.live()
 	return s.Load(v)

@@ -161,10 +161,10 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 }
 
 // Footprint is a census of the heap objects reachable from a trie's
-// root: how many there are of each kind and how many bytes of heap they
-// are predicted to occupy — unsafe.Sizeof of each object rounded up to
-// the allocator's size class. The prediction leaves out whatever K and V
-// hold out of line.
+// root, plus its shortcut table: how many there are of each kind and how
+// many bytes of heap they are predicted to occupy — unsafe.Sizeof of
+// each object rounded up to the allocator's size class. The prediction
+// leaves out whatever K and V hold out of line.
 type Footprint struct {
 	// Objects. Leaves includes the two dummies; Infos counts only the
 	// headers that exist — a node nothing has flagged yet has none.
@@ -174,10 +174,17 @@ type Footprint struct {
 	// all its slots inline; InfoBytes counts a Flag (none is reachable at
 	// quiescence) as its whole descriptor shape.
 	InternalBytes, LeafBytes, InfoBytes uintptr
+
+	// ShortcutBytes is the live reads' shortcut table (shortcut.go): its
+	// header and its slots, 0 before the trie first held
+	// shortcutMinKeys keys.
+	ShortcutBytes uintptr
 }
 
 // Bytes returns the predicted bytes of all census objects.
-func (f Footprint) Bytes() uintptr { return f.InternalBytes + f.LeafBytes + f.InfoBytes }
+func (f Footprint) Bytes() uintptr {
+	return f.InternalBytes + f.LeafBytes + f.InfoBytes + f.ShortcutBytes
+}
 
 // sizeClasses are the Go allocator's small-object size classes up to 1 KiB
 // (runtime/sizeclasses.go), enough for every object of a span <= 6 trie
@@ -209,6 +216,9 @@ func classSize(n uintptr) uintptr {
 func (t *Trie[K, V]) Footprint() Footprint {
 	var f Footprint
 	t.footprintNode(t.root.Load(), &f)
+	if sc := t.short.Load(); sc != nil && sc.d > 0 {
+		f.ShortcutBytes = classSize(unsafe.Sizeof(*sc)) + classSize(uintptr(len(sc.slots))*unsafe.Sizeof(sc.slots[0]))
+	}
 	return f
 }
 

@@ -111,12 +111,12 @@ func TestLayoutSizes(t *testing.T) {
 // each and start line-aligned (the Trie is allocated in a size class that
 // is a multiple of 64 B, so offsets modulo 64 are lines), and count —
 // written by every insert and delete — is not on the read-mostly line of
-// root that every operation loads.
+// root and the shortcut pointer that every read loads.
 func TestTrieLayout(t *testing.T) {
 	var tr Trie[keys.Uint64Key, uint64]
-	t.Logf("Trie[Uint64Key,uint64]: %d B; lanes at %d, root at %d, count at %d",
+	t.Logf("Trie[Uint64Key,uint64]: %d B; lanes at %d, root at %d, short at %d, count at %d",
 		unsafe.Sizeof(tr), unsafe.Offsetof(tr.gate)+unsafe.Offsetof(tr.gate.lanes),
-		unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.count))
+		unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.short), unsafe.Offsetof(tr.count))
 	// Exactly the 640 B class, a multiple of 64, with the allocator's
 	// 8 B header: a Trie of 640 B or more would cost 704.
 	if got := classSize(unsafe.Sizeof(tr)); got != 640 {
@@ -129,8 +129,14 @@ func TestTrieLayout(t *testing.T) {
 	if off := unsafe.Offsetof(tr.gate) + unsafe.Offsetof(tr.gate.lanes); off%64 != 0 {
 		t.Errorf("the lanes start at offset %d, want a multiple of 64", off)
 	}
-	if root, count := unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.count); root/64 == count/64 {
+	root, short, count := unsafe.Offsetof(tr.root), unsafe.Offsetof(tr.short), unsafe.Offsetof(tr.count)
+	if root/64 == count/64 {
 		t.Errorf("count (offset %d) shares root's cache line (offset %d)", count, root)
+	}
+	// Every live read loads short next to root; every insert and delete
+	// writes count.
+	if short/64 != root/64 || short/64 == count/64 {
+		t.Errorf("the shortcut pointer (offset %d) must share root's line (offset %d), not count's (offset %d)", short, root, count)
 	}
 }
 

@@ -13,9 +13,10 @@ package engine
 // Every single-key write — Insert, Store, Swap, LoadOrStore, Delete,
 // LoadAndDelete and the compare-and-* family — is one call to update,
 // the engine's one search/check/flag/help/retry loop. Reads (Load) are
-// the Snapshot descent at the live root (Trie.live) and add only a field
-// read of the immutable leaf; they perform no CAS and write no shared
-// memory.
+// the Snapshot descent at the live root (Trie.live), started from the
+// shortcut table, and add only a field read of the immutable leaf; they
+// perform no CAS and never write the trie, and make at most one hint
+// store into the table (shortcut.go).
 //
 // CompareAndSwap and CompareAndDelete compare values with Go interface
 // equality, mirroring sync.Map: the old value must be comparable or the
@@ -58,7 +59,9 @@ func (t *Trie[K, V]) update(v K, val V, insert bool, act onPresent, cond func(V)
 				return old, false, false
 			}
 			if t.tryInsert(l, v, val, r) {
-				t.count.Add(1)
+				if n := t.count.Add(1); n >= shortcutMinKeys && n&(n-1) == 0 {
+					t.grow(n)
+				}
 				return old, false, true
 			}
 			continue

@@ -44,7 +44,10 @@ import (
 // any node's, so removed counts every Flag — the paper's check — and
 // Contains and Load have one descent (search) and AscendKV, Ceiling and
 // Floor one ordered walk (walk), as a Ctrie reads a snapshot and the
-// live trie with one lookup.
+// live trie with one lookup. Only the live descent consults the
+// shortcut table (shortcut.go): the root a Snapshot swaps out is not
+// flagged, so the table's "unflagged means in the trie" holds for the
+// live trie alone.
 //
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load
@@ -190,10 +193,32 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 // (Invariant 7), so the loop runs at most |v| times: wait-free for
 // bounded key types, lock-free for unbounded ones. A nil n is an empty
 // slot of a wide node: v is absent.
+//
+// A live read (liveGen) starts where the shortcut table points
+// (shortcut.go) and, when it passes a node deeper than its start that
+// the table may cache, stores the deepest such node into v's slot: at
+// most one store, to the table, never to the trie. A snapshot read
+// starts at its root and writes nothing.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
-	for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
-		n = n.inner().kid(s.t.slotOf(v, n.label.Len())).Load()
+	var hint *atomic.Pointer[node[K, V]]
+	var reach uint32
+	if s.gen == liveGen {
+		n, hint, reach = s.t.start(v, n)
+	}
+	from, deepest, vl := n, n, v.Len()
+	for n != nil && !n.isLeaf() {
+		l := n.label.Len()
+		if l >= vl || !n.label.IsPrefixOf(v) {
+			break
+		}
+		if l <= reach && l > 0 {
+			deepest = n
+		}
+		n = n.inner().kid(s.t.slotOf(v, l)).Load()
+	}
+	if deepest != from {
+		hint.Store(deepest)
 	}
 	if n != nil && n.isLeaf() {
 		rmvd = s.removed(n.info.Load())
@@ -280,8 +305,8 @@ restart:
 		}
 		r.node = n
 		l.recordDepth(depth)
-		if t.rootHits != nil {
-			(*t.rootHits)[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
+		if sc := t.short.Load(); sc != nil && sc.hits != nil {
+			sc.hits[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
 		}
 		if n != nil && n.isLeaf() {
 			live := Snapshot[K, V]{t: t, gen: liveGen}

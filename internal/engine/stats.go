@@ -14,9 +14,10 @@ import (
 // and are plain, unpadded atomics on one line with count. Every record
 // path is a wait-free atomic add and never allocates, so instrumented
 // operations keep exactly the progress and allocs/op guarantees of the
-// uninstrumented protocol. The read-only search path (Contains/Load) is
-// deliberately NOT instrumented — it performs no shared-memory writes, and
-// a counter bump would be its first.
+// uninstrumented protocol. The search path (Contains/Load) is
+// deliberately NOT instrumented: it never writes the trie, its one shared
+// write is a shortcut hint that steady-state reads skip (shortcut.go),
+// and a counter bump would be a shared write on every read.
 //
 // Helper-vs-initiator semantics: Help counts every help() entry, whether
 // the caller is the update's own process or a helper; HelpAssist counts
@@ -87,13 +88,14 @@ func (t *Trie[K, V]) StatsSnapshot() StatsSnapshot {
 // WithRootSpan built the trie. Like StatsSnapshot it is a metrics read:
 // each count is exact, the set of them is not one cut.
 func (t *Trie[K, V]) RootSlotHits() []int64 {
-	if t.rootHits == nil {
+	sc := t.short.Load()
+	if sc == nil || sc.hits == nil {
 		return nil
 	}
 	n := 1 << t.rootSpan
 	hits := make([]int64, n)
-	for i := range *t.rootHits {
-		hits[i%n] += (*t.rootHits)[i].Load()
+	for i := range sc.hits {
+		hits[i%n] += sc.hits[i].Load()
 	}
 	return hits
 }

@@ -89,6 +89,42 @@ func TestLoadIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestShortcutReadsAreAllocationFree holds the read pins at a size where
+// the live reads' shortcut table is on: reads that start from it, and
+// the first reads through each slot, which store their hint into it,
+// allocate nothing.
+func TestShortcutReadsAreAllocationFree(t *testing.T) {
+	tr, err := NewU64[int](30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 1<<14; k += 2 {
+		tr.Store(k, int(k))
+	}
+	requireShortcut(t, tr)
+	k := uint64(0)
+	if n := testing.AllocsPerRun(2000, func() {
+		if v, ok := tr.Load(k); !ok || v != int(k) {
+			t.Fatalf("Load(%d) wrong", k)
+		}
+		if !tr.Contains(k) || tr.Contains(k+1) {
+			t.Fatalf("Contains around %d wrong", k)
+		}
+		k = (k + 2) % (1 << 14)
+	}); n != 0 {
+		t.Errorf("reads through the shortcut allocate %v objects per call, want 0", n)
+	}
+}
+
+// requireShortcut fails the test unless tr's shortcut table is built, so
+// the pins below hold with it on.
+func requireShortcut(t *testing.T, tr *U64[int]) {
+	t.Helper()
+	if tr.Footprint().ShortcutBytes == 0 {
+		t.Fatalf("setup: %d keys built no shortcut table", tr.Len())
+	}
+}
+
 // writeForm is one public write form under the update pins: op applies
 // it to key k and reports whether it did what its leg expects — changed
 // the trie, or on the no-op leg left it alone. Every form writes
@@ -156,6 +192,7 @@ func TestUpdateAllocationBudgets(t *testing.T) {
 	for k := uint64(0); k < 4096; k++ {
 		tr.Store(k, pinVal(k))
 	}
+	requireShortcut(t, tr)
 
 	k := uint64(1 << 20)
 	for _, f := range insertForms {
@@ -242,6 +279,7 @@ func TestUpdateByteBudgets(t *testing.T) {
 	for k := uint64(1); k < 8192; k += 2 {
 		tr.Store(k, pinVal(k))
 	}
+	requireShortcut(t, tr)
 
 	k := uint64(2)
 	for _, f := range insertForms {

@@ -80,7 +80,10 @@ func (s *tornSet) Replace(old, new uint64) bool {
 
 func TestKitDetectsTornReplace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const trials = 400
+	// A trial catches the torn window only when the reader's Contains
+	// lands inside it; on a 2-vCPU box 400 trials missed it in about one
+	// run of five. The loop stops at the first catch.
+	const trials = 4000
 	for trial := 0; trial < trials; trial++ {
 		s := &tornSet{lockedSet{m: map[uint64]bool{1: true}}}
 		// Seed key 1 is present; worker A replaces 1->2 repeatedly while
