@@ -7,13 +7,16 @@
 //
 //   - a Contains/Load (the paper's find) that performs no CAS and never
 //     writes the trie; its one possible write is a hint stored into the
-//     live reads' shortcut table, which lets it start below the root
-//     (shortcut.go). It is wait-free whenever K has bounded length
-//     (Uint64Key, MortonKey) and lock-free for unbounded keys
-//     (Bitstring, the paper's Section VI),
+//     shortcut table, which lets it start below the root (shortcut.go).
+//     It is wait-free whenever K has bounded length (Uint64Key,
+//     MortonKey) and lock-free for unbounded keys (Bitstring, the
+//     paper's Section VI),
 //   - lock-free Insert, Delete and value updates, and
 //   - a lock-free Replace(old, new) that removes one key and inserts
 //     another atomically at a single linearization point.
+//
+// Like the paper, the engine has one search for find and for every
+// update, and both start from the shortcut table.
 //
 // Coordination follows the flag/help scheme of Ellen et al. (PODC
 // 2010), extended per the paper: every update publishes a descriptor
@@ -494,10 +497,11 @@ type Trie[K keys.Key[K], V any] struct {
 	// either side of a racing swap — both are valid linearizable views.
 	root atomic.Pointer[node[K, V]]
 
-	// short is the live reads' shortcut table (shortcut.go), nil until
-	// the trie first holds shortcutMinKeys keys; the same object carries
-	// the root-slot counters of a WithRootSpan trie from birth. Every
-	// live read loads it, so it sits on root's line.
+	// short is the shortcut table of live reads and writers
+	// (shortcut.go), nil until the trie first holds shortcutMinKeys keys;
+	// the same object carries the root-slot counters of a WithRootSpan
+	// trie from birth. Every live descent loads it once, so it sits on
+	// root's line.
 	short atomic.Pointer[shortcut[K, V]]
 
 	// dummyMin and dummyMax bound the key space; only the ordered walks

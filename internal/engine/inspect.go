@@ -175,7 +175,7 @@ type Footprint struct {
 	// quiescence) as its whole descriptor shape.
 	InternalBytes, LeafBytes, InfoBytes uintptr
 
-	// ShortcutBytes is the live reads' shortcut table (shortcut.go): its
+	// ShortcutBytes is the live descents' shortcut table (shortcut.go): its
 	// header and its slots, 0 before the trie first held
 	// shortcutMinKeys keys.
 	ShortcutBytes uintptr

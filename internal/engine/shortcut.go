@@ -7,42 +7,54 @@ import (
 	"nbtrie/internal/keys"
 )
 
-// The shortcut for live reads, after the cache of Prokopec, Bagwell and
-// Odersky's hash trie ("Cache-Aware Lock-Free Concurrent Hash Tries").
-// The paper's find descends from the root, one cache miss per level; a
-// large trie's upper levels are the same for every key under a prefix,
-// so a table of 2^d node pointers, indexed by a d-bit digit of the key,
-// lets a read start at the deepest internal node that covers the key's
-// digit and skip the levels above it.
+// The shortcut for live descents, after the cache of Prokopec, Bagwell
+// and Odersky's hash trie ("Cache-Aware Lock-Free Concurrent Hash
+// Tries"). The paper's search descends from the root, one cache miss per
+// level; a large trie's upper levels are the same for every key under a
+// prefix, so a table of 2^d node pointers, indexed by a d-bit digit of
+// the key, lets a descent start at the deepest internal node that covers
+// the key's digit and skip the levels above it.
 //
-// Only the live Load and Contains (search at liveGen) consult the table.
-// A read loads the slot's node, then that node's info, and only then its
-// children. It starts there when the info is unflagged (nil or an
-// Unflag) and the node's label is a non-empty proper prefix of the key;
-// otherwise it starts at the root, so a read falls back at most once and
-// stays wait-free. Writers, snapshot reads and the ordered walks never
-// read the slots. Why a start taken from the table is linearizable:
+// The paper has one search for find and for every update, and so does
+// this table: the live Load and Contains (search at liveGen) and every
+// mutator descent (searchMut) start from it. A descent loads the slot's
+// node, then that node's info, and only then its children. It starts
+// there when the info is unflagged (nil or an Unflag) and the node's
+// label is a non-empty proper prefix of the key; otherwise it starts at
+// the root, so a read falls back at most once and stays wait-free.
+// Snapshot reads and the ordered walks never read the slots. Why a start
+// taken from the table is linearizable:
 //   - Unflagged means in the trie. Every internal node that leaves the
 //     live trie is flagged before the child CAS that removes it and is
 //     never unflagged again (help unflags only CAS targets, which stay),
 //     so a node whose info reads unflagged at time t was in the trie at
-//     t, and t lies inside the read's own interval.
+//     t, and t lies inside the descent's own interval.
 //   - A node whose label is a prefix of the key lies on the key's search
 //     path. From there, the paper's search argument applies unchanged:
-//     the read is a search that passed through that node at t.
+//     the descent is a search that passed through that node at t.
 //   - The one exception is the root: Snapshot swaps the root out without
 //     flagging it. So no slot ever holds a node with an empty label, and
-//     snapshot reads never consult the table.
+//     snapshot reads never consult the table. A writer is inside the
+//     gate, where Snapshot cannot swap the root at all.
 //
-// Readers keep the table: a read that passes a node deeper than where it
+// A writer keeps two more rules, so that its result keeps searchMut's
+// contract, gp == nil iff p is the root, on which swing, deleteHalf and
+// every Figure 6 case rely. While a snapshot is held it does not start at
+// a stale node: renewing one needs its parent, which the table does not
+// record, so it starts at the root. And a descent from a cached start
+// that ends with p at that start, gp unknown, starts over once from the
+// root. Each costs one fallback, so writers stay lock-free; every flag
+// CAS still re-validates the info the descent captured, as from the root.
+//
+// Descents keep the table: one that passes a node deeper than where it
 // started, with a non-empty label of at most pos+d bits, stores the
 // deepest such node into the slot with one plain atomic store. The slot
 // then holds the deepest node whose label is a prefix of the key's first
 // pos+d bits, the same node for every key of that digit (when the keys
 // share their first pos bits, as they do when the table is built). In
-// steady state reads store nothing. A stored node that has since left
-// the trie is flagged, so it costs the next read one fallback, and that
-// read repairs the slot.
+// steady state descents store nothing. A stored node that has since left
+// the trie is flagged, so it costs the next descent one fallback, and
+// that descent repairs the slot.
 //
 // Sizing. The insert whose count bump returns a power of two of at least
 // shortcutMinKeys installs a table of one slot per keysPerSlot keys, at
@@ -75,14 +87,13 @@ type shortcut[K keys.Key[K], V any] struct {
 	hits []atomic.Int64
 }
 
-// start returns where a live read of v begins: the node cached in v's
-// slot when that node is unflagged and its label a non-empty proper
-// prefix of v, or else root. hint is v's slot (nil with no table, or a
-// key no longer than pos), and reach the label length up to which a node
-// the read passes may be cached in it.
-func (t *Trie[K, V]) start(v K, root *node[K, V]) (n *node[K, V], hint *atomic.Pointer[node[K, V]], reach uint32) {
-	sc := t.short.Load()
-	vl := v.Len()
+// start returns where a live descent of v begins: the node cached in
+// v's slot of the table sc (t.short, loaded once by the caller) when that
+// node is unflagged and its label a non-empty proper prefix of v, or else
+// root. vl is v.Len(). hint is v's slot (nil with no table, or a key no
+// longer than pos), and reach the label length up to which a node the
+// descent passes may be cached in it.
+func (t *Trie[K, V]) start(sc *shortcut[K, V], v K, vl uint32, root *node[K, V]) (n *node[K, V], hint *atomic.Pointer[node[K, V]], reach uint32) {
 	if sc == nil || sc.d == 0 || vl <= sc.pos {
 		return root, nil, 0
 	}

@@ -1,16 +1,19 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nbtrie/internal/keys"
 	"nbtrie/internal/linearizable"
 )
 
-// Oracles for the live reads' shortcut table (shortcut.go). The trie they
+// Oracles for the live descents' shortcut table (shortcut.go). The trie they
 // run on holds the even user keys below 2^14 at width 20, 2^13 keys: the
 // table has 2^10 slots and its digit starts at bit 7, so each slot covers
 // a block of 16 encoded keys (8 present), and its natural entry is the
@@ -42,8 +45,8 @@ func (tt testTrie) slot(k uint64) *atomic.Pointer[unode] {
 // startsAtRoot reports whether a live read of k, made now, would begin
 // at the root rather than at the node its slot holds.
 func (tt testTrie) startsAtRoot(k uint64) bool {
-	root := tt.root.Load()
-	n, _, _ := tt.start(tt.enc(k), root)
+	root, v := tt.root.Load(), tt.enc(k)
+	n, _, _ := tt.start(tt.short.Load(), v, v.Len(), root)
 	return n == root
 }
 
@@ -73,6 +76,54 @@ func checkSlots(t *testing.T, tr testTrie, when string) {
 	}
 	if filled == 0 {
 		t.Fatalf("%s: the reads filled no slot", when)
+	}
+}
+
+// shortDescents returns how many mutator descents so far walked at most
+// seven levels. On the tries below, a descent from the root walks at
+// least eight levels before it passes the level the table caches, and
+// one from the table at most five, so a short one started from the
+// table.
+func shortDescents(tr testTrie) int64 {
+	var n int64
+	d := tr.StatsSnapshot().Depth
+	for _, c := range d.Buckets[:4] {
+		n += c
+	}
+	return n
+}
+
+// TestShortcutDeleteChildOfCachedNode deletes b, a leaf directly under
+// the cached node p. Its descent from p ends with p as the parent, but
+// the contraction of p into a's leaf swings p's own parent, which the
+// table does not record: the descent must start over from the root once.
+// Without that it retries forever on the root-CAS sentinel, and so would
+// the writers of every later test: past the delete's deadline the test
+// binary panics, and the test runs first of the Shortcut tests.
+func TestShortcutDeleteChildOfCachedNode(t *testing.T) {
+	tr := shortcutTrie(t)
+	const a, b = 1600, 1608
+	p := pairBlock(t, tr, a)
+	if tr.startsAtRoot(b) {
+		t.Fatal("setup: a descent of b does not start at the cached p")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- tr.Delete(b) }()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Delete(b) failed")
+		}
+	case <-time.After(10 * time.Second):
+		panic("TestShortcutDeleteChildOfCachedNode: Delete(b) under the cached node did not return in 10 s; its descent never learned p's parent")
+	}
+	if !p.info.Load().flagged() {
+		t.Error("the contracted p is not flagged")
+	}
+	checkLoad(t, tr, b, nil)
+	checkLoad(t, tr, a, uint64(a))
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,10 +316,11 @@ func TestShortcutStalledContraction(t *testing.T) {
 }
 
 // TestShortcutStalledRenewal stalls, under a held snapshot, the renewal
-// of the cached node p by an insert of c below it. Reads through the
-// slot fall back while p is flagged, and after the renewal the insert is
-// visible to them even though the slot still holds the old p; the
-// snapshot does not see it.
+// of the cached node p by an insert of c below it. The insert does not
+// start at the stale p; it renews p from the root. Reads through the
+// slot fall back while p is flagged. After the renewal the insert has
+// stored p's live renewed copy into the slot, reads start there and see
+// c, and the snapshot does not.
 func TestShortcutStalledRenewal(t *testing.T) {
 	tr := shortcutTrie(t)
 	const a, c = 1600, 1604
@@ -290,8 +342,9 @@ func TestShortcutStalledRenewal(t *testing.T) {
 	if !<-done {
 		t.Fatal("Insert(c) failed")
 	}
-	if tr.slot(c).Load() != p || !tr.startsAtRoot(c) {
-		t.Fatal("after the renewal the slot holds the old p, and a read must start at the root")
+	if r := tr.slot(c).Load(); r == p || r == nil || r.gen != tr.curGen() || !r.label.Equal(p.label) ||
+		r.info.Load().flagged() || tr.startsAtRoot(c) {
+		t.Fatal("after the renewal the slot must hold p's live renewed copy, and a read must start there")
 	}
 	if !tr.Contains(c) || !tr.Contains(a) {
 		t.Error("a live read misses a key under the renewed node")
@@ -312,7 +365,8 @@ func TestShortcutStalledRenewal(t *testing.T) {
 // trie: pairs under one cached node, so their updates flag and contract
 // it, and a far key, so a Replace between them is Figure 6's general
 // case. Each trial takes fresh keys. Every history must linearize, and
-// the Loads must have started from the table, not always from the root.
+// both the Loads and the writers must have started from the table, not
+// always from the root.
 func TestShortcutLinearizable(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const (
@@ -321,6 +375,7 @@ func TestShortcutLinearizable(t *testing.T) {
 		perW    = 12
 	)
 	tr := shortcutTrie(t)
+	short0 := shortDescents(tr)
 	var loads, fromTable atomic.Int64
 	for trial := uint64(0); trial < trials; trial++ {
 		// Odd, so absent: two pairs in one 16-key block, one far key.
@@ -373,9 +428,232 @@ func TestShortcutLinearizable(t *testing.T) {
 			tr.Delete(k)
 		}
 	}
-	t.Logf("%d of %d Loads started from the table", fromTable.Load(), loads.Load())
+	writes := shortDescents(tr) - short0
+	t.Logf("%d of %d Loads and %d writer descents started from the table", fromTable.Load(), loads.Load(), writes)
 	if fromTable.Load() == 0 {
 		t.Fatal("no Load started from the table")
+	}
+	if writes == 0 {
+		t.Fatal("no writer started from the table")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fig6Case names the Replace case that replaceAt takes for the positions
+// rd (of the removed key) and ri (of the inserted one).
+func fig6Case(rd, ri searchResult[keys.Uint64Key, any]) string {
+	switch {
+	case ri.node == rd.node:
+		return "case 1"
+	case ri.node == rd.p && ri.p == rd.gp:
+		return "case 2"
+	case ri.p == rd.p:
+		return "case 3"
+	case ri.node == rd.gp:
+		return "case 4"
+	}
+	return "general"
+}
+
+// TestShortcutReplaceFigure6 runs Replace from cached starts in each of
+// Figure 6's cases. The block of a is cut down to the keys each case
+// needs, so both keys sit under one cached node (the fused cases, some
+// with the gp fallback) or under two (the general case). Each Replace
+// must move the value and leave a valid trie, and concurrent Replaces
+// back and forth from that shape, beside Loads, must linearize.
+func TestShortcutReplaceFigure6(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const a = 1600
+	for _, c := range []struct {
+		want   string
+		keep   []uint64 // the keys of a's 16-key block left in place
+		vd, vi uint64
+		// short is how many of the two descents stay below their cached
+		// start; the others end with p at the start and fall back.
+		short int64
+	}{
+		// a and a+8 under the 17-bit p: a+2 lands on a's leaf.
+		{"case 1", []uint64{a, a + 8}, a, a + 2, 0},
+		// a and a+2 under q (19 bits) under p: a+4 diverges at q.
+		{"case 2", []uint64{a, a + 2, a + 8}, a, a + 4, 1},
+		// The same shape: a+8 sits beside q, and a+4 lands at q.
+		{"case 3", []uint64{a, a + 2, a + 8}, a + 8, a + 4, 0},
+		// No 17-bit node: the slot holds the 16-bit one, and a+8
+		// diverges at a's grandparent (18 bits).
+		{"case 4", []uint64{a, a + 2, a + 4}, a, a + 8, 1},
+		// a and a far key: two cached nodes.
+		{"general", []uint64{a, a + 2, a + 8}, a, 5001, 2},
+	} {
+		t.Run(c.want, func(t *testing.T) {
+			tr := shortcutTrie(t)
+			for k := uint64(a); k < a+16; k += 2 {
+				if !slices.Contains(c.keep, k) && !tr.Delete(k) {
+					t.Fatalf("setup: Delete(%d) failed", k)
+				}
+			}
+			for _, k := range c.keep {
+				tr.Contains(k)
+			}
+			tr.Contains(c.vi)
+			if tr.startsAtRoot(c.vd) || tr.startsAtRoot(c.vi) {
+				t.Fatal("setup: a descent does not start from the table")
+			}
+			rd, ri := tr.searchMut(tr.lane0(), tr.enc(c.vd)), tr.searchMut(tr.lane0(), tr.enc(c.vi))
+			if got := fig6Case(rd, ri); got != c.want {
+				t.Fatalf("setup: Replace(%d, %d) takes %s", c.vd, c.vi, got)
+			}
+			short0 := shortDescents(tr)
+			if !tr.Replace(c.vd, c.vi) {
+				t.Fatalf("Replace(%d, %d) failed", c.vd, c.vi)
+			}
+			if got := shortDescents(tr) - short0; got != c.short {
+				t.Errorf("%d of the Replace's descents stayed below the table, want %d", got, c.short)
+			}
+			checkLoad(t, tr, c.vd, nil)
+			checkLoad(t, tr, c.vi, c.vd)
+			for _, k := range c.keep {
+				if k != c.vd {
+					checkLoad(t, tr, k, k)
+				}
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+
+			for round := 0; round < 10; round++ {
+				// Back to the case's shape, outside the history, which
+				// then opens with a Store that binds the value again.
+				tr.Replace(c.vi, c.vd)
+				rec := linearizable.NewRecorder()
+				rec.RecordOp(func() linearizable.Op {
+					tr.Store(c.vd, c.vd)
+					return linearizable.Op{Kind: linearizable.Store, Key: c.vd, Val: c.vd, Result: true}
+				})
+				var wg sync.WaitGroup
+				for w := 0; w < 3; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < 8; i++ {
+							from, to := c.vd, c.vi
+							if (i+w)%2 == 1 {
+								from, to = to, from
+							}
+							if (i+round)%3 == 2 {
+								rec.RecordOp(func() linearizable.Op {
+									v, ok := tr.Load(from)
+									val, _ := v.(uint64)
+									return linearizable.Op{Kind: linearizable.Load, Key: from, Val: val, Result: ok}
+								})
+								continue
+							}
+							rec.Record(linearizable.Replace, from, to, func() bool { return tr.Replace(from, to) })
+						}
+					}(w)
+				}
+				wg.Wait()
+				if h := rec.History(); !linearizable.Check(h) {
+					t.Fatalf("round %d: history not linearizable: %v", round, h)
+				}
+				if err := tr.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestShortcutRootSpanCrossSlotReplace moves 64 tokens between root
+// slots 0 and 4 of a WithRootSpan(4) trie whose 2^13 keys span the key
+// space, so the table indexes from bit 1 and caches 11-bit nodes. Four
+// writers Replace from cached starts while snapshots come and go, so
+// the descents run both with renewal on, where a stale start falls back
+// to the root, and with it off. Every snapshot and the final trie hold
+// each token exactly once.
+func TestShortcutRootSpanCrossSlotReplace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const tokens = 64
+	tr := mustNew(t, 20, WithRootSpan[keys.Uint64Key, any](4))
+	for i := uint64(0); i < 1<<13; i++ {
+		tr.Store(i<<7, i)
+	}
+	if sc := tr.short.Load(); sc == nil || sc.d == 0 || sc.pos != 1 {
+		t.Fatal("setup: no table indexed from bit 1")
+	}
+	// Token i lives at lo(i), in root slot 0, or at hi(i), in root slot 4:
+	// both absent from the base keys, both under a cached node.
+	lo := func(i uint64) uint64 { return i<<7 + 64 }
+	hi := func(i uint64) uint64 { return 1<<19 + i<<7 + 64 }
+	for i := uint64(0); i < tokens; i++ {
+		tr.Store(lo(i), i)
+		tr.Contains(lo(i))
+		tr.Contains(hi(i))
+		if tr.startsAtRoot(lo(i)) || tr.startsAtRoot(hi(i)) {
+			t.Fatalf("setup: token %d does not start from the table", i)
+		}
+	}
+	if s0, s1 := tr.slotOf(tr.enc(lo(0)), 0), tr.slotOf(tr.enc(hi(0)), 0); s0 != 0 || s1 != 4 {
+		t.Fatalf("setup: tokens in root slots %d and %d", s0, s1)
+	}
+	exactlyOnce := func(load func(keys.Uint64Key) (any, bool)) error {
+		for i := uint64(0); i < tokens; i++ {
+			va, okA := load(tr.enc(lo(i)))
+			vb, okB := load(tr.enc(hi(i)))
+			if okA == okB || okA && va != i || okB && vb != i {
+				return fmt.Errorf("token %d: at lo %v %v, at hi %v %v; want it once", i, va, okA, vb, okB)
+			}
+		}
+		return nil
+	}
+
+	short0 := shortDescents(tr)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for n := uint64(0); n < 2000; n++ {
+				i := (n*7 + w*13) % tokens
+				if !tr.Replace(lo(i), hi(i)) {
+					tr.Replace(hi(i), lo(i))
+				}
+			}
+		}(uint64(w))
+	}
+	stop := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		for cut := 0; ; cut++ {
+			select {
+			case <-stop:
+				snapErr <- nil
+				return
+			default:
+			}
+			s := tr.Snapshot()
+			err := exactlyOnce(s.Load)
+			s.Release()
+			if err != nil {
+				snapErr <- fmt.Errorf("snapshot %d: %v", cut, err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-snapErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := exactlyOnce(tr.Trie.Load); err != nil {
+		t.Fatal(err)
+	}
+	writes := shortDescents(tr) - short0
+	t.Logf("%d writer descents started from the table", writes)
+	if writes == 0 {
+		t.Fatal("no writer started from the table")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

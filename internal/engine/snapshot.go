@@ -44,10 +44,10 @@ import (
 // any node's, so removed counts every Flag — the paper's check — and
 // Contains and Load have one descent (search) and AscendKV, Ceiling and
 // Floor one ordered walk (walk), as a Ctrie reads a snapshot and the
-// live trie with one lookup. Only the live descent consults the
-// shortcut table (shortcut.go): the root a Snapshot swaps out is not
-// flagged, so the table's "unflagged means in the trie" holds for the
-// live trie alone.
+// live trie with one lookup. Only the live descents, this one and the
+// mutators' searchMut, consult the shortcut table (shortcut.go): the
+// root a Snapshot swaps out is not flagged, so the table's "unflagged
+// means in the trie" holds for the live trie alone.
 //
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load
@@ -201,12 +201,13 @@ func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 // starts at its root and writes nothing.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
+	vl := v.Len()
 	var hint *atomic.Pointer[node[K, V]]
 	var reach uint32
 	if s.gen == liveGen {
-		n, hint, reach = s.t.start(v, n)
+		n, hint, reach = s.t.start(s.t.short.Load(), v, vl, n)
 	}
-	from, deepest, vl := n, n, v.Len()
+	from, deepest := n, n
 	for n != nil && !n.isLeaf() {
 		l := n.label.Len()
 		if l >= vl || !n.label.IsPrefixOf(v) {
@@ -261,28 +262,49 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 }
 
 // searchMut is Snapshot.search for mutating operations on the live trie:
-// the same descent, recording the paper's 6-tuple, but it
-// renews any stale internal node it meets — splicing a current-generation
-// copy over it through the flag protocol — before stepping into it, so
-// the returned position's gp, p and node (when internal) all carry the
-// current generation and are safe to flag and child-CAS without ever
-// mutating a node a snapshot can reach. With no snapshot held it renews
-// nothing (see the top of this file). Must be called inside the gate;
-// l is the lane the caller entered on, where the descent's depth is
-// recorded.
+// the same descent, from the same shortcut start (shortcut.go), recording
+// the paper's 6-tuple, but it renews any stale internal node it meets —
+// splicing a current-generation copy over it through the flag protocol —
+// before stepping into it, so the returned position's gp, p and node
+// (when internal) all carry the current generation and are safe to flag
+// and child-CAS without ever mutating a node a snapshot can reach. With
+// no snapshot held it renews nothing (see the top of this file). Like a
+// live read it stores the deepest node the table may cache into v's slot.
+//
+// Two rules keep the contract every update builds on, gp == nil iff p is
+// the root. While a snapshot is held, a stale start is not taken: its
+// renewal would need the parent the table does not record. And a descent
+// from a cached start that stops with p equal to that start, so that gp
+// is unknown, starts over from the root. Each falls back at most once.
+// Must be called inside the gate; l is the lane the caller entered on,
+// where the descent's depth is recorded.
 func (t *Trie[K, V]) searchMut(l *lane, v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
 	renew := t.gate.snapshots() != 0
+	sc, vl := t.short.Load(), v.Len()
+	cached, hint, reach := t.start(sc, v, vl, root)
+	if renew && cached.gen != g {
+		cached = root
+	}
+	from := cached
 restart:
 	for {
 		var r searchResult[K, V]
 		var depth uint64
-		n := root
-		for n != nil && !n.isLeaf() && n.label.Len() < v.Len() && n.label.IsPrefixOf(v) {
+		var deepest *node[K, V]
+		n := from
+		for n != nil && !n.isLeaf() {
+			ll := n.label.Len()
+			if ll >= vl || !n.label.IsPrefixOf(v) {
+				break
+			}
+			if ll <= reach && ll > 0 {
+				deepest = n
+			}
 			r.gp, r.gpInfo = r.p, r.pInfo
 			r.p, r.pInfo = n, n.info.Load()
-			slot := n.inner().kid(t.slotOf(v, n.label.Len()))
+			slot := n.inner().kid(t.slotOf(v, ll))
 			n = slot.Load()
 			depth++
 			if renew && stale(n, g) {
@@ -299,13 +321,23 @@ restart:
 				n = slot.Load()
 				if r.pInfo.flagged() || stale(n, g) {
 					root = t.root.Load()
+					from = root
 					continue restart
 				}
 			}
 		}
+		if r.gp == nil && from != root {
+			// p is the cached start, whose parent the table does not know.
+			root = t.root.Load()
+			from = root
+			continue
+		}
+		if deepest != nil && deepest != cached {
+			hint.Store(deepest)
+		}
 		r.node = n
 		l.recordDepth(depth)
-		if sc := t.short.Load(); sc != nil && sc.hits != nil {
+		if sc != nil && sc.hits != nil {
 			sc.hits[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
 		}
 		if n != nil && n.isLeaf() {

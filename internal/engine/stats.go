@@ -38,8 +38,10 @@ type contention struct {
 
 // StatsSnapshot is a plain-value copy of a trie's statistics.
 //
-// Depth is the histogram of per-mutator-search descent depths (searchMut)
-// in obs.HistSnapshot's log2 layout, but only its first depthBuckets (13)
+// Depth is the histogram of per-mutator-search descent depths (searchMut),
+// each the number of levels walked from where the descent started: the
+// node the shortcut table holds for the key, or the root. It is in
+// obs.HistSnapshot's log2 layout, but only its first depthBuckets (13)
 // buckets are used, and the last of those saturates: Buckets[12] counts
 // every depth >= 2^11, not only depths in [2^11, 2^12). Count and Sum are
 // exact.

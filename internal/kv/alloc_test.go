@@ -509,7 +509,9 @@ func TestReplaceAllocationBudgets(t *testing.T) {
 				}
 				fillOdd(tr, 0, 4096)
 				if c.high {
+					// 2^12 keys: the writers start from the table.
 					fillOdd(tr, replaceHigh, 4096)
+					requireShortcut(t, tr)
 				}
 				return tr
 			}

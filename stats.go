@@ -30,9 +30,12 @@ import "nbtrie/internal/engine"
 // yet released. Mutations renew only while it is non-zero, so a snapshot
 // that is never released keeps taxing writers.
 //
-// DepthBuckets is a log2 histogram of per-mutation search depths:
-// bucket 0 counts depth 0 and bucket b in [1, 11] counts depths in
-// [2^(b-1), 2^b). Bucket 12 saturates: it counts every depth >= 2^11
+// DepthBuckets is a log2 histogram of per-mutation search depths. A
+// depth is the number of levels walked from where the descent started:
+// from the root, or, on a map of 2^12 keys or more, from the node the
+// shortcut table caches for the key, so it is not the leaf's depth in
+// the trie. Bucket 0 counts depth 0 and bucket b in [1, 11] counts
+// depths in [2^(b-1), 2^b). Bucket 12 saturates: it counts every depth >= 2^11
 // (only StringMap keys of 128 bytes or more can descend that far), and
 // buckets 13 to 64 are always zero. DepthSamples and DepthSum are its
 // exact count and sum.
