@@ -32,8 +32,8 @@
 // is the small keys.Key interface (bit access, length, prefix tests,
 // longest common prefix, a total label order) plus the two dummy keys
 // bounding the encoded key space, handed to New. The fixed-width,
-// byte-string and Morton-keyed tries are one generic wrapper
-// (internal/kv) over this engine with a key codec each; a new key space
+// byte-string and Morton-keyed tries are one generic wrapper (the root
+// package's trie) over this engine with a key codec each; a new key space
 // is a codec, never a fourth copy of this protocol.
 //
 // The hot paths are allocation-lean (see DESIGN.md): values are stored

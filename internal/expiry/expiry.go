@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"nbtrie"
-	"nbtrie/internal/kv"
 	"nbtrie/internal/obs"
 )
 
@@ -99,7 +98,7 @@ func same(have, v Value) bool {
 // exactly as they were acknowledged.
 type Index struct {
 	db         *nbtrie.ShardedMap[Value]
-	byDeadline *kv.U64[uint64]
+	byDeadline *nbtrie.Map[uint64]
 	clock      func() int64
 	seq        atomic.Uint64
 
@@ -141,7 +140,7 @@ func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
 	}
 	// Binary nodes, as a constant: an update of a wide node copies all
 	// its slots, and byDeadline is updated on every arming.
-	byDeadline, err := kv.NewU64[uint64](idxWidth)
+	byDeadline, err := nbtrie.NewMap[uint64](idxWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +174,7 @@ func (x *Index) arm(k uint64, deadlineMS int64) uint64 {
 	down := false
 	for tries := 0; ; tries++ {
 		at := uint64(d)<<seqBits | x.seq.Add(1)&seqMask
-		if x.byDeadline.InsertValue(at, k) {
+		if _, loaded, ok := x.byDeadline.LoadOrStore(at, k); ok && !loaded {
 			if d < x.wakeAt.Load() {
 				x.notify()
 			}
@@ -364,11 +363,10 @@ func (x *Index) NoteExpired() { x.expired.Add(1) }
 // A node whose retirement is in flight can make it report a deadline
 // that is already gone — harmless, the reaper's scan skips it.
 func (x *Index) earliest() (deadlineMS int64, ok bool) {
-	at, ok := x.byDeadline.Min()
-	if !ok {
-		return 0, false
+	for at := range x.byDeadline.All() {
+		return int64(at >> seqBits), true
 	}
-	return int64(at >> seqBits), true
+	return 0, false
 }
 
 // notify signals wake, never blocking: wake has capacity 1, so a signal
@@ -436,13 +434,12 @@ func (x *Index) Reap(nowMS int64) int {
 	limit := uint64(clampDeadline(nowMS))<<seqBits | seqMask
 	type cand struct{ at, key uint64 }
 	var cands []cand
-	x.byDeadline.AscendKV(0, func(at uint64, key uint64) bool {
+	for at, key := range x.byDeadline.All() {
 		if at > limit {
-			return false
+			break
 		}
 		cands = append(cands, cand{at, key})
-		return true
-	})
+	}
 	n := 0
 	for _, c := range cands {
 		if x.purge(c.key, c.at) {
@@ -494,17 +491,12 @@ func (x *Index) Validate() error {
 	if err := x.byDeadline.Validate(); err != nil {
 		return err
 	}
-	var err error
 	nodes, armed := 0, 0
-	x.byDeadline.AllKV(func(at, k uint64) bool {
+	for at, k := range x.byDeadline.All() {
 		nodes++
 		if v, _ := x.db.Load(k); v.At != at {
-			err = fmt.Errorf("expiry: byDeadline node %#x names key %#x, whose leaf holds arming %#x", at, k, v.At)
+			return fmt.Errorf("expiry: byDeadline node %#x names key %#x, whose leaf holds arming %#x", at, k, v.At)
 		}
-		return err == nil
-	})
-	if err != nil {
-		return err
 	}
 	for _, v := range x.db.All() {
 		if v.At != 0 {

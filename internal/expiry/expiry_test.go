@@ -159,7 +159,7 @@ func TestSetExhaustedMillisecond(t *testing.T) {
 	plant := func(t *testing.T, x *Index, d int64) {
 		t.Helper()
 		for seq := uint64(1); seq <= lap+1; seq++ {
-			if !x.byDeadline.InsertValue(uint64(d)<<seqBits|seq, ^uint64(0)) {
+			if _, loaded, ok := x.byDeadline.LoadOrStore(uint64(d)<<seqBits|seq, ^uint64(0)); !ok || loaded {
 				t.Fatalf("planting seq %d failed", seq)
 			}
 		}
@@ -224,7 +224,7 @@ func TestReapSkipsRearmed(t *testing.T) {
 	x.Set(5, 99999)
 	// The re-arm deleted v1's node; put it back, as if that deletion had
 	// not landed yet when the reaper scans.
-	x.byDeadline.InsertValue(v1.At, 5)
+	x.byDeadline.LoadOrStore(v1.At, 5)
 
 	if n := x.Reap(200); n != 0 {
 		t.Fatalf("Reap purged %d through a stale node", n)

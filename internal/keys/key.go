@@ -26,7 +26,7 @@ import "strings"
 // integer keys, U64Codec), Bitstring (the Section VI unbounded
 // byte-string encoding, StringCodec) and MortonKey (65-bit Z-order
 // point keys, MortonCodec). A new key space needs only this interface
-// plus a codec (internal/kv.Codec): the user-key mapping, two dummy
+// plus a codec (the root package's codec): the user-key mapping, two dummy
 // keys bounding the encoded space and a label rule — no protocol code.
 // renderLabel renders a label as "0101..." text, with "ε" for the empty
 // string — the shared String implementation of the fixed-size key types.

@@ -1,8 +1,6 @@
 package settest
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -59,18 +57,21 @@ func TestKitAgainstLockedReference(t *testing.T) {
 	Run(t, newLockedSet)
 }
 
-// tornSet implements Replace non-atomically (delete, yield, insert). The
-// linearizability machinery must be able to catch the resulting torn
-// reads; this guards the kit itself against vacuity.
+// tornSet implements Replace non-atomically: it deletes old, closes
+// opened, waits for resume, then inserts new. The linearizability
+// machinery must catch reads made while the window is open; this guards
+// the kit itself against vacuity.
 type tornSet struct {
 	lockedSet
+	opened, resume chan struct{}
 }
 
 func (s *tornSet) Replace(old, new uint64) bool {
 	if !s.Delete(old) {
 		return false
 	}
-	runtime.Gosched() // widen the torn window
+	close(s.opened)
+	<-s.resume
 	if !s.Insert(new) {
 		s.Insert(old) // crude rollback; still observably torn
 		return false
@@ -79,43 +80,37 @@ func (s *tornSet) Replace(old, new uint64) bool {
 }
 
 func TestKitDetectsTornReplace(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	// A trial catches the torn window only when the reader's Contains
-	// lands inside it; on a 2-vCPU box 400 trials missed it in about one
-	// run of five. The loop stops at the first catch.
-	const trials = 4000
-	for trial := 0; trial < trials; trial++ {
-		s := &tornSet{lockedSet{m: map[uint64]bool{1: true}}}
-		// Seed key 1 is present; worker A replaces 1->2 repeatedly while
-		// worker B reads both keys. A torn window shows both absent.
-		rec := linearizable.NewRecorder()
-		rec.Record(linearizable.Insert, 1, 0, func() bool { return false }) // key 1 pre-inserted
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			rec.Record(linearizable.Replace, 1, 2, func() bool { return s.Replace(1, 2) })
-		}()
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(trial)))
-			for i := 0; i < 4; i++ {
-				k := uint64(1 + rng.Intn(2))
-				rec.Record(linearizable.Contains, k, 0, func() bool { return s.Contains(k) })
-			}
-		}()
-		wg.Wait()
-		// The pre-insert was recorded with result false but applied to a
-		// set that already contained 1; fix the record to reflect the
-		// actual initial insertion.
-		h := rec.History()
-		h[0].Result = true
-		h[0].Start, h[0].End = -2, -1
-		if !linearizable.Check(h) {
-			return // anomaly caught: the kit is not vacuous
-		}
+	// Key 1 is present; Replace(1, 2) stops inside its torn window, where
+	// the reader sees 1 absent and then 2 absent. Replace would have to
+	// take effect before the first read and after the second, which
+	// follows the first: no order explains the history.
+	s := &tornSet{
+		lockedSet: lockedSet{m: map[uint64]bool{1: true}},
+		opened:    make(chan struct{}),
+		resume:    make(chan struct{}),
 	}
-	t.Skip("torn replace not observed in this run (scheduling-dependent); kit vacuity not disproven")
+	rec := linearizable.NewRecorder()
+	rec.Record(linearizable.Insert, 1, 0, func() bool { return false }) // key 1 pre-inserted
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec.Record(linearizable.Replace, 1, 2, func() bool { return s.Replace(1, 2) })
+	}()
+	<-s.opened
+	for _, k := range []uint64{1, 2} {
+		rec.Record(linearizable.Contains, k, 0, func() bool { return s.Contains(k) })
+	}
+	close(s.resume)
+	<-done
+	// The pre-insert was recorded with result false but applied to a set
+	// that already contained 1; fix the record to reflect the actual
+	// initial insertion.
+	h := rec.History()
+	h[0].Result = true
+	h[0].Start, h[0].End = -2, -1
+	if linearizable.Check(h) {
+		t.Fatalf("a torn Replace passed the linearizability check: %v", h)
+	}
 }
 
 // lockedMap is the trivially correct reference for the map battery.

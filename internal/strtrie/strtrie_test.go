@@ -1,7 +1,7 @@
-// Package strtrie tests the Section VI byte-string key space: the
-// generic kv.Trie over keys.StringCodec, driven as kv.String. It holds
-// tests only; the code under test lives in internal/kv and
-// internal/keys.
+// Package strtrie tests the Section VI byte-string key space: the shared
+// engine under keys.StringCodec, the instantiation behind nbtrie's
+// StringMap and StringTrie. It holds tests only; the code under test lives
+// in internal/engine and internal/keys.
 package strtrie
 
 import (
@@ -14,14 +14,58 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbtrie/internal/kv"
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 	"nbtrie/internal/settest"
 )
+
+// strTrie drives the engine over byte-string keys through
+// keys.StringCodec. Every non-empty key encodes and an empty one panics,
+// so no method checks Encode's ok.
+type strTrie struct {
+	e *engine.Trie[keys.Bitstring, any]
+}
+
+var codec keys.StringCodec
+
+func newStrTrie() strTrie {
+	lo, hi := codec.Bounds()
+	return strTrie{engine.New[keys.Bitstring, any](lo, hi)}
+}
+
+func enc(k []byte) keys.Bitstring {
+	b, _ := codec.Encode(k)
+	return b
+}
+
+func (t strTrie) Insert(k []byte) bool         { return t.e.Insert(enc(k)) }
+func (t strTrie) Delete(k []byte) bool         { return t.e.Delete(enc(k)) }
+func (t strTrie) Contains(k []byte) bool       { return t.e.Contains(enc(k)) }
+func (t strTrie) Replace(old, new []byte) bool { return t.e.Replace(enc(old), enc(new)) }
+func (t strTrie) Load(k []byte) (any, bool)    { return t.e.Load(enc(k)) }
+func (t strTrie) Store(k []byte, v any)        { t.e.Store(enc(k), v) }
+func (t strTrie) LoadOrStore(k []byte, v any) (any, bool) {
+	return t.e.LoadOrStore(enc(k), v)
+}
+func (t strTrie) CompareAndSwap(k []byte, old, new any) bool {
+	return t.e.CompareAndSwap(enc(k), old, new)
+}
+func (t strTrie) CompareAndDelete(k []byte, old any) bool {
+	return t.e.CompareAndDelete(enc(k), old)
+}
+func (t strTrie) Validate() error { return t.e.Validate(codec.Check) }
+
+// AllKV calls fn on every (key, value) pair in increasing encoded-key
+// order until fn returns false.
+func (t strTrie) AllKV(fn func([]byte, any) bool) {
+	var bottom keys.Bitstring
+	t.e.AscendKV(bottom, func(k keys.Bitstring, v any) bool { return fn(codec.Decode(k), v) })
+}
 
 // stringAdapter drives the byte-string trie through the uint64-based
 // conformance kit by printing keys in decimal (order differs from
 // numeric, which the kit never relies on).
-type stringAdapter struct{ t *kv.String[any] }
+type stringAdapter struct{ t strTrie }
 
 func key(k uint64) []byte { return []byte(fmt.Sprintf("%020d", k)) }
 
@@ -33,7 +77,7 @@ func (a stringAdapter) Replace(old, new uint64) bool {
 }
 
 // keysOf returns every key of tr in increasing encoded-key order.
-func keysOf(tr *kv.String[any]) [][]byte {
+func keysOf(tr strTrie) [][]byte {
 	var out [][]byte
 	tr.AllKV(func(k []byte, _ any) bool {
 		out = append(out, k)
@@ -43,11 +87,11 @@ func keysOf(tr *kv.String[any]) [][]byte {
 }
 
 func TestConformance(t *testing.T) {
-	settest.Run(t, func(uint64) settest.Set { return stringAdapter{t: kv.NewString[any]()} })
+	settest.Run(t, func(uint64) settest.Set { return stringAdapter{t: newStrTrie()} })
 }
 
 func TestVariableLengthKeys(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	ks := [][]byte{
 		[]byte("a"), []byte("ab"), []byte("abc"), []byte("b"),
 		[]byte("zebra"), []byte("z"), {0}, {0, 0}, {0xff, 0xff, 0xff, 0xff},
@@ -69,7 +113,7 @@ func TestVariableLengthKeys(t *testing.T) {
 	if tr.Contains([]byte("abcd")) || tr.Contains([]byte("zeb")) {
 		t.Error("prefix/extension of a stored key reported present")
 	}
-	if got := tr.Size(); got != len(ks) {
+	if got := tr.e.Size(); got != len(ks) {
 		t.Fatalf("Size() = %d, want %d", got, len(ks))
 	}
 	for _, k := range ks {
@@ -77,14 +121,14 @@ func TestVariableLengthKeys(t *testing.T) {
 			t.Fatalf("Delete(%q) failed", k)
 		}
 	}
-	if got := tr.Size(); got != 0 {
+	if got := tr.e.Size(); got != 0 {
 		t.Fatalf("Size() = %d after draining", got)
 	}
 }
 
 func TestKeysEncodedOrder(t *testing.T) {
 	// Prefix-free word sets come out in plain lexicographic order.
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	words := []string{"pear", "apple", "banana", "cherry", "zebra"}
 	for _, w := range words {
 		tr.Insert([]byte(w))
@@ -104,7 +148,7 @@ func TestKeysEncodedOrder(t *testing.T) {
 
 	// The Section VI terminator sorts a proper prefix after its
 	// extensions (11 > 01/10); pin that documented quirk.
-	tr2 := kv.NewString[any]()
+	tr2 := newStrTrie()
 	tr2.Insert([]byte("app"))
 	tr2.Insert([]byte("applesauce"))
 	got2 := keysOf(tr2)
@@ -114,7 +158,7 @@ func TestKeysEncodedOrder(t *testing.T) {
 }
 
 func TestReplaceAcrossLengths(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	tr.Insert([]byte("short"))
 	if !tr.Replace([]byte("short"), []byte("a much longer key than before")) {
 		t.Fatal("replace to longer key failed")
@@ -125,7 +169,7 @@ func TestReplaceAcrossLengths(t *testing.T) {
 }
 
 func TestEmptyKeyPanics(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	defer func() {
 		if recover() == nil {
 			t.Error("empty key must panic (encoding collides with the 111 dummy)")
@@ -135,7 +179,7 @@ func TestEmptyKeyPanics(t *testing.T) {
 }
 
 func TestQuickRandomByteKeys(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	oracle := make(map[string]bool)
 	f := func(k []byte, insert bool) bool {
 		if len(k) == 0 {
@@ -163,7 +207,7 @@ func TestQuickRandomByteKeys(t *testing.T) {
 
 func TestConcurrentReplaceConservation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	const initial = 100
 	for i := 0; i < initial; i++ {
 		tr.Insert([]byte(fmt.Sprintf("task-%03d", i*7)))
@@ -182,13 +226,13 @@ func TestConcurrentReplaceConservation(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if got := tr.Size(); got != initial {
+	if got := tr.e.Size(); got != initial {
 		t.Fatalf("Size() = %d after replace-only churn, want %d", got, initial)
 	}
 }
 
 func TestValidateAfterChurn(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("fresh trie: %v", err)
 	}
@@ -207,8 +251,8 @@ func TestValidateAfterChurn(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("after churn: %v", err)
 	}
-	if tr.Size() != len(live) {
-		t.Fatalf("Size() = %d, oracle %d", tr.Size(), len(live))
+	if tr.e.Size() != len(live) {
+		t.Fatalf("Size() = %d, oracle %d", tr.e.Size(), len(live))
 	}
 }
 
@@ -216,7 +260,7 @@ func TestValidateAfterChurn(t *testing.T) {
 // which owns the node structure shared by every instantiation.)
 
 func TestLongKeysCrossWordBoundaries(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	long := bytes.Repeat([]byte("x"), 100) // 1602 encoded bits
 	tr.Insert(long)
 	if !tr.Contains(long) {
@@ -229,7 +273,7 @@ func TestLongKeysCrossWordBoundaries(t *testing.T) {
 }
 
 func TestMapOperations(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	k := []byte("alpha")
 	if _, ok := tr.Load(k); ok {
 		t.Error("Load on empty trie must miss")
@@ -242,10 +286,10 @@ func TestMapOperations(t *testing.T) {
 	if v, _ := tr.Load(k); v != 2 {
 		t.Errorf("Load after overwrite = %v", v)
 	}
-	if v, loaded, _ := tr.LoadOrStore(k, 9); !loaded || v != 2 {
+	if v, loaded := tr.LoadOrStore(k, 9); !loaded || v != 2 {
 		t.Errorf("LoadOrStore(present) = %v,%v", v, loaded)
 	}
-	if v, loaded, _ := tr.LoadOrStore([]byte("beta"), 9); loaded || v != 9 {
+	if v, loaded := tr.LoadOrStore([]byte("beta"), 9); loaded || v != 9 {
 		t.Errorf("LoadOrStore(absent) = %v,%v", v, loaded)
 	}
 	if tr.CompareAndSwap(k, 1, 3) || !tr.CompareAndSwap(k, 2, 3) {
@@ -270,7 +314,7 @@ func TestMapOperations(t *testing.T) {
 }
 
 func TestAllKV(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	tr.Store([]byte("a"), 1)
 	tr.Store([]byte("b"), 2)
 	got := map[string]any{}
@@ -289,7 +333,7 @@ func TestAllKV(t *testing.T) {
 }
 
 func TestConcurrentMapOps(t *testing.T) {
-	tr := kv.NewString[any]()
+	tr := newStrTrie()
 	keys := [][]byte{[]byte("x"), []byte("xy"), []byte("xyz"), []byte("y")}
 	const goroutines = 8
 	var wg sync.WaitGroup

@@ -49,7 +49,6 @@ import (
 	"nbtrie/internal/engine"
 	"nbtrie/internal/keys"
 	"nbtrie/internal/kst"
-	"nbtrie/internal/kv"
 	"nbtrie/internal/skiplist"
 )
 
@@ -80,7 +79,7 @@ type ReplaceSet interface {
 // treated as permanently absent (Contains and Delete report false,
 // Insert and Replace fail) rather than panicking.
 type PatriciaTrie struct {
-	t *kv.U64[struct{}]
+	t trie[uint64, keys.Uint64Key, struct{}, keys.U64Codec]
 }
 
 var _ ReplaceSet = (*PatriciaTrie)(nil)
@@ -103,14 +102,13 @@ const KarySpan = 4
 // slots, cutting expected depth span-fold. span must be in [1, 6];
 // span 1 is exactly NewPatriciaTrie.
 func NewKaryPatriciaTrie(width, span uint32) (*PatriciaTrie, error) {
+	if err := checkWidth(width); err != nil {
+		return nil, err
+	}
 	if err := checkSpan(span); err != nil {
 		return nil, err
 	}
-	t, err := kv.NewU64(width, engine.WithSpan[keys.Uint64Key, struct{}](span))
-	if err != nil {
-		return nil, err
-	}
-	return &PatriciaTrie{t: t}, nil
+	return &PatriciaTrie{t: newTrie[uint64](keys.U64Codec{Width: width}, engine.WithSpan[keys.Uint64Key, struct{}](span))}, nil
 }
 
 // checkSpan rejects a digit width outside [1, 6] with an error before
@@ -140,7 +138,7 @@ func (p *PatriciaTrie) Contains(k uint64) bool { return p.t.Contains(k) }
 func (p *PatriciaTrie) Replace(old, new uint64) bool { return p.t.Replace(old, new) }
 
 // Size returns the number of keys; quiescent use only.
-func (p *PatriciaTrie) Size() int { return p.t.Size() }
+func (p *PatriciaTrie) Size() int { return p.t.e.Size() }
 
 // Keys returns the keys in increasing order; quiescent use only.
 func (p *PatriciaTrie) Keys() []uint64 { return slices.Collect(p.All()) }
@@ -171,7 +169,7 @@ func (p *PatriciaTrie) Validate() error { return p.t.Validate() }
 func (p *PatriciaTrie) Dump() string { return p.t.Dump() }
 
 // Width returns the key width the trie was built with.
-func (p *PatriciaTrie) Width() uint32 { return p.t.Codec().Width }
+func (p *PatriciaTrie) Width() uint32 { return p.t.c.Width }
 
 // Min returns the smallest key in the set. Exact at quiescence;
 // best-effort under concurrent updates (like Range).
@@ -215,11 +213,13 @@ func NewCtrie() Set { return ctrie.New() }
 // is unbounded); Insert, Delete and Replace are lock-free. Keys must be
 // non-empty — the empty string's encoding collides with a dummy leaf.
 type StringTrie struct {
-	t *kv.String[struct{}]
+	t trie[[]byte, keys.Bitstring, struct{}, keys.StringCodec]
 }
 
 // NewStringTrie returns an empty variable-length-key trie.
-func NewStringTrie() *StringTrie { return &StringTrie{t: kv.NewString[struct{}]()} }
+func NewStringTrie() *StringTrie {
+	return &StringTrie{t: newTrie[[]byte, keys.Bitstring, struct{}](keys.StringCodec{})}
+}
 
 // Insert adds k; false iff k was present. k is copied logically via its
 // encoding, so the caller may reuse the slice.
@@ -236,7 +236,7 @@ func (s *StringTrie) Contains(k []byte) bool { return s.t.Contains(k) }
 func (s *StringTrie) Replace(old, new []byte) bool { return s.t.Replace(old, new) }
 
 // Size returns the number of keys; quiescent use only.
-func (s *StringTrie) Size() int { return s.t.Size() }
+func (s *StringTrie) Size() int { return s.t.e.Size() }
 
 // Keys returns the keys in encoded order (lexicographic except that a
 // proper prefix follows its extensions); quiescent use only.

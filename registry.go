@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"nbtrie/internal/kv"
+	"nbtrie/internal/keys"
 )
 
 // Implementation describes one registered concurrent-set implementation:
@@ -120,7 +120,8 @@ var registry = []Implementation{
 			// The Morton key space is fixed at 64 bits (the full
 			// uint32 × uint32 plane); width is ignored. The uint64 set
 			// key is the raw Morton code.
-			return kv.NewMorton[struct{}](), nil
+			t := newTrie[uint64, keys.MortonKey, struct{}](keys.MortonCodec{})
+			return &t, nil
 		},
 	},
 	{

@@ -16,7 +16,7 @@
 # log.
 
 out="${1:-escape-smoke.log}"
-pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./internal/kv ./internal/obs"
+pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./internal/obs"
 
 {
     echo "# escape-analysis smoke: $(go version)"
@@ -36,8 +36,8 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine ./in
     echo
     echo "## k-ary read path (snapshot.go search/ordered.go walk)"
     # The engine's wait-free reads must not heap-allocate — the 0-alloc
-    # Load/Contains and Ceiling/Floor/Min pins in
-    # internal/kv/alloc_test.go enforce the count; this section points at
+    # Load/Contains and Ceiling/Floor/Min pins in the root package's
+    # trie_alloc_test.go enforce the count; this section points at
     # the culprit line when one of those pins fails. Every read runs one
     # descent, Snapshot.search in snapshot.go (the live trie runs it as a
     # Snapshot value on the stack at its current root, Trie.live), or the

@@ -7,7 +7,6 @@ import (
 
 	"nbtrie/internal/engine"
 	"nbtrie/internal/keys"
-	"nbtrie/internal/kv"
 )
 
 // ShardedMap is a Map whose root is a wide node: its first digit is the
@@ -68,22 +67,22 @@ func NewShardedMapSpan[V any](width uint32, shards int, span uint32) (*ShardedMa
 // newSharded validates a sharded map's parameters and builds its trie:
 // span bits per level below a root of s+1 bits. It returns the shard
 // count in effect, 2^s.
-func newSharded[V any](width uint32, shards int, span uint32) (*kv.U64[V], int, error) {
+func newSharded[V any](width uint32, shards int, span uint32) (t trie[uint64, keys.Uint64Key, V, keys.U64Codec], n int, err error) {
 	if width < 1 || width > keys.MaxWidth {
-		return nil, 0, fmt.Errorf("sharded map: width %d out of range [1, %d]", width, keys.MaxWidth)
+		return t, 0, fmt.Errorf("sharded map: width %d out of range [1, %d]", width, keys.MaxWidth)
 	}
-	if err := checkSpan(span); err != nil {
-		return nil, 0, err
+	if err = checkSpan(span); err != nil {
+		return t, 0, err
 	}
 	if shards == 0 {
 		shards = defaultShards()
 	}
 	if shards < 1 || shards > maxShards || shards&(shards-1) != 0 {
-		return nil, 0, fmt.Errorf("sharded map: shard count %d must be a power of two in [1, %d]", shards, maxShards)
+		return t, 0, fmt.Errorf("sharded map: shard count %d must be a power of two in [1, %d]", shards, maxShards)
 	}
 	s := min(uint32(bits.TrailingZeros(uint(shards))), width-1)
-	t, err := kv.NewU64(width, engine.WithSpan[keys.Uint64Key, V](span), engine.WithRootSpan[keys.Uint64Key, V](s+1))
-	return t, 1 << s, err
+	t = newTrie[uint64](keys.U64Codec{Width: width}, engine.WithSpan[keys.Uint64Key, V](span), engine.WithRootSpan[keys.Uint64Key, V](s+1))
+	return t, 1 << s, nil
 }
 
 // ReplaceKey is Map.ReplaceKey — one linearization point, the value
@@ -102,7 +101,7 @@ func (m *ShardedMap[V]) Shards() int { return m.shards }
 // shard i's root slot — so per-shard deltas show how the updates spread;
 // every other counter is map-wide, in EngineStats.
 func (m *ShardedMap[V]) ShardEngineStats(i int) EngineStats {
-	hits := m.t.RootSlotHits()
+	hits := m.t.e.RootSlotHits()
 	n := hits[i]
 	if i == m.shards-1 {
 		for _, h := range hits[m.shards:] {

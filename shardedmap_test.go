@@ -8,7 +8,6 @@ import (
 
 	"nbtrie/internal/engine"
 	"nbtrie/internal/keys"
-	"nbtrie/internal/kv"
 	"nbtrie/internal/settest"
 )
 
@@ -597,7 +596,7 @@ func TestShardCanonicalShape(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("span %d: %v", span, err)
 		}
-		ref, err := kv.NewU64(width, engine.WithSpan[keys.Uint64Key, uint64](span), engine.WithRootSpan[keys.Uint64Key, uint64](3))
+		ref, err := newU64(width, engine.WithSpan[keys.Uint64Key, uint64](span), engine.WithRootSpan[keys.Uint64Key, uint64](3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -656,7 +655,7 @@ func TestShardedFootprintMatchesHeap(t *testing.T) {
 	// One trie: n+2 leaves with the dummies, under binary internal nodes
 	// and a root with nine children (slots 0-7 and the upper dummy's), so
 	// n+2+1-9 internal nodes.
-	f := m.t.Footprint()
+	f := m.t.e.Footprint()
 	if f.Leaves != n+2 || f.Internal != n-6 {
 		t.Errorf("census = %+v, want %d leaves and %d internal nodes", f, n+2, n-6)
 	}

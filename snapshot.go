@@ -4,7 +4,7 @@ import (
 	"iter"
 	"math"
 
-	"nbtrie/internal/kv"
+	"nbtrie/internal/keys"
 )
 
 // O(1) point-in-time snapshots, surfaced from the engine's
@@ -25,7 +25,7 @@ import (
 
 // MapSnapshot is a frozen point-in-time view of a Map.
 type MapSnapshot[V any] struct {
-	s *kv.U64Snapshot[V]
+	s snap[uint64, keys.Uint64Key, V, keys.U64Codec]
 }
 
 // Snapshot returns a read-only view of the map at the moment of the
@@ -70,7 +70,7 @@ func (s *MapSnapshot[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
 
 // StringMapSnapshot is a frozen point-in-time view of a StringMap.
 type StringMapSnapshot[V any] struct {
-	s *kv.StringSnapshot[V]
+	s snap[[]byte, keys.Bitstring, V, keys.StringCodec]
 }
 
 // Snapshot returns a read-only view of the map at the moment of the
@@ -110,7 +110,7 @@ func (s *StringMapSnapshot[V]) Ascend(from []byte) iter.Seq2[[]byte, V] {
 
 // SpatialMapSnapshot is a frozen point-in-time view of a SpatialMap.
 type SpatialMapSnapshot[V any] struct {
-	s *kv.MortonSnapshot[V]
+	s snap[uint64, keys.MortonKey, V, keys.MortonCodec]
 }
 
 // Snapshot returns a read-only view of the spatial map at the moment of

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"nbtrie/internal/keys"
-	"nbtrie/internal/kv"
 )
 
 // Point is a position in the 2^32 × 2^32 integer plane indexed by
@@ -32,14 +31,14 @@ type Point struct {
 // CompareAndSwap and CompareAndDelete compare values with Go's ==, like
 // sync.Map: they panic if the values are not comparable.
 type SpatialMap[V any] struct {
-	t *kv.Morton[V]
+	t trie[uint64, keys.MortonKey, V, keys.MortonCodec]
 }
 
 // NewSpatialMap returns an empty spatial map covering the full
 // uint32 × uint32 plane (no width parameter: the Morton key space is
 // fixed at 64 bits).
 func NewSpatialMap[V any]() *SpatialMap[V] {
-	return &SpatialMap[V]{t: kv.NewMorton[V]()}
+	return &SpatialMap[V]{t: newTrie[uint64, keys.MortonKey, V](keys.MortonCodec{})}
 }
 
 // code returns the Morton (Z-order) code of (x, y), the key a point is

@@ -70,10 +70,10 @@ func engineStatsOf(s engine.StatsSnapshot) EngineStats {
 }
 
 // EngineStats returns the map's contention counters.
-func (m *Map[V]) EngineStats() EngineStats { return engineStatsOf(m.t.EngineStats()) }
+func (m *Map[V]) EngineStats() EngineStats { return engineStatsOf(m.t.e.StatsSnapshot()) }
 
 // EngineStats returns the map's contention counters.
-func (m *StringMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.EngineStats()) }
+func (m *StringMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.e.StatsSnapshot()) }
 
 // EngineStats returns the map's contention counters.
-func (m *SpatialMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.EngineStats()) }
+func (m *SpatialMap[V]) EngineStats() EngineStats { return engineStatsOf(m.t.e.StatsSnapshot()) }

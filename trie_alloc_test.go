@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"runtime"
@@ -47,7 +47,7 @@ const (
 )
 
 func TestContainsIsAllocationFree(t *testing.T) {
-	tr, err := NewU64[struct{}](20)
+	tr, err := newU64[struct{}](20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestContainsIsAllocationFree(t *testing.T) {
 }
 
 // TestLoadIsAllocationFree pins the headline win of the generic value
-// layer: Trie[int] stores ints unboxed in the leaf, so Load involves no
+// layer: trie[int] stores ints unboxed in the leaf, so Load involves no
 // interface conversion — zero allocations on hit and miss alike.
 func TestLoadIsAllocationFree(t *testing.T) {
-	tr, err := NewU64[int](20)
+	tr, err := newU64[int](20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLoadIsAllocationFree(t *testing.T) {
 // the first reads through each slot, which store their hint into it,
 // allocate nothing.
 func TestShortcutReadsAreAllocationFree(t *testing.T) {
-	tr, err := NewU64[int](30)
+	tr, err := newU64[int](30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,9 @@ func TestShortcutReadsAreAllocationFree(t *testing.T) {
 
 // requireShortcut fails the test unless tr's shortcut table is built, so
 // the pins below hold with it on.
-func requireShortcut(t *testing.T, tr *U64[int]) {
+func requireShortcut(t *testing.T, tr *u64Trie[int]) {
 	t.Helper()
-	if tr.Footprint().ShortcutBytes == 0 {
+	if tr.e.Footprint().ShortcutBytes == 0 {
 		t.Fatalf("setup: %d keys built no shortcut table", tr.Len())
 	}
 }
@@ -133,7 +133,7 @@ func requireShortcut(t *testing.T, tr *U64[int]) {
 // object on every leg it runs on.
 type writeForm struct {
 	name string
-	op   func(tr *U64[int], k uint64) bool
+	op   func(tr *u64Trie[int], k uint64) bool
 }
 
 func pinVal(k uint64) int { return int(k) + 100000 }
@@ -142,50 +142,53 @@ func pinVal(k uint64) int { return int(k) + 100000 }
 // same path, so each must meet its leg's budget on its own.
 var (
 	insertForms = []writeForm{
-		{"Store", func(tr *U64[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
-		{"LoadOrStore", func(tr *U64[int], k uint64) bool {
+		{"Store", func(tr *u64Trie[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
+		{"LoadOrStore", func(tr *u64Trie[int], k uint64) bool {
 			_, loaded, ok := tr.LoadOrStore(k, pinVal(k))
 			return ok && !loaded
 		}},
-		{"InsertValue", func(tr *U64[int], k uint64) bool { return tr.InsertValue(k, pinVal(k)) }},
+		{"InsertValue", func(tr *u64Trie[int], k uint64) bool {
+			ek, _ := tr.c.Encode(k)
+			return tr.e.InsertValue(ek, pinVal(k))
+		}},
 	}
 	overwriteForms = []writeForm{
-		{"Store", func(tr *U64[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
-		{"Swap", func(tr *U64[int], k uint64) bool {
+		{"Store", func(tr *u64Trie[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},
+		{"Swap", func(tr *u64Trie[int], k uint64) bool {
 			_, loaded, ok := tr.Swap(k, pinVal(k))
 			return ok && loaded
 		}},
-		{"CompareAndSwap", func(tr *U64[int], k uint64) bool { return tr.CompareAndSwap(k, pinVal(k), pinVal(k)) }},
-		{"CompareAndSwapFunc", func(tr *U64[int], k uint64) bool {
+		{"CompareAndSwap", func(tr *u64Trie[int], k uint64) bool { return tr.CompareAndSwap(k, pinVal(k), pinVal(k)) }},
+		{"CompareAndSwapFunc", func(tr *u64Trie[int], k uint64) bool {
 			return tr.CompareAndSwapFunc(k, func(v int) bool { return v == pinVal(k) }, pinVal(k))
 		}},
 	}
 	deleteForms = []writeForm{
-		{"Delete", func(tr *U64[int], k uint64) bool { return tr.Delete(k) }},
-		{"LoadAndDelete", func(tr *U64[int], k uint64) bool {
+		{"Delete", func(tr *u64Trie[int], k uint64) bool { return tr.Delete(k) }},
+		{"LoadAndDelete", func(tr *u64Trie[int], k uint64) bool {
 			_, loaded := tr.LoadAndDelete(k)
 			return loaded
 		}},
-		{"CompareAndDelete", func(tr *U64[int], k uint64) bool { return tr.CompareAndDelete(k, pinVal(k)) }},
-		{"DeleteFunc", func(tr *U64[int], k uint64) bool {
+		{"CompareAndDelete", func(tr *u64Trie[int], k uint64) bool { return tr.CompareAndDelete(k, pinVal(k)) }},
+		{"DeleteFunc", func(tr *u64Trie[int], k uint64) bool {
 			return tr.DeleteFunc(k, func(v int) bool { return v == pinVal(k) })
 		}},
 	}
 	noopForms = []writeForm{
-		{"LoadOrStore hit", func(tr *U64[int], k uint64) bool {
+		{"LoadOrStore hit", func(tr *u64Trie[int], k uint64) bool {
 			v, loaded, ok := tr.LoadOrStore(k, 0)
 			return ok && loaded && v == pinVal(k)
 		}},
-		{"CompareAndSwap wrong old", func(tr *U64[int], k uint64) bool { return !tr.CompareAndSwap(k, pinVal(k)+1, 0) }},
-		{"CompareAndDelete wrong old", func(tr *U64[int], k uint64) bool { return !tr.CompareAndDelete(k, pinVal(k)+1) }},
-		{"DeleteFunc cond says no", func(tr *U64[int], k uint64) bool {
+		{"CompareAndSwap wrong old", func(tr *u64Trie[int], k uint64) bool { return !tr.CompareAndSwap(k, pinVal(k)+1, 0) }},
+		{"CompareAndDelete wrong old", func(tr *u64Trie[int], k uint64) bool { return !tr.CompareAndDelete(k, pinVal(k)+1) }},
+		{"DeleteFunc cond says no", func(tr *u64Trie[int], k uint64) bool {
 			return !tr.DeleteFunc(k, func(v int) bool { return v != pinVal(k) })
 		}},
 	}
 )
 
 func TestUpdateAllocationBudgets(t *testing.T) {
-	tr, err := NewU64[int](30)
+	tr, err := newU64[int](30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +271,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 func TestUpdateByteBudgets(t *testing.T) {
-	tr, err := NewU64[int](30)
+	tr, err := newU64[int](30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +323,7 @@ func TestUpdateByteBudgets(t *testing.T) {
 // allocation-free (the k-ary win is depth, never read-path garbage), and
 // the update paths get the wider budgets documented above.
 func TestKaryAllocationBudgets(t *testing.T) {
-	tr, err := NewU64(30, engine.WithSpan[keys.Uint64Key, int](4))
+	tr, err := newU64(30, engine.WithSpan[keys.Uint64Key, int](4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +374,7 @@ func TestKaryAllocationBudgets(t *testing.T) {
 // TestMortonReadPathIsAllocationFree and TestMortonUpdateAllocationBudgets
 // hold the Morton key space to the same pins.
 func TestMortonReadPathIsAllocationFree(t *testing.T) {
-	tr := NewMorton[int]()
+	tr := newMorton[int]()
 	for x := uint32(0); x < 32; x++ {
 		for y := uint32(0); y < 32; y++ {
 			tr.Store(xy(x, y), int(x+y))
@@ -393,7 +396,7 @@ func TestMortonReadPathIsAllocationFree(t *testing.T) {
 }
 
 func TestMortonUpdateAllocationBudgets(t *testing.T) {
-	tr := NewMorton[int]()
+	tr := newMorton[int]()
 	for x := uint32(0); x < 32; x++ {
 		for y := uint32(0); y < 32; y++ {
 			tr.Store(xy(x, y), int(x+y))
@@ -441,7 +444,7 @@ func TestMortonUpdateAllocationBudgets(t *testing.T) {
 const replaceHigh = 1 << 20
 
 // fillOdd stores every odd key in [base, base+n) with its pin value.
-func fillOdd(tr *U64[int], base, n uint64) {
+func fillOdd(tr *u64Trie[int], base, n uint64) {
 	for k := base + 1; k < base+n; k += 2 {
 		tr.Store(k, pinVal(k))
 	}
@@ -450,33 +453,33 @@ func fillOdd(tr *U64[int], base, n uint64) {
 var replaceCases = []struct {
 	name  string
 	span  uint32
-	high  bool                              // also fill the odd keys above replaceHigh
-	op    func(tr *U64[int], i uint64) bool // the i-th Replace, true when it took effect
-	objs  float64                           // objects per call (0 exactly for a no-op)
-	bytes uint64                            // bytes per call
+	high  bool                                  // also fill the odd keys above replaceHigh
+	op    func(tr *u64Trie[int], i uint64) bool // the i-th Replace, true when it took effect
+	objs  float64                               // objects per call (0 exactly for a no-op)
+	bytes uint64                                // bytes per call
 }{
 	// General case: the old key's leaf is low, the new key lands next to
 	// the present high key it differs from in its last bit alone.
-	{"general span 1", 1, true, func(tr *U64[int], i uint64) bool {
+	{"general span 1", 1, true, func(tr *u64Trie[int], i uint64) bool {
 		return tr.Replace(2*i+1, replaceHigh+2*i+2)
 	}, replaceGeneralAllocs, replaceGeneralBytes},
-	{"general span 4", 4, true, func(tr *U64[int], i uint64) bool {
+	{"general span 4", 4, true, func(tr *u64Trie[int], i uint64) bool {
 		return tr.Replace(2*i+1, replaceHigh+2*i+2)
 	}, replaceGeneralKaryAllocs, replaceGeneralKaryBytes},
 	// Near key: the new key differs from the old in the last bit, so at
 	// span 1 both searches end at the old leaf (case 1) and at span 4 in
 	// the same bottom node (one copy clears and fills).
-	{"near span 1", 1, false, func(tr *U64[int], i uint64) bool {
+	{"near span 1", 1, false, func(tr *u64Trie[int], i uint64) bool {
 		return tr.Replace(2*i+1, 2*i+2)
 	}, replaceNearAllocs, replaceNearBytes},
-	{"near span 4", 4, false, func(tr *U64[int], i uint64) bool {
+	{"near span 4", 4, false, func(tr *u64Trie[int], i uint64) bool {
 		return tr.Replace(2*i+1, 2*i+2)
 	}, replaceNearKaryAllocs, replaceNearKaryBytes},
 	// No-ops: old absent, or new present.
-	{"absent old", 1, true, func(tr *U64[int], i uint64) bool {
+	{"absent old", 1, true, func(tr *u64Trie[int], i uint64) bool {
 		return !tr.Replace(2*i+2, replaceHigh+2*i+2)
 	}, 0, 0},
-	{"present new", 1, true, func(tr *U64[int], i uint64) bool {
+	{"present new", 1, true, func(tr *u64Trie[int], i uint64) bool {
 		return !tr.Replace(2*i+1, replaceHigh+2*i+1)
 	}, 0, 0},
 }
@@ -502,8 +505,8 @@ const (
 func TestReplaceAllocationBudgets(t *testing.T) {
 	for _, c := range replaceCases {
 		t.Run(c.name, func(t *testing.T) {
-			fresh := func() *U64[int] {
-				tr, err := NewU64(30, engine.WithSpan[keys.Uint64Key, int](c.span))
+			fresh := func() *u64Trie[int] {
+				tr, err := newU64(30, engine.WithSpan[keys.Uint64Key, int](c.span))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -515,7 +518,7 @@ func TestReplaceAllocationBudgets(t *testing.T) {
 				}
 				return tr
 			}
-			run := func(tr *U64[int]) func() {
+			run := func(tr *u64Trie[int]) func() {
 				i := uint64(0)
 				return func() {
 					if !c.op(tr, i) {
@@ -549,7 +552,7 @@ func TestReplaceAllocationBudgets(t *testing.T) {
 // that must stay on the stack, at span 1 and span 4.
 func TestOrderedReadsAreAllocationFree(t *testing.T) {
 	for _, span := range []uint32{1, 4} {
-		tr, err := NewU64(20, engine.WithSpan[keys.Uint64Key, int](span))
+		tr, err := newU64(20, engine.WithSpan[keys.Uint64Key, int](span))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"math/rand"
@@ -46,7 +46,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Size(); got != goroutines*perG {
+	if got := tr.e.Size(); got != goroutines*perG {
 		t.Fatalf("Size() = %d, want %d", got, goroutines*perG)
 	}
 	for k := uint64(0); k < goroutines*perG; k++ {
@@ -209,7 +209,7 @@ func TestConcurrentReplaceConservation(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Size(); got != initial {
+	if got := tr.e.Size(); got != initial {
 		t.Fatalf("Size() = %d after replace-only load, want %d", got, initial)
 	}
 }

@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"math/rand"
@@ -180,8 +180,8 @@ func TestMapSequentialOracle(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != len(oracle) {
-		t.Fatalf("size %d, oracle %d", tr.Size(), len(oracle))
+	if tr.e.Size() != len(oracle) {
+		t.Fatalf("size %d, oracle %d", tr.e.Size(), len(oracle))
 	}
 	for k, ov := range oracle {
 		if v, ok := tr.Load(k); !ok || v != ov {

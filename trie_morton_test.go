@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"math/rand"
@@ -15,8 +15,8 @@ import (
 func xy(x, y uint32) uint64 { return keys.Interleave2(x, y) }
 
 func TestBasicPointOps(t *testing.T) {
-	tr := NewMorton[string]()
-	if tr.Contains(xy(3, 4)) || tr.Size() != 0 {
+	tr := newMorton[string]()
+	if tr.Contains(xy(3, 4)) || tr.e.Size() != 0 {
 		t.Error("fresh trie must be empty")
 	}
 	tr.Store(xy(3, 4), "a")
@@ -54,7 +54,7 @@ func TestExtremeCoordinates(t *testing.T) {
 	// The 65-bit key space exists exactly so the plane's corners work:
 	// (2^32-1, 2^32-1) has Morton code 2^64-1, whose k+1 encoding
 	// overflows a single word.
-	tr := NewMorton[int]()
+	tr := newMorton[int]()
 	corners := [][2]uint32{
 		{0, 0}, {^uint32(0), 0}, {0, ^uint32(0)}, {^uint32(0), ^uint32(0)},
 	}
@@ -66,8 +66,8 @@ func TestExtremeCoordinates(t *testing.T) {
 			t.Errorf("corner %v = %d,%v want %d", c, v, ok, i)
 		}
 	}
-	if tr.Size() != len(corners) {
-		t.Errorf("Size() = %d", tr.Size())
+	if tr.e.Size() != len(corners) {
+		t.Errorf("Size() = %d", tr.e.Size())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
@@ -80,7 +80,7 @@ func TestExtremeCoordinates(t *testing.T) {
 }
 
 func TestMoveSemantics(t *testing.T) {
-	tr := NewMorton[string]()
+	tr := newMorton[string]()
 	tr.Store(xy(1, 1), "v")
 	if !tr.Replace(xy(1, 1), xy(2, 2)) {
 		t.Fatal("Move from occupied to free must succeed")
@@ -110,12 +110,12 @@ func TestMoveSemantics(t *testing.T) {
 // or destroy points (the paper's atomicity argument, on the plane).
 func TestConcurrentMoveConservation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	tr := NewMorton[struct{}]()
+	tr := newMorton[struct{}]()
 	const initial = 100
 	for i := uint32(0); i < initial; i++ {
 		tr.Store(xy(i*7%50, i*13%50), struct{}{})
 	}
-	start := tr.Size()
+	start := tr.e.Size()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -129,7 +129,7 @@ func TestConcurrentMoveConservation(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if got := tr.Size(); got != start {
+	if got := tr.e.Size(); got != start {
 		t.Fatalf("Size() = %d after move-only churn, want %d", got, start)
 	}
 	if err := tr.Validate(); err != nil {
@@ -140,37 +140,37 @@ func TestConcurrentMoveConservation(t *testing.T) {
 // TestMortonConformance runs the settest set battery over raw Morton
 // codes: the trie is a ReplaceSet by itself.
 func TestMortonConformance(t *testing.T) {
-	settest.Run(t, func(uint64) settest.Set { return NewMorton[any]() })
+	settest.Run(t, func(uint64) settest.Set { return newMorton[any]() })
 }
 
-// mapAdapter drives a uint64-keyed trie through the settest map battery.
-type mapAdapter[K keys.Key[K], C Codec[uint64, K]] struct {
-	t *Trie[uint64, K, uint64, C]
+// codecMapAdapter drives a uint64-keyed trie through the settest map battery.
+type codecMapAdapter[K keys.Key[K], C codec[uint64, K]] struct {
+	t *trie[uint64, K, uint64, C]
 }
 
-func (a mapAdapter[K, C]) Load(k uint64) (uint64, bool) { return a.t.Load(k) }
-func (a mapAdapter[K, C]) Store(k, v uint64) bool       { return a.t.Store(k, v) }
-func (a mapAdapter[K, C]) LoadOrStore(k, v uint64) (uint64, bool) {
+func (a codecMapAdapter[K, C]) Load(k uint64) (uint64, bool) { return a.t.Load(k) }
+func (a codecMapAdapter[K, C]) Store(k, v uint64) bool       { return a.t.Store(k, v) }
+func (a codecMapAdapter[K, C]) LoadOrStore(k, v uint64) (uint64, bool) {
 	actual, loaded, _ := a.t.LoadOrStore(k, v)
 	return actual, loaded
 }
-func (a mapAdapter[K, C]) Delete(k uint64) bool { return a.t.Delete(k) }
-func (a mapAdapter[K, C]) CompareAndSwap(k, old, new uint64) bool {
+func (a codecMapAdapter[K, C]) Delete(k uint64) bool { return a.t.Delete(k) }
+func (a codecMapAdapter[K, C]) CompareAndSwap(k, old, new uint64) bool {
 	return a.t.CompareAndSwap(k, old, new)
 }
-func (a mapAdapter[K, C]) CompareAndDelete(k, old uint64) bool {
+func (a codecMapAdapter[K, C]) CompareAndDelete(k, old uint64) bool {
 	return a.t.CompareAndDelete(k, old)
 }
-func (a mapAdapter[K, C]) ReplaceKey(old, new uint64) bool { return a.t.Replace(old, new) }
+func (a codecMapAdapter[K, C]) ReplaceKey(old, new uint64) bool { return a.t.Replace(old, new) }
 
 func TestMortonMapConformance(t *testing.T) {
 	settest.RunMap(t, func(uint64) settest.Map {
-		return mapAdapter[keys.MortonKey, keys.MortonCodec]{NewMorton[uint64]()}
+		return codecMapAdapter[keys.MortonKey, keys.MortonCodec]{newMorton[uint64]()}
 	})
 }
 
 func TestMortonValidateAfterChurn(t *testing.T) {
-	tr := NewMorton[int]()
+	tr := newMorton[int]()
 	rng := rand.New(rand.NewSource(9))
 	live := make(map[uint64]bool)
 	for i := 0; i < 3000; i++ {
@@ -186,8 +186,8 @@ func TestMortonValidateAfterChurn(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("after churn: %v", err)
 	}
-	if tr.Size() != len(live) {
-		t.Fatalf("Size() = %d, oracle %d", tr.Size(), len(live))
+	if tr.e.Size() != len(live) {
+		t.Fatalf("Size() = %d, oracle %d", tr.e.Size(), len(live))
 	}
 	// The ascent yields strictly increasing codes, every one of them live.
 	var last uint64

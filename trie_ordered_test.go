@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"math/rand"

@@ -1,4 +1,4 @@
-package kv
+package nbtrie
 
 import (
 	"math/rand"
@@ -9,21 +9,42 @@ import (
 	"nbtrie/internal/keys"
 )
 
-// mustNew builds a U64[any] — the loosest fixed-width instantiation,
+// The instantiations the white-box tests drive.
+type (
+	u64Trie[V any]    = trie[uint64, keys.Uint64Key, V, keys.U64Codec]
+	mortonTrie[V any] = trie[uint64, keys.MortonKey, V, keys.MortonCodec]
+)
+
+// newU64 builds a fixed-width trie of any value type and digit schedule.
+func newU64[V any](width uint32, opts ...engine.Option[keys.Uint64Key, V]) (*u64Trie[V], error) {
+	if err := checkWidth(width); err != nil {
+		return nil, err
+	}
+	tr := newTrie[uint64](keys.U64Codec{Width: width}, opts...)
+	return &tr, nil
+}
+
+// newMorton builds a trie over the full 64-bit Z-order code space.
+func newMorton[V any]() *mortonTrie[V] {
+	tr := newTrie[uint64, keys.MortonKey, V](keys.MortonCodec{})
+	return &tr
+}
+
+// mustNew builds a u64Trie[any] — the loosest fixed-width instantiation,
 // letting the white-box tests exercise the set view and arbitrary value
 // payloads on the same trie. Allocation pins use concrete
 // instantiations instead (see alloc_test.go).
-func mustNew(t *testing.T, width uint32, opts ...engine.Option[keys.Uint64Key, any]) *U64[any] {
+func mustNew(t *testing.T, width uint32, opts ...engine.Option[keys.Uint64Key, any]) *u64Trie[any] {
 	t.Helper()
-	tr, err := NewU64(width, opts...)
+	tr, err := newU64(width, opts...)
 	if err != nil {
-		t.Fatalf("NewU64(%d): %v", width, err)
+		t.Fatalf("newU64(%d): %v", width, err)
 	}
 	return tr
 }
 
 // keysOf returns every key of tr in increasing encoded-key order.
-func keysOf[U any, K keys.Key[K], V any, C Codec[U, K]](tr *Trie[U, K, V, C]) []U {
+func keysOf[U any, K keys.Key[K], V any, C codec[U, K]](tr *trie[U, K, V, C]) []U {
 	var out []U
 	tr.AllKV(func(u U, _ V) bool {
 		out = append(out, u)
@@ -34,13 +55,13 @@ func keysOf[U any, K keys.Key[K], V any, C Codec[U, K]](tr *Trie[U, K, V, C]) []
 
 func TestNewWidthValidation(t *testing.T) {
 	for _, w := range []uint32{0, 64, 100} {
-		if _, err := NewU64[any](w); err == nil {
-			t.Errorf("NewU64(%d) should fail", w)
+		if _, err := newU64[any](w); err == nil {
+			t.Errorf("newU64(%d) should fail", w)
 		}
 	}
 	for _, w := range []uint32{1, 32, 63} {
-		if _, err := NewU64[any](w); err != nil {
-			t.Errorf("NewU64(%d): %v", w, err)
+		if _, err := newU64[any](w); err != nil {
+			t.Errorf("newU64(%d): %v", w, err)
 		}
 	}
 }
@@ -50,7 +71,7 @@ func TestEmptyTrie(t *testing.T) {
 	if tr.Contains(0) || tr.Contains(42) || tr.Contains(65535) {
 		t.Error("empty trie should contain nothing")
 	}
-	if n := tr.Size(); n != 0 {
+	if n := tr.e.Size(); n != 0 {
 		t.Errorf("Size() = %d, want 0", n)
 	}
 	if err := tr.Validate(); err != nil {
@@ -77,7 +98,7 @@ func TestInsertContainsDelete(t *testing.T) {
 	if tr.Contains(3) || tr.Contains(101) {
 		t.Error("Contains reports absent key as present")
 	}
-	if got := tr.Size(); got != len(ks) {
+	if got := tr.e.Size(); got != len(ks) {
 		t.Errorf("Size() = %d, want %d", got, len(ks))
 	}
 	for _, k := range ks {
@@ -88,7 +109,7 @@ func TestInsertContainsDelete(t *testing.T) {
 			t.Errorf("Contains(%d) = true after delete", k)
 		}
 	}
-	if got := tr.Size(); got != 0 {
+	if got := tr.e.Size(); got != 0 {
 		t.Errorf("Size() = %d after deleting all, want 0", got)
 	}
 	if err := tr.Validate(); err != nil {
@@ -101,7 +122,7 @@ func TestInsertDuplicate(t *testing.T) {
 	if !tr.Insert(5) || tr.Insert(5) {
 		t.Error("second Insert(5) should return false")
 	}
-	if got := tr.Size(); got != 1 {
+	if got := tr.e.Size(); got != 1 {
 		t.Errorf("Size() = %d, want 1", got)
 	}
 }
