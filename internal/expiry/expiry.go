@@ -1,50 +1,36 @@
 // Package expiry is nbtried's keyspace: one non-blocking Patricia trie,
-// sharded at its root, whose leaves carry each key's value together with its
-// expiry arming, plus byDeadline, a deadline-ordered index over the
-// armed keys built from the same engine.
+// sharded at its root, whose leaves carry each key's value together with
+// its deadline.
 //
-// A key's deadline lives in its leaf (Value.At), so a write that changes
-// the value and the deadline together — SETEX, SET over a TTL'd key, DEL,
-// EXPIRE, PERSIST — is one engine update with one linearization point:
-// the child CAS that swings the key's parent to a fresh leaf, as in the
-// paper. byDeadline maps deadline<<20|seq → primary key. Packing the
-// deadline into the top bits makes trie order deadline order, so
-// "everything due by now" is one Ascend range scan and "when must the
-// reaper next wake" is one Min — the ordered-traversal dividend of the
-// Patricia trie (a hash index would need a separate heap).
+// A key's deadline lives in its leaf (Value.At), so every write that
+// changes it — SETEX, SET over a TTL'd key, DEL, EXPIRE, PERSIST, RENAME —
+// is one engine update with one linearization point: the child CAS that
+// swings the key's parent to a fresh leaf, as in the paper. Nothing
+// indexes keys by deadline: a key expires lazily, when a read finds it
+// due, or when the background sweep walks past it.
 //
-// The seq suffix (20 bits, from a global counter) makes index keys unique
-// even when many keys share one deadline millisecond; 43 bits remain for
-// the deadline, which covers Unix milliseconds up to year 2248. The index
-// key is also the arming's identity: a leaf's At is the index key of the
-// one node that finds it by deadline.
+// # Purges
 //
-// # Who deletes a node
+// A purge is one DeleteFunc whose condition is "armed and due at now". The
+// engine checks the condition on the leaf its CAS removes, so a write that
+// replaced the leaf in the meantime — disarming it or arming a later
+// deadline — survives the purge.
 //
-// byDeadline is a hint that the leaves keep honest by one rule: the
-// operation that retires an arming deletes its node. Every change of a
-// leaf's At is made by an operation that knows the At it replaced — Swap
-// and LoadAndDelete return the old value, CompareAndSwapFunc and
-// DeleteFunc approve it — and that operation deletes the old node after
-// its leaf update lands; an arming whose leaf update fails deletes its
-// own node. Neither the reaper nor a lazy read deletes a node it did not
-// retire. So at quiescence every node names a live arming and every
-// armed leaf has its node, and a node the reaper meets whose leaf does
-// not hold it yet (an arming in flight) or any more (a retirement in
-// flight) is left to its owner. DESIGN.md §12 has the full argument.
+// # The sweep
 //
-// # The reaper
-//
-// StartReaper runs the eager half of expiry: a goroutine that sleeps
-// until the earliest armed deadline and purges everything due, so
-// expired keys stop occupying memory even if nothing reads them. An
-// arming that installs an earlier deadline wakes it. Both sides of that
-// wakeup protocol, arm's and reaper's, live in this package.
+// StartReaper runs the eager half of expiry, after Redis's active expiry
+// cycle: every sweepTick the reaper walks sweepBatch leaves of the live
+// keyspace from a resumable cursor, purging the due ones, and takes
+// another batch while at least a quarter of the armed leaves it met were
+// due, for at most sweepCap per tick. The walk is a live Ascend: it holds
+// no snapshot, so it makes no writer renew a node. Every tick takes at
+// least one batch, so a key that nothing reads is purged at most one full
+// sweep period after its deadline: ⌈n/sweepBatch⌉+1 ticks for a keyspace
+// of n keys.
 package expiry
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -52,38 +38,48 @@ import (
 	"nbtrie/internal/obs"
 )
 
+// MaxDeadlineMS is the largest deadline kept (Unix milliseconds): 2^43-1
+// ms ≈ year 2248. Later deadlines are clamped here — indistinguishable
+// from "never" on any real horizon.
+const MaxDeadlineMS = int64(1)<<43 - 1
+
+// The sweep's constants. sweepTick is Redis's default hz of 10. A batch
+// costs 0.3 ms at 100k keys and 0.5 ms at 2^20 (290 and 470 ns per leaf,
+// DESIGN.md §12), so a sweep that finds nothing due takes 0.3–0.5 % of
+// one core. sweepCap is Redis's 25 % of the tick, spent only while due
+// keys are dense.
 const (
-	// seqBits is the width of the uniquifying suffix in byDeadline keys.
-	seqBits = 20
-	seqMask = (1 << seqBits) - 1
-
-	// idxWidth is byDeadline's key width: the full 63 bits the engine
-	// offers, split 43 deadline / 20 seq.
-	idxWidth = 63
-
-	// MaxDeadlineMS is the largest representable absolute deadline
-	// (Unix milliseconds): 2^43-1 ms ≈ year 2248. Later deadlines are
-	// clamped here — indistinguishable from "never" on any real horizon.
-	MaxDeadlineMS = int64(1)<<(idxWidth-seqBits) - 1
+	sweepTick  = 100 * time.Millisecond
+	sweepBatch = 1024
+	sweepCap   = 25 * time.Millisecond
 )
 
-// Value is what a key's leaf holds: the value bytes and the key's arming.
-// At is the arming's byDeadline key, deadline<<20 | seq, and 0 means the
-// key has no deadline. Deadlines are clamped to at least 1 ms, so an
-// armed At is never 0. Every arming draws a fresh seq, so At names one
-// arming of one key: comparing it is how a purge or a re-arm knows the
-// arming it saw is still in force. The struct is 32 B, so a leaf is
-// exactly the 64 B a []byte leaf's size class already spends.
+// Value is what a key's leaf holds: the value bytes and the key's
+// deadline in Unix milliseconds, 0 when the key has none. Deadlines are
+// clamped to at least 1 ms, so an armed At is never 0. The struct is
+// 32 B, so a leaf is exactly the 64 B a []byte leaf's size class already
+// spends.
 type Value struct {
 	B  []byte
 	At uint64
 }
 
-// DeadlineMS returns the absolute deadline (Unix milliseconds) of v's
-// arming, 0 when v has none.
-func (v Value) DeadlineMS() int64 { return int64(v.At >> seqBits) }
+// DeadlineMS returns v's deadline (Unix milliseconds), 0 when v has none.
+func (v Value) DeadlineMS() int64 { return int64(v.At) }
 
-// same reports whether have is exactly v: the same arming and the same
+// due reports whether v is armed and its deadline is at or before nowMS.
+func (v Value) due(nowMS int64) bool { return v.At != 0 && int64(v.At) <= nowMS }
+
+// armed is 1 for an armed At and 0 otherwise: a leaf's share of
+// ArmedKeys.
+func armed(at uint64) int64 {
+	if at != 0 {
+		return 1
+	}
+	return 0
+}
+
+// same reports whether have is exactly v: the same deadline and the same
 // value allocation (slice identity; zero-length values have no element
 // to anchor on, so for them length is the whole check). A value stored
 // by a racing writer is a fresh allocation and never matches.
@@ -97,17 +93,18 @@ func same(have, v Value) bool {
 // spot. Writes never consult the clock, so AOF replay re-applies records
 // exactly as they were acknowledged.
 type Index struct {
-	db         *nbtrie.ShardedMap[Value]
-	byDeadline *nbtrie.Map[uint64]
-	clock      func() int64
-	seq        atomic.Uint64
+	db    *nbtrie.ShardedMap[Value]
+	clock func() int64
 
-	// Reaper coordination: wakeAt holds the deadline the reaper is
-	// currently sleeping toward (MaxInt64 when idle scanning); an arming
-	// sends on wake — capacity 1, non-blocking — when it installs an
-	// earlier deadline, so the reaper can never sleep past work.
-	wakeAt atomic.Int64
-	wake   chan struct{}
+	// armedN counts armed leaves. Each write that changes a leaf's
+	// arming adds the difference it made, after its update lands, so
+	// the count is exact at quiescence and can lag by the writes in
+	// flight.
+	armedN atomic.Int64
+
+	// cursor is the key the sweep resumes at; only the reaper's
+	// goroutine touches it.
+	cursor uint64
 
 	// expired counts purged keys; passes times every reaper pass, in
 	// microseconds, and its count is the number of passes.
@@ -138,78 +135,19 @@ func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Binary nodes, as a constant: an update of a wide node copies all
-	// its slots, and byDeadline is updated on every arming.
-	byDeadline, err := nbtrie.NewMap[uint64](idxWidth)
-	if err != nil {
-		return nil, err
-	}
-	x := &Index{db: db, byDeadline: byDeadline, clock: c.clock, wake: make(chan struct{}, 1)}
-	x.wakeAt.Store(math.MaxInt64)
-	return x, nil
+	return &Index{db: db, clock: c.clock}, nil
 }
 
-// setRetryLap bounds how many consecutive seq-collision retries an
-// arming makes at one millisecond before degrading to a neighboring one:
-// a full lap of the suffix space in production (every slot provably
-// probed); tests lower it to exercise the exhaustion path without arming
-// 2^20 keys.
-var setRetryLap = seqMask
-
-// clampDeadline forces a deadline into the representable range. The
-// floor is 1, not 0, so an armed At is never 0 and a dumped deadline is
-// never the dump format's "no TTL".
-func clampDeadline(ms int64) int64 {
-	return min(max(ms, 1), MaxDeadlineMS)
-}
-
-// arm inserts the byDeadline node of a fresh arming of k at deadlineMS
-// and returns its At, waking the reaper if the deadline is earlier than
-// the one it sleeps toward. The caller publishes the At in k's leaf and,
-// if that fails, deletes the node (retire). The deadline can differ from
-// the requested one by the clamp or, when every seq slot of a
-// millisecond is occupied, by the neighboring-millisecond fallback.
-func (x *Index) arm(k uint64, deadlineMS int64) uint64 {
-	d := clampDeadline(deadlineMS)
-	down := false
-	for tries := 0; ; tries++ {
-		at := uint64(d)<<seqBits | x.seq.Add(1)&seqMask
-		if _, loaded, ok := x.byDeadline.LoadOrStore(at, k); ok && !loaded {
-			if d < x.wakeAt.Load() {
-				x.notify()
-			}
-			return at
-		}
-		// Seq collision after 2^20 wraps at one millisecond: take the
-		// next counter value and retry. If a full lap finds every seq slot
-		// for this millisecond occupied (>2^20 keys armed at one deadline
-		// — a mass restore or bulk EXPIREAT), degrade by one millisecond
-		// instead of spinning forever: prefer later (firing a hair late is
-		// invisible), walk earlier once the clamp ceiling is hit so the
-		// search still terminates.
-		if tries >= setRetryLap {
-			if down || d >= MaxDeadlineMS {
-				down = true
-				d--
-			} else {
-				d++
-			}
-			tries = -1
-		}
-	}
-}
-
-// retire deletes the node of an arming its caller took out of a leaf
-// (or never got into one); at 0 is no arming.
-func (x *Index) retire(at uint64) {
-	if at != 0 {
-		x.byDeadline.Delete(at)
-	}
+// clampDeadline forces a deadline into the kept range. The floor is 1,
+// not 0, so an armed At is never 0 and a dumped deadline is never the
+// dump format's "no TTL".
+func clampDeadline(ms int64) uint64 {
+	return uint64(min(max(ms, 1), MaxDeadlineMS))
 }
 
 // ---- reads ----
 
-// Lookup returns k's live value and arming: one Load, and the clock is
+// Lookup returns k's live value and deadline: one Load, and the clock is
 // read only when the key is armed. Wait-free and allocation-free unless
 // the key turns out to be due, in which case it reads as absent and is
 // purged.
@@ -234,74 +172,79 @@ func (x *Index) Contains(k uint64) bool {
 }
 
 // Expired reports whether v, a value k held, is due by the clock, and if
-// so purges k from the keyspace when k still holds that arming. Lookup
-// applies it to the live value; SCAN to the value in its snapshot.
+// so purges k from the keyspace when k is still due. Lookup applies it
+// to the live value; SCAN to the value in its snapshot.
 func (x *Index) Expired(k uint64, v Value) bool {
-	if v.At == 0 || v.DeadlineMS() > x.clock() {
+	if v.At == 0 {
 		return false
 	}
-	x.purge(k, v.At)
+	now := x.clock()
+	if !v.due(now) {
+		return false
+	}
+	x.purge(k, now)
 	return true
 }
 
-// purge deletes k if it still holds arming at — the conditional half of
-// every expiry, lazy or reaped — and reports whether this call removed
-// it. A racing write that replaced the leaf changed its At, so the
-// condition fails and the write survives; that write also retired at.
-func (x *Index) purge(k, at uint64) bool {
-	if !x.db.DeleteFunc(k, func(v Value) bool { return v.At == at }) {
+// purge deletes k if its leaf is due at nowMS — the conditional half of
+// every expiry, lazy or swept — and reports whether this call removed
+// it. The condition is checked on the leaf the CAS removes, so a racing
+// write that disarmed k or armed a later deadline survives.
+func (x *Index) purge(k uint64, nowMS int64) bool {
+	if !x.db.DeleteFunc(k, func(v Value) bool { return v.due(nowMS) }) {
 		return false
 	}
-	x.byDeadline.Delete(at)
+	x.armedN.Add(-1)
 	x.expired.Add(1)
 	return true
 }
 
 // ---- writes ----
 
-// Store binds k to v with no deadline (SET): one Swap, then the node of
-// the arming it displaced, if any, is deleted. It returns false only for
-// an out-of-range k.
+// Store binds k to v with no deadline (SET): one Swap. It returns false
+// only for an out-of-range k.
 func (x *Index) Store(k uint64, v []byte) bool {
 	old, _, ok := x.db.Swap(k, Value{B: v})
-	x.retire(old.At)
+	if old.At != 0 {
+		x.armedN.Add(-1)
+	}
 	return ok
 }
 
-// StoreDeadline binds k to v armed at deadlineMS (SETEX): the node is
-// inserted, then one Swap publishes value and arming together, then the
-// displaced arming's node is deleted. It returns false only for an
+// StoreDeadline binds k to v armed at deadlineMS (SETEX): one Swap
+// publishes value and deadline together. It returns false only for an
 // out-of-range k.
 func (x *Index) StoreDeadline(k uint64, v []byte, deadlineMS int64) bool {
-	at := x.arm(k, deadlineMS)
-	old, _, ok := x.db.Swap(k, Value{B: v, At: at})
-	if !ok {
-		x.retire(at)
+	old, _, ok := x.db.Swap(k, Value{B: v, At: clampDeadline(deadlineMS)})
+	if ok && old.At == 0 {
+		x.armedN.Add(1)
 	}
-	x.retire(old.At)
 	return ok
 }
 
-// Delete removes k and its arming (DEL); false iff k was absent.
+// Delete removes k and its deadline (DEL); false iff k was absent.
 func (x *Index) Delete(k uint64) bool {
 	old, ok := x.db.LoadAndDelete(k)
-	x.retire(old.At)
+	if old.At != 0 {
+		x.armedN.Add(-1)
+	}
 	return ok
 }
 
 // Set arms k's deadline if k is present (EXPIRE and its variants, and
 // PEXPIREAT replay), returning false when k is absent. The value is kept:
-// the leaf is swapped for one with the same bytes and the new At,
+// the leaf is swapped for one with the same bytes and the new deadline,
 // conditional on the exact value read. Set does not consult the clock, so
 // it arms a past deadline too; the server deletes instead when a client
 // asks for one.
 func (x *Index) Set(k uint64, deadlineMS int64) bool {
+	at := clampDeadline(deadlineMS)
 	for {
 		v, ok := x.db.Load(k)
 		if !ok {
 			return false
 		}
-		if x.rearm(k, v, x.arm(k, deadlineMS)) {
+		if x.rearm(k, v, at) {
 			return true
 		}
 	}
@@ -321,34 +264,21 @@ func (x *Index) Persist(k uint64) bool {
 }
 
 // rearm swaps k from exactly v to the same bytes armed at at (0: no
-// deadline), then retires v's arming; if k no longer holds v, it retires
-// at instead and reports false.
+// deadline), reporting false if k no longer holds v.
 func (x *Index) rearm(k uint64, v Value, at uint64) bool {
-	if x.db.CompareAndSwapFunc(k, func(have Value) bool { return same(have, v) }, Value{B: v.B, At: at}) {
-		x.retire(v.At)
-		return true
+	if !x.db.CompareAndSwapFunc(k, func(have Value) bool { return same(have, v) }, Value{B: v.B, At: at}) {
+		return false
 	}
-	x.retire(at)
-	return false
+	x.armedN.Add(armed(at) - armed(v.At))
+	return true
 }
 
 // Rename moves old's value to new, which must be absent (RENAME): one
 // ReplaceKey, the paper's atomic Replace, whichever shards the keys live
 // in. The deadline travels inside the leaf, so value and deadline move in
-// one step. Afterwards the arming's node still names old, so it is
-// re-pointed: a node for new, a conditional swap of new's At, then the
-// old node is deleted. Like every write, Rename does not consult the
-// clock.
+// one step. Like every write, Rename does not consult the clock.
 func (x *Index) Rename(old, new uint64) bool {
 	moved, _ := x.db.ReplaceKey(old, new)
-	if moved {
-		// One try: if new changed since the move, whoever changed it
-		// retired the travelling arming, and what new holds now has its
-		// own node.
-		if v, ok := x.db.Load(new); ok && v.At != 0 {
-			x.rearm(new, v, x.arm(new, v.DeadlineMS()))
-		}
-	}
 	return moved
 }
 
@@ -359,90 +289,75 @@ func (x *Index) NoteExpired() { x.expired.Add(1) }
 
 // ---- the reaper ----
 
-// earliest returns the soonest armed deadline, if any arming exists.
-// A node whose retirement is in flight can make it report a deadline
-// that is already gone — harmless, the reaper's scan skips it.
-func (x *Index) earliest() (deadlineMS int64, ok bool) {
-	for at := range x.byDeadline.All() {
-		return int64(at >> seqBits), true
-	}
-	return 0, false
-}
-
-// notify signals wake, never blocking: wake has capacity 1, so a signal
-// already pending covers this one.
-func (x *Index) notify() {
-	select {
-	case x.wake <- struct{}{}:
-	default:
-	}
-}
-
 // StartReaper starts the background reaper and returns the function
 // that stops it and waits for it to exit. Start it once the keyspace is
-// recovered: its opening pass purges whatever expired while the process
-// was down.
+// recovered: its opening pass, a full Reap, purges whatever expired while
+// the process was down.
 func (x *Index) StartReaper() (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		x.reaper(quit)
+		x.Reap(x.clock())
+		t := time.NewTicker(sweepTick)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				x.tick(x.clock())
+			}
+		}
 	}()
 	return func() { close(quit); <-done }
 }
 
-// reaper sleeps until the earliest armed deadline, purges everything
-// due, and repeats until quit closes. The missed-wakeup protocol with
-// arm: wakeAt is set to MaxInt64 BEFORE earliest is read, so an arming
-// landing between the read and the sleep sees an "infinitely late"
-// planned wake and signals wake; then wakeAt is set to the deadline, so
-// only a genuinely earlier arming signals while the reaper sleeps. A
-// pass that expired nothing while a due node remains met only armings
-// in flight; the reaper waits a millisecond for their writers instead
-// of spinning.
-func (x *Index) reaper(quit <-chan struct{}) {
-	n := x.Reap(x.clock())
-	for {
-		x.wakeAt.Store(math.MaxInt64)
-		var due <-chan time.Time // nil while nothing is armed: only wake ends the sleep
-		if deadline, ok := x.earliest(); ok {
-			x.wakeAt.Store(deadline)
-			wait := deadline - x.clock()
-			if wait <= 0 && n == 0 {
-				wait = 1
-			}
-			due = time.After(time.Duration(max(wait, 0)) * time.Millisecond)
-		}
-		select {
-		case <-quit:
-			return
-		case <-x.wake:
-			continue // an earlier deadline arrived; re-plan
-		case <-due:
-		}
-		n = x.Reap(x.clock())
-	}
-}
-
-// Reap runs one reaper pass: it purges every key due at or before
-// nowMS, in deadline order, and returns how many it removed. A node
-// whose key does not hold its arming is skipped, not deleted: the
-// arming is in flight or being retired, and its owner deletes the node.
-func (x *Index) Reap(nowMS int64) int {
+// tick runs one reaper pass of the sweep: a batch from the cursor, and
+// more while at least a quarter of the armed leaves a batch met were due
+// at nowMS, until sweepCap has passed.
+func (x *Index) tick(nowMS int64) {
 	start := time.Now()
-	limit := uint64(clampDeadline(nowMS))<<seqBits | seqMask
-	type cand struct{ at, key uint64 }
-	var cands []cand
-	for at, key := range x.byDeadline.All() {
-		if at > limit {
+	for {
+		armedMet, dueMet := x.step(nowMS, sweepBatch)
+		if armedMet == 0 || dueMet*4 < armedMet || time.Since(start) >= sweepCap {
 			break
 		}
-		cands = append(cands, cand{at, key})
 	}
+	x.passes.Record(uint64(time.Since(start).Microseconds()))
+}
+
+// step walks up to budget leaves of the live keyspace from the cursor,
+// purging those due at nowMS, and leaves the cursor at the next key, or
+// at 0 when the walk reached the end. It reports how many armed and due
+// leaves it met.
+func (x *Index) step(nowMS int64, budget int) (armedMet, dueMet int) {
 	n := 0
-	for _, c := range cands {
-		if x.purge(c.key, c.at) {
+	for k, v := range x.db.Ascend(x.cursor) {
+		if n == budget {
+			x.cursor = k
+			return armedMet, dueMet
+		}
+		n++
+		if v.At != 0 {
+			armedMet++
+			if v.due(nowMS) {
+				dueMet++
+				x.purge(k, nowMS)
+			}
+		}
+	}
+	x.cursor = 0
+	return armedMet, dueMet
+}
+
+// Reap runs one full reaper pass over the live keyspace: it purges every
+// key due at or before nowMS and returns how many it removed.
+func (x *Index) Reap(nowMS int64) int {
+	start := time.Now()
+	n := 0
+	for k, v := range x.db.All() {
+		if v.due(nowMS) && x.purge(k, nowMS) {
 			n++
 		}
 	}
@@ -462,9 +377,8 @@ func (x *Index) Stats() (expired uint64, passes obs.HistSnapshot) {
 // (nbtrie.ShardedMap.Len's counter).
 func (x *Index) Len() int { return x.db.Len() }
 
-// ArmedKeys reports the number of armed keys: byDeadline's counter, one
-// node per arming, exact at quiescence.
-func (x *Index) ArmedKeys() int { return x.byDeadline.Len() }
+// ArmedKeys reports the number of armed keys, exact at quiescence.
+func (x *Index) ArmedKeys() int { return int(max(x.armedN.Load(), 0)) }
 
 // Snapshot returns a frozen view of the keyspace, deadlines included:
 // the dump's one cut, and SCAN's.
@@ -480,31 +394,18 @@ func (x *Index) EngineStats() nbtrie.EngineStats { return x.db.EngineStats() }
 // nbtrie.ShardedMap.ShardEngineStats).
 func (x *Index) ShardEngineStats(i int) nbtrie.EngineStats { return x.db.ShardEngineStats(i) }
 
-// Validate checks both tries' structural invariants and the node rule
-// (see the package comment): every byDeadline node names a key whose
-// leaf holds its arming, and every armed leaf has its node. Quiescent
-// use only.
+// Validate checks the trie's structural invariants and that ArmedKeys
+// counts the armed leaves. Quiescent use only.
 func (x *Index) Validate() error {
 	if err := x.db.Validate(); err != nil {
 		return err
 	}
-	if err := x.byDeadline.Validate(); err != nil {
-		return err
-	}
-	nodes, armed := 0, 0
-	for at, k := range x.byDeadline.All() {
-		nodes++
-		if v, _ := x.db.Load(k); v.At != at {
-			return fmt.Errorf("expiry: byDeadline node %#x names key %#x, whose leaf holds arming %#x", at, k, v.At)
-		}
-	}
+	n := 0
 	for _, v := range x.db.All() {
-		if v.At != 0 {
-			armed++
-		}
+		n += int(armed(v.At))
 	}
-	if armed != nodes {
-		return fmt.Errorf("expiry: %d armed keys, %d byDeadline nodes", armed, nodes)
+	if got := x.armedN.Load(); got != int64(n) {
+		return fmt.Errorf("expiry: ArmedKeys counts %d, %d leaves are armed", got, n)
 	}
 	return nil
 }

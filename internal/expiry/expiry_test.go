@@ -3,6 +3,8 @@ package expiry
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +48,7 @@ func TestSetLookupClear(t *testing.T) {
 		t.Fatal("Set armed an absent key")
 	}
 	if x.ArmedKeys() != 0 {
-		t.Fatalf("a refused Set left %d nodes", x.ArmedKeys())
+		t.Fatalf("a refused Set counts %d armed keys", x.ArmedKeys())
 	}
 	x.Store(7, []byte("v"))
 	if v, ok := x.Lookup(7); !ok || v.At != 0 || string(v.B) != "v" {
@@ -59,13 +61,10 @@ func TestSetLookupClear(t *testing.T) {
 	if !ok || v.DeadlineMS() != 1000 || string(v.B) != "v" {
 		t.Fatalf("Lookup = %+v, %v; want v armed at 1000", v, ok)
 	}
-	// Re-arm: the new arming replaces the old, old node cleaned up.
+	// Re-arm: the new deadline replaces the old, and the key counts once.
 	x.Set(7, 2000)
-	if got := deadline(x, 7); got != 2000 {
-		t.Fatalf("deadline after re-arm = %d, want 2000", got)
-	}
-	if d, ok := x.earliest(); !ok || d != 2000 || x.ArmedKeys() != 1 {
-		t.Fatalf("Earliest after re-arm = %d, %v with %d nodes (stale node survived?)", d, ok, x.ArmedKeys())
+	if got := deadline(x, 7); got != 2000 || x.ArmedKeys() != 1 {
+		t.Fatalf("after re-arm: deadline %d, %d armed keys; want 2000, 1", got, x.ArmedKeys())
 	}
 	if !x.Persist(7) {
 		t.Fatal("Persist found nothing")
@@ -73,58 +72,48 @@ func TestSetLookupClear(t *testing.T) {
 	if x.Persist(7) {
 		t.Fatal("second Persist succeeded")
 	}
-	if _, ok := x.earliest(); ok {
-		t.Fatal("Earliest nonempty after Persist")
+	if x.ArmedKeys() != 0 {
+		t.Fatalf("%d armed keys after Persist", x.ArmedKeys())
 	}
 	if b, ok := x.Load(7); !ok || string(b) != "v" {
 		t.Fatalf("Persist lost the value: %q, %v", b, ok)
 	}
-	// SETEX, then SET and DEL each retire the arming with the value.
+	// SETEX, then SET and DEL each drop the deadline with the value.
 	x.StoreDeadline(7, []byte("w"), 3000)
 	x.Store(7, []byte("u"))
 	if deadline(x, 7) != 0 || x.ArmedKeys() != 0 {
-		t.Fatalf("Store kept the arming: deadline %d, %d nodes", deadline(x, 7), x.ArmedKeys())
+		t.Fatalf("Store kept the deadline: %d, %d armed keys", deadline(x, 7), x.ArmedKeys())
 	}
 	x.StoreDeadline(7, []byte("w"), 3000)
 	if !x.Delete(7) || x.ArmedKeys() != 0 || x.Len() != 0 {
-		t.Fatalf("Delete left %d nodes, %d keys", x.ArmedKeys(), x.Len())
+		t.Fatalf("Delete left %d armed keys, %d keys", x.ArmedKeys(), x.Len())
 	}
 }
 
-// TestRemoveIsConditional: a purge removes a key only while its leaf
-// still holds the arming that fell due. The purge of a superseded arming
-// is a no-op, however far past its deadline.
+// TestRemoveIsConditional: a purge removes a key only while its leaf is
+// due at the purge's now. A key re-armed to a later deadline or disarmed
+// survives a purge that saw it due.
 func TestRemoveIsConditional(t *testing.T) {
 	x, _ := newIndex(t)
 	x.StoreDeadline(3, []byte("v"), 100)
-	v1, _ := x.db.Load(3)
-	x.Set(3, 200) // v1.At is now a superseded arming
-	if x.purge(3, v1.At) {
-		t.Fatal("purge succeeded with a superseded arming")
+	x.Set(3, 200)
+	if x.purge(3, 150) {
+		t.Fatal("purge at 150 removed a key re-armed to 200")
 	}
-	v2, ok := x.db.Load(3)
-	if !ok || v2.DeadlineMS() != 200 {
-		t.Fatalf("stale purge disturbed the live arming: %+v, %v", v2, ok)
+	v, ok := x.db.Load(3)
+	if !ok || v.DeadlineMS() != 200 {
+		t.Fatalf("failed purge disturbed the live arming: %+v, %v", v, ok)
 	}
-	if !x.purge(3, v2.At) {
-		t.Fatal("purge of the live arming failed")
+	x.Persist(3)
+	if x.purge(3, MaxDeadlineMS) {
+		t.Fatal("purge removed a disarmed key")
+	}
+	x.Set(3, 200)
+	if !x.purge(3, 200) {
+		t.Fatal("purge of a key due at its deadline failed")
 	}
 	if _, ok := x.db.Load(3); ok || x.ArmedKeys() != 0 {
-		t.Fatalf("key or node survived its purge (%d nodes)", x.ArmedKeys())
-	}
-}
-
-func TestEarliestOrdering(t *testing.T) {
-	x, _ := newIndex(t)
-	x.StoreDeadline(1, nil, 500)
-	x.StoreDeadline(2, nil, 100)
-	x.StoreDeadline(3, nil, 900)
-	if d, ok := x.earliest(); !ok || d != 100 {
-		t.Fatalf("Earliest = %d, %v; want 100", d, ok)
-	}
-	x.Persist(2)
-	if d, ok := x.earliest(); !ok || d != 500 {
-		t.Fatalf("Earliest after disarming the min = %d, %v; want 500", d, ok)
+		t.Fatalf("key survived its purge, or is still counted (%d armed keys)", x.ArmedKeys())
 	}
 }
 
@@ -138,59 +127,16 @@ func TestClamping(t *testing.T) {
 	if d := deadline(x, 2); d != MaxDeadlineMS {
 		t.Fatalf("huge deadline clamped to %d, want %d", d, MaxDeadlineMS)
 	}
-	if d, ok := x.earliest(); !ok || d != 1 {
-		t.Fatalf("Earliest = %d, %v", d, ok)
+	if x.ArmedKeys() != 2 {
+		t.Fatalf("%d armed keys, want 2", x.ArmedKeys())
 	}
-}
-
-// TestSetExhaustedMillisecond arms a key at a deadline whose seq slot
-// space is already occupied — a mass restore or bulk EXPIREAT aimed at
-// one deadline: the arming must terminate by degrading to a neighboring
-// millisecond instead of retrying the exhausted slot space forever.
-// The lap bound is lowered and the colliding byDeadline nodes planted
-// directly (a fresh index's seq counter starts at 0, so an arming probes
-// seqs 1, 2, 3, ...); exhausting the real 2^20-slot space exercises the
-// identical loop at ~2M trie ops per case.
-func TestSetExhaustedMillisecond(t *testing.T) {
-	const lap = 8
-	defer func(orig int) { setRetryLap = orig }(setRetryLap)
-	setRetryLap = lap
-
-	plant := func(t *testing.T, x *Index, d int64) {
-		t.Helper()
-		for seq := uint64(1); seq <= lap+1; seq++ {
-			if _, loaded, ok := x.byDeadline.LoadOrStore(uint64(d)<<seqBits|seq, ^uint64(0)); !ok || loaded {
-				t.Fatalf("planting seq %d failed", seq)
-			}
-		}
-	}
-
-	t.Run("degrades later", func(t *testing.T) {
-		x, _ := newIndex(t)
-		const d = int64(5000)
-		plant(t, x, d)
-		x.Store(9, []byte("v"))
-		x.Set(9, d)
-		if got := deadline(x, 9); got != d+1 {
-			t.Fatalf("Set on an exhausted millisecond landed at %d, want %d", got, d+1)
-		}
-	})
-
-	t.Run("walks earlier at the clamp ceiling", func(t *testing.T) {
-		x, _ := newIndex(t)
-		plant(t, x, MaxDeadlineMS)
-		x.StoreDeadline(9, []byte("v"), math.MaxInt64) // clamps to MaxDeadlineMS, which is full
-		if got := deadline(x, 9); got != MaxDeadlineMS-1 {
-			t.Fatalf("arming at the exhausted ceiling landed at %d, want %d", got, MaxDeadlineMS-1)
-		}
-	})
 }
 
 func TestReap(t *testing.T) {
 	x, _ := newIndex(t)
 	x.StoreDeadline(10, nil, 100)
 	x.StoreDeadline(11, nil, 200)
-	x.StoreDeadline(12, nil, 200) // same millisecond: seq disambiguates
+	x.StoreDeadline(12, nil, 200) // two keys share a millisecond
 	x.StoreDeadline(13, nil, 300)
 	x.Store(14, nil)
 
@@ -204,8 +150,8 @@ func TestReap(t *testing.T) {
 	if x.Len() != 2 || !x.db.Contains(13) || !x.db.Contains(14) {
 		t.Fatalf("keyspace after reap holds %d keys", x.Len())
 	}
-	if d, ok := x.earliest(); !ok || d != 300 {
-		t.Fatalf("Earliest after reap = %d, %v", d, ok)
+	if x.ArmedKeys() != 1 {
+		t.Fatalf("%d armed keys after reap, want 1", x.ArmedKeys())
 	}
 	expired, passes := x.Stats()
 	if expired != 3 || passes.Count != 2 {
@@ -213,86 +159,174 @@ func TestReap(t *testing.T) {
 	}
 }
 
-// TestReapSkipsRearmed: a node whose key no longer holds its arming —
-// re-armed to a later deadline, with the old node's deletion still in
-// flight — must not purge the key. The reaper leaves the node to the
-// operation that retired its arming.
+// TestReapSkipsRearmed: a key whose deadline passed but was moved later
+// before the pass ran must not be purged, and a key disarmed since must
+// not be either.
 func TestReapSkipsRearmed(t *testing.T) {
 	x, _ := newIndex(t)
 	x.StoreDeadline(5, []byte("v"), 100)
-	v1, _ := x.db.Load(5)
 	x.Set(5, 99999)
-	// The re-arm deleted v1's node; put it back, as if that deletion had
-	// not landed yet when the reaper scans.
-	x.byDeadline.LoadOrStore(v1.At, 5)
+	x.StoreDeadline(6, []byte("w"), 100)
+	x.Persist(6)
 
 	if n := x.Reap(200); n != 0 {
-		t.Fatalf("Reap purged %d through a stale node", n)
+		t.Fatalf("Reap purged %d re-armed or disarmed keys", n)
 	}
 	if v, ok := x.Lookup(5); !ok || v.DeadlineMS() != 99999 {
 		t.Fatalf("re-armed key was purged or disarmed: %+v, %v", v, ok)
 	}
-	if d, ok := x.earliest(); !ok || d != 100 {
-		t.Fatalf("Earliest = %d, %v; the reaper deleted a node it did not retire", d, ok)
+	if v, ok := x.Lookup(6); !ok || v.At != 0 {
+		t.Fatalf("disarmed key was purged or re-armed: %+v, %v", v, ok)
+	}
+	if x.ArmedKeys() != 1 {
+		t.Fatalf("%d armed keys, want 1", x.ArmedKeys())
 	}
 }
 
-func TestWakeSignalling(t *testing.T) {
-	x, _ := newIndex(t)
-	x.Store(1, nil)
-	x.Store(2, nil)
-	x.wakeAt.Store(5000) // reaper sleeping toward 5000
-	x.Set(1, 9000)
-	select {
-	case <-x.wake:
-		t.Fatal("later deadline woke the reaper")
-	default:
+// TestSweepBound: a key that nothing reads is purged within one full
+// sweep period of its deadline, ⌈n/sweepBatch⌉+1 ticks for n keys, from
+// the worst cursor: one just past the key. Every other key is armed far
+// in the future, so no tick takes a second batch and each tick advances
+// the sweep by the minimum.
+func TestSweepBound(t *testing.T) {
+	x, clk := newIndex(t)
+	const n, victim = 10_000, 5000
+	for k := uint64(0); k < n; k++ {
+		x.StoreDeadline(k, nil, MaxDeadlineMS)
 	}
-	x.Set(2, 1000)
-	select {
-	case <-x.wake:
-	default:
-		t.Fatal("earlier deadline did not wake the reaper")
+	x.StoreDeadline(victim, []byte("v"), 100)
+	x.cursor = victim + 1
+	clk.ms.Store(100)
+	bound := (n+sweepBatch-1)/sweepBatch + 1
+	ticks := 0
+	for x.db.Contains(victim) {
+		if ticks == bound {
+			t.Fatalf("the key outlived %d ticks, one full sweep period (%v)", bound, time.Duration(bound)*sweepTick)
+		}
+		x.tick(clk.now())
+		ticks++
+	}
+	t.Logf("purged after %d ticks (bound %d)", ticks, bound)
+	if x.Len() != n-1 || x.ArmedKeys() != n-1 {
+		t.Fatalf("the sweep purged keys that were not due: %d keys, %d armed", x.Len(), x.ArmedKeys())
+	}
+	if _, passes := x.Stats(); passes.Count != int64(ticks) {
+		t.Fatalf("%d passes recorded for %d ticks", passes.Count, ticks)
 	}
 }
 
-// TestReaperWakesForEarlierDeadline runs the background reaper on the
-// wall clock. It sleeps toward a deadline an hour away; an arming due in
-// 20 ms must wake it, and it must purge that key alone. Stop returns
-// only once the reaper has exited.
-func TestReaperWakesForEarlierDeadline(t *testing.T) {
+// TestSweepTakesMoreWhileDense: a tick keeps taking batches while at
+// least a quarter of the armed leaves a batch met were due, and stops
+// after one batch when fewer were.
+func TestSweepTakesMoreWhileDense(t *testing.T) {
+	x, clk := newIndex(t)
+	clk.ms.Store(100)
+	const n = 3 * sweepBatch
+	for k := uint64(0); k < n; k++ {
+		x.StoreDeadline(k, nil, 100)
+	}
+	x.tick(clk.now())
+	if x.Len() > n-sweepBatch {
+		t.Fatalf("a tick over all-due keys took one batch: %d of %d keys left", x.Len(), n)
+	}
+
+	// One key in five due: a batch meets a fifth, and the tick stops.
+	x, clk = newIndex(t)
+	clk.ms.Store(100)
+	for k := uint64(0); k < n; k++ {
+		d := int64(MaxDeadlineMS)
+		if k%5 == 0 {
+			d = 100
+		}
+		x.StoreDeadline(k, nil, d)
+	}
+	x.tick(clk.now())
+	if purged := n - x.Len(); purged != (sweepBatch+4)/5 {
+		t.Fatalf("a tick over sparse due keys purged %d, want one batch's %d", purged, (sweepBatch+4)/5)
+	}
+	if x.cursor != sweepBatch {
+		t.Fatalf("cursor at %d after one batch, want %d", x.cursor, sweepBatch)
+	}
+}
+
+// TestArmedKeysCostNoHeap: the deadline lives in the leaf, so a keyspace
+// whose keys are all armed takes the heap one with none armed takes,
+// within 2 B per key.
+func TestArmedKeysCostNoHeap(t *testing.T) {
+	const n = 100_000
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perKey := func(arm bool) float64 {
+		rng := rand.New(rand.NewSource(46))
+		before := heapAlloc()
+		x, err := New(59, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x.Len() < n {
+			k, v := rng.Uint64()>>5, make([]byte, 16)
+			if arm {
+				x.StoreDeadline(k, v, MaxDeadlineMS)
+			} else {
+				x.Store(k, v)
+			}
+		}
+		b := float64(heapAlloc()-before) / n
+		runtime.KeepAlive(x)
+		return b
+	}
+	unarmed, armed := perKey(false), perKey(true)
+	t.Logf("heap bytes per key: %.1f unarmed, %.1f armed", unarmed, armed)
+	if math.Abs(armed-unarmed) > 2 {
+		t.Errorf("an armed key costs %+.1f B more than an unarmed one, want within 2 B", armed-unarmed)
+	}
+}
+
+// TestReaperSweepsOnTheWallClock runs the background reaper on the wall
+// clock: its opening pass purges a key already due, its ticks purge a key
+// due 20 ms later, and a key due in an hour survives. Stop returns only
+// once the reaper has exited.
+func TestReaperSweepsOnTheWallClock(t *testing.T) {
 	x, err := New(16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now().UnixMilli()
 	x.StoreDeadline(1, []byte("late"), now+time.Hour.Milliseconds())
+	x.StoreDeadline(2, []byte("gone"), now-1)
 	stop := x.StartReaper()
 	defer stop()
 	for _, passes := x.Stats(); passes.Count == 0; _, passes = x.Stats() {
 		time.Sleep(time.Millisecond) // the opening pass
 	}
-	x.StoreDeadline(2, []byte("soon"), time.Now().UnixMilli()+20)
+	if x.db.Contains(2) {
+		t.Fatal("the opening pass left a due key")
+	}
+	x.StoreDeadline(3, []byte("soon"), time.Now().UnixMilli()+20)
 	for deadline := time.Now().Add(5 * time.Second); x.Len() != 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("the reaper did not purge the earlier arming: %d keys", x.Len())
+			t.Fatalf("the reaper did not purge the key due in 20 ms: %d keys", x.Len())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !x.db.Contains(1) || x.db.Contains(2) {
-		t.Fatal("the reaper purged the wrong key")
+	if !x.db.Contains(1) {
+		t.Fatal("the reaper purged a key due in an hour")
 	}
-	if expired, _ := x.Stats(); expired != 1 {
-		t.Fatalf("expired = %d, want 1", expired)
+	if expired, _ := x.Stats(); expired != 2 {
+		t.Fatalf("expired = %d, want 2", expired)
 	}
 }
 
 // TestConcurrentSetClearRemove hammers a few keys with every keyspace
-// write from many goroutines, while others purge. The invariant is the
-// node rule: at every pause, each byDeadline node names a key holding
-// its arming and each armed key has its node (Validate); and a total
-// reap leaves no armed leaf and no node — no orphan arming, no stale
-// node.
+// write from many goroutines, while others purge lazily, by full passes
+// and by sweep steps. The invariant is the counter's: at every pause,
+// ArmedKeys equals the number of armed leaves (Validate); and a total
+// reap leaves no armed leaf and a count of 0.
 func TestConcurrentSetClearRemove(t *testing.T) {
 	x, clk := newIndex(t)
 	clk.ms.Store(500)
@@ -326,6 +360,13 @@ func TestConcurrentSetClearRemove(t *testing.T) {
 				}
 			}(g)
 		}
+		wg.Add(1)
+		go func() { // the one sweeper: the cursor is the reaper's alone
+			defer wg.Done()
+			for i := phase * perPhase; i < (phase+1)*perPhase; i++ {
+				x.step(int64(i), 3)
+			}
+		}()
 		wg.Wait()
 		if err := x.Validate(); err != nil {
 			t.Fatalf("after phase %d: %v", phase, err)
@@ -333,7 +374,7 @@ func TestConcurrentSetClearRemove(t *testing.T) {
 	}
 	n := x.Reap(MaxDeadlineMS)
 	if x.ArmedKeys() != 0 {
-		t.Fatalf("%d byDeadline nodes after a total reap (purged %d)", x.ArmedKeys(), n)
+		t.Fatalf("%d armed keys counted after a total reap (purged %d)", x.ArmedKeys(), n)
 	}
 	for k, v := range x.Snapshot().All() {
 		if v.At != 0 {
@@ -342,23 +383,22 @@ func TestConcurrentSetClearRemove(t *testing.T) {
 	}
 }
 
-// TestExpireRacingPurgeKeepsRearmedKey races a purge that saw a key's
-// due arming against an EXPIRE that re-arms the key. Because the purge
-// is conditional on the arming in the leaf, whichever lands second
-// fails: the key is either purged (and the EXPIRE finds nothing to arm)
-// or re-armed and alive — never acknowledged as re-armed and gone.
+// TestExpireRacingPurgeKeepsRearmedKey races a purge that saw a key due
+// against an EXPIRE that re-arms the key. Because the purge is
+// conditional on the deadline in the leaf, whichever lands second fails:
+// the key is either purged (and the EXPIRE finds nothing to arm) or
+// re-armed and alive — never acknowledged as re-armed and gone.
 func TestExpireRacingPurgeKeepsRearmedKey(t *testing.T) {
 	x, clk := newIndex(t)
 	clk.ms.Store(1000)
 
-	// The interleaving, step by step: the purge observes the arming,
+	// The interleaving, step by step: the purge observes the due key,
 	// EXPIRE lands, then the purge commits.
 	x.StoreDeadline(1, []byte("v"), 900)
-	seen, _ := x.db.Load(1)
 	if !x.Set(1, 5000) {
 		t.Fatal("EXPIRE of a present key failed")
 	}
-	if x.purge(1, seen.At) {
+	if x.purge(1, clk.now()) {
 		t.Fatal("the purge deleted a key re-armed after it looked")
 	}
 	if v, ok := x.Lookup(1); !ok || v.DeadlineMS() != 5000 {
@@ -387,14 +427,15 @@ func TestExpireRacingPurgeKeepsRearmedKey(t *testing.T) {
 // FuzzExpiryIndexOps drives a byte-coded op sequence against the
 // keyspace and a plain (value, deadline) map oracle, with a clock the
 // sequence advances. After every op the views must agree on every key's
-// value and deadline, on order (Earliest) and on the key and armed
-// counts. Single-threaded, so byDeadline must mirror the armed leaves
-// exactly.
+// value and deadline and on the key and armed counts (Validate checks
+// the count against the leaves too). A sweep step of a few leaves must
+// purge exactly the keys it passed that are due by the clock.
 func FuzzExpiryIndexOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42})
 	f.Add([]byte{0x10, 0x05, 0x11, 0x05, 0x37, 0x06, 0x1a, 0x05})
 	f.Add([]byte{0x01, 0xFF, 0x22, 0x00, 0x36, 0xFF, 0x05, 0x01, 0x07, 0x23})
 	f.Add([]byte{0x09, 0x03, 0x05, 0x03, 0x0a, 0x04, 0x05, 0x24, 0x07, 0x40})
+	f.Add([]byte{0x01, 0x03, 0x0a, 0x07, 0x13, 0x21, 0x06, 0x30, 0x08, 0x02, 0x08, 0x05, 0x08, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, clk := newIndex(t)
 		type entry struct {
@@ -407,7 +448,7 @@ func FuzzExpiryIndexOps(f *testing.F) {
 			if got, want := x.Len(), len(oracle); got != want {
 				t.Fatalf("after %s: Len = %d, oracle %d", op, got, want)
 			}
-			armed, earliest := 0, int64(math.MaxInt64)
+			armed := 0
 			for k, e := range oracle {
 				v, ok := x.db.Load(k)
 				if !ok || !bytes.Equal(v.B, e.v) || v.DeadlineMS() != e.deadline {
@@ -415,15 +456,10 @@ func FuzzExpiryIndexOps(f *testing.F) {
 				}
 				if e.deadline != 0 {
 					armed++
-					earliest = min(earliest, e.deadline)
 				}
 			}
 			if got := x.ArmedKeys(); got != armed {
-				t.Fatalf("after %s: %d byDeadline nodes, oracle %d armed keys", op, got, armed)
-			}
-			d, ok := x.earliest()
-			if ok != (armed > 0) || (ok && d != earliest) {
-				t.Fatalf("after %s: Earliest = %d, %v; oracle min %d of %d armed", op, d, ok, earliest, armed)
+				t.Fatalf("after %s: ArmedKeys = %d, oracle %d armed keys", op, got, armed)
 			}
 			if err := x.Validate(); err != nil {
 				t.Fatalf("after %s: %v", op, err)
@@ -432,9 +468,9 @@ func FuzzExpiryIndexOps(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			k := uint64(arg % 32)
-			d := clampDeadline(int64(op/8) * int64(arg) * 7)
+			d := int64(clampDeadline(int64(op/9) * int64(arg) * 7))
 			val := []byte{arg, op}
-			switch op % 8 {
+			switch op % 9 {
 			case 0: // SET
 				x.Store(k, val)
 				oracle[k] = entry{val, 0}
@@ -486,15 +522,25 @@ func FuzzExpiryIndexOps(f *testing.F) {
 					delete(oracle, k)
 				}
 			case 7: // reap everything due by an arbitrary now
-				now := int64(op/8) * int64(arg) * 5
+				now := int64(op/9) * int64(arg) * 5
 				x.Reap(now)
 				for k, e := range oracle {
-					if e.deadline != 0 && e.deadline <= clampDeadline(now) {
+					if e.deadline != 0 && e.deadline <= now {
+						delete(oracle, k)
+					}
+				}
+			case 8: // one sweep step of a few leaves at the clock's now
+				from := x.cursor
+				x.step(clk.now(), int(arg%8)+1)
+				to := x.cursor
+				for k, e := range oracle {
+					passed := k >= from && (to == 0 || k < to)
+					if passed && e.deadline != 0 && e.deadline <= clk.now() {
 						delete(oracle, k)
 					}
 				}
 			}
-			check([]string{"set", "setex", "expire", "persist", "del", "rename", "get", "reap"}[op%8])
+			check([]string{"set", "setex", "expire", "persist", "del", "rename", "get", "reap", "sweep"}[op%9])
 		}
 	})
 }

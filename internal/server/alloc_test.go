@@ -11,9 +11,9 @@ import (
 // ≤ 1 (the value's copy out of the connection arena); the engine's own
 // store-path allocations are pinned separately by the library
 // artifacts. The TTL write paths are pinned whole, keyspace included:
-// the value's copy, one leaf Swap, and the byDeadline node inserted for
-// a new deadline or deleted for a displaced one — binary nodes, and no
-// allocation for the AOF record. The subtest is named for the dispatch
+// the deadline lives in the leaf, so a SETEX or a SET over an armed key
+// is the value's copy and one leaf Swap, what a plain SET costs, and the
+// AOF record allocates nothing. The subtest is named for the dispatch
 // path it covers: every command runs on its connection's goroutine.
 func TestServerPathAllocPins(t *testing.T) {
 	t.Run("conn", serverPathAllocPins)
@@ -34,10 +34,10 @@ func serverPathAllocPins(t *testing.T) {
 		{"DEL", p.Del, 0},
 		{"MGET", p.MGet, 0},
 		{"SET codec", p.SetCodec, 1},
-		{"SETEX, unarmed key", p.SetexUnarmed, 10},
-		{"SETEX, armed key", p.SetexArmed, 12},
-		{"SET, armed key", p.SetArmed, 6},
-		{"DEL, armed key", p.DelArmed, 4},
+		{"SETEX, unarmed key", p.SetexUnarmed, 4},
+		{"SETEX, armed key", p.SetexArmed, 4},
+		{"SET, armed key", p.SetArmed, 4},
+		{"DEL, armed key", p.DelArmed, 2},
 	}
 	for _, pin := range pins {
 		if pin.got > pin.want {

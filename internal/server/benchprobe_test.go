@@ -65,8 +65,8 @@ func (r *loopReader) Read(p []byte) (int, error) {
 }
 
 // probeNowMS is the probe server's fixed clock. A clock that does not
-// move keeps every deadline the probe arms at or after the one the
-// reaper sleeps toward, so no arming wakes it mid-measurement.
+// move keeps every deadline the probe arms in the future, so neither a
+// read nor the reaper's sweep purges a key mid-measurement.
 const probeNowMS = 1 << 40
 
 // MeasureServerPathAllocs profiles the dispatch path with valueSize-byte

@@ -1,22 +1,23 @@
 package server
 
 // Key expiry: the wire half of the TTL commands. The keyspace itself —
-// values, deadlines, lazy and reaped purges — is internal/expiry's Index
+// values, deadlines, lazy and swept purges — is internal/expiry's Index
 // (DESIGN.md §12 has the protocol); the handlers here parse arguments,
 // call one Index operation, and log the AOF record under the persistence
 // gate.
 //
 // Every read path is lazy: a key whose deadline has passed reads as
-// absent and is purged on the spot. The Index's reaper (StartReaper) is
-// the eager half; the server only starts and stops it.
+// absent and is purged on the spot. The Index's reaper (StartReaper),
+// which sweeps the keyspace a bounded batch of leaves per tick, is the
+// eager half; the server only starts and stops it.
 //
-// A key's deadline lives in its leaf, so arming and value change at one
-// linearization point: a purge deletes a key only if its leaf still holds
-// the arming that fell due, and any write that replaced the leaf in the
-// meantime — SET, SETEX, EXPIRE, PERSIST — changed that arming, so the
-// purge cannot eat it. Writes never consult the clock; the handlers that
-// must treat an expired key as absent (EXPIRE, PERSIST, GETEX, RENAME)
-// read it live first.
+// A key's deadline lives in its leaf, so value and deadline change at one
+// linearization point: a purge deletes a key only if its leaf is still
+// due, and any write that replaced the leaf in the meantime — SET, SETEX,
+// EXPIRE, PERSIST — disarmed it or set its own deadline, so the purge
+// cannot eat it. Writes never consult the clock; the handlers that must
+// treat an expired key as absent (EXPIRE, PERSIST, GETEX, RENAME) read it
+// live first.
 
 import (
 	"strconv"
@@ -224,6 +225,10 @@ func (ss *session) getex(args [][]byte, ks []uint64) {
 		}
 		var okN bool
 		if n, okN = ss.parseIntArg(args[3]); !okN {
+			return
+		}
+		if n <= 0 {
+			w.WriteError("ERR invalid expire time in 'getex' command")
 			return
 		}
 		doExpire = true

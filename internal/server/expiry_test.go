@@ -113,6 +113,15 @@ func TestServerSetexGetex(t *testing.T) {
 	c.mustBulk("cached", "GETEX", "s", "PERSIST")
 	c.mustInt(-1, "TTL", "s")
 
+	// A non-positive expire time is refused and changes nothing.
+	for _, opt := range []string{"EX", "PX", "EXAT", "PXAT"} {
+		for _, n := range []string{"0", "-5"} {
+			c.mustErrContain("invalid expire time in 'getex' command", "GETEX", "s", opt, n)
+		}
+	}
+	c.mustInt(-1, "TTL", "s")
+	c.mustBulk("cached", "GET", "s")
+
 	// GETEX with a past deadline deletes, like EXPIRE.
 	c.mustBulk("cached", "GETEX", "s", "EXAT", "1")
 	c.mustNull("GET", "s")
@@ -296,6 +305,47 @@ func TestServerReapNow(t *testing.T) {
 	c.mustBulk("3", "GET", "c")
 }
 
+// TestServerReapOnRecovery: keys that fell due while the server was down
+// come back armed from the dump and the AOF, and the reaper's opening
+// pass purges them with no client reading a key, so DBSIZE (which takes
+// no lazy path) and keys_with_ttl count only live keys.
+func TestServerReapOnRecovery(t *testing.T) {
+	clk := newFakeClock()
+	cfg := clk.cfg(persistCfg(t.TempDir()))
+	s, addr := startServer(t, cfg)
+	c := dial(t, addr)
+	for i := range 20 {
+		c.mustSimple("OK", "SETEX", "d"+strconv.Itoa(i), "10", "v") // due during downtime
+		if i == 9 {
+			c.mustSimple("OK", "SAVE") // the first half recovers from the dump
+		}
+	}
+	for i := range 5 {
+		c.mustSimple("OK", "SETEX", "l"+strconv.Itoa(i), "1000", "v")
+	}
+	c.mustSimple("OK", "SET", "p", "v")
+	clk.advance(60_000)
+
+	s2, addr2 := restart(t, s, cfg)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, passes := s2.db.Stats(); passes.Count > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reaper's opening pass never ran")
+		}
+	}
+	c2 := dial(t, addr2)
+	c2.mustInt(6, "DBSIZE")
+	if expired, _ := s2.db.Stats(); expired != 20 {
+		t.Fatalf("expired_keys = %d after the opening pass, want 20", expired)
+	}
+	if n := s2.db.ArmedKeys(); n != 5 {
+		t.Fatalf("keys_with_ttl = %d after the opening pass, want 5", n)
+	}
+	c2.mustInt(940, "TTL", "l0")
+}
+
 func TestServerTTLSurvivesRestart(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
@@ -375,13 +425,11 @@ func TestServerInfoExpirySection(t *testing.T) {
 
 // TestServerTTLStress runs every keyspace write against a few keys from
 // concurrent sessions while the clock advances under them and the
-// reaper runs beside them: SET, SETEX, EXPIRE, PERSIST, DEL, RENAME
-// (across shards too), GETEX and GET. Once they stop, every byDeadline
-// node must name a key holding its arming (Validate). Then the clock
-// passes every deadline and one reaper pass runs. Every arming must be
-// gone with its key: no leaf still armed (an orphan arming the reaper
-// cannot find) and no byDeadline node left (a stale node nobody
-// retired).
+// reaper sweeps beside them: SET, SETEX, EXPIRE, PERSIST, DEL, RENAME
+// (across shards too), GETEX and GET. Once they stop, the armed-key count
+// must equal the number of armed leaves (Validate). Then the clock passes
+// every deadline and one full reaper pass runs: no leaf may still be
+// armed, and the count must read 0.
 func TestServerTTLStress(t *testing.T) {
 	clk := newFakeClock()
 	s, err := New(clk.cfg(Config{}))
@@ -450,7 +498,7 @@ func TestServerTTLStress(t *testing.T) {
 		}
 	}
 	if n := s.db.ArmedKeys(); n != 0 {
-		t.Errorf("%d byDeadline nodes survive with no armed key", n)
+		t.Errorf("%d armed keys counted after every key was purged", n)
 	}
 	if err := s.db.Validate(); err != nil {
 		t.Fatal(err)

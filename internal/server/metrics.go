@@ -116,7 +116,7 @@ func (s *Server) stats() []stat {
 		{"Expiry", "expired_keys", "nbtried_expired_keys_total",
 			"Keys expired (lazy + reaper).", expired},
 		{"Expiry", "reaper_passes", "nbtried_reaper_passes_total",
-			"Background reaper passes.", passes.Count},
+			"Reaper passes: one sweep tick's batches, or one full pass.", passes.Count},
 		{"", "", "nbtried_reaper_pass_duration_seconds",
 			"Reaper pass duration.", passes},
 		{"Persistence", "persistence_dir", "", "", s.cfg.Persist.Dir},

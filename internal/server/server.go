@@ -1,14 +1,14 @@
 // Package server is nbtried's network layer: a pipelined, RESP2-subset
 // key-value server over the repository's sharded non-blocking Patricia
 // trie. The keyspace is internal/expiry's Index: one ShardedMap whose
-// leaves hold each key's value and deadline, plus the deadline-ordered
-// index the reaper scans. It is the first layer of the ROADMAP's
-// "production-scale system serving heavy traffic": the paper's
-// lock-free engine does the synchronization, and every connection
-// goroutine calls straight into the trie. The one lock on the data path
-// is the persistence gate (see persist.go), which every mutation holds
-// shared across its keyspace update and AOF append so that a dump
-// rotation can cut between whole mutations.
+// leaves hold each key's value and deadline, which the reaper sweeps.
+// It is the first layer of the ROADMAP's "production-scale system
+// serving heavy traffic": the paper's lock-free engine does the
+// synchronization, and every connection goroutine calls straight into
+// the trie. The one lock on the data path is the persistence gate (see
+// persist.go), which every mutation holds shared across its keyspace
+// update and AOF append so that a dump rotation can cut between whole
+// mutations.
 //
 // # Connection model and pipelining
 //
@@ -94,9 +94,10 @@ type Server struct {
 	keyer Keyer
 	start time.Time
 
-	// db is the keyspace: values, their deadlines and the deadline index
-	// (see internal/expiry and expiry.go in this package); clock feeds
-	// every deadline comparison. stopReaper stops db's reaper.
+	// db is the keyspace: one trie whose leaves hold values and their
+	// deadlines (see internal/expiry and expiry.go in this package);
+	// clock feeds every deadline comparison. stopReaper stops db's
+	// reaper.
 	db         *expiry.Index
 	clock      func() int64
 	stopReaper func()

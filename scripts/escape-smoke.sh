@@ -89,18 +89,18 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     # SETEX, EXPIRE, PERSIST, GETEX and the SET or DEL of a key with a
     # deadline run through expiry.Index; the TTL pins in
     # internal/server/alloc_test.go (TestServerPathAllocPins) enforce the
-    # counts — the value's copy, one leaf Swap, one byDeadline node
-    # inserted or deleted, nothing for the AOF record — and this section
-    # points at the line that broke one. Expected sites: New's option
-    # closures, its config and &Index{...} (once per server), the handler
-    # closures expireCmd and ttlCmd return (built once in init), setex's
-    # inlined Detach copy (its one codec allocation), the reaper's timer
-    # panic text, the snapshot header (once per SAVE or SCAN) and
-    # Validate's counters and error text (tests). A site in arm, retire,
-    # purge, rearm, Store, StoreDeadline, Set, Persist, Delete, Rename,
-    # setTTL or itoa is the regression: the conditions handed to
-    # DeleteFunc and CompareAndSwapFunc must stay on the stack. Listed in
-    # line order.
+    # counts — the value's copy and one leaf Swap, what a plain SET
+    # costs, and nothing for the AOF record — and this section points at
+    # the line that broke one. Expected sites: New's option closures, its
+    # config and &Index{...} (once per server), the handler closures
+    # expireCmd and ttlCmd return (built once in init), setex's inlined
+    # Detach copy (its one codec allocation), StartReaper's goroutine
+    # and stop closures (once per server), the snapshot header (once per
+    # SAVE or SCAN) and Validate's error text (tests). A site in
+    # purge, Store, StoreDeadline, Set, Persist, rearm, Delete, Rename,
+    # step, Reap, setTTL or itoa is the regression: the conditions handed
+    # to DeleteFunc and CompareAndSwapFunc must stay on the stack. Listed
+    # in line order.
     ttl="$(grep -E 'expiry/expiry\.go|server/expiry\.go' "$mlog" | sort -t: -k1,1 -k2,2n -k3,3n | uniq)"
     if [ -n "$ttl" ]; then
         echo "$ttl"
