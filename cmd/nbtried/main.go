@@ -10,17 +10,16 @@
 // Flags:
 //
 //	-addr       listen address (host:port; port 0 picks a free port)
-//	-keyer      wire-key mapping: "bytes" (1-7 raw bytes, the default)
-//	            or "decimal" (canonical decimal integers)
-//	-width      key width in bits for the decimal keyer (default 63;
-//	            the bytes keyer is fixed at 59)
 //	-max-bulk   largest accepted bulk string (keys and values), bytes
+//	            (default 8 MB; 0 selects the default, negative is refused)
 //	-port-file  write the actual listen address to this file once
 //	            listening (for scripts that start on a random port)
 //
-// The keyspace's shape is fixed: the paper's binary nodes below a root
-// whose digit is the shard, GOMAXPROCS rounded up to a power of two and
-// at least 8 shards (DESIGN.md §5). The startup banner reports it.
+// Wire keys are 1 to 7 raw bytes, mapped into 59-bit trie keys in
+// lexicographic order (server.BytesKeyer). The keyspace's shape is fixed:
+// the paper's binary nodes below a root whose digit is the shard,
+// GOMAXPROCS rounded up to a power of two and at least 8 shards
+// (DESIGN.md §5). The startup banner reports both.
 //
 // Observability (see DESIGN.md §13):
 //
@@ -31,7 +30,8 @@
 //	-slowlog-log-slower-than SLOWLOG threshold in microseconds, with
 //	                         Redis's semantics: 0 logs every command,
 //	                         negative disables (default 10000 = 10ms)
-//	-slowlog-max-len         SLOWLOG ring capacity (default 128)
+//	-slowlog-max-len         SLOWLOG ring capacity (default 128; 0
+//	                         selects the default, negative is refused)
 //
 // Durability (all off by default; see DESIGN.md §9):
 //
@@ -89,8 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:6380", "listen address (host:port; port 0 = random free port)")
-		keyerName   = fs.String("keyer", "bytes", "wire-key mapping: bytes or decimal")
-		width       = fs.Uint("width", 63, "key width in bits for the decimal keyer (the bytes keyer is fixed at 59)")
 		maxBulk     = fs.Int("max-bulk", resp.DefaultLimits.MaxBulkLen, "largest accepted bulk string in bytes")
 		portFile    = fs.String("port-file", "", "write the actual listen address here once listening")
 		metricsAddr = fs.String("metrics-addr", "", "observability HTTP listener (host:port): Prometheus /metrics + /debug/pprof (off when empty)")
@@ -104,9 +102,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	keyer, err := server.NewKeyer(*keyerName, uint32(*width))
-	if err != nil {
-		return err
+	if *maxBulk < 0 {
+		return fmt.Errorf("-max-bulk must be >= 0")
+	}
+	if *slowlogMax < 0 {
+		return fmt.Errorf("-slowlog-max-len must be >= 0")
 	}
 	policy, err := persist.ParseSyncPolicy(*fsyncMode)
 	if err != nil {
@@ -132,7 +132,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		slowlogUS = server.SlowlogOff
 	}
 	srv, err := server.New(server.Config{
-		Keyer:               keyer,
 		Limits:              resp.Limits{MaxBulkLen: *maxBulk},
 		SlowlogSlowerThanUS: slowlogUS,
 		SlowlogMaxLen:       *slowlogMax,
@@ -184,8 +183,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=%s width=%d shards=%d)\n",
-		server.Version, ln.Addr(), keyer.Name(), keyer.Width(), srv.DB().Shards())
+	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=bytes width=%d shards=%d)\n",
+		server.Version, ln.Addr(), server.BytesKeyer{}.Width(), srv.DB().Shards())
 
 	// A cancelled context (signal, test shutdown) closes the server,
 	// which unblocks Serve with a nil error: the graceful path.

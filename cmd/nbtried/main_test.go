@@ -78,6 +78,10 @@ func TestDaemonLifecycle(t *testing.T) {
 	if !strings.Contains(out.String(), "listening on") || !strings.Contains(out.String(), "shut down") {
 		t.Fatalf("daemon output missing lifecycle lines:\n%s", out.String())
 	}
+	// The banner names the one wire-key mapping and its width.
+	if !strings.Contains(out.String(), "(keyer=bytes width=59 ") {
+		t.Fatalf("banner does not report the bytes keyer at 59 bits:\n%s", out.String())
+	}
 }
 
 func TestDaemonBadFlags(t *testing.T) {
@@ -87,9 +91,10 @@ func TestDaemonBadFlags(t *testing.T) {
 	cancel()
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
-		{"-keyer", "md5"},
-		{"-keyer", "decimal", "-width", "99"},
-		// The keyspace's shape and SCAN's page are not flags.
+		// The wire-key mapping, the keyspace's shape and SCAN's page
+		// are not flags.
+		{"-keyer", "bytes"},
+		{"-width", "20"},
 		{"-shards", "1"},
 		{"-span", "4"},
 		{"-scan-count", "5"},
@@ -98,34 +103,12 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-appendfsync", "sometimes"},
 		{"-dir", os.DevNull + "/nope", "-save", "-1"},
 		{"-save", "5", "-addr", "127.0.0.1:0"}, // -save without -dir
+		// Negative sizes are refused, not replaced by the defaults.
+		{"-max-bulk", "-5", "-addr", "127.0.0.1:0"},
+		{"-slowlog-max-len", "-1", "-addr", "127.0.0.1:0"},
 	} {
 		if err := run(ctx, args, &out, &errOut); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
-		}
-	}
-}
-
-// TestBuildKeyer pins how the -keyer/-width pair resolves, as the
-// banner reports it: the decimal keyer takes the width, the bytes keyer
-// ignores it and stays at 59 bits. The context is cancelled up front,
-// so each run prints its banner and shuts down at once.
-func TestBuildKeyer(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-keyer", "decimal", "-width", "20"}, "keyer=decimal width=20 "},
-		{[]string{"-keyer", "bytes", "-width", "63"}, "keyer=bytes width=59 "},
-	} {
-		var out bytes.Buffer
-		args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)
-		if err := run(ctx, args, &out, io.Discard); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		if !strings.Contains(out.String(), c.want) {
-			t.Errorf("run(%v) banner = %q, want %q", args, out.String(), c.want)
 		}
 	}
 }

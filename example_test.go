@@ -137,3 +137,80 @@ func ExampleNewSet() {
 	// sharded true
 	// karypatricia true
 }
+
+// Replace as decrease-key: the paper's priority-queue use. A task's key
+// is (priority << idBits) | id, so trie order is priority order, and
+// changing a task's priority is one atomic Replace: no reader sees the
+// task vanish or hold two priorities. Popping is Min, then Delete, which
+// a concurrent popper can win; the loser retries.
+func ExamplePatriciaTrie_Replace_priorityQueue() {
+	const idBits = 20
+	key := func(prio, id uint64) uint64 { return prio<<idBits | id }
+	q, _ := nbtrie.NewPatriciaTrie(10 + idBits)
+	q.Insert(key(500, 1))
+	q.Insert(key(300, 2))
+	q.Insert(key(700, 3))
+
+	fmt.Println(q.Replace(key(700, 3), key(100, 3))) // task 3 jumps the queue
+	fmt.Println(q.Replace(key(700, 3), key(50, 3)))  // it is no longer at 700
+
+	for {
+		k, ok := q.Min()
+		if !ok {
+			break
+		}
+		if q.Delete(k) {
+			fmt.Println("task", k&(1<<idBits-1), "priority", k>>idBits)
+		}
+	}
+	// Output:
+	// true
+	// false
+	// task 3 priority 100
+	// task 2 priority 300
+	// task 1 priority 500
+}
+
+// A SpatialMap keys points by their Morton code, which makes the trie a
+// quadtree-like index: Move is the paper's Replace in the plane (the
+// value travels with the point, which is never in two places or none),
+// and InRect is a pruned scan of one Morton-code interval.
+func ExampleNewSpatialMap() {
+	fleet := nbtrie.NewSpatialMap[string]()
+	fleet.Store(1, 1, "car-a")
+	fleet.Store(2, 3, "car-b")
+	fleet.Store(9, 9, "car-c")
+
+	fmt.Println(fleet.Move(nbtrie.Point{X: 9, Y: 9}, nbtrie.Point{X: 3, Y: 2}))
+	fmt.Println(fleet.Move(nbtrie.Point{X: 1, Y: 1}, nbtrie.Point{X: 2, Y: 3})) // occupied
+	for p, id := range fleet.InRect(nbtrie.Point{X: 0, Y: 0}, nbtrie.Point{X: 3, Y: 3}) {
+		fmt.Println(p.X, p.Y, id)
+	}
+	id, ok := fleet.Load(9, 9)
+	fmt.Printf("%q %t %d\n", id, ok, fleet.Len())
+	// Output:
+	// true
+	// false
+	// 1 1 car-a
+	// 3 2 car-c
+	// 2 3 car-b
+	// "" false 3
+}
+
+// AllImplementations lists every registered set with its figure legend,
+// its interior fanout and whether it has the paper's atomic Replace.
+func ExampleAllImplementations() {
+	for _, im := range nbtrie.AllImplementations() {
+		fmt.Printf("%-6s %2d %t\n", im.Legend, im.Fanout, im.Replace)
+	}
+	// Output:
+	// PAT     2 true
+	// 4-ST    4 false
+	// BST     2 false
+	// AVL     2 false
+	// SL      2 false
+	// Ctrie  32 false
+	// PAT-Z   2 true
+	// PAT-S   2 true
+	// PAT-K  16 true
+}

@@ -19,14 +19,17 @@
 // # The sweep
 //
 // StartReaper runs the eager half of expiry, after Redis's active expiry
-// cycle: every sweepTick the reaper walks sweepBatch leaves of the live
+// cycle: every sweepTick the reaper walks one batch of leaves of the live
 // keyspace from a resumable cursor, purging the due ones, and takes
 // another batch while at least a quarter of the armed leaves it met were
 // due, for at most sweepCap per tick. The walk is a live Ascend: it holds
-// no snapshot, so it makes no writer renew a node. Every tick takes at
-// least one batch, so a key that nothing reads is purged at most one full
-// sweep period after its deadline: ⌈n/sweepBatch⌉+1 ticks for a keyspace
-// of n keys.
+// no snapshot, so it makes no writer renew a node. A batch is sized from
+// Len so that one full sweep takes sweepPeriod/sweepTick = 100 ticks: n/100
+// leaves, but never fewer than sweepBatch (1024) nor more than
+// sweepMaxBatch (16384). Every tick takes at least one batch, so a key that
+// nothing reads is purged at most one sweep after its deadline: within
+// sweepPeriod plus one tick (10.1 s) for up to 100·sweepMaxBatch =
+// 1,638,400 keys, and within ⌈n/sweepMaxBatch⌉+1 ticks above that.
 package expiry
 
 import (
@@ -43,16 +46,27 @@ import (
 // from "never" on any real horizon.
 const MaxDeadlineMS = int64(1)<<43 - 1
 
-// The sweep's constants. sweepTick is Redis's default hz of 10. A batch
-// costs 0.3 ms at 100k keys and 0.5 ms at 2^20 (290 and 470 ns per leaf,
-// DESIGN.md §12), so a sweep that finds nothing due takes 0.3–0.5 % of
-// one core. sweepCap is Redis's 25 % of the tick, spent only while due
-// keys are dense.
+// The sweep's constants. sweepTick is Redis's default hz of 10, and
+// sweepPeriod bounds how long one full sweep takes. A leaf costs 290 ns
+// to walk at 100k keys and 470 ns at 2^20 (DESIGN.md §12), so a
+// sweepBatch batch costs 0.3 ms and a sweepMaxBatch batch about 7 ms,
+// well inside sweepCap: a sweep that finds nothing due takes 0.3 % of
+// one core up to 102,400 keys and about 4 % at 2^20. sweepCap is Redis's
+// 25 % of the tick, spent only while due keys are dense.
 const (
-	sweepTick  = 100 * time.Millisecond
-	sweepBatch = 1024
-	sweepCap   = 25 * time.Millisecond
+	sweepTick     = 100 * time.Millisecond
+	sweepPeriod   = 10 * time.Second
+	sweepBatch    = 1024
+	sweepMaxBatch = 16 * sweepBatch
+	sweepCap      = 25 * time.Millisecond
 )
+
+// batchFor is the sweep's batch for a keyspace of n keys: a full sweep in
+// sweepPeriod/sweepTick batches, clamped to [sweepBatch, sweepMaxBatch].
+func batchFor(n int) int {
+	const ticks = int(sweepPeriod / sweepTick)
+	return min(max((n+ticks-1)/ticks, sweepBatch), sweepMaxBatch)
+}
 
 // Value is what a key's leaf holds: the value bytes and the key's
 // deadline in Unix milliseconds, 0 when the key has none. Deadlines are
@@ -318,8 +332,9 @@ func (x *Index) StartReaper() (stop func()) {
 // at nowMS, until sweepCap has passed.
 func (x *Index) tick(nowMS int64) {
 	start := time.Now()
+	batch := batchFor(x.Len())
 	for {
-		armedMet, dueMet := x.step(nowMS, sweepBatch)
+		armedMet, dueMet := x.step(nowMS, batch)
 		if armedMet == 0 || dueMet*4 < armedMet || time.Since(start) >= sweepCap {
 			break
 		}

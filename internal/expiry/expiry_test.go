@@ -184,34 +184,44 @@ func TestReapSkipsRearmed(t *testing.T) {
 }
 
 // TestSweepBound: a key that nothing reads is purged within one full
-// sweep period of its deadline, ⌈n/sweepBatch⌉+1 ticks for n keys, from
-// the worst cursor: one just past the key. Every other key is armed far
-// in the future, so no tick takes a second batch and each tick advances
-// the sweep by the minimum.
+// sweep of its deadline, from the worst cursor: one just past the key.
+// Every other key is armed far in the future, so no tick takes a second
+// batch and each tick advances the sweep by the minimum. Below 102,400
+// keys a batch is sweepBatch leaves, so a sweep is ⌈n/sweepBatch⌉+1
+// ticks; above, the batch grows with n and a sweep stays within
+// sweepPeriod plus one tick.
 func TestSweepBound(t *testing.T) {
-	x, clk := newIndex(t)
-	const n, victim = 10_000, 5000
-	for k := uint64(0); k < n; k++ {
-		x.StoreDeadline(k, nil, MaxDeadlineMS)
-	}
-	x.StoreDeadline(victim, []byte("v"), 100)
-	x.cursor = victim + 1
-	clk.ms.Store(100)
-	bound := (n+sweepBatch-1)/sweepBatch + 1
-	ticks := 0
-	for x.db.Contains(victim) {
-		if ticks == bound {
-			t.Fatalf("the key outlived %d ticks, one full sweep period (%v)", bound, time.Duration(bound)*sweepTick)
+	for _, c := range []struct{ n, bound int }{
+		{10_000, (10_000+sweepBatch-1)/sweepBatch + 1},
+		{1 << 18, int(sweepPeriod/sweepTick) + 1},
+	} {
+		clk := &testClock{}
+		x, err := New(20, 4, WithClock(clk.now)) // room for 2^18 keys
+		if err != nil {
+			t.Fatal(err)
 		}
-		x.tick(clk.now())
-		ticks++
-	}
-	t.Logf("purged after %d ticks (bound %d)", ticks, bound)
-	if x.Len() != n-1 || x.ArmedKeys() != n-1 {
-		t.Fatalf("the sweep purged keys that were not due: %d keys, %d armed", x.Len(), x.ArmedKeys())
-	}
-	if _, passes := x.Stats(); passes.Count != int64(ticks) {
-		t.Fatalf("%d passes recorded for %d ticks", passes.Count, ticks)
+		n, victim := uint64(c.n), uint64(c.n/2)
+		for k := uint64(0); k < n; k++ {
+			x.StoreDeadline(k, nil, MaxDeadlineMS)
+		}
+		x.StoreDeadline(victim, []byte("v"), 100)
+		x.cursor = victim + 1
+		clk.ms.Store(100)
+		ticks := 0
+		for x.db.Contains(victim) {
+			if ticks == c.bound {
+				t.Fatalf("%d keys: the key outlived %d ticks, one full sweep (%v)", n, c.bound, time.Duration(c.bound)*sweepTick)
+			}
+			x.tick(clk.now())
+			ticks++
+		}
+		t.Logf("%d keys: purged after %d ticks (bound %d)", n, ticks, c.bound)
+		if x.Len() != c.n-1 || x.ArmedKeys() != c.n-1 {
+			t.Fatalf("%d keys: the sweep purged keys that were not due: %d keys, %d armed", n, x.Len(), x.ArmedKeys())
+		}
+		if _, passes := x.Stats(); passes.Count != int64(ticks) {
+			t.Fatalf("%d keys: %d passes recorded for %d ticks", n, passes.Count, ticks)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func MeasureServerPathAllocs(valueSize int) (PathAllocs, error) {
 	deadline := int64(probeNowMS + 100_000)
 	keys := map[string]uint64{}
 	for _, key := range []string{"key:123", "aa", "ab", "ttl"} {
-		k, err := s.keyer.Encode([]byte(key))
+		k, err := BytesKeyer{}.Encode([]byte(key))
 		if err != nil {
 			return PathAllocs{}, err
 		}

@@ -105,7 +105,7 @@ func (c *command) fits(n int) bool {
 // scratch). It fails on the first unrepresentable key, before the
 // handler acts on any: a multi-key command is never half-applied and
 // never emits a partial array reply.
-func (c *command) keys(keyer Keyer, args [][]byte, ks []uint64) ([]uint64, error) {
+func (c *command) keys(args [][]byte, ks []uint64) ([]uint64, error) {
 	if c.first == 0 {
 		return ks, nil
 	}
@@ -114,7 +114,7 @@ func (c *command) keys(keyer Keyer, args [][]byte, ks []uint64) ([]uint64, error
 		last += len(args)
 	}
 	for i := c.first; i <= last; i += c.step {
-		k, err := keyer.Encode(args[i])
+		k, err := BytesKeyer{}.Encode(args[i])
 		if err != nil {
 			return ks, err
 		}
@@ -205,7 +205,7 @@ func (ss *session) run(c *command, args [][]byte) {
 		ss.s.misconf(ss.w)
 		return
 	}
-	ks, err := c.keys(ss.s.keyer, args, ss.ks[:0])
+	ks, err := c.keys(args, ss.ks[:0])
 	ss.ks = ks
 	if err != nil {
 		ss.w.WriteError("ERR " + err.Error())
@@ -422,7 +422,7 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 		if s.db.Expired(k, v) {
 			continue
 		}
-		keys = append(keys, s.keyer.AppendDecode(nil, k))
+		keys = append(keys, BytesKeyer{}.AppendDecode(nil, k))
 	}
 
 	var id uint64

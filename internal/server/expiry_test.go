@@ -176,7 +176,7 @@ func TestServerWriteCommandsClearTTL(t *testing.T) {
 
 func TestServerScanSkipsExpired(t *testing.T) {
 	clk := newFakeClock()
-	_, addr := startServer(t, clk.cfg(Config{Keyer: DecimalKeyer{KeyWidth: 16}}))
+	_, addr := startServer(t, clk.cfg(Config{}))
 	c := dial(t, addr)
 
 	c.mustSimple("OK", "MSET", "10", "a", "20", "b", "30", "c")
@@ -198,53 +198,59 @@ func TestServerScanSkipsExpired(t *testing.T) {
 
 func TestServerRenameMovesTTL(t *testing.T) {
 	clk := newFakeClock()
-	s, addr := startServer(t, clk.cfg(Config{Keyer: DecimalKeyer{KeyWidth: 16}}))
-	far, far2 := strconv.Itoa(shardSpan(s)+200), strconv.Itoa(shardSpan(s)+700)
+	s, addr := startServer(t, clk.cfg(Config{}))
 	c := dial(t, addr)
+	// Keys starting "k" share a shard; "\xe1d" and "\xe1e" differ from
+	// them in the top key bit.
+	const far, far2 = "\xe1d", "\xe1e"
+	for _, pair := range [][2]string{{"k100", "k200"}, {"k500", "k600"}} {
+		if !sameShard(t, s, mustEncode(t, pair[0]), mustEncode(t, pair[1])) {
+			t.Fatalf("test premise broken: %s and %s in different shards", pair[0], pair[1])
+		}
+	}
+	for _, pair := range [][2]string{{"k200", far}, {"k700", far2}} {
+		if sameShard(t, s, mustEncode(t, pair[0]), mustEncode(t, pair[1])) {
+			t.Fatalf("test premise broken: %q and %q share a shard", pair[0], pair[1])
+		}
+	}
 
 	// Same-shard rename carries the deadline.
-	c.mustSimple("OK", "SET", "100", "v")
-	c.mustInt(1, "PEXPIRE", "100", "30000")
+	c.mustSimple("OK", "SET", "k100", "v")
+	c.mustInt(1, "PEXPIRE", "k100", "30000")
 	clk.advance(10_000)
-	c.mustSimple("OK", "RENAME", "100", "200")
-	c.mustInt(20_000, "PTTL", "200")
-	c.mustInt(-2, "TTL", "100")
+	c.mustSimple("OK", "RENAME", "k100", "k200")
+	c.mustInt(20_000, "PTTL", "k200")
+	c.mustInt(-2, "TTL", "k100")
 
 	// So does a rename across shards: the same atomic Replace.
-	if sameShard(t, s, 200, uint64(shardSpan(s)+200)) {
-		t.Fatal("test premise broken: keys share a shard")
-	}
-	c.mustSimple("OK", "RENAME", "200", far)
+	c.mustSimple("OK", "RENAME", "k200", far)
 	c.mustInt(20_000, "PTTL", far)
-	c.mustInt(-2, "TTL", "200")
+	c.mustInt(-2, "TTL", "k200")
 
 	// And the moved deadline still fires.
 	clk.advance(20_000)
 	c.mustNull("GET", far)
 
 	// An expired source renames as absent.
-	c.mustSimple("OK", "SET", "300", "w")
-	c.mustInt(1, "PEXPIRE", "300", "50")
+	c.mustSimple("OK", "SET", "k300", "w")
+	c.mustInt(1, "PEXPIRE", "k300", "50")
 	clk.advance(51)
-	c.mustErrContain("no such key", "RENAME", "300", "400")
+	c.mustErrContain("no such key", "RENAME", "k300", "k400")
 
 	// An expired-but-unpurged destination must not block the rename: it
 	// reads as absent everywhere else, so the move purges it and
 	// proceeds instead of answering "destination key exists".
-	c.mustSimple("OK", "MSET", "500", "live", "600", "dying")
-	c.mustInt(1, "PEXPIRE", "600", "50")
+	c.mustSimple("OK", "MSET", "k500", "live", "k600", "dying")
+	c.mustInt(1, "PEXPIRE", "k600", "50")
 	clk.advance(51)
-	c.mustSimple("OK", "RENAME", "500", "600") // same shard
-	c.mustBulk("live", "GET", "600")
-	c.mustInt(-1, "TTL", "600") // the dead destination's arming is gone
+	c.mustSimple("OK", "RENAME", "k500", "k600") // same shard
+	c.mustBulk("live", "GET", "k600")
+	c.mustInt(-1, "TTL", "k600") // the dead destination's arming is gone
 
-	c.mustSimple("OK", "MSET", "700", "live2", far2, "dying2")
+	c.mustSimple("OK", "MSET", "k700", "live2", far2, "dying2")
 	c.mustInt(1, "PEXPIRE", far2, "50")
 	clk.advance(51)
-	if sameShard(t, s, 700, uint64(shardSpan(s)+700)) {
-		t.Fatal("test premise broken: keys share a shard")
-	}
-	c.mustSimple("OK", "RENAME", "700", far2) // across shards
+	c.mustSimple("OK", "RENAME", "k700", far2) // across shards
 	c.mustBulk("live2", "GET", far2)
 	c.mustInt(-1, "TTL", far2)
 }
@@ -494,7 +500,7 @@ func TestServerTTLStress(t *testing.T) {
 	s.db.Reap(clk.now())
 	for k, v := range s.db.Snapshot().All() {
 		if v.At != 0 {
-			t.Errorf("key %q still armed at %d after every deadline passed and a reaper pass", s.keyer.AppendDecode(nil, k), v.DeadlineMS())
+			t.Errorf("key %q still armed at %d after every deadline passed and a reaper pass", BytesKeyer{}.AppendDecode(nil, k), v.DeadlineMS())
 		}
 	}
 	if n := s.db.ArmedKeys(); n != 0 {

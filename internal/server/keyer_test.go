@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-func TestDecimalKeyerRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		width uint32
-		keys  []string
-	}{
-		{20, []string{"0", "1", "7", "42", "1048575"}},
-		{63, []string{"0", "42", "9223372036854775807"}},
-	} {
-		d := DecimalKeyer{KeyWidth: tc.width}
-		for _, key := range tc.keys {
-			k, err := d.Encode([]byte(key))
-			if err != nil {
-				t.Fatalf("width %d: Encode(%q): %v", tc.width, key, err)
-			}
-			if got := string(d.AppendDecode(nil, k)); got != key {
-				t.Errorf("width %d: AppendDecode(nil, Encode(%q)) = %q", tc.width, key, got)
-			}
-		}
-	}
-	// Encode runs on every command: the manual digit parse must not
-	// allocate (a strconv string conversion would).
-	d := DecimalKeyer{KeyWidth: 63}
-	num := []byte("123456789")
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := d.Encode(num); err != nil {
-			panic(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("decimal Encode allocates %.1f/op, pinned at 0", allocs)
-	}
-}
-
-func TestDecimalKeyerRejects(t *testing.T) {
-	d := DecimalKeyer{KeyWidth: 20}
-	for _, key := range []string{"", "007", "-1", "+1", " 1", "1 ", "abc", "1a", "1048576", "99999999999999999999999"} {
-		if k, err := d.Encode([]byte(key)); err == nil {
-			t.Errorf("Encode(%q) = %d, want error", key, k)
-		}
-	}
-}
-
 func TestBytesKeyerRoundTrip(t *testing.T) {
 	b := BytesKeyer{}
 	keys := [][]byte{
@@ -123,36 +82,5 @@ func TestBytesKeyerExhaustiveShort(t *testing.T) {
 	}
 	if n != 256+65536 {
 		t.Fatalf("covered %d keys", n)
-	}
-}
-
-// TestNewKeyer covers the one resolver behind nbtried's -keyer/-width
-// pair: the decimal keyer takes the width, the bytes keyer ignores it.
-func TestNewKeyer(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		width uint32
-		want  uint32
-	}{{"bytes", 63, 59}, {"decimal", 20, 20}, {"decimal", 63, 63}} {
-		k, err := NewKeyer(c.name, c.width)
-		if err != nil || k.Name() != c.name || k.Width() != c.want {
-			t.Errorf("NewKeyer(%q, %d) = %v, %v; want width %d", c.name, c.width, k, err, c.want)
-			continue
-		}
-		// The widths must be accepted by the sharded map.
-		s, err := New(Config{Keyer: k})
-		if err != nil {
-			t.Errorf("server over %s keyer: %v", c.name, err)
-			continue
-		}
-		s.Close()
-	}
-	for _, w := range []uint32{0, 64} {
-		if _, err := NewKeyer("decimal", w); err == nil {
-			t.Errorf("NewKeyer must reject decimal width %d", w)
-		}
-	}
-	if _, err := NewKeyer("md5", 63); err == nil {
-		t.Error("NewKeyer must reject unknown names")
 	}
 }

@@ -94,8 +94,8 @@ func (s *Server) stats() []stat {
 	rows := []stat{
 		{"Server", "nbtried_version", "", "", Version},
 		{"Server", "engine", "", "", "nbtrie-sharded-patricia"},
-		{"Server", "keyer", "", "", s.keyer.Name()},
-		{"Server", "key_width_bits", "", "", s.keyer.Width()},
+		{"Server", "keyer", "", "", "bytes"},
+		{"Server", "key_width_bits", "", "", BytesKeyer{}.Width()},
 		{"Server", "shards", "", "", s.db.Shards()},
 		{"Server", "uptime_in_seconds", "nbtried_uptime_seconds",
 			"Seconds since the server started.", int64(time.Since(s.start).Seconds())},

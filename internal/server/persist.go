@@ -141,7 +141,7 @@ func openPersister(s *Server, cfg PersistConfig) (*persister, error) {
 
 // loadEntry stores one base-dump record into the (empty) map.
 func (p *persister) loadEntry(k, v []byte, expireAtMS uint64) error {
-	ek, err := p.s.keyer.Encode(k)
+	ek, err := BytesKeyer{}.Encode(k)
 	if err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func (p *persister) applyRecord(args [][]byte) error {
 	if !c.fits(len(args)) {
 		return fmt.Errorf("%s record with %d args", c.name, len(args))
 	}
-	ks, err := c.keys(p.s.keyer, args, p.ks[:0])
+	ks, err := c.keys(args, p.ks[:0])
 	p.ks = ks
 	if err != nil {
 		return err
@@ -398,7 +398,7 @@ func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], s
 		// key out by the time fn returns.
 		var key []byte
 		for k, v := range snap.All() {
-			key = p.s.keyer.AppendDecode(key[:0], k)
+			key = BytesKeyer{}.AppendDecode(key[:0], k)
 			if !fn(key, v.B, uint64(v.DeadlineMS())) {
 				return
 			}

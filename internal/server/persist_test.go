@@ -114,7 +114,7 @@ func TestPersistSaveAllocsPerKey(t *testing.T) {
 	const n = 5000
 	val := []byte("0123456789abcdef")
 	for i := 0; i < n; i++ {
-		k, err := s.keyer.Encode([]byte(strconv.Itoa(i)))
+		k, err := BytesKeyer{}.Encode([]byte(strconv.Itoa(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 	state := func() string {
 		var b strings.Builder
 		for k, v := range s.db.Snapshot().All() {
-			fmt.Fprintf(&b, "%s=%s@%d ", s.keyer.AppendDecode(nil, k), v.B, v.DeadlineMS())
+			fmt.Fprintf(&b, "%s=%s@%d ", BytesKeyer{}.AppendDecode(nil, k), v.B, v.DeadlineMS())
 		}
 		fmt.Fprintf(&b, "ttls=%d aof=%d", s.db.ArmedKeys(), s.pst.aof.Size())
 		return b.String()
@@ -553,7 +553,7 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 
 	s2, addr2 := restart(t, s, cfg)
 	dial(t, addr2).mustInt(1, "DBSIZE")
-	k, err := s2.keyer.Encode([]byte("big"))
+	k, err := BytesKeyer{}.Encode([]byte("big"))
 	if err != nil {
 		t.Fatal(err)
 	}

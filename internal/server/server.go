@@ -30,8 +30,8 @@
 // its handler and, for the commands the AOF logs, its replay. The rows'
 // comments give the engine operation each command maps onto.
 //
-// Wire keys pass through a pluggable Keyer (see keyer.go); values are
-// stored as the raw request bytes. The RESP reader parses each command
+// Wire keys map to trie keys through BytesKeyer (see keyer.go); values
+// are stored as the raw request bytes. The RESP reader parses each command
 // into a per-connection arena that the next command overwrites
 // (resp.RequestReader.ReadCommandReuse), so every argument is a view
 // valid for the current command only: keys are encoded to trie keys on
@@ -54,12 +54,11 @@ import (
 // Version is reported by INFO.
 const Version = "0.6.0"
 
-// Config parameterizes a Server. The zero value is usable: BytesKeyer,
-// default protocol limits. The keyspace's shape is not configurable:
-// expiry.New picks it (binary nodes, a GOMAXPROCS-derived shard count).
+// Config parameterizes a Server. The zero value is usable: default
+// protocol limits, persistence off. Neither the wire-key mapping
+// (BytesKeyer) nor the keyspace's shape is configurable: expiry.New picks
+// the shape (binary nodes, a GOMAXPROCS-derived shard count).
 type Config struct {
-	// Keyer maps wire keys to trie keys; nil means BytesKeyer{}.
-	Keyer Keyer
 	// Limits bounds the request parser; zero fields take resp.DefaultLimits.
 	Limits resp.Limits
 	// Persist enables durability (see persist.go); zero Dir disables it.
@@ -91,7 +90,6 @@ type Config struct {
 // live connection and waits for their goroutines.
 type Server struct {
 	cfg   Config
-	keyer Keyer
 	start time.Time
 
 	// db is the keyspace: one trie whose leaves hold values and their
@@ -134,9 +132,6 @@ type Server struct {
 
 // New builds a server and its backing map.
 func New(cfg Config) (*Server, error) {
-	if cfg.Keyer == nil {
-		cfg.Keyer = BytesKeyer{}
-	}
 	// Resolve the limits once: the dispatcher sizes replies (SCAN's
 	// page cap) from the same values the request parser enforces.
 	cfg.Limits = cfg.Limits.WithDefaults()
@@ -147,13 +142,12 @@ func New(cfg Config) (*Server, error) {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
-	db, err := expiry.New(cfg.Keyer.Width(), 0, expiry.WithClock(clock))
+	db, err := expiry.New(BytesKeyer{}.Width(), 0, expiry.WithClock(clock))
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
-		keyer:    cfg.Keyer,
 		db:       db,
 		start:    time.Now(),
 		clock:    clock,

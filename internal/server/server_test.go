@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -215,7 +216,7 @@ func TestServerPipelining(t *testing.T) {
 func sameShard(t *testing.T, s *Server, a, b uint64) bool {
 	t.Helper()
 	shardOf := func(k uint64) int {
-		m, err := nbtrie.NewShardedMap[struct{}](s.keyer.Width(), s.DB().Shards())
+		m, err := nbtrie.NewShardedMap[struct{}](BytesKeyer{}.Width(), s.DB().Shards())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,51 +232,55 @@ func sameShard(t *testing.T, s *Server, a, b uint64) bool {
 	return shardOf(a) == shardOf(b)
 }
 
-// shardSpan is how many consecutive keys one shard of s's keyspace
-// holds under a decimal keyer of width 16: the trie stores k+1, so keys
-// below shardSpan(s)-1 share shard 0 and shardSpan(s)+k, for small k,
-// lands in shard 1.
-func shardSpan(s *Server) int { return (1 << 16) / s.DB().Shards() }
-
 // TestServerRename covers the outcomes: atomic rename within and across
 // shards, missing source, existing destination, and the retired
 // RENAMESTRICT.
 func TestServerRename(t *testing.T) {
-	s, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 16}})
-	far := strconv.Itoa(shardSpan(s) + 200)
+	s, addr := startServer(t, Config{})
 	c := dial(t, addr)
 
-	c.mustSimple("OK", "SET", "100", "payload")
-	c.mustSimple("OK", "RENAME", "100", "200") // same shard: atomic Replace
-	c.mustNull("GET", "100")
-	c.mustBulk("payload", "GET", "200")
+	// "k100" and "k200" share their first byte, hence their shard.
+	if !sameShard(t, s, mustEncode(t, "k100"), mustEncode(t, "k200")) {
+		t.Fatal("test premise broken: k100 and k200 in different shards")
+	}
+	c.mustSimple("OK", "SET", "k100", "payload")
+	c.mustSimple("OK", "RENAME", "k100", "k200") // same shard: atomic Replace
+	c.mustNull("GET", "k100")
+	c.mustBulk("payload", "GET", "k200")
 
-	c.mustErrContain("no such key", "RENAME", "100", "300")
+	c.mustErrContain("no such key", "RENAME", "k100", "k300")
 
-	c.mustSimple("OK", "SET", "300", "other")
-	c.mustErrContain("destination key exists", "RENAME", "200", "300")
-	c.mustBulk("payload", "GET", "200") // refused rename changed nothing
-	c.mustBulk("other", "GET", "300")
+	c.mustSimple("OK", "SET", "k300", "other")
+	c.mustErrContain("destination key exists", "RENAME", "k200", "k300")
+	c.mustBulk("payload", "GET", "k200") // refused rename changed nothing
+	c.mustBulk("other", "GET", "k300")
 
 	// Rename to self: Redis semantics, no Replace involved.
-	c.mustSimple("OK", "RENAME", "200", "200")
-	c.mustErrContain("no such key", "RENAME", "5555", "5555")
-	c.mustErrContain("not a decimal", "RENAME", "ghost", "ghost")
+	c.mustSimple("OK", "RENAME", "k200", "k200")
+	c.mustErrContain("no such key", "RENAME", "k5555", "k5555")
 
-	// Cross-shard: 200 is in shard 0, far in shard 1. RENAME is the same
-	// atomic Replace there; RENAMESTRICT, which used to refuse such a
-	// pair, is gone.
-	if sameShard(t, s, 200, uint64(shardSpan(s)+200)) {
+	// A key the keyer cannot represent fails before the handler runs, as
+	// source or destination, and moves nothing.
+	c.mustErrContain("8 bytes exceeds", "RENAME", "ghostkey", "ghostkey")
+	c.mustErrContain("8 bytes exceeds", "RENAME", "k200", "ghostkey")
+	c.mustBulk("payload", "GET", "k200")
+	c.mustInt(2, "DBSIZE")
+
+	// Cross-shard: "k200" and "\xe1d" differ in the top key bit. RENAME
+	// is the same atomic Replace there; RENAMESTRICT, which used to
+	// refuse such a pair, is gone.
+	const far = "\xe1d"
+	if sameShard(t, s, mustEncode(t, "k200"), mustEncode(t, far)) {
 		t.Fatal("test premise broken: keys share a shard")
 	}
-	c.mustErrContain("unknown command", "RENAMESTRICT", "200", far)
-	c.mustSimple("OK", "RENAME", "200", far)
-	c.mustNull("GET", "200")
+	c.mustErrContain("unknown command", "RENAMESTRICT", "k200", far)
+	c.mustSimple("OK", "RENAME", "k200", far)
+	c.mustNull("GET", "k200")
 	c.mustBulk("payload", "GET", far)
 
 	// Cross-shard destination-exists: refused, nothing moved.
-	c.mustErrContain("destination key exists", "RENAME", "300", far)
-	c.mustBulk("other", "GET", "300")
+	c.mustErrContain("destination key exists", "RENAME", "k300", far)
+	c.mustBulk("other", "GET", "k300")
 	c.mustBulk("payload", "GET", far)
 }
 
@@ -297,9 +302,11 @@ func TestScanDefaultPage(t *testing.T) {
 }
 
 // TestServerScan walks a known key set page by page and requires every
-// key exactly once, in order, with a terminating cursor.
+// key exactly once, in lexicographic order, with a terminating cursor.
+// The decimal spellings of different lengths ("13" < "130" < "14")
+// exercise the keyer's length tag.
 func TestServerScan(t *testing.T) {
-	_, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 20}})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 
 	const n = 137
@@ -309,6 +316,7 @@ func TestServerScan(t *testing.T) {
 		want = append(want, key)
 		c.mustSimple("OK", "SET", key, "x")
 	}
+	sort.Strings(want)
 	c.mustInt(n, "DBSIZE")
 
 	var got []string
@@ -334,7 +342,7 @@ func TestServerScan(t *testing.T) {
 	}
 	for i, k := range got {
 		if k != want[i] {
-			t.Fatalf("SCAN key %d = %q, want %q (numeric order)", i, k, want[i])
+			t.Fatalf("SCAN key %d = %q, want %q (lexicographic order)", i, k, want[i])
 		}
 	}
 
@@ -468,7 +476,7 @@ func TestServerGracefulClose(t *testing.T) {
 		t.Fatal("connection survived Close")
 	}
 	// Data outlives the listener (the map belongs to the Server).
-	if v, ok := s.DB().Load(mustEncode(t, BytesKeyer{}, "k")); !ok || !bytes.Equal(v, []byte("v")) {
+	if v, ok := s.DB().Load(mustEncode(t, "k")); !ok || !bytes.Equal(v, []byte("v")) {
 		t.Fatal("stored value lost across Close")
 	}
 	// Double Close is fine; Serve after Close refuses.
@@ -481,9 +489,9 @@ func TestServerGracefulClose(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, k Keyer, key string) uint64 {
+func mustEncode(t *testing.T, key string) uint64 {
 	t.Helper()
-	v, err := k.Encode([]byte(key))
+	v, err := BytesKeyer{}.Encode([]byte(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +505,7 @@ func mustEncode(t *testing.T, k Keyer, key string) uint64 {
 // to the resolved array limit before it sizes any allocation — the
 // daemon survives and answers within limits.
 func TestServerScanHostileCount(t *testing.T) {
-	_, addr := startServer(t, Config{Keyer: DecimalKeyer{KeyWidth: 20}})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 	for i := 0; i < 2000; i++ {
 		c.w.WriteCommandString("SET", fmt.Sprintf("%d", i), "x")
@@ -785,7 +793,7 @@ func smokeBattery(t *testing.T) {
 
 	// Same-shard atomic rename: "aa" and "ad" share their first
 	// byte, hence their shard.
-	if !sameShard(t, s, mustEncode(t, s.keyer, "aa"), mustEncode(t, s.keyer, "ad")) {
+	if !sameShard(t, s, mustEncode(t, "aa"), mustEncode(t, "ad")) {
 		t.Fatal("test premise broken: aa and ad in different shards")
 	}
 	c.mustSimple("OK", "RENAME", "aa", "ad")
@@ -796,7 +804,7 @@ func smokeBattery(t *testing.T) {
 
 	// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
 	// RENAME is the same atomic Replace across shards.
-	if sameShard(t, s, mustEncode(t, s.keyer, "ad"), mustEncode(t, s.keyer, "\xe1d")) {
+	if sameShard(t, s, mustEncode(t, "ad"), mustEncode(t, "\xe1d")) {
 		t.Fatal("test premise broken: ad and \\xe1d share a shard")
 	}
 	c.mustSimple("OK", "RENAME", "ad", "\xe1d")

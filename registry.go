@@ -13,8 +13,8 @@ import (
 // three more instantiations of the shared engine: Morton-keyed, with a
 // wide sharding root, and k-ary.
 // Tools (the figure benchmarks, cmd/triecli, the conformance tests and
-// the examples) enumerate this registry instead of hard-coding the list, so
-// a new implementation registers once and appears everywhere.
+// ExampleAllImplementations) enumerate this registry instead of hard-coding
+// the list, so a new implementation registers once and appears everywhere.
 type Implementation struct {
 	// Name is the stable registry key, e.g. "patricia".
 	Name string
