@@ -45,8 +45,8 @@
 // objects would let a node's info field repeat a value, re-opening the
 // ABA window the paper closes. It is as small as a fresh address can be
 // (an 8-byte header), no node is born with one — nil is every info
-// field's first value — and a binary internal node is exactly one 64-byte
-// cache line.
+// field's first value — and a binary internal node is its header and two
+// child slots, 48 bytes with no padding.
 package engine
 
 import (
@@ -64,12 +64,14 @@ import (
 // shape. The label is immutable after construction; leaf labels are
 // full-length encoded keys, internal labels proper prefixes of them.
 //
-// The header of a Uint64Key trie is 32 bytes, so a binary internal node,
-// padded by newNode, is 56 bytes — the 64-byte size class, which the
-// allocator aligns to 64: a descent touches exactly one cache line per
-// level. A leaf is touched once per operation, at the end, so it need not
-// be line-aligned and takes the smallest class its value fits in (48
-// bytes for uint64). All pinned by layout_test.go.
+// The header of a Uint64Key trie is 32 bytes, so a binary internal node
+// is 48 bytes, the 48-byte size class, unpadded. Objects of that class sit
+// at offsets 0, 48, 32 and 16 modulo 64, so half of them straddle two
+// cache lines. A live descent starts at the shortcut table and walks about
+// four levels below it (shortcut.go), while n keys hang under n-1 binary
+// nodes: bytes per key outweigh lines per level (DESIGN.md §1 has the
+// measurement). A leaf, like the node, takes the smallest class it fits in
+// (48 bytes for uint64). All pinned by layout_test.go.
 type node[K keys.Key[K], V any] struct {
 	label K
 
@@ -126,9 +128,10 @@ type innerNode[K keys.Key[K], V any] struct {
 	child [2]atomic.Pointer[node[K, V]]
 }
 
-// innerAlloc is the object an internal node is allocated as: the
-// innerNode, then tail — the remaining 2^s-2 slots of a wide node, or
-// one word of padding for a binary one.
+// innerAlloc is the object a wide internal node is allocated as: the
+// innerNode, then tail — its remaining 2^s-2 slots. A binary node is a
+// bare innerNode: Go pads a struct whose last field has size zero, so an
+// empty tail would put it back in the 64 B class.
 type innerAlloc[K keys.Key[K], V any, T any] struct {
 	innerNode[K, V]
 	tail T
@@ -205,15 +208,14 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 // newNode returns an empty internal node with the given label and
 // generation, with the fanout of the digit its label length starts; the
 // caller stores the children. Its info is nil — never flagged — so the
-// node is its only allocation. A binary node carries one word of padding:
-// for a Uint64Key trie that fills the 64 B size class, which the
-// allocator aligns to a cache line, so a descent touches one line per
-// level (layout_test.go).
+// node is its only allocation. A binary node is a bare innerNode, 48 B
+// for a Uint64Key trie; a wide node is an innerAlloc with its other slots
+// inline (layout_test.go).
 func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
 	type slot = atomic.Pointer[node[K, V]]
 	switch t.spanAt(label.Len()) {
 	case 1:
-		return newInner[K, V, uintptr](label, gen)
+		return &innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}
 	case 2:
 		return newInner[K, V, [2]slot](label, gen)
 	case 3:
@@ -232,7 +234,7 @@ func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
 	return newInner[K, V, [1<<MaxRootSpan - 2]slot](label, gen)
 }
 
-// newInner allocates an internal node as an innerAlloc with tail T.
+// newInner allocates a wide internal node as an innerAlloc with tail T.
 func newInner[K keys.Key[K], V any, T any](label K, gen uint64) *innerNode[K, V] {
 	a := &innerAlloc[K, V, T]{innerNode: innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}}
 	return &a.innerNode

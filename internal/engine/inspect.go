@@ -186,20 +186,24 @@ func (f Footprint) Bytes() uintptr {
 	return f.InternalBytes + f.LeafBytes + f.InfoBytes + f.ShortcutBytes
 }
 
-// sizeClasses are the Go allocator's small-object size classes up to 1 KiB
-// (runtime/sizeclasses.go), enough for every object of a span <= 6 trie
-// over the repository's key types.
+// sizeClasses are the Go allocator's small-object size classes
+// (runtime/sizeclasses.go), up to its 32 KiB small-object limit: every
+// node shape up to MaxRootSpan over the repository's key types fits one.
 var sizeClasses = [...]uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192,
-	208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024}
+	208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024,
+	1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144,
+	6528, 6784, 6912, 8192, 9472, 9728, 10240, 10880, 12288, 13568, 14336, 16384, 18432, 19072,
+	20480, 21760, 24576, 27264, 28672, 32768}
 
 // mallocHeader is the word the allocator (Go 1.22 and later) puts in
-// front of every object larger than 512 B that holds pointers, to find
-// its pointer bitmap. Every object the census counts holds pointers.
-const mallocHeader, maxHeaderless = 8, 512
+// front of every small object larger than 512 B that holds pointers, to
+// find its pointer bitmap. Every object the census counts holds pointers.
+// An object too large for the last class with its header is a large
+// object: it gets whole pages of its own and no header.
+const mallocHeader, maxHeaderless, pageSize = 8, 512, 8192
 
 // classSize returns the bytes the allocator hands out for an n-byte
-// object that holds pointers, malloc header included; sizes beyond the
-// table are returned unrounded.
+// object that holds pointers, malloc header included.
 func classSize(n uintptr) uintptr {
 	if n > maxHeaderless {
 		n += mallocHeader
@@ -209,7 +213,8 @@ func classSize(n uintptr) uintptr {
 			return c
 		}
 	}
-	return n
+	n -= mallocHeader
+	return (n + pageSize - 1) / pageSize * pageSize
 }
 
 // Footprint walks the trie and returns its census. Quiescent use only.
@@ -239,9 +244,6 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 	in := n.inner()
 	fan := t.fanout(in)
 	tail := uintptr(fan-2) * unsafe.Sizeof(in.child[0]) // a wide node's other slots
-	if fan == 2 {
-		tail = unsafe.Sizeof(uintptr(0)) // a binary node's padding word
-	}
 	f.Internal++
 	f.InternalBytes += classSize(unsafe.Sizeof(*in) + tail)
 	for idx := 0; idx < fan; idx++ {

@@ -35,14 +35,14 @@ func TestLayoutSizes(t *testing.T) {
 	}]{}); got != 64 {
 		t.Errorf("leafNode[Uint64Key,{[]byte,uint64}] is %d B, want 64 (the 64 B size class, exactly)", got)
 	}
-	// Exactly the 64 B class, not merely within it: that class is what
-	// aligns every binary internal node to a cache line, so a descent
-	// touches one line per level.
-	if got := classSize(unsafe.Sizeof(innerAlloc[keys.Uint64Key, uint64, uintptr]{})); got != 64 {
-		t.Errorf("a binary node [Uint64Key,uint64] lands in the %d B size class, want 64", got)
+	// A binary node is the header and two slots, exactly the 48 B class
+	// with no padding for every V (the value is not in it): n keys hang
+	// under n-1 of them, so each of its bytes is a byte per key.
+	if got := unsafe.Sizeof(innerNode[keys.Uint64Key, uint64]{}); got != 48 || classSize(got) != 48 {
+		t.Errorf("a binary node [Uint64Key,uint64] is %d B in the %d B size class, want 48 in 48", got, classSize(got))
 	}
-	if got := classSize(unsafe.Sizeof(innerAlloc[keys.Uint64Key, []byte, uintptr]{})); got != 64 {
-		t.Errorf("a binary node [Uint64Key,[]byte] lands in the %d B size class, want 64", got)
+	if got := unsafe.Sizeof(innerNode[keys.Uint64Key, []byte]{}); got != 48 || classSize(got) != 48 {
+		t.Errorf("a binary node [Uint64Key,[]byte] is %d B in the %d B size class, want 48 in 48", got, classSize(got))
 	}
 	// A span-4 node: the header and its 16 slots, 32 + 16·8 B. kid finds
 	// slot i at i words past child[0], so the tail must follow child with
@@ -54,17 +54,23 @@ func TestLayoutSizes(t *testing.T) {
 	if off, want := unsafe.Offsetof(wide{}.tail), unsafe.Offsetof(wide{}.child)+2*8; off != want {
 		t.Errorf("a wide node's tail sits at offset %d, want %d (right after child)", off, want)
 	}
-	// What newNode allocates: one object of the pinned class per node.
+	// What newNode allocates: one object of the pinned class per node, the
+	// class Footprint predicts for it. A root of 2^8 or 2^9 slots carries
+	// the malloc header and lands in a class past 1 KiB.
 	for _, c := range []struct {
-		name  string
-		span  uint32
-		bytes uint64
-	}{{"binary", 1, 64}, {"span-4", 4, 160}} {
+		name        string
+		span, rootS uint32
+		bytes       uint64
+	}{{"binary", 1, 1, 48}, {"span-4", 4, 4, 160}, {"root-span-8", 1, 8, 2304}, {"root-span-9", 1, 9, 4864}} {
 		lo, hi := keys.U64Codec{Width: 63}.Bounds()
-		tr := New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](c.span))
+		tr := New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](c.span), WithRootSpan[keys.Uint64Key, uint64](c.rootS))
 		objs, bytes := allocPerRun(100, func() { nodeSink = tr.newNode(keys.Uint64Key{}, 0) })
 		if objs != 1 || bytes != c.bytes {
 			t.Errorf("a %s newNode allocates %d objects, %d B; want 1 object, %d B", c.name, objs, bytes, c.bytes)
+		}
+		size := unsafe.Sizeof(innerNode[keys.Uint64Key, uint64]{}) + uintptr(1<<c.rootS-2)*8
+		if got := classSize(size); uint64(got) != bytes {
+			t.Errorf("a %s node of %d B: classSize says %d B, the allocator took %d", c.name, size, got, bytes)
 		}
 	}
 	// Both shapes must start with the header: leaf() and inner() cast on it.
@@ -259,8 +265,8 @@ func TestFootprintMatchesHeap(t *testing.T) {
 			if f.Internal != n+1 {
 				t.Errorf("census = %+v, want %d internal nodes", f, n+1)
 			}
-			if perKey := predicted / n; perKey > 120 {
-				t.Errorf("predicted %.1f B per key, want <= 120", perKey)
+			if perKey := predicted / n; perKey > 104 {
+				t.Errorf("predicted %.1f B per key, want <= 104", perKey)
 			}
 		}
 		runtime.KeepAlive(tr)

@@ -349,8 +349,8 @@ func overwriteAll(tr *Trie[keys.Uint64Key, uint64], ks []keys.Uint64Key, val uin
 // TestReleaseStopsRenewal pins what a held snapshot costs writers and
 // that Release ends it. A 2^16-key overwrite costs 3 objects and 104 B
 // with no snapshot; with a snapshot held each overwrite also renews,
-// once, every internal node below the root on its path, one 64 B copy,
-// a 64 B two-node Flag and an 8 B Unflag per node, 6 objects and 240 B
+// once, every internal node below the root on its path, one 48 B copy,
+// a 64 B two-node Flag and an 8 B Unflag per node, 6 objects and 224 B
 // in all, and the snapshot stays frozen; after Release the overwrite
 // costs 3 and 104 again and renews nothing.
 func TestReleaseStopsRenewal(t *testing.T) {
@@ -377,7 +377,7 @@ func TestReleaseStopsRenewal(t *testing.T) {
 	pass("no snapshot", 1, 3, 104, 0)
 	s := tr.Snapshot()
 	// n+2 leaves hang under n+1 internal nodes; the root is fresh.
-	pass("snapshot held", 2, 6, 240, n)
+	pass("snapshot held", 2, 6, 224, n)
 	for i, k := range ks {
 		if v, ok := s.Load(k); !ok || v != 1 {
 			t.Fatalf("held snapshot: key %d = (%d, %v), want (1, true)", i, v, ok)
