@@ -1,5 +1,5 @@
-// Command nbtried is the network daemon over the sharded non-blocking
-// Patricia trie: a RESP2-subset key-value server (see internal/server
+// Command nbtried is the network daemon over the non-blocking Patricia
+// trie: a RESP2-subset key-value server (see internal/server
 // for the protocol subset and the command → engine-op mapping). Any
 // RESP2 client — redis-cli included — can speak to it:
 //
@@ -16,10 +16,9 @@
 //	            listening (for scripts that start on a random port)
 //
 // Wire keys are 1 to 7 raw bytes, mapped into 59-bit trie keys in
-// lexicographic order (server.BytesKeyer). The keyspace's shape is fixed:
-// the paper's binary nodes below a root whose digit is the shard,
-// GOMAXPROCS rounded up to a power of two and at least 8 shards
-// (DESIGN.md §5). The startup banner reports both.
+// lexicographic order (server.BytesKeyer), which the startup banner
+// reports. The keyspace's shape is fixed: the paper's binary trie, one
+// digit width from the root down (DESIGN.md §5).
 //
 // Observability (see DESIGN.md §13):
 //
@@ -183,8 +182,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=bytes width=%d shards=%d)\n",
-		server.Version, ln.Addr(), server.BytesKeyer{}.Width(), srv.DB().Shards())
+	fmt.Fprintf(stdout, "nbtried %s listening on %s (keyer=bytes width=%d)\n",
+		server.Version, ln.Addr(), server.BytesKeyer{}.Width())
 
 	// A cancelled context (signal, test shutdown) closes the server,
 	// which unblocks Serve with a nil error: the graceful path.

@@ -79,7 +79,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("daemon output missing lifecycle lines:\n%s", out.String())
 	}
 	// The banner names the one wire-key mapping and its width.
-	if !strings.Contains(out.String(), "(keyer=bytes width=59 ") {
+	if !strings.Contains(out.String(), "(keyer=bytes width=59)") {
 		t.Fatalf("banner does not report the bytes keyer at 59 bits:\n%s", out.String())
 	}
 }

@@ -94,7 +94,7 @@ func TestCLIImplsCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"patricia", "bst", "kst", "avl", "skiplist", "ctrie", "sharded", "[replace]"} {
+	for _, want := range []string{"patricia", "bst", "kst", "avl", "skiplist", "ctrie", "karypatricia", "[replace]"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("impls output missing %q:\n%s", want, got)
 		}

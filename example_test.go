@@ -134,7 +134,6 @@ func ExampleNewSet() {
 	// skiplist true
 	// ctrie true
 	// spatial true
-	// sharded true
 	// karypatricia true
 }
 
@@ -211,6 +210,5 @@ func ExampleAllImplementations() {
 	// SL      2 false
 	// Ctrie  32 false
 	// PAT-Z   2 true
-	// PAT-S   2 true
 	// PAT-K  16 true
 }

@@ -16,7 +16,9 @@
 //     another atomically at a single linearization point.
 //
 // Like the paper, the engine has one search for find and for every
-// update, and both start from the shortcut table.
+// update, and both start from the shortcut table. Every internal node,
+// the root included, resolves one digit of span key bits (WithSpan); the
+// default span 1 is the paper's binary trie.
 //
 // Coordination follows the flag/help scheme of Ellen et al. (PODC
 // 2010), extended per the paper: every update publishes a descriptor
@@ -170,9 +172,9 @@ func (n *innerNode[K, V]) kid(i int) *atomic.Pointer[node[K, V]] {
 	return (*atomic.Pointer[node[K, V]])(p)
 }
 
-// fanout returns the number of child slots of n: the digit schedule
-// fixes it from the length of n's label.
-func (t *Trie[K, V]) fanout(n *innerNode[K, V]) int { return 1 << t.spanAt(n.label.Len()) }
+// fanout returns the number of child slots of an internal node: every
+// node of a trie resolves one span-bit digit.
+func (t *Trie[K, V]) fanout() int { return 1 << t.span }
 
 // census counts n's non-nil children and returns the last one found
 // outside slot skip (the lone sibling when the count is 2). Like every
@@ -180,7 +182,7 @@ func (t *Trie[K, V]) fanout(n *innerNode[K, V]) int { return 1 << t.spanAt(n.lab
 // the flag CAS on n: a torn census implies n's info changed and the
 // attempt dies at flagging (Lemma 31).
 func (t *Trie[K, V]) census(n *innerNode[K, V], skip int) (live int, sib *node[K, V]) {
-	for j := 0; j < t.fanout(n); j++ {
+	for j := 0; j < t.fanout(); j++ {
 		if c := n.kid(j).Load(); c != nil {
 			live++
 			if j != skip {
@@ -206,14 +208,13 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 }
 
 // newNode returns an empty internal node with the given label and
-// generation, with the fanout of the digit its label length starts; the
-// caller stores the children. Its info is nil — never flagged — so the
-// node is its only allocation. A binary node is a bare innerNode, 48 B
-// for a Uint64Key trie; a wide node is an innerAlloc with its other slots
-// inline (layout_test.go).
+// generation and the trie's fanout; the caller stores the children. Its
+// info is nil — never flagged — so the node is its only allocation. A
+// binary node is a bare innerNode, 48 B for a Uint64Key trie; a wide node
+// is an innerAlloc with its other slots inline (layout_test.go).
 func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
 	type slot = atomic.Pointer[node[K, V]]
-	switch t.spanAt(label.Len()) {
+	switch t.span {
 	case 1:
 		return &innerNode[K, V]{node: node[K, V]{label: label, gen: gen}}
 	case 2:
@@ -224,14 +225,8 @@ func (t *Trie[K, V]) newNode(label K, gen uint64) *innerNode[K, V] {
 		return newInner[K, V, [14]slot](label, gen)
 	case 5:
 		return newInner[K, V, [30]slot](label, gen)
-	case 6:
-		return newInner[K, V, [62]slot](label, gen)
-	case 7:
-		return newInner[K, V, [126]slot](label, gen)
-	case 8:
-		return newInner[K, V, [254]slot](label, gen)
 	}
-	return newInner[K, V, [1<<MaxRootSpan - 2]slot](label, gen)
+	return newInner[K, V, [62]slot](label, gen)
 }
 
 // newInner allocates a wide internal node as an innerAlloc with tail T.
@@ -264,7 +259,7 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 		return newLeafVal(n.label, n.leaf().val)
 	}
 	in, c := n.inner(), t.newNode(n.label, gen)
-	for j := 0; j < t.fanout(in); j++ {
+	for j := 0; j < t.fanout(); j++ {
 		c.kid(j).Store(in.kid(j).Load())
 	}
 	if slotA >= 0 {
@@ -500,27 +495,21 @@ type Trie[K keys.Key[K], V any] struct {
 	root atomic.Pointer[node[K, V]]
 
 	// short is the shortcut table of live reads and writers
-	// (shortcut.go), nil until the trie first holds shortcutMinKeys keys;
-	// the same object carries the root-slot counters of a WithRootSpan
-	// trie from birth. Every live descent loads it once, so it sits on
-	// root's line.
+	// (shortcut.go), nil until the trie first holds shortcutMinKeys keys.
+	// Every live descent loads it once, so it sits on root's line.
 	short atomic.Pointer[shortcut[K, V]]
 
 	// dummyMin and dummyMax bound the key space; only the ordered walks
 	// read them, so dummyMax sits past span, off root's line.
 	dummyMin K
 
-	// The digit schedule. The root resolves the first rootSpan key bits
-	// through 2^rootSpan slots, and every internal node below it the
-	// next span bits through 2^span slots, cutting expected depth
-	// span-fold; both 1 is exactly the paper's binary trie. A wide root
-	// over a binary or k-ary trie is what a sharded map is: each root
-	// slot holds the subtrie a separate shard would, and an update moving
-	// a key between slots is one engine operation (DESIGN.md §5).
-	// Internal labels always end on a digit boundary — 0, rootSpan,
-	// rootSpan+span, ... (digitFloor) — and the digit at the very bottom
-	// of a key whose length does not end on one is partial, occupying
-	// only the low 2^r slots of its node.
+	// span is the digit width: every internal node, the root included,
+	// resolves the next span key bits through 2^span slots, cutting
+	// expected depth span-fold; 1 is exactly the paper's binary trie.
+	// Internal labels always end on a digit boundary, a multiple of span
+	// (digitFloor), and the digit at the very bottom of a key whose
+	// length does not end on one is partial, occupying only the low 2^r
+	// slots of its node.
 	//
 	// Soundness constraint on instantiations: digit extraction must
 	// assign distinct slots to distinct keys under a shared node, which
@@ -529,7 +518,7 @@ type Trie[K keys.Key[K], V any] struct {
 	// (lengths 16n+2) violate it for span 4 — a 2-bit tail digit "11"
 	// and a 4-bit digit "0011" would share slot 3 — so byte-string tries
 	// stay binary.
-	span, rootSpan uint32
+	span uint32
 
 	dummyMax K
 
@@ -567,24 +556,6 @@ func WithSpan[K keys.Key[K], V any](s uint32) Option[K, V] {
 	return func(t *Trie[K, V]) { t.span = s }
 }
 
-// MaxRootSpan bounds WithRootSpan: the root is copied whole by every
-// slot fill or clear and by every Snapshot, so its 2^r slots stay few.
-// newNode has one node shape per digit width up to it; a 9-bit root is
-// one object of 32 + 512·8 B.
-const MaxRootSpan = 9
-
-// WithRootSpan sets the root's digit width r apart from the span below
-// it: the root gets 2^r slots, one per r-bit key prefix, and the trie
-// counts the updates through each (RootSlotHits). r must be in
-// [1, MaxRootSpan]. Without it the root resolves span bits like every
-// other node.
-func WithRootSpan[K keys.Key[K], V any](r uint32) Option[K, V] {
-	if r < 1 || r > MaxRootSpan {
-		panic("engine: root span must be in [1, MaxRootSpan]")
-	}
-	return func(t *Trie[K, V]) { t.rootSpan = r }
-}
-
 // New returns an empty trie anchored by the two dummy leaves, which must
 // bound every encoded key the instantiation will ever pass in. The zero
 // value of K must be the empty string; it labels the root.
@@ -593,11 +564,6 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	t := &Trie[K, V]{dummyMin: dummyMin, dummyMax: dummyMax, span: 1}
 	for _, o := range opts {
 		o(t)
-	}
-	if t.rootSpan == 0 {
-		t.rootSpan = t.span
-	} else {
-		t.short.Store(&shortcut[K, V]{hits: make([]atomic.Int64, gateLanes<<t.rootSpan)})
 	}
 	// The root is built after the options so it gets the configured
 	// fanout. The dummies always occupy distinct slots: their first bits
@@ -609,38 +575,20 @@ func New[K keys.Key[K], V any](dummyMin, dummyMax K, opts ...Option[K, V]) *Trie
 	return t
 }
 
-// spanAt returns the width of the digit starting at bit pos of the
-// schedule: rootSpan at the root, span below it.
-func (t *Trie[K, V]) spanAt(pos uint32) uint32 {
-	if pos == 0 {
-		return t.rootSpan
-	}
-	return t.span
-}
-
-// digitFloor returns the longest digit boundary of the schedule that is
-// at most n bits: the length of the label of the internal node that
-// separates two keys sharing exactly n leading bits.
-func (t *Trie[K, V]) digitFloor(n uint32) uint32 {
-	if n < t.rootSpan {
-		return 0
-	}
-	return n - (n-t.rootSpan)%t.span
-}
+// digitFloor returns the longest digit boundary that is at most n bits:
+// the length of the label of the internal node that separates two keys
+// sharing exactly n leading bits.
+func (t *Trie[K, V]) digitFloor(n uint32) uint32 { return n - n%t.span }
 
 // slotOf returns the child-slot index the key v selects at an internal
 // node whose label is pos bits long. pos is always a digit boundary
-// (internal labels end on one) and pos < v.Len(). The first branch keeps
-// the binary levels below the root on the one-shift Bit path, testing
-// no more than the uniform binary trie did.
+// (internal labels end on one) and pos < v.Len(). A binary trie stays on
+// the one-shift Bit path.
 func (t *Trie[K, V]) slotOf(v K, pos uint32) int {
-	if t.span == 1 && pos != 0 {
+	if t.span == 1 {
 		return v.Bit(pos)
 	}
-	if s := t.spanAt(pos); s > 1 {
-		return v.Digit(pos, s)
-	}
-	return v.Bit(pos)
+	return v.Digit(pos, t.span)
 }
 
 // curGen returns the current snapshot generation — the generation of the
@@ -658,7 +606,7 @@ type searchResult[K keys.Key[K], V any] struct {
 
 // holdsChild reports whether some slot of p currently holds c.
 func (t *Trie[K, V]) holdsChild(p *innerNode[K, V], c *node[K, V]) bool {
-	for j := 0; j < t.fanout(p); j++ {
+	for j := 0; j < t.fanout(); j++ {
 		if p.kid(j).Load() == c {
 			return true
 		}

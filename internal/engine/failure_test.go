@@ -134,7 +134,7 @@ func carries(tr testTrie, d *udesc, k keys.Uint64Key) bool {
 			continue
 		}
 		in := c.inner()
-		for s := 0; s < tr.fanout(in); s++ {
+		for s := 0; s < tr.fanout(); s++ {
 			if x := in.kid(s).Load(); x != nil && x.isLeaf() && x.label.Equal(k) {
 				return true
 			}

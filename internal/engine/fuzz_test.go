@@ -13,7 +13,7 @@ import (
 // stream decodes to (op, key, key2/value) triples, so a fuzzer can
 // construct adversarial shapes (prefix pile-ups, replace chains,
 // overwrite storms) no hand-written table covers. opts select the digit
-// schedule; none is the paper's binary trie.
+// width; none is the paper's binary trie.
 func runEngineOps(t *testing.T, data []byte, opts ...Option[keys.Uint64Key, uint16]) {
 	const width = 10
 	c := keys.U64Codec{Width: width}
@@ -126,11 +126,10 @@ func FuzzEngineOps(f *testing.F) {
 }
 
 // FuzzEngineOpsKary is the same oracle fuzz with the first byte selecting
-// the digit width from {1, 2, 4, 6} and the root's from {same, 1, 3, 9},
-// so one corpus exercises the binary protocol, the k-ary slot fill/clear
-// paths (including the partial bottom digit: width 10 is not a multiple
-// of 4 or 6) and a wide root over either, whose replaces move keys
-// between root slots, side by side.
+// the digit width from {1, 2, 4, 6}, so one corpus exercises the binary
+// protocol and the k-ary slot fill/clear paths (including the partial
+// bottom digit: width 10 is not a multiple of 4 or 6, and the root-CAS
+// sentinel of a wide root) side by side.
 func FuzzEngineOpsKary(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 1, 2, 0, 3, 1, 9, 1, 1, 0})
 	f.Add([]byte{1, 0, 5, 0, 3, 5, 9, 0, 9, 0, 3, 9, 5, 1, 9, 0})
@@ -143,10 +142,6 @@ func FuzzEngineOpsKary(f *testing.F) {
 			return
 		}
 		spans := [...]uint32{1, 2, 4, 6}
-		opts := []Option[keys.Uint64Key, uint16]{WithSpan[keys.Uint64Key, uint16](spans[data[0]%4])}
-		if r := [...]uint32{0, 1, 3, 9}[data[0]/4%4]; r != 0 {
-			opts = append(opts, WithRootSpan[keys.Uint64Key, uint16](r))
-		}
-		runEngineOps(t, data[1:], opts...)
+		runEngineOps(t, data[1:], WithSpan[keys.Uint64Key, uint16](spans[data[0]%4]))
 	})
 }

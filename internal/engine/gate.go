@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // The snapshot gate keeps every update out of a Snapshot's root swap
@@ -102,11 +101,6 @@ func (g *gate) enter() *lane {
 		g.mu.Lock() // wait the Snapshot out
 		g.mu.Unlock()
 	}
-}
-
-// index returns l's position among the lanes.
-func (g *gate) index(l *lane) int {
-	return int((uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&g.lanes[0]))) / unsafe.Sizeof(*l))
 }
 
 // exit ends the operation enter admitted on l.

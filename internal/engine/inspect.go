@@ -50,8 +50,7 @@ func (t *Trie[K, V]) Size() int {
 //     prefix of y.label; hence labels strictly lengthen along every path.
 //   - Every internal node has at least two non-nil children (Lemma 4;
 //     exactly two at span 1), each in the slot its label's digit selects.
-//   - Internal labels end on a digit boundary of the schedule (the root
-//     digit, then span-bit digits).
+//   - Internal labels end on a digit boundary, a multiple of span.
 //   - The two dummy leaves are the extreme leaves of the trie.
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
@@ -106,11 +105,11 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 		return nil
 	}
 	if t.digitFloor(n.label.Len()) != n.label.Len() {
-		return fmt.Errorf("internal label %v does not end on a digit boundary (root %d bits, then %d)", n.label, t.rootSpan, t.span)
+		return fmt.Errorf("internal label %v does not end on a digit boundary (span %d)", n.label, t.span)
 	}
 	in := n.inner()
 	live := 0
-	for idx := 0; idx < t.fanout(in); idx++ {
+	for idx := 0; idx < t.fanout(); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil {
 			continue
@@ -153,7 +152,7 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 		return
 	}
 	in := n.inner()
-	for idx := 0; idx < t.fanout(in); idx++ {
+	for idx := 0; idx < t.fanout(); idx++ {
 		if c := in.kid(idx).Load(); c != nil {
 			t.dumpNode(sb, c, format, depth+1)
 		}
@@ -188,7 +187,7 @@ func (f Footprint) Bytes() uintptr {
 
 // sizeClasses are the Go allocator's small-object size classes
 // (runtime/sizeclasses.go), up to its 32 KiB small-object limit: every
-// node shape up to MaxRootSpan over the repository's key types fits one.
+// node shape up to span 6 over the repository's key types fits one.
 var sizeClasses = [...]uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192,
 	208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024,
 	1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144,
@@ -221,7 +220,7 @@ func classSize(n uintptr) uintptr {
 func (t *Trie[K, V]) Footprint() Footprint {
 	var f Footprint
 	t.footprintNode(t.root.Load(), &f)
-	if sc := t.short.Load(); sc != nil && sc.d > 0 {
+	if sc := t.short.Load(); sc != nil {
 		f.ShortcutBytes = classSize(unsafe.Sizeof(*sc)) + classSize(uintptr(len(sc.slots))*unsafe.Sizeof(sc.slots[0]))
 	}
 	return f
@@ -242,7 +241,7 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 		return
 	}
 	in := n.inner()
-	fan := t.fanout(in)
+	fan := t.fanout()
 	tail := uintptr(fan-2) * unsafe.Sizeof(in.child[0]) // a wide node's other slots
 	f.Internal++
 	f.InternalBytes += classSize(unsafe.Sizeof(*in) + tail)

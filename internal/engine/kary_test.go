@@ -12,8 +12,8 @@ import (
 
 // Tests of the k-ary (span > 1) generalization: the slot fill/clear
 // paths that do not exist at span 1, the root-CAS sentinel, digit-based
-// contraction, snapshots over wide nodes, and the fanout the digit
-// schedule gives each node.
+// contraction, snapshots over wide nodes, and the fanout the span gives
+// each node.
 
 func karyNew(t *testing.T, width, span uint32) testTrie {
 	t.Helper()
@@ -33,37 +33,24 @@ func TestKarySpanBounds(t *testing.T) {
 	}
 }
 
-// TestSpanLayout pins the fanout the digit schedule gives each node: two
-// slots at span 1, 2^s at a span-s root. (The one-object allocation of
-// either shape is pinned by TestLayoutSizes.)
+// TestSpanLayout pins the fanout the span gives every node, the root
+// included: two slots at span 1, 2^s at span s. (The one-object
+// allocation of either shape is pinned by TestLayoutSizes.)
 func TestSpanLayout(t *testing.T) {
-	bin := mustNew(t, 8)
-	for _, k := range []uint64{3, 9, 200, 77} {
-		bin.Insert(k)
-	}
-	var walk func(n *unode)
-	walk = func(n *unode) {
-		if n.isLeaf() {
-			return
+	for _, c := range []struct {
+		span   uint32
+		fanout int
+	}{{1, 2}, {4, 16}} {
+		tr := karyNew(t, 8, c.span)
+		for _, k := range []uint64{3, 9, 200, 77} {
+			tr.Insert(k)
 		}
-		in := n.inner()
-		if got := bin.fanout(in); got != 2 {
-			t.Fatalf("span-1 internal node %v has fanout %d, want 2", n.label, got)
+		if got := tr.fanout(); got != c.fanout {
+			t.Fatalf("span-%d fanout = %d, want %d", c.span, got, c.fanout)
 		}
-		for j := 0; j < 2; j++ {
-			if c := in.kid(j).Load(); c != nil {
-				walk(c)
-			}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	walk(bin.root.Load())
-
-	wide := karyNew(t, 8, 4)
-	if got := wide.fanout(wide.root.Load().inner()); got != 16 {
-		t.Fatalf("span-4 root fanout = %d, want 16", got)
-	}
-	if err := wide.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -122,7 +109,7 @@ func TestKaryDeepFillAndContract(t *testing.T) {
 	tr.Insert(48)
 	tr.Insert(49)
 	a := tr.root.Load().inner().kid(3).Load()
-	if a == nil || a.isLeaf() || a.label.Len() != 4 || tr.fanout(a.inner()) != 16 {
+	if a == nil || a.isLeaf() || a.label.Len() != 4 || tr.fanout() != 16 {
 		t.Fatalf("expected a wide internal node with a one-digit label under root slot 3")
 	}
 
@@ -265,23 +252,16 @@ func TestKarySnapshotFrozen(t *testing.T) {
 
 // TestKaryQuickOpSequences is the random op-sequence property test at
 // each wide span, at a width whose internal key length (17) is a
-// multiple of none of them — every trie has partial bottom digits — and
-// at wide roots over binary and k-ary levels, whose digit boundaries
-// (3, 3+4, ...) are multiples of no span either.
+// multiple of none of them: every trie has partial bottom digits.
 func TestKaryQuickOpSequences(t *testing.T) {
-	for _, sched := range [][2]uint32{{2, 0}, {4, 0}, {6, 0}, {1, 3}, {1, 9}, {4, 3}, {2, 5}, {4, 1}} {
-		span, root := sched[0], sched[1]
+	for _, span := range []uint32{2, 3, 4, 5, 6} {
 		type op struct {
 			Kind byte
 			K    uint16
 			K2   uint16
 		}
 		f := func(ops []op) bool {
-			opts := []Option[keys.Uint64Key, any]{WithSpan[keys.Uint64Key, any](span)}
-			if root != 0 {
-				opts = append(opts, WithRootSpan[keys.Uint64Key, any](root))
-			}
-			tr := mustNew(t, 16, opts...)
+			tr := mustNew(t, 16, WithSpan[keys.Uint64Key, any](span))
 			oracle := make(map[uint64]bool)
 			for _, o := range ops {
 				k, k2 := uint64(o.K), uint64(o.K2)
@@ -315,10 +295,10 @@ func TestKaryQuickOpSequences(t *testing.T) {
 		}
 		cfg := &quick.Config{
 			MaxCount: 150,
-			Rand:     rand.New(rand.NewSource(int64(span*16 + root))),
+			Rand:     rand.New(rand.NewSource(int64(span))),
 		}
 		if err := quick.Check(f, cfg); err != nil {
-			t.Errorf("span %d, root span %d: %v", span, root, err)
+			t.Errorf("span %d: %v", span, err)
 		}
 	}
 }
@@ -391,46 +371,21 @@ func TestKaryConcurrent(t *testing.T) {
 	}
 }
 
-// TestRootSlotHits pins the per-root-slot update counts a wide root
-// keeps: every mutating search is counted once, in the slot its key's
-// first digit selects, and only WithRootSpan turns the counting on.
-func TestRootSlotHits(t *testing.T) {
-	if hits := mustNew(t, 10).RootSlotHits(); hits != nil {
-		t.Fatalf("a trie without WithRootSpan reports hits %v", hits)
-	}
-	// Width 10: internal keys are 11 bits, k+1 left-aligned, so the
-	// 3-bit root digit of key k is (k+1) >> 8.
-	tr := mustNew(t, 10, WithRootSpan[keys.Uint64Key, any](3))
-	for _, k := range []uint64{0, 1, 300, 301, 302, 600} {
-		tr.Insert(k)
-	}
-	tr.Contains(600) // reads are not counted
-	tr.Replace(600, 1023)
-	want := []int64{2, 3, 2, 0, 1, 0, 0, 0} // Replace searches both keys
-	hits := tr.RootSlotHits()
-	for i := range want {
-		if hits[i] != want[i] {
-			t.Fatalf("RootSlotHits = %v, want %v", hits, want)
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRootSpanCrossSlotReplace is Figure 6's general case with its two
-// parents under different root slots, raced: movers shuttle tokens
-// between slot 0 or 1 and slot 4 of a 3-bit root while a snapshotter
-// takes cuts. A cross-slot Replace neither loses nor duplicates a key:
-// every snapshot — an exact cut between whole operations — holds each
-// token in exactly one of its two keys, and so does the trie at
-// quiescence. The snapshots also force renewals of the wide root. That
-// no reader sees a state between a Replace's two child CASes is the map
-// battery's linearizability check, run on an 8-shard ShardedMap.
-func TestRootSpanCrossSlotReplace(t *testing.T) {
+// TestWideRootCrossSlotReplace is Figure 6's general case with its two
+// parents under different slots of a wide root, raced: movers shuttle
+// tokens between root slots 0 and 2 of a span-3 trie (the root digit of
+// key k at width 10 is (k+1) >> 8) while a snapshotter takes cuts. A
+// cross-slot Replace neither loses nor duplicates a key: every snapshot —
+// an exact cut between whole operations — holds each token in exactly one
+// of its two keys, and so does the trie at quiescence. The snapshots also
+// force renewals of the wide root, which a slot fill or clear replaces
+// through the root-CAS sentinel. That no reader sees a state between a
+// Replace's two child CASes is the map battery's linearizability check,
+// run on a span-4 trie.
+func TestWideRootCrossSlotReplace(t *testing.T) {
 	const tokens = 64
-	tr := mustNew(t, 10, WithRootSpan[keys.Uint64Key, any](3))
-	// Token i lives at i (root slot 0 or 1) or at 512+i (root slot 4).
+	tr := mustNew(t, 10, WithSpan[keys.Uint64Key, any](3))
+	// Token i lives at i (root slot 0) or at 512+i (root slot 2).
 	for i := uint64(0); i < tokens; i++ {
 		tr.Insert(i)
 	}

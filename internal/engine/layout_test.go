@@ -55,22 +55,29 @@ func TestLayoutSizes(t *testing.T) {
 		t.Errorf("a wide node's tail sits at offset %d, want %d (right after child)", off, want)
 	}
 	// What newNode allocates: one object of the pinned class per node, the
-	// class Footprint predicts for it. A root of 2^8 or 2^9 slots carries
-	// the malloc header and lands in a class past 1 KiB.
+	// class Footprint predicts for it. A pointerful object of 2^8 or 2^9
+	// slots' size carries the malloc header and lands in a class past
+	// 1 KiB, where classSize must add the header too.
+	type slot = atomic.Pointer[node[keys.Uint64Key, uint64]]
+	bin, kary := spanTrie(1), spanTrie(4)
 	for _, c := range []struct {
-		name        string
-		span, rootS uint32
-		bytes       uint64
-	}{{"binary", 1, 1, 48}, {"span-4", 4, 4, 160}, {"root-span-8", 1, 8, 2304}, {"root-span-9", 1, 9, 4864}} {
-		lo, hi := keys.U64Codec{Width: 63}.Bounds()
-		tr := New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](c.span), WithRootSpan[keys.Uint64Key, uint64](c.rootS))
-		objs, bytes := allocPerRun(100, func() { nodeSink = tr.newNode(keys.Uint64Key{}, 0) })
+		name  string
+		slots int
+		alloc func()
+		bytes uint64
+	}{
+		{"binary node", 2, func() { nodeSink = bin.newNode(keys.Uint64Key{}, 0) }, 48},
+		{"span-4 node", 16, func() { nodeSink = kary.newNode(keys.Uint64Key{}, 0) }, 160},
+		{"256-slot object", 256, func() { ptrSink = new(innerAlloc[keys.Uint64Key, uint64, [254]slot]) }, 2304},
+		{"512-slot object", 512, func() { ptrSink = new(innerAlloc[keys.Uint64Key, uint64, [510]slot]) }, 4864},
+	} {
+		objs, bytes := allocPerRun(100, c.alloc)
 		if objs != 1 || bytes != c.bytes {
-			t.Errorf("a %s newNode allocates %d objects, %d B; want 1 object, %d B", c.name, objs, bytes, c.bytes)
+			t.Errorf("a %s allocates %d objects, %d B; want 1 object, %d B", c.name, objs, bytes, c.bytes)
 		}
-		size := unsafe.Sizeof(innerNode[keys.Uint64Key, uint64]{}) + uintptr(1<<c.rootS-2)*8
+		size := unsafe.Sizeof(innerNode[keys.Uint64Key, uint64]{}) + uintptr(c.slots-2)*8
 		if got := classSize(size); uint64(got) != bytes {
-			t.Errorf("a %s node of %d B: classSize says %d B, the allocator took %d", c.name, size, got, bytes)
+			t.Errorf("a %s of %d B: classSize says %d B, the allocator took %d", c.name, size, got, bytes)
 		}
 	}
 	// Both shapes must start with the header: leaf() and inner() cast on it.
@@ -192,8 +199,17 @@ func TestUnflagsAreDistinct(t *testing.T) {
 	runtime.KeepAlive(a)
 }
 
-// nodeSink keeps allocPerRun's nodes on the heap.
-var nodeSink *innerNode[keys.Uint64Key, uint64]
+// nodeSink and ptrSink keep allocPerRun's objects on the heap.
+var (
+	nodeSink *innerNode[keys.Uint64Key, uint64]
+	ptrSink  any
+)
+
+// spanTrie returns an empty 63-bit trie at the given span.
+func spanTrie(span uint32) *Trie[keys.Uint64Key, uint64] {
+	lo, hi := keys.U64Codec{Width: 63}.Bounds()
+	return New[keys.Uint64Key, uint64](lo, hi, WithSpan[keys.Uint64Key, uint64](span))
+}
 
 // allocPerRun returns the heap objects and bytes f allocates per call,
 // averaged over runs calls after one warm-up call, at GOMAXPROCS(1), read
@@ -222,7 +238,7 @@ func heapAlloc() uint64 {
 // TestFootprintMatchesHeap holds the census to the heap it describes:
 // after 2^16 uniform keys the size-class-predicted bytes and the measured
 // HeapAlloc growth agree within 5 %, for a binary trie and spans 4, 5
-// and 6, whose wide nodes the census sizes from the digit schedule (a
+// and 6, whose wide nodes the census sizes from the span (a
 // span-6 node, 544 B, carries the allocator's malloc header). The binary
 // trie also comes to what the layout promises per key. Only some
 // internal nodes hold an Unflag: the ones an insert flagged as the parent

@@ -42,7 +42,7 @@ func (s *Snapshot[K, V]) walk(n *node[K, V], v K, down bool, fn func(K, V) bool)
 		return true
 	}
 	in := n.inner()
-	last := s.t.fanout(in) - 1
+	last := s.t.fanout() - 1
 	for j := 0; j <= last; j++ {
 		idx := j
 		if down {

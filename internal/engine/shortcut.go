@@ -72,19 +72,11 @@ const (
 	keysPerSlot = 8
 )
 
-// shortcut is the table, and the root-slot counters of a WithRootSpan
-// trie, which a table that replaces it carries over.
+// shortcut is the table.
 type shortcut[K keys.Key[K], V any] struct {
 	// pos and d place the digit that indexes slots: v.Digit(pos, d).
-	// d is 0 until the first table is built.
 	pos, d uint32
 	slots  []atomic.Pointer[node[K, V]]
-
-	// hits counts the mutating searches through each root slot, one
-	// block of 2^rootSpan counters per gate lane (lane-major), so a
-	// sharded map can report how its updates spread over the slots. nil
-	// unless WithRootSpan built the trie.
-	hits []atomic.Int64
 }
 
 // start returns where a live descent of v begins: the node cached in
@@ -94,7 +86,7 @@ type shortcut[K keys.Key[K], V any] struct {
 // longer than pos), and reach the label length up to which a node the
 // descent passes may be cached in it.
 func (t *Trie[K, V]) start(sc *shortcut[K, V], v K, vl uint32, root *node[K, V]) (n *node[K, V], hint *atomic.Pointer[node[K, V]], reach uint32) {
-	if sc == nil || sc.d == 0 || vl <= sc.pos {
+	if sc == nil || vl <= sc.pos {
 		return root, nil, 0
 	}
 	hint, reach = &sc.slots[v.Digit(sc.pos, sc.d)], sc.pos+sc.d
@@ -126,8 +118,5 @@ func (t *Trie[K, V]) grow(n int64) {
 		return
 	}
 	sc := &shortcut[K, V]{pos: lo.CommonPrefix(hi).Len(), d: d, slots: make([]atomic.Pointer[node[K, V]], 1<<d)}
-	if old != nil {
-		sc.hits = old.hits
-	}
 	t.short.CompareAndSwap(old, sc)
 }

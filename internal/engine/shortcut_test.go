@@ -192,7 +192,7 @@ func TestShortcutNeverCachesARoot(t *testing.T) {
 		opts []Option[keys.Uint64Key, any]
 	}{
 		{"binary root", nil},
-		{"wide root", []Option[keys.Uint64Key, any]{WithRootSpan[keys.Uint64Key, any](4)}},
+		{"wide root", []Option[keys.Uint64Key, any]{WithSpan[keys.Uint64Key, any](4)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tr := shortcutTrie(t, c.opts...)
@@ -565,17 +565,17 @@ func TestShortcutReplaceFigure6(t *testing.T) {
 	}
 }
 
-// TestShortcutRootSpanCrossSlotReplace moves 64 tokens between root
-// slots 0 and 4 of a WithRootSpan(4) trie whose 2^13 keys span the key
-// space, so the table indexes from bit 1 and caches 11-bit nodes. Four
+// TestShortcutWideRootCrossSlotReplace moves 64 tokens between root
+// slots 0 and 4 of a span-4 trie whose 2^13 keys span the key space, so
+// the table indexes from bit 1 and caches 8-bit nodes. Four
 // writers Replace from cached starts while snapshots come and go, so
 // the descents run both with renewal on, where a stale start falls back
 // to the root, and with it off. Every snapshot and the final trie hold
 // each token exactly once.
-func TestShortcutRootSpanCrossSlotReplace(t *testing.T) {
+func TestShortcutWideRootCrossSlotReplace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const tokens = 64
-	tr := mustNew(t, 20, WithRootSpan[keys.Uint64Key, any](4))
+	tr := mustNew(t, 20, WithSpan[keys.Uint64Key, any](4))
 	for i := uint64(0); i < 1<<13; i++ {
 		tr.Store(i<<7, i)
 	}

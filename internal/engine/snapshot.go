@@ -337,9 +337,6 @@ restart:
 		}
 		r.node = n
 		l.recordDepth(depth)
-		if sc != nil && sc.hits != nil {
-			sc.hits[t.gate.index(l)<<t.rootSpan+t.slotOf(v, 0)].Add(1)
-		}
 		if n != nil && n.isLeaf() {
 			live := Snapshot[K, V]{t: t, gen: liveGen}
 			r.rmvd = live.removed(n.info.Load())

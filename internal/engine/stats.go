@@ -84,20 +84,3 @@ func (t *Trie[K, V]) StatsSnapshot() StatsSnapshot {
 	}
 	return s
 }
-
-// RootSlotHits returns, per root slot, the number of mutating searches
-// that descended through it, summed over the lanes; nil unless
-// WithRootSpan built the trie. Like StatsSnapshot it is a metrics read:
-// each count is exact, the set of them is not one cut.
-func (t *Trie[K, V]) RootSlotHits() []int64 {
-	sc := t.short.Load()
-	if sc == nil || sc.hits == nil {
-		return nil
-	}
-	n := 1 << t.rootSpan
-	hits := make([]int64, n)
-	for i := range sc.hits {
-		hits[i%n] += sc.hits[i].Load()
-	}
-	return hits
-}

@@ -267,7 +267,7 @@ func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *info[K, V]) *n
 		return nil
 	}
 	cp := n1.label.CommonPrefix(n2.label) // shorter than both labels
-	if t.span > 1 || t.rootSpan > 1 {
+	if t.span > 1 {
 		// Binary tries skip the floor: every length is a digit boundary.
 		if n := t.digitFloor(cp.Len()); n < cp.Len() {
 			cp = cp.Prefix(n)

@@ -1,5 +1,5 @@
-// Package expiry is nbtried's keyspace: one non-blocking Patricia trie,
-// sharded at its root, whose leaves carry each key's value together with
+// Package expiry is nbtried's keyspace: one binary non-blocking Patricia
+// trie, the paper's, whose leaves carry each key's value together with
 // its deadline.
 //
 // A key's deadline lives in its leaf (Value.At), so every write that
@@ -107,7 +107,7 @@ func same(have, v Value) bool {
 // spot. Writes never consult the clock, so AOF replay re-applies records
 // exactly as they were acknowledged.
 type Index struct {
-	db    *nbtrie.ShardedMap[Value]
+	db    *nbtrie.Map[Value]
 	clock func() int64
 
 	// armedN counts armed leaves. Each write that changes a leaf's
@@ -137,15 +137,15 @@ type config struct {
 // deadlines against; the default is the wall clock.
 func WithClock(clock func() int64) Option { return func(c *config) { c.clock = clock } }
 
-// New returns an empty keyspace over keys of the given width, sharded
-// shardCount ways (the nbtrie.NewShardedMap constraints: 0 picks the
-// GOMAXPROCS-derived default). The trie has the paper's binary nodes.
-func New(width uint32, shardCount int, opts ...Option) (*Index, error) {
+// New returns an empty keyspace over keys of the given width, a Map with
+// the paper's binary nodes. shards is ignored: it is kept only while
+// benchmark/ passes it (ROADMAP.md item 1(g)).
+func New(width uint32, shards int, opts ...Option) (*Index, error) {
 	c := config{clock: func() int64 { return time.Now().UnixMilli() }}
 	for _, o := range opts {
 		o(&c)
 	}
-	db, err := nbtrie.NewShardedMap[Value](width, shardCount)
+	db, err := nbtrie.NewMap[Value](width)
 	if err != nil {
 		return nil, err
 	}
@@ -288,13 +288,10 @@ func (x *Index) rearm(k uint64, v Value, at uint64) bool {
 }
 
 // Rename moves old's value to new, which must be absent (RENAME): one
-// ReplaceKey, the paper's atomic Replace, whichever shards the keys live
-// in. The deadline travels inside the leaf, so value and deadline move in
-// one step. Like every write, Rename does not consult the clock.
-func (x *Index) Rename(old, new uint64) bool {
-	moved, _ := x.db.ReplaceKey(old, new)
-	return moved
-}
+// ReplaceKey, the paper's atomic Replace, wherever the keys lie. The
+// deadline travels inside the leaf, so value and deadline move in one
+// step. Like every write, Rename does not consult the clock.
+func (x *Index) Rename(old, new uint64) bool { return x.db.ReplaceKey(old, new) }
 
 // NoteExpired counts a key the server deleted because a client set a
 // deadline already past (EXPIRE, GETEX); purges count themselves. It
@@ -389,7 +386,7 @@ func (x *Index) Stats() (expired uint64, passes obs.HistSnapshot) {
 }
 
 // Len reports the number of keys, expired-but-unpurged ones included
-// (nbtrie.ShardedMap.Len's counter).
+// (nbtrie.Map.Len's counter).
 func (x *Index) Len() int { return x.db.Len() }
 
 // ArmedKeys reports the number of armed keys, exact at quiescence.
@@ -399,15 +396,22 @@ func (x *Index) ArmedKeys() int { return int(max(x.armedN.Load(), 0)) }
 // the dump's one cut, and SCAN's.
 func (x *Index) Snapshot() *nbtrie.MapSnapshot[Value] { return x.db.Snapshot() }
 
-// Shards returns the keyspace's shard count.
-func (x *Index) Shards() int { return x.db.Shards() }
+// Shards returns 1.
+//
+// Deprecated: the keyspace has one trie and no shards (ROADMAP.md item
+// 1(g)).
+func (x *Index) Shards() int { return 1 }
 
 // EngineStats returns the keyspace's contention counters.
 func (x *Index) EngineStats() nbtrie.EngineStats { return x.db.EngineStats() }
 
-// ShardEngineStats returns shard i's share of the statistics (see
-// nbtrie.ShardedMap.ShardEngineStats).
-func (x *Index) ShardEngineStats(i int) nbtrie.EngineStats { return x.db.ShardEngineStats(i) }
+// ShardEngineStats returns the keyspace's DepthSamples, its count of
+// mutating searches; i is ignored.
+//
+// Deprecated: use EngineStats (ROADMAP.md item 1(g)).
+func (x *Index) ShardEngineStats(i int) nbtrie.EngineStats {
+	return nbtrie.EngineStats{DepthSamples: x.db.EngineStats().DepthSamples}
+}
 
 // Validate checks the trie's structural invariants and that ArmedKeys
 // counts the armed leaves. Quiescent use only.

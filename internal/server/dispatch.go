@@ -44,7 +44,7 @@ var (
 func init() {
 	commands = []command{
 		// Each key command is one operation of the keyspace, expiry.Index,
-		// over one ShardedMap whose leaves hold value and deadline.
+		// over one Map whose leaves hold value and deadline.
 		// → Load: one wait-free descent; the clock is read only for an armed key.
 		{name: "GET", min: 2, max: 2, first: 1, last: 1, step: 1, run: (*session).get},
 		// → Store: one Swap (lock-free upsert); SET is MSET with one pair.
@@ -63,8 +63,8 @@ func init() {
 		{name: "DBSIZE", min: 1, max: 1, run: (*session).dbsize},
 		// → Snapshot, then Ascend over the frozen cut.
 		{name: "SCAN", min: 2, max: 4, run: (*session).scan},
-		// → Rename: ShardedMap.ReplaceKey, the paper's atomic Replace,
-		// whichever shards the keys live in.
+		// → Rename: Map.ReplaceKey, the paper's atomic Replace, wherever
+		// the keys lie.
 		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: (*session).rename, replay: (*Server).replayRename},
 		// The TTL commands (expiry.go): EXPIRE and PERSIST swap the leaf for
 		// one with the same bytes and a new deadline; every EXPIRE variant
@@ -458,7 +458,7 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 
 // rename is RENAME old new: the paper's atomic Replace, one
 // linearization point moving the value — and, inside the leaf, its
-// deadline — from old to new, whichever shards the two keys live in.
+// deadline — from old to new, wherever the two keys lie.
 //
 // An existing destination is an error, not an overwrite: Replace is
 // insert-if-absent by definition, and silently deleting the destination

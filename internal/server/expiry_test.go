@@ -198,23 +198,18 @@ func TestServerScanSkipsExpired(t *testing.T) {
 
 func TestServerRenameMovesTTL(t *testing.T) {
 	clk := newFakeClock()
-	s, addr := startServer(t, clk.cfg(Config{}))
+	_, addr := startServer(t, clk.cfg(Config{}))
 	c := dial(t, addr)
-	// Keys starting "k" share a shard; "\xe1d" and "\xe1e" differ from
-	// them in the top key bit.
+	// "\xe1d" and "\xe1e" lie in the other half of the keyspace from the
+	// keys starting "k".
 	const far, far2 = "\xe1d", "\xe1e"
-	for _, pair := range [][2]string{{"k100", "k200"}, {"k500", "k600"}} {
-		if !sameShard(t, s, mustEncode(t, pair[0]), mustEncode(t, pair[1])) {
-			t.Fatalf("test premise broken: %s and %s in different shards", pair[0], pair[1])
-		}
-	}
 	for _, pair := range [][2]string{{"k200", far}, {"k700", far2}} {
-		if sameShard(t, s, mustEncode(t, pair[0]), mustEncode(t, pair[1])) {
-			t.Fatalf("test premise broken: %q and %q share a shard", pair[0], pair[1])
+		if !apart(t, pair[0], pair[1]) {
+			t.Fatalf("test premise broken: %q and %q in the same half", pair[0], pair[1])
 		}
 	}
 
-	// Same-shard rename carries the deadline.
+	// A rename between near keys carries the deadline.
 	c.mustSimple("OK", "SET", "k100", "v")
 	c.mustInt(1, "PEXPIRE", "k100", "30000")
 	clk.advance(10_000)
@@ -222,7 +217,7 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustInt(20_000, "PTTL", "k200")
 	c.mustInt(-2, "TTL", "k100")
 
-	// So does a rename across shards: the same atomic Replace.
+	// So does a rename across the halves: the same atomic Replace.
 	c.mustSimple("OK", "RENAME", "k200", far)
 	c.mustInt(20_000, "PTTL", far)
 	c.mustInt(-2, "TTL", "k200")
@@ -243,14 +238,14 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	c.mustSimple("OK", "MSET", "k500", "live", "k600", "dying")
 	c.mustInt(1, "PEXPIRE", "k600", "50")
 	clk.advance(51)
-	c.mustSimple("OK", "RENAME", "k500", "k600") // same shard
+	c.mustSimple("OK", "RENAME", "k500", "k600") // near keys
 	c.mustBulk("live", "GET", "k600")
 	c.mustInt(-1, "TTL", "k600") // the dead destination's arming is gone
 
 	c.mustSimple("OK", "MSET", "k700", "live2", far2, "dying2")
 	c.mustInt(1, "PEXPIRE", far2, "50")
 	clk.advance(51)
-	c.mustSimple("OK", "RENAME", "k700", far2) // across shards
+	c.mustSimple("OK", "RENAME", "k700", far2) // across the halves
 	c.mustBulk("live2", "GET", far2)
 	c.mustInt(-1, "TTL", far2)
 }
@@ -432,7 +427,7 @@ func TestServerInfoExpirySection(t *testing.T) {
 // TestServerTTLStress runs every keyspace write against a few keys from
 // concurrent sessions while the clock advances under them and the
 // reaper sweeps beside them: SET, SETEX, EXPIRE, PERSIST, DEL, RENAME
-// (across shards too), GETEX and GET. Once they stop, the armed-key count
+// (across the halves of the keyspace too), GETEX and GET. Once they stop, the armed-key count
 // must equal the number of armed leaves (Validate). Then the clock passes
 // every deadline and one full reaper pass runs: no leaf may still be
 // armed, and the count must read 0.
@@ -443,8 +438,8 @@ func TestServerTTLStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Keys whose first bytes differ in the top bits land in different
-	// shards, so RENAME moves keys both within and across shards.
+	// The keys' first bytes differ at several bit positions, so RENAME's
+	// two parents meet at several depths.
 	keys := []string{"a", "b", "c", "A", "B", "1"}
 	cmds := func(rng *rand.Rand) []string {
 		k, k2 := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]

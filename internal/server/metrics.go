@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -74,9 +73,8 @@ type stat struct {
 	val          any
 }
 
-// infoTitles is INFO's section order. Commandstats, Latencystats and
-// the per-shard end of Engine have no rows: infoText renders them from
-// the per-command and per-shard counters.
+// infoTitles is INFO's section order. Commandstats and Latencystats
+// have no rows: infoText renders them from the per-command counters.
 var infoTitles = []string{"Server", "Clients", "Stats", "Commandstats",
 	"Latencystats", "Expiry", "Persistence", "Engine", "Keyspace"}
 
@@ -93,10 +91,9 @@ func (s *Server) stats() []stat {
 	aofOn := s.pst != nil && s.pst.aofOn
 	rows := []stat{
 		{"Server", "nbtried_version", "", "", Version},
-		{"Server", "engine", "", "", "nbtrie-sharded-patricia"},
+		{"Server", "engine", "", "", "nbtrie-patricia"},
 		{"Server", "keyer", "", "", "bytes"},
 		{"Server", "key_width_bits", "", "", BytesKeyer{}.Width()},
-		{"Server", "shards", "", "", s.db.Shards()},
 		{"Server", "uptime_in_seconds", "nbtried_uptime_seconds",
 			"Seconds since the server started.", int64(time.Since(s.start).Seconds())},
 		{"Clients", "connected_clients", "nbtried_connected_clients",
@@ -212,8 +209,6 @@ func (s *Server) infoText(section string) string {
 			s.commandstatsText(&b)
 		case "Latencystats":
 			s.latencystatsText(&b)
-		case "Engine":
-			s.shardUpdatesText(&b)
 		}
 	}
 	return b.String()
@@ -346,24 +341,5 @@ func (s *Server) latencystatsText(b *strings.Builder) {
 		}
 		fmt.Fprintf(b, "latency_percentiles_usec_%s:p50=%d,p99=%d,p99.9=%d\r\n",
 			cmdLabel(ci), snap.Quantile(0.50), snap.Quantile(0.99), snap.Quantile(0.999))
-	}
-}
-
-// shardUpdatesText ends the INFO # Engine section: the updates counted
-// per shard, busiest first (shards with none are omitted).
-func (s *Server) shardUpdatesText(b *strings.Builder) {
-	type shardUpdates struct {
-		shard int
-		n     int64
-	}
-	var hot []shardUpdates
-	for i := 0; i < s.db.Shards(); i++ {
-		if n := s.db.ShardEngineStats(i).DepthSamples; n > 0 {
-			hot = append(hot, shardUpdates{i, n})
-		}
-	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].n > hot[j].n })
-	for _, h := range hot {
-		fmt.Fprintf(b, "engine_shard%d_updates:%d\r\n", h.shard, h.n)
 	}
 }

@@ -343,8 +343,8 @@ func TestInfoEngineSection(t *testing.T) {
 			t.Errorf("INFO engine missing %q in %q", want, body)
 		}
 	}
-	if !strings.Contains(body, "_updates:") || !strings.Contains(body, "engine_shard") {
-		t.Errorf("INFO engine missing per-shard breakdown: %q", body)
+	if strings.Contains(body, "engine_shard") {
+		t.Errorf("INFO engine lists per-shard lines; the keyspace has no shards: %q", body)
 	}
 }
 
@@ -501,9 +501,6 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		if !ok {
 			continue // the blank line between sections
 		}
-		if strings.HasPrefix(key, "engine_shard") && strings.HasSuffix(key, "_updates") {
-			key = "engine_shardN_updates" // which shards depends on the keys' digits
-		}
 		if !slices.Contains(keys[section], key) {
 			keys[section] = append(keys[section], key)
 		}
@@ -515,8 +512,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 			"aof_last_write_status", "rdb_bgsave_in_progress", "rdb_last_save_time", "rdb_last_bgsave_status")
 	}
 	wantKeys := map[string][]string{
-		"Server": {"nbtried_version", "engine", "keyer", "key_width_bits", "shards",
-			"uptime_in_seconds"},
+		"Server":  {"nbtried_version", "engine", "keyer", "key_width_bits", "uptime_in_seconds"},
 		"Clients": {"connected_clients"},
 		"Stats": {"total_connections_received", "total_commands_processed", "total_error_replies",
 			"total_net_input_bytes", "total_net_output_bytes", "slowlog_len"},
@@ -527,7 +523,7 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"Persistence": persistence,
 		"Engine": {"engine_help_total", "engine_help_assists_total", "engine_child_cas_failures_total",
 			"engine_flag_backtracks_total", "engine_op_retries_total", "engine_snapshot_renewals_total",
-			"engine_snapshots_held", "engine_depth_samples", "engine_depth_p50", "engine_depth_p99", "engine_shardN_updates"},
+			"engine_snapshots_held", "engine_depth_samples", "engine_depth_p50", "engine_depth_p99"},
 		"Keyspace": {"db0"},
 	}
 	var order []string

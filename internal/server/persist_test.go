@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -359,32 +358,6 @@ func TestScanCursorEviction(t *testing.T) {
 		t.Fatalf("evicted cursor: got cursor=%s page=%d, want clean termination",
 			v.Array[0].Str, len(v.Array[1].Array))
 	}
-}
-
-// TestPersistShardCountChange: the dump and the AOF store wire keys, so
-// a restart under a different shard count recovers identically. The
-// count follows GOMAXPROCS, so the test changes that across the restart.
-func TestPersistShardCountChange(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	cfg := persistCfg(t.TempDir())
-	s, addr := startServer(t, cfg)
-	c := dial(t, addr)
-	for i := 0; i < 64; i++ {
-		c.mustSimple("OK", "SET", "key-"+strconv.Itoa(i), strconv.Itoa(i))
-	}
-	c.mustSimple("OK", "SAVE")
-	c.mustSimple("OK", "SET", "tail", "write")
-
-	runtime.GOMAXPROCS(32)
-	s2, addr2 := restart(t, s, cfg)
-	if s2.DB().Shards() == s.DB().Shards() {
-		t.Fatalf("both boots have %d shards; the restart must change the count", s.DB().Shards())
-	}
-	c2 := dial(t, addr2)
-	c2.mustBulk("33", "GET", "key-33")
-	c2.mustBulk("write", "GET", "tail")
-	c2.mustInt(65, "DBSIZE")
 }
 
 // TestPersistSaveAfterClose: once Close has sealed the persister, a

@@ -1,7 +1,7 @@
 // Package server is nbtried's network layer: a pipelined, RESP2-subset
-// key-value server over the repository's sharded non-blocking Patricia
-// trie. The keyspace is internal/expiry's Index: one ShardedMap whose
-// leaves hold each key's value and deadline, which the reaper sweeps.
+// key-value server over the repository's non-blocking Patricia trie. The
+// keyspace is internal/expiry's Index: one binary Map whose leaves hold
+// each key's value and deadline, which the reaper sweeps.
 // It is the first layer of the ROADMAP's "production-scale system
 // serving heavy traffic": the paper's lock-free engine does the
 // synchronization, and every connection goroutine calls straight into
@@ -57,7 +57,7 @@ const Version = "0.6.0"
 // Config parameterizes a Server. The zero value is usable: default
 // protocol limits, persistence off. Neither the wire-key mapping
 // (BytesKeyer) nor the keyspace's shape is configurable: expiry.New picks
-// the shape (binary nodes, a GOMAXPROCS-derived shard count).
+// the shape, the paper's binary trie.
 type Config struct {
 	// Limits bounds the request parser; zero fields take resp.DefaultLimits.
 	Limits resp.Limits

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"nbtrie"
 	"nbtrie/internal/persist"
 	"nbtrie/internal/resp"
 )
@@ -155,7 +154,7 @@ func TestServerBasics(t *testing.T) {
 
 	// INFO mentions the engine and the keyspace.
 	info := c.do("INFO")
-	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "engine:nbtrie-sharded-patricia") {
+	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "engine:nbtrie-patricia") {
 		t.Fatalf("INFO = %s", info)
 	}
 
@@ -210,41 +209,28 @@ func TestServerPipelining(t *testing.T) {
 	}
 }
 
-// sameShard reports whether keys a and b count their updates in the same
-// shard of s's keyspace, found by storing each in an empty map of the
-// same width and shard count.
-func sameShard(t *testing.T, s *Server, a, b uint64) bool {
+// apart reports whether the wire keys a and b, encoded, lie in different
+// halves of the keyspace. The trie stores key k as k+1 in width+1 bits:
+// the binary root's own bit is set only for the largest key, so every
+// other key hangs under the root's first child, which splits on the next
+// bit, the top bit of k+1's width bits. A Replace between keys that
+// differ there has its two parents under different children of that
+// node, and neither parent is the other's ancestor below it.
+func apart(t *testing.T, a, b string) bool {
 	t.Helper()
-	shardOf := func(k uint64) int {
-		m, err := nbtrie.NewShardedMap[struct{}](BytesKeyer{}.Width(), s.DB().Shards())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Store(k, struct{}{})
-		for i := range m.Shards() {
-			if m.ShardEngineStats(i).DepthSamples > 0 {
-				return i
-			}
-		}
-		t.Fatalf("key %d counted in no shard", k)
-		return -1
-	}
-	return shardOf(a) == shardOf(b)
+	top := BytesKeyer{}.Width() - 1
+	return (mustEncode(t, a)+1)>>top&1 != (mustEncode(t, b)+1)>>top&1
 }
 
-// TestServerRename covers the outcomes: atomic rename within and across
-// shards, missing source, existing destination, and the retired
-// RENAMESTRICT.
+// TestServerRename covers the outcomes: atomic rename between near keys
+// and between the two halves of the keyspace, missing source, existing
+// destination, and the retired RENAMESTRICT.
 func TestServerRename(t *testing.T) {
-	s, addr := startServer(t, Config{})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 
-	// "k100" and "k200" share their first byte, hence their shard.
-	if !sameShard(t, s, mustEncode(t, "k100"), mustEncode(t, "k200")) {
-		t.Fatal("test premise broken: k100 and k200 in different shards")
-	}
 	c.mustSimple("OK", "SET", "k100", "payload")
-	c.mustSimple("OK", "RENAME", "k100", "k200") // same shard: atomic Replace
+	c.mustSimple("OK", "RENAME", "k100", "k200") // atomic Replace
 	c.mustNull("GET", "k100")
 	c.mustBulk("payload", "GET", "k200")
 
@@ -266,19 +252,19 @@ func TestServerRename(t *testing.T) {
 	c.mustBulk("payload", "GET", "k200")
 	c.mustInt(2, "DBSIZE")
 
-	// Cross-shard: "k200" and "\xe1d" differ in the top key bit. RENAME
+	// "k200" and "\xe1d" lie in different halves of the keyspace. RENAME
 	// is the same atomic Replace there; RENAMESTRICT, which used to
 	// refuse such a pair, is gone.
 	const far = "\xe1d"
-	if sameShard(t, s, mustEncode(t, "k200"), mustEncode(t, far)) {
-		t.Fatal("test premise broken: keys share a shard")
+	if !apart(t, "k200", far) {
+		t.Fatal("test premise broken: k200 and \\xe1d in the same half")
 	}
 	c.mustErrContain("unknown command", "RENAMESTRICT", "k200", far)
 	c.mustSimple("OK", "RENAME", "k200", far)
 	c.mustNull("GET", "k200")
 	c.mustBulk("payload", "GET", far)
 
-	// Cross-shard destination-exists: refused, nothing moved.
+	// Destination-exists across the halves: refused, nothing moved.
 	c.mustErrContain("destination key exists", "RENAME", "k300", far)
 	c.mustBulk("other", "GET", "k300")
 	c.mustBulk("payload", "GET", far)
@@ -764,7 +750,7 @@ func TestServerMidBurstThresholdFlush(t *testing.T) {
 }
 
 // TestServerSmokeBattery is the end-to-end command battery on a fresh
-// server with the default bytes keyer and shard count. The keyspace is
+// server with the default bytes keyer. The keyspace is
 // always a binary (span 1) trie, which names the one subtest. The
 // assertions are exact, so it starts from an empty keyspace.
 func TestServerSmokeBattery(t *testing.T) {
@@ -772,7 +758,7 @@ func TestServerSmokeBattery(t *testing.T) {
 }
 
 func smokeBattery(t *testing.T) {
-	s, addr := startServer(t, Config{})
+	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 	mustIntIn := func(lo, hi int64, args ...string) {
 		t.Helper()
@@ -791,21 +777,17 @@ func smokeBattery(t *testing.T) {
 	c.mustSimple("OK", "MSET", "ab", "v2", "ac", "v3")
 	c.mustInt(3, "DBSIZE")
 
-	// Same-shard atomic rename: "aa" and "ad" share their first
-	// byte, hence their shard.
-	if !sameShard(t, s, mustEncode(t, "aa"), mustEncode(t, "ad")) {
-		t.Fatal("test premise broken: aa and ad in different shards")
-	}
+	// Atomic rename between near keys.
 	c.mustSimple("OK", "RENAME", "aa", "ad")
 	c.mustNull("GET", "aa")
 	c.mustBulk("v1", "GET", "ad")
 	c.mustErrContain("no such key", "RENAME", "aa", "ae")
 	c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
 
-	// Cross-shard: "ad" and "\xe1d" differ in the top key bit.
-	// RENAME is the same atomic Replace across shards.
-	if sameShard(t, s, mustEncode(t, "ad"), mustEncode(t, "\xe1d")) {
-		t.Fatal("test premise broken: ad and \\xe1d share a shard")
+	// "ad" and "\xe1d" lie in different halves of the keyspace. RENAME
+	// is the same atomic Replace there.
+	if !apart(t, "ad", "\xe1d") {
+		t.Fatal("test premise broken: ad and \\xe1d in the same half")
 	}
 	c.mustSimple("OK", "RENAME", "ad", "\xe1d")
 	c.mustNull("GET", "ad")

@@ -74,8 +74,7 @@ func TestLenAllMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Spread keys across all shards: the top 3 bits of a 16-bit key
-		// pick the shard, so stride the inserts through the whole space.
+		// Stride the inserts through the whole key space.
 		for k := uint64(0); k < 1<<16; k += 257 {
 			m.Store(k, int(k))
 		}
@@ -90,9 +89,9 @@ func TestLenAllMaps(t *testing.T) {
 	})
 }
 
-// TestShardedLenConcurrent hammers a ShardedMap across every shard from
-// many goroutines and checks its counter against a full traversal at
-// quiescence.
+// TestShardedLenConcurrent hammers a ShardedMap across its whole key
+// space from many goroutines and checks its counter against a full
+// traversal at quiescence.
 func TestShardedLenConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -127,7 +126,7 @@ func TestShardedLenConcurrent(t *testing.T) {
 				case 3:
 					m.CompareAndDelete(k, seed)
 				case 4:
-					m.ReplaceKey(k, next()%(1<<width)) // may be cross-shard: refused, no change
+					m.ReplaceKey(k, next()%(1<<width))
 				}
 			}
 		}(uint64(w) + 1)

@@ -37,11 +37,11 @@ func TestConformanceAllImplementations(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Implementations()
-	if len(names) != 9 || names[0] != "patricia" {
+	if len(names) != 8 || names[0] != "patricia" {
 		t.Fatalf("Implementations() = %v; want the trie, five baselines and the extra engine instantiations, trie first", names)
 	}
-	if names[len(names)-3] != "spatial" || names[len(names)-2] != "sharded" || names[len(names)-1] != "karypatricia" {
-		t.Fatalf("Implementations() = %v; spatial, sharded, karypatricia should close the registry", names)
+	if names[len(names)-2] != "spatial" || names[len(names)-1] != "karypatricia" {
+		t.Fatalf("Implementations() = %v; spatial, karypatricia should close the registry", names)
 	}
 	for _, name := range names {
 		if im, _ := LookupImplementation(name); im.Fanout < 2 {
@@ -74,8 +74,8 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("%q: Replace=%v but ReplaceSet assertion=%v", name, im.Replace, isReplace)
 		}
 	}
-	if im, _ := LookupImplementation("sharded"); !im.Replace {
-		t.Fatal("sharded Replace = false, want true")
+	if _, ok := LookupImplementation("sharded"); ok {
+		t.Fatal("the retired sharded entry is still registered")
 	}
 	// AllImplementations mirrors Implementations in order and content,
 	// and hands out copies (mutating one must not poison the registry).

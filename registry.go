@@ -10,8 +10,7 @@ import (
 
 // Implementation describes one registered concurrent-set implementation:
 // the paper's Patricia trie, the five baselines of its evaluation, and
-// three more instantiations of the shared engine: Morton-keyed, with a
-// wide sharding root, and k-ary.
+// two more instantiations of the shared engine: Morton-keyed and k-ary.
 // Tools (the figure benchmarks, cmd/triecli, the conformance tests and
 // ExampleAllImplementations) enumerate this registry instead of hard-coding
 // the list, so a new implementation registers once and appears everywhere.
@@ -122,21 +121,6 @@ var registry = []Implementation{
 			// key is the raw Morton code.
 			t := newTrie[uint64, keys.MortonKey, struct{}](keys.MortonCodec{})
 			return &t, nil
-		},
-	},
-	{
-		Name:         "sharded",
-		Fanout:       2,
-		Legend:       "PAT-S",
-		Description:  "PAT under a wide root: the top key bits pick one of 2^s root slots (the shards of ShardedMap); one trie, Replace atomic across slots",
-		Replace:      true,
-		WaitFreeRead: true,
-		New: func(width uint32) (Set, error) {
-			t, _, err := newSharded[struct{}](width, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			return &PatriciaTrie{t: t}, nil
 		},
 	},
 	{

@@ -38,7 +38,7 @@ type trie[U any, K keys.Key[K], V any, C codec[U, K]] struct {
 }
 
 // newTrie returns an empty trie over c's key space; opts configure the
-// engine's digit schedule (engine.WithSpan, engine.WithRootSpan).
+// engine's digit width (engine.WithSpan).
 func newTrie[U any, K keys.Key[K], V any, C codec[U, K]](c C, opts ...engine.Option[K, V]) trie[U, K, V, C] {
 	lo, hi := c.Bounds()
 	return trie[U, K, V, C]{c: c, e: engine.New(lo, hi, opts...)}

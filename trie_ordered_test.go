@@ -72,9 +72,9 @@ func TestOrderedQueriesBoundaryWidths(t *testing.T) {
 }
 
 // TestOrderedQueriesOracle checks Ceiling, Floor and AscendKV against a
-// sorted oracle on a binary trie, a span-4 trie and a binary trie under
-// a wide root. The wide layouts have empty slots, which both walk
-// directions must step over, and partial bottom digits.
+// sorted oracle on a binary trie and span-4 and span-6 tries. The wide
+// layouts have empty slots, which both walk directions must step over,
+// and partial bottom digits (width 10 is a multiple of neither span).
 func TestOrderedQueriesOracle(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -82,7 +82,7 @@ func TestOrderedQueriesOracle(t *testing.T) {
 	}{
 		{"span 1", nil},
 		{"span 4", []engine.Option[keys.Uint64Key, any]{engine.WithSpan[keys.Uint64Key, any](4)}},
-		{"root span 6", []engine.Option[keys.Uint64Key, any]{engine.WithRootSpan[keys.Uint64Key, any](6)}},
+		{"span 6", []engine.Option[keys.Uint64Key, any]{engine.WithSpan[keys.Uint64Key, any](6)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tr := mustNew(t, 10, c.opts...)
