@@ -15,10 +15,11 @@
 //	-port-file  write the actual listen address to this file once
 //	            listening (for scripts that start on a random port)
 //
-// Wire keys are 1 to 7 raw bytes, mapped into 59-bit trie keys in
-// lexicographic order (server.BytesKeyer), which the startup banner
-// reports. The keyspace's shape is fixed: the paper's binary trie, one
-// digit width from the root down (DESIGN.md §5).
+// Wire keys are 1 to 7 raw bytes, mapped into 59-bit trie keys by a
+// reversible packing and mix (server.BytesKeyer), whose width the
+// startup banner reports; SCAN returns keys in that mixed order. The
+// keyspace's shape is fixed: the paper's binary trie, one digit width
+// from the root down (DESIGN.md §5).
 //
 // Observability (see DESIGN.md §13):
 //

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unsafe"
 )
@@ -178,6 +179,20 @@ type Footprint struct {
 	// header and its slots, 0 before the trie first held
 	// shortcutMinKeys keys.
 	ShortcutBytes uintptr
+
+	// LeafDepths is the trie's shape: the sum over the user leaves (the
+	// dummies left out) of each one's depth, the number of internal
+	// nodes on its path, the root included.
+	LeafDepths int
+}
+
+// MeanLeafDepth returns the mean depth of the user leaves, 0 when the
+// trie holds none: what UniformShape predicts for uniform keys.
+func (f Footprint) MeanLeafDepth() float64 {
+	if f.Leaves <= 2 {
+		return 0
+	}
+	return float64(f.LeafDepths) / float64(f.Leaves-2)
 }
 
 // Bytes returns the predicted bytes of all census objects.
@@ -219,14 +234,14 @@ func classSize(n uintptr) uintptr {
 // Footprint walks the trie and returns its census. Quiescent use only.
 func (t *Trie[K, V]) Footprint() Footprint {
 	var f Footprint
-	t.footprintNode(t.root.Load(), &f)
+	t.footprintNode(t.root.Load(), &f, 0)
 	if sc := t.short.Load(); sc != nil {
 		f.ShortcutBytes = classSize(unsafe.Sizeof(*sc)) + classSize(uintptr(len(sc.slots))*unsafe.Sizeof(sc.slots[0]))
 	}
 	return f
 }
 
-func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
+func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint, depth int) {
 	switch i := n.info.Load(); {
 	case i.flagged():
 		f.Infos++
@@ -238,6 +253,9 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 	if n.isLeaf() {
 		f.Leaves++
 		f.LeafBytes += classSize(unsafe.Sizeof(*n.leaf()))
+		if !n.label.Equal(t.dummyMin) && !n.label.Equal(t.dummyMax) {
+			f.LeafDepths += depth
+		}
 		return
 	}
 	in := n.inner()
@@ -247,7 +265,53 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint) {
 	f.InternalBytes += classSize(unsafe.Sizeof(*in) + tail)
 	for idx := 0; idx < fan; idx++ {
 		if c := in.kid(idx).Load(); c != nil {
-			t.footprintNode(c, f)
+			t.footprintNode(c, f, depth+1)
 		}
+	}
+}
+
+// UniformShape predicts the census of a trie at digit width span that
+// holds n user keys drawn uniformly from a U64Codec key space whose
+// width is well above log2 n: the expected MeanLeafDepth and the
+// expected count of internal nodes.
+//
+// U64Codec stores key k as k+1 in width+1 bits, so the first bit is 0 for
+// every user key (but 2^width−1) and 1 for the upper dummy. The root,
+// which every leaf passes, is therefore one level that at span 1 separates
+// only that dummy; below it the keys' other bits are uniform. A leaf's
+// path then holds a node at digit j ≥ 1 exactly when another key shares
+// the leaf's first j digits and differs in digit j+1. Each of the other
+// n−1 user keys does so with probability q_j = 2^(1−j·span)·(1−2^−span)
+// and the all-zero lower dummy too, averaged over the leaf, all
+// independently, so
+//
+//	depth = 1 + Σ_{j≥1} (1 − (1−q_j)^n).
+//
+// At span 1 the sum is the Patricia trie's expected depth log2 n + γ/ln 2
+// − 1/2 ≈ log2 n + 0.33 (Knuth; Szpankowski), up to an O(1/n) term and a
+// periodic term below 10^−5, so depth ≈ log2 n + 1.33 with the root.
+//
+// A node at digit j ≥ 1 exists for a j-digit prefix when the keys under
+// it fill at least two of its m = 2^span child slots. With p = 2^(1−j·span)
+// the chance that one user key has the prefix, the user keys do that with
+// probability 1 − (1−p)^n − m·((1−p+p/m)^n − (1−p)^n), for each of the
+// 2^(j·span−1) prefixes. Under the all-zero prefix the lower dummy adds
+// a node when the user keys fill exactly one slot other than slot 0,
+// with probability (m−1)·((1−p+p/m)^n − (1−p)^n). At span 1 these sum to
+// n + 1 up to O(1/n), the internal nodes of any binary trie of n + 2
+// leaves.
+func UniformShape(n int, span uint32) (depth, internal float64) {
+	m, x := math.Ldexp(1, int(span)), float64(n)
+	depth, internal = 1, 1
+	// Past n·p = 10^−7 what is left of either sum is below 10^−6.
+	for j := 1; ; j++ {
+		p := math.Ldexp(1, 1-j*int(span))
+		if x*p < 1e-7 {
+			return depth, internal
+		}
+		depth -= math.Expm1(x * math.Log1p(-p*(1-1/m)))
+		none := math.Exp(x * math.Log1p(-p))
+		oneSlot := m * (math.Exp(x*math.Log1p(-p+p/m)) - none)
+		internal += (1-none-oneSlot)/p + oneSlot*(m-1)/m
 	}
 }

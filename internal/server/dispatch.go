@@ -348,12 +348,12 @@ const scanDefaultCount = 10
 
 // scan implements SCAN cursor [COUNT n], backed by the engine's O(1)
 // snapshots: SCAN 0 freezes a snapshot and every later page of that
-// cursor walks the SAME frozen keyspace in ascending key order. A full
-// cursor walk is therefore a consistent cut — every key in the snapshot
-// exactly once, no duplicates, no skips, and no concurrent mutation
-// visible mid-scan (strictly stronger than Redis's guarantee; see
-// DESIGN.md §8). The wire cursor is an opaque server-assigned id, not a
-// resume key.
+// cursor walks the SAME frozen keyspace in ascending trie-key order
+// (BytesKeyer's mix order). A full cursor walk is therefore a
+// consistent cut — every key in the snapshot exactly once, no
+// duplicates, no skips, and no concurrent mutation visible mid-scan
+// (strictly stronger than Redis's guarantee; see DESIGN.md §8). The
+// wire cursor is an opaque server-assigned id, not a resume key.
 //
 // Cursors live in a bounded table; the oldest is evicted when it fills,
 // and a SCAN with an unknown/evicted id terminates with cursor 0 and an

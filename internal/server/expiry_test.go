@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -191,8 +192,10 @@ func TestServerScanSkipsExpired(t *testing.T) {
 	for _, k := range v.Array[1].Array {
 		got = append(got, string(k.Str))
 	}
-	if len(got) != 2 || got[0] != "10" || got[1] != "30" {
-		t.Fatalf("SCAN over a half-expired keyspace = %v, want [10 30]", got)
+	want := []string{"10", "30"}
+	sortByEncode(t, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("SCAN over a half-expired keyspace = %v, want %v", got, want)
 	}
 }
 
@@ -200,27 +203,24 @@ func TestServerRenameMovesTTL(t *testing.T) {
 	clk := newFakeClock()
 	_, addr := startServer(t, clk.cfg(Config{}))
 	c := dial(t, addr)
-	// "\xe1d" and "\xe1e" lie in the other half of the keyspace from the
-	// keys starting "k".
-	const far, far2 = "\xe1d", "\xe1e"
-	for _, pair := range [][2]string{{"k200", far}, {"k700", far2}} {
-		if !apart(t, pair[0], pair[1]) {
-			t.Fatalf("test premise broken: %q and %q in the same half", pair[0], pair[1])
-		}
-	}
+	// dst is near k100 (nearKey); far lies in the other half of the
+	// keyspace from dst, and far2 from k700.
+	dst := nearKey(t, "k100")
+	far := farKey(t, dst)
+	far2 := farKey(t, "k700", far)
 
 	// A rename between near keys carries the deadline.
 	c.mustSimple("OK", "SET", "k100", "v")
 	c.mustInt(1, "PEXPIRE", "k100", "30000")
 	clk.advance(10_000)
-	c.mustSimple("OK", "RENAME", "k100", "k200")
-	c.mustInt(20_000, "PTTL", "k200")
+	c.mustSimple("OK", "RENAME", "k100", dst)
+	c.mustInt(20_000, "PTTL", dst)
 	c.mustInt(-2, "TTL", "k100")
 
 	// So does a rename across the halves: the same atomic Replace.
-	c.mustSimple("OK", "RENAME", "k200", far)
+	c.mustSimple("OK", "RENAME", dst, far)
 	c.mustInt(20_000, "PTTL", far)
-	c.mustInt(-2, "TTL", "k200")
+	c.mustInt(-2, "TTL", dst)
 
 	// And the moved deadline still fires.
 	clk.advance(20_000)

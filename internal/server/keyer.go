@@ -4,17 +4,21 @@ import "fmt"
 
 // BytesKeyer maps wire keys (the byte strings clients send) into the
 // fixed-width uint64 key space of the keyspace trie, and back. Wire keys
-// are 1 to 7 arbitrary bytes, NULs and all: the bytes big-endian in the
-// top 56 bits of a 59-bit trie key, zero-padded, with the byte count in
-// the low 3 bits to disambiguate the padding ("a" vs "a\x00").
+// are 1 to 7 arbitrary bytes, NULs and all. Encode packs them big-endian
+// into the top 56 bits of a 59-bit word, zero-padded, with the byte count
+// in the low 3 bits to disambiguate the padding ("a" vs "a\x00"), and
+// then passes the word through mix, a bijection on 59 bits.
 //
 // The mapping is injective, so two distinct wire keys never collide on
 // one trie key and a SET never clobbers an unrelated key, and invertible,
 // so SCAN and the dump render each trie key back as the byte string the
-// client knows. It preserves lexicographic order: the padded bytes
-// dominate the comparison and the length tag breaks exactly the
-// zero-padding ties, in which the shorter key is the smaller one. So
-// SCAN, which ascends the trie, returns keys in lexicographic order.
+// client knows. The mix is there for the trie's shape: packed ASCII keys
+// vary in a few low bits of each byte, so unmixed they build a trie
+// levels deeper than the log2 n + 0.33 the Patricia analysis predicts
+// for uniform keys and reach a handful of the shortcut table's slots;
+// mixed, they fill the 59-bit space like uniform keys do. The price is
+// order: SCAN, which ascends the trie, returns keys in mix order, not in
+// lexicographic order (Redis promises no SCAN order either).
 // Rejected, with an error the server surfaces as a RESP error: empty keys
 // and keys longer than 7 bytes. Keys are never truncated or hashed.
 //
@@ -51,7 +55,7 @@ func (BytesKeyer) Encode(key []byte) (uint64, error) {
 		v = v<<8 | uint64(b)
 	}
 	v <<= 8 * uint(BytesKeyerMaxLen-n) // left-align: pad toward the low bytes
-	return v<<3 | uint64(n), nil
+	return mix(v<<3 | uint64(n)), nil
 }
 
 // AppendDecode appends the wire key of a trie key produced by Encode to
@@ -59,9 +63,52 @@ func (BytesKeyer) Encode(key []byte) (uint64, error) {
 // reuse one buffer. It is only defined on Encode's image; the server only
 // calls it on keys read back out of the trie.
 func (BytesKeyer) AppendDecode(dst []byte, k uint64) []byte {
+	k = unmix(k)
 	v := k >> 3
 	for i := range int(k & 7) {
 		dst = append(dst, byte(v>>(8*uint(BytesKeyerMaxLen-1-i))))
 	}
 	return dst
+}
+
+// The mix is splitmix64's finalizer cut down to 59 bits: xorshift-right
+// and multiply-by-odd rounds, each computed modulo 2^59. A right xorshift
+// keeps a 59-bit word inside 59 bits and is undone by xoring in its
+// repeated shifts; an odd multiplier is a unit modulo 2^59, undone by
+// its inverse. So mix is a bijection on [0, 2^59) and unmix inverts it.
+const (
+	mixMask             = 1<<59 - 1
+	mixMul1             = 0xbf58476d1ce4e5b9
+	mixMul2             = 0x94d049bb133111eb
+	mixInv1             = 0x96de1b173f119089 // mixMul1 * mixInv1 = 1 mod 2^64
+	mixInv2             = 0x319642b2d24d8ec3 // mixMul2 * mixInv2 = 1 mod 2^64
+	mixS1, mixS2, mixS3 = 31, 29, 32
+)
+
+// mix maps [0, 2^59) onto itself one to one, spreading every input bit
+// over the whole word.
+func mix(x uint64) uint64 {
+	x ^= x >> mixS1
+	x = x * mixMul1 & mixMask
+	x ^= x >> mixS2
+	x = x * mixMul2 & mixMask
+	return x ^ x>>mixS3
+}
+
+// unmix inverts mix.
+func unmix(x uint64) uint64 {
+	x = unshift(x, mixS3)
+	x = x * mixInv2 & mixMask
+	x = unshift(x, mixS2)
+	x = x * mixInv1 & mixMask
+	return unshift(x, mixS1)
+}
+
+// unshift inverts y = x ^ x>>s on 59-bit words: x = y ^ y>>s ^ y>>2s ^ ...
+func unshift(y uint64, s uint) uint64 {
+	x := y
+	for sh := s; sh < 59; sh += s {
+		x ^= y >> sh
+	}
+	return x
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -41,20 +42,31 @@ func TestBytesKeyerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBytesKeyerOrder: trie-key order must equal lexicographic wire-key
-// order, so SCAN walks keys in the order a client expects.
-func TestBytesKeyerOrder(t *testing.T) {
-	b := BytesKeyer{}
-	sorted := [][]byte{
-		{0}, {0, 0}, {0, 1}, []byte("a"), []byte("a\x00"), []byte("a\x00\x00"),
-		[]byte("a\x01"), []byte("ab"), []byte("abcdefg"), []byte("b"), {0xff}, {0xff, 0x00},
+// TestMixBijection: mix and unmix are inverse maps of [0, 2^59) onto
+// itself, on random words and on the edges of the space.
+func TestMixBijection(t *testing.T) {
+	const top = 1<<59 - 1
+	rng := rand.New(rand.NewPCG(1, 2))
+	in := []uint64{0, 1, 2, top - 1, top}
+	for range 100_000 {
+		in = append(in, rng.Uint64()&top)
 	}
-	for i := 1; i < len(sorted); i++ {
-		prev, _ := b.Encode(sorted[i-1])
-		cur, _ := b.Encode(sorted[i])
-		if prev >= cur {
-			t.Errorf("order broken: %q (%d) !< %q (%d)", sorted[i-1], prev, sorted[i], cur)
+	seen := make(map[uint64]uint64, len(in))
+	for _, x := range in {
+		y := mix(x)
+		if y > top {
+			t.Fatalf("mix(%#x) = %#x, outside 59 bits", x, y)
 		}
+		if back := unmix(y); back != x {
+			t.Fatalf("unmix(mix(%#x)) = %#x", x, back)
+		}
+		if z := unmix(x); z > top || mix(z) != x {
+			t.Fatalf("mix(unmix(%#x)) = %#x (unmix %#x)", x, mix(z), z)
+		}
+		if prev, dup := seen[y]; dup && prev != x {
+			t.Fatalf("mix(%#x) = mix(%#x) = %#x", x, prev, y)
+		}
+		seen[y] = x
 	}
 }
 
@@ -83,4 +95,32 @@ func TestBytesKeyerExhaustiveShort(t *testing.T) {
 	if n != 256+65536 {
 		t.Fatalf("covered %d keys", n)
 	}
+}
+
+// FuzzBytesKeyerRoundTrip: every key of 1 to 7 bytes encodes into the
+// 59-bit space and decodes back to itself; every other length is
+// refused.
+func FuzzBytesKeyerRoundTrip(f *testing.F) {
+	for _, seed := range []string{"a", "a\x00", "\x00", "1234567", "\xff\xff\xff\xff\xff\xff\xff", "", "12345678"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, key []byte) {
+		b := BytesKeyer{}
+		k, err := b.Encode(key)
+		if len(key) == 0 || len(key) > BytesKeyerMaxLen {
+			if err == nil {
+				t.Fatalf("Encode(%q) accepted, want error", key)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Encode(%q): %v", key, err)
+		}
+		if k >= 1<<b.Width() {
+			t.Fatalf("Encode(%q) = %#x outside the %d-bit space", key, k, b.Width())
+		}
+		if got := b.AppendDecode(nil, k); !bytes.Equal(got, key) {
+			t.Fatalf("AppendDecode(nil, Encode(%q)) = %q", key, got)
+		}
+	})
 }

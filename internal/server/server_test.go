@@ -3,9 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -209,17 +210,63 @@ func TestServerPipelining(t *testing.T) {
 	}
 }
 
+// keyBits returns the top n of the width bits of wire key a's trie key
+// as the trie stores it: k+1 in width+1 bits, whose first bit is the
+// root's own and is set only for the largest key.
+func keyBits(t *testing.T, a string, n uint32) uint64 {
+	t.Helper()
+	return (mustEncode(t, a) + 1) >> (BytesKeyer{}.Width() - n)
+}
+
 // apart reports whether the wire keys a and b, encoded, lie in different
-// halves of the keyspace. The trie stores key k as k+1 in width+1 bits:
-// the binary root's own bit is set only for the largest key, so every
-// other key hangs under the root's first child, which splits on the next
-// bit, the top bit of k+1's width bits. A Replace between keys that
-// differ there has its two parents under different children of that
-// node, and neither parent is the other's ancestor below it.
+// halves of the keyspace. The binary root's own bit is set only for the
+// largest key, so every other key hangs under the root's first child,
+// which splits on the next bit, the top bit of k+1's width bits. A
+// Replace between keys that differ there has its two parents under
+// different children of that node, and neither parent is the other's
+// ancestor below it.
 func apart(t *testing.T, a, b string) bool {
 	t.Helper()
-	top := BytesKeyer{}.Width() - 1
-	return (mustEncode(t, a)+1)>>top&1 != (mustEncode(t, b)+1)>>top&1
+	return keyBits(t, a, 1) != keyBits(t, b, 1)
+}
+
+// findKey returns the first of the wire keys stem+"0", stem+"1", ...
+// that ok accepts. The keyer mixes the bits of a key, so a pair with a
+// given relation in the trie is found by searching its encodings, not
+// read off the spelling.
+func findKey(t *testing.T, stem string, ok func(string) bool) string {
+	t.Helper()
+	for i := 0; len(stem)+len(strconv.Itoa(i)) <= BytesKeyerMaxLen; i++ {
+		if k := stem + strconv.Itoa(i); ok(k) {
+			return k
+		}
+	}
+	t.Fatalf("no wire key %q... has the relation the test needs", stem)
+	return ""
+}
+
+// nearKey returns a wire key with the stem "n" whose trie key shares
+// its top 16 bits with a's. In a keyspace of a few keys no third key
+// shares them, so the two leaves hang under one parent: the Replace
+// cases in which the delete and the insert meet at one node.
+func nearKey(t *testing.T, a string) string {
+	t.Helper()
+	top := keyBits(t, a, 16)
+	return findKey(t, "n", func(k string) bool { return k != a && keyBits(t, k, 16) == top })
+}
+
+// farKey returns a wire key, starting with the non-ASCII byte 0xe1,
+// in the other half of the keyspace from a and not in skip.
+func farKey(t *testing.T, a string, skip ...string) string {
+	t.Helper()
+	return findKey(t, "\xe1", func(k string) bool { return apart(t, a, k) && !slices.Contains(skip, k) })
+}
+
+// sortByEncode sorts wire keys into the order SCAN returns them:
+// ascending trie key.
+func sortByEncode(t *testing.T, keys []string) {
+	t.Helper()
+	slices.SortFunc(keys, func(a, b string) int { return cmp.Compare(mustEncode(t, a), mustEncode(t, b)) })
 }
 
 // TestServerRename covers the outcomes: atomic rename between near keys
@@ -229,39 +276,38 @@ func TestServerRename(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
 
+	// dst is near k100: their leaves share a parent (nearKey).
+	dst := nearKey(t, "k100")
 	c.mustSimple("OK", "SET", "k100", "payload")
-	c.mustSimple("OK", "RENAME", "k100", "k200") // atomic Replace
+	c.mustSimple("OK", "RENAME", "k100", dst) // atomic Replace
 	c.mustNull("GET", "k100")
-	c.mustBulk("payload", "GET", "k200")
+	c.mustBulk("payload", "GET", dst)
 
 	c.mustErrContain("no such key", "RENAME", "k100", "k300")
 
 	c.mustSimple("OK", "SET", "k300", "other")
-	c.mustErrContain("destination key exists", "RENAME", "k200", "k300")
-	c.mustBulk("payload", "GET", "k200") // refused rename changed nothing
+	c.mustErrContain("destination key exists", "RENAME", dst, "k300")
+	c.mustBulk("payload", "GET", dst) // refused rename changed nothing
 	c.mustBulk("other", "GET", "k300")
 
 	// Rename to self: Redis semantics, no Replace involved.
-	c.mustSimple("OK", "RENAME", "k200", "k200")
+	c.mustSimple("OK", "RENAME", dst, dst)
 	c.mustErrContain("no such key", "RENAME", "k5555", "k5555")
 
 	// A key the keyer cannot represent fails before the handler runs, as
 	// source or destination, and moves nothing.
 	c.mustErrContain("8 bytes exceeds", "RENAME", "ghostkey", "ghostkey")
-	c.mustErrContain("8 bytes exceeds", "RENAME", "k200", "ghostkey")
-	c.mustBulk("payload", "GET", "k200")
+	c.mustErrContain("8 bytes exceeds", "RENAME", dst, "ghostkey")
+	c.mustBulk("payload", "GET", dst)
 	c.mustInt(2, "DBSIZE")
 
-	// "k200" and "\xe1d" lie in different halves of the keyspace. RENAME
-	// is the same atomic Replace there; RENAMESTRICT, which used to
-	// refuse such a pair, is gone.
-	const far = "\xe1d"
-	if !apart(t, "k200", far) {
-		t.Fatal("test premise broken: k200 and \\xe1d in the same half")
-	}
-	c.mustErrContain("unknown command", "RENAMESTRICT", "k200", far)
-	c.mustSimple("OK", "RENAME", "k200", far)
-	c.mustNull("GET", "k200")
+	// dst and far lie in different halves of the keyspace. RENAME is the
+	// same atomic Replace there; RENAMESTRICT, which used to refuse such
+	// a pair, is gone.
+	far := farKey(t, dst)
+	c.mustErrContain("unknown command", "RENAMESTRICT", dst, far)
+	c.mustSimple("OK", "RENAME", dst, far)
+	c.mustNull("GET", dst)
 	c.mustBulk("payload", "GET", far)
 
 	// Destination-exists across the halves: refused, nothing moved.
@@ -288,9 +334,9 @@ func TestScanDefaultPage(t *testing.T) {
 }
 
 // TestServerScan walks a known key set page by page and requires every
-// key exactly once, in lexicographic order, with a terminating cursor.
-// The decimal spellings of different lengths ("13" < "130" < "14")
-// exercise the keyer's length tag.
+// key exactly once, in ascending trie-key (Encode) order, with a
+// terminating cursor. The decimal spellings of different lengths ("13",
+// "130") exercise the keyer's length tag.
 func TestServerScan(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	c := dial(t, addr)
@@ -302,7 +348,7 @@ func TestServerScan(t *testing.T) {
 		want = append(want, key)
 		c.mustSimple("OK", "SET", key, "x")
 	}
-	sort.Strings(want)
+	sortByEncode(t, want)
 	c.mustInt(n, "DBSIZE")
 
 	var got []string
@@ -328,7 +374,7 @@ func TestServerScan(t *testing.T) {
 	}
 	for i, k := range got {
 		if k != want[i] {
-			t.Fatalf("SCAN key %d = %q, want %q (lexicographic order)", i, k, want[i])
+			t.Fatalf("SCAN key %d = %q, want %q (ascending Encode order)", i, k, want[i])
 		}
 	}
 
@@ -777,24 +823,23 @@ func smokeBattery(t *testing.T) {
 	c.mustSimple("OK", "MSET", "ab", "v2", "ac", "v3")
 	c.mustInt(3, "DBSIZE")
 
-	// Atomic rename between near keys.
-	c.mustSimple("OK", "RENAME", "aa", "ad")
+	// Atomic rename between near keys (nearKey).
+	nr := nearKey(t, "aa")
+	c.mustSimple("OK", "RENAME", "aa", nr)
 	c.mustNull("GET", "aa")
-	c.mustBulk("v1", "GET", "ad")
+	c.mustBulk("v1", "GET", nr)
 	c.mustErrContain("no such key", "RENAME", "aa", "ae")
 	c.mustErrContain("destination key exists", "RENAME", "ab", "ac")
 
-	// "ad" and "\xe1d" lie in different halves of the keyspace. RENAME
-	// is the same atomic Replace there.
-	if !apart(t, "ad", "\xe1d") {
-		t.Fatal("test premise broken: ad and \\xe1d in the same half")
-	}
-	c.mustSimple("OK", "RENAME", "ad", "\xe1d")
-	c.mustNull("GET", "ad")
-	c.mustBulk("v1", "GET", "\xe1d")
-	c.mustErrContain("destination key exists", "RENAME", "ab", "\xe1d")
+	// nr and far lie in different halves of the keyspace. RENAME is the
+	// same atomic Replace there.
+	far := farKey(t, nr)
+	c.mustSimple("OK", "RENAME", nr, far)
+	c.mustNull("GET", nr)
+	c.mustBulk("v1", "GET", far)
+	c.mustErrContain("destination key exists", "RENAME", "ab", far)
 	c.mustErrContain("exceeds the 7-byte maximum", "SET", "12345678", "v")
-	c.mustInt(1, "DEL", "\xe1d", "nope")
+	c.mustInt(1, "DEL", far, "nope")
 	c.mustInt(2, "DBSIZE")
 
 	// TTL battery: arm, observe, disarm, and expire.
