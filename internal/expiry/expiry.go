@@ -34,6 +34,7 @@ package expiry
 
 import (
 	"fmt"
+	"iter"
 	"sync/atomic"
 	"time"
 
@@ -187,7 +188,7 @@ func (x *Index) Contains(k uint64) bool {
 
 // Expired reports whether v, a value k held, is due by the clock, and if
 // so purges k from the keyspace when k is still due. Lookup applies it
-// to the live value; SCAN to the value in its snapshot.
+// to the value it loads; SCAN to the value its walk meets.
 func (x *Index) Expired(k uint64, v Value) bool {
 	if v.At == 0 {
 		return false
@@ -392,8 +393,12 @@ func (x *Index) Len() int { return x.db.Len() }
 // ArmedKeys reports the number of armed keys, exact at quiescence.
 func (x *Index) ArmedKeys() int { return int(max(x.armedN.Load(), 0)) }
 
+// Ascend walks the live keyspace from trie key from upward, as the
+// sweep does: it holds no snapshot and has nbtrie.Map.Ascend's contract.
+func (x *Index) Ascend(from uint64) iter.Seq2[uint64, Value] { return x.db.Ascend(from) }
+
 // Snapshot returns a frozen view of the keyspace, deadlines included:
-// the dump's one cut, and SCAN's.
+// the dump's one cut.
 func (x *Index) Snapshot() *nbtrie.MapSnapshot[Value] { return x.db.Snapshot() }
 
 // Shards returns 1.

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"nbtrie"
-	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
 )
 
@@ -61,7 +59,7 @@ func init() {
 		{name: "QUIT", min: 1, max: -1, run: (*session).quitCmd},
 		// → Len (the trie's atomic counter).
 		{name: "DBSIZE", min: 1, max: 1, run: (*session).dbsize},
-		// → Snapshot, then Ascend over the frozen cut.
+		// → Ascend over the live trie from the cursor.
 		{name: "SCAN", min: 2, max: 4, run: (*session).scan},
 		// → Rename: Map.ReplaceKey, the paper's atomic Replace, wherever
 		// the keys lie.
@@ -335,32 +333,19 @@ func (ss *session) info(args [][]byte, _ []uint64) {
 	ss.w.WriteBulkString(ss.s.infoText(section))
 }
 
-// scanCursor is one open SCAN: a frozen O(1) snapshot of the map plus
-// the trie key the next page starts from.
-type scanCursor struct {
-	snap *nbtrie.MapSnapshot[expiry.Value]
-	next uint64
-}
-
 // scanDefaultCount is SCAN's page size when no COUNT is given: Redis's
 // fixed 10.
 const scanDefaultCount = 10
 
-// scan implements SCAN cursor [COUNT n], backed by the engine's O(1)
-// snapshots: SCAN 0 freezes a snapshot and every later page of that
-// cursor walks the SAME frozen keyspace in ascending trie-key order
-// (BytesKeyer's mix order). A full cursor walk is therefore a
-// consistent cut — every key in the snapshot exactly once, no
-// duplicates, no skips, and no concurrent mutation visible mid-scan
-// (strictly stronger than Redis's guarantee; see DESIGN.md §8). The
-// wire cursor is an opaque server-assigned id, not a resume key.
-//
-// Cursors live in a bounded table; the oldest is evicted when it fills,
-// and a SCAN with an unknown/evicted id terminates with cursor 0 and an
-// empty page — the shape Redis clients already handle for an exhausted
-// scan. A cursor's snapshot is released when its walk ends, when it is
-// evicted and when the server closes: while it is held, every write
-// renews the stale nodes on its path.
+// scan implements SCAN cursor [COUNT n] as a walk of the live trie in
+// ascending trie-key order (BytesKeyer's mix order). The wire cursor is
+// the trie key the next page starts from, plus 1, so that 0 means both
+// "start" and "done"; a page is one Ascend from there, and the server
+// keeps nothing between pages. The guarantee is Redis's (DESIGN.md §8):
+// a key present for the whole walk is returned exactly once, because
+// each page resumes strictly above the last key of the one before; a key
+// never present is never returned; a key written mid-walk may or may not
+// be. A cursor past the key space yields an empty page and cursor 0.
 func (ss *session) scan(args [][]byte, _ []uint64) {
 	s, w := ss.s, ss.w
 	if len(args) == 3 {
@@ -391,65 +376,23 @@ func (ss *session) scan(args [][]byte, _ []uint64) {
 	// rejected by every consumer of the shared codec.
 	count = min(count, s.cfg.Limits.MaxArrayLen)
 
-	var sc *scanCursor
-	if cursor == 0 {
-		sc = &scanCursor{snap: s.db.Snapshot()}
-	} else {
-		s.scanMu.Lock()
-		sc = s.scans[cursor]
-		delete(s.scans, cursor) // re-registered below if the walk continues
-		s.scanMu.Unlock()
-		if sc == nil {
-			// Unknown or evicted: terminate the client's loop cleanly.
-			w.WriteArrayHeader(2)
-			w.WriteBulk([]byte("0"))
-			w.WriteArrayHeader(0)
-			return
-		}
-	}
-
 	keys := make([][]byte, 0, count)
-	more := false
-	for k, v := range sc.snap.Ascend(sc.next) {
+	var next uint64
+	for k, v := range s.db.Ascend(max(cursor, 1) - 1) {
 		if len(keys) == count {
-			sc.next = k // the first key of the next page
-			more = true
+			next = k + 1 // trie keys are 59 bits: k+1 is never 0
 			break
 		}
-		// Lazy expiry applies to SCAN too: a key whose deadline in the
-		// cut has passed by now is skipped (and purged from the live
-		// keyspace if it still holds that arming, not from the cut).
+		// Lazy expiry applies to SCAN too: a due key is skipped and
+		// purged if it still holds that arming.
 		if s.db.Expired(k, v) {
 			continue
 		}
 		keys = append(keys, BytesKeyer{}.AppendDecode(nil, k))
 	}
 
-	var id uint64
-	if more {
-		s.scanMu.Lock()
-		id = s.scanNext
-		s.scanNext++
-		s.scans[id] = sc
-		if len(s.scans) > s.cfg.MaxScanCursors {
-			oldest := id
-			for other := range s.scans {
-				if other < oldest {
-					oldest = other
-				}
-			}
-			// No session is reading it: a session takes its cursor out
-			// of the table for the length of a page.
-			s.scans[oldest].snap.Release()
-			delete(s.scans, oldest)
-		}
-		s.scanMu.Unlock()
-	} else {
-		sc.snap.Release()
-	}
-
 	w.WriteArrayHeader(2)
-	w.WriteBulk(strconv.AppendUint(nil, id, 10))
+	w.WriteBulk(strconv.AppendUint(nil, next, 10))
 	w.WriteArrayHeader(len(keys))
 	for _, key := range keys {
 		w.WriteBulk(key)

@@ -281,85 +281,6 @@ func TestPersistDisabledCommands(t *testing.T) {
 	c.mustInt(0, "LASTSAVE")
 }
 
-// TestScanSnapshotConsistentCut: a full cursor walk returns exactly the
-// keys present when the cursor was opened — concurrent SETs and DELs
-// between pages are invisible to it (DESIGN.md §8).
-func TestScanSnapshotConsistentCut(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	c := dial(t, addr)
-	const n = 100
-	for i := 0; i < n; i++ {
-		c.mustSimple("OK", "SET", fmt.Sprintf("key%03d", i), "v")
-	}
-
-	seen := map[string]int{}
-	cursor := "0"
-	pages := 0
-	for {
-		v := c.do("SCAN", cursor, "COUNT", "7")
-		if v.Kind != resp.TypeArray || len(v.Array) != 2 {
-			t.Fatalf("SCAN reply %s", v)
-		}
-		for _, k := range v.Array[1].Array {
-			seen[string(k.Str)]++
-		}
-		cursor = string(v.Array[0].Str)
-		pages++
-		if pages == 2 {
-			// Mid-walk churn: none of this may leak into the cursor.
-			c.mustSimple("OK", "SET", "zzz-new", "late")
-			c.mustInt(1, "DEL", "key050")
-			c.mustSimple("OK", "SET", "key051", "overwritten")
-		}
-		if cursor == "0" {
-			break
-		}
-		if pages > 2*n {
-			t.Fatal("SCAN never terminated")
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("walk saw %d distinct keys, want %d", len(seen), n)
-	}
-	for k, cnt := range seen {
-		if cnt != 1 {
-			t.Errorf("key %q returned %d times", k, cnt)
-		}
-	}
-	if _, ok := seen["zzz-new"]; ok {
-		t.Error("key inserted mid-walk leaked into the snapshot cursor")
-	}
-	if _, ok := seen["key050"]; !ok {
-		t.Error("key deleted mid-walk vanished from the snapshot cursor")
-	}
-}
-
-// TestScanCursorEviction: the cursor table is bounded; the evicted
-// (oldest) cursor terminates cleanly with an empty final page.
-func TestScanCursorEviction(t *testing.T) {
-	_, addr := startServer(t, Config{MaxScanCursors: 2})
-	c := dial(t, addr)
-	for i := 0; i < 30; i++ {
-		c.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
-	}
-	open := func() string {
-		v := c.do("SCAN", "0", "COUNT", "5")
-		return string(v.Array[0].Str)
-	}
-	c1 := open()
-	open()
-	open()
-	open() // table cap 2: c1 must be long gone
-	if c1 == "0" {
-		t.Fatal("first SCAN finished in one page; COUNT too large for the test")
-	}
-	v := c.do("SCAN", c1)
-	if string(v.Array[0].Str) != "0" || len(v.Array[1].Array) != 0 {
-		t.Fatalf("evicted cursor: got cursor=%s page=%d, want clean termination",
-			v.Array[0].Str, len(v.Array[1].Array))
-	}
-}
-
 // TestPersistSaveAfterClose: once Close has sealed the persister, a
 // save — a periodic saver's next tick, say — is refused, and the data
 // directory and the AOF stay as Close left them. A saver ticking every
@@ -535,14 +456,13 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 	}
 }
 
-// TestScanAndSaveReleaseSnapshots: every snapshot the server takes is
-// released when its reader is done — a SCAN cursor when its walk ends,
-// in one page or many, when it is evicted past MaxScanCursors and when
-// the server closes, and BGSAVE's cut when its dump is written — so
-// INFO and /metrics read engine_snapshots_held 0 and a later SET renews
-// no node. An open cursor counts as held.
+// TestScanAndSaveReleaseSnapshots: the server holds a snapshot only
+// while BGSAVE writes its dump. A SCAN walk takes none, so INFO and
+// /metrics read engine_snapshots_held 0 with a walk left mid-way and a
+// SET during it renews no node; BGSAVE's cut is released once its dump
+// is written, and Close leaves none held.
 func TestScanAndSaveReleaseSnapshots(t *testing.T) {
-	s, addr := startServer(t, Config{MaxScanCursors: 2, Persist: PersistConfig{Dir: t.TempDir()}})
+	s, addr := startServer(t, Config{Persist: PersistConfig{Dir: t.TempDir()}})
 	c := dial(t, addr)
 	for i := 0; i < 30; i++ {
 		c.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
@@ -556,34 +476,18 @@ func TestScanAndSaveReleaseSnapshots(t *testing.T) {
 			t.Errorf("%s: INFO engine lacks engine_snapshots_held:%d", when, want)
 		}
 	}
-	open := func() string {
-		t.Helper()
-		cursor := string(c.do("SCAN", "0", "COUNT", "5").Array[0].Str)
-		if cursor == "0" {
-			t.Fatal("SCAN COUNT 5 over 30 keys finished in one page")
-		}
-		return cursor
-	}
-	finish := func(cursor string) {
-		t.Helper()
-		for pages := 0; cursor != "0"; pages++ {
-			if pages > 30 {
-				t.Fatal("SCAN never terminated")
-			}
-			cursor = string(c.do("SCAN", cursor, "COUNT", "5").Array[0].Str)
-		}
-	}
 
 	held("idle", 0)
-	cursor := open()
-	held("a cursor open", 1)
-	finish(cursor)
-	held("after a full SCAN loop", 0)
-
-	if v := c.do("SCAN", "0", "COUNT", "100"); string(v.Array[0].Str) != "0" {
-		t.Fatalf("SCAN COUNT 100 over 30 keys = %s, want one page", v)
+	cursor, _ := scanPage(c, "0", 5)
+	if cursor == "0" {
+		t.Fatal("SCAN COUNT 5 over 30 keys finished in one page")
 	}
-	held("after a one-page SCAN", 0)
+	held("a walk left mid-way", 0)
+	renewals := s.DB().EngineStats().SnapshotRenewals
+	c.mustSimple("OK", "SET", "k00", "w")
+	if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
+		t.Errorf("a SET during a SCAN walk renewed %d nodes, want 0", got-renewals)
+	}
 
 	c.mustSimple("Background saving started", "BGSAVE")
 	for deadline := time.Now().Add(5 * time.Second); s.pst.bgActive.Load(); time.Sleep(time.Millisecond) {
@@ -593,22 +497,12 @@ func TestScanAndSaveReleaseSnapshots(t *testing.T) {
 	}
 	held("after a finished BGSAVE", 0)
 
-	evicted := open()
-	second, third := open(), open()
-	held("three cursors opened, one evicted", 2)
-	finish(evicted) // terminates at once
-	finish(second)
-	finish(third)
-	held("after an eviction past MaxScanCursors", 0)
-
-	renewals := s.DB().EngineStats().SnapshotRenewals
-	c.mustSimple("OK", "SET", "k00", "w")
+	renewals = s.DB().EngineStats().SnapshotRenewals
+	c.mustSimple("OK", "SET", "k01", "w")
 	if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
-		t.Errorf("a SET with no snapshot held renewed %d nodes, want 0", got-renewals)
+		t.Errorf("a SET after BGSAVE renewed %d nodes, want 0", got-renewals)
 	}
 
-	open()
-	held("a cursor open before Close", 1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,6 @@ type Config struct {
 	Limits resp.Limits
 	// Persist enables durability (see persist.go); zero Dir disables it.
 	Persist PersistConfig
-	// MaxScanCursors caps the live snapshot-backed SCAN cursor table;
-	// 0 means 128. When full, the oldest cursor is evicted (its SCAN
-	// then terminates early with cursor 0, which clients must already
-	// tolerate — Redis cursors expire too).
-	MaxScanCursors int
 	// Clock returns the current time in Unix milliseconds; nil means
 	// the wall clock. Expiry deadlines are evaluated against it —
 	// injectable so expiry tests are deterministic.
@@ -114,11 +109,6 @@ type Server struct {
 	gate sync.RWMutex
 	pst  *persister // nil when persistence is disabled
 
-	// Snapshot-backed SCAN cursor table (see scan in dispatch.go).
-	scanMu   sync.Mutex
-	scans    map[uint64]*scanCursor
-	scanNext uint64
-
 	totalConns atomic.Int64
 	totalCmds  atomic.Int64
 
@@ -135,9 +125,6 @@ func New(cfg Config) (*Server, error) {
 	// Resolve the limits once: the dispatcher sizes replies (SCAN's
 	// page cap) from the same values the request parser enforces.
 	cfg.Limits = cfg.Limits.WithDefaults()
-	if cfg.MaxScanCursors <= 0 {
-		cfg.MaxScanCursors = 128
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
@@ -147,15 +134,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		db:       db,
-		start:    time.Now(),
-		clock:    clock,
-		conns:    make(map[net.Conn]struct{}),
-		scans:    make(map[uint64]*scanCursor),
-		scanNext: 1,
-		met:      newMetrics(),
-		slog:     newSlowlog(cfg.SlowlogSlowerThanUS, cfg.SlowlogMaxLen),
+		cfg:   cfg,
+		db:    db,
+		start: time.Now(),
+		clock: clock,
+		conns: make(map[net.Conn]struct{}),
+		met:   newMetrics(),
+		slog:  newSlowlog(cfg.SlowlogSlowerThanUS, cfg.SlowlogMaxLen),
 	}
 	if cfg.Persist.Dir != "" {
 		// Recovery runs to completion before New returns — and so
@@ -249,15 +234,8 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	// Every connection goroutine has drained, so no command can append
-	// any more and no session reads a SCAN cursor: their snapshots are
-	// released, the reaper stops next (its purges mutate the map but
+	// any more: the reaper stops next (its purges mutate the map but
 	// never the AOF), and only then is the persister sealed.
-	s.scanMu.Lock()
-	for _, sc := range s.scans {
-		sc.snap.Release()
-	}
-	clear(s.scans)
-	s.scanMu.Unlock()
 	s.stopReaper()
 	if s.pst != nil {
 		s.pst.close()

@@ -1,9 +1,13 @@
 package nbtrie
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nbtrie/internal/engine"
@@ -132,3 +136,141 @@ func TestOrderedQueriesOracle(t *testing.T) {
 // (TestOrderedSkipsLogicallyRemoved, which fabricates a replace
 // descriptor by hand, lives in internal/engine with the rest of the
 // white-box protocol tests.)
+
+// TestLiveAscendUnderReplace checks the iterators' promise under
+// concurrent writers: entries present for the whole iteration are always
+// yielded. On span-1 and span-4 tries, writers churn the keys ≡ 1 mod 4
+// with Store, Delete and ReplaceKey between random pairs (mostly Figure
+// 6's general case, two parents far apart), while live walks loop: whole
+// Ascend(0) walks, and paged walks that resume each page with a fresh
+// Ascend from the first key past the last page, as SCAN does. Every walk
+// must yield each untouched key (≡ 0 mod 4, value = key) exactly once,
+// keys in strictly ascending order, and no key that was never stored
+// (≡ 2, 3 mod 4). A churned key holds the value some churned key was
+// stored with.
+func TestLiveAscendUnderReplace(t *testing.T) {
+	const width, universe = 16, 4096
+	for _, span := range []uint32{1, 4} {
+		m := spanMap(width, span)
+		for k := uint64(0); k < universe; k += 4 {
+			m.Store(k, k)
+		}
+		churned := func(k uint64) uint64 { return k*4%universe + 1 }
+		for k := uint64(0); k < universe/8; k++ {
+			m.Store(churned(k), churned(k))
+		}
+
+		// Writers and walkers yield every few steps, so that even at
+		// GOMAXPROCS 1 the writes land in the middle of walks. ops counts
+		// the writes, during those made while some walk was open.
+		stop := make(chan struct{})
+		var ops, during atomic.Int64
+		var writers sync.WaitGroup
+		for w := range 3 {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if ops.Add(1)%16 == 0 {
+						runtime.Gosched()
+					}
+					a, b := churned(rng.Uint64()), churned(rng.Uint64())
+					switch rng.Intn(3) {
+					case 0:
+						m.Store(a, a)
+					case 1:
+						m.Delete(a)
+					default:
+						m.ReplaceKey(a, b)
+					}
+				}
+			}()
+		}
+
+		// walk is one walk's checks so far; see feeds it one yield and
+		// reports whether the walk is still sound.
+		type walk struct {
+			prev    uint64
+			started bool
+			stable  int
+			err     string
+		}
+		see := func(w *walk, k, v uint64) bool {
+			switch {
+			case w.started && k <= w.prev:
+				w.err = fmt.Sprintf("key %d after %d: not strictly ascending", k, w.prev)
+			case k%4 == 0 && v != k:
+				w.err = fmt.Sprintf("untouched key %d holds %d", k, v)
+			case k%4 == 1 && v%4 != 1:
+				w.err = fmt.Sprintf("churned key %d holds %d, never stored", k, v)
+			case k%4 > 1:
+				w.err = fmt.Sprintf("key %d was never stored", k)
+			}
+			w.prev, w.started = k, true
+			if k%64 == 0 {
+				runtime.Gosched()
+			}
+			if k%4 == 0 {
+				w.stable++
+			}
+			return w.err == ""
+		}
+		var walkers sync.WaitGroup
+		for r := range 2 {
+			walkers.Add(1)
+			go func() {
+				defer walkers.Done()
+				for i := range 30 {
+					var w walk
+					before := ops.Load()
+					if (i+r)%2 == 0 {
+						for k, v := range m.Ascend(0) {
+							if !see(&w, k, v) {
+								break
+							}
+						}
+					} else {
+						page := 1 + i%7
+						for from, more := uint64(0), true; more && w.err == ""; {
+							more = false
+							n := 0
+							for k, v := range m.Ascend(from) {
+								if n == page {
+									from, more = k, true
+									break
+								}
+								n++
+								if !see(&w, k, v) {
+									break
+								}
+							}
+						}
+					}
+					during.Add(ops.Load() - before)
+					if w.err == "" && w.stable != universe/4 {
+						w.err = fmt.Sprintf("%d untouched keys yielded, want %d", w.stable, universe/4)
+					}
+					if w.err != "" {
+						t.Errorf("span %d, walk %d: %s", span, i, w.err)
+						return
+					}
+				}
+			}()
+		}
+		walkers.Wait()
+		close(stop)
+		writers.Wait()
+		if during.Load() == 0 {
+			t.Fatalf("span %d: no write landed during a walk", span)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("span %d at quiescence: %v", span, err)
+		}
+	}
+}
