@@ -39,7 +39,8 @@
 // is a codec, never a fourth copy of this protocol.
 //
 // The hot paths are allocation-lean (see DESIGN.md): values are stored
-// unboxed in the leaf, descriptors are built from fixed-size arrays
+// unboxed in the leaf (and the bytes of a BytesValue in the leaf's own
+// allocation), descriptors are built from fixed-size arrays
 // that live on the caller's stack, and speculative node construction is
 // deferred until the captured info values are known not to belong to a
 // conflicting update. The one allocation that must never be optimized
@@ -61,10 +62,11 @@ import (
 // node is the header every node of the paper's Node type starts with, and
 // the one type child and root pointers point at. A node is allocated in
 // one of two shapes with this header as their first field — leafNode
-// (header + value) or innerNode (header + child slots) — and is a leaf
-// iff its gen is the leafGen sentinel; leaf() and inner() recover the
-// shape. The label is immutable after construction; leaf labels are
-// full-length encoded keys, internal labels proper prefixes of them.
+// (header + value, and for a BytesValue the value's bytes behind it, see
+// tailLeaf) or innerNode (header + child slots) — and is a leaf iff its
+// gen is the leafGen sentinel; leaf() and inner() recover the shape. The
+// label is immutable after construction; leaf labels are full-length
+// encoded keys, internal labels proper prefixes of them.
 //
 // The header of a Uint64Key trie is 32 bytes, so a binary internal node
 // is 48 bytes, the 48-byte size class, unpadded. Objects of that class sit
@@ -107,11 +109,13 @@ type node[K keys.Key[K], V any] struct {
 }
 
 // leafNode is the leaf shape: the header and the value payload, stored
-// unboxed (set views instantiate V = struct{}). Like the label the value
-// is immutable after construction: a value update installs a fresh leaf
-// through the same child-CAS path as every other update, so the no-ABA
-// argument — child pointers are only ever swung to freshly allocated
-// nodes — is untouched, and readers never observe a half-written value.
+// unboxed (set views instantiate V = struct{}); a BytesValue's leaf is
+// allocated as a tailLeaf, with the value's bytes behind the leafNode.
+// Like the label the value is immutable after construction: a value
+// update installs a fresh leaf through the same child-CAS path as every
+// other update, so the no-ABA argument — child pointers are only ever
+// swung to freshly allocated nodes — is untouched, and readers never
+// observe a half-written value.
 type leafNode[K keys.Key[K], V any] struct {
 	node[K, V]
 	val V
@@ -201,10 +205,120 @@ func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 }
 
 // newLeafVal returns a leaf node carrying a value payload. Its info is
-// nil — live — and the node is its only allocation.
+// nil — live — and the node is its only allocation; a value of a
+// BytesValue type gets its bytes copied into the leaf (newByteLeaf).
 func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
+	if h, ok := any((*V)(nil)).(BytesValue[V]); ok {
+		return newByteLeaf(label, val, h)
+	}
 	l := &leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}, val: val}
 	return &l.node
+}
+
+// BytesValue is implemented, on its pointer type, by a value type that
+// holds a byte slice the leaf should own: every leaf of a Trie[K, V]
+// whose *V implements BytesValue[V] is built with a copy of the value's
+// bytes inline, behind the leaf, in the same allocation (newByteLeaf).
+// The methods are called on a nil *V and must not dereference it:
+// LeafBytes returns v's bytes, and WithLeafBytes returns v with its bytes
+// replaced by b, the leaf's own copy. V is passed by value so that a
+// stack value stays on the stack.
+type BytesValue[V any] interface {
+	LeafBytes(v V) []byte
+	WithLeafBytes(v V, b []byte) V
+}
+
+// tailLeaf is the object a byte-valued leaf is allocated as: the
+// leafNode, then tail, the byte array its value's bytes are copied into.
+type tailLeaf[K keys.Key[K], V any, T any] struct {
+	leafNode[K, V]
+	tail T
+}
+
+// maxTail is the largest tail. With the 64 B leafNode of a Uint64Key
+// trie whose value is a slice and a word (nbtried's), every tail
+// tailLen picks fills a size class exactly, and a 448 B tail the 512 B
+// class, the largest whose pointerful objects carry no malloc header.
+const maxTail = 448
+
+// tailLen returns the tail a leaf of an n-byte value is allocated with,
+// n <= maxTail: n rounded up to the class steps, 16 B up to 192 and
+// 32 B above, and never 0, so that every leaf's bytes have an address of
+// their own, even empty ones.
+func tailLen(n int) int {
+	if n <= 192 {
+		return max(16, (n+15)&^15)
+	}
+	return (n + 31) &^ 31
+}
+
+// newByteLeaf returns a leaf for val whose bytes are a copy of val's,
+// inline in a tail of tailLen bytes: one allocation in the smallest
+// class that fits. A value longer than maxTail gets its copy as a
+// second, separate allocation. Either way no leaf's bytes alias the
+// caller's slice or another leaf: a Store of a reused buffer is safe,
+// and a dead leaf is never kept alive by a live one.
+func newByteLeaf[K keys.Key[K], V any](label K, val V, h BytesValue[V]) *node[K, V] {
+	b := h.LeafBytes(val)
+	if len(b) > maxTail {
+		c := make([]byte, len(b))
+		copy(c, b)
+		l := &leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}, val: h.WithLeafBytes(val, c)}
+		return &l.node
+	}
+	switch tailLen(len(b)) {
+	case 16:
+		return newTailLeaf[K, V, [16]byte](label, val, b, h)
+	case 32:
+		return newTailLeaf[K, V, [32]byte](label, val, b, h)
+	case 48:
+		return newTailLeaf[K, V, [48]byte](label, val, b, h)
+	case 64:
+		return newTailLeaf[K, V, [64]byte](label, val, b, h)
+	case 80:
+		return newTailLeaf[K, V, [80]byte](label, val, b, h)
+	case 96:
+		return newTailLeaf[K, V, [96]byte](label, val, b, h)
+	case 112:
+		return newTailLeaf[K, V, [112]byte](label, val, b, h)
+	case 128:
+		return newTailLeaf[K, V, [128]byte](label, val, b, h)
+	case 144:
+		return newTailLeaf[K, V, [144]byte](label, val, b, h)
+	case 160:
+		return newTailLeaf[K, V, [160]byte](label, val, b, h)
+	case 176:
+		return newTailLeaf[K, V, [176]byte](label, val, b, h)
+	case 192:
+		return newTailLeaf[K, V, [192]byte](label, val, b, h)
+	case 224:
+		return newTailLeaf[K, V, [224]byte](label, val, b, h)
+	case 256:
+		return newTailLeaf[K, V, [256]byte](label, val, b, h)
+	case 288:
+		return newTailLeaf[K, V, [288]byte](label, val, b, h)
+	case 320:
+		return newTailLeaf[K, V, [320]byte](label, val, b, h)
+	case 352:
+		return newTailLeaf[K, V, [352]byte](label, val, b, h)
+	case 384:
+		return newTailLeaf[K, V, [384]byte](label, val, b, h)
+	case 416:
+		return newTailLeaf[K, V, [416]byte](label, val, b, h)
+	}
+	return newTailLeaf[K, V, [448]byte](label, val, b, h)
+}
+
+// newTailLeaf allocates a tailLeaf with tail T, copies b into the tail's
+// first len(b) bytes and binds val to that copy, as tail[:n:n]. The
+// slice is built with unsafe.Slice because T is a type parameter; it
+// stays inside the allocation, since b fits T (tailLen).
+func newTailLeaf[K keys.Key[K], V any, T any](label K, val V, b []byte, h BytesValue[V]) *node[K, V] {
+	a := &tailLeaf[K, V, T]{leafNode: leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}}}
+	tail := unsafe.Slice((*byte)(unsafe.Pointer(&a.tail)), len(b))
+	copy(tail, b)
+	a.val = h.WithLeafBytes(val, tail)
+	return &a.node
 }
 
 // newNode returns an empty internal node with the given label and
@@ -256,6 +370,8 @@ func (t *Trie[K, V]) copyNode(n *node[K, V], gen uint64) *node[K, V] {
 // copy can never be installed.
 func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K, V], slotB int, b *node[K, V]) *node[K, V] {
 	if n.isLeaf() {
+		// A byte-valued leaf's copy copies the bytes too (newByteLeaf):
+		// the copy must not keep the leaf it displaces alive.
 		return newLeafVal(n.label, n.leaf().val)
 	}
 	in, c := n.inner(), t.newNode(n.label, gen)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"unsafe"
+
+	"nbtrie/internal/keys"
 )
 
 // The helpers in this file traverse the trie without synchronization and
@@ -164,7 +166,8 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 // root, plus its shortcut table: how many there are of each kind and how
 // many bytes of heap they are predicted to occupy — unsafe.Sizeof of
 // each object rounded up to the allocator's size class. The prediction
-// leaves out whatever K and V hold out of line.
+// leaves out whatever K and V hold out of line, except the bytes of a
+// BytesValue, which belong to the leaf and count in LeafBytes.
 type Footprint struct {
 	// Objects. Leaves includes the two dummies; Infos counts only the
 	// headers that exist — a node nothing has flagged yet has none.
@@ -219,16 +222,39 @@ const mallocHeader, maxHeaderless, pageSize = 8, 512, 8192
 // classSize returns the bytes the allocator hands out for an n-byte
 // object that holds pointers, malloc header included.
 func classSize(n uintptr) uintptr {
-	if n > maxHeaderless {
-		n += mallocHeader
+	if h := n + mallocHeader; n > maxHeaderless && h <= sizeClasses[len(sizeClasses)-1] {
+		return bytesClassSize(h)
 	}
+	return bytesClassSize(n)
+}
+
+// bytesClassSize returns the bytes the allocator hands out for an n-byte
+// object with no pointers (such as a byte slice's array), which never
+// carries the malloc header.
+func bytesClassSize(n uintptr) uintptr {
 	for _, c := range sizeClasses {
 		if n <= c {
 			return c
 		}
 	}
-	n -= mallocHeader
 	return (n + pageSize - 1) / pageSize * pageSize
+}
+
+// leafSize returns the bytes of a leaf holding v as newLeafVal allocates
+// it: the leafNode's class, or for a BytesValue the class of the leaf and
+// its tail, or of the leaf and, separately, its copy of a value longer
+// than maxTail.
+func leafSize[K keys.Key[K], V any](v V) uintptr {
+	size := unsafe.Sizeof(leafNode[K, V]{})
+	h, ok := any((*V)(nil)).(BytesValue[V])
+	if !ok {
+		return classSize(size)
+	}
+	n := len(h.LeafBytes(v))
+	if n > maxTail {
+		return classSize(size) + bytesClassSize(uintptr(n))
+	}
+	return classSize(size + uintptr(tailLen(n)))
 }
 
 // Footprint walks the trie and returns its census. Quiescent use only.
@@ -252,7 +278,7 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint, depth int) {
 	}
 	if n.isLeaf() {
 		f.Leaves++
-		f.LeafBytes += classSize(unsafe.Sizeof(*n.leaf()))
+		f.LeafBytes += leafSize[K](n.leaf().val)
 		if !n.label.Equal(t.dummyMin) && !n.label.Equal(t.dummyMax) {
 			f.LeafDepths += depth
 		}

@@ -119,6 +119,78 @@ func TestLayoutSizes(t *testing.T) {
 	}
 }
 
+// bval is a BytesValue shaped like nbtried's expiry.Value: a byte slice
+// and a word, 32 B, so its leafNode is 64 B.
+type bval struct {
+	B  []byte
+	At uint64
+}
+
+func (*bval) LeafBytes(v bval) []byte { return v.B }
+
+func (*bval) WithLeafBytes(v bval, b []byte) bval {
+	v.B = b
+	return v
+}
+
+// TestByteLeafAllocs pins the byte-valued leaf. For every value length up
+// to past maxTail, newLeafVal allocates what Footprint's leafSize counts:
+// up to maxTail one object, the 64 B leaf and its tail filling a size
+// class exactly (a 64 B value: 128 B), and above it the bare leaf and a
+// separate copy. The leaf's bytes equal the value's, are a copy (cap ==
+// len, at another address) and are never nil. An overwrite then costs
+// the leaf, a 48 B Flag and an 8 B Unflag: 3 objects and 184 B with a 64
+// B value, 4 and 1144 B with a 1000 B one, its 1024 B copy included. A
+// V that is not a BytesValue keeps the caller's slice.
+func TestByteLeafAllocs(t *testing.T) {
+	src := make([]byte, maxTail+64)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	label := keys.Uint64Key{}
+	for n := 0; n <= maxTail+64; n++ {
+		v := bval{B: src[:n], At: 9}
+		objs, bytes := allocPerRun(20, func() { ptrSink = newLeafVal(label, v) })
+		wantObjs, wantBytes := uint64(1), uint64(64+tailLen(n))
+		if n > maxTail {
+			wantObjs, wantBytes = 2, uint64(64+bytesClassSize(uintptr(n)))
+		}
+		if objs != wantObjs || bytes != wantBytes || bytes != uint64(leafSize[keys.Uint64Key](v)) {
+			t.Fatalf("a %d B value's leaf allocates %d objects, %d B; want %d, %d B (leafSize says %d)",
+				n, objs, bytes, wantObjs, wantBytes, leafSize[keys.Uint64Key](v))
+		}
+		got := newLeafVal(label, v).leaf().val
+		if got.B == nil || len(got.B) != n || cap(got.B) != n || string(got.B) != string(v.B) || got.At != 9 ||
+			unsafe.SliceData(got.B) == unsafe.SliceData(v.B) {
+			t.Fatalf("a %d B value's leaf holds %d/%d B at %p (value at %p), At %d; want an equal copy of its own",
+				n, len(got.B), cap(got.B), unsafe.SliceData(got.B), unsafe.SliceData(v.B), got.At)
+		}
+	}
+	if got := classSize(64 + 64); got != 128 {
+		t.Errorf("a 64 B value's leaf lands in the %d B class, want 128", got)
+	}
+
+	lo, hi := keys.U64Codec{Width: 32}.Bounds()
+	tr := New[keys.Uint64Key, bval](lo, hi)
+	k, _ := keys.U64Codec{Width: 32}.Encode(7)
+	for _, c := range []struct {
+		n           int
+		objs, bytes uint64
+	}{{64, 3, 128 + 48 + 8}, {1000, 4, 64 + 1024 + 48 + 8}} {
+		v := bval{B: make([]byte, c.n)}
+		tr.Store(k, v)
+		if objs, bytes := allocPerRun(100, func() { tr.Store(k, v) }); objs != c.objs || bytes != c.bytes {
+			t.Errorf("an overwrite with a %d B value allocates %d objects, %d B; want %d, %d B", c.n, objs, bytes, c.objs, c.bytes)
+		}
+	}
+
+	raw := New[keys.Uint64Key, []byte](lo, hi)
+	raw.Store(k, src)
+	if got, _ := raw.Load(k); unsafe.SliceData(got) != unsafe.SliceData(src) {
+		t.Error("a Trie[K, []byte] copied the stored slice; it must keep the caller's")
+	}
+}
+
 // TestTrieLayout pins where the Trie's words sit, which is what keeps
 // updaters off each other's cache lines: the gate's lanes are two lines
 // each and start line-aligned (the Trie is allocated in a size class that
@@ -213,9 +285,12 @@ func spanTrie(span uint32) *Trie[keys.Uint64Key, uint64] {
 
 // allocPerRun returns the heap objects and bytes f allocates per call,
 // averaged over runs calls after one warm-up call, at GOMAXPROCS(1), read
-// from runtime.MemStats (which counts each object at its size class).
+// from runtime.MemStats (which counts each object at its size class). It
+// collects first: the process's first GC cycle allocates for itself, and
+// would otherwise land in whichever count it started in.
 func allocPerRun(runs int, f func()) (objs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -37,8 +37,10 @@ import (
 	"iter"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"nbtrie"
+	"nbtrie/internal/engine"
 	"nbtrie/internal/obs"
 )
 
@@ -71,12 +73,31 @@ func batchFor(n int) int {
 
 // Value is what a key's leaf holds: the value bytes and the key's
 // deadline in Unix milliseconds, 0 when the key has none. Deadlines are
-// clamped to at least 1 ms, so an armed At is never 0. The struct is
-// 32 B, so a leaf is exactly the 64 B a []byte leaf's size class already
-// spends.
+// clamped to at least 1 ms, so an armed At is never 0.
+//
+// The leaf owns B. *Value implements engine.BytesValue, so every leaf the
+// keyspace builds copies B into a tail behind itself and points its B at
+// that copy: a 32 B engine header, this 32 B struct and a 64 B value are
+// one 128 B object. A Store may therefore pass bytes it reuses (the
+// server passes its connection's read arena), and a B that Load returns
+// is valid for as long as it is held, pinning its leaf. Values longer
+// than the engine's largest tail (448 B) get their copy as a second
+// object.
 type Value struct {
 	B  []byte
 	At uint64
+}
+
+var _ engine.BytesValue[Value] = (*Value)(nil)
+
+// LeafBytes returns v.B, the bytes the leaf copies. The receiver is
+// unused: the engine calls it on a nil *Value.
+func (*Value) LeafBytes(v Value) []byte { return v.B }
+
+// WithLeafBytes returns v with B replaced by b, the leaf's own copy.
+func (*Value) WithLeafBytes(v Value, b []byte) Value {
+	v.B = b
+	return v
 }
 
 // DeadlineMS returns v's deadline (Unix milliseconds), 0 when v has none.
@@ -94,12 +115,16 @@ func armed(at uint64) int64 {
 	return 0
 }
 
-// same reports whether have is exactly v: the same deadline and the same
-// value allocation (slice identity; zero-length values have no element
-// to anchor on, so for them length is the whole check). A value stored
-// by a racing writer is a fresh allocation and never matches.
+// same reports whether have and v were read from the same leaf: the same
+// deadline and the same bytes, by address. Every leaf holds its own copy
+// of its bytes (Value's doc), at an address no other leaf's bytes share:
+// a tail inside the leaf, never empty even for a zero-length value, or a
+// separate copy made for that leaf alone. v keeps its leaf, and so that
+// address, alive while the caller holds it, so no later leaf can be given
+// it. A racing writer's leaf — even one storing the very same bytes —
+// therefore never matches.
 func same(have, v Value) bool {
-	return have.At == v.At && len(have.B) == len(v.B) && (len(v.B) == 0 || &have.B[0] == &v.B[0])
+	return have.At == v.At && len(have.B) == len(v.B) && unsafe.SliceData(have.B) == unsafe.SliceData(v.B)
 }
 
 // Index is the TTL'd keyspace. All methods are safe for unrestricted

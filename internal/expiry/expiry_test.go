@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
+
+	"nbtrie/internal/engine"
+	"nbtrie/internal/keys"
 )
 
 // testClock is a hand-driven millisecond clock.
@@ -36,9 +40,58 @@ func deadline(x *Index, k uint64) int64 {
 // TestValueLeafSize pins the leaf: a 32 B engine header plus a 32 B
 // Value is exactly the 64 B size class a []byte leaf (56 B) already
 // spends, so moving the deadline into the leaf costs unarmed keys nothing.
+// With a 64 B value inline behind it the leaf is one 128 B object, the
+// bytes the leaf and a separate 64 B copy of the value took as two: an
+// overwrite allocates that leaf, a 48 B one-node Flag and an 8 B Unflag,
+// and nothing for the value.
 func TestValueLeafSize(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 32 {
 		t.Errorf("Value is %d B, want 32 (a []byte header and one uint64)", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	x, _ := newIndex(t)
+	val := bytes.Repeat([]byte{'v'}, 64)
+	x.StoreDeadline(7, val, 1000)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		x.StoreDeadline(7, val, 1000)
+	}
+	runtime.ReadMemStats(&after)
+	objs, b := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	if objs != 3 || b != 128+48+8 {
+		t.Errorf("an overwrite with a 64 B value allocates %d objects, %d B; want 3 objects, %d B (a 128 B leaf)", objs, b, 128+48+8)
+	}
+}
+
+// TestSameMeansThisLeaf: rearm's condition matches the leaf the value was
+// read from, not its contents. A second store of the very same bytes and
+// deadline builds a new leaf, and a Set or Persist conditioned on the
+// value read before it must not match, for a tail-sized, an empty and
+// a separately copied value alike; conditioned on the new read it does.
+func TestSameMeansThisLeaf(t *testing.T) {
+	for _, b := range [][]byte{[]byte("value"), {}, bytes.Repeat([]byte{'x'}, 1000)} {
+		x, _ := newIndex(t)
+		x.StoreDeadline(7, b, 1000)
+		v1, _ := x.Lookup(7)
+		x.StoreDeadline(7, b, 1000)
+		v2, _ := x.Lookup(7)
+		if !same(v1, v1) || same(v1, v2) {
+			t.Errorf("%d B: same(v1, v1) = %v, same(v1, v2) = %v; want true, false", len(b), same(v1, v1), same(v1, v2))
+		}
+		if x.rearm(7, v1, 2000) || x.rearm(7, v1, 0) {
+			t.Errorf("%d B: a Set or Persist conditioned on the replaced leaf matched", len(b))
+		}
+		if !x.rearm(7, v2, 0) || deadline(x, 7) != 0 || x.ArmedKeys() != 0 {
+			t.Errorf("%d B: Persist conditioned on the live leaf failed", len(b))
+		}
+		if !x.Set(7, 3000) || deadline(x, 7) != 3000 {
+			t.Errorf("%d B: Set after a re-store: deadline %d, want 3000", len(b), deadline(x, 7))
+		}
+		if v, ok := x.Load(7); !ok || !bytes.Equal(v, b) || v == nil {
+			t.Errorf("%d B: Load = %q, %v; want the stored bytes, non-nil", len(b), v, ok)
+		}
 	}
 }
 
@@ -264,13 +317,6 @@ func TestSweepTakesMoreWhileDense(t *testing.T) {
 // within 2 B per key.
 func TestArmedKeysCostNoHeap(t *testing.T) {
 	const n = 100_000
-	heapAlloc := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	perKey := func(arm bool) float64 {
 		rng := rand.New(rand.NewSource(46))
 		before := heapAlloc()
@@ -553,4 +599,129 @@ func FuzzExpiryIndexOps(f *testing.F) {
 			check([]string{"set", "setex", "expire", "persist", "del", "rename", "get", "reap", "sweep"}[op%9])
 		}
 	})
+}
+
+// footprint returns the census of x's trie. nbtrie.Map keeps its engine
+// trie unexported, so the test reaches it through Map.t.e by reflection.
+func footprint(x *Index) engine.Footprint {
+	e := reflect.ValueOf(x.db).Elem().FieldByName("t").FieldByName("e")
+	return (*engine.Trie[keys.Uint64Key, Value])(e.UnsafePointer()).Footprint()
+}
+
+// TestKeyspaceRetention holds the keyspace's heap to its census, after a
+// fill and after churn. 2^16 keys with 64 B values, every value written
+// from one reused buffer as the server writes from its connection's
+// arena, are stored, then go through two rounds of overwrite (SET), SETEX,
+// EXPIRE then PERSIST (rearm) and RENAME to a fresh key (Replace), a
+// quarter of the keys each. Every leaf must hold its own bytes, the ones
+// last stored, and no dead leaf may stay reachable: at both points the
+// live heap must be within 5 % of Footprint, which counts each leaf at its
+// 128 B class. A leaf copy that kept pointing into the leaf it displaced
+// would keep that leaf alive as well.
+//
+// Per key, the filled keyspace must take at most 183 B, what the
+// srv-* benchmark workloads read. Churn flags more internal nodes, each
+// of which then keeps an 8 B Unflag, so after it the ceiling is the
+// layout's: a 128 B leaf, a 48 B node, an Unflag on every node and the
+// shortcut table's share.
+func TestKeyspaceRetention(t *testing.T) {
+	const (
+		n     = 1 << 16
+		now   = int64(1) << 40
+		later = now + 1e9
+	)
+	rng := rand.New(rand.NewSource(53))
+	ks := make([]uint64, n)
+	gen := make([]uint8, n)
+	used := make(map[uint64]bool, 2*n)
+	fresh := func() uint64 {
+		for {
+			if k := rng.Uint64() >> 5; !used[k] {
+				used[k] = true
+				return k
+			}
+		}
+	}
+	for i := range ks {
+		ks[i] = fresh()
+	}
+	buf := make([]byte, 64)
+	value := func(i int, g uint8) []byte {
+		for j := range buf {
+			buf[j] = byte(i) ^ byte(i>>8)*7 ^ byte(j)*31 ^ g*101
+		}
+		return buf
+	}
+
+	before := heapAlloc()
+	x, err := New(59, 0, WithClock(func() int64 { return now }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range ks {
+		x.Store(k, value(i, 0))
+	}
+	check := func(when string, ceiling float64) {
+		t.Helper()
+		measured := float64(heapAlloc() - before)
+		for i, k := range ks {
+			if v, ok := x.Load(k); !ok || !bytes.Equal(v, value(i, gen[i])) {
+				t.Fatalf("%s: key %d reads %x, %v; want %x", when, i, v, ok, value(i, gen[i]))
+			}
+		}
+		if err := x.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		f := footprint(x)
+		predicted := float64(f.Bytes())
+		t.Logf("%s, %d keys: measured %.1f B/key, Footprint %.1f B/key (%d leaves, %d internal, %d infos, %d B of shortcut table)",
+			when, n, measured/n, predicted/n, f.Leaves, f.Internal, f.Infos, f.ShortcutBytes)
+		if f.Leaves != n+2 {
+			t.Errorf("%s: census counts %d leaves, want %d", when, f.Leaves, n+2)
+		}
+		if d := (measured - predicted) / predicted; d < -0.05 || d > 0.05 {
+			t.Errorf("%s: measured heap %.0f B vs Footprint %.0f B: off by %.1f %%, want within 5 %%", when, measured, predicted, 100*d)
+		}
+		if ceiling == 0 {
+			ceiling = 128 + 48 + 8 + float64(f.ShortcutBytes)/n
+		}
+		if perKey := measured / n; perKey > ceiling {
+			t.Errorf("%s: the keyspace holds %.1f B per key, want <= %.1f", when, perKey, ceiling)
+		}
+	}
+	check("filled", 183)
+	for round := 1; round <= 2; round++ {
+		for i, k := range ks {
+			switch i % 4 {
+			case 0:
+				x.Store(k, value(i, uint8(round)))
+				gen[i] = uint8(round)
+			case 1:
+				x.StoreDeadline(k, value(i, uint8(round)), later)
+				gen[i] = uint8(round)
+			case 2:
+				if !x.Set(k, later) || !x.Persist(k) {
+					t.Fatalf("key %d: EXPIRE then PERSIST failed", i)
+				}
+			case 3:
+				nk := fresh()
+				if !x.Rename(k, nk) {
+					t.Fatalf("key %d: RENAME failed", i)
+				}
+				ks[i] = nk
+			}
+		}
+	}
+	check("churned", 0)
+	runtime.KeepAlive(used) // allocated before the first reading
+	runtime.KeepAlive(x)
+}
+
+// heapAlloc returns the live heap after a forced collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

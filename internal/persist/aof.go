@@ -196,7 +196,10 @@ func (e *ApplyError) Error() string { return "applying record: " + e.Err.Error()
 func (e *ApplyError) Unwrap() error { return e.Err }
 
 // Replay parses RESP command records from r, calling fn for each in
-// order. It returns the byte offset just past the last complete record
+// order. The records are parsed into one reused arena
+// (resp.RequestReader.ReadCommandReuse), so fn's args are valid only
+// during the call: fn copies whatever it keeps. It returns the byte
+// offset just past the last complete record
 // (valid), torn = true when the stream ends mid-record — the expected
 // shape of a crash-truncated tail, whose partial record was never
 // acknowledged and is safely discarded by truncating the file to valid
@@ -210,7 +213,7 @@ func Replay(r io.Reader, lim resp.Limits, fn func(args [][]byte) error) (valid i
 	br := bufio.NewReader(cr)
 	rr := resp.NewRequestReader(br, lim)
 	for {
-		args, err := rr.ReadCommand()
+		args, err := rr.ReadCommandReuse()
 		switch {
 		case err == nil:
 			valid = cr.n - int64(br.Buffered())
@@ -228,7 +231,8 @@ func Replay(r io.Reader, lim resp.Limits, fn func(args [][]byte) error) (valid i
 }
 
 // ReplayFile is Replay over the file at path, truncating a torn tail in
-// place (the crash-recovery path). Returns the number of records
+// place (the crash-recovery path); fn's args are valid only during the
+// call, as for Replay. Returns the number of records
 // replayed and whether a tail was truncated. A missing file is zero
 // records, not an error.
 func ReplayFile(path string, lim resp.Limits, fn func(args [][]byte) error) (records int64, truncated bool, err error) {

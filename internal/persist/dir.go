@@ -36,10 +36,11 @@ type Dir struct {
 // manifest's base dump through load, replays its segments through apply
 // in order (truncating a torn tail, whose record was never
 // acknowledged), then sweeps the files of the directory's scheme that
-// the manifest does not name. lim bounds replayed records and, through
-// MaxBulkLen, every key and value of the dump, so a value the server
-// accepted always loads back. aof and policy say whether Rotate opens
-// segments and how they sync.
+// the manifest does not name. load and apply see their arguments only
+// for the call (ReadDump, Replay) and copy whatever they keep. lim
+// bounds replayed records and, through MaxBulkLen, every key and value
+// of the dump, so a value the server accepted always loads back. aof and
+// policy say whether Rotate opens segments and how they sync.
 func OpenDir(path string, aof bool, policy SyncPolicy, lim resp.Limits,
 	load func(k, v []byte, expireAtMS uint64) error, apply func(args [][]byte) error) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {

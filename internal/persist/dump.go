@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 )
 
 // dumpMagic opens every dump file: format name + version in 8 bytes.
@@ -171,10 +172,11 @@ func (cr *crcReader) readUvarint() (uint64, error) {
 // ReadDump parses a dump written by WriteDump, calling fn for every
 // record with its absolute expiry deadline (Unix milliseconds, 0 = no
 // TTL; always 0 for version-1 dumps, which predate TTLs). The key and
-// value slices are freshly allocated and may be retained. maxLen caps
-// each key and value, so a corrupt length prefix cannot allocate
-// unbounded memory; the server passes its RESP bulk limit, the largest
-// value it can have accepted. Any structural violation — bad magic,
+// value are read into one scratch buffer that the next record reuses, so
+// they are valid only during fn's call: fn copies whatever it keeps.
+// maxLen caps each key and value, so a corrupt length prefix cannot
+// allocate unbounded memory; the server passes its RESP bulk limit, the
+// largest value it can have accepted. Any structural violation — bad magic,
 // unknown marker, a length beyond maxLen, short file, count or CRC mismatch, trailing garbage —
 // returns a *CorruptError (a dump is all-or-nothing; there is no
 // torn-tail tolerance here, that is the AOF's department). An error from
@@ -190,6 +192,7 @@ func ReadDump(r io.Reader, maxLen int, fn func(k, v []byte, expireAtMS uint64) e
 		return corruptf("bad magic %q", magic)
 	}
 	var count uint64
+	var scratch []byte // the current record's key, then its value
 	for {
 		marker, err := cr.readByte()
 		if err != nil {
@@ -201,14 +204,14 @@ func ReadDump(r io.Reader, maxLen int, fn func(k, v []byte, expireAtMS uint64) e
 		if marker != recEntry {
 			return corruptf("unknown record marker %q at entry %d", marker, count)
 		}
-		k, err := cr.readLenPrefixed()
-		if err != nil {
+		if scratch, err = cr.appendLenPrefixed(scratch[:0]); err != nil {
 			return err
 		}
-		v, err := cr.readLenPrefixed()
-		if err != nil {
+		nk := len(scratch)
+		if scratch, err = cr.appendLenPrefixed(scratch); err != nil {
 			return err
 		}
+		k, v := scratch[:nk:nk], scratch[nk:]
 		var expireAt uint64
 		if hasTTL {
 			expireAt, err = cr.readUvarint()
@@ -242,17 +245,20 @@ func ReadDump(r io.Reader, maxLen int, fn func(k, v []byte, expireAtMS uint64) e
 	return nil
 }
 
-func (cr *crcReader) readLenPrefixed() ([]byte, error) {
+// appendLenPrefixed reads one length-prefixed field and appends it to
+// buf, which it grows only past its capacity.
+func (cr *crcReader) appendLenPrefixed(buf []byte) ([]byte, error) {
 	n, err := cr.readUvarint()
 	if err != nil {
-		return nil, corruptf("short length prefix: %v", err)
+		return buf, corruptf("short length prefix: %v", err)
 	}
 	if n > uint64(cr.maxLen) {
-		return nil, corruptf("length %d exceeds limit %d", n, cr.maxLen)
+		return buf, corruptf("length %d exceeds limit %d", n, cr.maxLen)
 	}
-	buf := make([]byte, n)
-	if err := cr.readFull(buf); err != nil {
-		return nil, corruptf("short payload: %v", err)
+	off := len(buf)
+	buf = slices.Grow(buf, int(n))[:off+int(n)]
+	if err := cr.readFull(buf[off:]); err != nil {
+		return buf, corruptf("short payload: %v", err)
 	}
 	return buf, nil
 }

@@ -58,7 +58,8 @@ func TestDumpRoundTrip(t *testing.T) {
 		var got [][2][]byte
 		var ttls []uint64
 		err := ReadDump(bytes.NewReader(buf.Bytes()), maxLen, func(k, v []byte, expireAtMS uint64) error {
-			got = append(got, [2][]byte{k, v})
+			// k and v are valid only during the call.
+			got = append(got, [2][]byte{bytes.Clone(k), bytes.Clone(v)})
 			ttls = append(ttls, expireAtMS)
 			return nil
 		})

@@ -10,9 +10,8 @@ import (
 
 // Steady-state allocation pins for the server-side codec: after the
 // arena has grown to the workload's shape, parsing a command with
-// ReadCommandReuse and writing its reply must not allocate at all, and
-// Detach (the one copy-out a SET value needs) must cost exactly one
-// allocation. These are the wire-layer half of the server-path pins in
+// ReadCommandReuse and writing its reply must not allocate at all.
+// These are the wire-layer half of the server-path pins in
 // internal/server/alloc_test.go.
 
 // repeatingReader replays the same request bytes forever, so the
@@ -58,24 +57,6 @@ func TestArenaParseDoesNotAllocate(t *testing.T) {
 	val := bytes.Repeat([]byte{'x'}, 64)
 	set := []byte("*3\r\n$3\r\nSET\r\n$7\r\nkey:123\r\n$64\r\n" + string(val) + "\r\n")
 	pinParse(t, "SET", set, 0)
-}
-
-func TestDetachIsOneAlloc(t *testing.T) {
-	payload := bytes.Repeat([]byte{'v'}, 64)
-	got := testing.AllocsPerRun(100, func() {
-		if d := Detach(payload); len(d) != len(payload) {
-			panic("detach lost bytes")
-		}
-	})
-	if got != 1 {
-		t.Errorf("Detach allocates %.1f/op, want exactly 1", got)
-	}
-	if Detach(nil) != nil {
-		t.Error("Detach(nil) must stay nil")
-	}
-	if d := Detach([]byte{}); d == nil {
-		t.Error("Detach of an empty non-nil slice must stay non-nil (empty bulk != null bulk)")
-	}
 }
 
 // TestClientCodecAllocs pins the client side of one command round trip —

@@ -26,7 +26,6 @@ package resp
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -148,11 +147,9 @@ func parseLen(b []byte, allowNeg bool) (int64, error) {
 //
 // It has one parser, ReadCommandReuse, which parses into a per-reader
 // arena that the next call overwrites, so a long-lived connection
-// parses commands with zero steady-state allocations; values that must
-// outlive the command (a SET payload headed into the map) are copied
-// out explicitly with Detach. ReadCommand is the same parse followed by
-// a copy of every argument — the right call for clients, tools and
-// replay code that keep arguments around.
+// parses commands with zero steady-state allocations. A caller that
+// keeps an argument past the next call copies it itself; the server
+// keeps none (the keyspace copies a stored value into its leaf).
 type RequestReader struct {
 	r   *bufio.Reader
 	lim Limits
@@ -183,33 +180,18 @@ func NewRequestReader(r *bufio.Reader, lim Limits) *RequestReader {
 	return &RequestReader{r: r, lim: lim.WithDefaults()}
 }
 
-// ReadCommand reads one complete command: a RESP array of bulk strings.
-// The returned slices are freshly allocated and remain valid after the
-// next call. io.EOF before the first byte of a command is a clean
-// disconnect; any malformed input is a ProtocolError. Empty arrays
-// ("*0") are rejected — a command needs at least a name.
-func (rr *RequestReader) ReadCommand() ([][]byte, error) {
-	args, err := rr.ReadCommandReuse()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(args))
-	for i, a := range args {
-		out[i] = Detach(a)
-	}
-	return out, nil
-}
-
-// ReadCommandReuse reads one complete command like ReadCommand, but
-// the returned slice and every argument in it are only valid until the
-// next ReadCommand/ReadCommandReuse call: arguments point into a
-// per-reader arena the next command overwrites, and the [][]byte
-// header is reused too. After the arena and span tables have grown to
-// a workload's steady state, parsing allocates nothing at all. Callers
-// that need an argument to survive the command copy it out with
-// Detach; everything handed onward synchronously (map lookups, reply
-// writes, AOF appends that buffer immediately) can use the arguments
-// in place.
+// ReadCommandReuse reads one complete command: a RESP array of bulk
+// strings. The returned slice and every argument in it are only valid
+// until the next call: arguments point into a per-reader arena the next
+// command overwrites, and the [][]byte header is reused too. After the
+// arena and span tables have grown to a workload's steady state, parsing
+// allocates nothing at all. Callers that need an argument to survive the
+// command copy it; everything handed onward synchronously (map lookups,
+// reply writes, AOF appends that buffer immediately, a keyspace store
+// that copies into its leaf) can use the arguments in place. io.EOF
+// before the first byte of a command is a clean disconnect; any
+// malformed input is a ProtocolError. Empty arrays ("*0") are rejected —
+// a command needs at least a name.
 func (rr *RequestReader) ReadCommandReuse() ([][]byte, error) {
 	first, err := rr.r.ReadByte()
 	if err != nil {
@@ -287,12 +269,6 @@ func (rr *RequestReader) readBulkArena() error {
 	rr.spans = append(rr.spans, bulkSpan{off: off, n: int(ln)})
 	return nil
 }
-
-// Detach copies an argument returned by ReadCommandReuse out of the
-// arena so it survives the next command — the one allocation a stored
-// SET value costs. It is a bytes.Clone with a name that marks arena
-// escapes at the call site.
-func Detach(b []byte) []byte { return bytes.Clone(b) }
 
 // eofToUnexpected turns a mid-command EOF into io.ErrUnexpectedEOF so
 // only a clean between-commands disconnect reads as io.EOF.

@@ -15,18 +15,18 @@ func reqReader(s string, lim Limits) *RequestReader {
 
 func TestReadCommand(t *testing.T) {
 	rr := reqReader("*3\r\n$3\r\nSET\r\n$3\r\nfoo\r\n$3\r\nbar\r\n*1\r\n$4\r\nPING\r\n", Limits{})
-	args, err := rr.ReadCommand()
+	args, err := rr.ReadCommandReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(args) != 3 || string(args[0]) != "SET" || string(args[1]) != "foo" || string(args[2]) != "bar" {
 		t.Fatalf("args = %q", args)
 	}
-	args, err = rr.ReadCommand()
+	args, err = rr.ReadCommandReuse()
 	if err != nil || len(args) != 1 || string(args[0]) != "PING" {
 		t.Fatalf("second command = %q, %v", args, err)
 	}
-	if _, err := rr.ReadCommand(); err != io.EOF {
+	if _, err := rr.ReadCommandReuse(); err != io.EOF {
 		t.Fatalf("at stream end: %v, want io.EOF", err)
 	}
 }
@@ -35,7 +35,7 @@ func TestReadCommandBinarySafe(t *testing.T) {
 	// Keys and values may contain CR, LF and NUL; the length-prefixed
 	// format must carry them through untouched.
 	raw := "*2\r\n$3\r\nGET\r\n$5\r\na\r\n\x00b\r\n"
-	args, err := reqReader(raw, Limits{}).ReadCommand()
+	args, err := reqReader(raw, Limits{}).ReadCommandReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReadCommandMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := reqReader(tc.in, Limits{}).ReadCommand()
+			_, err := reqReader(tc.in, Limits{}).ReadCommandReuse()
 			if err == nil {
 				t.Fatal("malformed input parsed without error")
 			}
@@ -94,14 +94,14 @@ func TestReadCommandMalformed(t *testing.T) {
 
 func TestLimits(t *testing.T) {
 	lim := Limits{MaxArrayLen: 3, MaxBulkLen: 5}
-	if _, err := reqReader("*4\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n$1\r\nd\r\n", lim).ReadCommand(); !IsProtocolError(err) {
+	if _, err := reqReader("*4\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n$1\r\nd\r\n", lim).ReadCommandReuse(); !IsProtocolError(err) {
 		t.Fatalf("oversized array: %v", err)
 	}
-	if _, err := reqReader("*1\r\n$6\r\nabcdef\r\n", lim).ReadCommand(); !IsProtocolError(err) {
+	if _, err := reqReader("*1\r\n$6\r\nabcdef\r\n", lim).ReadCommandReuse(); !IsProtocolError(err) {
 		t.Fatalf("oversized bulk: %v", err)
 	}
 	// At the limits, both pass.
-	if _, err := reqReader("*3\r\n$5\r\nabcde\r\n$1\r\nb\r\n$1\r\nc\r\n", lim).ReadCommand(); err != nil {
+	if _, err := reqReader("*3\r\n$5\r\nabcde\r\n$1\r\nb\r\n$1\r\nc\r\n", lim).ReadCommandReuse(); err != nil {
 		t.Fatalf("at-limit request rejected: %v", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestReadReplyMalformed(t *testing.T) {
 	}
 }
 
-// TestCommandRoundTrip: anything WriteCommand emits, ReadCommand parses
+// TestCommandRoundTrip: anything WriteCommand emits, ReadCommandReuse parses
 // back verbatim — the property the fuzz target generalizes.
 func TestCommandRoundTrip(t *testing.T) {
 	cmds := [][][]byte{
@@ -199,7 +199,7 @@ func TestCommandRoundTrip(t *testing.T) {
 	w.Flush()
 	rr := NewRequestReader(bufio.NewReader(&buf), Limits{})
 	for _, c := range cmds {
-		got, err := rr.ReadCommand()
+		got, err := rr.ReadCommandReuse()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,39 +232,38 @@ func TestValueString(t *testing.T) {
 }
 
 // TestReadCommandReuseArenaSemantics: arguments from ReadCommandReuse
-// are overwritten by the next command (that is the contract), Detach
-// rescues the ones that must survive, and a huge command does not pin
-// its arena to the reader forever.
+// are overwritten by the next command (that is the contract), a copy
+// survives it, and a huge command does not pin its arena to the reader
+// forever.
 func TestReadCommandReuseArenaSemantics(t *testing.T) {
 	stream := bytes.NewBufferString(
 		"*3\r\n$3\r\nSET\r\n$2\r\naa\r\n$5\r\nfirst\r\n" +
-			"*3\r\n$3\r\nSET\r\n$2\r\nbb\r\n$6\r\nsecond\r\n")
+			"*3\r\n$3\r\nSET\r\n$2\r\nbb\r\n$5\r\nother\r\n")
 	rr := NewRequestReader(bufio.NewReader(stream), Limits{})
 
 	args, err := rr.ReadCommandReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	aliased := args[2]      // points into the arena
-	kept := Detach(args[2]) // survives the next command
-	if string(kept) != "first" {
-		t.Fatalf("detached value %q, want %q", kept, "first")
-	}
+	aliased := args[2]           // points into the arena
+	kept := bytes.Clone(args[2]) // survives the next command
 
 	args2, err := rr.ReadCommandReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(args2[1]) != "bb" || string(args2[2]) != "second" {
+	if string(args2[1]) != "bb" || string(args2[2]) != "other" {
 		t.Fatalf("second command parsed as %q", args2)
 	}
 	if string(kept) != "first" {
-		t.Fatalf("detached copy corrupted by arena reuse: %q", kept)
+		t.Fatalf("copy corrupted by arena reuse: %q", kept)
 	}
-	// The aliased slice now reads the second command's bytes — the
-	// documented hazard Detach exists for. (Same length prefix "fi" vs
-	// arena layout means we only assert it is NOT guaranteed stable.)
-	_ = aliased
+	// The aliased slice now reads the second command's bytes, laid over
+	// the first's at the same offset (the command is no longer, so the
+	// arena was not regrown): the hazard a stored value's copy exists for.
+	if string(aliased) != "other" {
+		t.Fatalf("aliased argument reads %q after the next command, want %q", aliased, "other")
+	}
 
 	// Retention cap: a command past arenaRetainMax is parsed fine, and
 	// the arena is dropped afterward instead of pinning megabytes.

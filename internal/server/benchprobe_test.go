@@ -26,8 +26,9 @@ import (
 // absent key — a successful delete's node unlinking is engine work
 // pinned by the library artifacts). Set is the full path including the
 // engine's store (which allocates trie nodes); SetCodec subtracts an
-// engine-only baseline, isolating the codec's contribution — the
-// pinned "≤ 1": the value's single copy out of the arena.
+// engine-only baseline, isolating the codec's contribution — pinned at
+// 0: the value goes to the keyspace as an arena view, and its copy is
+// part of the leaf the engine allocates.
 //
 // The TTL write paths run in full, keyspace included, each on a key put
 // into its starting state before every command: SetexUnarmed is SETEX

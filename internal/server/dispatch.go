@@ -133,11 +133,12 @@ func cmdLabel(ci int) string {
 // session is one connection's dispatch state: the reply writer plus the
 // scratch buffers that make the steady-state hot path allocation-free.
 // Arguments arrive as views into the connection's RESP arena
-// (ReadCommandReuse) and are valid only for the current command; the
-// ONLY bytes dispatch copies out of the arena are SET/MSET values
-// headed into the map (resp.Detach — exactly one allocation each, the
-// value's own backing array). Everything else — command word, keys,
-// reply bytes — is consumed before the next command overwrites it.
+// (ReadCommandReuse) and are valid only for the current command.
+// Dispatch copies nothing out of the arena: a SET/MSET/SETEX value goes
+// to the keyspace as an arena view, and the leaf that stores it copies
+// the bytes into itself (expiry.Value), in the leaf's own allocation.
+// Everything else — command word, keys, reply bytes — is consumed
+// before the next command overwrites it.
 type session struct {
 	s *Server
 	w *resp.Writer
@@ -253,9 +254,9 @@ func (ss *session) set(args [][]byte, ks []uint64) {
 	s := ss.s
 	s.gate.RLock()
 	for i, k := range ks {
-		// The value is arena-backed and dies with this command: Detach
-		// copies out the one slice that outlives it.
-		s.db.Store(k, resp.Detach(args[2+2*i]))
+		// The value is arena-backed and dies with this command; the leaf
+		// keeps its own copy.
+		s.db.Store(k, args[2+2*i])
 	}
 	s.appendMutation(args...)
 	s.gate.RUnlock()

@@ -23,7 +23,6 @@ import (
 	"strconv"
 
 	"nbtrie/internal/expiry"
-	"nbtrie/internal/resp"
 )
 
 // nowMS is the server's current time in Unix milliseconds.
@@ -179,7 +178,7 @@ func (ss *session) setex(args [][]byte, ks []uint64) {
 		return
 	}
 	deadline := deadlineFromArg(s.nowMS(), sec, 1000, false)
-	v := resp.Detach(args[3])
+	v := args[3] // arena-backed: the leaf keeps its own copy
 	s.gate.RLock()
 	s.db.StoreDeadline(ks[0], v, deadline)
 	s.appendMutation(recSET, args[1], v)

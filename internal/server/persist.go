@@ -139,7 +139,9 @@ func openPersister(s *Server, cfg PersistConfig) (*persister, error) {
 	return p, nil
 }
 
-// loadEntry stores one base-dump record into the (empty) map.
+// loadEntry stores one base-dump record into the (empty) map. k and v
+// are ReadDump's scratch, valid only for the call: the key is encoded on
+// the spot and the leaf copies the value.
 func (p *persister) loadEntry(k, v []byte, expireAtMS uint64) error {
 	ek, err := BytesKeyer{}.Encode(k)
 	if err != nil {
@@ -167,7 +169,9 @@ func (p *persister) loadEntry(k, v []byte, expireAtMS uint64) error {
 // are deliberately NOT recorded: recovery re-evaluates the replayed
 // absolute deadlines against the clock, so an expiry that happened while
 // up happens again (lazily or on the reaper's opening pass) after a
-// restart.
+// restart. args are views into Replay's arena, valid only for the call,
+// and no replay row keeps one: replaySet's store copies the value into
+// its leaf, and every other row encodes keys or parses a number.
 func (p *persister) applyRecord(args [][]byte) error {
 	if len(args) == 0 {
 		return fmt.Errorf("empty record")

@@ -35,8 +35,9 @@
 // into a per-connection arena that the next command overwrites
 // (resp.RequestReader.ReadCommandReuse), so every argument is a view
 // valid for the current command only: keys are encoded to trie keys on
-// the spot, and the one slice that outlives the command — a SET/MSET
-// value headed into the map — is copied out with resp.Detach.
+// the spot, and a SET/MSET/SETEX value is handed to the keyspace as it
+// lies in the arena. Dispatch copies nothing out of the arena: the
+// keyspace's leaf copies the value into itself (expiry.Value).
 package server
 
 import (
@@ -343,9 +344,9 @@ func (s *Server) handle(c net.Conn) {
 	// bytes from the socket: one write syscall per batch, and never a
 	// withheld reply while the connection blocks reading. The reader
 	// reuses a per-connection arena (ReadCommandReuse): argument slices
-	// are valid only until the next ReadCommandReuse call, and dispatch
-	// copies out (resp.Detach) exactly the bytes that outlive the
-	// command — SET/MSET values headed into the map.
+	// are valid only until the next ReadCommandReuse call. Nothing that
+	// dispatch hands on keeps them: the keyspace copies a stored value
+	// into its leaf, and the AOF copies a record into its buffer.
 	rr := resp.NewRequestReader(bufio.NewReaderSize(flushBeforeRead{c: c, ss: ss}, 16<<10), s.cfg.Limits)
 	for {
 		args, err := rr.ReadCommandReuse()

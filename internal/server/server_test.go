@@ -711,6 +711,77 @@ func TestServerPipelinedMixedBurst(t *testing.T) {
 	}
 }
 
+// TestServerArenaAliasing: dispatch hands a stored value to the keyspace
+// as a view into the connection's read arena, which the next command
+// overwrites, so the leaf must keep a copy of its own. One pipelined
+// burst of SET, MSET (three pairs) and SETEX stores 250 distinct binary
+// values whose lengths repeat, so each later command lays its value over
+// the arena bytes of an earlier one: an empty value, tail-sized ones up
+// to 448 B (the largest tail), and 449 and 4096 B (copied separately).
+// A GET of every key must then read back exactly the bytes stored, and
+// the empty value as an empty bulk, not nil.
+func TestServerArenaAliasing(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	sizes := []int{64, 0, 64, 448, 1, 449, 64, 4096, 17, 200}
+	val := func(i, n int) string {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte((i*131 + j*17) % 251)
+		}
+		return string(b)
+	}
+	want := make(map[string]string)
+	var keys []string
+	replies := 0
+	for i := 0; len(keys) < 250; i++ {
+		switch i % 3 {
+		case 0, 2:
+			k := fmt.Sprintf("a%d", len(keys))
+			want[k] = val(len(keys), sizes[len(keys)%len(sizes)])
+			if i%3 == 0 {
+				c.w.WriteCommandString("SET", k, want[k])
+			} else {
+				c.w.WriteCommandString("SETEX", k, "3600", want[k])
+			}
+			keys = append(keys, k)
+		case 1:
+			args := []string{"MSET"}
+			for p := 0; p < 3; p++ {
+				k := fmt.Sprintf("a%d", len(keys))
+				want[k] = val(len(keys), sizes[len(keys)%len(sizes)])
+				args = append(args, k, want[k])
+				keys = append(keys, k)
+			}
+			c.w.WriteCommandString(args...)
+		}
+		replies++
+	}
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < replies; i++ {
+		if v, err := resp.ReadReply(c.r, resp.Limits{}); err != nil || v.Kind != resp.TypeSimple || string(v.Str) != "OK" {
+			t.Fatalf("write %d = %s, %v; want +OK", i, v, err)
+		}
+	}
+	for _, k := range keys {
+		c.w.WriteCommandString("GET", k)
+	}
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		v, err := resp.ReadReply(c.r, resp.Limits{})
+		if err != nil {
+			t.Fatalf("GET %s: %v", k, err)
+		}
+		if v.Kind != resp.TypeBulk || string(v.Str) != want[k] {
+			t.Errorf("GET %s = kind %q, %d B; want a %d B bulk, byte for byte as stored", k, v.Kind, len(v.Str), len(want[k]))
+		}
+	}
+}
+
 // TestServerHugeReplyCommitsBeforeImplicitFlush: a single reply larger
 // than the 16KB write buffer forces bufio to write through to the
 // socket mid-dispatch — the implicit-flush path that must ALSO run the

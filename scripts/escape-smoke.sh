@@ -68,14 +68,15 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     echo
     echo "## dispatch runner (internal/server/dispatch.go)"
     # Every command crosses dispatch → run → its table row's handler; the
-    # 0-alloc GET/EXISTS/DEL/MGET and <= 1 SET-codec pins in
+    # 0-alloc GET/EXISTS/DEL/MGET and SET-codec pins in
     # internal/server/alloc_test.go (TestServerPathAllocPins) enforce the
     # count, and this section points at the line that broke one. Expected
     # sites: the table, its name map and the handler closures (built once
-    # in init), &session{...} (once per connection), the inlined Detach
-    # copy in set (SET's one pinned allocation), and the reply text of
-    # errors, SCAN and RENAME — cold paths. A new site in dispatch, run,
-    # keys, get, del or exists is the regression. Listed in line order.
+    # in init), &session{...} (once per connection), and the reply text of
+    # errors, SCAN and RENAME — cold paths. set copies nothing: the value
+    # goes to the keyspace as an arena view and the leaf copies it (the
+    # engine's tailLeaf). A new site in dispatch, run, keys, get, set, del
+    # or exists is the regression. Listed in line order.
     disp="$(grep 'server/dispatch\.go' "$mlog" | sort -t: -k2,2n -k3,3n | uniq)"
     if [ -n "$disp" ]; then
         echo "$disp"
@@ -89,14 +90,16 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     # SETEX, EXPIRE, PERSIST, GETEX and the SET or DEL of a key with a
     # deadline run through expiry.Index; the TTL pins in
     # internal/server/alloc_test.go (TestServerPathAllocPins) enforce the
-    # counts — the value's copy and one leaf Swap, what a plain SET
-    # costs, and nothing for the AOF record — and this section points at
-    # the line that broke one. Expected sites: New's option closures, its
-    # config and &Index{...} (once per server), the handler closures
-    # expireCmd and ttlCmd return (built once in init), setex's inlined
-    # Detach copy (its one codec allocation), StartReaper's goroutine
-    # and stop closures (once per server), the snapshot header (once per
-    # SAVE or SCAN) and Validate's error text (tests). A site in
+    # counts — one leaf Swap, the value copied into the new leaf, what a
+    # plain SET costs, and nothing for the AOF record — and this section
+    # points at the line that broke one. Expected sites: New's option
+    # closures, its config and &Index{...} (once per server), the handler
+    # closures expireCmd and ttlCmd return (built once in init),
+    # StartReaper's goroutine and stop closures (once per server), the
+    # snapshot header (once per SAVE) and Validate's error text (tests).
+    # The engine calls Value's LeafBytes and WithLeafBytes through an
+    # interface with the Value passed by value, which adds no site; a
+    # Value moved to heap there, or in setex, is the regression. A site in
     # purge, Store, StoreDeadline, Set, Persist, rearm, Delete, Rename,
     # step, Reap, setTTL or itoa is the regression: the conditions handed
     # to DeleteFunc and CompareAndSwapFunc must stay on the stack. Listed
