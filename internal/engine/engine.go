@@ -208,7 +208,7 @@ func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 // nil — live — and the node is its only allocation; a value of a
 // BytesValue type gets its bytes copied into the leaf (newByteLeaf).
 func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
-	if h, ok := any((*V)(nil)).(BytesValue[V]); ok {
+	if h, ok := bytesValue[V](); ok {
 		return newByteLeaf(label, val, h)
 	}
 	l := &leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}, val: val}
@@ -222,10 +222,25 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 // The methods are called on a nil *V and must not dereference it:
 // LeafBytes returns v's bytes, and WithLeafBytes returns v with its bytes
 // replaced by b, the leaf's own copy. V is passed by value so that a
-// stack value stays on the stack.
+// stack value stays on the stack. V holds the slice itself, so it is at
+// least a slice header wide; a narrower V is never asked (bytesValue).
 type BytesValue[V any] interface {
 	LeafBytes(v V) []byte
 	WithLeafBytes(v V, b []byte) V
+}
+
+// bytesValue returns V's BytesValue hook, if *V implements one. A V
+// narrower than a slice header cannot hold its bytes, and V's size is
+// fixed per instantiation, so for such V — Map[uint64], the set views —
+// the check compiles away and their leaves are built as they always
+// were; a wider V pays one type assertion per leaf.
+func bytesValue[V any]() (BytesValue[V], bool) {
+	var v V
+	if unsafe.Sizeof(v) < unsafe.Sizeof([]byte(nil)) {
+		return nil, false
+	}
+	h, ok := any((*V)(nil)).(BytesValue[V])
+	return h, ok
 }
 
 // tailLeaf is the object a byte-valued leaf is allocated as: the

@@ -246,7 +246,7 @@ func bytesClassSize(n uintptr) uintptr {
 // than maxTail.
 func leafSize[K keys.Key[K], V any](v V) uintptr {
 	size := unsafe.Sizeof(leafNode[K, V]{})
-	h, ok := any((*V)(nil)).(BytesValue[V])
+	h, ok := bytesValue[V]()
 	if !ok {
 		return classSize(size)
 	}
