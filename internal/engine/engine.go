@@ -62,9 +62,10 @@ import (
 // node is the header every node of the paper's Node type starts with, and
 // the one type child and root pointers point at. A node is allocated in
 // one of two shapes with this header as their first field — leafNode
-// (header + value, and for a BytesValue the value's bytes behind it, see
-// tailLeaf) or innerNode (header + child slots) — and is a leaf iff its
-// gen is the leafGen sentinel; leaf() and inner() recover the shape. The
+// (header + value, or for a BytesValue a byteLeaf: header, length, word
+// and the value's bytes) or innerNode (header + child slots) — and is a
+// leaf iff its gen is the leafGen sentinel; leaf(), byteLeaf() and
+// inner() recover the shape, and value() a leaf's value. The
 // label is immutable after construction; leaf labels are full-length
 // encoded keys, internal labels proper prefixes of them.
 //
@@ -110,7 +111,7 @@ type node[K keys.Key[K], V any] struct {
 
 // leafNode is the leaf shape: the header and the value payload, stored
 // unboxed (set views instantiate V = struct{}); a BytesValue's leaf is
-// allocated as a tailLeaf, with the value's bytes behind the leafNode.
+// a byteLeaf instead, and is read through value(), never leaf().
 // Like the label the value is immutable after construction: a value
 // update installs a fresh leaf through the same child-CAS path as every
 // other update, so the no-ABA argument — child pointers are only ever
@@ -215,25 +216,50 @@ func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
 	return &l.node
 }
 
-// BytesValue is implemented, on its pointer type, by a value type that
-// holds a byte slice the leaf should own: every leaf of a Trie[K, V]
-// whose *V implements BytesValue[V] is built with a copy of the value's
-// bytes inline, behind the leaf, in the same allocation (newByteLeaf).
-// The methods are called on a nil *V and must not dereference it:
-// LeafBytes returns v's bytes, and WithLeafBytes returns v with its bytes
-// replaced by b, the leaf's own copy. V is passed by value so that a
-// stack value stays on the stack. V holds the slice itself, so it is at
-// least a slice header wide; a narrower V is never asked (bytesValue).
+// value returns the value n, a leaf, holds. A BytesValue's leaf keeps
+// no V: the value is rebuilt from the leaf's word and a view of its
+// bytes, which is what every reader is handed. Every caller has just
+// found n to be a leaf, so for a V too narrow for a hook — Map[uint64],
+// the set views — value reads the leafNode without leaf()'s check: that
+// keeps it within the inliner's budget, so their reads cost what a bare
+// field load does.
+func (n *node[K, V]) value() V {
+	var v V
+	if unsafe.Sizeof(v) >= unsafe.Sizeof([]byte(nil)) {
+		return n.wideValue()
+	}
+	return (*leafNode[K, V])(unsafe.Pointer(n)).val
+}
+
+// wideValue is value for a V at least a slice header wide.
+func (n *node[K, V]) wideValue() V {
+	if h, ok := bytesValue[V](); ok {
+		l := n.byteLeaf()
+		return h.FromLeaf(l.bytes(), l.w)
+	}
+	return n.leaf().val
+}
+
+// BytesValue is implemented, on its pointer type, by a value type made
+// of a byte slice the leaf should own and one word: every leaf of a
+// Trie[K, V] whose *V implements BytesValue[V] keeps the word and a copy
+// of the bytes, inline behind it in the same allocation (newByteLeaf),
+// and no V. The methods are called on a nil *V and must not dereference
+// it: LeafBytes splits v into its bytes and its word, and FromLeaf joins
+// them back, b being a view of the leaf's own copy. V is passed by value
+// so that a stack value stays on the stack. V holds the slice itself, so
+// it is at least a slice header wide; a narrower V is never asked
+// (bytesValue).
 type BytesValue[V any] interface {
-	LeafBytes(v V) []byte
-	WithLeafBytes(v V, b []byte) V
+	LeafBytes(v V) (b []byte, w uint64)
+	FromLeaf(b []byte, w uint64) V
 }
 
 // bytesValue returns V's BytesValue hook, if *V implements one. A V
 // narrower than a slice header cannot hold its bytes, and V's size is
 // fixed per instantiation, so for such V — Map[uint64], the set views —
-// the check compiles away and their leaves are built as they always
-// were; a wider V pays one type assertion per leaf.
+// the check compiles away and their leaves are built and read as they
+// always were; a wider V pays one type assertion per leaf built or read.
 func bytesValue[V any]() (BytesValue[V], bool) {
 	var v V
 	if unsafe.Sizeof(v) < unsafe.Sizeof([]byte(nil)) {
@@ -243,97 +269,134 @@ func bytesValue[V any]() (BytesValue[V], bool) {
 	return h, ok
 }
 
-// tailLeaf is the object a byte-valued leaf is allocated as: the
-// leafNode, then tail, the byte array its value's bytes are copied into.
+// byteLeaf is the leaf shape of a BytesValue trie: the header, the
+// value's length n and word w, and behind them the bytes — inline in a
+// tailLeaf's tail when n <= maxTail, else in a separate copy a longLeaf
+// points at. An empty value's leaf is the bare byteLeaf. For a
+// Uint64Key trie it is 48 B, so a 64 B value's leaf is one 112 B object.
+type byteLeaf[K keys.Key[K], V any] struct {
+	node[K, V]
+	n, w uint64
+}
+
+// tailLeaf is a byteLeaf with its value's bytes in tail.
 type tailLeaf[K keys.Key[K], V any, T any] struct {
-	leafNode[K, V]
+	byteLeaf[K, V]
 	tail T
 }
 
-// maxTail is the largest tail. With the 64 B leafNode of a Uint64Key
-// trie whose value is a slice and a word (nbtried's), every tail
-// tailLen picks fills a size class exactly, and a 448 B tail the 512 B
-// class, the largest whose pointerful objects carry no malloc header.
-const maxTail = 448
-
-// tailLen returns the tail a leaf of an n-byte value is allocated with,
-// n <= maxTail: n rounded up to the class steps, 16 B up to 192 and
-// 32 B above, and never 0, so that every leaf's bytes have an address of
-// their own, even empty ones.
-func tailLen(n int) int {
-	if n <= 192 {
-		return max(16, (n+15)&^15)
-	}
-	return (n + 31) &^ 31
+// longLeaf is a byteLeaf whose value, longer than maxTail, is the
+// separate copy p points at.
+type longLeaf[K keys.Key[K], V any] struct {
+	byteLeaf[K, V]
+	p *byte
 }
 
-// newByteLeaf returns a leaf for val whose bytes are a copy of val's,
-// inline in a tail of tailLen bytes: one allocation in the smallest
-// class that fits. A value longer than maxTail gets its copy as a
-// second, separate allocation. Either way no leaf's bytes alias the
+// byteLeaf returns the byteLeaf n heads; see leaf.
+func (n *node[K, V]) byteLeaf() *byteLeaf[K, V] {
+	if !n.isLeaf() {
+		panic("engine: byteLeaf() on an internal node")
+	}
+	return (*byteLeaf[K, V])(unsafe.Pointer(n))
+}
+
+// bytes returns a view of l's bytes, len == cap == l.n. It always
+// points into memory that belongs to l alone, so views from different
+// leaves never share an address: the tail, the separate copy, or, for an
+// empty value, l's own length word.
+func (l *byteLeaf[K, V]) bytes() []byte {
+	switch {
+	case l.n == 0:
+		return unsafe.Slice((*byte)(unsafe.Pointer(&l.n)), 0)
+	case l.n > maxTail:
+		return unsafe.Slice((*longLeaf[K, V])(unsafe.Pointer(l)).p, l.n)
+	}
+	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(l), unsafe.Sizeof(*l))), l.n)
+}
+
+// maxTail is the largest tail. Behind the 48 B byteLeaf of a Uint64Key
+// trie every tail tailLen picks fills a size class exactly, and a 464 B
+// tail the 512 B class, the largest whose pointerful objects carry no
+// malloc header.
+const maxTail = 464
+
+// tailLen returns the tail a leaf of an n-byte value is allocated with,
+// n <= maxTail: n rounded up to the class steps, 16 B up to 208 B (the
+// 256 B class) and 32 B above.
+func tailLen(n int) int {
+	if n <= 208 {
+		return (n + 15) &^ 15
+	}
+	return (n+16+31)&^31 - 16
+}
+
+// newByteLeaf returns a leaf for val holding its word and a copy of its
+// bytes, inline in a tail of tailLen bytes: one allocation in the
+// smallest class that fits. A value longer than maxTail gets its copy
+// as a second, separate allocation. Either way no leaf's bytes alias the
 // caller's slice or another leaf: a Store of a reused buffer is safe,
 // and a dead leaf is never kept alive by a live one.
 func newByteLeaf[K keys.Key[K], V any](label K, val V, h BytesValue[V]) *node[K, V] {
-	b := h.LeafBytes(val)
+	b, w := h.LeafBytes(val)
+	var l *byteLeaf[K, V]
 	if len(b) > maxTail {
-		c := make([]byte, len(b))
-		copy(c, b)
-		l := &leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}, val: h.WithLeafBytes(val, c)}
-		return &l.node
+		l = &(&longLeaf[K, V]{p: unsafe.SliceData(make([]byte, len(b)))}).byteLeaf
+	} else {
+		l = newTailLeaf[K, V](tailLen(len(b)))
 	}
-	switch tailLen(len(b)) {
-	case 16:
-		return newTailLeaf[K, V, [16]byte](label, val, b, h)
-	case 32:
-		return newTailLeaf[K, V, [32]byte](label, val, b, h)
-	case 48:
-		return newTailLeaf[K, V, [48]byte](label, val, b, h)
-	case 64:
-		return newTailLeaf[K, V, [64]byte](label, val, b, h)
-	case 80:
-		return newTailLeaf[K, V, [80]byte](label, val, b, h)
-	case 96:
-		return newTailLeaf[K, V, [96]byte](label, val, b, h)
-	case 112:
-		return newTailLeaf[K, V, [112]byte](label, val, b, h)
-	case 128:
-		return newTailLeaf[K, V, [128]byte](label, val, b, h)
-	case 144:
-		return newTailLeaf[K, V, [144]byte](label, val, b, h)
-	case 160:
-		return newTailLeaf[K, V, [160]byte](label, val, b, h)
-	case 176:
-		return newTailLeaf[K, V, [176]byte](label, val, b, h)
-	case 192:
-		return newTailLeaf[K, V, [192]byte](label, val, b, h)
-	case 224:
-		return newTailLeaf[K, V, [224]byte](label, val, b, h)
-	case 256:
-		return newTailLeaf[K, V, [256]byte](label, val, b, h)
-	case 288:
-		return newTailLeaf[K, V, [288]byte](label, val, b, h)
-	case 320:
-		return newTailLeaf[K, V, [320]byte](label, val, b, h)
-	case 352:
-		return newTailLeaf[K, V, [352]byte](label, val, b, h)
-	case 384:
-		return newTailLeaf[K, V, [384]byte](label, val, b, h)
-	case 416:
-		return newTailLeaf[K, V, [416]byte](label, val, b, h)
-	}
-	return newTailLeaf[K, V, [448]byte](label, val, b, h)
+	l.label, l.gen, l.n, l.w = label, leafGen, uint64(len(b)), w
+	copy(l.bytes(), b)
+	return &l.node
 }
 
-// newTailLeaf allocates a tailLeaf with tail T, copies b into the tail's
-// first len(b) bytes and binds val to that copy, as tail[:n:n]. The
-// slice is built with unsafe.Slice because T is a type parameter; it
-// stays inside the allocation, since b fits T (tailLen).
-func newTailLeaf[K keys.Key[K], V any, T any](label K, val V, b []byte, h BytesValue[V]) *node[K, V] {
-	a := &tailLeaf[K, V, T]{leafNode: leafNode[K, V]{node: node[K, V]{label: label, gen: leafGen}}}
-	tail := unsafe.Slice((*byte)(unsafe.Pointer(&a.tail)), len(b))
-	copy(tail, b)
-	a.val = h.WithLeafBytes(val, tail)
-	return &a.node
+// newTailLeaf allocates a zero byteLeaf with a tail of n bytes, n a
+// tailLen: a bare byteLeaf for 0, else a tailLeaf.
+func newTailLeaf[K keys.Key[K], V any](n int) *byteLeaf[K, V] {
+	switch n {
+	case 0:
+		return new(byteLeaf[K, V])
+	case 16:
+		return &new(tailLeaf[K, V, [16]byte]).byteLeaf
+	case 32:
+		return &new(tailLeaf[K, V, [32]byte]).byteLeaf
+	case 48:
+		return &new(tailLeaf[K, V, [48]byte]).byteLeaf
+	case 64:
+		return &new(tailLeaf[K, V, [64]byte]).byteLeaf
+	case 80:
+		return &new(tailLeaf[K, V, [80]byte]).byteLeaf
+	case 96:
+		return &new(tailLeaf[K, V, [96]byte]).byteLeaf
+	case 112:
+		return &new(tailLeaf[K, V, [112]byte]).byteLeaf
+	case 128:
+		return &new(tailLeaf[K, V, [128]byte]).byteLeaf
+	case 144:
+		return &new(tailLeaf[K, V, [144]byte]).byteLeaf
+	case 160:
+		return &new(tailLeaf[K, V, [160]byte]).byteLeaf
+	case 176:
+		return &new(tailLeaf[K, V, [176]byte]).byteLeaf
+	case 192:
+		return &new(tailLeaf[K, V, [192]byte]).byteLeaf
+	case 208:
+		return &new(tailLeaf[K, V, [208]byte]).byteLeaf
+	case 240:
+		return &new(tailLeaf[K, V, [240]byte]).byteLeaf
+	case 272:
+		return &new(tailLeaf[K, V, [272]byte]).byteLeaf
+	case 304:
+		return &new(tailLeaf[K, V, [304]byte]).byteLeaf
+	case 336:
+		return &new(tailLeaf[K, V, [336]byte]).byteLeaf
+	case 368:
+		return &new(tailLeaf[K, V, [368]byte]).byteLeaf
+	case 400:
+		return &new(tailLeaf[K, V, [400]byte]).byteLeaf
+	case 432:
+		return &new(tailLeaf[K, V, [432]byte]).byteLeaf
+	}
+	return &new(tailLeaf[K, V, [464]byte]).byteLeaf
 }
 
 // newNode returns an empty internal node with the given label and
@@ -387,7 +450,7 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 	if n.isLeaf() {
 		// A byte-valued leaf's copy copies the bytes too (newByteLeaf):
 		// the copy must not keep the leaf it displaces alive.
-		return newLeafVal(n.label, n.leaf().val)
+		return newLeafVal(n.label, n.value())
 	}
 	in, c := n.inner(), t.newNode(n.label, gen)
 	for j := 0; j < t.fanout(); j++ {

@@ -240,21 +240,19 @@ func bytesClassSize(n uintptr) uintptr {
 	return (n + pageSize - 1) / pageSize * pageSize
 }
 
-// leafSize returns the bytes of a leaf holding v as newLeafVal allocates
-// it: the leafNode's class, or for a BytesValue the class of the leaf and
-// its tail, or of the leaf and, separately, its copy of a value longer
-// than maxTail.
-func leafSize[K keys.Key[K], V any](v V) uintptr {
-	size := unsafe.Sizeof(leafNode[K, V]{})
-	h, ok := bytesValue[V]()
-	if !ok {
-		return classSize(size)
+// leafSize returns the bytes of leaf n as newLeafVal allocated it: the
+// leafNode's class, or for a BytesValue the class of the byteLeaf and
+// its tail, or of the longLeaf and, separately, its copy of a value
+// longer than maxTail.
+func leafSize[K keys.Key[K], V any](n *node[K, V]) uintptr {
+	if _, ok := bytesValue[V](); !ok {
+		return classSize(unsafe.Sizeof(leafNode[K, V]{}))
 	}
-	n := len(h.LeafBytes(v))
-	if n > maxTail {
-		return classSize(size) + bytesClassSize(uintptr(n))
+	l := n.byteLeaf()
+	if l.n > maxTail {
+		return classSize(unsafe.Sizeof(longLeaf[K, V]{})) + bytesClassSize(uintptr(l.n))
 	}
-	return classSize(size + uintptr(tailLen(n)))
+	return classSize(unsafe.Sizeof(*l) + uintptr(tailLen(int(l.n))))
 }
 
 // Footprint walks the trie and returns its census. Quiescent use only.
@@ -278,7 +276,7 @@ func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint, depth int) {
 	}
 	if n.isLeaf() {
 		f.Leaves++
-		f.LeafBytes += leafSize[K](n.leaf().val)
+		f.LeafBytes += leafSize(n)
 		if !n.label.Equal(t.dummyMin) && !n.label.Equal(t.dummyMax) {
 			f.LeafDepths += depth
 		}

@@ -26,14 +26,10 @@ func TestLayoutSizes(t *testing.T) {
 	if got := unsafe.Sizeof(leafNode[keys.Uint64Key, []byte]{}); got > 64 {
 		t.Errorf("leafNode[Uint64Key,[]byte] is %d B, want <= 64 (the 64 B size class)", got)
 	}
-	// nbtried's leaf: a []byte and its deadline (expiry.Value, whose own
-	// test pins it at 32 B) fill the 64 B class a []byte leaf already
-	// pays for — exactly, with no room to spare.
-	if got := unsafe.Sizeof(leafNode[keys.Uint64Key, struct {
-		b  []byte
-		at uint64
-	}]{}); got != 64 {
-		t.Errorf("leafNode[Uint64Key,{[]byte,uint64}] is %d B, want 64 (the 64 B size class, exactly)", got)
+	// nbtried's leaf: the header, a byte value's length and its deadline,
+	// with the bytes behind them (TestByteLeafAllocs).
+	if got := unsafe.Sizeof(byteLeaf[keys.Uint64Key, bval]{}); got != 48 {
+		t.Errorf("byteLeaf[Uint64Key,bval] is %d B, want 48 (the 48 B size class, exactly)", got)
 	}
 	// A binary node is the header and two slots, exactly the 48 B class
 	// with no padding for every V (the value is not in it): n keys hang
@@ -120,28 +116,27 @@ func TestLayoutSizes(t *testing.T) {
 }
 
 // bval is a BytesValue shaped like nbtried's expiry.Value: a byte slice
-// and a word, 32 B, so its leafNode is 64 B.
+// and a word.
 type bval struct {
 	B  []byte
 	At uint64
 }
 
-func (*bval) LeafBytes(v bval) []byte { return v.B }
+func (*bval) LeafBytes(v bval) ([]byte, uint64) { return v.B, v.At }
 
-func (*bval) WithLeafBytes(v bval, b []byte) bval {
-	v.B = b
-	return v
-}
+func (*bval) FromLeaf(b []byte, at uint64) bval { return bval{B: b, At: at} }
 
 // TestByteLeafAllocs pins the byte-valued leaf. For every value length up
 // to past maxTail, newLeafVal allocates what Footprint's leafSize counts:
-// up to maxTail one object, the 64 B leaf and its tail filling a size
-// class exactly (a 64 B value: 128 B), and above it the bare leaf and a
-// separate copy. The leaf's bytes equal the value's, are a copy (cap ==
-// len, at another address) and are never nil. An overwrite then costs
-// the leaf, a 48 B Flag and an 8 B Unflag: 3 objects and 184 B with a 64
-// B value, 4 and 1144 B with a 1000 B one, its 1024 B copy included. A
-// V that is not a BytesValue keeps the caller's slice.
+// up to maxTail one object, in the smallest size class that holds the
+// 48 B byteLeaf and the value (a 64 B value: 112 B), and above it a 64 B
+// longLeaf and a separate copy. The bytes a read gets equal the value's,
+// are a copy (cap == len, at another address) and are never nil; two
+// leaves of the same value, even an empty one, hand out different
+// addresses. An overwrite then costs the leaf, a 48 B Flag and an 8 B
+// Unflag: 3 objects and 168 B with a 64 B value, 4 and 1144 B with a
+// 1000 B one, its 1024 B copy included. A V that is not a BytesValue
+// keeps the caller's slice.
 func TestByteLeafAllocs(t *testing.T) {
 	src := make([]byte, maxTail+64)
 	for i := range src {
@@ -151,23 +146,31 @@ func TestByteLeafAllocs(t *testing.T) {
 	for n := 0; n <= maxTail+64; n++ {
 		v := bval{B: src[:n], At: 9}
 		objs, bytes := allocPerRun(20, func() { ptrSink = newLeafVal(label, v) })
-		wantObjs, wantBytes := uint64(1), uint64(64+tailLen(n))
+		wantObjs, wantBytes := uint64(1), uint64(0)
+		for _, c := range sizeClasses {
+			if c >= uintptr(48+n) {
+				wantBytes = uint64(c)
+				break
+			}
+		}
 		if n > maxTail {
 			wantObjs, wantBytes = 2, uint64(64+bytesClassSize(uintptr(n)))
 		}
-		if objs != wantObjs || bytes != wantBytes || bytes != uint64(leafSize[keys.Uint64Key](v)) {
+		l := newLeafVal(label, v)
+		if objs != wantObjs || bytes != wantBytes || bytes != uint64(leafSize(l)) {
 			t.Fatalf("a %d B value's leaf allocates %d objects, %d B; want %d, %d B (leafSize says %d)",
-				n, objs, bytes, wantObjs, wantBytes, leafSize[keys.Uint64Key](v))
+				n, objs, bytes, wantObjs, wantBytes, leafSize(l))
 		}
-		got := newLeafVal(label, v).leaf().val
+		got, other := l.value(), newLeafVal(label, v).value()
 		if got.B == nil || len(got.B) != n || cap(got.B) != n || string(got.B) != string(v.B) || got.At != 9 ||
-			unsafe.SliceData(got.B) == unsafe.SliceData(v.B) {
-			t.Fatalf("a %d B value's leaf holds %d/%d B at %p (value at %p), At %d; want an equal copy of its own",
-				n, len(got.B), cap(got.B), unsafe.SliceData(got.B), unsafe.SliceData(v.B), got.At)
+			unsafe.SliceData(got.B) == unsafe.SliceData(v.B) || unsafe.SliceData(got.B) == unsafe.SliceData(other.B) {
+			t.Fatalf("a %d B value's leaf holds %d/%d B at %p (value at %p, another leaf's at %p), At %d; want an equal copy of its own",
+				n, len(got.B), cap(got.B), unsafe.SliceData(got.B), unsafe.SliceData(v.B), unsafe.SliceData(other.B), got.At)
 		}
 	}
-	if got := classSize(64 + 64); got != 128 {
-		t.Errorf("a 64 B value's leaf lands in the %d B class, want 128", got)
+	if got := classSize(48 + maxTail); got != maxHeaderless || classSize(48+64) != 112 {
+		t.Errorf("the largest tail's leaf lands in the %d B class, want %d; a 64 B value's in %d, want 112",
+			got, maxHeaderless, classSize(48+64))
 	}
 
 	lo, hi := keys.U64Codec{Width: 32}.Bounds()
@@ -176,7 +179,7 @@ func TestByteLeafAllocs(t *testing.T) {
 	for _, c := range []struct {
 		n           int
 		objs, bytes uint64
-	}{{64, 3, 128 + 48 + 8}, {1000, 4, 64 + 1024 + 48 + 8}} {
+	}{{64, 3, 112 + 48 + 8}, {1000, 4, 64 + 1024 + 48 + 8}} {
 		v := bval{B: make([]byte, c.n)}
 		tr.Store(k, v)
 		if objs, bytes := allocPerRun(100, func() { tr.Store(k, v) }); objs != c.objs || bytes != c.bytes {

@@ -66,7 +66,7 @@ func (t *Trie[K, V]) update(v K, val V, insert bool, act onPresent, cond func(V)
 			}
 			continue
 		}
-		cur := r.node.leaf().val
+		cur := r.node.value()
 		switch {
 		case act == keep || cond != nil && !cond(cur):
 			return cur, true, false

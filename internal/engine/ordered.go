@@ -37,7 +37,7 @@ func allAbove[K keys.Key[K], V any](c *node[K, V], v K) bool {
 func (s *Snapshot[K, V]) walk(n *node[K, V], v K, down bool, fn func(K, V) bool) bool {
 	if n.isLeaf() {
 		if c := n.label.Compare(v); (c >= 0 && !down || c <= 0 && down) && s.usable(n) {
-			return fn(n.label, n.leaf().val)
+			return fn(n.label, n.value())
 		}
 		return true
 	}

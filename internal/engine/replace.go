@@ -55,7 +55,7 @@ func (t *Trie[K, V]) Replace(vd, vi K) bool {
 		// The fresh leaf for the new key inherits the removed leaf's
 		// value: rd.node is immutable, so reading its payload here is
 		// consistent with the leaf the descriptor removes.
-		val := rd.node.leaf().val
+		val := rd.node.value()
 		var i *desc[K, V]
 		if ri.node == nil {
 			i = t.replaceFill(l, vi, val, rd, ri)

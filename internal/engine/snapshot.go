@@ -241,7 +241,7 @@ func (s *Snapshot[K, V]) Load(v K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return n.leaf().val, true
+	return n.value(), true
 }
 
 // AscendKV calls fn on every (key, value) pair with key >= from that was

@@ -75,14 +75,16 @@ func batchFor(n int) int {
 // deadline in Unix milliseconds, 0 when the key has none. Deadlines are
 // clamped to at least 1 ms, so an armed At is never 0.
 //
-// The leaf owns B. *Value implements engine.BytesValue, so every leaf the
-// keyspace builds copies B into a tail behind itself and points its B at
-// that copy: a 32 B engine header, this 32 B struct and a 64 B value are
-// one 128 B object. A Store may therefore pass bytes it reuses (the
-// server passes its connection's read arena), and a B that Load returns
-// is valid for as long as it is held, pinning its leaf. Values longer
-// than the engine's largest tail (448 B) get their copy as a second
-// object.
+// The leaf owns B. *Value implements engine.BytesValue, so the leaf the
+// keyspace builds keeps no Value: it keeps At and B's length, one word
+// each, and a copy of B in a tail behind them. A 32 B engine header,
+// those two words and a 64 B value are one 112 B object. Every read
+// (Load, Lookup, the old value of a Swap or delete, a walk) gets a Value
+// whose B is a view of that tail, len == cap. A Store may therefore
+// pass bytes it reuses (the server passes its connection's read arena),
+// and a B that a read returns is valid for as long as it is held,
+// pinning its leaf. Values longer than the engine's largest tail (464 B)
+// get their copy as a second object.
 type Value struct {
 	B  []byte
 	At uint64
@@ -90,15 +92,13 @@ type Value struct {
 
 var _ engine.BytesValue[Value] = (*Value)(nil)
 
-// LeafBytes returns v.B, the bytes the leaf copies. The receiver is
-// unused: the engine calls it on a nil *Value.
-func (*Value) LeafBytes(v Value) []byte { return v.B }
+// LeafBytes splits v into the bytes the leaf copies and the word it
+// keeps, the deadline. The receiver is unused: the engine calls it on a
+// nil *Value.
+func (*Value) LeafBytes(v Value) ([]byte, uint64) { return v.B, v.At }
 
-// WithLeafBytes returns v with B replaced by b, the leaf's own copy.
-func (*Value) WithLeafBytes(v Value, b []byte) Value {
-	v.B = b
-	return v
-}
+// FromLeaf rebuilds a Value from a view of a leaf's bytes and its word.
+func (*Value) FromLeaf(b []byte, at uint64) Value { return Value{B: b, At: at} }
 
 // DeadlineMS returns v's deadline (Unix milliseconds), 0 when v has none.
 func (v Value) DeadlineMS() int64 { return int64(v.At) }
@@ -117,9 +117,10 @@ func armed(at uint64) int64 {
 
 // same reports whether have and v were read from the same leaf: the same
 // deadline and the same bytes, by address. Every leaf holds its own copy
-// of its bytes (Value's doc), at an address no other leaf's bytes share:
-// a tail inside the leaf, never empty even for a zero-length value, or a
-// separate copy made for that leaf alone. v keeps its leaf, and so that
+// of its bytes (Value's doc), and every read's B points at an address no
+// other leaf's bytes share: the tail inside the leaf, a separate copy
+// made for that leaf alone, or for a zero-length value the leaf's own
+// length word, so B is never nil. v keeps its leaf, and so that
 // address, alive while the caller holds it, so no later leaf can be given
 // it. A racing writer's leaf — even one storing the very same bytes —
 // therefore never matches.

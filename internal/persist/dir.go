@@ -101,16 +101,23 @@ func (d *Dir) Rotate() (seq uint64, seg *AOF, err error) {
 }
 
 // SaveBase writes the base dump for the cut seq from iter (see
-// WriteDump) crash-safely. It does not commit it: CommitBase does.
+// WriteDump) crash-safely. It does not commit it: CommitBase does. The
+// dump is written through a buffer of dumpBuffer bytes made for it and
+// dropped after it, so no buffer outlives a dump.
 func (d *Dir) SaveBase(seq uint64, iter func(fn func(k, v []byte, expireAtMS uint64) bool)) error {
 	return writeAtomic(d.path, BaseName(seq), func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
+		bw := bufio.NewWriterSize(w, dumpBuffer)
 		if err := WriteDump(bw, iter); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
 }
+
+// dumpBuffer is the write buffer of one dump: big enough that a dump's
+// writes are few, 16 pages, and small enough that a periodic save
+// allocates little for it.
+const dumpBuffer = 64 << 10
 
 // CommitBase swings the manifest to the base dump SaveBase wrote for
 // seq plus the segments at or after seq (those hold exactly the records

@@ -81,8 +81,9 @@ var infoTitles = []string{"Server", "Clients", "Stats", "Commandstats",
 // stats reads every statistic once, each section's rows in INFO order.
 func (s *Server) stats() []stat {
 	m := s.met
-	var errs int64
+	var calls, errs int64 // every dispatch counts in cmdCalls, unknown words as "other"
 	for ci := range m.latency {
+		calls += m.cmdCalls.Load(ci)
 		errs += m.cmdErrs.Load(ci)
 	}
 	expired, passes := s.db.Stats()
@@ -100,7 +101,7 @@ func (s *Server) stats() []stat {
 			"Currently open client connections.", s.connectedClients()},
 		{"Stats", "total_connections_received", "nbtried_connections_total",
 			"Connections accepted since start.", s.totalConns.Load()},
-		{"Stats", "total_commands_processed", "", "", s.totalCmds.Load()},
+		{"Stats", "total_commands_processed", "", "", calls},
 		{"Stats", "total_error_replies", "", "", errs},
 		{"Stats", "total_net_input_bytes", "nbtried_net_input_bytes_total",
 			"Bytes read from client sockets.", m.bytesIn.Load()},

@@ -326,6 +326,46 @@ func TestInfoSectionFiltering(t *testing.T) {
 	}
 }
 
+// TestInfoTotalCommandsIsCommandstatsSum: total_commands_processed is
+// the sum of the per-command calls, with nothing counted twice or
+// missed. After one pipelined burst of known commands, unknown words and
+// wrong-arity calls, INFO's total equals the burst's length and the sum
+// of the commandstats calls (the INFO asking is counted after it runs).
+func TestInfoTotalCommandsIsCommandstatsSum(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	burst := [][]string{
+		{"SET", "a", "1"}, {"GET", "a"}, {"NOSUCH"}, {"GET"}, {"PING"},
+		{"SET", "a"}, {"nosuch", "x"}, {"MGET", "a", "b"}, {"DEL"}, {"DBSIZE"},
+	}
+	for _, args := range burst {
+		c.w.WriteCommandString(args...)
+	}
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for range burst {
+		if _, err := resp.ReadReply(c.r, resp.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info := string(c.do("INFO").Str)
+	var total, calls int64 = -1, 0
+	for _, line := range strings.Split(info, "\r\n") {
+		if v, ok := strings.CutPrefix(line, "total_commands_processed:"); ok {
+			total, _ = strconv.ParseInt(v, 10, 64)
+		}
+		if _, rest, ok := strings.Cut(line, ":calls="); ok && strings.HasPrefix(line, "cmdstat_") {
+			n, _ := strconv.ParseInt(rest[:strings.IndexByte(rest, ',')], 10, 64)
+			calls += n
+		}
+	}
+	if total != int64(len(burst)) || calls != total {
+		t.Errorf("after a %d-command burst INFO reads total_commands_processed %d and commandstats calls summing to %d; want both %d",
+			len(burst), total, calls, len(burst))
+	}
+}
+
 func TestInfoEngineSection(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	c := dial(t, addr)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -103,7 +104,10 @@ func TestPersistWithoutAOFOnlySaveSurvives(t *testing.T) {
 // whole dump decodes every key into one reused buffer and writes the
 // record framing from shared slices, so the per-key count is ~0, where a
 // fresh decoded key and a fresh record marker would cost 2. The keys are
-// armed, so the deadline's trip from the leaf is covered.
+// armed, so the deadline's trip from the leaf is covered. It also pins
+// the bytes one SAVE allocates: a write buffer of at most 64 KiB made for
+// the dump, where a 1 MiB one took 8.4 B per operation on a workload that
+// saves every 125,000 writes, and little else.
 func TestPersistSaveAllocsPerKey(t *testing.T) {
 	s, err := New(Config{Persist: PersistConfig{Dir: t.TempDir()}})
 	if err != nil {
@@ -119,13 +123,25 @@ func TestPersistSaveAllocsPerKey(t *testing.T) {
 		}
 		s.db.StoreDeadline(k, val, expiryFarFuture)
 	}
-	allocs := testing.AllocsPerRun(2, func() {
+	save := func() {
 		if err := s.pst.save(false); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(2, save)
 	if perKey := allocs / n; perKey > 0.1 {
 		t.Errorf("SAVE allocates %.3f times per key, pinned at 0.1", perKey)
+	}
+	const runs, ceiling = 4, 96 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		save()
+	}
+	runtime.ReadMemStats(&after)
+	if perSave := (after.TotalAlloc - before.TotalAlloc) / runs; perSave > ceiling {
+		t.Errorf("SAVE allocates %d B, pinned at %d (a 64 KiB buffer and the rest)", perSave, ceiling)
 	}
 }
 
@@ -509,4 +525,60 @@ func TestScanAndSaveReleaseSnapshots(t *testing.T) {
 	if h := s.DB().EngineStats().SnapshotsHeld; h != 0 {
 		t.Errorf("after Close: %d snapshots held, want 0", h)
 	}
+}
+
+// TestPersistTailEdgesRoundTrip stores a value at every edge of the
+// keyspace's byte leaves, armed and unarmed: empty (the leaf's bytes are
+// its length word), 1 to 208 B (16 B tail steps), 209 B (the first 32 B
+// step), 464 B (the largest tail, the 512 B class), 465 B and 4096 B
+// (copied separately). Every read of a value is a view of its leaf's
+// bytes, so a live SCAN, a SAVE's dump walk and the restart that loads
+// it must all hand back exactly what was stored: the same key set, the
+// same bytes and, with the clock held, the same PTTL.
+func TestPersistTailEdgesRoundTrip(t *testing.T) {
+	const maxTail = 464 // the engine's largest inline tail
+	clk := newFakeClock()
+	cfg := clk.cfg(persistCfg(t.TempDir()))
+	s, addr := startServer(t, cfg)
+	c := dial(t, addr)
+	type entry struct {
+		val  string
+		pttl int64
+	}
+	want := make(map[string]entry)
+	for i, n := range []int{0, 1, 16, 17, 64, 208, 209, maxTail, maxTail + 1, 4096} {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(i*37 + j*13)
+		}
+		plain, armed := fmt.Sprintf("p%d", n), fmt.Sprintf("a%d", n)
+		c.mustSimple("OK", "SET", plain, string(b))
+		c.mustSimple("OK", "SETEX", armed, strconv.Itoa(100+i), string(b))
+		want[plain], want[armed] = entry{string(b), -1}, entry{string(b), int64(100+i) * 1000}
+	}
+	check := func(c *testClient, when string) {
+		t.Helper()
+		var scanned []string
+		for cursor := "0"; ; {
+			next, page := scanPage(c, cursor, 3)
+			scanned = append(scanned, page...)
+			if cursor = next; cursor == "0" {
+				break
+			}
+		}
+		slices.Sort(scanned)
+		if len(scanned) != len(want) || len(slices.Compact(scanned)) != len(want) {
+			t.Errorf("%s: SCAN returned %d keys %v, want the %d stored", when, len(scanned), scanned, len(want))
+		}
+		for k, e := range want {
+			if v := c.do("GET", k); v.Kind != resp.TypeBulk || string(v.Str) != e.val {
+				t.Errorf("%s: GET %s = kind %q, %d B; want a %d B bulk, byte for byte as stored", when, k, v.Kind, len(v.Str), len(e.val))
+			}
+			c.mustInt(e.pttl, "PTTL", k)
+		}
+	}
+	check(c, "live")
+	c.mustSimple("OK", "SAVE")
+	_, addr2 := restart(t, s, cfg)
+	check(dial(t, addr2), "after SAVE and restart")
 }

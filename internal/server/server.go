@@ -111,7 +111,6 @@ type Server struct {
 	pst  *persister // nil when persistence is disabled
 
 	totalConns atomic.Int64
-	totalCmds  atomic.Int64
 
 	// met is the always-on metrics registry (see metrics.go); slog the
 	// slowlog ring (slowlog.go). Both exist on every server — exposure
@@ -357,7 +356,6 @@ func (s *Server) handle(c net.Conn) {
 			}
 			return
 		}
-		s.totalCmds.Add(1)
 		quit := ss.dispatch(args)
 		if w.Buffered() >= replyFlushThreshold {
 			if err := w.Flush(); err != nil {

@@ -717,7 +717,8 @@ func TestServerPipelinedMixedBurst(t *testing.T) {
 // burst of SET, MSET (three pairs) and SETEX stores 250 distinct binary
 // values whose lengths repeat, so each later command lays its value over
 // the arena bytes of an earlier one: an empty value, tail-sized ones up
-// to 448 B (the largest tail), and 449 and 4096 B (copied separately).
+// to 449 B, and 4096 B (copied separately); TestPersistTailEdgesRoundTrip
+// has every tail edge.
 // A GET of every key must then read back exactly the bytes stored, and
 // the empty value as an empty bulk, not nil.
 func TestServerArenaAliasing(t *testing.T) {

@@ -75,7 +75,7 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     # in init), &session{...} (once per connection), and the reply text of
     # errors, SCAN and RENAME — cold paths. set copies nothing: the value
     # goes to the keyspace as an arena view and the leaf copies it (the
-    # engine's tailLeaf). A new site in dispatch, run, keys, get, set, del
+    # engine's byteLeaf). A new site in dispatch, run, keys, get, set, del
     # or exists is the regression. Listed in line order.
     disp="$(grep 'server/dispatch\.go' "$mlog" | sort -t: -k2,2n -k3,3n | uniq)"
     if [ -n "$disp" ]; then
@@ -97,7 +97,7 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     # closures expireCmd and ttlCmd return (built once in init),
     # StartReaper's goroutine and stop closures (once per server), the
     # snapshot header (once per SAVE) and Validate's error text (tests).
-    # The engine calls Value's LeafBytes and WithLeafBytes through an
+    # The engine calls Value's LeafBytes and FromLeaf through an
     # interface with the Value passed by value, which adds no site; a
     # Value moved to heap there, or in setex, is the regression. A site in
     # purge, Store, StoreDeadline, Set, Persist, rearm, Delete, Rename,
