@@ -206,6 +206,10 @@ func (x *Index) Load(k uint64) ([]byte, bool) {
 	return v.B, ok
 }
 
+// Peek returns k's value and deadline as its leaf holds them, due or
+// not: one Load, with no clock read and no purge.
+func (x *Index) Peek(k uint64) (Value, bool) { return x.db.Load(k) }
+
 // Contains reports whether k is live (EXISTS).
 func (x *Index) Contains(k uint64) bool {
 	_, ok := x.Lookup(k)

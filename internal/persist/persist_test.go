@@ -359,6 +359,9 @@ func FuzzAOFReplay(f *testing.F) {
 	w := resp.NewWriter(newBufWriter(&seed))
 	w.WriteCommand([]byte("SET"), []byte("key"), []byte("value"))
 	w.WriteCommand([]byte("DEL"), []byte("key"))
+	// A rename is logged as its effect: old, new, the moved value and
+	// its deadline.
+	w.WriteCommand([]byte("RENAME"), []byte("key"), []byte("new"), []byte("value"), []byte("1700000000000"))
 	w.Flush()
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-4])

@@ -21,8 +21,11 @@ type command struct {
 	write             bool // refused with -MISCONF while the AOF is degraded
 	run               handler
 	// replay re-applies a logged record of this command during recovery
-	// (nil: the command is never logged under its own name).
+	// (nil: the command is never logged under its own name). logMax,
+	// when set, is one more argument count replay accepts: the record
+	// RENAME logs carries the moved value and deadline, too.
 	replay func(s *Server, args [][]byte, ks []uint64) error
+	logMax int
 }
 
 // handler answers one command whose row checks have passed; ks holds the
@@ -62,8 +65,8 @@ func init() {
 		// → Ascend over the live trie from the cursor.
 		{name: "SCAN", min: 2, max: 4, run: (*session).scan},
 		// → Rename: Map.ReplaceKey, the paper's atomic Replace, wherever
-		// the keys lie.
-		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: (*session).rename, replay: (*Server).replayRename},
+		// the keys lie; logged as its effect, RENAME old new value deadline.
+		{name: "RENAME", min: 3, max: 3, first: 1, last: 2, step: 1, write: true, run: (*session).rename, replay: (*Server).replayRename, logMax: 5},
 		// The TTL commands (expiry.go): EXPIRE and PERSIST swap the leaf for
 		// one with the same bytes and a new deadline; every EXPIRE variant
 		// is logged as PEXPIREAT.
@@ -245,20 +248,24 @@ func (ss *session) mget(args [][]byte, ks []uint64) {
 }
 
 // set stores SET's pair or MSET's pairs, in the order every mutation
-// follows: take the persistence gate, update the keyspace, then append
-// the AOF record. The gate keeps the keyspace update and the record on
-// one side of any dump rotation; the AOF append copies args into its own
-// buffer synchronously, so arena-backed keys are safe to pass through.
-// A store discards the key's deadline in the same Swap.
+// follows: take the persistence gate and the keys' stripes, update the
+// keyspace, then append the AOF record. The gate keeps the keyspace
+// update and the record on one side of any dump rotation, the stripes
+// keep each key's records in the order of its updates; the AOF append
+// copies args into its own buffer synchronously, so arena-backed keys
+// are safe to pass through. A store discards the key's deadline in the
+// same Swap.
 func (ss *session) set(args [][]byte, ks []uint64) {
 	s := ss.s
 	s.gate.RLock()
+	m := s.lockKeys(ks...)
 	for i, k := range ks {
 		// The value is arena-backed and dies with this command; the leaf
 		// keeps its own copy.
 		s.db.Store(k, args[2+2*i])
 	}
 	s.appendMutation(args...)
+	s.unlockKeys(m)
 	s.gate.RUnlock()
 	ss.w.WriteSimple("OK")
 }
@@ -267,6 +274,7 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 	s := ss.s
 	n := int64(0)
 	s.gate.RLock()
+	m := s.lockKeys(ks...)
 	for _, k := range ks {
 		if s.db.Delete(k) {
 			n++
@@ -277,6 +285,7 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 		// no-op, so the whole command is one record.
 		s.appendMutation(args...)
 	}
+	s.unlockKeys(m)
 	s.gate.RUnlock()
 	ss.w.WriteInt(n)
 }
@@ -431,12 +440,21 @@ func (ss *session) rename(args [][]byte, ks []uint64) {
 	s.db.Contains(new)
 
 	s.gate.RLock()
+	m := s.lockKeys(ks...)
 	moved := s.db.Rename(old, new)
-	if moved {
-		// One AOF record for the move; replay re-runs it single-threaded
-		// (recovery).
-		s.appendMutation(recRENAME, args[1], args[2])
+	if moved && s.logging() {
+		// One AOF record for the move's effect: old deleted, new holding
+		// the leaf the Replace moved. A raw read finds that leaf, since
+		// no logged write reaches new while its stripe is held; only a
+		// purge can have removed it (it was due), and then the effect is
+		// both keys absent.
+		if v, ok := s.db.Peek(new); ok {
+			s.appendMutation(recRENAME, args[1], args[2], v.B, ss.itoa(v.DeadlineMS()))
+		} else {
+			s.appendMutation(recDEL, args[1], args[2])
+		}
 	}
+	s.unlockKeys(m)
 	s.gate.RUnlock()
 	if moved {
 		w.WriteSimple("OK")

@@ -86,7 +86,8 @@ func deadlineFromArg(now, n, unitMS int64, absolute bool) int64 {
 }
 
 // setTTL changes the deadline of key (encoded k), which the caller has
-// just read live, and logs the change, under the persistence gate:
+// just read live, and logs the change, under the persistence gate and
+// k's stripe:
 // persist drops the deadline; otherwise a deadline at or before now
 // deletes the key, as Redis does, and a later one arms it. Every arming
 // is logged as PEXPIREAT key <ms>, so replay is immune to replay-time
@@ -95,6 +96,7 @@ func (ss *session) setTTL(key []byte, k uint64, deadline, now int64, persist boo
 	s := ss.s
 	s.gate.RLock()
 	defer s.gate.RUnlock()
+	defer s.unlockKeys(s.lockKeys(k))
 	switch {
 	case persist:
 		if !s.db.Persist(k) {
@@ -180,9 +182,11 @@ func (ss *session) setex(args [][]byte, ks []uint64) {
 	deadline := deadlineFromArg(s.nowMS(), sec, 1000, false)
 	v := args[3] // arena-backed: the leaf keeps its own copy
 	s.gate.RLock()
+	m := s.lockKeys(ks...)
 	s.db.StoreDeadline(ks[0], v, deadline)
 	s.appendMutation(recSET, args[1], v)
 	s.appendMutation(recPEXPIREAT, args[1], ss.itoa(deadline))
+	s.unlockKeys(m)
 	s.gate.RUnlock()
 	w.WriteSimple("OK")
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -16,36 +17,65 @@ import (
 
 // Durability orchestration: when the server calls persist.Dir, and
 // under which locks. The directory itself — its file names, manifest,
-// sequence numbers and sweep — is Dir's; this file keeps the
-// exact-boundary gate, group commit before the reply flush, -MISCONF
+// sequence numbers and sweep — is Dir's; this file keeps the rotation
+// gate, the key stripes, group commit before the reply flush, -MISCONF
 // degradation, the command-table replay and BGSAVE's lifecycle.
-// Rotation and snapshot run under gate.Lock, and every call into Dir
-// but the dump's streaming runs under persister.mu.
+// Rotation runs under gate.Lock, and every call into Dir but the dump's
+// streaming runs under persister.mu.
 //
-// # The exact-boundary invariant
+// # The rotation and absorbing records
 //
-// Recovery is "load the base dump, then replay the AOF chain". That is
-// only correct if every acknowledged mutation lands in EXACTLY one of
-// the two — a record that is both in the dump and in a replayed segment
-// is applied twice, and replay is not idempotent across reorderings
-// (replaying an old "RENAME a b" after a newer "SET a v" resurrects b
-// with the wrong value). The server enforces the boundary with one
-// RWMutex, gate: every mutating command holds gate.RLock across its
-// map update AND its AOF append, and a rotation holds gate.Lock while
-// Dir.Rotate (a) opens a fresh AOF segment and (b) commits the manifest
-// listing it, and while the server (c) takes the map snapshot the dump
-// will stream from and (d) seals the old segment (flush + fsync +
-// close). Writers are quiesced for those four steps only — one root
-// swap plus a handful of file operations whose cost is bounded by one
-// batch's buffered appends, independent of data size; the dump itself
-// streams from the frozen snapshot with no lock held. Every mutation therefore observes the
-// rotation entirely before it (its map update is in the snapshot, its
-// record durable in an old segment the next manifest drops) or
-// entirely after (not in the snapshot, record in the new segment).
-// Step (d) inside the gate is load-bearing: batch commits
-// (commitAOF) also run under gate.RLock against whatever segment is
-// current, so a pre-swap append can only be acknowledged after either
-// its own segment's commit or the rotation's seal has made it durable.
+// Recovery is "load the base dump, then replay the AOF chain". Every
+// mutating command holds gate.RLock across its map update AND its AOF
+// append, and a rotation holds gate.Lock while Dir.Rotate (a) opens a
+// fresh AOF segment and (b) commits the manifest listing it, and while
+// the server (c) seals the old segment (flush + fsync + close). Every
+// mutation therefore lies entirely before the rotation (its map update
+// applied, its record durable in an old segment the next manifest
+// drops) or entirely after it (its record in the new segment). Writers
+// are quiesced for those three steps only, a handful of file operations
+// whose cost is bounded by one batch's buffered appends, independent of
+// data size.
+//
+// With the AOF on, the dump then walks the live keyspace with no lock
+// held while writers carry on. The walk reads each key's leaf at most
+// once, at some instant after the rotation, so for each key the dump
+// holds the state after some prefix of the key's records in the new
+// segment: absent when the walk passed the key while it was absent.
+// Replaying the whole segment over any such state yields the live
+// state, because every record is absorbing for each key it names: the
+// last record that names a key fixes what replay leaves there whatever
+// state it starts from. A blind write (SET, MSET, DEL, RENAME's effect
+// form below) fixes the whole state. A deadline change (PEXPIREAT,
+// PERSIST) is logged only for a key that is present and fixes the
+// deadline; every state since the key's last blind write, or since the
+// rotation when there is none, holds the same value, so the value the
+// walk read is that value. Two rules keep every record absorbing:
+//
+//   - The key stripes. With the AOF on, a mutation holds the stripes of
+//     the keys it names (lockKeys: 64 mutexes by the trie key's low
+//     bits, taken in ascending order) from its map update through its
+//     append, so a key's records lie in the segment in the order its
+//     state changed. Without them two sessions could store k=a, then
+//     k=b, and append b before a: replay would recover a.
+//   - RENAME is logged as its effect, in one record: RENAME old new
+//     value deadline, a delete of old and a store of new. Replaying the
+//     move itself is not absorbing: a walk that passes b, then RENAME a
+//     b, SET a 2, then the walk reading a=2, would replay as b=2.
+//
+// Purges (lazy or swept) are not logged and need no stripe: they remove
+// only a due key, which recovery's opening reaper pass removes again.
+//
+// With the AOF off nothing replays after the dump, and a fuzzy walk
+// could lose a key outright, moved by a RENAME to a place the walk had
+// passed. So the rotation also takes a snapshot under the gate, one cut
+// of every leaf's value and deadline, and the dump streams from it and
+// releases it.
+//
+// Step (c) inside the gate is load-bearing: batch commits (commitAOF)
+// also run under gate.RLock against whatever segment is current, so a
+// pre-swap append can only be acknowledged after either its own
+// segment's commit or the rotation's seal has made it durable.
 //
 // # Crash windows
 //
@@ -111,10 +141,30 @@ type persister struct {
 	aofStatus  atomic.Value // string: "ok" or the last append error
 	bgWG       sync.WaitGroup
 
+	// stripes serialize the logged writes of each key while the AOF is
+	// on (lockKeys).
+	stripes [stripeCount]stripe
+
 	// applyRecord's scratch (recovery is single-threaded): the upcased
 	// record name and the encoded keys.
 	word []byte
 	ks   []uint64
+
+	// Test hooks, nil in production and set before Serve: beforeAppend
+	// runs between a logged mutation's map update and its append, dumped
+	// after each record a dump writes, with the record's trie key.
+	beforeAppend func()
+	dumped       func(k uint64)
+}
+
+// stripeCount is the number of key stripes: one bit each in a uint64
+// mask.
+const stripeCount = 64
+
+// stripe is one key stripe's mutex (8 bytes), alone on its cache line.
+type stripe struct {
+	sync.Mutex
+	_ [64 - 8]byte
 }
 
 // openPersister recovers dir's state into s.db (dump, then AOF chain,
@@ -182,7 +232,7 @@ func (p *persister) applyRecord(args [][]byte) error {
 		return fmt.Errorf("unknown record command %q", args[0])
 	}
 	c := &commands[ci]
-	if !c.fits(len(args)) {
+	if !c.fits(len(args)) && len(args) != c.logMax {
 		return fmt.Errorf("%s record with %d args", c.name, len(args))
 	}
 	ks, err := c.keys(args, p.ks[:0])
@@ -209,10 +259,27 @@ func (s *Server) replayDel(_ [][]byte, ks []uint64) error {
 	return nil
 }
 
-// replayRename re-runs a rename; the deadline travels inside the leaf,
-// exactly as it did at serve time.
-func (s *Server) replayRename(_ [][]byte, ks []uint64) error {
+// replayRename re-applies a rename. The server logs one as its effect,
+// RENAME old new value deadline (0: none): old deleted, new stored, both
+// blind, so the record is absorbing for both keys (see the top of this
+// file). A record of the two keys alone comes from a data directory
+// written before that form, and replay re-runs the move, as it did then;
+// the deadline travels inside the leaf, exactly as it did at serve time.
+func (s *Server) replayRename(args [][]byte, ks []uint64) error {
 	old, new := ks[0], ks[1]
+	if len(args) == 5 {
+		at, ok := parseIntArg(args[4])
+		if !ok {
+			return fmt.Errorf("RENAME record with bad deadline %q", args[4])
+		}
+		s.db.Delete(old)
+		if at == 0 {
+			s.db.Store(new, args[3])
+		} else {
+			s.db.StoreDeadline(new, args[3], at)
+		}
+		return nil
+	}
 	if old == new {
 		return nil
 	}
@@ -245,14 +312,49 @@ func (s *Server) replayPersist(_ [][]byte, ks []uint64) error {
 	return nil
 }
 
-// appendMutation records one acknowledged mutation. Callers hold
-// gate.RLock across the map update and this call (the exact-boundary
-// invariant); that RLock is also what makes reading p.aof safe, since
-// rotations swap it under gate.Lock.
-func (s *Server) appendMutation(args ...[]byte) {
+// logging reports whether mutations are logged: the AOF is on.
+func (s *Server) logging() bool {
 	p := s.pst
-	if p == nil || !p.aofOn {
+	return p != nil && p.aofOn
+}
+
+// lockKeys takes the stripes of the keys ks while the AOF is on, in
+// ascending order, and returns their mask for unlockKeys; with the AOF
+// off it takes none and returns 0. Callers take gate.RLock first, so no
+// stripe holder ever waits for the gate: one that did could wait on a
+// pending rotation, which waits on a reader of the gate, which waits on
+// that stripe.
+func (s *Server) lockKeys(ks ...uint64) (m uint64) {
+	if !s.logging() {
+		return 0
+	}
+	for _, k := range ks {
+		m |= 1 << (k % stripeCount)
+	}
+	for r := m; r != 0; r &= r - 1 {
+		s.pst.stripes[bits.TrailingZeros64(r)].Lock()
+	}
+	return m
+}
+
+// unlockKeys releases the stripes lockKeys took.
+func (s *Server) unlockKeys(m uint64) {
+	for ; m != 0; m &= m - 1 {
+		s.pst.stripes[bits.TrailingZeros64(m)].Unlock()
+	}
+}
+
+// appendMutation records one acknowledged mutation. Callers hold
+// gate.RLock and the stripes of the keys it names across the map update
+// and this call (see the top of this file); that RLock is also what
+// makes reading p.aof safe, since rotations swap it under gate.Lock.
+func (s *Server) appendMutation(args ...[]byte) {
+	if !s.logging() {
 		return
+	}
+	p := s.pst
+	if p.beforeAppend != nil {
+		p.beforeAppend()
 	}
 	if err := p.aof.Append(args...); err != nil {
 		p.degradeAOF(err)
@@ -272,10 +374,10 @@ func (s *Server) appendMutation(args ...[]byte) {
 // NOT be flushed: they would acknowledge writes that never became
 // durable. Callers drop the connection instead.
 func (s *Server) commitAOF() (ok bool) {
-	p := s.pst
-	if p == nil || !p.aofOn {
+	if !s.logging() {
 		return true
 	}
+	p := s.pst
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if p.aof == nil {
@@ -306,8 +408,7 @@ func (p *persister) degradeAOF(err error) {
 
 // persistDegraded reports whether the AOF has recorded a write error.
 func (s *Server) persistDegraded() bool {
-	p := s.pst
-	return p != nil && p.aofOn && p.aofStatus.Load() != "ok"
+	return s.logging() && s.pst.aofStatus.Load() != "ok"
 }
 
 // misconf answers the Redis-style refusal for mutations while the AOF
@@ -320,7 +421,7 @@ func (s *Server) misconf(w *resp.Writer) {
 
 // save runs a dump cycle. background=false is SAVE: the dump streams
 // before save returns. background=true is BGSAVE: save returns once the
-// snapshot is taken and a goroutine streams the dump. In both modes
+// rotation is done and a goroutine streams the dump. In both modes
 // mutators are quiesced only for the rotation instant.
 func (p *persister) save(background bool) error {
 	p.mu.Lock()
@@ -334,7 +435,8 @@ func (p *persister) save(background bool) error {
 	}
 
 	// Rotation, under the write gate: fresh segment, conservative
-	// manifest (old base + whole chain + fresh segment), snapshot.
+	// manifest (old base + whole chain + fresh segment), and with the
+	// AOF off the snapshot.
 	p.s.gate.Lock()
 	seq, seg, err := p.dir.Rotate()
 	if err != nil {
@@ -342,9 +444,14 @@ func (p *persister) save(background bool) error {
 		p.mu.Unlock()
 		return err
 	}
-	// One snapshot: each leaf holds its key's value and deadline, so the
-	// dump's (value, deadline) pairs are one cut.
-	snap := p.s.db.Snapshot() // globally exact: writers are quiesced by the gate
+	// With the AOF on the dump walks the live keyspace: the new segment
+	// replays over whatever the walk reads (see the top of this file).
+	// With it off, one snapshot: each leaf holds its key's value and
+	// deadline, so the dump's (value, deadline) pairs are one cut.
+	var snap *nbtrie.MapSnapshot[expiry.Value]
+	if !p.aofOn {
+		snap = p.s.db.Snapshot()
+	}
 	if seg != nil {
 		// Seal (flush + fsync + close) the old segment BEFORE releasing
 		// the gate. commitAOF runs under gate.RLock and commits whatever
@@ -391,24 +498,34 @@ func (p *persister) save(background bool) error {
 	return nil
 }
 
-// writeDumpAndCommit streams the snapshot into the base dump for seq,
-// releases it, and swings the manifest to the dump. Each record carries
-// the key's deadline from its leaf (0 = no TTL), so a dump restores TTL
-// state without any AOF record. The snapshot is released whether or not
-// the dump succeeded: writers renew stale nodes only while it is held.
+// writeDumpAndCommit streams the base dump for seq, from snap or, when
+// snap is nil, from the live keyspace, and swings the manifest to the
+// dump. Each record carries the key's deadline from its leaf (0 = no
+// TTL), so a dump restores TTL state without any AOF record. A snapshot
+// is released whether or not the dump succeeded: writers renew stale
+// nodes only while it is held.
 func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], seq uint64) error {
+	walk := p.s.db.Ascend(0)
+	if snap != nil {
+		walk = snap.All()
+	}
 	err := p.dir.SaveBase(seq, func(fn func(k, v []byte, expireAtMS uint64) bool) {
 		// One key buffer for the whole dump: WriteDump has written the
 		// key out by the time fn returns.
 		var key []byte
-		for k, v := range snap.All() {
+		for k, v := range walk {
 			key = BytesKeyer{}.AppendDecode(key[:0], k)
 			if !fn(key, v.B, uint64(v.DeadlineMS())) {
 				return
 			}
+			if p.dumped != nil {
+				p.dumped(k)
+			}
 		}
 	})
-	snap.Release()
+	if snap != nil {
+		snap.Release()
+	}
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func TestPersistSaveRotatesAndRecovers(t *testing.T) {
 	c.mustInt(1, "DEL", "k000")
 
 	// The manifest must have swung to the new base with exactly one
-	// segment — the exact-boundary recipe.
+	// segment — the rotation's recipe.
 	m, ok, err := persist.ReadManifest(dir)
 	if err != nil || !ok {
 		t.Fatalf("manifest after SAVE: ok=%v err=%v", ok, err)
@@ -151,8 +151,9 @@ const expiryFarFuture = int64(1) << 42
 // TestPersistBGSAVEExactBoundary hammers unique-key SETs from several
 // connections while BGSAVEs rotate underneath, then restarts: every
 // acknowledged write must be present exactly once. This is the
-// dump/AOF double-application test — if a record landed both in a
-// snapshot and in a replayed segment, or in neither, recovery diverges.
+// dump/AOF boundary test — if a record landed in neither the dump nor a
+// replayed segment, or a pre-rotation record were replayed over a later
+// state, recovery would diverge.
 func TestPersistBGSAVEExactBoundary(t *testing.T) {
 	dir := t.TempDir()
 	cfg := persistCfg(dir)
@@ -473,12 +474,25 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 }
 
 // TestScanAndSaveReleaseSnapshots: the server holds a snapshot only
-// while BGSAVE writes its dump. A SCAN walk takes none, so INFO and
-// /metrics read engine_snapshots_held 0 with a walk left mid-way and a
-// SET during it renews no node; BGSAVE's cut is released once its dump
-// is written, and Close leaves none held.
+// while BGSAVE writes its dump with the AOF off. A SCAN walk takes none,
+// so INFO and /metrics read engine_snapshots_held 0 with a walk left
+// mid-way and a SET during it renews no node. With the AOF on, BGSAVE's
+// dump walks the live trie too: 0 held with the dump paused mid-walk,
+// and a SET then renews nothing. With it off, the dump's cut is held
+// while the dump is written and released once it is. Close leaves none
+// held.
 func TestScanAndSaveReleaseSnapshots(t *testing.T) {
-	s, addr := startServer(t, Config{Persist: PersistConfig{Dir: t.TempDir()}})
+	for _, aof := range []bool{true, false} {
+		t.Run(fmt.Sprintf("aof=%v", aof), func(t *testing.T) { saveReleasesSnapshots(t, aof) })
+	}
+}
+
+func saveReleasesSnapshots(t *testing.T, aof bool) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s, addr := startServer(t, Config{Persist: PersistConfig{Dir: t.TempDir(), AOF: aof}}, func(s *Server) {
+		s.pst.dumped = func(uint64) { once.Do(func() { close(parked); <-release }) }
+	})
 	c := dial(t, addr)
 	for i := 0; i < 30; i++ {
 		c.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
@@ -492,6 +506,14 @@ func TestScanAndSaveReleaseSnapshots(t *testing.T) {
 			t.Errorf("%s: INFO engine lacks engine_snapshots_held:%d", when, want)
 		}
 	}
+	renewsNothing := func(when, key string) {
+		t.Helper()
+		renewals := s.DB().EngineStats().SnapshotRenewals
+		c.mustSimple("OK", "SET", key, "w")
+		if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
+			t.Errorf("a SET %s renewed %d nodes, want 0", when, got-renewals)
+		}
+	}
 
 	held("idle", 0)
 	cursor, _ := scanPage(c, "0", 5)
@@ -499,31 +521,40 @@ func TestScanAndSaveReleaseSnapshots(t *testing.T) {
 		t.Fatal("SCAN COUNT 5 over 30 keys finished in one page")
 	}
 	held("a walk left mid-way", 0)
-	renewals := s.DB().EngineStats().SnapshotRenewals
-	c.mustSimple("OK", "SET", "k00", "w")
-	if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
-		t.Errorf("a SET during a SCAN walk renewed %d nodes, want 0", got-renewals)
-	}
+	renewsNothing("during a SCAN walk", "k00")
 
 	c.mustSimple("Background saving started", "BGSAVE")
-	for deadline := time.Now().Add(5 * time.Second); s.pst.bgActive.Load(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("BGSAVE never finished")
-		}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("BGSAVE's dump never wrote a record")
 	}
+	if aof {
+		held("a dump paused mid-walk", 0)
+		renewsNothing("during a dump", "k01")
+	} else {
+		held("a dump paused mid-walk", 1)
+	}
+	close(release)
+	waitSave(t, s)
 	held("after a finished BGSAVE", 0)
-
-	renewals = s.DB().EngineStats().SnapshotRenewals
-	c.mustSimple("OK", "SET", "k01", "w")
-	if got := s.DB().EngineStats().SnapshotRenewals; got != renewals {
-		t.Errorf("a SET after BGSAVE renewed %d nodes, want 0", got-renewals)
-	}
+	renewsNothing("after BGSAVE", "k02")
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if h := s.DB().EngineStats().SnapshotsHeld; h != 0 {
 		t.Errorf("after Close: %d snapshots held, want 0", h)
+	}
+}
+
+// waitSave waits for s's background dump to finish.
+func waitSave(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.pst.bgActive.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("BGSAVE never finished")
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 // the trie. The one lock on the data path is the persistence gate (see
 // persist.go), which every mutation holds shared across its keyspace
 // update and AOF append so that a dump rotation can cut between whole
-// mutations.
+// mutations; with the AOF on, a mutation also holds its keys' stripes
+// over the same span, so each key's records follow its updates.
 //
 // # Connection model and pipelining
 //
@@ -105,8 +106,9 @@ type Server struct {
 
 	// gate is the persistence boundary (see persist.go): mutating
 	// commands hold RLock across map update + AOF append; a dump
-	// rotation holds Lock for its one-root-swap instant. With persistence
-	// off it is an uncontended RLock — a few nanoseconds per mutation.
+	// rotation holds Lock while it opens a segment, commits the manifest
+	// and seals the old segment. With persistence off it is an
+	// uncontended RLock — a few nanoseconds per mutation.
 	gate sync.RWMutex
 	pst  *persister // nil when persistence is disabled
 

@@ -18,12 +18,16 @@ import (
 )
 
 // startServer spins a server on a random loopback port and returns a
-// dialer; everything is torn down with the test.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+// dialer; everything is torn down with the test. Each setup runs on the
+// server before it serves, which is where tests set its hooks.
+func startServer(t *testing.T, cfg Config, setup ...func(*Server)) (*Server, string) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(s)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -68,15 +72,21 @@ func dial(t *testing.T, addr string) *testClient {
 // do sends one command and reads one reply.
 func (c *testClient) do(args ...string) resp.Value {
 	c.t.Helper()
-	c.w.WriteCommandString(args...)
-	if err := c.w.Flush(); err != nil {
-		c.t.Fatal(err)
-	}
-	v, err := resp.ReadReply(c.r, resp.Limits{})
+	v, err := c.try(args...)
 	if err != nil {
 		c.t.Fatalf("%v: %v", args, err)
 	}
 	return v
+}
+
+// try sends one command and reads one reply, returning an I/O error
+// instead of failing the test: goroutines other than the test's use it.
+func (c *testClient) try(args ...string) (resp.Value, error) {
+	c.w.WriteCommandString(args...)
+	if err := c.w.Flush(); err != nil {
+		return resp.Value{}, err
+	}
+	return resp.ReadReply(c.r, resp.Limits{})
 }
 
 func (c *testClient) mustSimple(want string, args ...string) {
