@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -149,6 +150,64 @@ func TestPersistRenameDuringDump(t *testing.T) {
 	c2.mustBulk("x", "GET", c)
 	c2.mustBulk("y", "GET", d)
 	c2.mustInt(4, "DBSIZE")
+}
+
+// TestPersistCrashAtBaseSwing crashes the server the moment a live dump
+// becomes the base, with a write the walk read on both sides still in
+// the segment's buffer: the walk reads a=1, RENAME a b runs on a session
+// that never reaches a batch commit, and the walk reads b=1. Unless the
+// segment is synced before the base swing, the directory as the crash
+// leaves it recovers both a and b, a state that never existed.
+func TestPersistCrashAtBaseSwing(t *testing.T) {
+	// a and c in the lower half of the keyspace, b and d in the upper
+	// one, so the walk reads b after the pause at a, as in
+	// TestPersistRenameDuringDump.
+	lower := func(k string) bool { return keyBits(t, k, 1) == 0 }
+	upper := func(k string) bool { return !lower(k) }
+	a, c := findKey(t, "a", lower), findKey(t, "c", lower)
+	b, d := findKey(t, "b", upper), findKey(t, "d", upper)
+
+	dir := t.TempDir()
+	cfg := persistCfg(dir)
+	parked, release := make(chan struct{}), make(chan struct{})
+	s, addr := startServer(t, cfg, func(s *Server) {
+		ka := mustEncode(t, a)
+		s.pst.dumped = func(k uint64) {
+			if k == ka {
+				close(parked)
+				<-release
+			}
+		}
+	})
+	cl := dial(t, addr)
+	cl.mustSimple("OK", "MSET", a, "1", c, "x", d, "y")
+	cl.mustSimple("Background saving started", "BGSAVE")
+	await(t, parked, "the dump to pass a")
+	// A session with no connection appends its records and never
+	// commits them: only the dump can put them on disk.
+	var replies bytes.Buffer
+	w := resp.NewWriter(bufio.NewWriter(&replies))
+	newSession(s, w).dispatch([][]byte{[]byte("RENAME"), []byte(a), []byte(b)})
+	if err := w.Flush(); err != nil || replies.String() != "+OK\r\n" {
+		t.Fatalf("RENAME replied %q (%v), want +OK", replies.String(), err)
+	}
+	close(release)
+	waitSave(t, s)
+
+	// The premise: the dump holds both sides of the RENAME.
+	if dumped := dumpContents(t, dir); dumped[a] != "1" || dumped[b] != "1" {
+		t.Fatalf("the dump holds %q: want a=1 and b=1, the walk reading b after the RENAME", dumped)
+	}
+	// The crash: the directory as it is, the segment's buffer lost.
+	crash := filepath.Join(t.TempDir(), "crash")
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	_, addr2 := startServer(t, persistCfg(crash))
+	c2 := dial(t, addr2)
+	c2.mustNull("GET", a)
+	c2.mustBulk("1", "GET", b)
+	c2.mustInt(3, "DBSIZE")
 }
 
 // dumpContents reads the base dump dir's manifest names, value by wire

@@ -33,9 +33,10 @@ import (
 // mutation therefore lies entirely before the rotation (its map update
 // applied, its record durable in an old segment the next manifest
 // drops) or entirely after it (its record in the new segment). Writers
-// are quiesced for those three steps only, a handful of file operations
+// are quiesced for those three steps, a handful of file operations
 // whose cost is bounded by one batch's buffered appends, independent of
-// data size.
+// data size, and with the AOF on for one more drain when the dump ends
+// (the base swing, under Crash windows).
 //
 // With the AOF on, the dump then walks the live keyspace with no lock
 // held while writers carry on. The walk reads each key's leaf at most
@@ -85,6 +86,17 @@ import (
 //     half-written dump is an unreferenced temp file; recovery ignores
 //     it and OpenDir's sweep removes it, as it does a segment opened
 //     in step (a) whose manifest never committed.
+//   - At the base swing, with the AOF on: the live walk may have read
+//     writes whose records are still in the segment's buffer, or not yet
+//     appended. Were the dump made the base then, a crash would lose
+//     those records and recover a state that never existed: a walk that
+//     reads a=1, then (after RENAME a b) b=1, recovers both keys if the
+//     RENAME record is lost. So before the swing the dump takes and
+//     drops gate.Lock, which waits for every update in flight to
+//     append, and then syncs the segment, so every write the base holds
+//     is on disk in the segment the new recipe keeps
+//     (TestPersistCrashAtBaseSwing). A failed sync degrades the AOF and
+//     fails the dump.
 //   - After the dump completes, it is fsynced and renamed, then a
 //     second manifest commit swings base to it and drops the
 //     pre-rotation segments. Both manifest commits are atomic
@@ -422,7 +434,8 @@ func (s *Server) misconf(w *resp.Writer) {
 // save runs a dump cycle. background=false is SAVE: the dump streams
 // before save returns. background=true is BGSAVE: save returns once the
 // rotation is done and a goroutine streams the dump. In both modes
-// mutators are quiesced only for the rotation instant.
+// mutators are quiesced only for the rotation and, with the AOF on, the
+// drain before the base swing.
 func (p *persister) save(background bool) error {
 	p.mu.Lock()
 	if p.closed {
@@ -500,10 +513,11 @@ func (p *persister) save(background bool) error {
 
 // writeDumpAndCommit streams the base dump for seq, from snap or, when
 // snap is nil, from the live keyspace, and swings the manifest to the
-// dump. Each record carries the key's deadline from its leaf (0 = no
-// TTL), so a dump restores TTL state without any AOF record. A snapshot
-// is released whether or not the dump succeeded: writers renew stale
-// nodes only while it is held.
+// dump, after syncing the segment when the walk was live. Each record
+// carries the key's deadline from its leaf (0 = no TTL), so a dump
+// restores TTL state without any AOF record. A snapshot is released
+// whether or not the dump succeeded: writers renew stale nodes only
+// while it is held.
 func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], seq uint64) error {
 	walk := p.s.db.Ascend(0)
 	if snap != nil {
@@ -528,6 +542,20 @@ func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], s
 	}
 	if err != nil {
 		return err
+	}
+	if snap == nil {
+		// The live walk may have read writes whose records are still
+		// buffered or not yet appended. Make them durable before the
+		// dump becomes the base: gate.Lock waits for every update in
+		// flight to finish its append, and the Sync after it puts those
+		// records on disk. Writers wait for the drain, not the fsync.
+		p.s.gate.Lock()
+		aof := p.aof
+		p.s.gate.Unlock()
+		if err = aof.Sync(); err != nil {
+			p.degradeAOF(err)
+			return err
+		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
