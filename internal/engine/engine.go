@@ -25,10 +25,12 @@
 // (the paper's Flag object) carrying everything helpers need, flags the
 // internal nodes whose child pointers it will change (in label order,
 // to avoid livelock), performs the child CASes, and unflags the
-// survivors. Nodes removed from the trie stay flagged forever, and
-// child pointers are only ever swung to freshly allocated nodes, so
-// neither info nor child fields can suffer ABA. Memory reclamation is
-// the garbage collector's job, exactly as in the paper's Java setting.
+// survivors, each to the token of the child installed under it. Nodes
+// removed from the trie stay flagged forever, child pointers are only
+// ever swung to freshly allocated nodes, and no info field holds a token
+// twice, so neither info nor child fields can suffer ABA. Memory
+// reclamation is the garbage collector's job, exactly as in the paper's
+// Java setting.
 //
 // The engine is deliberately key-agnostic: everything it needs from K
 // is the small keys.Key interface (bit access, length, prefix tests,
@@ -43,13 +45,12 @@
 // allocation), descriptors are built from fixed-size arrays
 // that live on the caller's stack, and speculative node construction is
 // deferred until the captured info values are known not to belong to a
-// conflicting update. The one allocation that must never be optimized
-// away is the fresh Unflag written by every unflag CAS: reusing Unflag
-// objects would let a node's info field repeat a value, re-opening the
-// ABA window the paper closes. It is as small as a fresh address can be
-// (an 8-byte header), no node is born with one — nil is every info
-// field's first value — and a binary internal node is its header and two
-// child slots, 48 bytes with no padding.
+// conflicting update. Unflagging allocates nothing: a node's info is an
+// opaque word, and a successful update leaves in each node it changed
+// the token of the child its CAS installed there, an address that field
+// holds at most once (see the info field). No node is born with an
+// Unflag — nil is every info field's first value — and a binary internal
+// node is its header and two child slots, 48 bytes with no padding.
 package engine
 
 import (
@@ -94,19 +95,23 @@ type node[K keys.Key[K], V any] struct {
 	// target instead (see Snapshot.removed).
 	gen uint64
 
-	// info points at the header of the update operating on this node (a
-	// Flag: the header embedded in the update's desc), at a fresh Unflag
-	// header once an update has come and gone, or at nothing: every node
-	// is born with nil, "never flagged". The paper allocates Unflag
-	// objects rather than reusing null so that info values never repeat
-	// and a flag CAS cannot suffer ABA; nil at birth keeps that, because
-	// nothing ever writes nil back — the first flag CAS on an internal
-	// node expects nil, every unflag and backtrack CAS installs a fresh
-	// Unflag, so the field's history nil → F1 → U1 → F2 → … has no
-	// repeats. A leaf is never the target of a flag CAS; the only write
-	// its info ever sees is the plain store of a general-case replace's
-	// Flag (nil → Flag, once, never back: Lemma 40).
-	info atomic.Pointer[info[K, V]]
+	// info is the paper's Info field as an opaque word: nil, "never
+	// flagged", which every node is born with; a Flag, the address of the
+	// update's desc (even); or an Unflag (odd): the token of the child the
+	// last update's CAS installed under this node, or after a backtrack a
+	// fresh allocation's address plus backtrackTag. An odd word is only
+	// ever a *byte or an unsafe.Pointer, never converted to a type that
+	// holds pointers, and it keeps what it points into alive. The field's
+	// history nil → F1 → U1 → F2 → … has no repeats, so a flag CAS cannot
+	// suffer ABA: Flags are fresh descs, a backtrack's Unflag is fresh,
+	// and a child X is installed under this node only at the start of its
+	// one stay here — X leaves only when X or this node leaves the trie
+	// for good — so token(X) is written here at most once, while a delayed
+	// flag CAS expecting it keeps X's address from being reused (DESIGN.md
+	// §1). A leaf is never the target of a flag CAS; the only write its
+	// info ever sees is the plain store of a general-case replace's Flag
+	// (nil → Flag, once, never back: Lemma 40).
+	info atomic.Pointer[byte]
 }
 
 // leafNode is the leaf shape: the header and the value payload, stored
@@ -465,28 +470,14 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 	return &c.node
 }
 
-// info is what a node's info field points at: the paper's Info object
-// reduced to the one word the protocol compares. An Unflag is a fresh
-// header with a nil flag, used for nothing but its address; a Flag is
-// the header embedded in an update's desc, whose flag points back at
-// that desc. It must not be zero-size: Go gives every zero-size
-// allocation the same address, which is exactly the repeat the fresh
-// Unflag exists to prevent.
-type info[K keys.Key[K], V any] struct {
-	flag *desc[K, V]
-}
-
 // desc is the paper's Flag object: it describes one update operation
 // completely, so that any process reading it can finish the update
-// (help). It is the 16-byte header every descriptor shape starts with —
+// (help). It is the 8-byte header every descriptor shape starts with —
 // descOne, descTwo or descGen, the smallest that holds the update — and
-// parts recovers the shape's entries from it. Nodes point at its embedded
-// header hdr, never at the desc itself; that interior pointer keeps the
-// whole shape alive for as long as any node or delayed helper still
-// holds it.
+// parts recovers the shape's entries from it. A node it flags holds its
+// address (word), which keeps the whole shape alive for as long as any
+// node or delayed helper still holds it.
 type desc[K keys.Key[K], V any] struct {
-	hdr info[K, V] // hdr.flag == this desc, set once by newFlag
-
 	nFlag uint8 // flag entries: the internal nodes to flag, in label order
 	nCAS  uint8 // CAS entries: the child (or root) pointers to swing
 
@@ -511,7 +502,7 @@ const rootTgt = ^uint8(0)
 // for the flag CAS.
 type flagEntry[K keys.Key[K], V any] struct {
 	n       *node[K, V]
-	oldInfo *info[K, V]
+	oldInfo *byte
 }
 
 // casEntry is one child CAS: the update swings the pointer its target
@@ -523,7 +514,7 @@ type casEntry[K keys.Key[K], V any] struct {
 // The descriptor shapes. Each starts with the header (offset 0, pinned by
 // layout_test.go), so parts can cast back to it; shapeOf picks the shape
 // from the two counts alone, so the header is all parts needs. For a
-// Uint64Key trie they are 48, 64 and 120 B: the 48, 64 and 128 B size
+// Uint64Key trie they are 40, 56 and 112 B: the 48, 64 and 112 B size
 // classes.
 type (
 	// descOne: one flag, one CAS. An insert at a leaf, an overwrite,
@@ -619,17 +610,43 @@ func (d *desc[K, V]) size() uintptr {
 	return unsafe.Sizeof(descGen[K, V]{})
 }
 
-// newUnflag allocates a fresh Unflag header. The allocation is
-// load-bearing: each unflag CAS must install a pointer the node's info
-// field has never held before, or a delayed flag CAS comparing against a
-// recycled Unflag could succeed long after its update was decided (ABA).
-// Do not pool or intern these.
-func newUnflag[K keys.Key[K], V any]() *info[K, V] { return new(info[K, V]) }
+// The odd info words: an Unflag's low bit is set, and its next bit tells
+// a backtrack's fresh Unflag from a token. Nodes and descs are 8-byte
+// aligned, so no Flag is odd and the two kinds never meet.
+const tokenTag, backtrackTag = 1, 3
+
+// token returns the Unflag an update leaves in the node its CAS installed
+// x under: x's address plus tokenTag, one byte into x. Every helper
+// computes the same word, so the unflag CAS stays idempotent and
+// allocates nothing, whoever wins it.
+func token[K keys.Key[K], V any](x *node[K, V]) *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(x), tokenTag))
+}
+
+// newUnflag returns a fresh Unflag for a backtrack CAS, which installs no
+// child to name: an 8-byte allocation's address plus backtrackTag. Not
+// the desc's own address (Ellen et al.'s ⟨CLEAN, d⟩): that would keep the
+// failed attempt's nodes alive, and through their captured infos every
+// earlier descriptor on the node. Backtracks are rare.
+func newUnflag() *byte { return (*byte)(unsafe.Add(unsafe.Pointer(new(uint64)), backtrackTag)) }
+
+// word returns the info word of a node d flags: d's own address.
+func (d *desc[K, V]) word() *byte { return (*byte)(unsafe.Pointer(d)) }
+
+// flagged reports whether w is a Flag: neither nil, the info of a live
+// leaf, nor an Unflag. It reads no memory.
+func flagged(w *byte) bool { return w != nil && uintptr(unsafe.Pointer(w))&1 == 0 }
+
+// backtracked reports whether w is a backtrack's Unflag.
+func backtracked(w *byte) bool { return uintptr(unsafe.Pointer(w))&backtrackTag == backtrackTag }
+
+// flagOf returns the desc whose Flag w is; w must be flagged.
+func flagOf[K keys.Key[K], V any](w *byte) *desc[K, V] { return (*desc[K, V])(unsafe.Pointer(w)) }
 
 // newFlag allocates the smallest shape holding the first nFlag entries of
-// flag, the first nCAS of cas and rmvLeaf, fills it in and ties its
-// header to it. Only a general-case replace has a removed leaf, and it
-// has two CASes, so the counts alone name the general shape for it.
+// flag, the first nCAS of cas and rmvLeaf, and fills it in. Only a
+// general-case replace has a removed leaf, and it has two CASes, so the
+// counts alone name the general shape for it.
 func newFlag[K keys.Key[K], V any](flag *[4]flagEntry[K, V], nFlag int,
 	cas *[2]casEntry[K, V], nCAS int, tgt [2]uint8, rmvLeaf *node[K, V]) *desc[K, V] {
 	if rmvLeaf != nil && nCAS != 2 {
@@ -647,14 +664,9 @@ func newFlag[K keys.Key[K], V any](flag *[4]flagEntry[K, V], nFlag int,
 		s := &descGen[K, V]{flag: *flag, cas: *cas, rmvLeaf: rmvLeaf}
 		d = &s.desc
 	}
-	d.hdr.flag = d
 	d.nFlag, d.nCAS, d.tgt = uint8(nFlag), uint8(nCAS), tgt
 	return d
 }
-
-// flagged reports whether i is a Flag header. nil — the info of a live
-// leaf — is not.
-func (i *info[K, V]) flagged() bool { return i != nil && i.flag != nil }
 
 // Trie is the shared non-blocking Patricia trie over encoded keys K with
 // unboxed value payloads V. All methods are safe for concurrent use by
@@ -794,7 +806,7 @@ func (t *Trie[K, V]) curGen() uint64 { return t.root.Load().gen }
 // rmvd⟩ returned by searchMut.
 type searchResult[K keys.Key[K], V any] struct {
 	gp, p, node   *node[K, V]
-	gpInfo, pInfo *info[K, V]
+	gpInfo, pInfo *byte
 	rmvd          bool
 }
 

@@ -16,7 +16,6 @@ import (
 type (
 	unode = node[keys.Uint64Key, any]
 	udesc = desc[keys.Uint64Key, any]
-	uinfo = info[keys.Uint64Key, any]
 	uflag = flagEntry[keys.Uint64Key, any]
 	ucas  = casEntry[keys.Uint64Key, any]
 )
@@ -62,7 +61,7 @@ func (tt testTrie) lane0() *lane { return &tt.gate.lanes[0] }
 // testFlag returns a Flag descriptor built by hand, past newDesc's checks,
 // for tests that fabricate protocol states: flag entries fs and CAS
 // entries cs, CAS j targeting fs[tgt[j]] (or rootTgt). Nodes are flagged
-// with its &d.hdr.
+// with its d.word().
 func testFlag(fs []uflag, cs []ucas, tgt ...uint8) *udesc {
 	var f [4]uflag
 	var c [2]ucas

@@ -311,7 +311,7 @@ func TestLoadPerformsNoCAS(t *testing.T) {
 	// the child swaps or unflagged them).
 	flag, _, _ := d.parts()
 	for _, f := range flag {
-		if f.n.info.Load() != &d.hdr {
+		if f.n.info.Load() != d.word() {
 			t.Error("a flag planted by the stalled update was changed by Load")
 		}
 	}

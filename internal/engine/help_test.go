@@ -28,7 +28,7 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	if a.isLeaf() || b.isLeaf() {
 		t.Fatal("test setup: expected internal children")
 	}
-	stale := newUnflag[keys.Uint64Key, any]() // never the current info of b
+	stale := newUnflag() // never the current info of b
 	d := testFlag([]uflag{{a, a.info.Load()}, {b, stale}}, nil)
 
 	if tr.help(tr.lane0(), d) {
@@ -37,14 +37,21 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	if d.flagDone.Load() {
 		t.Error("flagDone must stay false on a failed attempt")
 	}
-	if a.info.Load().flagged() {
+	if flagged(a.info.Load()) {
 		t.Error("backtrack CAS must unflag the first node")
 	}
-	if b.info.Load().flagged() {
+	if flagged(b.info.Load()) {
 		t.Error("second node must never have been flagged")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
+	}
+
+	// A backtrack allocates an Unflag only for a node it flagged: one
+	// whose first flag CAS fails allocates nothing.
+	first := testFlag([]uflag{{b, stale}, {a, a.info.Load()}}, nil)
+	if n := testing.AllocsPerRun(10, func() { tr.help(tr.lane0(), first) }); n != 0 {
+		t.Errorf("a backtrack that flagged nothing allocates %v objects, want 0", n)
 	}
 }
 
@@ -53,8 +60,10 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 // for node x goes stale the moment another update flags and unflags x:
 // its flag CAS must fail, help must backtrack without touching a child
 // pointer, and the trie must be exactly as it was. Then, however often x
-// is flagged and unflagged, its info never again holds nil or any other
-// value it held before.
+// is flagged and unflagged, it holds the token of the child the last
+// update installed under it and never again nil or any other value it
+// held before — the held set keeps every earlier token, and so its
+// child's address, alive, as a delayed flag CAS expecting it would.
 func TestNilBornInfoNoABA(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(3) // joins the 0^ℓ dummy and 3 under a fresh internal node x
@@ -78,13 +87,13 @@ func TestNilBornInfoNoABA(t *testing.T) {
 	if !tr.Insert(1) { // lands under x: flags it (nil → Flag) and unflags it
 		t.Fatal("setup: Insert(1) failed")
 	}
-	held := map[*uinfo]bool{nil: true}
+	held := map[*byte]bool{nil: true}
 	cur := x.info.Load()
-	if cur == nil || cur.flagged() {
-		t.Fatalf("after one flag/unflag round x must hold a fresh Unflag, got %+v", cur)
+	kids := [2]*unode{x.inner().child[0].Load(), x.inner().child[1].Load()}
+	if cur != token(kids[0]) && cur != token(kids[1]) {
+		t.Fatalf("after one flag/unflag round x must hold the token of the child Insert(1) installed, got %p", cur)
 	}
 	held[cur] = true
-	kids := [2]*unode{x.inner().child[0].Load(), x.inner().child[1].Load()}
 	dump := dumpShape(tr.Trie)
 
 	if tr.help(tr.lane0(), stale) {
@@ -114,8 +123,8 @@ func TestNilBornInfoNoABA(t *testing.T) {
 			t.Fatal("setup: x is no longer 3's parent")
 		}
 		u := x.info.Load()
-		if u.flagged() {
-			t.Fatalf("round %d: x left flagged at quiescence", i)
+		if u != token(tr.searchMut(tr.lane0(), tr.enc(3)).node) {
+			t.Fatalf("round %d: x holds %p, not the token of 3's new leaf", i, u)
 		}
 		if held[u] {
 			t.Fatalf("round %d: x's info repeats an earlier value %p", i, u)
@@ -176,7 +185,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 
 	// Same node with different oldInfo: the node changed between reads.
 	if tr.newDesc(tr.lane0(),
-		[4]uflag{{n, info}, {n, newUnflag[keys.Uint64Key, any]()}}, 2,
+		[4]uflag{{n, info}, {n, newUnflag()}}, 2,
 		[2]*unode{n}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil) != nil {
 		t.Error("duplicates with different oldInfo must be rejected")
@@ -185,7 +194,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 	// A flagged oldInfo: the conflicting update gets helped, nil returned.
 	flagged := testFlag(nil, nil)
 	if tr.newDesc(tr.lane0(),
-		[4]uflag{{n, &flagged.hdr}}, 1,
+		[4]uflag{{n, flagged.word()}}, 1,
 		[2]*unode{n}, [2]ucas{{nil, newTestLeaf(tr, 1)}}, 1,
 		nil) != nil {
 		t.Error("flagged oldInfo must be rejected")
@@ -252,13 +261,13 @@ func TestLogicallyRemovedPredicate(t *testing.T) {
 	// oldChild: not yet removed.
 	p := tr.searchMut(tr.lane0(), tr.enc(5)).p
 	d := testFlag([]uflag{{p, nil}}, []ucas{{leaf5, nil}}, 0)
-	if live.removed(&d.hdr) {
+	if live.removed(d.word()) {
 		t.Error("leaf still linked under the first CAS's target is not removed")
 	}
 	// Once the old child is no longer a child of the target, it is removed.
 	_, cas, _ := d.parts()
 	cas[0].oldChild = newTestLeaf(tr, 9)
-	if !live.removed(&d.hdr) {
+	if !live.removed(d.word()) {
 		t.Error("leaf unlinked from the first CAS's target must report removed")
 	}
 }
@@ -282,7 +291,7 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 		[2]*unode{r.p}, [2]ucas{{r.node, nn}}, 1,
 		nil)
 	tr.help(tr.lane0(), d)
-	if tr.makeInternal(tr.lane0(), a, b, &d.hdr) != nil {
+	if tr.makeInternal(tr.lane0(), a, b, d.word()) != nil {
 		t.Error("conflict with flagged info must still yield nil")
 	}
 	if err := tr.Validate(); err != nil {
@@ -337,7 +346,7 @@ func TestOrderedSkipsLogicallyRemoved(t *testing.T) {
 	leaf := tr.searchMut(tr.lane0(), tr.enc(50)).node
 	// The old child is not a child of the root: "removed".
 	d := testFlag([]uflag{{tr.root.Load(), nil}}, []ucas{{newTestLeaf(tr, 1), nil}}, 0)
-	leaf.info.Store(&d.hdr)
+	leaf.info.Store(d.word())
 	if _, ok := tr.Trie.Ceiling(tr.enc(0)); ok {
 		t.Error("logically removed leaf surfaced from Ceiling")
 	}
@@ -373,16 +382,34 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	// A reachable flagged node at quiescence is a violation.
 	d := testFlag(nil, nil)
 	old := c0.info.Load()
-	c0.info.Store(&d.hdr)
+	c0.info.Store(d.word())
 	if tr.Validate() == nil {
 		t.Error("Validate must detect reachable flagged node")
 	}
+
+	// An internal node's Unflag is a backtrack's or the token of one of
+	// its current children; the token of any other node is stale.
+	for _, tc := range []struct {
+		w    *byte
+		good bool
+	}{
+		{newUnflag(), true},
+		{token(c0.inner().child[1].Load()), true},
+		{token(c1), false},
+		{token(newTestLeaf(tr, 3)), false},
+	} {
+		c0.info.Store(tc.w)
+		if err := tr.Validate(); (err == nil) != tc.good {
+			t.Errorf("internal node holding %p (a child's token or backtrack: %v): Validate = %v", tc.w, tc.good, err)
+		}
+	}
 	c0.info.Store(old)
 
-	// So is a reachable leaf that holds anything but nil: an Unflag is a
-	// wasted header, a Flag an unfinished general-case replace.
+	// So is a reachable leaf that holds anything but nil: no unflag or
+	// backtrack CAS targets a leaf, and a Flag is an unfinished
+	// general-case replace.
 	leaf := tr.searchMut(tr.lane0(), tr.enc(3)).node
-	for _, i := range []*uinfo{newUnflag[keys.Uint64Key, any](), &d.hdr} {
+	for _, i := range []*byte{newUnflag(), d.word()} {
 		leaf.info.Store(i)
 		if tr.Validate() == nil {
 			t.Errorf("Validate must detect a reachable leaf holding %+v", i)

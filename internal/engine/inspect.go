@@ -58,9 +58,10 @@ func (t *Trie[K, V]) Size() int {
 //   - Leaf labels appear in strictly increasing order.
 //   - No reachable node is flagged (Lemma 64: after every help call
 //     returns, no reachable node's info is a Flag): every reachable
-//     internal node holds nil (never flagged) or an Unflag header and
-//     every reachable leaf holds nil — a Flag on a reachable leaf is an
-//     unfinished general-case replace.
+//     internal node holds nil (never flagged), a backtrack's Unflag or
+//     the token of one of its current children, and every reachable leaf
+//     holds nil — a Flag on a reachable leaf is an unfinished
+//     general-case replace.
 //
 // extra, when non-nil, runs on every reachable node so instantiations
 // can add key-space-specific checks (canonical representation, full
@@ -92,11 +93,12 @@ func (t *Trie[K, V]) Validate(extra func(label K, leaf bool) error) error {
 }
 
 func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leaves *[]K) error {
-	switch i := n.info.Load(); {
-	case i.flagged():
+	w := n.info.Load()
+	switch {
+	case flagged(w):
 		return fmt.Errorf("reachable node %v is flagged at quiescence", n.label)
-	case n.isLeaf() && i != nil:
-		return fmt.Errorf("reachable leaf %v holds an info header; leaves are born with nil", n.label)
+	case n.isLeaf() && w != nil:
+		return fmt.Errorf("reachable leaf %v holds an info word; leaves are born with nil", n.label)
 	}
 	if extra != nil {
 		if err := extra(n.label, n.isLeaf()); err != nil {
@@ -112,12 +114,14 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 	}
 	in := n.inner()
 	live := 0
+	named := w == nil || backtracked(w)
 	for idx := 0; idx < t.fanout(); idx++ {
 		c := in.kid(idx).Load()
 		if c == nil {
 			continue
 		}
 		live++
+		named = named || token(c) == w
 		if c.label.Len() <= n.label.Len() {
 			return fmt.Errorf("child label length %d not longer than parent's %d", c.label.Len(), n.label.Len())
 		}
@@ -133,6 +137,9 @@ func (t *Trie[K, V]) validateNode(n *node[K, V], extra func(K, bool) error, leav
 	}
 	if live < 2 {
 		return fmt.Errorf("internal node %v has %d non-nil children, want >= 2", n.label, live)
+	}
+	if !named {
+		return fmt.Errorf("internal node %v holds the token of a node that is not its child", n.label)
 	}
 	return nil
 }
@@ -170,12 +177,14 @@ func (t *Trie[K, V]) dumpNode(sb *strings.Builder, n *node[K, V], format func(K,
 // BytesValue, which belong to the leaf and count in LeafBytes.
 type Footprint struct {
 	// Objects. Leaves includes the two dummies; Infos counts only the
-	// headers that exist — a node nothing has flagged yet has none.
+	// info objects that exist — Flags and backtracks' Unflags: nil and a
+	// token are no object.
 	Internal, Leaves, Infos int
 
 	// InternalBytes counts each internal node as newNode allocates it,
 	// all its slots inline; InfoBytes counts a Flag (none is reachable at
-	// quiescence) as its whole descriptor shape.
+	// quiescence) as its whole descriptor shape and a backtrack's Unflag
+	// as 8 B.
 	InternalBytes, LeafBytes, InfoBytes uintptr
 
 	// ShortcutBytes is the live descents' shortcut table (shortcut.go): its
@@ -266,13 +275,13 @@ func (t *Trie[K, V]) Footprint() Footprint {
 }
 
 func (t *Trie[K, V]) footprintNode(n *node[K, V], f *Footprint, depth int) {
-	switch i := n.info.Load(); {
-	case i.flagged():
+	switch w := n.info.Load(); {
+	case flagged(w):
 		f.Infos++
-		f.InfoBytes += classSize(i.flag.size())
-	case i != nil:
+		f.InfoBytes += classSize(flagOf[K, V](w).size())
+	case backtracked(w):
 		f.Infos++
-		f.InfoBytes += classSize(unsafe.Sizeof(*i))
+		f.InfoBytes += classSize(unsafe.Sizeof(uint64(0)))
 	}
 	if n.isLeaf() {
 		f.Leaves++

@@ -11,9 +11,9 @@ import (
 )
 
 // Layout pins. The sizes below are what the heap_bytes_per_key figure of
-// the repository benchmark is made of: one key costs one leaf, one
-// internal node and — once something has flagged that node — its Unflag
-// header. They are deterministic — a field added to a node shape or to a
+// the repository benchmark is made of: one key costs one leaf and one
+// internal node; the token an update leaves in a node's info is no
+// object. They are deterministic — a field added to a node shape or to a
 // descriptor shape fails here before any benchmark runs.
 
 func TestLayoutSizes(t *testing.T) {
@@ -87,17 +87,14 @@ func TestLayoutSizes(t *testing.T) {
 	// parts casts on it. An uncontended insert, overwrite or delete
 	// allocates a descOne or descTwo; only Figure 6's general case and
 	// the three-flag fused cases pay for descGen.
-	if got := unsafe.Sizeof(desc[keys.Uint64Key, uint64]{}); got != 16 {
-		t.Errorf("the desc header is %d B, want 16", got)
+	if got := unsafe.Sizeof(descOne[keys.Uint64Key, uint64]{}); got != 40 {
+		t.Errorf("descOne is %d B, want 40 (the 48 B size class)", got)
 	}
-	if got := unsafe.Sizeof(descOne[keys.Uint64Key, uint64]{}); got != 48 {
-		t.Errorf("descOne is %d B, want 48 (the 48 B size class)", got)
+	if got := unsafe.Sizeof(descTwo[keys.Uint64Key, uint64]{}); got != 56 {
+		t.Errorf("descTwo is %d B, want 56 (the 64 B size class)", got)
 	}
-	if got := unsafe.Sizeof(descTwo[keys.Uint64Key, uint64]{}); got != 64 {
-		t.Errorf("descTwo is %d B, want 64 (the 64 B size class)", got)
-	}
-	if got := unsafe.Sizeof(descGen[keys.Uint64Key, uint64]{}); got > 128 {
-		t.Errorf("descGen is %d B, want <= 128 (the 128 B size class)", got)
+	if got := unsafe.Sizeof(descGen[keys.Uint64Key, uint64]{}); got != 112 {
+		t.Errorf("descGen is %d B, want 112 (the 112 B size class)", got)
 	}
 	for name, off := range map[string]uintptr{
 		"descOne": unsafe.Offsetof(descOne[keys.Uint64Key, uint64]{}.desc),
@@ -107,11 +104,6 @@ func TestLayoutSizes(t *testing.T) {
 		if off != 0 {
 			t.Errorf("%s's header sits at offset %d, want 0", name, off)
 		}
-	}
-	// Not zero: every zero-size allocation has the same address, and an
-	// Unflag is nothing but its address.
-	if got := unsafe.Sizeof(info[keys.Uint64Key, uint64]{}); got < 1 || got > 8 {
-		t.Errorf("the Unflag header is %d B, want 1..8", got)
 	}
 }
 
@@ -133,9 +125,9 @@ func (*bval) FromLeaf(b []byte, at uint64) bval { return bval{B: b, At: at} }
 // longLeaf and a separate copy. The bytes a read gets equal the value's,
 // are a copy (cap == len, at another address) and are never nil; two
 // leaves of the same value, even an empty one, hand out different
-// addresses. An overwrite then costs the leaf, a 48 B Flag and an 8 B
-// Unflag: 3 objects and 168 B with a 64 B value, 4 and 1144 B with a
-// 1000 B one, its 1024 B copy included. A V that is not a BytesValue
+// addresses. An overwrite then costs the leaf and a 48 B Flag: 2 objects
+// and 160 B with a 64 B value, 3 and 1136 B with a 1000 B one, its
+// 1024 B copy included. A V that is not a BytesValue
 // keeps the caller's slice.
 func TestByteLeafAllocs(t *testing.T) {
 	src := make([]byte, maxTail+64)
@@ -179,7 +171,7 @@ func TestByteLeafAllocs(t *testing.T) {
 	for _, c := range []struct {
 		n           int
 		objs, bytes uint64
-	}{{64, 3, 112 + 48 + 8}, {1000, 4, 64 + 1024 + 48 + 8}} {
+	}{{64, 2, 112 + 48}, {1000, 3, 64 + 1024 + 48}} {
 		v := bval{B: make([]byte, c.n)}
 		tr.Store(k, v)
 		if objs, bytes := allocPerRun(100, func() { tr.Store(k, v) }); objs != c.objs || bytes != c.bytes {
@@ -228,15 +220,16 @@ func TestTrieLayout(t *testing.T) {
 	}
 }
 
-// TestUnflagsAreDistinct: two Unflag headers alive at once never share an
-// address, so a node's info field cannot repeat a value while any delayed
-// flag CAS still holds the old one — for headers fresh from newUnflag and
-// for the ones a worked-on trie's nodes hold (those that have one: a node
-// nothing has flagged yet holds nil).
+// TestUnflagsAreDistinct: two Unflags alive at once never share a value,
+// so a node's info field cannot repeat one while any delayed flag CAS
+// still holds the old one — for backtracks' Unflags fresh from newUnflag
+// and for the tokens a worked-on trie's nodes hold, each naming one of
+// its own children (a node nothing has flagged yet holds nil). Both kinds
+// are odd, so neither can be a Flag.
 func TestUnflagsAreDistinct(t *testing.T) {
-	seen := make(map[*uinfo]bool)
+	seen := make(map[*byte]bool)
 	for i := 0; i < 1000; i++ {
-		u := newUnflag[keys.Uint64Key, any]()
+		u := newUnflag()
 		if seen[u] {
 			t.Fatalf("newUnflag returned %p twice while the first was still live", u)
 		}
@@ -254,8 +247,11 @@ func TestUnflagsAreDistinct(t *testing.T) {
 			return
 		}
 		if u := n.info.Load(); u != nil {
-			if seen[u] {
-				t.Fatalf("node %v shares its Unflag %p with another holder", n.label, u)
+			if seen[u] || flagged(u) {
+				t.Fatalf("node %v holds %p: a Flag, or an Unflag another holder shares", n.label, u)
+			}
+			if u != token(n.inner().child[0].Load()) && u != token(n.inner().child[1].Load()) {
+				t.Fatalf("node %v holds %p, not the token of one of its children", n.label, u)
 			}
 			seen[u] = true
 		}
@@ -264,10 +260,10 @@ func TestUnflagsAreDistinct(t *testing.T) {
 	}
 	walk(tr.root.Load())
 	if len(seen) == 1000 {
-		t.Fatal("setup: no node of the trie holds an Unflag")
+		t.Fatal("setup: no node of the trie holds a token")
 	}
 
-	a, b := newUnflag[keys.Uint64Key, any](), newUnflag[keys.Uint64Key, any]()
+	a, b := newUnflag(), newUnflag()
 	if a == b {
 		t.Fatal("two consecutive newUnflag results share an address")
 	}
@@ -318,9 +314,9 @@ func heapAlloc() uint64 {
 // HeapAlloc growth agree within 5 %, for a binary trie and spans 4, 5
 // and 6, whose wide nodes the census sizes from the span (a
 // span-6 node, 544 B, carries the allocator's malloc header). The binary
-// trie also comes to what the layout promises per key. Only some
-// internal nodes hold an Unflag: the ones an insert flagged as the parent
-// of its new node, not the ones still as they were born.
+// trie also comes to what the layout promises per key. No info object is
+// left at quiescence: a node an insert flagged as the parent of its new
+// node holds a token, the others nil.
 func TestFootprintMatchesHeap(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(21))
@@ -347,8 +343,8 @@ func TestFootprintMatchesHeap(t *testing.T) {
 		measured := float64(heapAlloc() - before)
 
 		f := tr.Footprint()
-		if f.Leaves != n+2 || f.Infos <= 0 || f.Infos >= f.Internal {
-			t.Errorf("span %d: census = %+v, want %d leaves and 0 < Infos < Internal", span, f, n+2)
+		if f.Leaves != n+2 || f.Infos != 0 {
+			t.Errorf("span %d: census = %+v, want %d leaves and no Infos", span, f, n+2)
 		}
 		predicted := float64(f.Bytes())
 		t.Logf("span %d, %d keys: measured %.1f B/key, predicted %.1f B/key", span, n, measured/n, predicted/n)
@@ -359,8 +355,8 @@ func TestFootprintMatchesHeap(t *testing.T) {
 			if f.Internal != n+1 {
 				t.Errorf("census = %+v, want %d internal nodes", f, n+1)
 			}
-			if perKey := predicted / n; perKey > 104 {
-				t.Errorf("predicted %.1f B per key, want <= 104", perKey)
+			if perKey := predicted / n; perKey > 100 {
+				t.Errorf("predicted %.1f B per key, want <= 100", perKey)
 			}
 		}
 		runtime.KeepAlive(tr)

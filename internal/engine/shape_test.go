@@ -2,7 +2,6 @@ package engine
 
 import (
 	"testing"
-	"unsafe"
 )
 
 // Executable invariants of the descriptor layout: every update kind gets
@@ -141,7 +140,8 @@ func (c shapeCase) run(t *testing.T) (testTrie, []*udesc) {
 }
 
 // TestDescShapes: each update kind, at span 1 and span 4, builds the
-// smallest shape that holds it.
+// smallest shape that holds it, 40, 56 or 112 B (the 48, 64 and 112 B
+// size classes).
 func TestDescShapes(t *testing.T) {
 	t.Cleanup(func() { testHookAfterFlagging = nil })
 	for _, c := range shapeCases {
@@ -158,6 +158,9 @@ func TestDescShapes(t *testing.T) {
 				}
 				if s := shapeOf(len(flag), len(cas)); s != w.shape {
 					t.Errorf("descriptor %d is shape %d, want %d", j, s, w.shape)
+				}
+				if sz, want := d.size(), [...]uintptr{40, 56, 112}[w.shape]; sz != want {
+					t.Errorf("descriptor %d is %d B, want %d", j, sz, want)
 				}
 				if root := d.tgt[0] == rootTgt; root != w.root {
 					t.Errorf("descriptor %d swings the root pointer: %v, want %v", j, root, w.root)
@@ -178,7 +181,8 @@ func TestDescShapes(t *testing.T) {
 
 // TestSurvivorsAreCASTargets is the executable form of deriving the
 // unflag set from the CAS targets: once the update has returned, every
-// flagged node a CAS targeted holds a fresh Unflag, and every other
+// flagged node a CAS targeted holds the token of the child its CAS
+// installed (the first CAS's when both target the node), and every other
 // flagged node — each one the update removed from the trie — still holds
 // the update's Flag.
 func TestSurvivorsAreCASTargets(t *testing.T) {
@@ -194,12 +198,18 @@ func TestSurvivorsAreCASTargets(t *testing.T) {
 						target[d.tgt[k]] = true
 					}
 				}
+				installed := make([]*unode, len(flag))
+				for k := len(cas) - 1; k >= 0; k-- {
+					if d.tgt[k] != rootTgt {
+						installed[d.tgt[k]] = cas[k].newChild
+					}
+				}
 				for k, f := range flag {
 					i := f.n.info.Load()
 					switch {
-					case target[k] && (i == nil || i.flagged() || i == f.oldInfo):
-						t.Errorf("descriptor %d: CAS target %v holds %p, want a fresh Unflag", j, f.n.label, i)
-					case !target[k] && i != &d.hdr:
+					case target[k] && i != token(installed[k]):
+						t.Errorf("descriptor %d: CAS target %v holds %p, want the token of the child its CAS installed", j, f.n.label, i)
+					case !target[k] && i != d.word():
 						t.Errorf("descriptor %d: removed node %v holds %p, want the update's Flag", j, f.n.label, i)
 					}
 				}
@@ -210,7 +220,8 @@ func TestSurvivorsAreCASTargets(t *testing.T) {
 
 // TestFootprintCountsFlagShape: a Flag reachable from the root — here
 // the general-case Replace parked after its flag CASes — is counted at
-// its shape's size class, 128 B, not at its 16 B header.
+// its shape's size class, 112 B, not at its 8 B header, and the tokens
+// the flags displaced counted nothing.
 func TestFootprintCountsFlagShape(t *testing.T) {
 	tr := mustNew(t, 7)
 	for _, e := range []uint64{0x65, 0x66, 0x29} {
@@ -233,9 +244,9 @@ func TestFootprintCountsFlagShape(t *testing.T) {
 
 	want := before.InfoBytes
 	for _, f := range flag {
-		want += 128
-		if f.oldInfo != nil {
-			want -= classSize(unsafe.Sizeof(uinfo{}))
+		want += 112
+		if backtracked(f.oldInfo) {
+			want -= 8
 		}
 	}
 	if during.InfoBytes != want {

@@ -92,7 +92,7 @@ func (t *Trie[K, V]) start(sc *shortcut[K, V], v K, vl uint32, root *node[K, V])
 	hint, reach = &sc.slots[v.Digit(sc.pos, sc.d)], sc.pos+sc.d
 	// The info is read before the label checks and before any child:
 	// unflagged then means the node was in the trie at that read.
-	if c := hint.Load(); c != nil && !c.info.Load().flagged() {
+	if c := hint.Load(); c != nil && !flagged(c.info.Load()) {
 		if l := c.label.Len(); l > 0 && l < vl && c.label.IsPrefixOf(v) {
 			return c, hint, reach
 		}

@@ -117,7 +117,7 @@ func TestShortcutDeleteChildOfCachedNode(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		panic("TestShortcutDeleteChildOfCachedNode: Delete(b) under the cached node did not return in 10 s; its descent never learned p's parent")
 	}
-	if !p.info.Load().flagged() {
+	if !flagged(p.info.Load()) {
 		t.Error("the contracted p is not flagged")
 	}
 	checkLoad(t, tr, b, nil)
@@ -138,7 +138,7 @@ func TestShortcutPoisonedSlotFallsBack(t *testing.T) {
 	// v's leaf still under it.
 	const v = 200
 	x := tr.searchMut(tr.lane0(), tr.enc(v)).p
-	if !tr.Delete(v) || !x.info.Load().flagged() {
+	if !tr.Delete(v) || !flagged(x.info.Load()) {
 		t.Fatal("setup: deleting v must leave its old parent flagged")
 	}
 	far := tr.searchMut(tr.lane0(), tr.enc(2*shortcutKeys-2)).p
@@ -292,7 +292,7 @@ func TestShortcutStalledContraction(t *testing.T) {
 	go func() { done <- tr.Delete(b) }()
 	<-stalled
 
-	if !p.info.Load().flagged() || !tr.startsAtRoot(a) {
+	if !flagged(p.info.Load()) || !tr.startsAtRoot(a) {
 		t.Fatal("while the contraction is parked, a read through the slot must start at the root")
 	}
 	checkLoad(t, tr, a, uint64(a))
@@ -332,7 +332,7 @@ func TestShortcutStalledRenewal(t *testing.T) {
 	go func() { done <- tr.Insert(c) }()
 	<-stalled
 
-	if !p.info.Load().flagged() || !tr.startsAtRoot(a) {
+	if !flagged(p.info.Load()) || !tr.startsAtRoot(a) {
 		t.Fatal("while the renewal is parked, a read through the slot must start at the root")
 	}
 	checkLoad(t, tr, a, uint64(a))
@@ -343,7 +343,7 @@ func TestShortcutStalledRenewal(t *testing.T) {
 		t.Fatal("Insert(c) failed")
 	}
 	if r := tr.slot(c).Load(); r == p || r == nil || r.gen != tr.curGen() || !r.label.Equal(p.label) ||
-		r.info.Load().flagged() || tr.startsAtRoot(c) {
+		flagged(r.info.Load()) || tr.startsAtRoot(c) {
 		t.Fatal("after the renewal the slot must hold p's live renewed copy, and a read must start there")
 	}
 	if !tr.Contains(c) || !tr.Contains(a) {

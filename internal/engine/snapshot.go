@@ -170,11 +170,11 @@ func (t *Trie[K, V]) live() Snapshot[K, V] {
 // all in-flight mutations — so its leaf was already physically
 // unlinked and cannot be reached from the snapshot root at all; the
 // structural check below is kept as a defensive fallback.)
-func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
-	if !i.flagged() {
+func (s *Snapshot[K, V]) removed(w *byte) bool {
+	if !flagged(w) {
 		return false
 	}
-	p, old := i.flag.firstCAS()
+	p, old := flagOf[K, V](w).firstCAS()
 	if p == nil {
 		// Root-CAS sentinel: the replace's insert half swapped the root
 		// node itself. The displaced root (the first CAS's old child,
@@ -319,7 +319,7 @@ restart:
 				// never succeed. The generation cannot change meanwhile.
 				r.pInfo = r.p.info.Load()
 				n = slot.Load()
-				if r.pInfo.flagged() || stale(n, g) {
+				if flagged(r.pInfo) || stale(n, g) {
 					root = t.root.Load()
 					from = root
 					continue restart
@@ -362,7 +362,7 @@ func stale[K keys.Key[K], V any](n *node[K, V], g uint64) bool {
 // c certifies the copy is faithful (the same Lemma 31 argument as
 // copyNode). On any conflict the attempt is abandoned after helping;
 // the caller re-descends either way.
-func (t *Trie[K, V]) renewChild(l *lane, p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
+func (t *Trie[K, V]) renewChild(l *lane, p *node[K, V], pInfo *byte, c *node[K, V], g uint64) {
 	t.stats.snapshotRenewals.Add(1)
 	cInfo := c.info.Load()
 	if t.helpConflict(l, pInfo, cInfo, nil) {

@@ -322,8 +322,7 @@ func TestSnapshotQuickCheckAgainstModel(t *testing.T) {
 }
 
 // u64Trie is a Trie with unboxed uint64 values, whose overwrite costs are
-// the ones the allocation pins name: a 48 B leaf, a 48 B one-CAS Flag and
-// an 8 B Unflag.
+// the ones the allocation pins name: a 48 B leaf and a 48 B one-CAS Flag.
 func u64Trie(width uint32) (*Trie[keys.Uint64Key, uint64], func(uint64) keys.Uint64Key) {
 	c := keys.U64Codec{Width: width}
 	lo, hi := c.Bounds()
@@ -347,12 +346,12 @@ func overwriteAll(tr *Trie[keys.Uint64Key, uint64], ks []keys.Uint64Key, val uin
 }
 
 // TestReleaseStopsRenewal pins what a held snapshot costs writers and
-// that Release ends it. A 2^16-key overwrite costs 3 objects and 104 B
+// that Release ends it. A 2^16-key overwrite costs 2 objects and 96 B
 // with no snapshot; with a snapshot held each overwrite also renews,
-// once, every internal node below the root on its path, one 48 B copy,
-// a 64 B two-node Flag and an 8 B Unflag per node, 6 objects and 224 B
-// in all, and the snapshot stays frozen; after Release the overwrite
-// costs 3 and 104 again and renews nothing.
+// once, every internal node below the root on its path, one 48 B copy
+// and a 64 B two-node Flag per node, 4 objects and 208 B in all, and the
+// snapshot stays frozen; after Release the overwrite costs 2 and 96
+// again and renews nothing.
 func TestReleaseStopsRenewal(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 16
@@ -374,10 +373,10 @@ func TestReleaseStopsRenewal(t *testing.T) {
 		}
 	}
 
-	pass("no snapshot", 1, 3, 104, 0)
+	pass("no snapshot", 1, 2, 96, 0)
 	s := tr.Snapshot()
 	// n+2 leaves hang under n+1 internal nodes; the root is fresh.
-	pass("snapshot held", 2, 6, 224, n)
+	pass("snapshot held", 2, 4, 208, n)
 	for i, k := range ks {
 		if v, ok := s.Load(k); !ok || v != 1 {
 			t.Fatalf("held snapshot: key %d = (%d, %v), want (1, true)", i, v, ok)
@@ -387,7 +386,7 @@ func TestReleaseStopsRenewal(t *testing.T) {
 		t.Errorf("held snapshot: Len = %d, want %d", s.Len(), n)
 	}
 	s.Release()
-	pass("after Release", 3, 3, 104, 0)
+	pass("after Release", 3, 2, 96, 0)
 	if err := tr.Validate(nil); err != nil {
 		t.Error(err)
 	}

@@ -18,6 +18,13 @@ import "nbtrie/internal/keys"
 // once, here, rather than per instantiation.
 var testHookAfterFlagging func(any)
 
+// testHookUnflagged, when non-nil, runs inside help after each unflag CAS
+// that succeeded, with its target and the child whose token it installed
+// (both *node[K, V], as any). Like testHookAfterFlagging it is nil in
+// production and only set at quiescence; the no-repeat oracle records the
+// pairs it sees.
+var testHookUnflagged func(p, c any)
+
 // help carries out the real work of the update described by the Flag
 // descriptor I (lines 86-106). It may be called by the update's own
 // process or by any process that encounters I while flagging; all calls
@@ -32,7 +39,7 @@ var testHookAfterFlagging func(any)
 // linearized at its first successful child CAS.
 func (t *Trie[K, V]) help(l *lane, i *desc[K, V]) bool {
 	l.help.Add(1)
-	fl := &i.hdr // what a node flagged by I holds
+	fl := i.word() // what a node flagged by I holds
 	flag, cas, rmvLeaf := i.parts()
 	doChildCAS := true
 	for j := 0; j < len(flag) && doChildCAS; j++ {
@@ -87,19 +94,25 @@ func (t *Trie[K, V]) help(l *lane, i *desc[K, V]) bool {
 
 	if i.flagDone.Load() {
 		// Unflag the survivors (line 101): the CAS targets, each once —
-		// both CASes of a general-case replace can target one node.
-		for j := range cas {
+		// both CASes of a general-case replace can target one node — to
+		// the token of the child I's CAS installed there, a value that
+		// node's info never held before (see the info field).
+		for j, c := range cas {
 			if p := i.target(flag, j); p != nil && (j == 0 || i.tgt[j] != i.tgt[0]) {
-				// The fresh Unflag per CAS is required for no-ABA; see
-				// newUnflag.
-				p.info.CompareAndSwap(fl, newUnflag[K, V]())
+				if p.info.CompareAndSwap(fl, token(c.newChild)) && testHookUnflagged != nil {
+					testHookUnflagged(p, c.newChild)
+				}
 			}
 		}
 		return true
 	}
 	t.stats.flagBacktrack.Add(1)
 	for j := len(flag) - 1; j >= 0; j-- {
-		flag[j].n.info.CompareAndSwap(fl, newUnflag[K, V]()) // backtrack CAS (line 105)
+		// Only a node that holds I's Flag needs a fresh Unflag; on any
+		// other the CAS would fail, so it is skipped and allocates nothing.
+		if n := flag[j].n; n.info.Load() == fl {
+			n.info.CompareAndSwap(fl, newUnflag()) // backtrack CAS (line 105)
+		}
 	}
 	return false
 }
@@ -130,9 +143,9 @@ func (t *Trie[K, V]) newDesc(l *lane,
 	// Lines 108-111: if any captured info value is a Flag, that update is
 	// incomplete; help it and make the caller retry from scratch.
 	for j := 0; j < nFlag; j++ {
-		if flag[j].oldInfo.flagged() {
+		if flagged(flag[j].oldInfo) {
 			t.stats.helpAssist.Add(1)
-			t.help(l, flag[j].oldInfo.flag)
+			t.help(l, flagOf[K, V](flag[j].oldInfo))
 			return nil
 		}
 	}
@@ -237,11 +250,11 @@ func swing[K keys.Key[K], V any](r searchResult[K, V], np *node[K, V]) half[K, V
 // constructing leaves and copies that would be thrown away. nil entries
 // (unused arguments, and the info of a live leaf or a never-flagged
 // internal node) are skipped.
-func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3 *info[K, V]) bool {
-	for _, i := range [...]*info[K, V]{i1, i2, i3} {
-		if i.flagged() {
+func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3 *byte) bool {
+	for _, i := range [...]*byte{i1, i2, i3} {
+		if flagged(i) {
 			t.stats.helpAssist.Add(1)
-			t.help(l, i.flag)
+			t.help(l, flagOf[K, V](i))
 			return true
 		}
 	}
@@ -258,11 +271,11 @@ func (t *Trie[K, V]) helpConflict(l *lane, i1, i2, i3 *info[K, V]) bool {
 // info value is helped if it is a Flag (the usual cause: n1 is a stale
 // copy of a node another update is replacing) and nil is returned so the
 // caller retries.
-func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *info[K, V]) *node[K, V] {
+func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *byte) *node[K, V] {
 	if n1.label.IsPrefixOf(n2.label) || n2.label.IsPrefixOf(n1.label) {
-		if i.flagged() {
+		if flagged(i) {
 			t.stats.helpAssist.Add(1)
-			t.help(l, i.flag)
+			t.help(l, flagOf[K, V](i))
 		}
 		return nil
 	}

@@ -17,10 +17,10 @@ import (
 // allocate nothing, and neither does SET's codec share: dispatch copies
 // nothing out of the connection arena, because the keyspace's leaf copies
 // the value into itself. Every write is the engine's own cost, keyspace
-// included: an overwrite is one leaf (its value inline), the Flag
-// descriptor and the fresh Unflag, 3, and the deadline lives in the leaf,
-// so a SETEX or a SET over an armed key costs what a plain SET costs; a
-// delete is the descriptor and the Unflag, 2. The AOF record allocates
+// included: an overwrite is one leaf (its value inline) and the Flag
+// descriptor, 2, and the deadline lives in the leaf, so a SETEX or a SET
+// over an armed key costs what a plain SET costs; a delete is the
+// descriptor, 1. The unflag CAS allocates nothing. The AOF record allocates
 // nothing. The subtest is named for the dispatch path it covers: every
 // command runs on its connection's goroutine.
 func TestServerPathAllocPins(t *testing.T) {
@@ -41,12 +41,12 @@ func serverPathAllocPins(t *testing.T) {
 		{"EXISTS", p.Exists, 0},
 		{"DEL", p.Del, 0},
 		{"MGET", p.MGet, 0},
-		{"SET", p.Set, 3},
+		{"SET", p.Set, 2},
 		{"SET codec", p.SetCodec, 0},
-		{"SETEX, unarmed key", p.SetexUnarmed, 3},
-		{"SETEX, armed key", p.SetexArmed, 3},
-		{"SET, armed key", p.SetArmed, 3},
-		{"DEL, armed key", p.DelArmed, 2},
+		{"SETEX, unarmed key", p.SetexUnarmed, 2},
+		{"SETEX, armed key", p.SetexArmed, 2},
+		{"SET, armed key", p.SetArmed, 2},
+		{"DEL, armed key", p.DelArmed, 1},
 	}
 	for _, pin := range pins {
 		if pin.got != pin.want {
@@ -61,8 +61,8 @@ func serverPathAllocPins(t *testing.T) {
 
 // TestRecoveryAllocPins: recovery copies nothing the keyspace copies. A
 // replayed AOF SET record that overwrites a key costs what the engine's
-// overwrite costs, 3 allocations (the leaf with its value inline, the
-// Flag descriptor and the Unflag): the segment is parsed into one reused
+// overwrite costs, 2 allocations (the leaf with its value inline and the
+// Flag descriptor): the segment is parsed into one reused
 // arena, and the leaf copies the value out of it. A dump record costs the
 // same, read into one reused scratch buffer. Each count is the difference
 // between loading 2n and n records, so the readers' own set-up cancels.
@@ -125,8 +125,8 @@ func TestRecoveryAllocPins(t *testing.T) {
 		// allocation in either pass (the race detector makes some) moves
 		// the quotient by 1/n.
 		per := float64(int64(mallocs(c.read, two))-int64(mallocs(c.read, one))) / n
-		if math.Round(per) != 3 {
-			t.Errorf("a %s overwriting a key allocates %.3f/record, want the engine's 3", c.name, per)
+		if math.Round(per) != 2 {
+			t.Errorf("a %s overwriting a key allocates %.3f/record, want the engine's 2", c.name, per)
 		}
 	}
 	if v, ok := s.db.Load(mustEncode(t, "key:1")); !ok || !bytes.Equal(v, val) {

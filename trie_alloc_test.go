@@ -13,37 +13,34 @@ import (
 // types are pure values, so the codec adds nothing to either path.
 // The read path must be allocation-free outright; the update paths get a
 // fixed budget derived from the nodes an update must create (each a
-// distinct heap object by the no-ABA rule) plus the descriptor and the
-// fresh Unflag of the final unflag CAS. No node is born with an Unflag
-// (nil is an info field's first value). If one of these tests starts
+// distinct heap object by the no-ABA rule) plus the descriptor. The
+// unflag CAS allocates nothing: it installs the token of the child the
+// update installed (see engine's node.info). If one of these tests starts
 // failing, garbage crept back into a hot path — see DESIGN.md before
 // raising a budget.
 
 const (
 	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
-	// internal node, the Flag descriptor, and the fresh Unflag of the
-	// unflag CAS.
-	insertAllocBudget = 5
-	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
-	// unflag-CAS Unflag.
-	overwriteAllocBudget = 3
-	// deleteAllocBudget: the Flag descriptor and the unflag-CAS Unflag
-	// (the sibling is re-linked, not rebuilt). Held from below as well:
-	// fewer than 2 means an unflag CAS stopped allocating its fresh
-	// Unflag, which re-opens the ABA window (see engine.newUnflag).
-	deleteAllocBudget = 2
+	// internal node and the Flag descriptor.
+	insertAllocBudget = 4
+	// overwriteAllocBudget: fresh leaf and the Flag descriptor.
+	overwriteAllocBudget = 2
+	// deleteAllocBudget: the Flag descriptor alone (the sibling is
+	// re-linked, not rebuilt). Exact: a second object means the unflag
+	// CAS allocates again.
+	deleteAllocBudget = 1
 
 	// The span-4 (k-ary) budgets. A wide internal node is one object,
 	// its 16 child slots inline, like a binary one; but the
 	// slot-oriented paths rebuild a node where the binary trie re-links:
-	// an insert is either a slot fill (parent copy, fresh leaf,
-	// descriptor and final Unflag = 4) or a leaf displacement (the binary
-	// shape = 5); a delete is either a contraction (2, as binary) or a
-	// slot clear (parent copy + desc + Unflag = 3). The pins take each
+	// an insert is either a slot fill (parent copy, fresh leaf and
+	// descriptor = 3) or a leaf displacement (the binary shape = 4); a
+	// delete is either a contraction (1, as binary) or a slot clear
+	// (parent copy + desc = 2). The pins take each
 	// path's worst case; depth-per-level is what the wider nodes buy. See
 	// DESIGN.md §11 for the full table.
-	karyInsertAllocBudget = 5
-	karyDeleteAllocBudget = 3
+	karyInsertAllocBudget = 4
+	karyDeleteAllocBudget = 2
 )
 
 func TestContainsIsAllocationFree(t *testing.T) {
@@ -244,15 +241,15 @@ func TestUpdateAllocationBudgets(t *testing.T) {
 
 // The byte budgets of the same three updates on Map[uint64]-sized leaves:
 // the objects above, each at its size class. An insert is two 48 B
-// leaves, a 48 B internal node, a 48 B one-flag descriptor and an 8 B
-// Unflag; an overwrite a leaf, the descriptor and the Unflag; a delete a
-// 64 B two-flag descriptor and the Unflag. They are exact, not ceilings:
+// leaves, a 48 B internal node and a 48 B one-flag descriptor; an
+// overwrite a leaf and the descriptor; a delete a 64 B two-flag
+// descriptor. They are exact, not ceilings:
 // the next field added to a node or descriptor shape fails here rather
 // than in a benchmark, and so does a shape that shrinks unannounced.
 const (
-	insertByteBudget    = 200
-	overwriteByteBudget = 104
-	deleteByteBudget    = 72
+	insertByteBudget    = 192
+	overwriteByteBudget = 96
+	deleteByteBudget    = 64
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
@@ -435,13 +432,13 @@ func TestMortonUpdateAllocationBudgets(t *testing.T) {
 // The Replace pins. A general-case replace builds the insert's three
 // nodes (fresh leaf, copy of the displaced leaf, joining node) plus the
 // delete's result (nothing at span 1, where the parent contracts into
-// its sibling), one four-flag descriptor and an Unflag per CAS target; a
-// near-key replace is one of Figure 6's fused cases, a single child CAS.
+// its sibling) and one four-flag descriptor; a near-key replace is one
+// of Figure 6's fused cases, a single child CAS.
 // At span 4 the fills and clears rebuild their parent instead. The
 // numbers are the engine's at the time of writing, not a ceiling chosen
 // for slack: a refactor of the Replace cases must keep them. The object
-// counts are held from below as well, like the delete pin: one fewer
-// means an unflag CAS stopped allocating its fresh Unflag.
+// counts are exact, like the delete pin: one more means an unflag CAS
+// allocates again.
 const replaceHigh = 1 << 20
 
 // fillOdd stores every odd key in [base, base+n) with its pin value.
@@ -485,23 +482,23 @@ var replaceCases = []struct {
 	}, 0, 0},
 }
 
-// The span-1 general case is two 48 B leaves, a 48 B joining node, a
-// 128 B general descriptor and two 8 B Unflags; the near-key case a leaf,
-// a 48 B one-flag descriptor and an Unflag. Both are exact byte counts.
-// At span 4 a near-key replace is a 160 B bottom-node copy, a leaf, a
-// 64 B two-flag descriptor and an Unflag; the general case mixes slot
+// The span-1 general case is two 48 B leaves, a 48 B joining node and a
+// 112 B general descriptor; the near-key case a leaf and a 48 B one-flag
+// descriptor. Both are exact byte counts. At span 4 a near-key replace
+// is a 160 B bottom-node copy, a leaf and a 64 B two-flag descriptor;
+// the general case mixes slot
 // fills, slot clears and contractions down the run, so its figures are
 // averages (AllocsPerRun truncates to a whole object). Span 4's bytes are
 // ceilings.
 const (
-	replaceGeneralAllocs     = 6
-	replaceGeneralBytes      = 288
-	replaceGeneralKaryAllocs = 5
-	replaceGeneralKaryBytes  = 469
-	replaceNearAllocs        = 3
-	replaceNearBytes         = 104
-	replaceNearKaryAllocs    = 4
-	replaceNearKaryBytes     = 280
+	replaceGeneralAllocs     = 4
+	replaceGeneralBytes      = 256
+	replaceGeneralKaryAllocs = 3
+	replaceGeneralKaryBytes  = 437
+	replaceNearAllocs        = 2
+	replaceNearBytes         = 96
+	replaceNearKaryAllocs    = 3
+	replaceNearKaryBytes     = 272
 )
 
 func TestReplaceAllocationBudgets(t *testing.T) {
