@@ -427,10 +427,6 @@ func (x *Index) ArmedKeys() int { return int(max(x.armedN.Load(), 0)) }
 // sweep does: it holds no snapshot and has nbtrie.Map.Ascend's contract.
 func (x *Index) Ascend(from uint64) iter.Seq2[uint64, Value] { return x.db.Ascend(from) }
 
-// Snapshot returns a frozen view of the keyspace, deadlines included:
-// the dump's one cut.
-func (x *Index) Snapshot() *nbtrie.MapSnapshot[Value] { return x.db.Snapshot() }
-
 // Shards returns 1.
 //
 // Deprecated: the keyspace has one trie and no shards (ROADMAP.md item

@@ -429,7 +429,7 @@ func TestConcurrentSetClearRemove(t *testing.T) {
 	if x.ArmedKeys() != 0 {
 		t.Fatalf("%d armed keys counted after a total reap (purged %d)", x.ArmedKeys(), n)
 	}
-	for k, v := range x.Snapshot().All() {
+	for k, v := range x.Ascend(0) {
 		if v.At != 0 {
 			t.Fatalf("key %d still armed at %d after a total reap", k, v.DeadlineMS())
 		}

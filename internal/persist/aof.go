@@ -66,6 +66,7 @@ type AOF struct {
 	bw     *bufio.Writer
 	policy SyncPolicy
 	dirty  bool // bytes written to the file since the last fsync
+	sealed bool // Close ran: err is the seal's result
 	err    error
 
 	stopTick chan struct{}
@@ -104,6 +105,9 @@ func (a *AOF) syncLoop() {
 	}
 }
 
+// errSealed is what Append returns on a segment Close sealed cleanly.
+var errSealed = errors.New("persist: aof closed")
+
 // Append buffers one command record. The record is not durable (nor
 // necessarily in the file) until Commit.
 func (a *AOF) Append(args ...[]byte) error {
@@ -111,6 +115,9 @@ func (a *AOF) Append(args ...[]byte) error {
 	defer a.mu.Unlock()
 	if a.err != nil {
 		return a.err
+	}
+	if a.sealed {
+		return errSealed
 	}
 	if err := a.w.WriteCommand(args...); err != nil {
 		a.err = err
@@ -129,11 +136,12 @@ func (a *AOF) Sync() error { return a.flush(true) }
 
 // flush moves buffered records into the file and, with fsync, every
 // byte written since the last fsync to stable storage. The first error
-// sticks: later appends and flushes return it.
+// sticks: later appends and flushes return it, as they return a seal's
+// result.
 func (a *AOF) flush(fsync bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.err != nil {
+	if a.err != nil || a.sealed {
 		return a.err
 	}
 	if a.bw.Buffered() > 0 {
@@ -165,23 +173,22 @@ func (a *AOF) Size() int64 {
 	return st.Size() + int64(a.bw.Buffered())
 }
 
-// Close syncs and closes the segment. Safe to call once.
+// Close seals the segment: it syncs and closes the file. From then on
+// Commit and Sync return the seal's result, nil when it synced every
+// record appended before it, and Append refuses. Safe to call once.
 func (a *AOF) Close() error {
 	if a.stopTick != nil {
 		close(a.stopTick)
 		<-a.tickDone
 	}
-	syncErr := a.Sync()
+	err := a.Sync()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	closeErr := a.f.Close()
-	if a.err == nil {
-		a.err = fmt.Errorf("persist: aof closed")
+	if closeErr := a.f.Close(); err == nil {
+		err = closeErr
 	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	a.err, a.sealed = err, true
+	return err
 }
 
 // ApplyError wraps an error returned by the replay callback — the

@@ -26,7 +26,6 @@ const tmpInfix = ".tmp-"
 // those names.
 type Dir struct {
 	path   string
-	aof    bool
 	policy SyncPolicy
 	m      Manifest
 	seq    uint64 // highest sequence number in use
@@ -39,9 +38,9 @@ type Dir struct {
 // the manifest does not name. load and apply see their arguments only
 // for the call (ReadDump, Replay) and copy whatever they keep. lim
 // bounds replayed records and, through MaxBulkLen, every key and value
-// of the dump, so a value the server accepted always loads back. aof and
-// policy say whether Rotate opens segments and how they sync.
-func OpenDir(path string, aof bool, policy SyncPolicy, lim resp.Limits,
+// of the dump, so a value the server accepted always loads back. policy
+// says how the segments Rotate opens sync.
+func OpenDir(path string, policy SyncPolicy, lim resp.Limits,
 	load func(k, v []byte, expireAtMS uint64) error, apply func(args [][]byte) error) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, err
@@ -50,7 +49,7 @@ func OpenDir(path string, aof bool, policy SyncPolicy, lim resp.Limits,
 	if err != nil {
 		return nil, err
 	}
-	d := &Dir{path: path, aof: aof, policy: policy, m: m}
+	d := &Dir{path: path, policy: policy, m: m}
 	lim = lim.WithDefaults()
 	for _, name := range append([]string{m.Base}, m.Incrs...) {
 		if n, ok := SeqOf(name); ok && n > d.seq {
@@ -75,19 +74,20 @@ func OpenDir(path string, aof bool, policy SyncPolicy, lim resp.Limits,
 	return d, nil
 }
 
-// Rotate starts a cut at the next sequence number and returns it. With
-// the AOF on it opens that number's segment and commits the
-// conservative manifest: the old base, the whole chain and the new
-// segment, so a crash before CommitBase still recovers every record. A
-// crash between the open and the commit leaves an unnamed segment that
-// the next sweep removes; a failed commit removes it at once.
-func (d *Dir) Rotate() (seq uint64, seg *AOF, err error) {
+// Rotate starts a cut at the next sequence number: it opens that
+// number's segment and returns both. With chain set (the AOF is on: the
+// chain holds every write since its base) it commits the conservative
+// manifest, old base + whole chain + new segment, so a crash before
+// CommitBase still recovers every record. Without it no manifest names
+// the segment before CommitBase, since the writes before the cut were
+// never logged. An unnamed segment is swept; a failed commit removes it.
+func (d *Dir) Rotate(chain bool) (seq uint64, seg *AOF, err error) {
 	seq = d.seq + 1
-	if d.aof {
-		name := IncrName(seq)
-		if seg, err = OpenAOF(filepath.Join(d.path, name), d.policy); err != nil {
-			return 0, nil, err
-		}
+	name := IncrName(seq)
+	if seg, err = OpenAOF(filepath.Join(d.path, name), d.policy); err != nil {
+		return 0, nil, err
+	}
+	if chain {
 		next := Manifest{Base: d.m.Base, Incrs: append(slices.Clone(d.m.Incrs), name)}
 		if err := WriteManifest(d.path, next); err != nil {
 			seg.Close()
@@ -120,15 +120,10 @@ func (d *Dir) SaveBase(seq uint64, iter func(fn func(k, v []byte, expireAtMS uin
 const dumpBuffer = 64 << 10
 
 // CommitBase swings the manifest to the base dump SaveBase wrote for
-// seq plus the segments at or after seq (those hold exactly the records
-// after the cut), then sweeps the files the new recipe dropped.
+// seq plus seq's segment, which holds exactly the records after the
+// cut, then sweeps the files the new recipe dropped.
 func (d *Dir) CommitBase(seq uint64) error {
-	next := Manifest{Base: BaseName(seq)}
-	for _, name := range d.m.Incrs {
-		if n, _ := SeqOf(name); n >= seq {
-			next.Incrs = append(next.Incrs, name)
-		}
-	}
+	next := Manifest{Base: BaseName(seq), Incrs: []string{IncrName(seq)}}
 	if err := WriteManifest(d.path, next); err != nil {
 		return err
 	}

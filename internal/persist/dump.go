@@ -3,8 +3,8 @@
 // wire encoding, and the manifest that binds one base dump to the chain
 // of AOF segments extending it. The package speaks []byte keys and
 // values and RESP command records only — it knows nothing about tries,
-// shards or key encodings; the server layer feeds it snapshot iterations
-// and replays records back through its own dispatch.
+// shards or key encodings; the server layer feeds it live walks of its
+// keyspace and replays records back through its own dispatch.
 //
 // Dir is the one owner of a data directory: it names every file, holds
 // the manifest and the sequence numbers, and is the only code that

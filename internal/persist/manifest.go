@@ -22,6 +22,8 @@ import (
 // from the old base plus the whole chain, including writes acknowledged
 // after rotation. Only after the dump file is complete and fsynced does
 // a second commit swing Base to it and drop the pre-rotation segments.
+// With the AOF off the new segment holds only the dump's writes, and
+// only the second commit names it.
 const manifestMagic = "NBMANIFEST1"
 
 // ManifestName is the manifest's file name inside the data directory.

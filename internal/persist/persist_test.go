@@ -163,7 +163,7 @@ func TestDumpDetectsDamage(t *testing.T) {
 
 func TestSaveLoadDumpFile(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, false, SyncNo, resp.Limits{}, nil, nil)
+	d, err := OpenDir(dir, SyncNo, resp.Limits{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +223,51 @@ func TestAOFAppendReplay(t *testing.T) {
 				t.Fatalf("record %d: got %v want %v", i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestAOFSealedCommitReturnsTheSeal: Close seals a segment, and a
+// Commit or Sync that reaches it afterwards returns the seal's result. A
+// clean seal synced every record appended before it, so both return nil
+// and the batch they close may be acknowledged; after a failed seal both
+// return its error, so the batch is not. Append refuses either way.
+func TestAOFSealedCommitReturnsTheSeal(t *testing.T) {
+	dir := t.TempDir()
+	rec := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
+	a, err := OpenAOF(filepath.Join(dir, IncrName(1)), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Append(rec...)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Errorf("Commit after a clean seal: %v, want nil", err)
+	}
+	if err := a.Sync(); err != nil {
+		t.Errorf("Sync after a clean seal: %v, want nil", err)
+	}
+	if err := a.Append(rec...); err == nil {
+		t.Error("Append after a seal succeeded")
+	}
+
+	// A seal that cannot write the buffered record out fails.
+	b, err := OpenAOF(filepath.Join(dir, IncrName(2)), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Append(rec...)
+	b.f.Close()
+	sealErr := b.Close()
+	if sealErr == nil {
+		t.Fatal("a seal over a closed file succeeded")
+	}
+	if err := b.Commit(); err != sealErr {
+		t.Errorf("Commit after a failed seal: %v, want the seal's %v", err, sealErr)
+	}
+	if err := b.Sync(); err != sealErr {
+		t.Errorf("Sync after a failed seal: %v, want the seal's %v", err, sealErr)
 	}
 }
 

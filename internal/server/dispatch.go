@@ -248,16 +248,14 @@ func (ss *session) mget(args [][]byte, ks []uint64) {
 }
 
 // set stores SET's pair or MSET's pairs, in the order every mutation
-// follows: take the persistence gate and the keys' stripes, update the
-// keyspace, then append the AOF record. The gate keeps the keyspace
-// update and the record on one side of any dump rotation, the stripes
-// keep each key's records in the order of its updates; the AOF append
-// copies args into its own buffer synchronously, so arena-backed keys
-// are safe to pass through. A store discards the key's deadline in the
-// same Swap.
+// follows: take the keys' stripes, update the keyspace, then append the
+// AOF record. The stripes keep the keyspace update and the record on
+// one side of any dump rotation, and each key's records in the order of
+// its updates (see persist.go); the AOF append copies args into its own
+// buffer synchronously, so arena-backed keys are safe to pass through. A
+// store discards the key's deadline in the same Swap.
 func (ss *session) set(args [][]byte, ks []uint64) {
 	s := ss.s
-	s.gate.RLock()
 	m := s.lockKeys(ks...)
 	for i, k := range ks {
 		// The value is arena-backed and dies with this command; the leaf
@@ -266,14 +264,12 @@ func (ss *session) set(args [][]byte, ks []uint64) {
 	}
 	s.appendMutation(args...)
 	s.unlockKeys(m)
-	s.gate.RUnlock()
 	ss.w.WriteSimple("OK")
 }
 
 func (ss *session) del(args [][]byte, ks []uint64) {
 	s := ss.s
 	n := int64(0)
-	s.gate.RLock()
 	m := s.lockKeys(ks...)
 	for _, k := range ks {
 		if s.db.Delete(k) {
@@ -286,7 +282,6 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 		s.appendMutation(args...)
 	}
 	s.unlockKeys(m)
-	s.gate.RUnlock()
 	ss.w.WriteInt(n)
 }
 
@@ -439,7 +434,6 @@ func (ss *session) rename(args [][]byte, ks []uint64) {
 	// would be a lie. The live read purges it.
 	s.db.Contains(new)
 
-	s.gate.RLock()
 	m := s.lockKeys(ks...)
 	moved := s.db.Rename(old, new)
 	if moved && s.logging() {
@@ -455,7 +449,6 @@ func (ss *session) rename(args [][]byte, ks []uint64) {
 		}
 	}
 	s.unlockKeys(m)
-	s.gate.RUnlock()
 	if moved {
 		w.WriteSimple("OK")
 		return

@@ -3,8 +3,8 @@ package server
 // Key expiry: the wire half of the TTL commands. The keyspace itself —
 // values, deadlines, lazy and swept purges — is internal/expiry's Index
 // (DESIGN.md §12 has the protocol); the handlers here parse arguments,
-// call one Index operation, and log the AOF record under the persistence
-// gate.
+// call one Index operation, and log the AOF record under the stripes of
+// the keys it names.
 //
 // Every read path is lazy: a key whose deadline has passed reads as
 // absent and is purged on the spot. The Index's reaper (StartReaper),
@@ -86,16 +86,13 @@ func deadlineFromArg(now, n, unitMS int64, absolute bool) int64 {
 }
 
 // setTTL changes the deadline of key (encoded k), which the caller has
-// just read live, and logs the change, under the persistence gate and
-// k's stripe:
-// persist drops the deadline; otherwise a deadline at or before now
-// deletes the key, as Redis does, and a later one arms it. Every arming
-// is logged as PEXPIREAT key <ms>, so replay is immune to replay-time
-// clocks. It reports whether the key changed.
+// just read live, and logs the change, under k's stripe: persist drops
+// the deadline; otherwise a deadline at or before now deletes the key,
+// as Redis does, and a later one arms it. Every arming is logged as
+// PEXPIREAT key <ms>, so replay is immune to replay-time clocks. It
+// reports whether the key changed.
 func (ss *session) setTTL(key []byte, k uint64, deadline, now int64, persist bool) bool {
 	s := ss.s
-	s.gate.RLock()
-	defer s.gate.RUnlock()
 	defer s.unlockKeys(s.lockKeys(k))
 	switch {
 	case persist:
@@ -181,13 +178,11 @@ func (ss *session) setex(args [][]byte, ks []uint64) {
 	}
 	deadline := deadlineFromArg(s.nowMS(), sec, 1000, false)
 	v := args[3] // arena-backed: the leaf keeps its own copy
-	s.gate.RLock()
 	m := s.lockKeys(ks...)
 	s.db.StoreDeadline(ks[0], v, deadline)
 	s.appendMutation(recSET, args[1], v)
 	s.appendMutation(recPEXPIREAT, args[1], ss.itoa(deadline))
 	s.unlockKeys(m)
-	s.gate.RUnlock()
 	w.WriteSimple("OK")
 }
 

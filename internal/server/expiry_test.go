@@ -493,7 +493,7 @@ func TestServerTTLStress(t *testing.T) {
 
 	clk.advance(time.Hour.Milliseconds())
 	s.db.Reap(clk.now())
-	for k, v := range s.db.Snapshot().All() {
+	for k, v := range s.db.Ascend(0) {
 		if v.At != 0 {
 			t.Errorf("key %q still armed at %d after every deadline passed and a reaper pass", BytesKeyer{}.AppendDecode(nil, k), v.DeadlineMS())
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +18,28 @@ import (
 	"nbtrie/internal/resp"
 )
 
-// The oracles of the fuzzy dump: with the AOF on, BGSAVE walks the live
-// keyspace while writers carry on, and recovery replays the new segment
-// over whatever the walk read (persist.go has the argument). They hold
-// the two rules that argument rests on, the key stripes and RENAME's
-// effect record, and its conclusion: recovered equals live.
+// The oracles of the fuzzy dump: BGSAVE walks the live keyspace while
+// writers carry on, and recovery replays the rotation's segment over
+// whatever the walk read (persist.go has the argument). They hold the
+// rules that argument rests on, the key stripes and RENAME's effect
+// record, and its conclusion, recovered equals live, in both AOF modes;
+// and the rules of the segment's lifecycle: sealed before it is swapped
+// out, swapped only under every stripe, and with the AOF off named by
+// no manifest before the base swing.
+
+// modeCfg is persistCfg with the AOF on or off.
+func modeCfg(dir string, aof bool) Config {
+	cfg := persistCfg(dir)
+	cfg.Persist.AOF = aof
+	return cfg
+}
+
+// bothModes runs f as one subtest per AOF mode.
+func bothModes(t *testing.T, f func(t *testing.T, aof bool)) {
+	for _, aof := range []bool{true, false} {
+		t.Run(fmt.Sprintf("aof=%v", aof), func(t *testing.T) { f(t, aof) })
+	}
+}
 
 // send issues one command on c from a goroutine of its own and returns
 // the channel its reply arrives on, rendered, or the I/O error.
@@ -107,7 +125,9 @@ func aofOrderFollowsTheTrie(t *testing.T, first []string) {
 // c; then RENAME a b and SET a 2 run, and the walk reads a=2. Replaying
 // "RENAME a b" over that dump would move 2 into b; the effect record
 // (a deleted, b = 1) recovers a=2 and b=1.
-func TestPersistRenameDuringDump(t *testing.T) {
+func TestPersistRenameDuringDump(t *testing.T) { bothModes(t, renameDuringDump) }
+
+func renameDuringDump(t *testing.T, aof bool) {
 	// b < c in the lower half of the keyspace, a and d in the upper one.
 	// The walk descends into the upper half only after the pause, from
 	// the node under the root, which no write here removes while both
@@ -118,7 +138,7 @@ func TestPersistRenameDuringDump(t *testing.T) {
 	c := findKey(t, "c", func(k string) bool { return !upper(k) && mustEncode(t, k) > mustEncode(t, b) })
 
 	dir := t.TempDir()
-	cfg := persistCfg(dir)
+	cfg := modeCfg(dir, aof)
 	parked, release := make(chan struct{}), make(chan struct{})
 	s, addr := startServer(t, cfg, func(s *Server) {
 		ck := mustEncode(t, c)
@@ -158,7 +178,9 @@ func TestPersistRenameDuringDump(t *testing.T) {
 // that never reaches a batch commit, and the walk reads b=1. Unless the
 // segment is synced before the base swing, the directory as the crash
 // leaves it recovers both a and b, a state that never existed.
-func TestPersistCrashAtBaseSwing(t *testing.T) {
+func TestPersistCrashAtBaseSwing(t *testing.T) { bothModes(t, crashAtBaseSwing) }
+
+func crashAtBaseSwing(t *testing.T, aof bool) {
 	// a and c in the lower half of the keyspace, b and d in the upper
 	// one, so the walk reads b after the pause at a, as in
 	// TestPersistRenameDuringDump.
@@ -168,7 +190,7 @@ func TestPersistCrashAtBaseSwing(t *testing.T) {
 	b, d := findKey(t, "b", upper), findKey(t, "d", upper)
 
 	dir := t.TempDir()
-	cfg := persistCfg(dir)
+	cfg := modeCfg(dir, aof)
 	parked, release := make(chan struct{}), make(chan struct{})
 	s, addr := startServer(t, cfg, func(s *Server) {
 		ka := mustEncode(t, a)
@@ -199,15 +221,22 @@ func TestPersistCrashAtBaseSwing(t *testing.T) {
 		t.Fatalf("the dump holds %q: want a=1 and b=1, the walk reading b after the RENAME", dumped)
 	}
 	// The crash: the directory as it is, the segment's buffer lost.
-	crash := filepath.Join(t.TempDir(), "crash")
-	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	_, addr2 := startServer(t, persistCfg(crash))
+	_, addr2 := startServer(t, modeCfg(crashCopy(t, dir), aof))
 	c2 := dial(t, addr2)
 	c2.mustNull("GET", a)
 	c2.mustBulk("1", "GET", b)
 	c2.mustInt(3, "DBSIZE")
+}
+
+// crashCopy copies the data directory dir as a crash would leave it:
+// the files as they are, every user-space buffer lost.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	crash := filepath.Join(t.TempDir(), "crash")
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	return crash
 }
 
 // dumpContents reads the base dump dir's manifest names, value by wire
@@ -238,16 +267,33 @@ func dumpContents(t *testing.T, dir string) map[string]string {
 // EXPIRE and PERSIST over 64 keys from four connections while BGSAVE
 // loops, with the clock frozen so that no deadline passes. At
 // quiescence every key's value and PTTL after a restart must equal the
-// live ones.
-func TestPersistRecoveredEqualsLive(t *testing.T) {
-	clk := newFakeClock()
-	cfg := clk.cfg(persistCfg(t.TempDir()))
-	s, addr := startServer(t, cfg)
+// live ones. With the AOF off only a dump survives a restart, so the
+// first dump to write a record once three quarters of the churn is done
+// parks its walk until the writers finish: its segment holds the
+// churn's tail, and the recipe it commits must recover the live state.
+func TestPersistRecoveredEqualsLive(t *testing.T) { bothModes(t, recoveredEqualsLive) }
+
+func recoveredEqualsLive(t *testing.T, aof bool) {
 	const nkeys, writers = 64, 4
 	ops := 1500
 	if testing.Short() {
 		ops = 300
 	}
+	var done atomic.Int32
+	var held atomic.Bool
+	writersDone := make(chan struct{})
+	clk := newFakeClock()
+	cfg := clk.cfg(modeCfg(t.TempDir(), aof))
+	s, addr := startServer(t, cfg, func(s *Server) {
+		if aof {
+			return
+		}
+		s.pst.dumped = func(uint64) {
+			if int(done.Load()) >= writers*ops*3/4 && held.CompareAndSwap(false, true) {
+				<-writersDone
+			}
+		}
+	})
 	key := func(r *rand.Rand) string { return "k" + strconv.Itoa(r.IntN(nkeys)) }
 
 	var wg sync.WaitGroup
@@ -284,6 +330,7 @@ func TestPersistRecoveredEqualsLive(t *testing.T) {
 					t.Errorf("%v: %v", cmd, err)
 					return
 				}
+				done.Add(1)
 			}
 		}()
 	}
@@ -296,9 +343,13 @@ func TestPersistRecoveredEqualsLive(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	wg.Wait()
+	close(writersDone)
 	waitSave(t, s)
 	if saves == 0 {
 		t.Fatal("no BGSAVE started while the writers ran")
+	}
+	if !aof && !held.Load() {
+		t.Fatal("no dump's walk was held across the churn's tail")
 	}
 
 	type state struct{ val, pttl string }
@@ -374,4 +425,225 @@ func TestPersistReplaysOldRenameRecords(t *testing.T) {
 	c.mustBulk("2", "GET", "a")
 	c.mustInt(-1, "PTTL", "a")
 	c.mustInt(2, "DBSIZE")
+}
+
+// parkDump returns a setup that parks a dump's walk once, after its
+// n-th record, while park is set: parked closes, and the walk waits for
+// release.
+func parkDump(n int32, park *atomic.Bool, parked, release chan struct{}) func(*Server) {
+	return func(s *Server) {
+		var records atomic.Int32
+		s.pst.dumped = func(uint64) {
+			if park.Load() && records.Add(1) == n {
+				close(parked)
+				<-release
+			}
+		}
+	}
+}
+
+// TestPersistCrashMidDumpWithoutAOF: with the AOF off, the writes since
+// the last dump were never logged, so the segment a BGSAVE logs its
+// dump's writes to must stay out of every manifest until the base
+// swing. SAVE sees x; SET a is not logged; BGSAVE parks its walk, and
+// SET b lands in the dump's segment, which the test puts on disk as a
+// full buffer might. A crash then must recover exactly what SAVE saw: a
+// manifest naming the segment would recover b without a, a state no
+// prefix of the history held. Once the dump completes, its recipe holds
+// all three.
+func TestPersistCrashMidDumpWithoutAOF(t *testing.T) {
+	dir := t.TempDir()
+	cfg := modeCfg(dir, false)
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	s, addr := startServer(t, cfg, parkDump(1, &park, parked, release))
+	c := dial(t, addr)
+	c.mustSimple("OK", "SET", "x", "1")
+	c.mustSimple("OK", "SAVE")
+	c.mustSimple("OK", "SET", "a", "1")
+	park.Store(true)
+	c.mustSimple("Background saving started", "BGSAVE")
+	await(t, parked, "the dump to write a record")
+	c.mustSimple("OK", "SET", "b", "1")
+	if err := s.pst.aof.Load().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	crash := crashCopy(t, dir)
+	close(release)
+	waitSave(t, s)
+
+	_, addr2 := startServer(t, modeCfg(crash, false))
+	c2 := dial(t, addr2)
+	c2.mustBulk("1", "GET", "x")
+	c2.mustNull("GET", "a")
+	c2.mustNull("GET", "b")
+	c2.mustInt(1, "DBSIZE")
+
+	_, addr3 := restart(t, s, cfg)
+	dial(t, addr3).mustInt(3, "DBSIZE")
+}
+
+// TestPersistRestartAcrossAOFModes: a data directory written with the
+// AOF off, its recipe a base and the segment of the writes made during
+// the dump, restarts with the AOF on and takes that segment into its
+// chain; the directory that run leaves restarts with the AOF off. After
+// each restart every key's GET and PTTL equal their values before the
+// shutdown.
+func TestPersistRestartAcrossAOFModes(t *testing.T) {
+	clk := newFakeClock()
+	dir := t.TempDir()
+	off, on := clk.cfg(modeCfg(dir, false)), clk.cfg(modeCfg(dir, true))
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	s, addr := startServer(t, off, parkDump(4, &park, parked, release))
+	c := dial(t, addr)
+	c.mustSimple("OK", "MSET", "a", "1", "b", "2", "c", "3")
+	c.mustSimple("OK", "SETEX", "t", "100", "x")
+	park.Store(true)
+	c.mustSimple("Background saving started", "BGSAVE")
+	await(t, parked, "the dump to write every key")
+	// The walk has passed every key: only the segment holds these.
+	c.mustSimple("OK", "SET", "a", "1b")
+	c.mustInt(1, "DEL", "b")
+	c.mustSimple("OK", "SETEX", "u", "200", "y")
+	c.mustInt(1, "EXPIRE", "t", "300")
+	c.mustSimple("OK", "RENAME", "c", "d")
+	close(release)
+	waitSave(t, s)
+	m, _, err := persist.ReadManifest(dir)
+	if err != nil || len(m.Incrs) != 1 {
+		t.Fatalf("manifest %+v (%v): want a base and the dump's segment", m, err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, m.Incrs[0])); err != nil || st.Size() == 0 {
+		t.Fatalf("the dump's segment %s is empty or missing (%v): the premise needs its records", m.Incrs[0], err)
+	}
+
+	state := func(c *testClient) string {
+		var b strings.Builder
+		for _, k := range []string{"a", "b", "c", "d", "t", "u", "v"} {
+			fmt.Fprintf(&b, "%s=%s/%s ", k, c.do("GET", k), c.do("PTTL", k))
+		}
+		return b.String()
+	}
+	live := state(c)
+	s2, addr2 := restart(t, s, on)
+	c2 := dial(t, addr2)
+	if got := state(c2); got != live {
+		t.Fatalf("AOF off, then on: recovered %s; before the shutdown %s", got, live)
+	}
+	c2.mustSimple("OK", "SET", "a", "1c")
+	c2.mustInt(1, "PERSIST", "t")
+	c2.mustSimple("OK", "SET", "v", "z")
+	live = state(c2)
+	_, addr3 := restart(t, s2, off)
+	if got := state(dial(t, addr3)); got != live {
+		t.Fatalf("AOF on, then off: recovered %s; before the shutdown %s", got, live)
+	}
+}
+
+// TestPersistSealBeforeSwap: commitAOF takes no lock, so a batch
+// appended to the old segment can be committed once a rotation has
+// begun. A session with no connection appends SET k v and never
+// commits; in the middle of the rotation the test commits as that
+// batch's boundary would, and copies the directory as a crash would
+// leave it. The commit acknowledged k, so the copy must recover it. A
+// rotation that swapped segments before sealing the old one would let
+// the commit flush the new, empty segment while k's record sat in the
+// old one's buffer.
+func TestPersistSealBeforeSwap(t *testing.T) {
+	dir := t.TempDir()
+	committed, crash := make(chan bool, 1), make(chan string, 1)
+	s, addr := startServer(t, persistCfg(dir), func(s *Server) {
+		s.pst.rotating = func() {
+			committed <- s.commitAOF()
+			crash <- crashCopy(t, dir)
+		}
+	})
+	var replies bytes.Buffer
+	newSession(s, resp.NewWriter(bufio.NewWriter(&replies))).dispatch([][]byte{[]byte("SET"), []byte("k"), []byte("v")})
+	dial(t, addr).mustSimple("OK", "SAVE")
+	if !await(t, committed, "the rotation") {
+		t.Fatal("a batch commit during the rotation failed")
+	}
+	_, addr2 := startServer(t, persistCfg(await(t, crash, "the crash copy")))
+	dial(t, addr2).mustBulk("v", "GET", "k")
+}
+
+// TestPersistSwapWaitsForEveryStripe parks a write between its keyspace
+// update and its append while p.aof is swapped. The swap takes every
+// stripe, so it waits for the write's append; one that did not would
+// seal the segment under the write, whose append then fails.
+//   - rotation (AOF on): the failed append would degrade the AOF, and
+//     the next write would be refused with -MISCONF.
+//   - drain (AOF off): the walk has passed k1 and k2 when SET k1 parks
+//     and SET k2 lands; the failed append would leave the new k1 out of
+//     the dump's segment, and recovery would hold the later write to k2
+//     without the earlier one to k1.
+func TestPersistSwapWaitsForEveryStripe(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		aof  bool
+	}{{"rotation", true}, {"drain", false}} {
+		t.Run(tc.name, func(t *testing.T) { swapWaitsForEveryStripe(t, tc.aof) })
+	}
+}
+
+func swapWaitsForEveryStripe(t *testing.T, aof bool) {
+	cfg := modeCfg(t.TempDir(), aof)
+	var park atomic.Bool
+	walked, releaseWalk := make(chan struct{}), make(chan struct{})
+	parked, release := make(chan struct{}), make(chan struct{})
+	var appends atomic.Int32
+	s, addr := startServer(t, cfg, parkDump(2, &park, walked, releaseWalk), func(s *Server) {
+		s.pst.beforeAppend = func() {
+			if park.Load() && appends.Add(1) == 1 {
+				close(parked)
+				<-release
+			}
+		}
+	})
+	a, b := dial(t, addr), dial(t, addr)
+	a.mustSimple("OK", "MSET", "k1", "old", "k2", "old")
+	park.Store(true)
+	var doneA, save <-chan string
+	if aof {
+		// A's append is parked before the rotation starts; the walk runs
+		// free.
+		close(releaseWalk)
+		doneA = send(a, "SET", "k1", "new")
+		await(t, parked, "SET k1 to reach its append")
+		save = send(b, "BGSAVE")
+	} else {
+		// The walk has passed both keys; A parks, B lands, the walk ends.
+		b.mustSimple("Background saving started", "BGSAVE")
+		await(t, walked, "the dump to pass k1 and k2")
+		doneA = send(a, "SET", "k1", "new")
+		await(t, parked, "SET k1 to reach its append")
+		b.mustSimple("OK", "SET", "k2", "new")
+		close(releaseWalk)
+	}
+	// Time for a swap that does not wait for A to finish.
+	var early string
+	select {
+	case early = <-save:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if got := await(t, doneA, "SET k1's reply"); got != "OK" {
+		t.Fatalf("SET k1 replied %s, want OK", got)
+	}
+	if save != nil && early == "" {
+		early = await(t, save, "BGSAVE's reply")
+	}
+	if save != nil && early != "Background saving started" {
+		t.Fatalf("BGSAVE replied %s", early)
+	}
+	waitSave(t, s)
+	b.mustSimple("OK", "SET", "k3", "later")
+	_, addr2 := restart(t, s, cfg)
+	c := dial(t, addr2)
+	c.mustBulk("new", "GET", "k1")
+	if !aof {
+		c.mustBulk("new", "GET", "k2")
+	}
 }

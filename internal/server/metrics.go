@@ -149,10 +149,10 @@ func (s *Server) stats() []stat {
 		var size int64
 		segs := 0
 		if p.aofOn {
-			p.mu.Lock()
-			if p.aof != nil {
-				size = p.aof.Size()
+			if a := p.aof.Load(); a != nil {
+				size = a.Size()
 			}
+			p.mu.Lock()
 			segs = p.dir.Segments()
 			p.mu.Unlock()
 		}

@@ -9,100 +9,101 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbtrie"
-	"nbtrie/internal/expiry"
 	"nbtrie/internal/persist"
 	"nbtrie/internal/resp"
 )
 
 // Durability orchestration: when the server calls persist.Dir, and
 // under which locks. The directory itself — its file names, manifest,
-// sequence numbers and sweep — is Dir's; this file keeps the rotation
-// gate, the key stripes, group commit before the reply flush, -MISCONF
-// degradation, the command-table replay and BGSAVE's lifecycle.
-// Rotation runs under gate.Lock, and every call into Dir but the dump's
-// streaming runs under persister.mu.
+// sequence numbers and sweep — is Dir's; this file keeps the key
+// stripes, group commit before the reply flush, -MISCONF degradation,
+// the command-table replay and BGSAVE's lifecycle. Every call into Dir
+// but the dump's streaming runs under persister.mu.
 //
-// # The rotation and absorbing records
+// # The key stripes and the rotation
 //
-// Recovery is "load the base dump, then replay the AOF chain". Every
-// mutating command holds gate.RLock across its map update AND its AOF
-// append, and a rotation holds gate.Lock while Dir.Rotate (a) opens a
-// fresh AOF segment and (b) commits the manifest listing it, and while
-// the server (c) seals the old segment (flush + fsync + close). Every
-// mutation therefore lies entirely before the rotation (its map update
-// applied, its record durable in an old segment the next manifest
-// drops) or entirely after it (its record in the new segment). Writers
-// are quiesced for those three steps, a handful of file operations
-// whose cost is bounded by one batch's buffered appends, independent of
-// data size, and with the AOF on for one more drain when the dump ends
-// (the base swing, under Crash windows).
+// Recovery is "load the base dump, then replay the AOF chain". With
+// persistence configured, every mutating command holds the stripes of
+// the keys it names (lockKeys: 64 mutexes by the trie key's low bits,
+// taken in ascending order) from its map update through its append, so
+// a key's records lie in a segment in the order its state changed:
+// without them two sessions could store k=a, then k=b, and append b
+// before a, and replay would recover a. Every mutation holds at least
+// one stripe, so a holder of all 64 knows that no mutation is between
+// its update and its append. p.aof, the segment mutations append to,
+// changes only under all 64, so a mutation sees one segment, or none,
+// from its update through its append.
 //
-// With the AOF on, the dump then walks the live keyspace with no lock
-// held while writers carry on. The walk reads each key's leaf at most
-// once, at some instant after the rotation, so for each key the dump
-// holds the state after some prefix of the key's records in the new
-// segment: absent when the walk passed the key while it was absent.
-// Replaying the whole segment over any such state yields the live
-// state, because every record is absorbing for each key it names: the
-// last record that names a key fixes what replay leaves there whatever
-// state it starts from. A blind write (SET, MSET, DEL, RENAME's effect
-// form below) fixes the whole state. A deadline change (PEXPIREAT,
-// PERSIST) is logged only for a key that is present and fixes the
-// deadline; every state since the key's last blind write, or since the
-// rotation when there is none, holds the same value, so the value the
-// walk read is that value. Two rules keep every record absorbing:
+// A rotation takes every stripe while Dir.Rotate (a) opens a fresh
+// segment and, with the AOF on, (b) commits the manifest listing it,
+// and while the server (c) seals the old segment (flush + fsync +
+// close) and (d) swaps p.aof to the new one. Every mutation therefore
+// lies entirely before the rotation (its map update applied, its record
+// if any in an old segment the next manifest drops) or entirely after
+// it (its record in the new segment). Writers are stopped for those
+// steps, a handful of file operations bounded by one batch's buffered
+// appends, and for one drain when the dump ends (under Crash windows).
+// Step (c) comes before step (d) because commitAOF takes no lock: a
+// batch appended before the swap can be committed after it, against the
+// new segment, so its records must be durable by then; a commit that
+// loads the sealed segment gets the seal's result (persist.AOF.Close).
 //
-//   - The key stripes. With the AOF on, a mutation holds the stripes of
-//     the keys it names (lockKeys: 64 mutexes by the trie key's low
-//     bits, taken in ascending order) from its map update through its
-//     append, so a key's records lie in the segment in the order its
-//     state changed. Without them two sessions could store k=a, then
-//     k=b, and append b before a: replay would recover a.
-//   - RENAME is logged as its effect, in one record: RENAME old new
-//     value deadline, a delete of old and a store of new. Replaying the
-//     move itself is not absorbing: a walk that passes b, then RENAME a
-//     b, SET a 2, then the walk reading a=2, would replay as b=2.
+// With the AOF off no segment is current between dumps, and mutations
+// log nothing. A BGSAVE's rotation opens a segment scoped to the dump,
+// and mutations append to it while the dump runs; no client is
+// acknowledged against it, so it has no group commit. The drain before
+// the base swing stores nil into p.aof, then syncs and seals it, and
+// the new recipe is the base plus that segment. Until then no manifest
+// names it: the writes before the rotation were never logged, so the
+// old base followed by the segment is a state no prefix of the history
+// held. A failed append or sync on it fails the dump
+// (rdb_last_bgsave_status), never the server (-MISCONF).
 //
-// Purges (lazy or swept) are not logged and need no stripe: they remove
-// only a due key, which recovery's opening reaper pass removes again.
+// # The live dump and absorbing records
 //
-// With the AOF off nothing replays after the dump, and a fuzzy walk
-// could lose a key outright, moved by a RENAME to a place the walk had
-// passed. So the rotation also takes a snapshot under the gate, one cut
-// of every leaf's value and deadline, and the dump streams from it and
-// releases it.
-//
-// Step (c) inside the gate is load-bearing: batch commits (commitAOF)
-// also run under gate.RLock against whatever segment is current, so a
-// pre-swap append can only be acknowledged after either its own
-// segment's commit or the rotation's seal has made it durable.
+// The dump walks the live keyspace with no lock held while writers
+// carry on. The walk reads each key's leaf at most once, at some
+// instant after the rotation, so for each key the dump holds the state
+// after some prefix of the key's records in the new segment: absent
+// when the walk passed the key while it was absent. Replaying the whole
+// segment over any such state yields the live state, because every
+// record is absorbing for each key it names: the last record that names
+// a key fixes what replay leaves there whatever state it starts from. A
+// blind write (SET, MSET, DEL, RENAME's effect form below) fixes the
+// whole state. A deadline change (PEXPIREAT, PERSIST) is logged only for
+// a key that is present and fixes the deadline; every state since the
+// key's last blind write, or since the rotation when there is none,
+// holds the same value, so the value the walk read is that value. The
+// stripes keep every record absorbing, and so does RENAME's record, its
+// effect: RENAME old new value deadline, a delete of old and a store of
+// new. Replaying the move itself is not absorbing: a walk that passes
+// b, then RENAME a b, SET a 2, then the walk reading a=2, would replay
+// as b=2. Purges (lazy or swept) are not logged and need no stripe:
+// they remove only a due key, which recovery's opening reaper pass
+// removes again.
 //
 // # Crash windows
 //
-//   - Mid-dump: the manifest committed in step (b) still names the old
-//     base plus the WHOLE segment chain including the new segment, so a
-//     crash recovers everything acknowledged up to the crash. The
-//     half-written dump is an unreferenced temp file; recovery ignores
-//     it and OpenDir's sweep removes it, as it does a segment opened
-//     in step (a) whose manifest never committed.
-//   - At the base swing, with the AOF on: the live walk may have read
-//     writes whose records are still in the segment's buffer, or not yet
-//     appended. Were the dump made the base then, a crash would lose
-//     those records and recover a state that never existed: a walk that
-//     reads a=1, then (after RENAME a b) b=1, recovers both keys if the
-//     RENAME record is lost. So before the swing the dump takes and
-//     drops gate.Lock, which waits for every update in flight to
-//     append, and then syncs the segment, so every write the base holds
-//     is on disk in the segment the new recipe keeps
-//     (TestPersistCrashAtBaseSwing). A failed sync degrades the AOF and
-//     fails the dump.
+//   - Mid-dump: with the AOF on, the manifest committed in step (b)
+//     names the old base plus the WHOLE chain including the new
+//     segment, so a crash recovers everything acknowledged up to the
+//     crash; with it off, the old recipe exactly. The half-written dump
+//     is an unreferenced temp file, and OpenDir's sweep removes it, as
+//     it does an unnamed segment.
+//   - At the base swing: the live walk may have read writes whose
+//     records are still in the segment's buffer, or not yet appended.
+//     Were the dump made the base then, a crash would lose those records
+//     and recover a state that never existed: a walk that reads a=1,
+//     then (after RENAME a b) b=1, recovers both keys if the RENAME
+//     record is lost. So before the swing the dump takes and drops every
+//     stripe, which waits for every update in flight to append, and
+//     then syncs the segment (TestPersistCrashAtBaseSwing). A failed
+//     sync fails the dump, and with the AOF on degrades it.
 //   - After the dump completes, it is fsynced and renamed, then a
-//     second manifest commit swings base to it and drops the
-//     pre-rotation segments. Both manifest commits are atomic
-//     (temp+fsync+rename+dir-fsync), so recovery sees the old or the
-//     new recipe, never a mix. Old files are deleted only after the
-//     commit that stops referencing them.
+//     manifest commit swings base to it and its segment. Manifest
+//     commits are atomic (temp+fsync+rename+dir-fsync), so recovery
+//     sees the old or the new recipe, never a mix. Old files are deleted
+//     only after the commit that stops referencing them.
 //   - Mid-append: the AOF tail tears. Under appendfsync always a torn
 //     record was never acknowledged (the fsync happens before the reply
 //     flush), so truncating it loses nothing a client was promised.
@@ -111,16 +112,16 @@ import (
 //
 // Connections buffer replies per pipelined batch and flush when the
 // parser would block (flushBeforeRead). The AOF commit is hooked into
-// that same moment, BEFORE the reply flush: append (buffered, under
-// gate.RLock) → aof.Commit (write syscall; +fsync under always, itself
-// under gate.RLock — see commitAOF) → reply flush. A client that has
-// seen "+OK" therefore knows the record is at least in the kernel
-// (always: on stable storage) — the classic group-commit pattern, one
-// write+fsync per batch rather than per command. When the commit
-// FAILS, the batch's replies are never flushed: the connection drops,
-// the AOF degrades (stderr + INFO), and dispatch refuses further
-// mutations with -MISCONF — a failed disk can delay or kill client
-// traffic but can never turn into a false acknowledgement.
+// that same moment, BEFORE the reply flush: append (buffered, under the
+// keys' stripes) → aof.Commit (write syscall; +fsync under always; no
+// lock) → reply flush. A client that has seen "+OK" therefore knows the
+// record is at least in the kernel (always: on stable storage) — the
+// classic group-commit pattern, one write+fsync per batch rather than
+// per command. When the commit FAILS, the batch's replies are never
+// flushed: the connection drops, the AOF degrades (stderr + INFO), and
+// dispatch refuses further mutations with -MISCONF — a failed disk can
+// delay or kill client traffic but can never turn into a false
+// acknowledgement.
 
 // PersistConfig enables durability. Zero Dir means disabled.
 type PersistConfig struct {
@@ -138,14 +139,18 @@ type persister struct {
 	s     *Server
 	aofOn bool
 
-	// mu serializes SAVE/BGSAVE/rotation bookkeeping, every call into
-	// dir but SaveBase, and Close; it is never held while streaming a
-	// dump. closed is set by close: from then on save refuses, so no
-	// rotation can reopen the directory.
+	// mu serializes SAVE/BGSAVE/rotation bookkeeping and every call into
+	// dir but SaveBase; it is never held while streaming a dump. closed
+	// is set by close: from then on save refuses, so no rotation can
+	// reopen the directory.
 	mu     sync.Mutex
-	aof    *persist.AOF
 	dir    *persist.Dir
 	closed bool
+
+	// aof is the segment mutations append to: with the AOF on the
+	// current one, with it off the running dump's, else nil. It is
+	// stored only under every stripe (see the top of this file).
+	aof atomic.Pointer[persist.AOF]
 
 	bgActive   atomic.Bool
 	lastSave   atomic.Int64 // unix seconds of the last completed dump
@@ -153,8 +158,7 @@ type persister struct {
 	aofStatus  atomic.Value // string: "ok" or the last append error
 	bgWG       sync.WaitGroup
 
-	// stripes serialize the logged writes of each key while the AOF is
-	// on (lockKeys).
+	// stripes serialize the writes of each key (lockKeys).
 	stripes [stripeCount]stripe
 
 	// applyRecord's scratch (recovery is single-threaded): the upcased
@@ -164,14 +168,20 @@ type persister struct {
 
 	// Test hooks, nil in production and set before Serve: beforeAppend
 	// runs between a logged mutation's map update and its append, dumped
-	// after each record a dump writes, with the record's trie key.
+	// after each record a dump writes, with the record's trie key, and
+	// rotating inside a rotation, between the old segment's seal and the
+	// swap.
 	beforeAppend func()
 	dumped       func(k uint64)
+	rotating     func()
 }
 
 // stripeCount is the number of key stripes: one bit each in a uint64
-// mask.
-const stripeCount = 64
+// mask. allStripes is the mask of every stripe.
+const (
+	stripeCount = 64
+	allStripes  = ^uint64(0)
+)
 
 // stripe is one key stripe's mutex (8 bytes), alone on its cache line.
 type stripe struct {
@@ -186,7 +196,7 @@ func openPersister(s *Server, cfg PersistConfig) (*persister, error) {
 	p := &persister{s: s, aofOn: cfg.AOF}
 	p.saveStatus.Store("ok")
 	p.aofStatus.Store("ok")
-	d, err := persist.OpenDir(cfg.Dir, cfg.AOF, cfg.Fsync, s.cfg.Limits, p.loadEntry, p.applyRecord)
+	d, err := persist.OpenDir(cfg.Dir, cfg.Fsync, s.cfg.Limits, p.loadEntry, p.applyRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +204,11 @@ func openPersister(s *Server, cfg PersistConfig) (*persister, error) {
 	if p.aofOn {
 		// Appends go to a fresh segment committed into the manifest
 		// before the first record can land in it.
-		if _, p.aof, err = d.Rotate(); err != nil {
+		_, seg, err := d.Rotate(true)
+		if err != nil {
 			return nil, err
 		}
+		p.aof.Store(seg)
 	}
 	return p, nil
 }
@@ -324,79 +336,86 @@ func (s *Server) replayPersist(_ [][]byte, ks []uint64) error {
 	return nil
 }
 
-// logging reports whether mutations are logged: the AOF is on.
+// logging reports whether mutations are logged: the AOF is on, or a
+// dump is running. A caller holding a stripe gets an answer that holds
+// until it releases the stripe.
 func (s *Server) logging() bool {
 	p := s.pst
-	return p != nil && p.aofOn
+	return p != nil && p.aof.Load() != nil
 }
 
-// lockKeys takes the stripes of the keys ks while the AOF is on, in
-// ascending order, and returns their mask for unlockKeys; with the AOF
-// off it takes none and returns 0. Callers take gate.RLock first, so no
-// stripe holder ever waits for the gate: one that did could wait on a
-// pending rotation, which waits on a reader of the gate, which waits on
-// that stripe.
+// lockKeys takes the stripes of the keys ks, in ascending order, and
+// returns their mask for unlockKeys; with persistence off it takes none
+// and returns 0.
 func (s *Server) lockKeys(ks ...uint64) (m uint64) {
-	if !s.logging() {
+	if s.pst == nil {
 		return 0
 	}
 	for _, k := range ks {
 		m |= 1 << (k % stripeCount)
 	}
-	for r := m; r != 0; r &= r - 1 {
-		s.pst.stripes[bits.TrailingZeros64(r)].Lock()
-	}
+	s.pst.lock(m)
 	return m
 }
 
-// unlockKeys releases the stripes lockKeys took.
-func (s *Server) unlockKeys(m uint64) {
+// unlockKeys releases the stripes lockKeys took (none, with s.pst nil).
+func (s *Server) unlockKeys(m uint64) { s.pst.unlock(m) }
+
+// lock takes the stripes of mask m in ascending order: the one order
+// every holder follows, so no two wait on each other.
+func (p *persister) lock(m uint64) {
 	for ; m != 0; m &= m - 1 {
-		s.pst.stripes[bits.TrailingZeros64(m)].Unlock()
+		p.stripes[bits.TrailingZeros64(m)].Lock()
 	}
 }
 
-// appendMutation records one acknowledged mutation. Callers hold
-// gate.RLock and the stripes of the keys it names across the map update
-// and this call (see the top of this file); that RLock is also what
-// makes reading p.aof safe, since rotations swap it under gate.Lock.
+func (p *persister) unlock(m uint64) {
+	for ; m != 0; m &= m - 1 {
+		p.stripes[bits.TrailingZeros64(m)].Unlock()
+	}
+}
+
+// appendMutation records one mutation in p.aof, if a segment is
+// current. Callers hold the stripes of the keys it names across the map
+// update and this call (see the top of this file), so the segment is
+// the one that was current at the update.
 func (s *Server) appendMutation(args ...[]byte) {
-	if !s.logging() {
+	p := s.pst
+	if p == nil {
 		return
 	}
-	p := s.pst
+	a := p.aof.Load()
+	if a == nil {
+		return
+	}
 	if p.beforeAppend != nil {
 		p.beforeAppend()
 	}
-	if err := p.aof.Append(args...); err != nil {
+	if err := a.Append(args...); err != nil {
 		p.degradeAOF(err)
 	}
 }
 
-// commitAOF is the batch-boundary hook: everything appended since the
-// last commit reaches the file (and stable storage, under always)
-// before the replies for the batch are flushed. It holds gate.RLock so
-// the p.aof read is ordered against rotations: a rotation seals the
-// previous segment before releasing the gate, so the segment committed
-// here either is the one this batch appended to, or post-dates a seal
-// that already made those appends durable — a post-swap commit can
-// never acknowledge records still buffered in the pre-swap segment.
+// commitAOF is the batch-boundary hook: with the AOF on, everything
+// appended since the last commit reaches the file (and stable storage,
+// under always) before the replies for the batch are flushed. It takes
+// no lock (see the top of this file for why the seal before the swap
+// makes that safe).
 //
 // A false return means the commit failed and the batch's replies MUST
 // NOT be flushed: they would acknowledge writes that never became
 // durable. Callers drop the connection instead.
 func (s *Server) commitAOF() (ok bool) {
-	if !s.logging() {
+	p := s.pst
+	if p == nil || !p.aofOn {
 		return true
 	}
-	p := s.pst
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if p.aof == nil {
+	a := p.aof.Load()
+	if a == nil {
 		return true
 	}
 	start := time.Now()
-	if err := p.aof.Commit(); err != nil {
+	if err := a.Commit(); err != nil {
 		p.degradeAOF(err)
 		return false
 	}
@@ -412,15 +431,18 @@ func (s *Server) commitAOF() (ok bool) {
 // refuses every mutating command with -MISCONF (persistDegraded below):
 // the server never keeps silently acking writes it can no longer make
 // durable. Reads keep working; recovery is operator action + restart.
+// With the AOF off the failing segment is a dump's: its error sticks,
+// the drain's sync returns it, and it fails that dump instead.
 func (p *persister) degradeAOF(err error) {
-	if p.aofStatus.CompareAndSwap("ok", err.Error()) {
+	if p.aofOn && p.aofStatus.CompareAndSwap("ok", err.Error()) {
 		fmt.Fprintf(os.Stderr, "nbtried: AOF write failed; refusing further mutations (-MISCONF) until restart: %v\n", err)
 	}
 }
 
 // persistDegraded reports whether the AOF has recorded a write error.
 func (s *Server) persistDegraded() bool {
-	return s.logging() && s.pst.aofStatus.Load() != "ok"
+	p := s.pst
+	return p != nil && p.aofStatus.Load() != "ok"
 }
 
 // misconf answers the Redis-style refusal for mutations while the AOF
@@ -434,8 +456,8 @@ func (s *Server) misconf(w *resp.Writer) {
 // save runs a dump cycle. background=false is SAVE: the dump streams
 // before save returns. background=true is BGSAVE: save returns once the
 // rotation is done and a goroutine streams the dump. In both modes
-// mutators are quiesced only for the rotation and, with the AOF on, the
-// drain before the base swing.
+// mutators are stopped only for the rotation and the drain before the
+// base swing.
 func (p *persister) save(background bool) error {
 	p.mu.Lock()
 	if p.closed {
@@ -447,44 +469,32 @@ func (p *persister) save(background bool) error {
 		return fmt.Errorf("a background save is already in progress")
 	}
 
-	// Rotation, under the write gate: fresh segment, conservative
-	// manifest (old base + whole chain + fresh segment), and with the
-	// AOF off the snapshot.
-	p.s.gate.Lock()
-	seq, seg, err := p.dir.Rotate()
+	// The rotation, under every stripe: a fresh segment (with the AOF on,
+	// named in the conservative manifest: old base + whole chain + fresh
+	// segment), the old segment sealed, then the swap. The dump then
+	// walks the live keyspace, and the fresh segment replays over
+	// whatever the walk reads (see the top of this file).
+	p.lock(allStripes)
+	seq, seg, err := p.dir.Rotate(p.aofOn)
 	if err != nil {
-		p.s.gate.Unlock()
+		p.unlock(allStripes)
 		p.mu.Unlock()
 		return err
 	}
-	// With the AOF on the dump walks the live keyspace: the new segment
-	// replays over whatever the walk reads (see the top of this file).
-	// With it off, one snapshot: each leaf holds its key's value and
-	// deadline, so the dump's (value, deadline) pairs are one cut.
-	var snap *nbtrie.MapSnapshot[expiry.Value]
-	if !p.aofOn {
-		snap = p.s.db.Snapshot()
-	}
-	if seg != nil {
-		// Seal (flush + fsync + close) the old segment BEFORE releasing
-		// the gate. commitAOF runs under gate.RLock and commits whatever
-		// p.aof points to, so a batch appended pre-swap can be committed
-		// — and its replies acknowledged — against the NEW segment only.
-		// Sealing inside the gate makes those pre-swap records durable
-		// before any such acknowledgement is possible; sealing after the
-		// unlock would leave a window where a crash loses acked bytes
-		// still sitting in the old segment's write buffer.
-		old := p.aof
-		p.aof = seg
-		if old != nil {
-			old.Close()
+	if old := p.aof.Load(); old != nil {
+		if err := old.Close(); err != nil {
+			p.degradeAOF(err)
 		}
 	}
-	p.s.gate.Unlock()
+	if p.rotating != nil {
+		p.rotating()
+	}
+	p.aof.Store(seg)
+	p.unlock(allStripes)
 
 	doDump := func() error {
 		defer p.bgActive.Store(false)
-		err := p.writeDumpAndCommit(snap, seq)
+		err := p.writeDumpAndCommit(seq, seg)
 		if err != nil {
 			p.saveStatus.Store(err.Error())
 			return err
@@ -511,23 +521,17 @@ func (p *persister) save(background bool) error {
 	return nil
 }
 
-// writeDumpAndCommit streams the base dump for seq, from snap or, when
-// snap is nil, from the live keyspace, and swings the manifest to the
-// dump, after syncing the segment when the walk was live. Each record
+// writeDumpAndCommit streams the base dump for seq from the live
+// keyspace, drains the writers, makes seg, the rotation's segment,
+// durable, and swings the manifest to the dump and seg. Each record
 // carries the key's deadline from its leaf (0 = no TTL), so a dump
-// restores TTL state without any AOF record. A snapshot is released
-// whether or not the dump succeeded: writers renew stale nodes only
-// while it is held.
-func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], seq uint64) error {
-	walk := p.s.db.Ascend(0)
-	if snap != nil {
-		walk = snap.All()
-	}
+// restores TTL state without any AOF record.
+func (p *persister) writeDumpAndCommit(seq uint64, seg *persist.AOF) error {
 	err := p.dir.SaveBase(seq, func(fn func(k, v []byte, expireAtMS uint64) bool) {
 		// One key buffer for the whole dump: WriteDump has written the
 		// key out by the time fn returns.
 		var key []byte
-		for k, v := range walk {
+		for k, v := range p.s.db.Ascend(0) {
 			key = BytesKeyer{}.AppendDecode(key[:0], k)
 			if !fn(key, v.B, uint64(v.DeadlineMS())) {
 				return
@@ -537,25 +541,27 @@ func (p *persister) writeDumpAndCommit(snap *nbtrie.MapSnapshot[expiry.Value], s
 			}
 		}
 	})
-	if snap != nil {
-		snap.Release()
+	// The walk may have read writes whose records are still buffered or
+	// not yet appended. Make them durable before the dump becomes the
+	// base: every stripe waits for each update in flight to finish its
+	// append, and the sync after it puts those records on disk. Writers
+	// wait for the drain, not the fsync. With the AOF off the dump's
+	// segment takes no record after the drain, and its sync is its seal.
+	p.lock(allStripes)
+	end := seg.Sync
+	if !p.aofOn {
+		p.aof.Store(nil)
+		end = seg.Close
+	}
+	p.unlock(allStripes)
+	if serr := end(); serr != nil {
+		p.degradeAOF(serr)
+		if err == nil {
+			err = serr
+		}
 	}
 	if err != nil {
 		return err
-	}
-	if snap == nil {
-		// The live walk may have read writes whose records are still
-		// buffered or not yet appended. Make them durable before the
-		// dump becomes the base: gate.Lock waits for every update in
-		// flight to finish its append, and the Sync after it puts those
-		// records on disk. Writers wait for the drain, not the fsync.
-		p.s.gate.Lock()
-		aof := p.aof
-		p.s.gate.Unlock()
-		if err = aof.Sync(); err != nil {
-			p.degradeAOF(err)
-			return err
-		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -594,24 +600,18 @@ func (s *Server) StartPeriodicSave(period time.Duration) (stop func()) {
 }
 
 // close seals the persister: refuses every later save, waits for an
-// in-flight background dump and syncs+closes the current segment.
-// Called after every connection goroutine has drained, so no append can
-// race it.
+// in-flight background dump and seals the current segment. Called after
+// every connection goroutine has drained, so no append can race it; it
+// takes every stripe all the same, as every store into p.aof does.
 func (p *persister) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	p.bgWG.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// gate.Lock keeps the p.aof write ordered with commitAOF's
-	// gate.RLock reads (same mu→gate order as save's rotation); by the
-	// time close runs the connections are drained, so this is
-	// belt-and-braces for the race detector, not a live contention.
-	p.s.gate.Lock()
-	defer p.s.gate.Unlock()
-	if p.aof != nil {
-		p.aof.Close()
-		p.aof = nil
+	p.lock(allStripes)
+	defer p.unlock(allStripes)
+	if a := p.aof.Load(); a != nil {
+		a.Close()
+		p.aof.Store(nil)
 	}
 }

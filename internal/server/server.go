@@ -5,11 +5,12 @@
 // It is the first layer of the ROADMAP's "production-scale system
 // serving heavy traffic": the paper's lock-free engine does the
 // synchronization, and every connection goroutine calls straight into
-// the trie. The one lock on the data path is the persistence gate (see
-// persist.go), which every mutation holds shared across its keyspace
-// update and AOF append so that a dump rotation can cut between whole
-// mutations; with the AOF on, a mutation also holds its keys' stripes
-// over the same span, so each key's records follow its updates.
+// the trie. With persistence on, the one lock on the data path is the
+// key stripes (see persist.go): a mutation holds its keys' stripes
+// across its keyspace update and AOF append, so each key's records
+// follow its updates, and a dump rotation, which takes every stripe,
+// cuts between whole mutations. With persistence off a mutation takes
+// no lock.
 //
 // # Connection model and pipelining
 //
@@ -104,13 +105,7 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// gate is the persistence boundary (see persist.go): mutating
-	// commands hold RLock across map update + AOF append; a dump
-	// rotation holds Lock while it opens a segment, commits the manifest
-	// and seals the old segment. With persistence off it is an
-	// uncontended RLock — a few nanoseconds per mutation.
-	gate sync.RWMutex
-	pst  *persister // nil when persistence is disabled
+	pst *persister // nil when persistence is disabled
 
 	totalConns atomic.Int64
 
