@@ -135,9 +135,6 @@ func (s *Snapshot[K, V]) Release() {
 // Released reports whether Release has been called.
 func (s *Snapshot[K, V]) Released() bool { return s.released.Load() }
 
-// Gen returns the snapshot's generation (diagnostics and tests).
-func (s *Snapshot[K, V]) Gen() uint64 { return s.gen }
-
 // Len returns the number of live user keys at the snapshot's
 // linearization point. Exact: the count was read inside the barrier,
 // with no mutation in flight.

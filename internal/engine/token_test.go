@@ -80,9 +80,11 @@ func tokenPool(span uint32) []uint64 {
 // (each Figure 6 case at spans 1 and 4, wide case 3 included, fills,
 // clears, contractions and renewals) and then over a concurrent battery
 // at spans 1 and 4: four writers Insert, Delete, Store and Replace over a
-// small key pool while a fifth takes and releases snapshots, so writers
-// renew stale nodes. No (target, child) pair may be unflagged twice, and
-// the trie must validate afterwards, the token check included.
+// small key pool while a fifth takes and releases snapshots. The pool is
+// prefilled and one snapshot taken before the writers start is held
+// until they finish, so every writer meets stale nodes and renews them
+// whatever the schedule. No (target, child) pair may be unflagged twice,
+// and the trie must validate afterwards, the token check included.
 func TestHelpUnflagTokensNeverRepeat(t *testing.T) {
 	shapes := recordUnflags(t)
 	for _, c := range shapeCases {
@@ -95,6 +97,10 @@ func TestHelpUnflagTokensNeverRepeat(t *testing.T) {
 		width := map[uint32]uint32{1: 7, 4: 15}[span]
 		tr := karyNew(t, width, span)
 		pool := tokenPool(span)
+		for _, e := range pool {
+			tr.Insert(u(e))
+		}
+		held := tr.Trie.Snapshot()
 		const writers, ops = 4, 1500
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
@@ -135,6 +141,7 @@ func TestHelpUnflagTokensNeverRepeat(t *testing.T) {
 			}(int64(span)*100 + int64(w))
 		}
 		wg.Wait()
+		held.Release()
 		close(stop)
 		if n := <-snaps; n == 0 {
 			t.Errorf("span %d: no snapshot was taken during the battery", span)

@@ -246,23 +246,22 @@ func (x *Index) purge(k uint64, nowMS int64) bool {
 
 // ---- writes ----
 
-// Store binds k to v with no deadline (SET): one Swap. It returns false
-// only for an out-of-range k.
-func (x *Index) Store(k uint64, v []byte) bool {
-	old, _, ok := x.db.Swap(k, Value{B: v})
-	if old.At != 0 {
-		x.armedN.Add(-1)
-	}
-	return ok
-}
+// Store binds k to v with no deadline: StoreDeadline(k, v, 0).
+func (x *Index) Store(k uint64, v []byte) bool { return x.StoreDeadline(k, v, 0) }
 
-// StoreDeadline binds k to v armed at deadlineMS (SETEX): one Swap
-// publishes value and deadline together. It returns false only for an
-// out-of-range k.
+// StoreDeadline binds k to v armed at deadlineMS (SET, SETEX and every
+// store recovery makes): one Swap publishes value and deadline together.
+// A deadlineMS of 0 means no deadline, as it does in Value.At, in a dump
+// record and in RENAME's record; a negative one clamps to 1, armed and
+// already due. It returns false only for an out-of-range k.
 func (x *Index) StoreDeadline(k uint64, v []byte, deadlineMS int64) bool {
-	old, _, ok := x.db.Swap(k, Value{B: v, At: clampDeadline(deadlineMS)})
-	if ok && old.At == 0 {
-		x.armedN.Add(1)
+	var at uint64
+	if deadlineMS != 0 {
+		at = clampDeadline(deadlineMS)
+	}
+	old, _, ok := x.db.Swap(k, Value{B: v, At: at})
+	if d := armed(at) - armed(old.At); ok && d != 0 {
+		x.armedN.Add(d)
 	}
 	return ok
 }

@@ -177,6 +177,10 @@ func TestClamping(t *testing.T) {
 	if d := deadline(x, 2); d != MaxDeadlineMS {
 		t.Fatalf("huge deadline clamped to %d, want %d", d, MaxDeadlineMS)
 	}
+	x.StoreDeadline(3, nil, 0)
+	if d := deadline(x, 3); d != 0 {
+		t.Fatalf("deadline 0 stored as %d, want 0: no deadline", d)
+	}
 	if x.ArmedKeys() != 2 {
 		t.Fatalf("%d armed keys, want 2", x.ArmedKeys())
 	}

@@ -63,9 +63,8 @@ func FuzzEncodeStringPrefixFree(f *testing.F) {
 }
 
 // FuzzMortonRoundTrip: Interleave2/Deinterleave2 are mutually inverse
-// bijections (both directions), ditto the 3-D pair on its 21-bit
-// domain, and MortonCodec Encode/Decode round-trips with order
-// preserved.
+// bijections (both directions), and MortonCodec Encode/Decode
+// round-trips with order preserved.
 func FuzzMortonRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint64(0))
 	f.Add(^uint32(0), ^uint32(0), ^uint64(0))
@@ -80,12 +79,6 @@ func FuzzMortonRoundTrip(f *testing.F) {
 		mx, my := Deinterleave2(m)
 		if got := Interleave2(mx, my); got != m {
 			t.Fatalf("Interleave2(Deinterleave2(%#x)) = %#x", m, got)
-		}
-		// 3-D on the 21-bit domain.
-		x3, y3, z3 := x&0x1fffff, y&0x1fffff, uint32(m)&0x1fffff
-		gx3, gy3, gz3 := Deinterleave3(Interleave3(x3, y3, z3))
-		if gx3 != x3 || gy3 != y3 || gz3 != z3 {
-			t.Fatalf("3-D round trip (%d,%d,%d) -> (%d,%d,%d)", x3, y3, z3, gx3, gy3, gz3)
 		}
 		// MortonKey encode/decode and order.
 		if got := (MortonCodec{}).Decode(morton(m)); got != m {

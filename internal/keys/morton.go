@@ -19,17 +19,6 @@ func Deinterleave2(m uint64) (x, y uint32) {
 	return uint32(compact1(m)), uint32(compact1(m >> 1))
 }
 
-// Interleave3 interleaves the low 21 bits of x, y and z into a 63-bit
-// Morton code.
-func Interleave3(x, y, z uint32) uint64 {
-	return spread2(uint64(x)) | spread2(uint64(y))<<1 | spread2(uint64(z))<<2
-}
-
-// Deinterleave3 inverts Interleave3.
-func Deinterleave3(m uint64) (x, y, z uint32) {
-	return uint32(compact2(m)), uint32(compact2(m >> 1)), uint32(compact2(m >> 2))
-}
-
 // spread1 spaces the low 32 bits of v one position apart.
 func spread1(v uint64) uint64 {
 	v &= 0xffffffff
@@ -49,27 +38,5 @@ func compact1(v uint64) uint64 {
 	v = (v | v>>4) & 0x00ff00ff00ff00ff
 	v = (v | v>>8) & 0x0000ffff0000ffff
 	v = (v | v>>16) & 0x00000000ffffffff
-	return v
-}
-
-// spread2 spaces the low 21 bits of v two positions apart.
-func spread2(v uint64) uint64 {
-	v &= 0x1fffff
-	v = (v | v<<32) & 0x1f00000000ffff
-	v = (v | v<<16) & 0x1f0000ff0000ff
-	v = (v | v<<8) & 0x100f00f00f00f00f
-	v = (v | v<<4) & 0x10c30c30c30c30c3
-	v = (v | v<<2) & 0x1249249249249249
-	return v
-}
-
-// compact2 inverts spread2, gathering every third bit of v.
-func compact2(v uint64) uint64 {
-	v &= 0x1249249249249249
-	v = (v | v>>2) & 0x10c30c30c30c30c3
-	v = (v | v>>4) & 0x100f00f00f00f00f
-	v = (v | v>>8) & 0x1f0000ff0000ff
-	v = (v | v>>16) & 0x1f00000000ffff
-	v = (v | v>>32) & 0x1fffff
 	return v
 }

@@ -34,19 +34,6 @@ func TestInterleave2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestInterleave3RoundTrip(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		x &= 0x1fffff
-		y &= 0x1fffff
-		z &= 0x1fffff
-		gx, gy, gz := Deinterleave3(Interleave3(x, y, z))
-		return gx == x && gy == y && gz == z
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMortonLocality(t *testing.T) {
 	// Points that share high coordinate bits share Morton prefixes: the
 	// defining property that makes Morton keys useful in a Patricia trie.

@@ -407,6 +407,8 @@ func FuzzAOFReplay(f *testing.F) {
 	// A rename is logged as its effect: old, new, the moved value and
 	// its deadline.
 	w.WriteCommand([]byte("RENAME"), []byte("key"), []byte("new"), []byte("value"), []byte("1700000000000"))
+	// A SETEX is one record: the value and its absolute deadline.
+	w.WriteCommand([]byte("SET"), []byte("key"), []byte("value"), []byte("PXAT"), []byte("1700000000000"))
 	w.Flush()
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-4])

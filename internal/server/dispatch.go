@@ -23,7 +23,8 @@ type command struct {
 	// replay re-applies a logged record of this command during recovery
 	// (nil: the command is never logged under its own name). logMax,
 	// when set, is one more argument count replay accepts: the record
-	// RENAME logs carries the moved value and deadline, too.
+	// RENAME logs carries the moved value and deadline, too, and SETEX's
+	// record is SET key value PXAT ms.
 	replay func(s *Server, args [][]byte, ks []uint64) error
 	logMax int
 }
@@ -49,7 +50,7 @@ func init() {
 		// → Load: one wait-free descent; the clock is read only for an armed key.
 		{name: "GET", min: 2, max: 2, first: 1, last: 1, step: 1, run: (*session).get},
 		// → Store: one Swap (lock-free upsert); SET is MSET with one pair.
-		{name: "SET", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: (*session).set, replay: (*Server).replaySet},
+		{name: "SET", min: 3, max: 3, first: 1, last: 1, step: 1, write: true, run: (*session).set, replay: (*Server).replaySet, logMax: 5},
 		// → n × Delete: one LoadAndDelete each (lock-free).
 		{name: "DEL", min: 2, max: -1, first: 1, last: -1, step: 1, write: true, run: (*session).del, replay: (*Server).replayDel},
 		// → n × Contains (wait-free).
@@ -78,7 +79,7 @@ func init() {
 		{name: "PTTL", min: 2, max: 2, first: 1, last: 1, step: 1, run: ttlCmd(true)},
 		{name: "PERSIST", min: 2, max: 2, first: 1, last: 1, step: 1, write: true, run: (*session).persistCmd, replay: (*Server).replayPersist},
 		// → StoreDeadline: one Swap of value and deadline together; logged
-		// as SET + PEXPIREAT.
+		// as one record, SET key value PXAT ms.
 		{name: "SETEX", min: 4, max: 4, first: 1, last: 1, step: 1, write: true, run: (*session).setex},
 		// → Load; only the re-arming and disarming options are refused
 		// while the AOF is degraded, so the handler checks that itself.
@@ -150,6 +151,7 @@ type session struct {
 	cmdBuf []byte   // upper's scratch: the upcased command word
 	num    []byte   // itoa's scratch: an integer argument of an AOF record
 	quit   bool     // set by QUIT: the connection closes after this reply
+	wrote  bool     // the batch appended a record since its last commitAOF
 
 	// stripe is this connection's index into the striped per-command
 	// counters (see metrics.go) — assigned once per session so counter
@@ -262,7 +264,7 @@ func (ss *session) set(args [][]byte, ks []uint64) {
 		// keeps its own copy.
 		s.db.Store(k, args[2+2*i])
 	}
-	s.appendMutation(args...)
+	ss.appendMutation(args...)
 	s.unlockKeys(m)
 	ss.w.WriteSimple("OK")
 }
@@ -279,7 +281,7 @@ func (ss *session) del(args [][]byte, ks []uint64) {
 	if n > 0 {
 		// Replaying a DEL of the keys that were already absent is a
 		// no-op, so the whole command is one record.
-		s.appendMutation(args...)
+		ss.appendMutation(args...)
 	}
 	s.unlockKeys(m)
 	ss.w.WriteInt(n)
@@ -443,9 +445,9 @@ func (ss *session) rename(args [][]byte, ks []uint64) {
 		// purge can have removed it (it was due), and then the effect is
 		// both keys absent.
 		if v, ok := s.db.Peek(new); ok {
-			s.appendMutation(recRENAME, args[1], args[2], v.B, ss.itoa(v.DeadlineMS()))
+			ss.appendMutation(recRENAME, args[1], args[2], v.B, ss.itoa(v.DeadlineMS()))
 		} else {
-			s.appendMutation(recDEL, args[1], args[2])
+			ss.appendMutation(recDEL, args[1], args[2])
 		}
 	}
 	s.unlockKeys(m)

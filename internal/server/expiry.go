@@ -31,10 +31,11 @@ func (s *Server) nowMS() int64 { return s.clock() }
 // ---- wire commands ----
 
 // The names of the AOF records the TTL commands and RENAME write under
-// another command's name (package-level, so logging them allocates
-// nothing).
+// another command's name, and SET's deadline option (package-level, so
+// logging them allocates nothing).
 var (
 	recSET       = []byte("SET")
+	recPXAT      = []byte("PXAT")
 	recDEL       = []byte("DEL")
 	recPEXPIREAT = []byte("PEXPIREAT")
 	recPERSIST   = []byte("PERSIST")
@@ -42,7 +43,8 @@ var (
 )
 
 // parseIntArg parses a signed 64-bit integer argument (seconds or
-// milliseconds). Shared by dispatch and AOF replay (PEXPIREAT records).
+// milliseconds). Shared by dispatch and AOF replay (the deadlines of
+// PEXPIREAT, SET and RENAME records).
 func parseIntArg(b []byte) (int64, bool) {
 	n, err := strconv.ParseInt(string(b), 10, 64)
 	return n, err == nil
@@ -99,18 +101,18 @@ func (ss *session) setTTL(key []byte, k uint64, deadline, now int64, persist boo
 		if !s.db.Persist(k) {
 			return false
 		}
-		s.appendMutation(recPERSIST, key)
+		ss.appendMutation(recPERSIST, key)
 	case deadline <= now:
 		if !s.db.Delete(k) {
 			return false
 		}
 		s.db.NoteExpired()
-		s.appendMutation(recDEL, key)
+		ss.appendMutation(recDEL, key)
 	default:
 		if !s.db.Set(k, deadline) {
 			return false
 		}
-		s.appendMutation(recPEXPIREAT, key, ss.itoa(deadline))
+		ss.appendMutation(recPEXPIREAT, key, ss.itoa(deadline))
 	}
 	return true
 }
@@ -164,8 +166,9 @@ func (ss *session) persistCmd(args [][]byte, ks []uint64) {
 }
 
 // setex implements SETEX key seconds value: SET + EXPIRE as one keyspace
-// write (Index.StoreDeadline), logged as the pair SET + PEXPIREAT — the
-// same absolute translation Redis uses.
+// write (Index.StoreDeadline), logged as one record, SET key value PXAT
+// ms, with the absolute deadline Redis's translation uses, so no crash
+// can recover the value without its deadline.
 func (ss *session) setex(args [][]byte, ks []uint64) {
 	s, w := ss.s, ss.w
 	sec, ok := ss.parseIntArg(args[2])
@@ -180,8 +183,7 @@ func (ss *session) setex(args [][]byte, ks []uint64) {
 	v := args[3] // arena-backed: the leaf keeps its own copy
 	m := s.lockKeys(ks...)
 	s.db.StoreDeadline(ks[0], v, deadline)
-	s.appendMutation(recSET, args[1], v)
-	s.appendMutation(recPEXPIREAT, args[1], ss.itoa(deadline))
+	ss.appendMutation(recSET, args[1], v, recPXAT, ss.itoa(deadline))
 	s.unlockKeys(m)
 	w.WriteSimple("OK")
 }

@@ -379,7 +379,10 @@ func recoveredEqualsLive(t *testing.T, aof bool) {
 // a server wrote before RENAME was logged as its effect: RENAME old new
 // with no value, which replay re-runs as the move. The destination it
 // meets holds a key that had expired at serve time; the move drops it
-// and carries the source's deadline.
+// and carries the source's deadline. The segment also holds a SETEX as
+// it was logged before it was one record (SET, then PEXPIREAT), a
+// five-argument MSET, which must not read as SET's deadline form, and a
+// SETEX as it is logged now, SET key value PXAT ms.
 func TestPersistReplaysOldRenameRecords(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -400,14 +403,22 @@ func TestPersistReplaysOldRenameRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := clk.now()
+	at := func(d int64) string { return strconv.FormatInt(now+d, 10) }
 	w := resp.NewWriter(bufio.NewWriter(f))
 	for _, rec := range [][]string{
 		{"SET", "a", "1"},
-		{"PEXPIREAT", "a", strconv.FormatInt(now+5000, 10)},
+		{"PEXPIREAT", "a", at(5000)},
 		{"SET", "b", "stale"},
-		{"PEXPIREAT", "b", strconv.FormatInt(now-5000, 10)},
+		{"PEXPIREAT", "b", at(-5000)},
 		{"RENAME", "a", "b"},
 		{"SET", "a", "2"},
+		// SETEX as it was logged before it was one record.
+		{"SET", "c", "3"},
+		{"PEXPIREAT", "c", at(7000)},
+		// Five arguments, two keys: MSET's row, no deadline.
+		{"MSET", "d", "4", "e", "5"},
+		// SETEX as it is logged now.
+		{"SET", "f", "6", "PXAT", at(9000)},
 	} {
 		w.WriteCommandString(rec...)
 	}
@@ -420,11 +431,14 @@ func TestPersistReplaysOldRenameRecords(t *testing.T) {
 
 	_, addr := startServer(t, cfg)
 	c := dial(t, addr)
-	c.mustBulk("1", "GET", "b")
-	c.mustInt(5000, "PTTL", "b")
-	c.mustBulk("2", "GET", "a")
-	c.mustInt(-1, "PTTL", "a")
-	c.mustInt(2, "DBSIZE")
+	for _, want := range []struct {
+		key, val string
+		pttl     int64
+	}{{"b", "1", 5000}, {"a", "2", -1}, {"c", "3", 7000}, {"d", "4", -1}, {"e", "5", -1}, {"f", "6", 9000}} {
+		c.mustBulk(want.val, "GET", want.key)
+		c.mustInt(want.pttl, "PTTL", want.key)
+	}
+	c.mustInt(6, "DBSIZE")
 }
 
 // parkDump returns a setup that parks a dump's walk once, after its
@@ -541,32 +555,64 @@ func TestPersistRestartAcrossAOFModes(t *testing.T) {
 	}
 }
 
-// TestPersistSealBeforeSwap: commitAOF takes no lock, so a batch
+// TestPersistSealBeforeSwap: a batch's commit takes no lock, so a batch
 // appended to the old segment can be committed once a rotation has
-// begun. A session with no connection appends SET k v and never
-// commits; in the middle of the rotation the test commits as that
-// batch's boundary would, and copies the directory as a crash would
-// leave it. The commit acknowledged k, so the copy must recover it. A
-// rotation that swapped segments before sealing the old one would let
-// the commit flush the new, empty segment while k's record sat in the
-// old one's buffer.
+// begun. A session with no connection appends SET k v and does not
+// commit.
+//   - sealed: in the middle of the rotation the test commits as that
+//     batch's boundary would, and copies the directory as a crash would
+//     leave it. The commit acknowledged k, so the copy must recover it. A
+//     rotation that swapped segments before sealing the old one would let
+//     the commit flush the new, empty segment while k's record sat in the
+//     old one's buffer.
+//   - seal failed: the test closes the segment once, so the rotation's
+//     seal fails. The commit after SAVE lands on the new segment and
+//     succeeds there, but the failed seal leaves k's record with no
+//     durability promise, so the batch must not be acknowledged.
 func TestPersistSealBeforeSwap(t *testing.T) {
-	dir := t.TempDir()
-	committed, crash := make(chan bool, 1), make(chan string, 1)
-	s, addr := startServer(t, persistCfg(dir), func(s *Server) {
-		s.pst.rotating = func() {
-			committed <- s.commitAOF()
-			crash <- crashCopy(t, dir)
+	t.Run("sealed", func(t *testing.T) {
+		dir := t.TempDir()
+		var ss *session
+		committed, crash := make(chan bool, 1), make(chan string, 1)
+		s, addr := startServer(t, persistCfg(dir), func(s *Server) {
+			s.pst.rotating = func() {
+				committed <- ss.commitAOF()
+				crash <- crashCopy(t, dir)
+			}
+		})
+		ss = appendUncommitted(s)
+		dial(t, addr).mustSimple("OK", "SAVE")
+		if !await(t, committed, "the rotation") {
+			t.Fatal("a batch commit during the rotation failed")
+		}
+		_, addr2 := startServer(t, persistCfg(await(t, crash, "the crash copy")))
+		dial(t, addr2).mustBulk("v", "GET", "k")
+	})
+	t.Run("seal failed", func(t *testing.T) {
+		s, addr := startServer(t, persistCfg(t.TempDir()))
+		ss := appendUncommitted(s)
+		// Until the data directory has a fault-injecting file seam, closing
+		// the segment twice is how a test makes a seal fail.
+		if err := s.pst.aof.Load().Close(); err != nil {
+			t.Fatal(err)
+		}
+		dial(t, addr).mustSimple("OK", "SAVE")
+		if !s.persistDegraded() {
+			t.Fatal("a failed seal did not degrade the AOF")
+		}
+		if ss.commitAOF() {
+			t.Fatal("a batch whose segment's seal failed was acknowledged")
 		}
 	})
+}
+
+// appendUncommitted dispatches SET k v on a session with no connection,
+// so the batch appends its record and nothing commits it.
+func appendUncommitted(s *Server) *session {
 	var replies bytes.Buffer
-	newSession(s, resp.NewWriter(bufio.NewWriter(&replies))).dispatch([][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-	dial(t, addr).mustSimple("OK", "SAVE")
-	if !await(t, committed, "the rotation") {
-		t.Fatal("a batch commit during the rotation failed")
-	}
-	_, addr2 := startServer(t, persistCfg(await(t, crash, "the crash copy")))
-	dial(t, addr2).mustBulk("v", "GET", "k")
+	ss := newSession(s, resp.NewWriter(bufio.NewWriter(&replies)))
+	ss.dispatch([][]byte{[]byte("SET"), []byte("k"), []byte("v")})
+	return ss
 }
 
 // TestPersistSwapWaitsForEveryStripe parks a write between its keyspace

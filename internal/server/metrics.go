@@ -132,10 +132,6 @@ func (s *Server) stats() []stat {
 			"help() executions that failed flagging and unwound.", es.FlagBacktracks},
 		{"Engine", "engine_op_retries_total", "nbtried_engine_op_retries_total",
 			"Mutator retry-loop iterations past the first.", es.OpRetries},
-		{"Engine", "engine_snapshot_renewals_total", "nbtried_engine_snapshot_renewals_total",
-			"Stale-generation nodes renewed after a snapshot.", es.SnapshotRenewals},
-		{"Engine", "engine_snapshots_held", "nbtried_engine_snapshots_held",
-			"Snapshots taken and not released; writers renew stale nodes while any is held.", es.SnapshotsHeld},
 		{"", "", "nbtried_engine_depth",
 			"Trie descent depth per mutation (levels, not seconds).", depth},
 		{"Engine", "engine_depth_samples", "", "", es.DepthSamples},

@@ -62,8 +62,6 @@ func metricsFamiliesAndCounts(t *testing.T) {
 		"nbtried_engine_child_cas_failures_total",
 		"nbtried_engine_flag_backtracks_total",
 		"nbtried_engine_op_retries_total",
-		"nbtried_engine_snapshot_renewals_total",
-		"nbtried_engine_snapshots_held",
 	} {
 		if v := metricValue(t, idle, m); v != 0 {
 			t.Errorf("idle server: %s = %d, want 0", m, v)
@@ -562,8 +560,8 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"Expiry":      {"keys_with_ttl", "expired_keys", "reaper_passes"},
 		"Persistence": persistence,
 		"Engine": {"engine_help_total", "engine_help_assists_total", "engine_child_cas_failures_total",
-			"engine_flag_backtracks_total", "engine_op_retries_total", "engine_snapshot_renewals_total",
-			"engine_snapshots_held", "engine_depth_samples", "engine_depth_p50", "engine_depth_p99"},
+			"engine_flag_backtracks_total", "engine_op_retries_total", "engine_depth_samples",
+			"engine_depth_p50", "engine_depth_p99"},
 		"Keyspace": {"db0"},
 	}
 	var order []string
@@ -609,8 +607,6 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"nbtried_engine_child_cas_failures_total counter",
 		"nbtried_engine_flag_backtracks_total counter",
 		"nbtried_engine_op_retries_total counter",
-		"nbtried_engine_snapshot_renewals_total counter",
-		"nbtried_engine_snapshots_held gauge",
 		"nbtried_engine_depth histogram",
 	}
 	if cfg.Persist.AOF {
@@ -638,8 +634,6 @@ func statsNamesAndViewsAgree(t *testing.T, cfg Config) {
 		"engine_child_cas_failures_total": "nbtried_engine_child_cas_failures_total",
 		"engine_flag_backtracks_total":    "nbtried_engine_flag_backtracks_total",
 		"engine_op_retries_total":         "nbtried_engine_op_retries_total",
-		"engine_snapshot_renewals_total":  "nbtried_engine_snapshot_renewals_total",
-		"engine_snapshots_held":           "nbtried_engine_snapshots_held",
 		"db0":                             "nbtried_keys",
 	}
 	for key, family := range shared {

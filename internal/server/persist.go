@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -43,10 +44,12 @@ import (
 // it (its record in the new segment). Writers are stopped for those
 // steps, a handful of file operations bounded by one batch's buffered
 // appends, and for one drain when the dump ends (under Crash windows).
-// Step (c) comes before step (d) because commitAOF takes no lock: a
-// batch appended before the swap can be committed after it, against the
-// new segment, so its records must be durable by then; a commit that
-// loads the sealed segment gets the seal's result (persist.AOF.Close).
+// Step (c) comes before step (d) because a batch's commit takes no lock:
+// a batch appended before the swap can be committed after it, against
+// the new segment, so its records must be durable by then; a commit that
+// loads the sealed segment gets the seal's result (persist.AOF.Close). A
+// seal that fails degrades the AOF, and the wrote rule (under
+// Acknowledgement ordering) then refuses every batch that appended.
 //
 // With the AOF off no segment is current between dumps, and mutations
 // log nothing. A BGSAVE's rotation opens a segment scoped to the dump,
@@ -104,24 +107,37 @@ import (
 //     commits are atomic (temp+fsync+rename+dir-fsync), so recovery
 //     sees the old or the new recipe, never a mix. Old files are deleted
 //     only after the commit that stops referencing them.
-//   - Mid-append: the AOF tail tears. Under appendfsync always a torn
-//     record was never acknowledged (the fsync happens before the reply
-//     flush), so truncating it loses nothing a client was promised.
+//   - Mid-append: the AOF tail tears. Every mutation is one record (SET,
+//     MSET and DEL name all their keys in one, SETEX logs SET key value
+//     PXAT ms, RENAME its effect), so a torn tail loses whole mutations:
+//     the segment's durable prefix is the log of a prefix of the history.
+//     Under appendfsync always a torn record was never acknowledged (the
+//     fsync happens before the reply flush), so truncating it loses
+//     nothing a client was promised.
 //
 // # Acknowledgement ordering
 //
-// Connections buffer replies per pipelined batch and flush when the
-// parser would block (flushBeforeRead). The AOF commit is hooked into
-// that same moment, BEFORE the reply flush: append (buffered, under the
-// keys' stripes) → aof.Commit (write syscall; +fsync under always; no
-// lock) → reply flush. A client that has seen "+OK" therefore knows the
-// record is at least in the kernel (always: on stable storage) — the
-// classic group-commit pattern, one write+fsync per batch rather than
-// per command. When the commit FAILS, the batch's replies are never
-// flushed: the connection drops, the AOF degrades (stderr + INFO), and
-// dispatch refuses further mutations with -MISCONF — a failed disk can
-// delay or kill client traffic but can never turn into a false
-// acknowledgement.
+// A session owns its batch, the commands it answered since its replies
+// last reached the socket, and every path that takes replies there goes
+// through the session's socket, whose Write first commits
+// (session.commitAOF): append (buffered, under the keys' stripes) →
+// aof.Commit (write; +fsync under always; no lock) → reply flush. A
+// client that has seen "+OK" knows the record is at least in the kernel
+// (always: on stable storage): group commit, one write+fsync per batch.
+//   - The reader rule: every flush commits the current segment, so no
+//     client reads a write, its own or another session's, whose record is
+//     still in the segment's buffer.
+//   - The wrote rule: a batch that appended (session.wrote) is
+//     acknowledged only if its commit succeeds and the AOF has not
+//     degraded, which catches a record whose segment's seal failed after
+//     the batch's commit moved on to the new segment. Otherwise its
+//     replies are never flushed and the connection drops: a failed disk
+//     never turns into a false acknowledgement.
+//
+// A batch that appended nothing flushes even when its commit fails, so
+// reads keep serving once dispatch refuses mutations with -MISCONF; they
+// may see a write whose record failed, whose own batch was never
+// acknowledged.
 
 // PersistConfig enables durability. Zero Dir means disabled.
 type PersistConfig struct {
@@ -221,14 +237,10 @@ func (p *persister) loadEntry(k, v []byte, expireAtMS uint64) error {
 	if err != nil {
 		return err
 	}
-	if expireAtMS == 0 {
-		p.s.db.Store(ek, v)
-	} else {
-		// Re-arm the dumped deadline, even one already past: the
-		// reaper's opening pass (and any lazy read) purges it, the same
-		// convergence path as replayed PEXPIREAT records.
-		p.s.db.StoreDeadline(ek, v, int64(min(expireAtMS, math.MaxInt64)))
-	}
+	// A dumped deadline is re-armed even if it has passed: the reaper's
+	// opening pass (and any lazy read) purges it, the same convergence
+	// path as replayed PEXPIREAT records. 0 is no deadline.
+	p.s.db.StoreDeadline(ek, v, int64(min(expireAtMS, math.MaxInt64)))
 	return nil
 }
 
@@ -267,11 +279,20 @@ func (p *persister) applyRecord(args [][]byte) error {
 	return c.replay(p.s, args, ks)
 }
 
-// replaySet re-applies SET and MSET records: a plain store discards any
-// earlier arming.
+// replaySet re-applies SET and MSET records, one store per key: value
+// and deadline together, so a plain SET discards any earlier arming. A
+// SETEX is logged as SET key value PXAT ms, which only SET's row admits
+// (its logMax): a five-argument MSET record names two keys.
 func (s *Server) replaySet(args [][]byte, ks []uint64) error {
+	var at int64
+	if len(ks) == 1 && len(args) == 5 {
+		var ok bool
+		if at, ok = parseIntArg(args[4]); !ok || !bytes.EqualFold(args[3], recPXAT) {
+			return fmt.Errorf("SET record with bad deadline %q %q", args[3], args[4])
+		}
+	}
 	for i, k := range ks {
-		s.db.Store(k, args[2+2*i])
+		s.db.StoreDeadline(k, args[2+2*i], at)
 	}
 	return nil
 }
@@ -297,11 +318,7 @@ func (s *Server) replayRename(args [][]byte, ks []uint64) error {
 			return fmt.Errorf("RENAME record with bad deadline %q", args[4])
 		}
 		s.db.Delete(old)
-		if at == 0 {
-			s.db.Store(new, args[3])
-		} else {
-			s.db.StoreDeadline(new, args[3], at)
-		}
+		s.db.StoreDeadline(new, args[3], at)
 		return nil
 	}
 	if old == new {
@@ -376,11 +393,12 @@ func (p *persister) unlock(m uint64) {
 }
 
 // appendMutation records one mutation in p.aof, if a segment is
-// current. Callers hold the stripes of the keys it names across the map
-// update and this call (see the top of this file), so the segment is
-// the one that was current at the update.
-func (s *Server) appendMutation(args ...[]byte) {
-	p := s.pst
+// current, and marks the batch as one that wrote. Callers hold the
+// stripes of the keys it names across the map update and this call
+// (see the top of this file), so the segment is the one that was current
+// at the update.
+func (ss *session) appendMutation(args ...[]byte) {
+	p := ss.s.pst
 	if p == nil {
 		return
 	}
@@ -388,6 +406,7 @@ func (s *Server) appendMutation(args ...[]byte) {
 	if a == nil {
 		return
 	}
+	ss.wrote = true
 	if p.beforeAppend != nil {
 		p.beforeAppend()
 	}
@@ -396,17 +415,15 @@ func (s *Server) appendMutation(args ...[]byte) {
 	}
 }
 
-// commitAOF is the batch-boundary hook: with the AOF on, everything
-// appended since the last commit reaches the file (and stable storage,
-// under always) before the replies for the batch are flushed. It takes
-// no lock (see the top of this file for why the seal before the swap
-// makes that safe).
-//
-// A false return means the commit failed and the batch's replies MUST
-// NOT be flushed: they would acknowledge writes that never became
-// durable. Callers drop the connection instead.
-func (s *Server) commitAOF() (ok bool) {
-	p := s.pst
+// commitAOF is the batch boundary: with the AOF on it commits the
+// current segment, taking no lock (see the top of this file); with it
+// off it returns at once. A false return means the batch appended and
+// the commit failed or the AOF has degraded: its replies MUST NOT be
+// flushed, and the socket drops the connection instead.
+func (ss *session) commitAOF() (ok bool) {
+	wrote := ss.wrote
+	ss.wrote = false
+	p := ss.s.pst
 	if p == nil || !p.aofOn {
 		return true
 	}
@@ -417,22 +434,22 @@ func (s *Server) commitAOF() (ok bool) {
 	start := time.Now()
 	if err := a.Commit(); err != nil {
 		p.degradeAOF(err)
-		return false
+		return !wrote
 	}
 	// Commit duration covers the buffered write-out plus the fsync under
 	// appendfsync=always — the per-batch durability cost a client's reply
 	// waits on.
-	s.met.aofCommit.Record(uint64(time.Since(start).Microseconds()))
-	return true
+	ss.s.met.aofCommit.Record(uint64(time.Since(start).Microseconds()))
+	return !wrote || !ss.s.persistDegraded()
 }
 
-// degradeAOF records the first AOF write error. The INFO status flips
-// from "ok", one loud line goes to stderr, and from then on dispatch
-// refuses every mutating command with -MISCONF (persistDegraded below):
-// the server never keeps silently acking writes it can no longer make
-// durable. Reads keep working; recovery is operator action + restart.
-// With the AOF off the failing segment is a dump's: its error sticks,
-// the drain's sync returns it, and it fails that dump instead.
+// degradeAOF records the first AOF error: a failed append, commit or
+// seal. The INFO status flips from "ok", one loud line goes to stderr,
+// dispatch refuses every later mutation with -MISCONF, and every batch
+// that appended drops unanswered (the wrote rule). Reads keep serving;
+// recovery is operator action + restart. With the AOF off the failing
+// segment is a dump's: its error sticks, the drain's sync returns it,
+// and it fails that dump instead.
 func (p *persister) degradeAOF(err error) {
 	if p.aofOn && p.aofStatus.CompareAndSwap("ok", err.Error()) {
 		fmt.Fprintf(os.Stderr, "nbtried: AOF write failed; refusing further mutations (-MISCONF) until restart: %v\n", err)

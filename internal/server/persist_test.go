@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,6 +239,51 @@ func TestPersistTornTailTruncated(t *testing.T) {
 	_ = addr2
 }
 
+// TestPersistSetexIsOneRecord: SETEX is one mutation, so a crash
+// recovers all of it or none of it. Under everysec the ticker's Sync, or
+// a write-through at the segment's buffer boundary, can land between any
+// two appends; the beforeAppend hook puts one at every append boundary
+// of one SETEX and copies the directory as a crash would leave it there,
+// and a last copy is taken once the reply is in. Every copy must recover
+// k absent or k=v with its TTL, never k=v with no deadline, and the last
+// one k=v with its TTL.
+func TestPersistSetexIsOneRecord(t *testing.T) {
+	clk := newFakeClock()
+	cfg := func(dir string) Config {
+		cfg := clk.cfg(persistCfg(dir))
+		cfg.Persist.Fsync = persist.SyncEverySec
+		return cfg
+	}
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var copies []string
+	syncAndCopy := func(s *Server) {
+		if err := s.pst.aof.Load().Sync(); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		copies = append(copies, crashCopy(t, dir))
+	}
+	s, addr := startServer(t, cfg(dir), func(s *Server) {
+		s.pst.beforeAppend = func() { syncAndCopy(s) }
+	})
+	dial(t, addr).mustSimple("OK", "SETEX", "k", "100", "v")
+	syncAndCopy(s)
+
+	mu.Lock()
+	defer mu.Unlock()
+	const whole, absent = `"v", PTTL (integer) 100000`, "(nil), PTTL (integer) -2"
+	for i, crash := range copies {
+		_, addr2 := startServer(t, cfg(crash))
+		c := dial(t, addr2)
+		got := c.do("GET", "k").String() + ", PTTL " + c.do("PTTL", "k").String()
+		if got != whole && (i == len(copies)-1 || got != absent) {
+			t.Errorf("crash copy %d of %d recovered k = %s; want %q, or k absent before the reply", i+1, len(copies), got, whole)
+		}
+	}
+}
+
 // TestPersistRefusesCorruption: damage BEFORE the tail is not a tear;
 // the server must refuse to boot rather than serve a silent subset.
 func TestPersistRefusesCorruption(t *testing.T) {
@@ -340,8 +386,17 @@ func TestPersistSaveAfterClose(t *testing.T) {
 // mutating options, with -MISCONF — never silently ack writes it can no
 // longer make durable. A refusal changes neither the map nor the TTL
 // state and appends nothing to the AOF; reads keep serving, and INFO
-// surfaces the failure.
+// surfaces the failure. The error is either the status word alone, or a
+// real one: the test closes the segment twice, so the second Close fails
+// and its error sticks. The SET whose append meets it must be dropped
+// unanswered, and a GET on another connection, whose flush commits that
+// segment, must still be answered.
 func TestPersistDegradedRefusesMutations(t *testing.T) {
+	t.Run("status", func(t *testing.T) { degradedRefusesMutations(t, false) })
+	t.Run("segment error", func(t *testing.T) { degradedRefusesMutations(t, true) })
+}
+
+func degradedRefusesMutations(t *testing.T, segmentError bool) {
 	clk := newFakeClock()
 	s, addr := startServer(t, clk.cfg(persistCfg(t.TempDir())))
 	c := dial(t, addr)
@@ -349,7 +404,26 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 	c.mustSimple("OK", "SET", "src", "v")
 	c.mustSimple("OK", "SETEX", "ttl", "100", "t")
 
-	s.pst.degradeAOF(fmt.Errorf("disk on fire"))
+	keys, status := int64(3), "disk on fire"
+	if segmentError {
+		a := s.pst.aof.Load()
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := a.Close()
+		if err == nil {
+			t.Fatal("a second Close of the segment succeeded")
+		}
+		if v, err := dial(t, addr).try("SET", "lost", "x"); err == nil {
+			t.Fatalf("a SET whose append failed replied %s; want its connection dropped", v)
+		}
+		// The keyspace holds the dropped write: it was applied, never
+		// acknowledged.
+		keys, status = keys+1, err.Error()
+	} else {
+		s.pst.degradeAOF(errors.New(status))
+	}
+	c.mustBulk("1", "GET", "pre")
 
 	// One invocation per write row that would mutate if it were served.
 	// Each is sent whatever its row's flag says, so a row that loses its
@@ -398,10 +472,10 @@ func TestPersistDegradedRefusesMutations(t *testing.T) {
 	c.mustNull("GET", "post")
 	c.mustInt(100, "TTL", "ttl")
 	c.mustBulk("1", "GETEX", "pre")
-	c.mustInt(3, "DBSIZE")
+	c.mustInt(keys, "DBSIZE")
 
 	info := c.do("INFO")
-	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "aof_last_write_status:disk on fire") {
+	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "aof_last_write_status:"+status) {
 		t.Fatalf("INFO does not surface the AOF failure:\n%s", info.Str)
 	}
 }
@@ -472,8 +546,8 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 }
 
 // TestScanAndSaveReleaseSnapshots: the server takes no snapshot. A SCAN
-// walk takes none, so INFO and /metrics read engine_snapshots_held 0
-// with a walk left mid-way and a SET during it renews no node. BGSAVE's
+// walk takes none, so the keyspace holds 0 snapshots with a walk left
+// mid-way and a SET during it renews no node. BGSAVE's
 // dump walks the live trie too, with the AOF on or off: 0 held with the
 // dump paused mid-walk, and a SET then renews nothing. Close leaves none
 // held.
@@ -491,11 +565,8 @@ func saveReleasesSnapshots(t *testing.T, aof bool) {
 	}
 	held := func(when string, want int64) {
 		t.Helper()
-		if got := metricValue(t, metricsText(t, s), "nbtried_engine_snapshots_held"); got != want {
-			t.Errorf("%s: nbtried_engine_snapshots_held = %d, want %d", when, got, want)
-		}
-		if !strings.Contains(s.infoText("engine"), fmt.Sprintf("engine_snapshots_held:%d\r\n", want)) {
-			t.Errorf("%s: INFO engine lacks engine_snapshots_held:%d", when, want)
+		if got := s.db.EngineStats().SnapshotsHeld; got != want {
+			t.Errorf("%s: %d snapshots held, want %d", when, got, want)
 		}
 	}
 	renewsNothing := func(when, key string) {

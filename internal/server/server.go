@@ -20,7 +20,7 @@
 // a client sending N commands before reading any reply — works by
 // construction. The write buffer is flushed exactly when the request
 // parser is about to block on the socket (a read-side hook, see
-// flushBeforeRead), i.e. once the batch of already-received requests —
+// socket), i.e. once the batch of already-received requests —
 // complete or partial — is answered as far as possible; a deep
 // pipeline therefore costs one syscall per batch, not per command, and
 // a reply is never withheld while the connection waits for input.
@@ -255,67 +255,46 @@ func (s *Server) connectedClients() int {
 	return len(s.conns)
 }
 
-// commitBeforeWrite interposes on the connection's WRITE side: every
-// byte headed for the socket first forces the AOF batch commit. This is
-// the durability half of the batching contract, placed where it cannot
-// be bypassed: the explicit batch flush (flushBeforeRead below) reaches
-// the socket through here, and so does bufio's IMPLICIT write-through
-// when a single reply larger than the write buffer overflows it — a
-// path a commit hook on the flush call alone would miss, creating a
-// window where a client reads "+OK" whose record is still in the AOF's
-// user-space buffer. A failed commit poisons the write instead: the
-// batch's replies die unsent (bufio errors are sticky), the connection
-// drops, and the client observes an error, never a false ack.
-type commitBeforeWrite struct {
-	c net.Conn
-	s *Server
+// socket is a session's connection as its buffered reader and writer
+// see it. A read that goes to the socket, which is exactly when the
+// request parser is about to block, first flushes the pending replies:
+// a client that sent N complete commands and part of the next still gets
+// its N replies, a case a "read buffer empty" check cannot see. A write
+// first runs the session's batch commit, so the AOF write (+fsync under
+// always) lands before the replies, whether they come from that flush,
+// from the threshold flush or from bufio's write-through of a reply
+// larger than the buffer. A refused commit poisons the write: the
+// batch's replies die unsent (bufio errors are sticky) and the
+// connection drops. persist.go's header has the acknowledgement rules.
+type socket struct {
+	c  net.Conn
+	ss *session
 }
 
 // errAOFCommitFailed tears down a connection whose batch commit failed
 // before its replies could falsely acknowledge the writes.
 var errAOFCommitFailed = errors.New("server: aof commit failed; dropping connection without acknowledging the batch")
 
-func (cw commitBeforeWrite) Write(p []byte) (int, error) {
-	if !cw.s.commitAOF() {
-		return 0, errAOFCommitFailed
+func (k socket) Read(p []byte) (int, error) {
+	if k.ss.w.Buffered() > 0 {
+		if err := k.ss.w.Flush(); err != nil {
+			return 0, err
+		}
 	}
-	n, err := cw.c.Write(p)
+	n, err := k.c.Read(p)
 	if n > 0 {
-		cw.s.met.bytesOut.Add(int64(n))
+		k.ss.s.met.bytesIn.Add(int64(n))
 	}
 	return n, err
 }
 
-// flushBeforeRead interposes on the connection's read side: any read
-// that goes to the socket — which is exactly when the request parser
-// has exhausted its buffer and is about to block — first flushes the
-// pending replies. This is what
-// makes the pipelining model deadlock free in every case: a client
-// that sent N complete commands plus a *partial* (N+1)-th and then
-// waits for replies before sending the rest still gets its N replies,
-// because the parser's next fill flushes before blocking. A simple
-// "flush when the read buffer is empty" check cannot express that (the
-// buffer is non-empty, yet the parser is about to block).
-//
-// The same moment is the durability batch boundary: the flush reaches
-// the socket through commitBeforeWrite, so the AOF commit (write;
-// +fsync under appendfsync always) runs strictly BEFORE the replies —
-// group commit, one write(+fsync) per pipelined batch rather than per
-// command.
-type flushBeforeRead struct {
-	c  net.Conn
-	ss *session
-}
-
-func (f flushBeforeRead) Read(p []byte) (int, error) {
-	if f.ss.w.Buffered() > 0 {
-		if err := f.ss.w.Flush(); err != nil {
-			return 0, err
-		}
+func (k socket) Write(p []byte) (int, error) {
+	if !k.ss.commitAOF() {
+		return 0, errAOFCommitFailed
 	}
-	n, err := f.c.Read(p)
+	n, err := k.c.Write(p)
 	if n > 0 {
-		f.ss.s.met.bytesIn.Add(int64(n))
+		k.ss.s.met.bytesOut.Add(int64(n))
 	}
 	return n, err
 }
@@ -324,8 +303,8 @@ func (f flushBeforeRead) Read(p []byte) (int, error) {
 // connection loop forces a flush mid-burst, so a long pipelined batch
 // of fat replies is streamed in bounded chunks instead of stalling the
 // client until the parser blocks. (A single oversized reply is already
-// handled below this layer: it overflows bufio straight through
-// commitBeforeWrite.)
+// handled below this layer: it overflows bufio straight through the
+// socket's Write.)
 const replyFlushThreshold = 12 << 10
 
 // handle runs one connection's read-dispatch-write loop. Protocol
@@ -333,17 +312,19 @@ const replyFlushThreshold = 12 << 10
 // Redis: after a framing error the stream offset cannot be trusted.
 func (s *Server) handle(c net.Conn) {
 	defer s.dropConn(c)
-	w := resp.NewWriter(bufio.NewWriterSize(commitBeforeWrite{c: c, s: s}, 16<<10))
-	ss := newSession(s, w)
+	ss := newSession(s, nil)
+	sock := socket{c: c, ss: ss}
+	w := resp.NewWriter(bufio.NewWriterSize(sock, 16<<10))
+	ss.w = w
 	// Replies accumulate in w across a pipelined batch and are flushed
-	// by the flushBeforeRead hook the moment the parser needs more
-	// bytes from the socket: one write syscall per batch, and never a
-	// withheld reply while the connection blocks reading. The reader
+	// by the socket's read side the moment the parser needs more bytes
+	// from the socket: one write syscall per batch, and never a withheld
+	// reply while the connection blocks reading. The reader
 	// reuses a per-connection arena (ReadCommandReuse): argument slices
 	// are valid only until the next ReadCommandReuse call. Nothing that
 	// dispatch hands on keeps them: the keyspace copies a stored value
 	// into its leaf, and the AOF copies a record into its buffer.
-	rr := resp.NewRequestReader(bufio.NewReaderSize(flushBeforeRead{c: c, ss: ss}, 16<<10), s.cfg.Limits)
+	rr := resp.NewRequestReader(bufio.NewReaderSize(sock, 16<<10), s.cfg.Limits)
 	for {
 		args, err := rr.ReadCommandReuse()
 		if err != nil {
