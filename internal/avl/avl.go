@@ -444,7 +444,7 @@ func rotateLocked(parent, n, pivot *node, leftward bool) {
 	n.height.Store(1 + max32(height(n.left.Load()), height(n.right.Load())))
 	pivot.height.Store(1 + max32(height(pivot.left.Load()), height(pivot.right.Load())))
 
-	// Release the shrinking bit with a version bump so optimistic readers
+	// Clear the shrinking bit with a version bump so optimistic readers
 	// that crossed n revalidate.
 	n.version.Store((n.version.Load() + verStep) &^ verShrinking)
 }

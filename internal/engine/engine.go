@@ -682,14 +682,13 @@ type Trie[K keys.Key[K], V any] struct {
 	// guarantees no in-flight update — whose flag targets were validated
 	// against the previous generation — can mutate the structure the
 	// snapshot captured after Snapshot returns; updates that start
-	// afterwards see the new generation and, until the snapshot is
-	// released, copy-on-write any stale internal node before touching it
-	// (see snapshot.go). Reads never enter it: Load/Contains/iteration
-	// stay CAS- and lock-free.
+	// afterwards see the new generation and copy-on-write any stale
+	// internal node before touching it (see snapshot.go). Reads never
+	// enter it: Load/Contains/iteration stay CAS- and lock-free.
 	//
 	// It comes first so its lanes start line-aligned for every K; its
-	// mutex and state word, written only by Snapshot and Release, share
-	// the read-mostly line of root, short, dummyMin and span. 632 bytes
+	// mutex and pending flag, written only by Snapshot, share the
+	// read-mostly line of root, short, dummyMin and span. 632 bytes
 	// in all for a Uint64Key trie, the 640 B size class with the
 	// allocator's header (pinned by layout_test.go).
 	gate gate

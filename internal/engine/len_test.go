@@ -68,12 +68,10 @@ func TestLenSequential(t *testing.T) {
 	tr.Trie.Swap(tr.enc(40), "b") // swap-overwrite: no change
 	check(2, "Swap overwrite")
 
-	if !tr.Trie.InsertValue(tr.enc(50), "c") {
-		t.Fatal("InsertValue failed")
+	if _, loaded := tr.Trie.LoadOrStore(tr.enc(50), "c"); loaded {
+		t.Fatal("LoadOrStore of an absent key loaded")
 	}
-	check(3, "InsertValue")
-	tr.Trie.InsertValue(tr.enc(50), "d") // duplicate: no change
-	check(3, "duplicate InsertValue")
+	check(3, "second LoadOrStore store")
 
 	isB := func(v any) bool { return v == "b" }
 	tr.Trie.CompareAndSwapFunc(tr.enc(40), isB, "e") // value only: no change
@@ -126,7 +124,7 @@ func TestLenConcurrent(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				k := next() % space
-				switch next() % 11 {
+				switch next() % 10 {
 				case 0:
 					tr.Insert(k)
 				case 1:
@@ -144,10 +142,8 @@ func TestLenConcurrent(t *testing.T) {
 				case 7:
 					tr.Trie.LoadAndDelete(tr.enc(k))
 				case 8:
-					tr.Trie.InsertValue(tr.enc(k), seed)
-				case 9:
 					tr.Trie.DeleteFunc(tr.enc(k), func(v any) bool { return v != seed })
-				case 10:
+				case 9:
 					tr.Trie.CompareAndSwapFunc(tr.enc(k), func(v any) bool { return v != seed }, seed)
 				}
 			}

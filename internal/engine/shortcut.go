@@ -39,9 +39,9 @@ import (
 //
 // A writer keeps two more rules, so that its result keeps searchMut's
 // contract, gp == nil iff p is the root, on which swing, deleteHalf and
-// every Figure 6 case rely. While a snapshot is held it does not start at
-// a stale node: renewing one needs its parent, which the table does not
-// record, so it starts at the root. And a descent from a cached start
+// every Figure 6 case rely. It does not start at a stale node: renewing
+// one needs its parent, which the table does not record, so it starts at
+// the root. And a descent from a cached start
 // that ends with p at that start, gp unknown, starts over once from the
 // root. Each costs one fallback, so writers stay lock-free; every flag
 // CAS still re-validates the info the descent captured, as from the root.

@@ -199,8 +199,7 @@ func TestShortcutNeverCachesARoot(t *testing.T) {
 			read(tr)
 			checkSlots(t, tr, "after reads")
 
-			s := tr.Snapshot()
-			defer s.Release()
+			tr.Snapshot()
 			for k := uint64(0); k < 2*shortcutKeys; k += 6 {
 				tr.Delete(k)
 			}
@@ -222,7 +221,6 @@ func TestShortcutSnapshotReadsPastTable(t *testing.T) {
 		tr.Contains(k)
 	}
 	s := tr.Snapshot()
-	defer s.Release()
 	for k := uint64(0); k < 2*shortcutKeys; k += 6 {
 		if !tr.Delete(k) {
 			t.Fatalf("Delete(%d) failed", k)
@@ -315,7 +313,7 @@ func TestShortcutStalledContraction(t *testing.T) {
 	}
 }
 
-// TestShortcutStalledRenewal stalls, under a held snapshot, the renewal
+// TestShortcutStalledRenewal stalls, after a Snapshot, the renewal
 // of the cached node p by an insert of c below it. The insert does not
 // start at the stale p; it renews p from the root. Reads through the
 // slot fall back while p is flagged. After the renewal the insert has
@@ -326,7 +324,6 @@ func TestShortcutStalledRenewal(t *testing.T) {
 	const a, c = 1600, 1604
 	p := pairBlock(t, tr, a)
 	s := tr.Snapshot()
-	defer s.Release()
 	stalled, release := stallOn(t, p)
 	done := make(chan bool)
 	go func() { done <- tr.Insert(c) }()
@@ -411,7 +408,7 @@ func TestShortcutLinearizable(t *testing.T) {
 							return linearizable.Op{Kind: linearizable.Load, Key: k, Val: val, Result: ok}
 						})
 					case 1:
-						rec.Record(linearizable.Insert, k, 0, func() bool { return tr.Trie.InsertValue(tr.enc(k), uint64(0)) })
+						rec.Record(linearizable.Insert, k, 0, func() bool { _, loaded := tr.Trie.LoadOrStore(tr.enc(k), uint64(0)); return !loaded })
 					case 2:
 						rec.Record(linearizable.Delete, k, 0, func() bool { return tr.Delete(k) })
 					case 3:
@@ -569,9 +566,9 @@ func TestShortcutReplaceFigure6(t *testing.T) {
 // slots 0 and 4 of a span-4 trie whose 2^13 keys span the key space, so
 // the table indexes from bit 1 and caches 8-bit nodes. Four
 // writers Replace from cached starts while snapshots come and go, so
-// the descents run both with renewal on, where a stale start falls back
-// to the root, and with it off. Every snapshot and the final trie hold
-// each token exactly once.
+// the descents run both on stale starts, which fall back to the root,
+// and on starts renewed since the last snapshot. Every snapshot and the
+// final trie hold each token exactly once.
 func TestShortcutWideRootCrossSlotReplace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const tokens = 64
@@ -633,9 +630,7 @@ func TestShortcutWideRootCrossSlotReplace(t *testing.T) {
 			default:
 			}
 			s := tr.Snapshot()
-			err := exactlyOnce(s.Load)
-			s.Release()
-			if err != nil {
+			if err := exactlyOnce(s.Load); err != nil {
 				snapErr <- fmt.Errorf("snapshot %d: %v", cut, err)
 				return
 			}

@@ -50,49 +50,28 @@ import (
 // means in the trie" holds for the live trie alone.
 //
 // Mutating operations that find no stale node on their path pay only
-// the gate (gate.go): an add on a lane of one random draw, a load
-// of the gate's state word and the add back, with no allocation and no
-// word two updaters are bound to share; the pinned allocs/op budgets are
-// unchanged.
-//
-// Renewal is paid only while a snapshot is held. A Ctrie renews every
-// stale node after every snapshot ever taken, because it never learns
-// that a snapshot is done; here the reader says so with Release. The
-// gate's state word counts the unreleased snapshots, and searchMut
-// renews a stale node only when that count, read next to the root, is
-// non-zero; otherwise it flags old-generation nodes in place. Why that
-// is linearizable:
-//   - Snapshot raises the count inside its drain, so no updater inside
-//     the gate can see it rise. An updater that read 0 knows no snapshot
-//     other than released ones can reach the nodes it flags, and a
-//     released snapshot is never read again (the wrappers panic).
-//   - Release may lower the count mid-operation. An updater that read
-//     the higher value only renews nodes it need not have: harmless,
-//     and a renewal in flight finishes or fails like any update.
-//   - While any snapshot S is held, every updater renews, so every Flag
-//     lands on a node of the current generation, newer than S's, and
-//     removed's generation check is exactly as before. A snapshot taken
-//     after writers flagged old nodes in place sees them as the live
-//     trie it captured: the drain finished every such update first.
-// With overlapping snapshots the rule is conservative: writers renew
-// every node older than the current generation until the last one is
-// released, even nodes only a released snapshot can reach. For one
-// snapshot at a time, the BGSAVE pattern, it is exact. A snapshot that
-// is never released behaves as one always did.
+// the gate (gate.go): an add on a lane of one random draw, a load of the
+// pending flag and the add back, with no allocation and no word two
+// updaters are bound to share; the pinned allocs/op budgets are
+// unchanged. Whether a node is stale is decided by its generation alone,
+// as in a Ctrie: after a Snapshot, the first mutation through each older
+// internal node renews it, once per snapshot taken since the node was
+// built, whether or not anyone still reads the snapshot. A trie that
+// never takes a snapshot keeps every node in generation 0 and renews
+// nothing.
 
 // Snapshot is a read-only point-in-time view of a Trie, obtained in
 // O(1) from Trie.Snapshot. It shares structure with the live trie:
 // nothing reachable from its root can change after Snapshot returns, so
 // all methods are safe for unrestricted concurrent use (against each
 // other and against live-trie updates) and always observe exactly the
-// state the trie held at the snapshot's linearization point, until
-// Release.
+// state the trie held at the snapshot's linearization point. A dropped
+// snapshot is simply collected.
 type Snapshot[K keys.Key[K], V any] struct {
-	t        *Trie[K, V]
-	root     *node[K, V]
-	gen      uint64
-	n        int64
-	released atomic.Bool
+	t    *Trie[K, V]
+	root *node[K, V]
+	gen  uint64
+	n    int64
 }
 
 // Snapshot returns a read-only view of the trie at the moment of the
@@ -105,35 +84,14 @@ type Snapshot[K keys.Key[K], V any] struct {
 // every mutation in flight — an updater descheduled mid-operation holds
 // it up for as long as it stays descheduled — and mutations that start
 // meanwhile wait for the Snapshot to return. Reads never wait.
-//
-// Until it is released, the snapshot makes every mutation renew the
-// stale nodes on its path; call Release when done reading.
 func (t *Trie[K, V]) Snapshot() *Snapshot[K, V] {
 	t.gate.drain()
 	old := t.root.Load()
 	t.root.Store(t.copyNode(old, old.gen+1))
 	n := t.count.Load()
-	t.gate.hold()
 	t.gate.reopen()
-	if n < 0 {
-		n = 0
-	}
 	return &Snapshot[K, V]{t: t, root: old, gen: old.gen, n: n}
 }
-
-// Release tells the trie the snapshot will not be read again, so
-// mutations stop renewing nodes for it once no other snapshot is held.
-// Idempotent. The snapshot must not be read after Release: the engine
-// does not check (its reads are also the live trie's), the wrappers do
-// (Released).
-func (s *Snapshot[K, V]) Release() {
-	if s.released.CompareAndSwap(false, true) {
-		s.t.gate.release()
-	}
-}
-
-// Released reports whether Release has been called.
-func (s *Snapshot[K, V]) Released() bool { return s.released.Load() }
 
 // Len returns the number of live user keys at the snapshot's
 // linearization point. Exact: the count was read inside the barrier,
@@ -264,24 +222,22 @@ func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 // splicing a current-generation copy over it through the flag protocol —
 // before stepping into it, so the returned position's gp, p and node
 // (when internal) all carry the current generation and are safe to flag
-// and child-CAS without ever mutating a node a snapshot can reach. With
-// no snapshot held it renews nothing (see the top of this file). Like a
+// and child-CAS without ever mutating a node a snapshot can reach. Like a
 // live read it stores the deepest node the table may cache into v's slot.
 //
 // Two rules keep the contract every update builds on, gp == nil iff p is
-// the root. While a snapshot is held, a stale start is not taken: its
-// renewal would need the parent the table does not record. And a descent
-// from a cached start that stops with p equal to that start, so that gp
-// is unknown, starts over from the root. Each falls back at most once.
+// the root. A stale start is not taken: its renewal would need the
+// parent the table does not record. And a descent from a cached start
+// that stops with p equal to that start, so that gp is unknown, starts
+// over from the root. Each falls back at most once.
 // Must be called inside the gate; l is the lane the caller entered on,
 // where the descent's depth is recorded.
 func (t *Trie[K, V]) searchMut(l *lane, v K) searchResult[K, V] {
 	root := t.root.Load()
 	g := root.gen
-	renew := t.gate.snapshots() != 0
 	sc, vl := t.short.Load(), v.Len()
 	cached, hint, reach := t.start(sc, v, vl, root)
-	if renew && cached.gen != g {
+	if cached.gen != g {
 		cached = root
 	}
 	from := cached
@@ -304,7 +260,7 @@ restart:
 			slot := n.inner().kid(t.slotOf(v, ll))
 			n = slot.Load()
 			depth++
-			if renew && stale(n, g) {
+			if stale(n, g) {
 				t.renewChild(l, r.p, r.pInfo, n, g)
 				// Carry on from the renewed child, re-reading r.p as a
 				// descent arriving at it now would (info before child).

@@ -178,7 +178,7 @@ func TestSnapshotReadAllocsPinned(t *testing.T) {
 
 // TestSnapshotPrefixConsistency is the linearizability check: writers
 // insert strictly ascending private sequences while snapshots are taken
-// and released concurrently. Every snapshot must show, for every writer, a prefix of
+// concurrently. Every snapshot must show, for every writer, a prefix of
 // that writer's sequence (an insert acknowledged before the snapshot is
 // in it; one acknowledged after is not; nothing in between is skipped),
 // and two walks of the same snapshot must agree exactly.
@@ -241,9 +241,6 @@ func TestSnapshotPrefixConsistency(t *testing.T) {
 		if again != seen {
 			t.Errorf("snapshot not frozen: first walk %d keys, second %d", seen, again)
 		}
-		// Released, so between rounds the writers flag old nodes in
-		// place and the next round's cut is taken over them.
-		s.Release()
 		runtime.Gosched()
 	}
 	stop.Store(true)
@@ -345,60 +342,92 @@ func overwriteAll(tr *Trie[keys.Uint64Key, uint64], ks []keys.Uint64Key, val uin
 	return math.Round(float64(after.Mallocs-before.Mallocs) / n), math.Round(float64(after.TotalAlloc-before.TotalAlloc) / n)
 }
 
-// TestReleaseStopsRenewal pins what a held snapshot costs writers and
-// that Release ends it. A 2^16-key overwrite costs 2 objects and 96 B
-// with no snapshot; with a snapshot held each overwrite also renews,
-// once, every internal node below the root on its path, one 48 B copy
-// and a 64 B two-node Flag per node, 4 objects and 208 B in all, and the
-// snapshot stays frozen; after Release the overwrite costs 2 and 96
-// again and renews nothing.
-func TestReleaseStopsRenewal(t *testing.T) {
+// TestSnapshotRenewsEachNodeOnce pins what a snapshot costs writers: a
+// generation's worth of renewals, once. A 2^16-key overwrite costs 2
+// objects and 96 B with no snapshot. The first overwrite pass after a
+// Snapshot also renews, once, every internal node below the root on its
+// path, one 48 B copy and a 64 B two-node Flag per node, 4 objects and
+// 208 B in all; the second pass meets no stale node and costs 2 and 96
+// again. Renewal is decided by the nodes' generation alone, so the first
+// pass renews n nodes even when the snapshot was dropped before it. A
+// snapshot that is kept reads its own cut throughout.
+func TestSnapshotRenewsEachNodeOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 16
-	tr, enc := u64Trie(32)
-	ks := make([]keys.Uint64Key, n)
-	for i := range ks {
-		ks[i] = enc(uint64(i) * 40503)
-		tr.Store(ks[i], 0)
-	}
-	pass := func(name string, val uint64, wantObjs, wantBytes float64, wantRenewals int64) {
-		t.Helper()
-		r0 := tr.StatsSnapshot().SnapshotRenewals
-		objs, bytes := overwriteAll(tr, ks, val)
-		if objs != wantObjs || bytes != wantBytes {
-			t.Errorf("%s: an overwrite costs %.0f objects and %.0f B, want %.0f and %.0f", name, objs, bytes, wantObjs, wantBytes)
-		}
-		if got := tr.StatsSnapshot().SnapshotRenewals - r0; got != wantRenewals {
-			t.Errorf("%s: %d renewals, want %d", name, got, wantRenewals)
-		}
-	}
+	for _, dropped := range []bool{false, true} {
+		t.Run(map[bool]string{false: "kept", true: "dropped"}[dropped], func(t *testing.T) {
+			tr, enc := u64Trie(32)
+			ks := make([]keys.Uint64Key, n)
+			for i := range ks {
+				ks[i] = enc(uint64(i) * 40503)
+				tr.Store(ks[i], 0)
+			}
+			pass := func(name string, val uint64, wantObjs, wantBytes float64, wantRenewals int64) {
+				t.Helper()
+				r0 := tr.StatsSnapshot().SnapshotRenewals
+				objs, bytes := overwriteAll(tr, ks, val)
+				if objs != wantObjs || bytes != wantBytes {
+					t.Errorf("%s: an overwrite costs %.0f objects and %.0f B, want %.0f and %.0f", name, objs, bytes, wantObjs, wantBytes)
+				}
+				if got := tr.StatsSnapshot().SnapshotRenewals - r0; got != wantRenewals {
+					t.Errorf("%s: %d renewals, want %d", name, got, wantRenewals)
+				}
+				if got := tr.Len(); got != n {
+					t.Errorf("%s: live Len = %d, want %d", name, got, n)
+				}
+			}
+			var s *Snapshot[keys.Uint64Key, uint64]
+			frozen := func(when string) {
+				t.Helper()
+				if s == nil {
+					return
+				}
+				for i, k := range ks {
+					if v, ok := s.Load(k); !ok || v != 1 {
+						t.Fatalf("%s: snapshot reads key %d as (%d, %v), want (1, true)", when, i, v, ok)
+					}
+				}
+				walked := 0
+				var zero keys.Uint64Key
+				s.AscendKV(zero, func(_ keys.Uint64Key, v uint64) bool {
+					if v == 1 {
+						walked++
+					}
+					return true
+				})
+				if walked != n || s.Len() != n {
+					t.Errorf("%s: snapshot walks %d keys of value 1, Len %d, want %d", when, walked, s.Len(), n)
+				}
+			}
 
-	pass("no snapshot", 1, 2, 96, 0)
-	s := tr.Snapshot()
-	// n+2 leaves hang under n+1 internal nodes; the root is fresh.
-	pass("snapshot held", 2, 4, 208, n)
-	for i, k := range ks {
-		if v, ok := s.Load(k); !ok || v != 1 {
-			t.Fatalf("held snapshot: key %d = (%d, %v), want (1, true)", i, v, ok)
-		}
-	}
-	if s.Len() != n {
-		t.Errorf("held snapshot: Len = %d, want %d", s.Len(), n)
-	}
-	s.Release()
-	pass("after Release", 3, 2, 96, 0)
-	if err := tr.Validate(nil); err != nil {
-		t.Error(err)
+			pass("no snapshot", 1, 2, 96, 0)
+			if dropped {
+				tr.Snapshot()
+				runtime.GC()
+			} else {
+				s = tr.Snapshot()
+			}
+			// n+2 leaves hang under n+1 internal nodes; the root is fresh.
+			pass("first pass after a Snapshot", 2, 4, 208, n)
+			frozen("after the first pass")
+			pass("second pass", 3, 2, 96, 0)
+			frozen("after the second pass")
+			if err := tr.Validate(nil); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // TestReleaseKeepsOtherSnapshotsFrozen takes two overlapping snapshots,
 // the second after the lower half of the keys was overwritten, so the
-// two share the upper half's nodes, and releases either one first:
-// writers must keep renewing for the one still held, which reads its
-// own cut through a full overwrite, a delete and a general-case
-// Replace. Releasing twice counts once, and never reaches the pending
-// bit. Once both are released, writers renew nothing.
+// two share the upper half's nodes. Through a full overwrite, a delete
+// and a general-case Replace, each reads its own cut: loads, a walk and
+// Len. Then either one is released first, by dropping it (a snapshot
+// needs no other release) and collecting it, and the one still held
+// reads its cut again through a second full overwrite. The first
+// overwrite renewed every node on the keys' paths, so the second renews
+// nothing.
 func TestReleaseKeepsOtherSnapshotsFrozen(t *testing.T) {
 	const n = 1 << 10
 	for _, first := range []int{0, 1} {
@@ -421,12 +450,31 @@ func TestReleaseKeepsOtherSnapshotsFrozen(t *testing.T) {
 				}
 				return 0
 			}
-
-			snaps[first].Release()
-			snaps[first].Release()
-			if st, h := tr.gate.state.Load(), tr.StatsSnapshot().SnapshotsHeld; st != held || h != 1 {
-				t.Errorf("release %d twice: state word %#x and %d held, want %#x and 1", first, st, h, held)
+			frozen := func(when string, si int) {
+				t.Helper()
+				s := snaps[si]
+				for i, k := range ks {
+					if v, ok := s.Load(k); !ok || v != want(si, i) {
+						t.Fatalf("%s: snapshot %d reads key %d as (%d, %v), want (%d, true)", when, si, i, v, ok, want(si, i))
+					}
+				}
+				if s.Contains(enc(n<<16 | 5)) {
+					t.Errorf("%s: snapshot %d sees the Replace's new key", when, si)
+				}
+				walked, i := 0, 0
+				var zero keys.Uint64Key
+				s.AscendKV(zero, func(k keys.Uint64Key, v uint64) bool {
+					if i < n && k.Equal(ks[i]) && v == want(si, i) {
+						walked++
+					}
+					i++
+					return true
+				})
+				if walked != n || i != n || s.Len() != n {
+					t.Errorf("%s: snapshot %d walks %d keys (%d as cut), Len %d, want %d", when, si, i, walked, s.Len(), n)
+				}
 			}
+
 			for _, k := range ks {
 				tr.Store(k, 2)
 			}
@@ -434,31 +482,19 @@ func TestReleaseKeepsOtherSnapshotsFrozen(t *testing.T) {
 			if !tr.Replace(ks[2], enc(n<<16|5)) {
 				t.Fatal("Replace of a live key failed")
 			}
-			kept := snaps[1-first]
-			for i, k := range ks {
-				if v, ok := kept.Load(k); !ok || v != want(1-first, i) {
-					t.Fatalf("release %d first: snapshot %d reads key %d as (%d, %v), want (%d, true)",
-						first, 1-first, i, v, ok, want(1-first, i))
-				}
-			}
-			walked := 0
-			var zero keys.Uint64Key
-			kept.AscendKV(zero, func(keys.Uint64Key, uint64) bool { walked++; return true })
-			if walked != n || kept.Len() != n {
-				t.Errorf("release %d first: snapshot %d walks %d keys, Len %d, want %d", first, 1-first, walked, kept.Len(), n)
-			}
+			frozen("both held", 0)
+			frozen("both held", 1)
 
-			kept.Release()
-			if h := tr.StatsSnapshot().SnapshotsHeld; h != 0 {
-				t.Errorf("both released: %d held, want 0", h)
-			}
+			snaps[first] = nil
+			runtime.GC()
 			r0 := tr.StatsSnapshot().SnapshotRenewals
 			for _, k := range ks {
 				tr.Store(k, 3)
 			}
 			if r := tr.StatsSnapshot().SnapshotRenewals - r0; r != 0 {
-				t.Errorf("both released: %d renewals, want 0", r)
+				t.Errorf("second full overwrite: %d renewals, want 0", r)
 			}
+			frozen(fmt.Sprintf("snapshot %d released", first), 1-first)
 			if err := tr.Validate(nil); err != nil {
 				t.Error(err)
 			}

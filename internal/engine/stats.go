@@ -46,9 +46,8 @@ type contention struct {
 // every depth >= 2^11, not only depths in [2^11, 2^12). Count and Sum are
 // exact.
 //
-// SnapshotsHeld is not a counter but the number of snapshots taken and
-// not yet released: while it is non-zero, mutations renew the stale nodes
-// on their paths (SnapshotRenewals).
+// SnapshotRenewals counts the stale internal nodes mutations renewed
+// after a Snapshot: each node once per snapshot taken since it was built.
 type StatsSnapshot struct {
 	Help             int64
 	HelpAssist       int64
@@ -56,7 +55,6 @@ type StatsSnapshot struct {
 	FlagBacktrack    int64
 	OpRetries        int64
 	SnapshotRenewals int64
-	SnapshotsHeld    int64
 	Depth            obs.HistSnapshot
 }
 
@@ -70,7 +68,6 @@ func (t *Trie[K, V]) StatsSnapshot() StatsSnapshot {
 		FlagBacktrack:    t.stats.flagBacktrack.Load(),
 		OpRetries:        t.stats.opRetries.Load(),
 		SnapshotRenewals: t.stats.snapshotRenewals.Load(),
-		SnapshotsHeld:    int64(t.gate.snapshots()),
 	}
 	for i := range t.gate.lanes {
 		l := &t.gate.lanes[i]

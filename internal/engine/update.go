@@ -300,12 +300,7 @@ func (t *Trie[K, V]) makeInternal(l *lane, n1, n2 *node[K, V], i *byte) *node[K,
 // flagged permanently, since it leaves the trie.
 func (t *Trie[K, V]) Insert(v K) bool {
 	var zero V
-	return t.InsertValue(v, zero)
-}
-
-// InsertValue is Insert with a value payload bound to the fresh leaf.
-func (t *Trie[K, V]) InsertValue(v K, val V) bool {
-	_, loaded, _ := t.update(v, val, true, keep, nil)
+	_, loaded, _ := t.update(v, zero, true, keep, nil)
 	return !loaded
 }
 

@@ -545,15 +545,16 @@ func TestPersistDumpHonoursBulkLimit(t *testing.T) {
 	}
 }
 
-// TestScanAndSaveReleaseSnapshots: the server takes no snapshot. A SCAN
-// walk takes none, so the keyspace holds 0 snapshots with a walk left
-// mid-way and a SET during it renews no node. BGSAVE's
-// dump walks the live trie too, with the AOF on or off: 0 held with the
-// dump paused mid-walk, and a SET then renews nothing. Close leaves none
-// held.
-func TestScanAndSaveReleaseSnapshots(t *testing.T) { bothModes(t, saveReleasesSnapshots) }
+// TestScanAndSaveTakeNoSnapshot: the server takes no snapshot. Any
+// snapshot of the keyspace makes the next write renew the nodes on its
+// path, so a SET that renews nothing shows that none was taken since the
+// last write. A SCAN walk takes none, so a SET with a walk left mid-way
+// renews nothing. BGSAVE's dump walks the live trie too, with the AOF
+// on or off: a SET with the dump paused mid-walk, and one after it,
+// renew nothing.
+func TestScanAndSaveTakeNoSnapshot(t *testing.T) { bothModes(t, scanAndSaveTakeNoSnapshot) }
 
-func saveReleasesSnapshots(t *testing.T, aof bool) {
+func scanAndSaveTakeNoSnapshot(t *testing.T, aof bool) {
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	s, addr := startServer(t, Config{Persist: PersistConfig{Dir: t.TempDir(), AOF: aof}}, func(s *Server) {
@@ -562,12 +563,6 @@ func saveReleasesSnapshots(t *testing.T, aof bool) {
 	c := dial(t, addr)
 	for i := 0; i < 30; i++ {
 		c.mustSimple("OK", "SET", fmt.Sprintf("k%02d", i), "v")
-	}
-	held := func(when string, want int64) {
-		t.Helper()
-		if got := s.db.EngineStats().SnapshotsHeld; got != want {
-			t.Errorf("%s: %d snapshots held, want %d", when, got, want)
-		}
 	}
 	renewsNothing := func(when, key string) {
 		t.Helper()
@@ -578,12 +573,10 @@ func saveReleasesSnapshots(t *testing.T, aof bool) {
 		}
 	}
 
-	held("idle", 0)
 	cursor, _ := scanPage(c, "0", 5)
 	if cursor == "0" {
 		t.Fatal("SCAN COUNT 5 over 30 keys finished in one page")
 	}
-	held("a walk left mid-way", 0)
 	renewsNothing("during a SCAN walk", "k00")
 
 	c.mustSimple("Background saving started", "BGSAVE")
@@ -592,19 +585,10 @@ func saveReleasesSnapshots(t *testing.T, aof bool) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("BGSAVE's dump never wrote a record")
 	}
-	held("a dump paused mid-walk", 0)
 	renewsNothing("during a dump", "k01")
 	close(release)
 	waitSave(t, s)
-	held("after a finished BGSAVE", 0)
 	renewsNothing("after BGSAVE", "k02")
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if h := s.DB().EngineStats().SnapshotsHeld; h != 0 {
-		t.Errorf("after Close: %d snapshots held, want 0", h)
-	}
 }
 
 // waitSave waits for s's background dump to finish.

@@ -24,11 +24,7 @@ import "nbtrie/internal/engine"
 //   - OpRetries: mutator retry-loop iterations past the first.
 //   - SnapshotRenewals: stale-generation internal nodes copied into the
 //     current generation by the first mutation to descend through them
-//     while a Snapshot is held.
-//
-// SnapshotsHeld is a gauge, not a counter: the snapshots taken and not
-// yet released. Mutations renew only while it is non-zero, so a snapshot
-// that is never released keeps taxing writers.
+//     after a Snapshot, each once per snapshot taken since it was built.
 //
 // DepthBuckets is a log2 histogram of per-mutation search depths. A
 // depth is the number of levels walked from where the descent started:
@@ -46,7 +42,6 @@ type EngineStats struct {
 	FlagBacktracks   int64
 	OpRetries        int64
 	SnapshotRenewals int64
-	SnapshotsHeld    int64
 
 	DepthSamples int64
 	DepthSum     int64
@@ -62,7 +57,6 @@ func engineStatsOf(s engine.StatsSnapshot) EngineStats {
 		FlagBacktracks:   s.FlagBacktrack,
 		OpRetries:        s.OpRetries,
 		SnapshotRenewals: s.SnapshotRenewals,
-		SnapshotsHeld:    s.SnapshotsHeld,
 		DepthSamples:     s.Depth.Count,
 		DepthSum:         s.Depth.Sum,
 		DepthBuckets:     s.Depth.Buckets,

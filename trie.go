@@ -218,43 +218,29 @@ func (t *trie[U, K, V, C]) Snapshot() snap[U, K, V, C] {
 	return snap[U, K, V, C]{c: t.c, s: t.e.Snapshot()}
 }
 
-func (s *snap[U, K, V, C]) Release() { s.s.Release() }
-
-// view returns the engine snapshot to read, panicking once it has been
-// released: the nodes it reached may have been flagged in place since.
-func (s *snap[U, K, V, C]) view() *engine.Snapshot[K, V] {
-	if s.s.Released() {
-		panic("nbtrie: read from a released snapshot")
-	}
-	return s.s
-}
-
-func (s *snap[U, K, V, C]) Len() int { return s.view().Len() }
+func (s *snap[U, K, V, C]) Len() int { return s.s.Len() }
 
 func (s *snap[U, K, V, C]) Contains(u U) bool {
-	v := s.view()
 	k, ok := s.c.Encode(u)
-	return ok && v.Contains(k)
+	return ok && s.s.Contains(k)
 }
 
 func (s *snap[U, K, V, C]) Load(u U) (V, bool) {
-	v := s.view()
 	k, ok := s.c.Encode(u)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	return v.Load(k)
+	return s.s.Load(k)
 }
 
 func (s *snap[U, K, V, C]) AscendKV(from U, fn func(u U, val V) bool) {
-	v := s.view()
 	if k, ok := s.c.Encode(from); ok {
-		v.AscendKV(k, decoded[U, K](s.c, fn))
+		s.s.AscendKV(k, decoded[U, K](s.c, fn))
 	}
 }
 
 func (s *snap[U, K, V, C]) AllKV(fn func(u U, val V) bool) {
 	var bottom K
-	s.view().AscendKV(bottom, decoded[U, K](s.c, fn))
+	s.s.AscendKV(bottom, decoded[U, K](s.c, fn))
 }

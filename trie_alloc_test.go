@@ -144,10 +144,6 @@ var (
 			_, loaded, ok := tr.LoadOrStore(k, pinVal(k))
 			return ok && !loaded
 		}},
-		{"InsertValue", func(tr *u64Trie[int], k uint64) bool {
-			ek, _ := tr.c.Encode(k)
-			return tr.e.InsertValue(ek, pinVal(k))
-		}},
 	}
 	overwriteForms = []writeForm{
 		{"Store", func(tr *u64Trie[int], k uint64) bool { return tr.Store(k, pinVal(k)) }},

@@ -160,9 +160,11 @@ func TestLiveAscendUnderReplace(t *testing.T) {
 			m.Store(churned(k), churned(k))
 		}
 
-		// Writers and walkers yield every few steps, so that even at
-		// GOMAXPROCS 1 the writes land in the middle of walks. ops counts
-		// the writes, during those made while some walk was open.
+		// Writers and walkers yield every few steps, and each walk, once
+		// past the middle of the keyspace, waits for the writers to start
+		// 16 more writes, so that writes land in the middle of every walk
+		// even at GOMAXPROCS 1 or on a loaded machine. ops counts the
+		// writes, during those made while some walk was open.
 		stop := make(chan struct{})
 		var ops, during atomic.Int64
 		var writers sync.WaitGroup
@@ -199,6 +201,7 @@ func TestLiveAscendUnderReplace(t *testing.T) {
 			prev    uint64
 			started bool
 			stable  int
+			waited  bool
 			err     string
 		}
 		see := func(w *walk, k, v uint64) bool {
@@ -215,6 +218,12 @@ func TestLiveAscendUnderReplace(t *testing.T) {
 			w.prev, w.started = k, true
 			if k%64 == 0 {
 				runtime.Gosched()
+			}
+			if !w.waited && k >= universe/2 {
+				for mark := ops.Load(); ops.Load()-mark < 16; {
+					runtime.Gosched()
+				}
+				w.waited = true
 			}
 			if k%4 == 0 {
 				w.stable++
