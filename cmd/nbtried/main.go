@@ -11,7 +11,7 @@
 //
 //	-addr       listen address (host:port; port 0 picks a free port)
 //	-max-bulk   largest accepted bulk string (keys and values), bytes
-//	            (default 8 MB; 0 selects the default, negative is refused)
+//	            (default 8 MB; 0 and negative are refused)
 //	-port-file  write the actual listen address to this file once
 //	            listening (for scripts that start on a random port)
 //
@@ -30,8 +30,8 @@
 //	-slowlog-log-slower-than SLOWLOG threshold in microseconds, with
 //	                         Redis's semantics: 0 logs every command,
 //	                         negative disables (default 10000 = 10ms)
-//	-slowlog-max-len         SLOWLOG ring capacity (default 128; 0
-//	                         selects the default, negative is refused)
+//	-slowlog-max-len         SLOWLOG ring capacity (default 128; 0 and
+//	                         negative are refused)
 //
 // Durability (all off by default; see DESIGN.md §9):
 //
@@ -102,11 +102,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *maxBulk < 0 {
-		return fmt.Errorf("-max-bulk must be >= 0")
+	// Config reads 0 as "the default", so a 0 here would be replaced
+	// silently; refuse it as a negative size is refused.
+	if *maxBulk < 1 {
+		return fmt.Errorf("-max-bulk must be >= 1")
 	}
-	if *slowlogMax < 0 {
-		return fmt.Errorf("-slowlog-max-len must be >= 0")
+	if *slowlogMax < 1 {
+		return fmt.Errorf("-slowlog-max-len must be >= 1")
 	}
 	policy, err := persist.ParseSyncPolicy(*fsyncMode)
 	if err != nil {

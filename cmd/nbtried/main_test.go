@@ -103,9 +103,11 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-appendfsync", "sometimes"},
 		{"-dir", os.DevNull + "/nope", "-save", "-1"},
 		{"-save", "5", "-addr", "127.0.0.1:0"}, // -save without -dir
-		// Negative sizes are refused, not replaced by the defaults.
+		// Sizes below 1 are refused, not replaced by the defaults.
 		{"-max-bulk", "-5", "-addr", "127.0.0.1:0"},
+		{"-max-bulk", "0", "-addr", "127.0.0.1:0"},
 		{"-slowlog-max-len", "-1", "-addr", "127.0.0.1:0"},
+		{"-slowlog-max-len", "0", "-addr", "127.0.0.1:0"},
 	} {
 		if err := run(ctx, args, &out, &errOut); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -16,56 +16,30 @@ func TestCounterBasic(t *testing.T) {
 	}
 }
 
-func TestStripedSumsAcrossStripes(t *testing.T) {
-	s := NewStriped(3)
-	for stripe := uint32(0); stripe < NumStripes*2; stripe++ {
-		s.Add(stripe, 1, 2)
-		s.Inc(stripe, 2)
-	}
-	if got := s.Load(0); got != 0 {
-		t.Fatalf("counter 0 = %d, want 0", got)
-	}
-	if got := s.Load(1); got != 32 {
-		t.Fatalf("counter 1 = %d, want 32", got)
-	}
-	if got := s.Load(2); got != 16 {
-		t.Fatalf("counter 2 = %d, want 16", got)
-	}
-}
-
-// TestConcurrentHammer hammers a Counter, a Striped vector, and a Hist from
-// many goroutines. Run under -race this verifies the record paths are
-// data-race free; the final totals verify no increments are lost.
+// TestConcurrentHammer hammers a Counter and a Hist from many goroutines.
+// Run under -race this verifies the record paths are data-race free; the
+// final totals verify no increments are lost.
 func TestConcurrentHammer(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 20000
 	)
 	var c Counter
-	s := NewStriped(4)
 	var h Hist
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for range goroutines {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Add(1)
-				s.Add(uint32(g), i&3, 1)
 				h.Record(uint64(i))
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if got := c.Load(); got != goroutines*perG {
 		t.Fatalf("Counter = %d, want %d", got, goroutines*perG)
-	}
-	var stripedTotal int64
-	for i := 0; i < 4; i++ {
-		stripedTotal += s.Load(i)
-	}
-	if stripedTotal != goroutines*perG {
-		t.Fatalf("Striped total = %d, want %d", stripedTotal, goroutines*perG)
 	}
 	snap := h.Snapshot()
 	if got := snap.Count; got != goroutines*perG {
@@ -157,13 +131,9 @@ func TestQuantileEdgeCases(t *testing.T) {
 // TestRecordPathsZeroAlloc pins the record paths at zero allocations.
 func TestRecordPathsZeroAlloc(t *testing.T) {
 	var c Counter
-	s := NewStriped(4)
 	var h Hist
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Errorf("Counter.Add allocs = %v, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { s.Add(3, 2, 1) }); n != 0 {
-		t.Errorf("Striped.Add allocs = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Record(12345) }); n != 0 {
 		t.Errorf("Hist.Record allocs = %v, want 0", n)
@@ -175,16 +145,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Add(1)
-		}
-	})
-}
-
-func BenchmarkStripedAdd(b *testing.B) {
-	s := NewStriped(8)
-	b.RunParallel(func(pb *testing.PB) {
-		var stripe uint32 = uint32(rand.Int31())
-		for pb.Next() {
-			s.Add(stripe, 3, 1)
 		}
 	})
 }

@@ -152,15 +152,10 @@ type session struct {
 	num    []byte   // itoa's scratch: an integer argument of an AOF record
 	quit   bool     // set by QUIT: the connection closes after this reply
 	wrote  bool     // the batch appended a record since its last commitAOF
-
-	// stripe is this connection's index into the striped per-command
-	// counters (see metrics.go) — assigned once per session so counter
-	// writes from different connections land on different cache lines.
-	stripe uint32
 }
 
 func newSession(s *Server, w *resp.Writer) *session {
-	return &session{s: s, w: w, stripe: s.met.connSeq.Add(1)}
+	return &session{s: s, w: w}
 }
 
 // dispatch answers one command into ss.w (the caller flushes). It
@@ -170,11 +165,12 @@ func newSession(s *Server, w *resp.Writer) *session {
 // (handled by the caller).
 //
 // This wrapper owns per-command accounting: it finds the command's row,
-// times the inline execution, and records calls / errors / latency into
-// the metrics registry plus the slowlog threshold check — all wait-free
-// and allocation-free (the map lookup's []byte→string conversion is
-// elided, time.Now is a vDSO read; the slowlog only copies arguments
-// for commands that already blew the threshold).
+// times the inline execution, and records the latency sample (which is
+// also the call) and any error replies into the metrics registry, plus
+// the slowlog threshold check — all wait-free and allocation-free (the
+// map lookup's []byte→string conversion is elided, time.Now is a vDSO
+// read; the slowlog only copies arguments for commands that already
+// blew the threshold).
 func (ss *session) dispatch(args [][]byte) (quit bool) {
 	ci, known := cmdByName[string(ss.upper(args[0]))]
 	if !known {
@@ -190,7 +186,7 @@ func (ss *session) dispatch(args [][]byte) (quit bool) {
 		ss.w.WriteError(fmt.Sprintf("ERR unknown command %q", clip(args[0])))
 	}
 	d := time.Since(start)
-	ss.s.met.record(ss.stripe, int(ci), d, ss.w.ErrorCount()-errsBefore)
+	ss.s.met.record(int(ci), d, ss.w.ErrorCount()-errsBefore)
 	if ss.s.slog.admits(d) {
 		ss.s.slog.add(d, args)
 	}

@@ -548,7 +548,7 @@ func FuzzTTLArgs(f *testing.F) {
 		for _, part := range bytes.SplitN(raw, []byte{0}, 6) {
 			args = append(args, part)
 		}
-		calls, errs := s.met.cmdCalls.Load(ci), s.met.cmdErrs.Load(ci)
+		calls, errs := s.met.latency[ci].Snapshot().Count, s.met.cmdErrs[ci].Load()
 		var out bytes.Buffer
 		bw := bufio.NewWriter(&out)
 		ss := newSession(s, resp.NewWriter(bw))
@@ -564,10 +564,10 @@ func FuzzTTLArgs(f *testing.F) {
 		if rest, _ := br.Peek(1); len(rest) != 0 {
 			t.Fatalf("%s %q produced more than one reply: %q", cmd, raw, out.Bytes())
 		}
-		if d := s.met.cmdCalls.Load(ci) - calls; d != 1 {
+		if d := s.met.latency[ci].Snapshot().Count - calls; d != 1 {
 			t.Fatalf("%s %q counted %d calls under %q, want 1", cmd, raw, d, cmdLabel(ci))
 		}
-		if d, want := s.met.cmdErrs.Load(ci)-errs, errorReplies(v); d != want {
+		if d, want := s.met.cmdErrs[ci].Load()-errs, errorReplies(v); d != want {
 			t.Fatalf("%s %q counted %d errors under %q, sent %d: %q", cmd, raw, d, cmdLabel(ci), want, out.Bytes())
 		}
 	})

@@ -18,46 +18,44 @@ import (
 // once for INFO (section and key) and for /metrics (family and HELP) and
 // read once per render. infoText and WriteMetrics are loops over the
 // rows, plus the per-command lines and histograms that have no scalar
-// form; writeHist states the one rule for histogram bucket bounds.
+// form; a command's calls are its latency histogram's count, so one read
+// of the histogram gives both. writeHist states the one rule for
+// histogram bucket bounds.
 
-// metrics is the server's always-on counter registry. Per-command call
-// and error counters are striped by connection (obs.Striped) so a busy
-// multi-core server's connections don't serialize on a shared cache
-// line; latency histograms are one obs.Hist per command (each Record is
-// two atomic adds). Every record path here is wait-free and zero-alloc —
-// the same discipline as the engine counters — which is what lets the
-// server keep its pinned 0-alloc GET/EXISTS/DEL/MGET paths with metrics
-// permanently enabled.
+// metrics is the server's always-on counter registry. Each command has
+// one latency obs.Hist, whose Count is the command's calls: a dispatch
+// is counted once, in the words its latency sample lands in (two atomic
+// adds), so a render reads a row's calls, sum and quantiles from one
+// Snapshot and they agree. Error replies, off the fast path, are a
+// plain counter per row. Every record path here is wait-free and
+// zero-alloc — the same discipline as the engine counters — which is
+// what lets the server keep its pinned 0-alloc GET/EXISTS/DEL/MGET
+// paths with metrics permanently enabled.
 type metrics struct {
 	// One slot per command-table row plus "other" (see cmdLabel).
-	cmdCalls *obs.Striped // per-command dispatches
-	cmdErrs  *obs.Striped // error replies per command
-	latency  []obs.Hist   // per-command latency, microseconds
+	latency []obs.Hist     // per-command latency, microseconds; Count is the calls
+	cmdErrs []atomic.Int64 // error replies per command
 
 	bytesIn  obs.Counter // socket reads (per fill, not per command)
 	bytesOut obs.Counter // socket writes
 
 	aofCommit obs.Hist // commitAOF duration, microseconds (batches with work)
-
-	// connSeq hands each new session a stripe index.
-	connSeq atomic.Uint32
 }
 
 func newMetrics() *metrics {
 	n := len(commands) + 1
 	return &metrics{
-		cmdCalls: obs.NewStriped(n),
-		cmdErrs:  obs.NewStriped(n),
-		latency:  make([]obs.Hist, n),
+		latency: make([]obs.Hist, n),
+		cmdErrs: make([]atomic.Int64, n),
 	}
 }
 
-// record accounts one dispatched command: a call, its latency and any
-// error replies it produced. Wait-free, zero-alloc.
-func (m *metrics) record(stripe uint32, ci int, d time.Duration, errs int64) {
-	m.cmdCalls.Inc(stripe, ci)
+// record accounts one dispatched command: its latency sample, which is
+// also its call, and any error replies it produced. Wait-free,
+// zero-alloc.
+func (m *metrics) record(ci int, d time.Duration, errs int64) {
 	if errs > 0 {
-		m.cmdErrs.Add(stripe, ci, errs)
+		m.cmdErrs[ci].Add(errs)
 	}
 	m.latency[ci].Record(uint64(d.Microseconds()))
 }
@@ -81,10 +79,10 @@ var infoTitles = []string{"Server", "Clients", "Stats", "Commandstats",
 // stats reads every statistic once, each section's rows in INFO order.
 func (s *Server) stats() []stat {
 	m := s.met
-	var calls, errs int64 // every dispatch counts in cmdCalls, unknown words as "other"
+	var calls, errs int64 // every dispatch counts in its row, unknown words as "other"
 	for ci := range m.latency {
-		calls += m.cmdCalls.Load(ci)
-		errs += m.cmdErrs.Load(ci)
+		calls += m.latency[ci].Snapshot().Count
+		errs += m.cmdErrs[ci].Load()
 	}
 	expired, passes := s.db.Stats()
 	es := s.db.EngineStats()
@@ -234,24 +232,30 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		}
 	}
 
+	// One read per command: its calls line and its latency histogram
+	// are the same Snapshot.
+	snaps := make([]obs.HistSnapshot, len(m.latency))
+	for ci := range snaps {
+		snaps[ci] = m.latency[ci].Snapshot()
+	}
 	b.WriteString("# HELP nbtried_commands_total Commands dispatched, by command.\n" +
 		"# TYPE nbtried_commands_total counter\n")
-	for ci := range m.latency {
-		if n := m.cmdCalls.Load(ci); n > 0 {
-			fmt.Fprintf(&b, "nbtried_commands_total{cmd=%q} %d\n", cmdLabel(ci), n)
+	for ci, snap := range snaps {
+		if snap.Count > 0 {
+			fmt.Fprintf(&b, "nbtried_commands_total{cmd=%q} %d\n", cmdLabel(ci), snap.Count)
 		}
 	}
 	b.WriteString("# HELP nbtried_command_errors_total Error replies, by command.\n" +
 		"# TYPE nbtried_command_errors_total counter\n")
-	for ci := range m.latency {
-		if n := m.cmdErrs.Load(ci); n > 0 {
+	for ci := range m.cmdErrs {
+		if n := m.cmdErrs[ci].Load(); n > 0 {
 			fmt.Fprintf(&b, "nbtried_command_errors_total{cmd=%q} %d\n", cmdLabel(ci), n)
 		}
 	}
 	b.WriteString("# HELP nbtried_command_latency_seconds Command latency, by command.\n" +
 		"# TYPE nbtried_command_latency_seconds histogram\n")
-	for ci := range m.latency {
-		if snap := m.latency[ci].Snapshot(); snap.Count > 0 {
+	for ci, snap := range snaps {
+		if snap.Count > 0 {
 			writeHist(&b, "nbtried_command_latency_seconds", fmt.Sprintf("cmd=%q", cmdLabel(ci)), snap)
 		}
 	}
@@ -314,17 +318,12 @@ func (s *Server) MetricsHandler() http.Handler {
 func (s *Server) commandstatsText(b *strings.Builder) {
 	m := s.met
 	for ci := range m.latency {
-		calls := m.cmdCalls.Load(ci)
-		if calls == 0 {
+		snap := m.latency[ci].Snapshot()
+		if snap.Count == 0 {
 			continue
 		}
-		snap := m.latency[ci].Snapshot()
-		perCall := float64(0)
-		if snap.Count > 0 {
-			perCall = float64(snap.Sum) / float64(snap.Count)
-		}
 		fmt.Fprintf(b, "cmdstat_%s:calls=%d,usec=%d,usec_per_call=%.2f,errors=%d\r\n",
-			cmdLabel(ci), calls, snap.Sum, perCall, m.cmdErrs.Load(ci))
+			cmdLabel(ci), snap.Count, snap.Sum, float64(snap.Sum)/float64(snap.Count), m.cmdErrs[ci].Load())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http/httptest"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,6 +363,102 @@ func TestInfoTotalCommandsIsCommandstatsSum(t *testing.T) {
 	if total != int64(len(burst)) || calls != total {
 		t.Errorf("after a %d-command burst INFO reads total_commands_processed %d and commandstats calls summing to %d; want both %d",
 			len(burst), total, calls, len(burst))
+	}
+}
+
+// perCommand reads every sample of a per-command family from an
+// exposition, by its cmd label.
+func perCommand(text, family string) map[string]int64 {
+	out := map[string]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family+`{cmd="`)
+		if !ok {
+			continue
+		}
+		cmd, val, _ := strings.Cut(rest, `"} `)
+		n, _ := strconv.ParseInt(val, 10, 64)
+		out[cmd] = n
+	}
+	return out
+}
+
+// TestScrapeCountsEachCommandOnce drives GET and SET from four
+// pipelining connections for 200 ms and scrapes all the while. In every
+// scrape a command's nbtried_commands_total must equal its latency
+// histogram's count: a call is counted once, and both lines come from
+// the one read. At quiescence both equal the commands sent, and INFO's
+// total_commands_processed their sum.
+func TestScrapeCountsEachCommandOnce(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	const conns, batch = 4, 16 // a batch is 4 SETs and 12 GETs
+	var gets, sets atomic.Int64
+	stop := make(chan struct{})
+	errc := make(chan error, conns)
+	for i := 0; i < conns; i++ {
+		c := dial(t, addr)
+		key := fmt.Sprintf("k%d", i)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errc <- nil
+					return
+				default:
+				}
+				for j := 0; j < batch; j++ {
+					if j%4 == 0 {
+						c.w.WriteCommandString("SET", key, "v")
+					} else {
+						c.w.WriteCommandString("GET", key)
+					}
+				}
+				if err := c.w.Flush(); err != nil {
+					errc <- err
+					return
+				}
+				for j := 0; j < batch; j++ {
+					if _, err := resp.ReadReply(c.r, resp.Limits{}); err != nil {
+						errc <- err
+						return
+					}
+				}
+				sets.Add(batch / 4)
+				gets.Add(batch - batch/4)
+			}
+		}()
+	}
+
+	scrapes, torn := 0, 0
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); scrapes++ {
+		text := metricsText(t, s)
+		calls := perCommand(text, "nbtried_commands_total")
+		counts := perCommand(text, "nbtried_command_latency_seconds_count")
+		if !maps.Equal(calls, counts) {
+			if torn++; torn <= 3 {
+				t.Errorf("scrape %d: nbtried_commands_total %v, latency histogram counts %v", scrapes, calls, counts)
+			}
+		}
+	}
+	close(stop)
+	for i := 0; i < conns; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d scrapes under load read a command's calls and its latency count apart", torn, scrapes)
+	}
+
+	want := map[string]int64{"get": gets.Load(), "set": sets.Load()}
+	text := metricsText(t, s)
+	for _, family := range []string{"nbtried_commands_total", "nbtried_command_latency_seconds_count"} {
+		if got := perCommand(text, family); !maps.Equal(got, want) {
+			t.Errorf("quiescent %s = %v, sent %v", family, got, want)
+		}
+	}
+	info := string(dial(t, addr).do("INFO", "stats").Str)
+	if line := fmt.Sprintf("total_commands_processed:%d\r\n", want["get"]+want["set"]); !strings.Contains(info, line) {
+		t.Errorf("INFO stats = %q, want a line %q", info, line)
 	}
 }
 

@@ -113,14 +113,14 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
         echo "none: the TTL write paths are heap-free"
     fi
     echo
-    echo "## obs record paths (Counter.Add / Striped.Add / Hist.Record)"
+    echo "## obs record paths (Counter.Add / Hist.Record)"
     # Every command and every engine help/retry crosses these; the
     # 0-alloc pins in internal/obs/obs_test.go (AllocsPerRun) enforce
     # the count, this section localizes the site when one fails. The
     # only expected obs escapes are the snapshot/render side (Load,
     # Snapshot, Quantile) — cold by construction.
     if grep 'obs/' "$mlog"; then
-        echo "(obs escape sites above: anything in Inc/Add/Record is a"
+        echo "(obs escape sites above: anything in Add/Record is a"
         echo "hot-path regression; snapshot-side sites are expected.)"
     else
         echo "none: the record paths are heap-free"
