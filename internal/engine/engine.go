@@ -90,9 +90,10 @@ type node[K keys.Key[K], V any] struct {
 	// from a snapshot's root. Leaves need no generation, which is what
 	// frees the field to double as the leaf mark: they are structurally
 	// immutable, and the one mutation they can suffer (a general-case
-	// replace storing its Flag into the removed leaf's info) is filtered
-	// generationally through the generation of the Flag's first CAS
-	// target instead (see Snapshot.removed).
+	// replace storing its Flag into the removed leaf's info) is one that
+	// snapshot views never read: only live descents run the removal check
+	// (Trie.removed), and a Flag a view meets belongs to a replace that
+	// removes nothing from it (see snapshot.go).
 	gen uint64
 
 	// info is the paper's Info field as an opaque word: nil, "never
@@ -305,14 +306,12 @@ func (n *node[K, V]) byteLeaf() *byteLeaf[K, V] {
 	return (*byteLeaf[K, V])(unsafe.Pointer(n))
 }
 
-// bytes returns a view of l's bytes, len == cap == l.n. It always
-// points into memory that belongs to l alone, so views from different
-// leaves never share an address: the tail, the separate copy, or, for an
-// empty value, l's own length word.
+// bytes returns a view of l's bytes, len == cap == l.n: the tail, the
+// separate copy, or nil for an empty value.
 func (l *byteLeaf[K, V]) bytes() []byte {
 	switch {
 	case l.n == 0:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&l.n)), 0)
+		return nil
 	case l.n > maxTail:
 		return unsafe.Slice((*longLeaf[K, V])(unsafe.Pointer(l)).p, l.n)
 	}
@@ -540,9 +539,9 @@ type (
 
 		// rmvLeaf, when non-nil, is the leaf holding the replaced key of
 		// a general-case replace. It is flagged (plain store) after all
-		// flag CASes succeed and before the first child CAS; searches
-		// reaching it afterwards use the removal check (Snapshot.removed)
-		// to decide whether the key is gone.
+		// flag CASes succeed and before the first child CAS; live
+		// searches reaching it afterwards use the removal check
+		// (Trie.removed) to decide whether the key is gone.
 		rmvLeaf *node[K, V]
 	}
 )

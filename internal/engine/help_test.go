@@ -249,25 +249,24 @@ func TestLogicallyRemovedPredicate(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(5)
 	leaf5 := tr.searchMut(tr.lane0(), tr.enc(5)).node
-	live := tr.live()
 
 	if leaf5.info.Load() != nil {
 		t.Error("a live leaf must be born with a nil info")
 	}
-	if live.removed(leaf5.info.Load()) {
+	if tr.removed(leaf5.info.Load()) {
 		t.Error("unflagged leaf must not be logically removed")
 	}
 	// Fabricate a replace-style flag whose pNode still points at
 	// oldChild: not yet removed.
 	p := tr.searchMut(tr.lane0(), tr.enc(5)).p
 	d := testFlag([]uflag{{p, nil}}, []ucas{{leaf5, nil}}, 0)
-	if live.removed(d.word()) {
+	if tr.removed(d.word()) {
 		t.Error("leaf still linked under the first CAS's target is not removed")
 	}
 	// Once the old child is no longer a child of the target, it is removed.
 	_, cas, _ := d.parts()
 	cas[0].oldChild = newTestLeaf(tr, 9)
-	if !live.removed(d.word()) {
+	if !tr.removed(d.word()) {
 		t.Error("leaf unlinked from the first CAS's target must report removed")
 	}
 }

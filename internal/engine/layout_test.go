@@ -122,10 +122,10 @@ func (*bval) FromLeaf(b []byte, at uint64) bval { return bval{B: b, At: at} }
 // to past maxTail, newLeafVal allocates what Footprint's leafSize counts:
 // up to maxTail one object, in the smallest size class that holds the
 // 48 B byteLeaf and the value (a 64 B value: 112 B), and above it a 64 B
-// longLeaf and a separate copy. The bytes a read gets equal the value's,
-// are a copy (cap == len, at another address) and are never nil; two
-// leaves of the same value, even an empty one, hand out different
-// addresses. An overwrite then costs the leaf and a 48 B Flag: 2 objects
+// longLeaf and a separate copy. The bytes a read gets equal the value's
+// and are a copy (cap == len, at another address); two leaves of the
+// same value hand out different addresses, and an empty value reads as
+// nil. An overwrite then costs the leaf and a 48 B Flag: 2 objects
 // and 160 B with a 64 B value, 3 and 1136 B with a 1000 B one, its
 // 1024 B copy included. A V that is not a BytesValue
 // keeps the caller's slice.
@@ -154,8 +154,8 @@ func TestByteLeafAllocs(t *testing.T) {
 				n, objs, bytes, wantObjs, wantBytes, leafSize(l))
 		}
 		got, other := l.value(), newLeafVal(label, v).value()
-		if got.B == nil || len(got.B) != n || cap(got.B) != n || string(got.B) != string(v.B) || got.At != 9 ||
-			unsafe.SliceData(got.B) == unsafe.SliceData(v.B) || unsafe.SliceData(got.B) == unsafe.SliceData(other.B) {
+		if (got.B == nil) != (n == 0) || len(got.B) != n || cap(got.B) != n || string(got.B) != string(v.B) || got.At != 9 ||
+			n > 0 && (unsafe.SliceData(got.B) == unsafe.SliceData(v.B) || unsafe.SliceData(got.B) == unsafe.SliceData(other.B)) {
 			t.Fatalf("a %d B value's leaf holds %d/%d B at %p (value at %p, another leaf's at %p), At %d; want an equal copy of its own",
 				n, len(got.B), cap(got.B), unsafe.SliceData(got.B), unsafe.SliceData(v.B), unsafe.SliceData(other.B), got.At)
 		}

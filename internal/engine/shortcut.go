@@ -16,7 +16,7 @@ import (
 // the key's digit and skip the levels above it.
 //
 // The paper has one search for find and for every update, and so does
-// this table: the live Load and Contains (search at liveGen) and every
+// this table: the live Load and Contains (search on Trie.live) and every
 // mutator descent (searchMut) start from it. A descent loads the slot's
 // node, then that node's info, and only then its children. It starts
 // there when the info is unflagged (nil or an Unflag) and the node's

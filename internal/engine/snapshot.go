@@ -32,22 +32,25 @@ import (
 // values, and child pointers never repeat a value (fresh nodes only),
 // so every late CAS fails harmlessly. The single non-CAS write in the
 // protocol — a general-case replace storing its Flag into the removed
-// leaf's info — can only re-store the same value for a drained update;
-// for a post-snapshot replace it lands on a leaf that may be shared
-// with the snapshot, which is why the snapshot's logical-removal check
-// is generation-aware (removed): a Flag whose first CAS target belongs
-// to a newer generation describes a removal that happened after this
-// snapshot and is ignored.
+// leaf's info — can only re-store the same value for a drained update.
+//
+// Why a view needs no removal check. A replace stores its Flag into the
+// removed leaf only after all its flags succeeded, and the same help call
+// then makes both child CASes; every help runs inside some updater's gate
+// window, and Snapshot swaps the root only after draining the gate. So
+// every leaf a replace removed before the swap is already unlinked from
+// the structure the view keeps, and any Flag a view meets belongs to a
+// later replace, which removes nothing from the view. A view reads every
+// leaf it reaches as live, as a Ctrie reads a snapshot with the ordinary
+// lookup from the snapshot's root.
 //
 // The live trie reads through the same code: Trie.live is a Snapshot
-// value at the current root whose generation (liveGen) is newer than
-// any node's, so removed counts every Flag — the paper's check — and
-// Contains and Load have one descent (search) and AscendKV, Ceiling and
-// Floor one ordered walk (walk), as a Ctrie reads a snapshot and the
-// live trie with one lookup. Only the live descents, this one and the
-// mutators' searchMut, consult the shortcut table (shortcut.go): the
-// root a Snapshot swaps out is not flagged, so the table's "unflagged
-// means in the trie" holds for the live trie alone.
+// value at the current root marked live, so Contains and Load have one
+// descent (search) and AscendKV, Ceiling and Floor one ordered walk
+// (walk). Only live descents, these and the mutators' searchMut, apply
+// the paper's removal check (Trie.removed) and consult the shortcut table
+// (shortcut.go): the root a Snapshot swaps out is not flagged, so the
+// table's "unflagged means in the trie" holds for the live trie alone.
 //
 // Mutating operations that find no stale node on their path pay only
 // the gate (gate.go): an add on a lane of one random draw, a load of the
@@ -70,8 +73,8 @@ import (
 type Snapshot[K keys.Key[K], V any] struct {
 	t    *Trie[K, V]
 	root *node[K, V]
-	gen  uint64
 	n    int64
+	live bool
 }
 
 // Snapshot returns a read-only view of the trie at the moment of the
@@ -90,7 +93,7 @@ func (t *Trie[K, V]) Snapshot() *Snapshot[K, V] {
 	t.root.Store(t.copyNode(old, old.gen+1))
 	n := t.count.Load()
 	t.gate.reopen()
-	return &Snapshot[K, V]{t: t, root: old, gen: old.gen, n: n}
+	return &Snapshot[K, V]{t: t, root: old, n: n}
 }
 
 // Len returns the number of live user keys at the snapshot's
@@ -98,48 +101,32 @@ func (t *Trie[K, V]) Snapshot() *Snapshot[K, V] {
 // with no mutation in flight.
 func (s *Snapshot[K, V]) Len() int { return int(s.n) }
 
-// liveGen is the generation of the live view (Trie.live): newer than
-// every internal node's, so removed counts every Flag and reduces to the
-// paper's logically-removed check (lines 122-124).
-const liveGen = ^uint64(0)
-
 // live returns the live trie as a Snapshot value at its current root, so
 // the live reads (Contains, Load, AscendKV, Ceiling, Floor) run the
-// snapshot's descent, removal check and ordered walk. Unlike a real
-// snapshot the structure under it keeps moving: each visited link was
-// current when it was read. It carries no count and must not escape.
+// snapshot's descent and ordered walk, with the paper's removal check.
+// Unlike a real snapshot the structure under it keeps moving: each
+// visited link was current when it was read. It carries no count and
+// must not escape.
 func (t *Trie[K, V]) live() Snapshot[K, V] {
-	return Snapshot[K, V]{t: t, root: t.root.Load(), gen: liveGen}
+	return Snapshot[K, V]{t: t, root: t.root.Load(), live: true}
 }
 
-// removed implements lines 122-124, generation-aware: a leaf whose info
-// holds the Flag of a general-case replace is logically removed once that
-// replace's first child CAS has happened, detectable by the old child no
-// longer being a child of that CAS's target (Lemma 41); a nil target is
-// the root-CAS sentinel (the replace's insert half replaced the root node
-// itself), checked against the trie's root pointer. A Flag whose flagged
-// parents belong to a generation newer than the snapshot describes a
-// removal that happened after the snapshot was taken, so the leaf was
-// live in this view. (A replace from this or an older generation
-// completed before the snapshot's barrier released — the barrier drains
-// all in-flight mutations — so its leaf was already physically
-// unlinked and cannot be reached from the snapshot root at all; the
-// structural check below is kept as a defensive fallback.)
-func (s *Snapshot[K, V]) removed(w *byte) bool {
+// removed implements lines 122-124: a leaf whose info holds the Flag of a
+// general-case replace is logically removed once that replace's first
+// child CAS has happened, detectable by the old child no longer being a
+// child of that CAS's target (Lemma 41); a nil target is the root-CAS
+// sentinel (the replace's insert half replaced the root node itself),
+// checked against the trie's root pointer. Only live descents run it: a
+// view reads every leaf it reaches as live (see the header).
+func (t *Trie[K, V]) removed(w *byte) bool {
 	if !flagged(w) {
 		return false
 	}
 	p, old := flagOf[K, V](w).firstCAS()
 	if p == nil {
-		// Root-CAS sentinel: the replace's insert half swapped the root
-		// node itself. The displaced root (the first CAS's old child,
-		// always internal) carries the generation the replace ran in.
-		if old.gen > s.gen {
-			return false
-		}
-		return s.t.root.Load() != old
+		return t.root.Load() != old
 	}
-	return p.gen <= s.gen && !s.t.holdsChild(p.inner(), old)
+	return !t.holdsChild(p.inner(), old)
 }
 
 // search is the read-only descent (the paper's search, lines 76-85): at
@@ -149,17 +136,18 @@ func (s *Snapshot[K, V]) removed(w *byte) bool {
 // bounded key types, lock-free for unbounded ones. A nil n is an empty
 // slot of a wide node: v is absent.
 //
-// A live read (liveGen) starts where the shortcut table points
+// A live read starts where the shortcut table points
 // (shortcut.go) and, when it passes a node deeper than its start that
 // the table may cache, stores the deepest such node into v's slot: at
-// most one store, to the table, never to the trie. A snapshot read
-// starts at its root and writes nothing.
+// most one store, to the table, never to the trie, and applies the
+// removal check to the leaf it reaches. A snapshot read starts at its
+// root, writes nothing and checks nothing.
 func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	n = s.root
 	vl := v.Len()
 	var hint *atomic.Pointer[node[K, V]]
 	var reach uint32
-	if s.gen == liveGen {
+	if s.live {
 		n, hint, reach = s.t.start(s.t.short.Load(), v, vl, n)
 	}
 	from, deepest := n, n
@@ -176,8 +164,8 @@ func (s *Snapshot[K, V]) search(v K) (n *node[K, V], rmvd bool) {
 	if deepest != from {
 		hint.Store(deepest)
 	}
-	if n != nil && n.isLeaf() {
-		rmvd = s.removed(n.info.Load())
+	if s.live && n != nil && n.isLeaf() {
+		rmvd = s.t.removed(n.info.Load())
 	}
 	return n, rmvd
 }
@@ -208,12 +196,12 @@ func (s *Snapshot[K, V]) AscendKV(from K, fn func(k K, val V) bool) {
 }
 
 // usable reports whether a leaf holds a live user key in this view: not
-// one of the two dummies and not removed.
+// one of the two dummies and, on the live trie, not removed.
 func (s *Snapshot[K, V]) usable(n *node[K, V]) bool {
 	if n.label.Equal(s.t.dummyMin) || n.label.Equal(s.t.dummyMax) {
 		return false
 	}
-	return !s.removed(n.info.Load())
+	return !s.live || !s.t.removed(n.info.Load())
 }
 
 // searchMut is Snapshot.search for mutating operations on the live trie:
@@ -291,8 +279,7 @@ restart:
 		r.node = n
 		l.recordDepth(depth)
 		if n != nil && n.isLeaf() {
-			live := Snapshot[K, V]{t: t, gen: liveGen}
-			r.rmvd = live.removed(n.info.Load())
+			r.rmvd = t.removed(n.info.Load())
 		}
 		return r
 	}

@@ -11,8 +11,8 @@ import (
 	"nbtrie/internal/keys"
 )
 
-// Snapshot battery: frozen-view semantics, the generation-aware removal
-// check, O(1) cost pins, and prefix-consistency under concurrent
+// Snapshot battery: frozen-view semantics, views reading a leaf a later
+// replace flagged as live, O(1) cost pins, and prefix-consistency under concurrent
 // writers. These run once here, against the shared engine, for every
 // instantiation in the repository.
 
@@ -88,12 +88,12 @@ func TestSnapshotFrozenView(t *testing.T) {
 	}
 }
 
-// TestSnapshotGenerationAwareRemoval pins the one subtle sharing case: a
-// general-case replace after the snapshot plants its Flag in the info
-// field of a leaf the snapshot still reaches. The snapshot's removal
-// check must see that the Flag belongs to a newer generation and keep
-// the leaf live in its view.
-func TestSnapshotGenerationAwareRemoval(t *testing.T) {
+// TestSnapshotIgnoresLaterReplaceFlag pins the one subtle sharing case:
+// a general-case replace after the snapshot plants its Flag in the info
+// field of a leaf the snapshot still reaches. The replace removes
+// nothing from the view, which applies no removal check and keeps the
+// leaf live.
+func TestSnapshotIgnoresLaterReplaceFlag(t *testing.T) {
 	tr := mustNew(t, 16)
 	// Spread keys so Replace(5, 40000) hits the general case (disjoint
 	// parts of the trie).
@@ -108,7 +108,7 @@ func TestSnapshotGenerationAwareRemoval(t *testing.T) {
 		t.Fatal("live trie must reflect the replace")
 	}
 	if !s.Contains(tr.enc(5)) {
-		t.Error("snapshot must still contain the replaced-away key: its removal is from a newer generation")
+		t.Error("snapshot must still contain the replaced-away key: it was removed after the snapshot")
 	}
 	if s.Contains(tr.enc(40000)) {
 		t.Error("snapshot must not contain the post-snapshot key")
@@ -116,6 +116,52 @@ func TestSnapshotGenerationAwareRemoval(t *testing.T) {
 	keys := snapKeys(s, 16)
 	if len(keys) != 6 || keys[1] != 5 {
 		t.Errorf("snapshot Ascend sees %v, want the six pre-replace keys", keys)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSnapshotIgnoresLaterRootCASReplace is the same case on a span-4
+// trie where the replace's first CAS is the root CAS: the new key fills
+// an empty root slot, so the insert half swaps the root node itself
+// (the root-CAS sentinel), while the removed key sits at depth 3, so the
+// delete half's CAS lies below the root and the replace stays general.
+// The view must still read the old key and not the new one; the live
+// trie must read the reverse.
+func TestSnapshotIgnoresLaterRootCASReplace(t *testing.T) {
+	// Width 11 keys encode to 12 bits, three span-4 digits: k+1.
+	tr := karyNew(t, 11, 4)
+	const old, by1, by2, nw = 0x10f, 0x110, 0x11f, 0x4ff // 0x110 0x111 0x120 0x500
+	for _, k := range []uint64{old, by1, by2} {
+		tr.Insert(k)
+	}
+	leaf := tr.searchMut(tr.lane0(), tr.enc(old)).node
+	if got := tr.root.Load().inner().kid(1).Load().inner().kid(1).Load().inner().kid(0).Load(); got != leaf {
+		t.Fatal("the old key's leaf must sit at depth 3, under root slot 1")
+	}
+	if tr.root.Load().inner().kid(5).Load() != nil {
+		t.Fatal("root slot 5 must start empty")
+	}
+	s := tr.Snapshot()
+	if !tr.Replace(old, nw) {
+		t.Fatal("replace must succeed")
+	}
+	w := leaf.info.Load()
+	if !flagged(w) {
+		t.Fatal("the replace must be the general case, which flags the shared leaf")
+	}
+	if p, _ := flagOf[keys.Uint64Key, any](w).firstCAS(); p != nil {
+		t.Fatal("the replace's first CAS must be the root CAS")
+	}
+	if tr.Contains(old) || !tr.Contains(nw) {
+		t.Fatal("live trie must reflect the replace")
+	}
+	if !s.Contains(tr.enc(old)) || s.Contains(tr.enc(nw)) {
+		t.Errorf("snapshot reads old %v, new %v; want true, false", s.Contains(tr.enc(old)), s.Contains(tr.enc(nw)))
+	}
+	if got := snapKeys(s, 11); len(got) != 3 || got[0] != old {
+		t.Errorf("snapshot Ascend sees %#x, want the three pre-replace keys", got)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)

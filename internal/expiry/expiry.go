@@ -33,11 +33,11 @@
 package expiry
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"nbtrie"
 	"nbtrie/internal/engine"
@@ -80,11 +80,12 @@ func batchFor(n int) int {
 // each, and a copy of B in a tail behind them. A 32 B engine header,
 // those two words and a 64 B value are one 112 B object. Every read
 // (Load, Lookup, the old value of a Swap or delete, a walk) gets a Value
-// whose B is a view of that tail, len == cap. A Store may therefore
-// pass bytes it reuses (the server passes its connection's read arena),
-// and a B that a read returns is valid for as long as it is held,
-// pinning its leaf. Values longer than the engine's largest tail (464 B)
-// get their copy as a second object.
+// whose B is a view of that tail, len == cap, or nil for an empty value:
+// presence is the read's ok result, never B. A Store may therefore pass
+// bytes it reuses (the server passes its connection's read arena), and a
+// B that a read returns is valid for as long as it is held, pinning its
+// leaf. Values longer than the engine's largest tail (464 B) get their
+// copy as a second object.
 type Value struct {
 	B  []byte
 	At uint64
@@ -113,19 +114,6 @@ func armed(at uint64) int64 {
 		return 1
 	}
 	return 0
-}
-
-// same reports whether have and v were read from the same leaf: the same
-// deadline and the same bytes, by address. Every leaf holds its own copy
-// of its bytes (Value's doc), and every read's B points at an address no
-// other leaf's bytes share: the tail inside the leaf, a separate copy
-// made for that leaf alone, or for a zero-length value the leaf's own
-// length word, so B is never nil. v keeps its leaf, and so that
-// address, alive while the caller holds it, so no later leaf can be given
-// it. A racing writer's leaf — even one storing the very same bytes —
-// therefore never matches.
-func same(have, v Value) bool {
-	return have.At == v.At && len(have.B) == len(v.B) && unsafe.SliceData(have.B) == unsafe.SliceData(v.B)
 }
 
 // Index is the TTL'd keyspace. All methods are safe for unrestricted
@@ -278,14 +266,20 @@ func (x *Index) Delete(k uint64) bool {
 // Set arms k's deadline if k is present (EXPIRE and its variants, and
 // PEXPIREAT replay), returning false when k is absent. The value is kept:
 // the leaf is swapped for one with the same bytes and the new deadline,
-// conditional on the exact value read. Set does not consult the clock, so
-// it arms a past deadline too; the server deletes instead when a client
-// asks for one.
-func (x *Index) Set(k uint64, deadlineMS int64) bool {
-	at := clampDeadline(deadlineMS)
+// conditional on the value read (rearm). Set does not consult the clock,
+// so it arms a past deadline too; the server deletes instead when a
+// client asks for one.
+func (x *Index) Set(k uint64, deadlineMS int64) bool { return x.setAt(k, clampDeadline(deadlineMS)) }
+
+// Persist removes k's deadline, returning true iff one was removed.
+func (x *Index) Persist(k uint64) bool { return x.setAt(k, 0) }
+
+// setAt re-arms k at at (0: no deadline) from the value it loads,
+// reporting false when k is absent or, for at 0, has no deadline.
+func (x *Index) setAt(k uint64, at uint64) bool {
 	for {
 		v, ok := x.db.Load(k)
-		if !ok {
+		if !ok || at == 0 && v.At == 0 {
 			return false
 		}
 		if x.rearm(k, v, at) {
@@ -294,23 +288,14 @@ func (x *Index) Set(k uint64, deadlineMS int64) bool {
 	}
 }
 
-// Persist removes k's deadline, returning true iff one was removed.
-func (x *Index) Persist(k uint64) bool {
-	for {
-		v, ok := x.db.Load(k)
-		if !ok || v.At == 0 {
-			return false
-		}
-		if x.rearm(k, v, 0) {
-			return true
-		}
-	}
-}
-
-// rearm swaps k from exactly v to the same bytes armed at at (0: no
-// deadline), reporting false if k no longer holds v.
+// rearm swaps k from v to the same bytes armed at at, reporting false if
+// k no longer holds v. The condition compares values, not leaves: an
+// equal leaf a racing write installed gives the same result, as if the
+// rearm came after that write.
 func (x *Index) rearm(k uint64, v Value, at uint64) bool {
-	if !x.db.CompareAndSwapFunc(k, func(have Value) bool { return same(have, v) }, Value{B: v.B, At: at}) {
+	if !x.db.CompareAndSwapFunc(k, func(have Value) bool {
+		return have.At == v.At && bytes.Equal(have.B, v.B)
+	}, Value{B: v.B, At: at}) {
 		return false
 	}
 	x.armedN.Add(armed(at) - armed(v.At))

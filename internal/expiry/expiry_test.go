@@ -62,32 +62,48 @@ func TestValueLeafSize(t *testing.T) {
 	}
 }
 
-// TestSameMeansThisLeaf: rearm's condition matches the leaf the value was
-// read from, not its contents. A second store of the very same bytes and
-// deadline builds a new leaf, and a Set or Persist conditioned on the
-// value read before it must not match, for a tail-sized, an empty and
-// a separately copied value alike; conditioned on the new read it does.
-func TestSameMeansThisLeaf(t *testing.T) {
+// TestRearmMatchesByValue: rearm's condition compares the value read,
+// bytes and deadline, not the leaf it came from. A second store of the
+// very same bytes and deadline builds a new leaf, and a Set or Persist
+// conditioned on the read before it still matches, as if it came after
+// the store; a store of another deadline, or of other bytes of the same
+// length, makes it miss. For a tail-sized, an empty and a separately
+// copied value alike; an empty value reads as nil bytes, present.
+func TestRearmMatchesByValue(t *testing.T) {
 	for _, b := range [][]byte{[]byte("value"), {}, bytes.Repeat([]byte{'x'}, 1000)} {
 		x, _ := newIndex(t)
 		x.StoreDeadline(7, b, 1000)
 		v1, _ := x.Lookup(7)
 		x.StoreDeadline(7, b, 1000)
-		v2, _ := x.Lookup(7)
-		if !same(v1, v1) || same(v1, v2) {
-			t.Errorf("%d B: same(v1, v1) = %v, same(v1, v2) = %v; want true, false", len(b), same(v1, v1), same(v1, v2))
+		if !x.rearm(7, v1, 2000) || deadline(x, 7) != 2000 || x.ArmedKeys() != 1 {
+			t.Errorf("%d B: a Set conditioned on an equal earlier read missed: deadline %d, %d armed", len(b), deadline(x, 7), x.ArmedKeys())
 		}
-		if x.rearm(7, v1, 2000) || x.rearm(7, v1, 0) {
-			t.Errorf("%d B: a Set or Persist conditioned on the replaced leaf matched", len(b))
+		x.StoreDeadline(7, b, 1000)
+		if !x.rearm(7, v1, 0) || deadline(x, 7) != 0 || x.ArmedKeys() != 0 {
+			t.Errorf("%d B: a Persist conditioned on an equal earlier read missed: deadline %d, %d armed", len(b), deadline(x, 7), x.ArmedKeys())
 		}
-		if !x.rearm(7, v2, 0) || deadline(x, 7) != 0 || x.ArmedKeys() != 0 {
-			t.Errorf("%d B: Persist conditioned on the live leaf failed", len(b))
+
+		x.StoreDeadline(7, b, 1001)
+		if x.rearm(7, v1, 2000) || x.rearm(7, v1, 0) || deadline(x, 7) != 1001 {
+			t.Errorf("%d B: a rearm conditioned on another deadline matched", len(b))
 		}
+		if len(b) > 0 {
+			other := bytes.Repeat([]byte{'y'}, len(b))
+			x.StoreDeadline(7, other, 1000)
+			if x.rearm(7, v1, 2000) || x.rearm(7, v1, 0) || deadline(x, 7) != 1000 {
+				t.Errorf("%d B: a rearm conditioned on other bytes of the same length matched", len(b))
+			}
+			x.StoreDeadline(7, b, 1000)
+		}
+
 		if !x.Set(7, 3000) || deadline(x, 7) != 3000 {
 			t.Errorf("%d B: Set after a re-store: deadline %d, want 3000", len(b), deadline(x, 7))
 		}
-		if v, ok := x.Load(7); !ok || !bytes.Equal(v, b) || v == nil {
-			t.Errorf("%d B: Load = %q, %v; want the stored bytes, non-nil", len(b), v, ok)
+		if v, ok := x.Load(7); !ok || !bytes.Equal(v, b) || (len(b) == 0) != (v == nil) {
+			t.Errorf("%d B: Load = %q (nil %v), %v; want the stored bytes, nil iff empty", len(b), v, v == nil, ok)
+		}
+		if err := x.Validate(); err != nil {
+			t.Errorf("%d B: %v", len(b), err)
 		}
 	}
 }

@@ -126,7 +126,13 @@ import (
 // (always: on stable storage): group commit, one write+fsync per batch.
 //   - The reader rule: every flush commits the current segment, so no
 //     client reads a write, its own or another session's, whose record is
-//     still in the segment's buffer.
+//     still in the segment's buffer. It covers only records already
+//     appended: GET takes no stripe, so a read can land between a
+//     writer's keyspace update and its append, and the reader's flush
+//     then commits a segment without the writer's record. Under
+//     appendfsync always, a crash before the writer's own commit restarts
+//     without a value a client was shown, with no disk failure
+//     (ROADMAP.md item 30).
 //   - The wrote rule: a batch that appended (session.wrote) is
 //     acknowledged only if its commit succeeds and the AOF has not
 //     degraded, which catches a record whose segment's seal failed after

@@ -1,16 +1,14 @@
 // Package server is nbtried's network layer: a pipelined, RESP2-subset
 // key-value server over the repository's non-blocking Patricia trie. The
 // keyspace is internal/expiry's Index: one binary Map whose leaves hold
-// each key's value and deadline, which the reaper sweeps.
-// It is the first layer of the ROADMAP's "production-scale system
-// serving heavy traffic": the paper's lock-free engine does the
-// synchronization, and every connection goroutine calls straight into
-// the trie. With persistence on, the one lock on the data path is the
-// key stripes (see persist.go): a mutation holds its keys' stripes
-// across its keyspace update and AOF append, so each key's records
-// follow its updates, and a dump rotation, which takes every stripe,
-// cuts between whole mutations. With persistence off a mutation takes
-// no lock.
+// each key's value and deadline, which the reaper sweeps. The paper's
+// lock-free engine does the synchronization, and every connection
+// goroutine calls straight into the trie. With persistence on, the one
+// lock on the data path is the key stripes (see persist.go): a mutation
+// holds its keys' stripes across its keyspace update and AOF append, so
+// each key's records follow its updates, and a dump rotation, which
+// takes every stripe, cuts between whole mutations. With persistence off
+// a mutation takes no lock.
 //
 // # Connection model and pipelining
 //

@@ -165,3 +165,51 @@ func TestLenDoesNotAllocate(t *testing.T) {
 		t.Errorf("Len/Load/Contains allocate %v objects per call, want 0", n)
 	}
 }
+
+// TestLenSetSize pins the set layer's Size to the counter Len reads:
+// allocation-free, exact at quiescence after inserts, deletes and a
+// Replace, and, read while writers insert, never decreasing and never
+// past the keys inserted.
+func TestLenSetSize(t *testing.T) {
+	p, err := NewPatriciaTrie(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < per; i++ {
+				p.Insert(w*per + i)
+			}
+		}(uint64(w))
+	}
+	for last := 0; last < workers*per; {
+		n := p.Size()
+		if n < last || n > workers*per {
+			t.Fatalf("Size read %d after %d, with %d keys inserted at most", n, last, workers*per)
+		}
+		last = n
+	}
+	wg.Wait()
+	p.Delete(3)
+	p.Replace(4, 1<<15)
+	if got, want := p.Size(), len(p.Keys()); got != want || got != workers*per-1 {
+		t.Errorf("PatriciaTrie.Size = %d, iteration finds %d, want %d", got, want, workers*per-1)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.Size() }); a != 0 {
+		t.Errorf("PatriciaTrie.Size allocates %v times", a)
+	}
+
+	s := NewStringTrie()
+	for i := 0; i < 64; i++ {
+		s.Insert([]byte(fmt.Sprintf("k%02d", i)))
+	}
+	s.Delete([]byte("k07"))
+	s.Replace([]byte("k08"), []byte("moved"))
+	if got, want := s.Size(), len(s.Keys()); got != want || got != 63 {
+		t.Errorf("StringTrie.Size = %d, iteration finds %d, want 63", got, want)
+	}
+}

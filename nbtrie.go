@@ -137,8 +137,10 @@ func (p *PatriciaTrie) Contains(k uint64) bool { return p.t.Contains(k) }
 // fail). Lock-free.
 func (p *PatriciaTrie) Replace(old, new uint64) bool { return p.t.Replace(old, new) }
 
-// Size returns the number of keys; quiescent use only.
-func (p *PatriciaTrie) Size() int { return p.t.e.Size() }
+// Size returns the number of keys, read from the counter Map.Len reads:
+// O(1), exact whenever no mutation is in flight, and under concurrent
+// updates off by at most the number in flight.
+func (p *PatriciaTrie) Size() int { return p.t.Len() }
 
 // Keys returns the keys in increasing order; quiescent use only.
 func (p *PatriciaTrie) Keys() []uint64 { return slices.Collect(p.All()) }
@@ -235,8 +237,8 @@ func (s *StringTrie) Contains(k []byte) bool { return s.t.Contains(k) }
 // present and new absent.
 func (s *StringTrie) Replace(old, new []byte) bool { return s.t.Replace(old, new) }
 
-// Size returns the number of keys; quiescent use only.
-func (s *StringTrie) Size() int { return s.t.e.Size() }
+// Size returns the number of keys, as PatriciaTrie.Size does.
+func (s *StringTrie) Size() int { return s.t.Len() }
 
 // Keys returns the keys in encoded order (lexicographic except that a
 // proper prefix follows its extensions); quiescent use only.

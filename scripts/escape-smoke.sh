@@ -95,15 +95,16 @@ pkgs="./internal/resp ./internal/server ./internal/expiry ./internal/engine . ./
     # points at the line that broke one. Expected sites: New's option
     # closures, its config and &Index{...} (once per server), the handler
     # closures expireCmd and ttlCmd return (built once in init),
-    # StartReaper's goroutine and stop closures (once per server), the
-    # snapshot header (once per SAVE) and Validate's error text (tests).
+    # StartReaper's goroutine and stop closures (once per server) and
+    # Validate's error text (tests).
     # The engine calls Value's LeafBytes and FromLeaf through an
     # interface with the Value passed by value, which adds no site; a
     # Value moved to heap there, or in setex, is the regression. A site in
-    # purge, Store, StoreDeadline, Set, Persist, rearm, Delete, Rename,
-    # step, Reap, setTTL or itoa is the regression: the conditions handed
-    # to DeleteFunc and CompareAndSwapFunc must stay on the stack. Listed
-    # in line order.
+    # purge, Store, StoreDeadline, Set, Persist, setAt, rearm, Delete,
+    # Rename, step, Reap, setTTL or itoa is the regression: the conditions
+    # handed to DeleteFunc and CompareAndSwapFunc (rearm's compares the
+    # value read, bytes and deadline) must stay on the stack. Listed in
+    # line order.
     ttl="$(grep -E 'expiry/expiry\.go|server/expiry\.go' "$mlog" | sort -t: -k1,1 -k2,2n -k3,3n | uniq)"
     if [ -n "$ttl" ]; then
         echo "$ttl"
